@@ -213,8 +213,8 @@ class LineIntegralGauge:
         stacked = self.base + _GL_T[:, None, None] * diffs  # (q, m, n)
         flat = stacked.reshape(-1, n)
         total = np.zeros(m)
-        for k, comp in enumerate(self.components):
-            vals = evaluate(comp, flat, 0).value.reshape(len(_GL_T), m)
+        for k, jet in enumerate(evaluate(self.components, flat, 0)):
+            vals = jet.value.reshape(len(_GL_T), m)
             total += (_GL_W[:, None] * vals).sum(axis=0) * diffs[:, k]
         return total
 
@@ -256,7 +256,7 @@ class LineIntegralGauge:
         value = self.values(pts)
         grad = hess = third = None
         if order >= 1:
-            comp_jets = [evaluate(c, pts, max(order - 1, 0)) for c in self.components]
+            comp_jets = evaluate(self.components, pts, order - 1)
             grad = np.stack([j.value for j in comp_jets], axis=1)
         if order >= 2:
             dform = np.stack([j.grad for j in comp_jets], axis=1)  # (m, k, i) = d_i w_k
@@ -346,19 +346,24 @@ class EvaluatedTensor:
 
 
 def _eval_entries(entries: Array, pts: Array, order: int) -> EvaluatedTensor:
+    """Stack the entry jets. The trees of all expression entries share one
+    `evaluate` pass; each distinct gauged entry is evaluated on its own."""
     m, n = pts.shape
     shape = entries.shape
     value = np.empty((m,) + shape)
     d1 = np.empty((m,) + shape + (n,)) if order >= 1 else None
     d2 = np.empty((m,) + shape + (n, n)) if order >= 2 else None
     d3 = np.empty((m,) + shape + (n, n, n)) if order >= 3 else None
-    cache: dict[int, Jet] = {}
+    symbolic = [idx for idx in np.ndindex(shape) if isinstance(entries[idx], ExprEntry)]
+    jets = dict(zip(symbolic, evaluate([entries[idx].tree for idx in symbolic], pts, order)))
+    gauged: dict = {}
     for idx in np.ndindex(shape):
-        entry = entries[idx]
-        jet = cache.get(id(entry))
+        jet = jets.pop(idx, None)
         if jet is None:
-            jet = entry.jet(pts, order)
-            cache[id(entry)] = jet
+            entry = entries[idx]
+            if entry not in gauged:
+                gauged[entry] = entry.jet(pts, order)
+            jet = gauged[entry]
         sel = (slice(None),) + idx
         value[sel] = jet.value
         if order >= 1:
@@ -573,6 +578,17 @@ def max_abs(arr: Array) -> Array:
 def rel_residual(delta: Array, scale: Array) -> Array:
     """Per-sample |delta| / (1 + |scale|), both reduced by max-norm."""
     return max_abs(delta) / (1.0 + max_abs(scale))
+
+
+def component_fold(comps: dict):
+    """``fold(key, arr)`` keeps the worst value of ``arr`` under ``key`` in
+    ``comps`` and returns ``arr``. A NaN sticks (``max(0.0, nan)`` is 0.0)."""
+
+    def fold(key, arr):
+        comps[key] = float(np.maximum(comps.get(key, 0.0), np.max(arr)))
+        return arr
+
+    return fold
 
 
 def total_symmetry_residual(t: Array) -> float:

@@ -35,6 +35,7 @@ from .geomcore import (
     VectorFieldT,
     adjugate_expressions,
     as_entry,
+    component_fold,
     covariant_derivative_metric_batch,
     covariant_derivative_vector_batch,
     curvature_batch,
@@ -238,10 +239,7 @@ def check_hessian_structure(conn: ConnectionField, g: MetricField, plan=None,
     """
     plan = plan or SamplePlan()
     comps: dict[str, float] = {}
-
-    def _fold(key, arr):
-        comps[key] = max(comps.get(key, 0.0), float(np.max(arr)))
-        return arr
+    _fold = component_fold(comps)
 
     def residual(pts):
         gamma = conn.eval(pts, 0).value
@@ -335,10 +333,7 @@ def check_statistical(struct: StatisticalStructure, plan=None,
     plan = plan or SamplePlan()
     conn, g = struct.conn, struct.metric
     comps: dict[str, float] = {}
-
-    def _fold(key, arr):
-        comps[key] = max(comps.get(key, 0.0), float(np.max(arr)))
-        return arr
+    _fold = component_fold(comps)
 
     def residual(pts):
         gamma = conn.eval(pts, 0).value

@@ -13,6 +13,8 @@ are simply absent (None).
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 
 from . import expr as ex
@@ -58,10 +60,6 @@ class Jet:
         if order >= 3:
             t = np.zeros((m, n, n, n))
         return Jet(order, value, g, h, t)
-
-    @staticmethod
-    def from_parts(order: int, value: Array, grad=None, hess=None, third=None) -> "Jet":
-        return Jet(order, np.asarray(value, float), grad, hess, third)
 
     # -- ring operations ----------------------------------------------------
 
@@ -195,83 +193,155 @@ class Jet:
 
 
 # ---------------------------------------------------------------------------
-# Expression evaluation
+# Expression evaluation: one pass over a plan of structurally distinct nodes
 # ---------------------------------------------------------------------------
+#
+# A plan is a topologically ordered list of slots ``(op, arg, kids)``, one per
+# structurally distinct node of the trees handed to `evaluate`: a slot is keyed
+# on its op, its scalar payload and its children's slots, so a subtree that
+# occurs many times (as the same object or as equal copies) is evaluated once.
+# Slots come in the order a left-to-right recursive walk would first finish
+# them, so the first `DomainError` raised is the one that walk would raise.
 
-def evaluate(tree: Expression, pts: Array, order: int) -> Jet:
-    """Evaluate an expression tree at a batch of points, with derivatives."""
+_APPLY = {
+    "neg": lambda _, u: -u,
+    "add": lambda _, u, v: u + v,
+    "sub": lambda _, u, v: u - v,
+    "mul": lambda _, u, v: u * v,
+    "div": lambda _, u, v: u / v,
+    "powi": lambda k, u: u.powi(k),
+    "powf": lambda r, u: u.powf(r),
+    "pow": lambda _, u, e: (e * u.log()).exp(),
+    "call": lambda func, u: getattr(u, func)(),
+}
+
+_BINARY = {ex.Add: "add", ex.Sub: "sub", ex.Mul: "mul", ex.Div: "div"}
+
+
+def _bits(v: float) -> bytes:
+    """Key of a float payload: its bit pattern, so 0.0 and -0.0 stay apart."""
+    return struct.pack("<d", v)
+
+
+def _describe(node) -> tuple:
+    """``(op, arg, key, child nodes)``: a slot for ``node`` applies ``op`` to
+    ``arg`` and its children's jets; it is merged with others on ``key``."""
+    t = type(node)
+    op = _BINARY.get(t)
+    if op is not None:
+        return op, None, None, (node.left, node.right)
+    if t is ex.Num:
+        return "num", float(node.value), _bits(node.value), ()
+    if t is ex.Var:
+        return "var", node.index, node.index, ()
+    if t is ex.Neg:
+        return "neg", None, None, (node.arg,)
+    if t is ex.Call:
+        return "call", node.func, node.func, (node.arg,)
+    if t is ex.Pow:
+        return _describe_pow(node)
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def _describe_pow(node: ex.Pow) -> tuple:
+    """A Pow's exponent, resolved once: "powi"/"powf" for a constant,
+    "pow" for a variable one, "raise" when resolving it fails."""
+    base = node.base
+    try:
+        k = ex.constant_value(node.exponent)
+    except (ArithmeticError, ValueError) as err:  # raised in turn, before the base
+        return "raise", err, None, ()
+    if k is None:
+        return "pow", None, None, (base, node.exponent)
+    try:
+        integral = k == round(k)
+    except (OverflowError, ValueError) as err:  # inf or nan: after the base
+        return "raise", err, None, (base,)
+    if integral:
+        return "powi", int(round(k)), int(round(k)), (base,)
+    return "powf", k, _bits(k), (base,)
+
+
+def _plan(trees) -> tuple[list[tuple], list[int]]:
+    """The slots for ``trees`` (children before parents, left to right) and
+    the slot of each tree. Structurally equal nodes share one slot."""
+    slots: list[tuple] = []
+    by_key: dict[tuple, int] = {}
+    by_id: dict[int, int] = {}  # node objects already planned
+    roots: list[int] = []
+    for root in trees:
+        stack = [(root, None)]
+        while stack:
+            node, desc = stack.pop()
+            if id(node) in by_id:
+                continue
+            if desc is None:
+                desc = _describe(node)
+                pending = [k for k in desc[3] if id(k) not in by_id]
+                if pending:
+                    stack.append((node, desc))
+                    stack.extend((k, None) for k in reversed(pending))
+                    continue
+            op, arg, key, kids = desc
+            kids = tuple(by_id[id(k)] for k in kids)
+            if op == "raise":  # never merged: it raises ``arg`` in its turn
+                slot = len(slots)
+                slots.append((op, arg, kids))
+            else:
+                slot = by_key.setdefault((op, key, kids), len(slots))
+                if slot == len(slots):
+                    slots.append((op, arg, kids))
+            by_id[id(node)] = slot
+        roots.append(by_id[id(root)])
+    return slots, roots
+
+
+def _run(slots: list[tuple], roots: list[int], pts: Array, order: int) -> list[Jet]:
+    """Evaluate every slot once; a jet is dropped after its last consumer."""
+    m, n = pts.shape
+    uses = [0] * len(slots)
+    for _, _, kids in slots:
+        for k in kids:
+            uses[k] += 1
+    for r in roots:
+        uses[r] += 1  # held until the end
+    jets: list[Jet | None] = [None] * len(slots)
+    for s, (op, arg, kids) in enumerate(slots):
+        if op == "num":
+            jets[s] = Jet.constant(arg, m, n, order)
+            continue
+        if op == "var":
+            if arg >= n:
+                raise VariableDimensionError(arg, n)
+            jets[s] = Jet.coordinate(arg, pts, order)
+            continue
+        if op == "raise":
+            raise arg
+        jets[s] = _APPLY[op](arg, *[jets[k] for k in kids])
+        for k in kids:
+            uses[k] -= 1
+            if not uses[k]:
+                jets[k] = None
+    return [jets[r] for r in roots]
+
+
+def evaluate(trees, pts: Array, order: int):
+    """Evaluate an expression tree, or a sequence of trees, at a batch of points.
+
+    Returns a `Jet` for a single tree and a list of jets, one per tree, for a
+    sequence. All trees share one pass: each structurally distinct subtree is
+    evaluated once.
+    """
     if not 0 <= order <= MAX_ORDER:
         raise ValueError(f"order must be between 0 and {MAX_ORDER}, got {order}")
     pts = np.asarray(pts, float)
     if pts.ndim != 2:
         raise ValueError("pts must have shape (m, n)")
-    return _eval(tree, pts, order)
-
-
-def _eval(tree: Expression, pts: Array, order: int) -> Jet:
-    m, n = pts.shape
-    if isinstance(tree, ex.Num):
-        return Jet.constant(tree.value, m, n, order)
-    if isinstance(tree, ex.Var):
-        if tree.index >= n:
-            raise VariableDimensionError(tree.index, n)
-        return Jet.coordinate(tree.index, pts, order)
-    if isinstance(tree, ex.Neg):
-        return -_eval(tree.arg, pts, order)
-    if isinstance(tree, ex.Add):
-        return _eval(tree.left, pts, order) + _eval(tree.right, pts, order)
-    if isinstance(tree, ex.Sub):
-        return _eval(tree.left, pts, order) - _eval(tree.right, pts, order)
-    if isinstance(tree, ex.Mul):
-        return _eval(tree.left, pts, order) * _eval(tree.right, pts, order)
-    if isinstance(tree, ex.Div):
-        return _eval(tree.left, pts, order) / _eval(tree.right, pts, order)
-    if isinstance(tree, ex.Pow):
-        k = ex.constant_value(tree.exponent)
-        base = _eval(tree.base, pts, order)
-        if k is not None:
-            if k == round(k):
-                return base.powi(int(round(k)))
-            return base.powf(k)
-        exponent = _eval(tree.exponent, pts, order)
-        return (exponent * base.log()).exp()
-    if isinstance(tree, ex.Call):
-        u = _eval(tree.arg, pts, order)
-        return getattr(u, tree.func)()
-    raise TypeError(f"not an expression node: {tree!r}")
+    single = isinstance(trees, Expression)
+    jets = _run(*_plan([trees] if single else trees), pts, order)
+    return jets[0] if single else jets
 
 
 class VariableDimensionError(ex.ExprError):
     def __init__(self, index: int, n: int):
         super().__init__(f"expression references x{index} but points have dimension {n}")
-
-
-# ---------------------------------------------------------------------------
-# Single-point convenience wrapper
-# ---------------------------------------------------------------------------
-
-class Jet3:
-    """Order-3 jet at a single point: value, grad (n,), hess (n,n), third (n,n,n)."""
-
-    __slots__ = ("value", "grad", "hess", "third")
-
-    def __init__(self, value: float, grad=None, hess=None, third=None):
-        self.value = value
-        self.grad = grad
-        self.hess = hess
-        self.third = third
-
-    def __repr__(self):
-        return f"Jet3(value={self.value!r})"
-
-
-def eval_jet(tree: Expression, p, order: int = 3) -> Jet3:
-    """Evaluate at a single point p, returning a Jet3 truncated to ``order``."""
-    p = np.asarray(p, float).reshape(1, -1)
-    jet = evaluate(tree, p, order)
-    return Jet3(
-        float(jet.value[0]),
-        None if jet.grad is None else jet.grad[0].copy(),
-        None if jet.hess is None else jet.hess[0].copy(),
-        None if jet.third is None else jet.third[0].copy(),
-    )

@@ -30,6 +30,7 @@ from .geomcore import (
     PD_FLOOR,
     SamplePlan,
     VectorFieldT,
+    component_fold,
     covariant_derivative_metric_batch,
     covariant_derivative_oneform_batch,
     covariant_derivative_vector_batch,
@@ -217,10 +218,7 @@ def check_lch(struct: LCHStructure, plan=None,
     """
     plan = plan or SamplePlan()
     comps: dict[str, float] = {}
-
-    def _fold(key, arr):
-        comps[key] = max(comps.get(key, 0.0), float(np.max(arr)))
-        return arr
+    _fold = component_fold(comps)
 
     conn, g, theta = struct.conn, struct.metric, struct.lee_form
 
@@ -315,8 +313,7 @@ def _affine_residual(conn: ConnectionField, xi: VectorFieldT, pts) -> float:
         ]
 
     # T^i_j = nabla_j xi^i as trees, then one more covariant derivative
-    tval = np.empty((pts.shape[0], n, n))
-    td1 = np.empty((pts.shape[0], n, n, n))
+    terms = []
     for i in range(n):
         for j in range(n):
             term = ex.diff(xtrees[i], j)
@@ -329,9 +326,11 @@ def _affine_residual(conn: ConnectionField, xi: VectorFieldT, pts) -> float:
                         if gtrees[i][j][k] != ex.ZERO and xtrees[k] != ex.ZERO
                     ]
                 )
-            jet = evaluate(term, pts, 1)
-            tval[:, i, j] = jet.value
-            td1[:, i, j, :] = jet.grad
+            terms.append(term)
+    jets = evaluate(terms, pts, 1)
+    m = pts.shape[0]
+    tval = np.stack([j.value for j in jets], axis=1).reshape(m, n, n)
+    td1 = np.stack([j.grad for j in jets], axis=1).reshape(m, n, n, n)
 
     second = td1
     if not conn.flat:
@@ -528,7 +527,7 @@ def local_hessian_gauge(struct: LCHStructure, base_point, p=None, *,
 
 
 def _map_jets(map_trees, pts):
-    jets = [evaluate(t, pts, 2) for t in map_trees]
+    jets = evaluate(map_trees, pts, 2)
     image = np.stack([j.value for j in jets], axis=1)
     jac = np.stack([j.grad for j in jets], axis=1)        # (m, c, u) = d_u phi^c
     hess = np.stack([j.hess for j in jets], axis=1)       # (m, c, u, v)

@@ -735,7 +735,9 @@ def run_suite(scene: Scene, plan: SamplePlan | None = None,
               mc_samples: int = 1_000_000) -> Report:
     """Execute every declared check; a check is ok when its reports land on
     the expected side of the tolerance (``expect_fail`` flips the sense) and
-    every ``expect`` bound on the report extras holds."""
+    every ``expect`` bound on the report extras holds. A check whose op
+    raised or whose structure failed to build is never ok: a crash is not
+    the numerical failure ``expect_fail`` asks for."""
     plan = plan or SamplePlan()
     ctx = _Context(scene, plan, tolerance, mc_samples)
     out = Report(
@@ -749,16 +751,19 @@ def run_suite(scene: Scene, plan: SamplePlan | None = None,
     for i, check in enumerate(scene.checks):
         op = check["op"]
         tol = ctx.tol(check)
+        crashed = False
         try:
             reports = _OPS[op](ctx, check, tol)
         except SceneError:
             raise
         except Exception as err:
+            crashed = True
             reports = [make_report(
                 f"{op}-error", [float("inf")], tol, samples=0,
                 notes=(f"{type(err).__name__}: {err}",),
             )]
         if reports is None:
+            crashed = True
             name = check.get("structure", "?")
             reports = [make_report(
                 f"{op}-unavailable", [float("inf")], tol, samples=0,
@@ -768,7 +773,7 @@ def run_suite(scene: Scene, plan: SamplePlan | None = None,
         expect_fail = bool(check.get("expect_fail", False))
         passed = all(r.passed for r in reports)
         bounds_ok, bound_notes = _expectations_ok(check, reports)
-        ok = (passed != expect_fail) and bounds_ok
+        ok = (passed != expect_fail) and bounds_ok and not crashed
         record = {
             "index": i,
             "id": check.get("id", f"{i}:{op}"),

@@ -255,6 +255,21 @@ def test_statistical_rejects_hopf_pair():
     assert not rep.passed
 
 
+def test_nan_components_stay_nan_in_extra():
+    # exp(800*x0) overflows on part of the chart: d g is inf and the
+    # symmetry residual inf - inf is NaN, which must not read as 0.0.
+    chart = Chart(2, ((0.5, 1.5), (0.5, 1.5)))
+    g = MetricField(chart, [["exp(800*x0)", "0"], ["0", "1"]])
+    flat = flat_connection(chart)
+    with np.errstate(all="ignore"):
+        reports = [check_hessian_structure(flat, g, PLAN),
+                   check_statistical(StatisticalStructure(chart, flat, g), PLAN)]
+    for rep in reports:
+        assert not rep.passed and math.isnan(rep.max_residual)
+        assert math.isnan(rep.extra["symmetry"])
+        assert rep.extra["torsion"] == 0.0
+
+
 def test_statistical_one_dimensional_always_symmetric():
     chart = Chart(1, ((0.5, 2.0),))
     conn = ConnectionField(chart, [[["x0"]]])

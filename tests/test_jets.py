@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hesslab.expr import DomainError, parse_expression, plain_eval
-from hesslab.jets import Jet, eval_jet, evaluate
+from hesslab.jets import Jet, evaluate
 
 
 # ---------------------------------------------------------------------------
@@ -18,52 +18,52 @@ from hesslab.jets import Jet, eval_jet, evaluate
 # ---------------------------------------------------------------------------
 
 def test_square_at_three():
-    jet = eval_jet(parse_expression("x0*x0", dim=1), (3.0,), order=2)
-    assert jet.value == 9.0
-    assert jet.grad.tolist() == [6.0]
-    assert jet.hess.tolist() == [[2.0]]
+    jet = evaluate(parse_expression("x0*x0", dim=1), np.array([[3.0]]), 2)
+    assert jet.value[0] == 9.0
+    assert jet.grad[0].tolist() == [6.0]
+    assert jet.hess[0].tolist() == [[2.0]]
     assert jet.third is None
 
 
 def test_exp_at_zero_all_ones():
-    jet = eval_jet(parse_expression("exp(x0)", dim=1), (0.0,), order=3)
-    assert jet.value == 1.0
-    assert jet.grad.tolist() == [1.0]
-    assert jet.hess.tolist() == [[1.0]]
-    assert jet.third.tolist() == [[[1.0]]]
+    jet = evaluate(parse_expression("exp(x0)", dim=1), np.array([[0.0]]), 3)
+    assert jet.value[0] == 1.0
+    assert jet.grad[0].tolist() == [1.0]
+    assert jet.hess[0].tolist() == [[1.0]]
+    assert jet.third[0].tolist() == [[[1.0]]]
 
 
 def test_log_product_hessian():
-    jet = eval_jet(parse_expression("log(x0*x1)", dim=2), (2.0, 3.0), order=3)
-    assert jet.value == pytest.approx(np.log(6.0), rel=1e-15)
-    assert jet.grad == pytest.approx([0.5, 1 / 3], rel=1e-12)
-    assert jet.hess == pytest.approx(np.diag([-0.25, -1 / 9]), rel=1e-12)
+    jet = evaluate(parse_expression("log(x0*x1)", dim=2), np.array([[2.0, 3.0]]), 3)
+    assert jet.value[0] == pytest.approx(np.log(6.0), rel=1e-15)
+    assert jet.grad[0] == pytest.approx([0.5, 1 / 3], rel=1e-12)
+    assert jet.hess[0] == pytest.approx(np.diag([-0.25, -1 / 9]), rel=1e-12)
     # third derivative of log along each axis is 2/x^3; mixed entries vanish
     expected = np.zeros((2, 2, 2))
     expected[0, 0, 0] = 2 / 8
     expected[1, 1, 1] = 2 / 27
-    assert jet.third == pytest.approx(expected, rel=1e-12, abs=1e-15)
+    assert jet.third[0] == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
 
 def test_quartic_third_derivative():
-    jet = eval_jet(parse_expression("x0^4", dim=1), (2.0,), order=3)
-    assert jet.value == 16.0
-    assert jet.grad.tolist() == [32.0]
-    assert jet.hess.tolist() == [[48.0]]
-    assert jet.third.tolist() == [[[48.0]]]  # 24*x0 at x0=2
+    jet = evaluate(parse_expression("x0^4", dim=1), np.array([[2.0]]), 3)
+    assert jet.value[0] == 16.0
+    assert jet.grad[0].tolist() == [32.0]
+    assert jet.hess[0].tolist() == [[48.0]]
+    assert jet.third[0].tolist() == [[[48.0]]]  # 24*x0 at x0=2
 
 
 def test_negative_integer_power():
-    jet = eval_jet(parse_expression("x0^(-2)", dim=1), (2.0,), order=2)
-    assert jet.value == pytest.approx(0.25, rel=1e-14)
-    assert jet.grad[0] == pytest.approx(-2 / 8, rel=1e-13)
-    assert jet.hess[0, 0] == pytest.approx(6 / 16, rel=1e-13)
+    jet = evaluate(parse_expression("x0^(-2)", dim=1), np.array([[2.0]]), 2)
+    assert jet.value[0] == pytest.approx(0.25, rel=1e-14)
+    assert jet.grad[0, 0] == pytest.approx(-2 / 8, rel=1e-13)
+    assert jet.hess[0, 0, 0] == pytest.approx(6 / 16, rel=1e-13)
 
 
 def test_variable_exponent():
-    jet = eval_jet(parse_expression("pow(x0, x1)", dim=2), (2.0, 3.0), order=1)
-    assert jet.value == pytest.approx(8.0, rel=1e-13)
-    assert jet.grad == pytest.approx([12.0, 8.0 * np.log(2.0)], rel=1e-12)
+    jet = evaluate(parse_expression("pow(x0, x1)", dim=2), np.array([[2.0, 3.0]]), 1)
+    assert jet.value[0] == pytest.approx(8.0, rel=1e-13)
+    assert jet.grad[0] == pytest.approx([12.0, 8.0 * np.log(2.0)], rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -120,14 +120,14 @@ SMOOTH_CASES = [
 @pytest.mark.parametrize("src,p", SMOOTH_CASES)
 def test_jets_match_finite_differences(src, p):
     tree = parse_expression(src, dim=2)
-    jet = eval_jet(tree, p, order=2)
-    assert jet.value == pytest.approx(plain_eval(tree, p), rel=1e-12)
+    jet = evaluate(tree, np.array([p]), 2)
+    assert jet.value[0] == pytest.approx(plain_eval(tree, p), rel=1e-12)
     fd_g = _fd_grad(tree, p)
     fd_h = _fd_hess(tree, p)
     scale_g = 1.0 + np.max(np.abs(fd_g))
     scale_h = 1.0 + np.max(np.abs(fd_h))
-    assert np.max(np.abs(jet.grad - fd_g)) / scale_g < 1e-5
-    assert np.max(np.abs(jet.hess - fd_h)) / scale_h < 1e-5
+    assert np.max(np.abs(jet.grad[0] - fd_g)) / scale_g < 1e-5
+    assert np.max(np.abs(jet.hess[0] - fd_h)) / scale_h < 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +157,8 @@ def test_polynomial_jets_exact(coeffs, x, y):
                 terms.append(f"{float(c[a, b])!r}*x0^{a}*x1^{b}")
     src = " + ".join(terms) if terms else "0"
     tree = parse_expression(src, dim=2)
-    jet = eval_jet(tree, (x, y), order=3)
+    jet = evaluate(tree, np.array([[x, y]]), 3)
+    value, grad, hess, third = jet.value[0], jet.grad[0], jet.hess[0], jet.third[0]
 
     def dmono(a, b, dx, dy):
         # derivative of x^a y^b taken dx times in x and dy times in y
@@ -177,13 +178,13 @@ def test_polynomial_jets_exact(coeffs, x, y):
         )
 
     scale = 1.0 + max(abs(hand(0, 0)), abs(hand(1, 0)), abs(hand(0, 1)))
-    assert abs(jet.value - hand(0, 0)) <= 1e-12 * scale + 1e-9
-    assert abs(jet.grad[0] - hand(1, 0)) <= 1e-11 * scale + 1e-9
-    assert abs(jet.grad[1] - hand(0, 1)) <= 1e-11 * scale + 1e-9
-    assert abs(jet.hess[0, 1] - hand(1, 1)) <= 1e-10 * scale + 1e-9
-    assert abs(jet.hess[0, 0] - hand(2, 0)) <= 1e-10 * scale + 1e-9
-    assert abs(jet.third[0, 0, 1] - hand(2, 1)) <= 1e-10 * scale + 1e-9
-    assert abs(jet.third[1, 1, 1] - hand(0, 3)) <= 1e-10 * scale + 1e-9
+    assert abs(value - hand(0, 0)) <= 1e-12 * scale + 1e-9
+    assert abs(grad[0] - hand(1, 0)) <= 1e-11 * scale + 1e-9
+    assert abs(grad[1] - hand(0, 1)) <= 1e-11 * scale + 1e-9
+    assert abs(hess[0, 1] - hand(1, 1)) <= 1e-10 * scale + 1e-9
+    assert abs(hess[0, 0] - hand(2, 0)) <= 1e-10 * scale + 1e-9
+    assert abs(third[0, 0, 1] - hand(2, 1)) <= 1e-10 * scale + 1e-9
+    assert abs(third[1, 1, 1] - hand(0, 3)) <= 1e-10 * scale + 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -204,9 +205,10 @@ SYMMETRY_EXPRS = [
 )
 @settings(max_examples=60)
 def test_hess_and_third_are_symmetric(src, x, y):
-    jet = eval_jet(parse_expression(src, dim=2), (x, y), order=3)
-    assert np.allclose(jet.hess, jet.hess.T, rtol=0, atol=1e-10 * (1 + np.abs(jet.hess).max()))
-    t = jet.third
+    jet = evaluate(parse_expression(src, dim=2), np.array([[x, y]]), 3)
+    h = jet.hess[0]
+    assert np.allclose(h, h.T, rtol=0, atol=1e-10 * (1 + np.abs(h).max()))
+    t = jet.third[0]
     scale = 1e-10 * (1 + np.abs(t).max())
     for perm in itertools.permutations((0, 1, 2)):
         assert np.allclose(t, np.transpose(t, perm), rtol=0, atol=scale)
@@ -221,34 +223,35 @@ def test_batched_matches_pointwise():
     pts = np.array([[0.5, 1.0], [1.5, 2.0], [-0.3, 0.7]])
     jets = evaluate(tree, pts, order=3)
     for k, p in enumerate(pts):
-        single = eval_jet(tree, p, order=3)
-        assert jets.value[k] == pytest.approx(single.value, rel=1e-15)
-        assert np.allclose(jets.grad[k], single.grad, rtol=1e-15, atol=0)
-        assert np.allclose(jets.hess[k], single.hess, rtol=1e-14, atol=1e-16)
-        assert np.allclose(jets.third[k], single.third, rtol=1e-14, atol=1e-16)
+        single = evaluate(tree, np.array([p]), 3)
+        assert jets.value[k] == pytest.approx(single.value[0], rel=1e-15)
+        assert np.allclose(jets.grad[k], single.grad[0], rtol=1e-15, atol=0)
+        assert np.allclose(jets.hess[k], single.hess[0], rtol=1e-14, atol=1e-16)
+        assert np.allclose(jets.third[k], single.third[0], rtol=1e-14, atol=1e-16)
 
 
 def test_truncation_and_order_errors():
     tree = parse_expression("x0*x0", dim=1)
-    jet = eval_jet(tree, (1.0,), order=1)
+    p = np.array([[1.0]])
+    jet = evaluate(tree, p, 1)
     assert jet.hess is None and jet.third is None
-    jet0 = eval_jet(tree, (1.0,), order=0)
+    jet0 = evaluate(tree, p, 0)
     assert jet0.grad is None
     with pytest.raises(ValueError):
-        eval_jet(tree, (1.0,), order=4)
+        evaluate(tree, p, 4)
     with pytest.raises(ValueError):
-        eval_jet(tree, (1.0,), order=-1)
+        evaluate(tree, p, -1)
 
 
 def test_domain_errors():
     with pytest.raises(DomainError):
-        eval_jet(parse_expression("log(x0)", dim=1), (-1.0,))
+        evaluate(parse_expression("log(x0)", dim=1), np.array([[-1.0]]), 3)
     with pytest.raises(DomainError):
-        eval_jet(parse_expression("sqrt(x0)", dim=1), (0.0,))
+        evaluate(parse_expression("sqrt(x0)", dim=1), np.array([[0.0]]), 3)
     with pytest.raises(DomainError):
-        eval_jet(parse_expression("1/x0", dim=1), (0.0,))
+        evaluate(parse_expression("1/x0", dim=1), np.array([[0.0]]), 3)
     with pytest.raises(DomainError):
-        eval_jet(parse_expression("x0^1.5", dim=1), (-2.0,))
+        evaluate(parse_expression("x0^1.5", dim=1), np.array([[-2.0]]), 3)
     # batch: one bad point poisons the batch
     with pytest.raises(DomainError):
         evaluate(parse_expression("log(x0)", dim=1), np.array([[1.0], [-1.0]]), 0)

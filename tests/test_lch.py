@@ -120,6 +120,17 @@ def test_check_lch_fails_without_theta():
     assert rep.extra["definiteness"] == 0.0
 
 
+def test_check_lch_keeps_nan_components():
+    chart = Chart(2, ((0.5, 1.5), (0.5, 1.5)))
+    g = MetricField(chart, [["exp(800*x0)", "0"], ["0", "1"]])
+    theta = OneFormField(chart, ["0", "0"])
+    with np.errstate(all="ignore"):
+        rep = check_lch(LCHStructure(chart, flat_connection(chart), g, theta))
+    assert not rep.passed
+    assert math.isnan(rep.extra["symmetry"])
+    assert rep.extra["closedness"] == 0.0
+
+
 def test_lch_structure_requires_shared_chart():
     chart, conn, g, theta, _ = hopf_structure()
     other = Chart(2, ((0.5, 1.5), (0.5, 1.5)))

@@ -242,6 +242,38 @@ def test_check_errors_are_reported_not_raised():
     assert "closed" in rep.checks[0]["reports"][0]["notes"][0]
 
 
+def test_crash_never_satisfies_expect_fail(monkeypatch):
+    from hesslab import scenes
+
+    def boom(ctx, check, tol):
+        raise RuntimeError("koszul op crashed")
+
+    monkeypatch.setitem(scenes._OPS, "koszul", boom)
+    rep = run_example("hopf", PLAN)
+    assert not rep.all_ok
+    crashed = [c for c in rep.checks if c["op"] == "koszul"]
+    assert crashed and all(c["expect_fail"] and not c["ok"] for c in crashed)
+    assert crashed[0]["reports"][0]["name"] == "koszul-error"
+
+
+def test_unbuilt_structure_never_satisfies_expect_fail():
+    data = unit_scene()
+    data["fields"]["gm"] = {
+        "type": "metric",
+        "entries": [["1/x0^2", "0"], ["0", "1/x0^2"]],
+    }
+    data["fields"]["D"] = {"type": "connection", "levi_civita_of": "gm"}
+    data["structures"] = {
+        "B": {"type": "statistical", "conn": "D", "metric": "gm"},
+        "T": {"type": "mapping_torus", "base": "B",
+              "automorphism": ["2*x0", "x1"], "scale": 2.0, "lambda": 1.5},
+    }
+    data["checks"] = [{"op": "lch", "structure": "T", "expect_fail": True}]
+    rep = run_suite(scene_from_dict(data), PLAN)
+    assert rep.checks[0]["reports"][0]["name"] == "lch-unavailable"
+    assert not rep.all_ok
+
+
 def test_tolerance_override_applies_everywhere():
     rep = run_suite(scene_from_dict(unit_scene()), PLAN, tolerance=1e-30)
     assert not rep.all_ok
