@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
-from scipy.optimize import linprog
 
 from . import expr as ex
 from .expr import Expression
@@ -289,6 +288,10 @@ class PolyhedralCone(ConeSpec):
         m, d = g.shape
         if np.linalg.matrix_rank(g) < d:
             raise ValueError("generators do not span the ambient space")
+        # imported here: scipy.optimize costs most of `import hesslab`, and
+        # only polyhedral cones need it
+        from scipy.optimize import linprog
+
         feas = linprog(
             np.zeros(d), A_ub=-g, b_ub=-np.ones(m), bounds=(None, None)
         )
@@ -306,6 +309,8 @@ class PolyhedralCone(ConeSpec):
     def contains(self, x) -> bool:
         p = self._point(x)
         g = self.generators
+        from scipy.optimize import linprog
+
         res = linprog(
             p,
             A_ub=-g,

@@ -185,8 +185,6 @@ class ExprEntry:
         return f"ExprEntry({ex.to_source(self.tree)})"
 
 
-ZERO_ENTRY = ExprEntry(ex.ZERO)
-
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(48)
 _GL_T = 0.5 * (_GL_NODES + 1.0)
 _GL_W = 0.5 * _GL_WEIGHTS
@@ -281,11 +279,14 @@ class GaugedEntry:
         self.inner = inner
 
     def jet(self, pts: Array, order: int) -> Jet:
+        return self.factor(pts, order) * self.inner.jet(pts, order)
+
+    def factor(self, pts: Array, order: int) -> Jet:
+        """The jet of exp(sign * f)."""
         f = self.gauge.jet(pts, order)
         if self.sign != 1.0:
             f = _scale_jet(f, self.sign)
-        factor = f.exp()
-        return factor * self.inner.jet(pts, order)
+        return f.exp()
 
     def __eq__(self, other):
         return (
@@ -347,7 +348,8 @@ class EvaluatedTensor:
 
 def _eval_entries(entries: Array, pts: Array, order: int) -> EvaluatedTensor:
     """Stack the entry jets. The trees of all expression entries share one
-    `evaluate` pass; each distinct gauged entry is evaluated on its own."""
+    `evaluate` pass; the exp(sign * f) factor of each (gauge, sign) pair is
+    computed once and shared by the distinct gauged entries that use it."""
     m, n = pts.shape
     shape = entries.shape
     value = np.empty((m,) + shape)
@@ -356,13 +358,17 @@ def _eval_entries(entries: Array, pts: Array, order: int) -> EvaluatedTensor:
     d3 = np.empty((m,) + shape + (n, n, n)) if order >= 3 else None
     symbolic = [idx for idx in np.ndindex(shape) if isinstance(entries[idx], ExprEntry)]
     jets = dict(zip(symbolic, evaluate([entries[idx].tree for idx in symbolic], pts, order)))
+    factors: dict = {}
     gauged: dict = {}
     for idx in np.ndindex(shape):
         jet = jets.pop(idx, None)
         if jet is None:
             entry = entries[idx]
             if entry not in gauged:
-                gauged[entry] = entry.jet(pts, order)
+                key = (entry.gauge, entry.sign)
+                if key not in factors:
+                    factors[key] = entry.factor(pts, order)
+                gauged[entry] = factors[key] * entry.inner.jet(pts, order)
             jet = gauged[entry]
         sel = (slice(None),) + idx
         value[sel] = jet.value
@@ -475,7 +481,7 @@ def euler_field(chart: Chart) -> VectorFieldT:
 
 
 # ---------------------------------------------------------------------------
-# Tensor calculus (batched; pointwise wrappers below)
+# Tensor calculus (batched)
 # ---------------------------------------------------------------------------
 
 def covariant_derivative_metric_batch(conn: ConnectionField, g: MetricField, pts) -> Array:
@@ -536,35 +542,6 @@ def exterior_derivative_oneform_batch(theta: OneFormField, pts) -> Array:
     return d - d.transpose(0, 2, 1)
 
 
-def _single(p, dim=None):
-    p = np.asarray(p, float).reshape(1, -1)
-    return p
-
-
-def covariant_derivative_metric(conn, g, p) -> Array:
-    return covariant_derivative_metric_batch(conn, g, _single(p))[0]
-
-
-def covariant_derivative_oneform(conn, theta, p) -> Array:
-    return covariant_derivative_oneform_batch(conn, theta, _single(p))[0]
-
-
-def covariant_derivative_vector(conn, xi, p) -> Array:
-    return covariant_derivative_vector_batch(conn, xi, _single(p))[0]
-
-
-def lie_derivative_metric(xi, g, p) -> Array:
-    return lie_derivative_metric_batch(xi, g, _single(p))[0]
-
-
-def curvature(conn, p) -> Array:
-    return curvature_batch(conn, _single(p))[0]
-
-
-def exterior_derivative_oneform(theta, p) -> Array:
-    return exterior_derivative_oneform_batch(theta, _single(p))[0]
-
-
 # ---------------------------------------------------------------------------
 # Residual helpers
 # ---------------------------------------------------------------------------
@@ -591,18 +568,6 @@ def component_fold(comps: dict):
     return fold
 
 
-def total_symmetry_residual(t: Array) -> float:
-    """Max over the 6 permutations of |T - sigma(T)|, normalized by (1 + |T|)."""
-    t = np.asarray(t, float)
-    if t.ndim != 3:
-        raise ValueError("total_symmetry_residual expects a (0,3) tensor value")
-    scale = 1.0 + np.max(np.abs(t))
-    worst = 0.0
-    for perm in itertools.permutations((0, 1, 2)):
-        worst = max(worst, float(np.max(np.abs(t - np.transpose(t, perm)))))
-    return worst / scale
-
-
 def total_symmetry_residual_batch(t: Array) -> Array:
     scale = 1.0 + max_abs(t)
     worst = np.zeros(t.shape[0])
@@ -614,10 +579,8 @@ def total_symmetry_residual_batch(t: Array) -> Array:
 def definiteness_gap(mats: Array, floor: float = PD_FLOOR) -> Array:
     """0 where the symmetric matrix is positive definite (smallest eigenvalue
     above ``floor``); otherwise a residual of at least 1 so the check fails."""
-    sym = 0.5 * (mats + mats.transpose(0, 2, 1))
-    smallest = np.linalg.eigvalsh(sym)[:, 0]
-    gap = np.where(smallest > floor, 0.0, np.maximum(1.0, floor - smallest))
-    return gap
+    smallest = smallest_eigenvalues(mats)
+    return np.where(smallest > floor, 0.0, np.maximum(1.0, floor - smallest))
 
 
 def smallest_eigenvalues(mats: Array) -> Array:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -163,7 +164,10 @@ class Report:
         return out
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
+        """Strict JSON: non-finite floats are written as the strings
+        ``"Infinity"``, ``"-Infinity"`` and ``"NaN"``."""
+        return json.dumps(_encode_nonfinite(self.to_dict()), sort_keys=True,
+                          indent=2, allow_nan=False)
 
     @classmethod
     def from_dict(cls, data: dict) -> "Report":
@@ -173,7 +177,30 @@ class Report:
 
     @classmethod
     def from_json(cls, text: str) -> "Report":
-        return cls.from_dict(json.loads(text))
+        data = json.loads(text)
+        data["tolerance"] = _decode_float(data["tolerance"])
+        for rep in (rep for check in data["checks"] for rep in check["reports"]):
+            for key in ("max_residual", "mean_residual", "tolerance"):
+                rep[key] = _decode_float(rep[key])
+            rep["extra"] = {k: _decode_float(v) for k, v in rep["extra"].items()}
+        return cls.from_dict(data)
+
+
+_NONFINITE = {"Infinity": math.inf, "-Infinity": -math.inf, "NaN": math.nan}
+
+
+def _encode_nonfinite(obj):
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "NaN" if obj != obj else ("Infinity" if obj > 0 else "-Infinity")
+    if isinstance(obj, dict):
+        return {k: _encode_nonfinite(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_encode_nonfinite(v) for v in obj]
+    return obj
+
+
+def _decode_float(value):
+    return _NONFINITE[value] if isinstance(value, str) else value
 
 
 # ---------------------------------------------------------------------------

@@ -90,6 +90,35 @@ def test_polyhedral_validation():
         PolyhedralCone([[1, 0], [-1, 0], [0, 1]])
 
 
+_COLD_START = """
+import sys
+import hesslab
+from hesslab import cli
+assert cli.main(["example", "hopf", "--samples", "20"]) == 0
+assert "scipy.optimize" not in sys.modules, "scipy.optimize loaded by a hopf run"
+cone = hesslab.PolyhedralCone([[1, 0], [0, 1]])
+assert cone.contains((1, 2)) is True
+assert "scipy.optimize" in sys.modules
+"""
+
+
+def test_scipy_optimize_loads_only_for_a_polyhedral_cone():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import hesslab
+
+    src = str(Path(hesslab.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_START], capture_output=True, text=True,
+        timeout=120, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_self_duality_on_random_points():
     rng = np.random.default_rng(4)
     for cone in (OrthantCone(3), LorentzCone(3)):

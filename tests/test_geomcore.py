@@ -24,24 +24,20 @@ from hesslab.geomcore import (
     SamplePlan,
     ScalarField,
     VectorFieldT,
-    covariant_derivative_metric,
     covariant_derivative_metric_batch,
-    covariant_derivative_oneform,
-    covariant_derivative_vector,
-    curvature,
+    covariant_derivative_oneform_batch,
+    covariant_derivative_vector_batch,
     curvature_batch,
     definiteness_gap,
     euclidean_metric,
     euler_field,
-    exterior_derivative_oneform,
+    exterior_derivative_oneform_batch,
     flat_connection,
     inverse_metric_expressions,
     levi_civita,
-    lie_derivative_metric,
     lie_derivative_metric_batch,
     make_report,
     sample_check,
-    total_symmetry_residual,
     total_symmetry_residual_batch,
 )
 from hesslab.jets import evaluate
@@ -131,7 +127,9 @@ def test_scalar_field_entry():
 
 def test_nabla_metric_constant_is_zero():
     chart = Chart(2, ((-1.0, 1.0), (-1.0, 1.0)))
-    out = covariant_derivative_metric(flat_connection(chart), euclidean_metric(chart), (0.2, 0.3))
+    out = covariant_derivative_metric_batch(
+        flat_connection(chart), euclidean_metric(chart), np.array([(0.2, 0.3)])
+    )[0]
     assert np.allclose(out, 0.0)
 
 
@@ -139,43 +137,45 @@ def test_nabla_metric_quartic_potential():
     # g = Hess(x0^4) = 12 x0^2 on the line; (nabla g)_000 = 24 x0 at x0=1
     chart = Chart(1, ((0.5, 2.0),))
     g = MetricField(chart, [["12*x0^2"]])
-    out = covariant_derivative_metric(flat_connection(chart), g, (1.0,))
+    out = covariant_derivative_metric_batch(flat_connection(chart), g, np.array([(1.0,)]))[0]
     assert out[0, 0, 0] == pytest.approx(24.0, rel=1e-12)
 
 
 def test_nabla_oneform_examples():
     chart = Chart(1, ((0.5, 3.0),))
     flat = flat_connection(chart)
-    assert covariant_derivative_oneform(flat, OneFormField(chart, ["1"]), (2.0,))[0, 0] == 0.0
-    assert covariant_derivative_oneform(flat, OneFormField(chart, ["x0"]), (2.0,))[
-        0, 0
+    p = np.array([(2.0,)])
+    assert covariant_derivative_oneform_batch(flat, OneFormField(chart, ["1"]), p)[0, 0, 0] == 0.0
+    assert covariant_derivative_oneform_batch(flat, OneFormField(chart, ["x0"]), p)[
+        0, 0, 0
     ] == pytest.approx(1.0)
 
 
 def test_nabla_oneform_hopf_lee_form():
     chart, flat, _, theta, _ = conftest.hopf_structure()
-    out = covariant_derivative_oneform(flat, theta, (1.0, 0.0))
+    out = covariant_derivative_oneform_batch(flat, theta, np.array([(1.0, 0.0)]))[0]
     assert out == pytest.approx(np.array([[2.0, 0.0], [0.0, -2.0]]), abs=1e-12)
 
 
 def test_nabla_vector_euler_and_scaled():
     chart = Chart(3, ((0.1, 1.0),) * 3)
     flat = flat_connection(chart)
-    out = covariant_derivative_vector(flat, euler_field(chart), (0.3, 0.5, 0.7))
+    p = np.array([(0.3, 0.5, 0.7)])
+    out = covariant_derivative_vector_batch(flat, euler_field(chart), p)[0]
     assert np.allclose(out, np.eye(3))
     scaled = VectorFieldT(chart, ["-2*x0", "-2*x1", "-2*x2"])
-    out = covariant_derivative_vector(flat, scaled, (0.3, 0.5, 0.7))
+    out = covariant_derivative_vector_batch(flat, scaled, p)[0]
     assert np.allclose(out, -2 * np.eye(3))
 
 
 def test_nabla_vector_e67_not_proportional_to_identity():
     chart, flat, _, _, xi = conftest.e67_structure()
-    out = covariant_derivative_vector(flat, xi, (0.0, 0.0))
+    out = covariant_derivative_vector_batch(flat, xi, np.array([(0.0, 0.0)]))[0]
     # d_x xi^x = exp(-x/2)/2 = 0.5 at the origin, but off-diagonal stays 0,
     # so no mu makes nabla xi = mu * Id false... it IS diagonal here; the
     # failure of radiance is that the diagonal varies from point to point.
     assert out == pytest.approx(np.diag([0.5, 0.5]), abs=1e-12)
-    out2 = covariant_derivative_vector(flat, xi, (1.0, 0.0))
+    out2 = covariant_derivative_vector_batch(flat, xi, np.array([(1.0, 0.0)]))[0]
     assert out2[0, 0] != pytest.approx(out2[1, 1], rel=1e-3)
 
 
@@ -185,7 +185,9 @@ def test_nabla_vector_e67_not_proportional_to_identity():
 
 def test_lie_euler_flat_metric():
     chart = Chart(2, ((-1.0, 1.0), (-1.0, 1.0)))
-    out = lie_derivative_metric(euler_field(chart), euclidean_metric(chart), (0.3, -0.2))
+    out = lie_derivative_metric_batch(
+        euler_field(chart), euclidean_metric(chart), np.array([(0.3, -0.2)])
+    )[0]
     assert np.allclose(out, 2 * np.eye(2))
 
 
@@ -222,7 +224,7 @@ def _constant_curvature_model(gval, c):
 
 def test_curvature_flat_zero():
     chart = Chart(2, ((0.0, 1.0), (0.0, 1.0)))
-    assert np.allclose(curvature(flat_connection(chart), (0.5, 0.5)), 0.0)
+    assert np.allclose(curvature_batch(flat_connection(chart), np.array([(0.5, 0.5)]))[0], 0.0)
 
 
 def test_curvature_halfplane_is_minus_one():
@@ -294,9 +296,9 @@ def test_inverse_metric_expressions():
 def test_exterior_derivative_examples():
     chart = Chart(2, ((-1.0, 1.0), (-1.0, 1.0)))
     exact = OneFormField(chart, ["x1", "x0"])  # d(x0 x1)
-    assert np.allclose(exterior_derivative_oneform(exact, (0.3, 0.4)), 0.0)
+    assert np.allclose(exterior_derivative_oneform_batch(exact, np.array([(0.3, 0.4)]))[0], 0.0)
     not_closed = OneFormField(chart, ["x1", "0"])
-    d = exterior_derivative_oneform(not_closed, (0.3, 0.4))
+    d = exterior_derivative_oneform_batch(not_closed, np.array([(0.3, 0.4)]))[0]
     assert d[1, 0] == pytest.approx(1.0) and d[0, 1] == pytest.approx(-1.0)
 
 
@@ -306,17 +308,17 @@ def test_exterior_derivative_cone_lee_form():
     pts = chart.sample(PLAN)
     tj = theta.eval(pts, 1)
     d = tj.d1.transpose(0, 2, 1) - tj.d1.transpose(0, 2, 1).transpose(0, 2, 1)
-    assert np.allclose(exterior_derivative_oneform(theta, (0.5, 1.0)), 0.0)
+    assert np.allclose(exterior_derivative_oneform_batch(theta, np.array([(0.5, 1.0)]))[0], 0.0)
     assert d.shape == (PLAN.count, 2, 2)
 
 
 def test_total_symmetry_residual_values():
-    assert total_symmetry_residual(np.zeros((2, 2, 2))) == 0.0
+    assert total_symmetry_residual_batch(np.zeros((1, 2, 2, 2)))[0] == 0.0
     t = np.zeros((2, 2, 2))
     for i in range(2):
         for j in range(2):
             t[0, i, j] = 1.0 if i == j else 0.0  # T_ijk = x_i delta_jk at x=(1,0)
-    assert total_symmetry_residual(t) == pytest.approx(0.5)
+    assert total_symmetry_residual_batch(np.array([t]))[0] == pytest.approx(0.5)
 
 
 def test_total_symmetry_of_hessian_metric_gradient():
@@ -332,11 +334,12 @@ def test_total_symmetry_of_hessian_metric_gradient():
 def test_total_symmetry_invariant_under_permutation(seed):
     rng = np.random.default_rng(seed)
     t = rng.normal(size=(3, 3, 3))
-    base = total_symmetry_residual(t)
+    base = total_symmetry_residual_batch(np.array([t]))[0]
     import itertools as it
 
     for perm in it.permutations((0, 1, 2)):
-        assert total_symmetry_residual(np.transpose(t, perm)) == pytest.approx(base, rel=1e-12)
+        permuted = total_symmetry_residual_batch(np.array([np.transpose(t, perm)]))[0]
+        assert permuted == pytest.approx(base, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -442,3 +445,55 @@ def test_gauged_entry_jets_match_explicit_factor():
     assert np.allclose(got.value, want.value, rtol=1e-11, atol=1e-13)
     assert np.allclose(got.grad, want.grad, rtol=1e-10, atol=1e-12)
     assert np.allclose(got.hess, want.hess, rtol=1e-9, atol=1e-11)
+
+
+def _count_gauge_jets(monkeypatch):
+    """Record, for each `_eval_entries` call, the gauges whose jet it took."""
+    import hesslab.geomcore as gc
+
+    calls: list[list] = []
+    real_eval, real_jet = gc._eval_entries, LineIntegralGauge.jet
+
+    def eval_entries(entries, pts, order):
+        calls.append([])
+        return real_eval(entries, pts, order)
+
+    def jet(self, pts, order):
+        calls[-1].append(self)
+        return real_jet(self, pts, order)
+
+    monkeypatch.setattr(gc, "_eval_entries", eval_entries)
+    monkeypatch.setattr(LineIntegralGauge, "jet", jet)
+    return calls
+
+
+def test_field_evaluation_takes_each_gauge_jet_once(monkeypatch):
+    chart = Chart(2, ((0.3, 1.2), (0.3, 1.2)))
+    theta = [parse_expression("2*x0*x1", 2), parse_expression("x0*x0", 2)]
+    gauge = LineIntegralGauge(theta, (0.5, 0.5))
+    inner = [[ExprEntry(parse_expression(src, 2)) for src in row]
+             for row in (("x0", "x1"), ("x0*x1", "1"))]
+    entries = [[GaugedEntry(gauge, -2.0, inner[i][j]) for j in range(2)] for i in range(2)]
+    field = ConnectionField(chart, [entries, entries])
+    pts = chart.sample(SamplePlan(count=20, seed=3))
+    calls = _count_gauge_jets(monkeypatch)
+    got = field.eval(pts, 3)
+    assert calls == [[gauge]]
+    monkeypatch.undo()
+    for k in range(2):
+        for i in range(2):
+            for j in range(2):
+                want = entries[i][j].jet(pts, 3)
+                assert np.array_equal(got.value[:, k, i, j], want.value)
+                assert np.array_equal(got.d3[:, k, i, j], want.third)
+
+
+@pytest.mark.parametrize("name", ["lee_perturbation_torus", "torus_quotient"])
+def test_example_gauge_jets_once_per_field_evaluation(monkeypatch, name):
+    from hesslab.scenes import run_example
+
+    calls = _count_gauge_jets(monkeypatch)
+    run_example(name)
+    taken = [g for per_call in calls for g in per_call]
+    assert taken
+    assert len(taken) == sum(len(set(map(id, per_call))) for per_call in calls)

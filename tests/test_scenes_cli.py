@@ -303,6 +303,45 @@ def test_report_round_trips_losslessly():
     assert Report.from_dict(json.loads(text)).to_dict() == rep.to_dict()
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_non_finite_report_is_strict_json_and_round_trips(monkeypatch):
+    from hesslab import scenes
+
+    def boom(ctx, check, tol):
+        raise RuntimeError("koszul op crashed")
+
+    monkeypatch.setitem(scenes._OPS, "koszul", boom)
+    rep = run_example("hopf", PLAN)
+    crashed = next(c for c in rep.checks if c["op"] == "koszul")["reports"][0]
+    assert crashed["max_residual"] == float("inf")
+    first = rep.checks[0]["reports"][0]
+    first["mean_residual"] = float("nan")
+    first["extra"] = {"a": float("-inf"), "b": float("nan"), "c": 0.5}
+    text = rep.to_json()
+    data = json.loads(text, parse_constant=_reject_constant)
+    assert data["checks"][0]["reports"][0]["extra"] == {
+        "a": "-Infinity", "b": "NaN", "c": 0.5,
+    }
+    again = Report.from_json(text)
+    assert again.to_json() == text
+    back = again.checks[0]["reports"][0]
+    assert back["mean_residual"] != back["mean_residual"]
+    assert back["extra"]["a"] == float("-inf") and back["extra"]["c"] == 0.5
+    decoded = next(c for c in again.checks if c["op"] == "koszul")["reports"][0]
+    assert decoded["max_residual"] == float("inf")
+
+
+def test_infinite_tolerance_override_is_strict_json():
+    rep = run_suite(scene_from_dict(unit_scene()), PLAN, tolerance=float("inf"))
+    text = rep.to_json()
+    assert json.loads(text, parse_constant=_reject_constant)["tolerance"] == "Infinity"
+    assert Report.from_json(text).tolerance == float("inf")
+    assert Report.from_json(text).to_json() == text
+
+
 @pytest.mark.parametrize("name", ["torus_quotient", "lorentz_cone"])
 def test_repeated_runs_are_byte_identical(name):
     a = run_example(name, PLAN).to_json()
