@@ -1,13 +1,13 @@
 """Command-line front end: run scene files, bundled examples, and psi queries.
 
-Exit codes: 0 when every check passed, 1 when some check failed, 2 for
-usage, parse, or validation errors.
+Exit codes: 0 when every check passed, 1 when some check failed or a psi
+value is not finite, 2 for usage, parse, or validation errors.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import math
 import sys
 
 from .cones import (
@@ -17,7 +17,14 @@ from .cones import (
     cone_from_spec,
 )
 from .geomcore import SamplePlan
-from .scenes import SceneError, list_examples, load_example, load_scene, run_suite
+from .scenes import (
+    SceneError,
+    list_examples,
+    load_example,
+    load_scene,
+    run_suite,
+    strict_json,
+)
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
@@ -100,13 +107,17 @@ def _cmd_psi(args) -> int:
     except MonteCarloDivergenceError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    print(json.dumps({
+    print(strict_json({
         "cone": cone.describe(),
         "point": point,
         "method": psi.method,
         "value": psi.value,
         "stderr": psi.stderr,
-    }, sort_keys=True, indent=2))
+    }))
+    if not (math.isfinite(psi.value) and math.isfinite(psi.stderr)):
+        print(f"error: psi is not finite at {point} (value {psi.value}, "
+              f"stderr {psi.stderr})", file=sys.stderr)
+        return 1
     return 0
 
 

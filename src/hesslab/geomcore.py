@@ -17,6 +17,11 @@ magnitude across the box.
 Evaluation is batched: fields evaluate all their entries at an (m, n)
 array of sample points at once, returning stacked value/derivative arrays
 with the derivative axes last (value[m, i, j], d1[m, i, j, a] = d_a g_ij).
+
+The most recently sampled point set is held, read-only, together with every
+field tensor evaluated on exactly that array, so the checks of one structure
+evaluate each field once. A lower-order request reads a prefix of a stored
+higher-order tensor. Sampling a different (chart, plan) drops everything held.
 """
 
 from __future__ import annotations
@@ -85,12 +90,21 @@ class Chart:
         return bool(np.all(p > self.lo()) and np.all(p < self.hi()))
 
     def sample(self, plan: "SamplePlan") -> Array:
-        lo, hi = self.lo(), self.hi()
-        width = hi - lo
-        lo = lo + plan.margin * width
-        hi = hi - plan.margin * width
-        rng = np.random.default_rng(plan.seed)
-        return lo + rng.random((plan.count, self.dim)) * (hi - lo)
+        """The plan's points, read-only. An equal (chart, plan) sampled again
+        gets the same array back while no other point set was sampled since."""
+        global _held
+        key = (self, plan)
+        held = _held
+        if held.key != key:
+            lo, hi = self.lo(), self.hi()
+            width = hi - lo
+            lo = lo + plan.margin * width
+            hi = hi - plan.margin * width
+            rng = np.random.default_rng(plan.seed)
+            pts = lo + rng.random((plan.count, self.dim)) * (hi - lo)
+            pts.flags.writeable = False
+            held = _held = _PointSet(key, pts)
+        return held.pts
 
     def subbox(self, center, fraction: float) -> "Chart":
         """A smaller chart around ``center`` spanning ``fraction`` of each width."""
@@ -111,6 +125,8 @@ class SamplePlan:
     def __post_init__(self):
         if self.count < 1:
             raise ValueError("count must be at least 1")
+        if not isinstance(self.seed, (int, np.integer)):
+            raise ValueError("seed must be an integer, so that sampling is reproducible")
         if not 0 <= self.margin < 0.5:
             raise ValueError("margin must lie in [0, 0.5)")
 
@@ -345,6 +361,36 @@ class EvaluatedTensor:
         self.d2 = d2
         self.d3 = d3
 
+    @property
+    def order(self) -> int:
+        return sum(a is not None for a in (self.d1, self.d2, self.d3))
+
+    def prefix(self, order: int) -> "EvaluatedTensor":
+        """The same arrays truncated at ``order``: lower-order jet
+        coefficients do not depend on the higher ones."""
+        parts = (self.d1, self.d2, self.d3)[:order]
+        return EvaluatedTensor(self.value, *parts)
+
+
+class _PointSet:
+    """A sampled point set and the field tensors evaluated on that array."""
+
+    __slots__ = ("key", "pts", "tensors")
+
+    def __init__(self, key=None, pts=None):
+        self.key = key
+        self.pts = pts
+        self.tensors: dict = {}  # field -> read-only EvaluatedTensor
+
+
+_held = _PointSet()
+
+
+def drop_held_points() -> None:
+    """Forget the held point set and every tensor evaluated on it."""
+    global _held
+    _held = _PointSet()
+
 
 def _eval_entries(entries: Array, pts: Array, order: int) -> EvaluatedTensor:
     """Stack the entry jets. The trees of all expression entries share one
@@ -401,7 +447,19 @@ class _Field:
         raise NotImplementedError
 
     def eval(self, pts: Array, order: int = 0) -> EvaluatedTensor:
-        return _eval_entries(self.entries, pts, order)
+        """Jets of every entry at ``pts``. On the held sampled array the
+        result is read-only and shared with later calls on the same array."""
+        held = _held
+        if pts is not held.pts:
+            return _eval_entries(self.entries, pts, order)
+        stored = held.tensors.get(self)
+        if stored is None or stored.order < order:
+            stored = _eval_entries(self.entries, pts, order)
+            for arr in (stored.value, stored.d1, stored.d2, stored.d3):
+                if arr is not None:
+                    arr.flags.writeable = False
+            held.tensors[self] = stored
+        return stored.prefix(order)
 
 
 class MetricField(_Field):
@@ -531,9 +589,12 @@ def curvature_batch(conn: ConnectionField, pts) -> Array:
     dgamma = cj.d1  # (m, l, j, k, i) with last axis the derivative
     term1 = dgamma.transpose(0, 1, 4, 2, 3)  # (m, l, i, j, k) = d_i Gamma^l_{jk}
     term2 = term1.transpose(0, 1, 3, 2, 4)
-    quad1 = np.einsum("aliu,aujk->alijk", cj.value, cj.value)
-    quad2 = quad1.transpose(0, 1, 3, 2, 4)
-    return term1 - term2 + quad1 - quad2
+    out = term1 - term2
+    for l in range(d):  # one slice of the quadratic term at a time
+        quad = np.einsum("aiu,aujk->aijk", cj.value[:, l], cj.value)
+        out[:, l] += quad
+        out[:, l] -= quad.transpose(0, 2, 1, 3)
+    return out
 
 
 def exterior_derivative_oneform_batch(theta: OneFormField, pts) -> Array:
@@ -547,9 +608,12 @@ def exterior_derivative_oneform_batch(theta: OneFormField, pts) -> Array:
 # ---------------------------------------------------------------------------
 
 def max_abs(arr: Array) -> Array:
-    """Per-sample max-norm: collapses all axes but the first."""
-    a = np.abs(np.asarray(arr, float))
-    return a.reshape(a.shape[0], -1).max(axis=1)
+    """Per-sample max-norm: collapses all axes but the first. Reads the
+    largest and smallest entry instead of copying ``abs``; NaN propagates and
+    ``+ 0.0`` turns a -0.0 into 0.0, as ``abs`` would."""
+    a = np.asarray(arr, float)
+    a = a.reshape(a.shape[0], -1)
+    return np.maximum(a.max(axis=1), -a.min(axis=1)) + 0.0
 
 
 def rel_residual(delta: Array, scale: Array) -> Array:

@@ -63,7 +63,6 @@ __all__ = [
     "NoRealSolutionError",
     "TransversalityError",
     "SurfaceConstraintError",
-    "hessian_of",
     "hessian_values",
     "check_hessian_structure",
     "check_radiant",
@@ -203,12 +202,6 @@ def hessian_values(conn: ConnectionField, phi, pts) -> np.ndarray:
     jet = entry.jet(np.asarray(pts, float), 2)
     gamma = conn.eval(pts, 0).value
     return jet.hess - np.einsum("akij,ak->aij", gamma, jet.grad)
-
-
-def hessian_of(conn: ConnectionField, phi, p) -> np.ndarray:
-    """Second covariant derivative of a scalar at a single point."""
-    pts = np.asarray(p, float).reshape(1, conn.chart.dim)
-    return hessian_values(conn, phi, pts)[0]
 
 
 # ---------------------------------------------------------------------------

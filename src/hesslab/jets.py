@@ -120,6 +120,9 @@ class Jet:
         return self * other.reciprocal()
 
     # -- univariate composition (Faa di Bruno through order 3) ---------------
+    #
+    # The derivative coefficients f1-f3 are built only up to the jet's order:
+    # an order-0 pass never reads them, and their powers can overflow.
 
     def compose(self, f0: Array, f1=None, f2=None, f3=None) -> "Jet":
         o = self.order
@@ -145,7 +148,13 @@ class Jet:
         if np.any(v == 0.0):
             raise DomainError("division by zero")
         inv = 1.0 / v
-        return self.compose(inv, -(inv**2), 2.0 * inv**3, -6.0 * inv**4)
+        o = self.order
+        return self.compose(
+            inv,
+            -(inv**2) if o >= 1 else None,
+            2.0 * inv**3 if o >= 2 else None,
+            -6.0 * inv**4 if o >= 3 else None,
+        )
 
     def exp(self) -> "Jet":
         e = np.exp(self.value)
@@ -155,15 +164,27 @@ class Jet:
         v = self.value
         if np.any(v <= 0.0):
             raise DomainError(f"log of non-positive value (min {v.min():g})")
-        inv = 1.0 / v
-        return self.compose(np.log(v), inv, -(inv**2), 2.0 * inv**3)
+        o = self.order
+        inv = 1.0 / v if o >= 1 else None
+        return self.compose(
+            np.log(v),
+            inv,
+            -(inv**2) if o >= 2 else None,
+            2.0 * inv**3 if o >= 3 else None,
+        )
 
     def sqrt(self) -> "Jet":
         v = self.value
         if np.any(v <= 0.0):
             raise DomainError(f"sqrt of non-positive value (min {v.min():g})")
         r = np.sqrt(v)
-        return self.compose(r, 0.5 / r, -0.25 / (r * v), 0.375 / (r * v * v))
+        o = self.order
+        return self.compose(
+            r,
+            0.5 / r if o >= 1 else None,
+            -0.25 / (r * v) if o >= 2 else None,
+            0.375 / (r * v * v) if o >= 3 else None,
+        )
 
     def sin(self) -> "Jet":
         s, c = np.sin(self.value), np.cos(self.value)
@@ -185,11 +206,13 @@ class Jet:
         v = self.value
         if np.any(v <= 0.0):
             raise DomainError(f"power {r:g} of non-positive base (min {v.min():g})")
-        f0 = v**r
-        f1 = r * v ** (r - 1)
-        f2 = r * (r - 1) * v ** (r - 2)
-        f3 = r * (r - 1) * (r - 2) * v ** (r - 3)
-        return self.compose(f0, f1, f2, f3)
+        o = self.order
+        return self.compose(
+            v**r,
+            r * v ** (r - 1) if o >= 1 else None,
+            r * (r - 1) * v ** (r - 2) if o >= 2 else None,
+            r * (r - 1) * (r - 2) * v ** (r - 3) if o >= 3 else None,
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,7 @@ from .geomcore import (
     ScalarField,
     VectorFieldT,
     definiteness_gap,
+    drop_held_points,
     flat_connection,
     levi_civita,
     make_report,
@@ -164,10 +165,7 @@ class Report:
         return out
 
     def to_json(self) -> str:
-        """Strict JSON: non-finite floats are written as the strings
-        ``"Infinity"``, ``"-Infinity"`` and ``"NaN"``."""
-        return json.dumps(_encode_nonfinite(self.to_dict()), sort_keys=True,
-                          indent=2, allow_nan=False)
+        return strict_json(self.to_dict())
 
     @classmethod
     def from_dict(cls, data: dict) -> "Report":
@@ -187,6 +185,13 @@ class Report:
 
 
 _NONFINITE = {"Infinity": math.inf, "-Infinity": -math.inf, "NaN": math.nan}
+
+
+def strict_json(obj) -> str:
+    """Strict JSON with sorted keys: non-finite floats are written as the
+    strings ``"Infinity"``, ``"-Infinity"`` and ``"NaN"``."""
+    return json.dumps(_encode_nonfinite(obj), sort_keys=True, indent=2,
+                      allow_nan=False)
 
 
 def _encode_nonfinite(obj):
@@ -812,6 +817,7 @@ def run_suite(scene: Scene, plan: SamplePlan | None = None,
         if bound_notes:
             record["expectation_notes"] = bound_notes
         out.checks.append(record)
+    drop_held_points()  # the suite's sampled points and field tensors
     return out
 
 

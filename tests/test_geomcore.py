@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 import conftest
 from hesslab import expr as ex
-from hesslab.expr import parse_expression
+from hesslab.expr import DomainError, parse_expression
 from hesslab.geomcore import (
     Chart,
     ChartError,
@@ -37,6 +39,7 @@ from hesslab.geomcore import (
     levi_civita,
     lie_derivative_metric_batch,
     make_report,
+    max_abs,
     sample_check,
     total_symmetry_residual_batch,
 )
@@ -79,6 +82,22 @@ def test_sampling_respects_margin_and_seed():
     assert pts.min() >= 0.1 and pts.max() <= 0.9
     again = chart.sample(plan)
     assert np.array_equal(pts, again)
+
+
+def test_sample_plan_needs_an_integer_seed():
+    with pytest.raises(ValueError):
+        SamplePlan(seed=None)
+    with pytest.raises(ValueError):
+        SamplePlan(seed=1.5)
+    assert SamplePlan(seed=np.int64(3)) == SamplePlan(seed=3)
+
+
+def test_max_abs_keeps_nan_and_unsigned_zero():
+    arr = np.array([[-3.0, 2.0], [-0.0, -0.0], [1.0, np.nan], [-np.inf, 0.0]])
+    got = max_abs(arr)
+    assert got[:2].tolist() == [3.0, 0.0]
+    assert not np.signbit(got[1])
+    assert np.isnan(got[2]) and got[3] == np.inf
 
 
 def test_subbox():
@@ -497,3 +516,118 @@ def test_example_gauge_jets_once_per_field_evaluation(monkeypatch, name):
     taken = [g for per_call in calls for g in per_call]
     assert taken
     assert len(taken) == sum(len(set(map(id, per_call))) for per_call in calls)
+
+
+# ---------------------------------------------------------------------------
+# the held point set: each field evaluated once per sampled array
+# ---------------------------------------------------------------------------
+
+def _sphere_scene(dim: int) -> dict:
+    """The round sphere metric 4 Q / (1 + y^T Q y)^2 in a dense linear chart,
+    with its Levi-Civita connection: the shape of a dense-curvature scene."""
+    a = np.eye(dim) + 0.3 * np.random.default_rng(dim).uniform(0.0, 1.0, (dim, dim))
+    q = a.T @ a
+    q = q.tolist()
+    quad = " + ".join(f"({q[i][j]!r})*x{i}*x{j}" for i in range(dim) for j in range(dim))
+    entries = [[f"4*({q[i][j]!r})/(1 + {quad})^2" for j in range(dim)] for i in range(dim)]
+    return {
+        "name": f"sphere-d{dim}",
+        "chart": {"dim": dim, "box": [[-0.5, 0.5]] * dim},
+        "fields": {
+            "g": {"type": "metric", "entries": entries},
+            "D": {"type": "connection", "levi_civita_of": "g"},
+            "flat": {"type": "connection", "flat": True},
+        },
+        "structures": {"S": {"type": "statistical", "conn": "D", "metric": "g"}},
+        "checks": [
+            {"op": "statistical", "structure": "S"},
+            {"op": "curvature", "structure": "S", "expect": {"c": [0.99999, 1.00001]}},
+            {"op": "hessian", "conn": "flat", "metric": "g", "expect_fail": True},
+        ],
+    }
+
+
+def test_run_suite_evaluates_each_field_once_per_point_set(monkeypatch):
+    # statistical evaluates D and g, curvature lifts D to order 1 and reads g,
+    # the hessian gate evaluates the flat connection: 4 tensor evaluations per
+    # scene where each gate evaluating its own fields took 9.
+    import hesslab.geomcore as gc
+    from hesslab.scenes import run_suite, scene_from_dict
+
+    calls = []
+    real = gc._eval_entries
+
+    def eval_entries(entries, pts, order):
+        calls.append(order)
+        return real(entries, pts, order)
+
+    monkeypatch.setattr(gc, "_eval_entries", eval_entries)
+    for dim in (2, 3):
+        report = run_suite(scene_from_dict(_sphere_scene(dim)), SamplePlan(count=50, seed=4))
+        assert report.all_ok
+    assert len(calls) == 8
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_curvature_matches_the_closed_formula_bit_for_bit(dim):
+    # curvature_batch adds the quadratic term one upper index at a time;
+    # the sums must round exactly as the whole-tensor formula does
+    chart = Chart(dim, ((-0.5, 0.5),) * dim)
+    lc = levi_civita(MetricField(chart, _sphere_scene(dim)["fields"]["g"]["entries"]))
+    pts = chart.sample(SamplePlan(count=40, seed=9))
+    cj = lc.eval(pts.copy(), 1)
+    term1 = cj.d1.transpose(0, 1, 4, 2, 3)
+    quad1 = np.einsum("aliu,aujk->alijk", cj.value, cj.value)
+    want = term1 - term1.transpose(0, 1, 3, 2, 4) + quad1 - quad1.transpose(0, 1, 3, 2, 4)
+    assert curvature_batch(lc, pts).tobytes() == want.tobytes()
+
+
+def test_lower_order_is_a_bit_identical_prefix():
+    chart = Chart(3, ((-0.5, 0.5),) * 3)
+    g = MetricField(chart, _sphere_scene(3)["fields"]["g"]["entries"])
+    pts = chart.sample(SamplePlan(count=30, seed=8))
+    assert chart.sample(SamplePlan(count=30, seed=8)) is pts
+    high = g.eval(pts, 1)
+    low = g.eval(pts, 0)
+    assert low.d1 is None and low.value is high.value
+    fresh = g.eval(pts.copy(), 0)  # another array: evaluated, not held
+    assert fresh.value.flags.writeable
+    assert fresh.value.tobytes() == low.value.tobytes()
+
+
+def test_held_arrays_are_read_only():
+    chart = Chart(2, ((0.5, 1.5),) * 2)
+    g = MetricField(chart, [["1/x0", "0"], ["0", "1/x1"]])
+    pts = chart.sample(SamplePlan(count=10, seed=2))
+    held = g.eval(pts, 1)
+    with pytest.raises(ValueError):
+        held.value[0, 0, 0] += 1.0
+    with pytest.raises(ValueError):
+        held.d1[...] = 0.0
+    with pytest.raises(ValueError):
+        pts[0, 0] = 1.0
+    assert g.eval(pts, 1).value.tobytes() == g.eval(pts.copy(), 1).value.tobytes()
+
+
+def test_sampling_another_point_set_drops_held_tensors():
+    chart = Chart(2, ((0.5, 1.5),) * 2)
+    g = MetricField(chart, [["1/x0", "0"], ["0", "1/x1"]])
+    pts = chart.sample(SamplePlan(count=10, seed=2))
+    value = weakref.ref(g.eval(pts, 1).value)
+    points = weakref.ref(pts)
+    del pts
+    assert value() is not None and points() is not None
+    other = chart.sample(SamplePlan(count=10, seed=3))
+    assert value() is None and points() is None
+    assert g.eval(other, 1).d1.tobytes() == g.eval(other.copy(), 1).d1.tobytes()
+
+
+def test_domain_error_is_never_held():
+    chart = Chart(1, ((-1.0, 1.0),))
+    bad = ScalarField(chart, "log(x0)")
+    good = ScalarField(chart, "x0*x0")
+    pts = chart.sample(SamplePlan(count=20, seed=6))
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            bad.eval(pts, 1)
+    assert np.array_equal(good.eval(pts, 0).value, pts[:, 0] * pts[:, 0])

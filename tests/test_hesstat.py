@@ -39,7 +39,7 @@ from hesslab.hesstat import (
     dual_connection,
     duality_residual_batch,
     estimate_constant_curvature,
-    hessian_of,
+    hessian_values,
     level_set_statistical,
     potential_identity_residual,
     solve_lambda,
@@ -61,18 +61,19 @@ def sphere_statistical():
 
 
 # ---------------------------------------------------------------------------
-# hessian_of
+# hessian_values
 # ---------------------------------------------------------------------------
 
 def test_hessian_of_half_square_norm():
     chart = Chart(3, ((-1.0, 1.0),) * 3)
-    out = hessian_of(flat_connection(chart), "(x0^2 + x1^2 + x2^2)/2", (0.2, -0.4, 0.9))
+    out = hessian_values(flat_connection(chart), "(x0^2 + x1^2 + x2^2)/2",
+                         np.array([(0.2, -0.4, 0.9)]))[0]
     assert np.allclose(out, np.eye(3))
 
 
 def test_hessian_of_exponential_potential_at_origin():
     chart = Chart(2, ((-1.0, 1.0),) * 2)
-    out = hessian_of(flat_connection(chart), "exp(x0) + exp(x1)", (0.0, 0.0))
+    out = hessian_values(flat_connection(chart), "exp(x0) + exp(x1)", np.array([(0.0, 0.0)]))[0]
     assert np.allclose(out, np.eye(2))
 
 
@@ -80,7 +81,7 @@ def test_hessian_of_cone_potential_recovers_cone_metric():
     cone = build_cone_structure(halfplane_statistical(), LAMBDA_HALFPLANE, plan=PLAN)
     phi = f"s^2 / {4.0 - 2.0 * LAMBDA_HALFPLANE!r}"
     p = (0.9, 0.2, 1.3)
-    hess = hessian_of(cone.conn, phi, p)
+    hess = hessian_values(cone.conn, phi, np.array([p]))[0]
     gval = cone.metric.eval(np.array([p]), 0).value[0]
     assert np.allclose(hess, gval, rtol=1e-10)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -255,6 +256,22 @@ def test_domain_errors():
     # batch: one bad point poisons the batch
     with pytest.raises(DomainError):
         evaluate(parse_expression("log(x0)", dim=1), np.array([[1.0], [-1.0]]), 0)
+
+
+@pytest.mark.parametrize("src, x", [
+    ("1/x0", 1e-80),
+    ("log(x0)", 1e-160),
+    ("sqrt(x0)", 1e-300),
+    ("x0^0.5", 1e-130),
+])
+def test_order_zero_builds_no_derivative_coefficients(src, x):
+    # f1-f3 of these near 0 (1/x^4, 1/x^3, x^-2.5, ...) overflow, yet an
+    # order-0 jet never reads them
+    tree = parse_expression(src, dim=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        jet = evaluate(tree, np.array([[x]]), 0)
+    assert jet.value[0] == plain_eval(tree, [x])
 
 
 def test_jet_constant_and_coordinate():

@@ -459,6 +459,17 @@ def test_cli_cone_psi_bad_point_exits_2(capsys):
     assert "comma-separated" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_cli_cone_psi_overflow_is_an_error_in_strict_json(capsys):
+    # psi = 1/(x0*x1) overflows this close to the corner of the orthant
+    assert main(["cone", "psi", "orthant(2)", "1e-160,1e-160"]) == 1
+    out, err = capsys.readouterr()
+    assert "Infinity" not in out.replace('"Infinity"', "")
+    data = json.loads(out, parse_constant=lambda name: pytest.fail(f"bare {name}"))
+    assert data["value"] == "Infinity"
+    assert "not finite" in err
+
+
 def test_cli_usage_error_exits_2(capsys):
     assert main(["frobnicate"]) == 2
     capsys.readouterr()
