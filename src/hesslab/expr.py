@@ -19,12 +19,20 @@ The programmatic constructors (`add`, `mul`, ...) do fold constants and
 drop obvious identities, which keeps machine-generated trees (symbolic
 derivatives, adjugates) from ballooning, but a tree that came out of the
 parser is never rewritten.
+
+Nodes are hash-consed (Filliâtre & Conchon, "Type-safe modular
+hash-consing", 2006): every constructor returns the one live node of that
+structure, so equal subtrees built anywhere are the same object, and trees
+form a DAG with one object per distinct subtree. Symbolic derivatives are
+memoized on the node they were taken of.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import struct
+import weakref
 from dataclasses import dataclass
 
 
@@ -54,58 +62,110 @@ class DomainError(ExprError):
 # AST nodes
 # ---------------------------------------------------------------------------
 
+# Intern table: key -> weak reference to the one live node with that key. A
+# key holds a node's children by id; a child's id cannot be reused while the
+# node keyed on it lives, and a node's entry is dropped when it dies.
+_INTERNED: dict[tuple, weakref.KeyedRef] = {}
+
+
+def _forget(ref, table=_INTERNED):
+    if table.get(ref.key) is ref:
+        del table[ref.key]
+
+
+def _bind(cls, args: tuple, kwargs: dict) -> tuple:
+    fields = cls.__match_args__
+    args += tuple(kwargs.pop(f) for f in fields[len(args):] if f in kwargs)
+    if len(args) != len(fields) or kwargs:
+        raise TypeError(f"{cls.__name__} takes the fields {', '.join(fields)}")
+    return args
+
+
 class Expression:
-    """Base class of all expression-tree nodes."""
+    """Base class of all expression-tree nodes.
 
-    __slots__ = ()
+    Nodes are hash-consed: constructing a node whose class, payload and
+    children (by identity) match a live node returns that node, so a
+    structurally distinct subtree exists once however it was built. A
+    ``Num`` is keyed on its float's bit pattern. ``==`` and ``hash`` stay
+    structural: ``Num(0.0) == Num(-0.0)``, although the two are distinct
+    nodes.
+    """
+
+    __slots__ = ("__weakref__", "_diffs")  # _diffs: index -> derivative, see `diff`
+
+    def __new__(cls, *args, **kwargs):
+        if kwargs or len(args) != len(cls.__match_args__):
+            args = _bind(cls, args, kwargs)
+        if cls is Num:
+            args = (float(args[0]),)
+            key = (cls, struct.pack("<d", args[0]))
+        else:
+            key = (cls, *[id(a) if isinstance(a, Expression) else a for a in args])
+        ref = _INTERNED.get(key)
+        node = None if ref is None else ref()
+        if node is None:
+            node = object.__new__(cls)
+            for name, arg in zip(cls.__match_args__, args):
+                object.__setattr__(node, name, arg)
+            object.__setattr__(node, "_diffs", None)
+            _INTERNED[key] = weakref.KeyedRef(node, _forget, key)
+        return node
+
+    def __reduce__(self):  # copies and unpickled nodes are interned too
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
 
 
-@dataclass(frozen=True, slots=True)
+# No generated __init__: `Expression.__new__` sets the fields of a new node.
+_node = dataclass(frozen=True, slots=True, init=False)
+
+
+@_node
 class Num(Expression):
     value: float
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Var(Expression):
     index: int
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Neg(Expression):
     arg: Expression
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Add(Expression):
     left: Expression
     right: Expression
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Sub(Expression):
     left: Expression
     right: Expression
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Mul(Expression):
     left: Expression
     right: Expression
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Div(Expression):
     left: Expression
     right: Expression
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Pow(Expression):
     base: Expression
     exponent: Expression
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Call(Expression):
     func: str
     arg: Expression
@@ -472,7 +532,21 @@ def sum_of(terms) -> Expression:
 # ---------------------------------------------------------------------------
 
 def diff(expr: Expression, index: int) -> Expression:
-    """Partial derivative with respect to coordinate ``index``."""
+    """Partial derivative with respect to coordinate ``index``, built once
+    per (node, index) and kept on the node for as long as it lives."""
+    memo = getattr(expr, "_diffs", None)
+    if memo is None:
+        if not isinstance(expr, Expression):
+            raise TypeError(f"not an expression node: {expr!r}")
+        memo = {}
+        object.__setattr__(expr, "_diffs", memo)
+    out = memo.get(index)
+    if out is None:
+        out = memo[index] = _diff(expr, index)
+    return out
+
+
+def _diff(expr: Expression, index: int) -> Expression:
     if isinstance(expr, Num):
         return ZERO
     if isinstance(expr, Var):

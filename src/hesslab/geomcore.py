@@ -17,6 +17,8 @@ magnitude across the box.
 Evaluation is batched: fields evaluate all their entries at an (m, n)
 array of sample points at once, returning stacked value/derivative arrays
 with the derivative axes last (value[m, i, j], d1[m, i, j, a] = d_a g_ij).
+A field plans the jet pass over its expression entries once, on its first
+evaluation, and runs that plan at every order and on every point set.
 
 The most recently sampled point set is held, read-only, together with every
 field tensor evaluated on exactly that array, so the checks of one structure
@@ -32,6 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as ex
+from . import jets
 from .expr import DomainError, Expression
 from .jets import Jet, evaluate
 
@@ -392,22 +395,24 @@ def drop_held_points() -> None:
     _held = _PointSet()
 
 
-def _eval_entries(entries: Array, pts: Array, order: int) -> EvaluatedTensor:
+def _eval_entries(field: _Field, pts: Array, order: int) -> EvaluatedTensor:
     """Stack the entry jets. The trees of all expression entries share one
-    `evaluate` pass; the exp(sign * f) factor of each (gauge, sign) pair is
-    computed once and shared by the distinct gauged entries that use it."""
+    `evaluate` pass over the field's plan; the exp(sign * f) factor of each
+    (gauge, sign) pair is computed once and shared by the distinct gauged
+    entries that use it."""
     m, n = pts.shape
+    entries = field.entries
     shape = entries.shape
     value = np.empty((m,) + shape)
     d1 = np.empty((m,) + shape + (n,)) if order >= 1 else None
     d2 = np.empty((m,) + shape + (n, n)) if order >= 2 else None
     d3 = np.empty((m,) + shape + (n, n, n)) if order >= 3 else None
-    symbolic = [idx for idx in np.ndindex(shape) if isinstance(entries[idx], ExprEntry)]
-    jets = dict(zip(symbolic, evaluate([entries[idx].tree for idx in symbolic], pts, order)))
+    symbolic, plan = field.jet_plan()
+    symbolic_jets = dict(zip(symbolic, evaluate(plan, pts, order)))
     factors: dict = {}
     gauged: dict = {}
     for idx in np.ndindex(shape):
-        jet = jets.pop(idx, None)
+        jet = symbolic_jets.pop(idx, None)
         if jet is None:
             entry = entries[idx]
             if entry not in gauged:
@@ -441,6 +446,18 @@ class _Field:
         for idx in np.ndindex(arr.shape):
             arr[idx] = as_entry(entries[idx], chart.dim)
         self.entries = arr
+        self._jet_plan = None
+
+    def jet_plan(self) -> tuple[list[tuple], jets.Plan]:
+        """The indices of the expression entries and the jet plan of their
+        trees, built on the first call and reused at every order and on
+        every point set."""
+        if self._jet_plan is None:
+            entries = self.entries
+            symbolic = [idx for idx in np.ndindex(entries.shape)
+                        if isinstance(entries[idx], ExprEntry)]
+            self._jet_plan = symbolic, jets._plan([entries[idx].tree for idx in symbolic])
+        return self._jet_plan
 
     @classmethod
     def shape_for(cls, dim: int) -> tuple[int, ...]:
@@ -451,10 +468,10 @@ class _Field:
         result is read-only and shared with later calls on the same array."""
         held = _held
         if pts is not held.pts:
-            return _eval_entries(self.entries, pts, order)
+            return _eval_entries(self, pts, order)
         stored = held.tensors.get(self)
         if stored is None or stored.order < order:
-            stored = _eval_entries(self.entries, pts, order)
+            stored = _eval_entries(self, pts, order)
             for arr in (stored.value, stored.d1, stored.d2, stored.d3):
                 if arr is not None:
                     arr.flags.writeable = False
@@ -633,9 +650,12 @@ def component_fold(comps: dict):
 
 
 def total_symmetry_residual_batch(t: Array) -> Array:
+    """Worst deviation of ``t`` from its index permutations, relative to t.
+    The identity is skipped: ``t - t`` is 0 where t is finite, and where it
+    is not, ``scale`` is inf or NaN, so the result is NaN either way."""
     scale = 1.0 + max_abs(t)
     worst = np.zeros(t.shape[0])
-    for perm in itertools.permutations((1, 2, 3)):
+    for perm in itertools.islice(itertools.permutations((1, 2, 3)), 1, None):
         worst = np.maximum(worst, max_abs(t - np.transpose(t, (0,) + perm)))
     return worst / scale
 
@@ -733,19 +753,25 @@ def inverse_metric_expressions(g: MetricField) -> list[list[Expression]]:
 
 
 def levi_civita(g: MetricField) -> ConnectionField:
-    """Levi-Civita Christoffel symbols as expression trees."""
+    """Levi-Civita Christoffel symbols as expression trees.
+
+    Gamma^k_{ij} = Gamma^k_{ji}: each symbol is built once, for i <= j, and
+    the pair shares it, as the symmetric pair d_l g_{ij} = d_l g_{ji} shares
+    one derivative. The bracket for (j, i) would differ from the one for
+    (i, j) only in the order of an addition, so the values are unchanged."""
     d = g.chart.dim
     rows = metric_trees(g)
     ginv = inverse_metric_expressions(g)
-    dg = [[[ex.diff(rows[j][k], i) for k in range(d)] for j in range(d)] for i in range(d)]
-    # dg[i][j][k] = d_i g_{jk}
+    # dg[i][j][k] = d_i g_{jk}, one derivative per symmetric pair
+    dg = [[[ex.diff(rows[min(j, k)][max(j, k)], i) for k in range(d)] for j in range(d)]
+          for i in range(d)]
     gamma = np.empty((d, d, d), dtype=object)
-    for k in range(d):
-        for i in range(d):
-            for j in range(d):
+    for i in range(d):
+        for j in range(i, d):
+            brackets = [ex.sub(ex.add(dg[i][j][l], dg[j][i][l]), dg[l][i][j]) for l in range(d)]
+            for k in range(d):
                 total: Expression = ex.ZERO
                 for l in range(d):
-                    bracket = ex.sub(ex.add(dg[i][j][l], dg[j][i][l]), dg[l][i][j])
-                    total = ex.add(total, ex.mul(ginv[k][l], bracket))
-                gamma[k, i, j] = ex.mul(ex.const(0.5), total)
+                    total = ex.add(total, ex.mul(ginv[k][l], brackets[l]))
+                gamma[k, i, j] = gamma[k, j, i] = ExprEntry(ex.mul(ex.const(0.5), total))
     return ConnectionField(g.chart, gamma)

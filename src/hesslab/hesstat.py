@@ -235,7 +235,7 @@ def check_hessian_structure(conn: ConnectionField, g: MetricField, plan=None,
     _fold = component_fold(comps)
 
     def residual(pts):
-        gamma = conn.eval(pts, 0).value
+        gamma = conn.eval(pts, 1).value  # curvature_batch reads order 1
         torsion = _fold("torsion", rel_residual(gamma - gamma.transpose(0, 1, 3, 2), gamma))
         flatness = _fold("flatness", rel_residual(curvature_batch(conn, pts), gamma))
         nabla = covariant_derivative_metric_batch(conn, g, pts)
@@ -528,7 +528,7 @@ def _cone_postcondition_reports(cone: ConeStructure, base: StatisticalStructure,
     n = chart.dim - 1
 
     def flat_res(pts):
-        gamma = cone.conn.eval(pts, 0).value
+        gamma = cone.conn.eval(pts, 1).value  # curvature_batch reads order 1
         return rel_residual(curvature_batch(cone.conn, pts), gamma)
 
     flatness = sample_check(flat_res, chart, plan, tolerance, name="cone-flatness")

@@ -13,7 +13,7 @@ are simply absent (None).
 
 from __future__ import annotations
 
-import struct
+from typing import NamedTuple
 
 import numpy as np
 
@@ -216,15 +216,15 @@ class Jet:
 
 
 # ---------------------------------------------------------------------------
-# Expression evaluation: one pass over a plan of structurally distinct nodes
+# Expression evaluation: one pass over a plan of distinct nodes
 # ---------------------------------------------------------------------------
 #
 # A plan is a topologically ordered list of slots ``(op, arg, kids)``, one per
-# structurally distinct node of the trees handed to `evaluate`: a slot is keyed
-# on its op, its scalar payload and its children's slots, so a subtree that
-# occurs many times (as the same object or as equal copies) is evaluated once.
-# Slots come in the order a left-to-right recursive walk would first finish
-# them, so the first `DomainError` raised is the one that walk would raise.
+# node object of the trees handed to `_plan`. Nodes are hash-consed, so each
+# structurally distinct subtree is one object and is evaluated once, however
+# many trees share it. Slots come in the order a left-to-right recursive walk
+# would first finish them, so the first `DomainError` raised is the one that
+# walk would raise.
 
 _APPLY = {
     "neg": lambda _, u: -u,
@@ -241,26 +241,21 @@ _APPLY = {
 _BINARY = {ex.Add: "add", ex.Sub: "sub", ex.Mul: "mul", ex.Div: "div"}
 
 
-def _bits(v: float) -> bytes:
-    """Key of a float payload: its bit pattern, so 0.0 and -0.0 stay apart."""
-    return struct.pack("<d", v)
-
-
 def _describe(node) -> tuple:
-    """``(op, arg, key, child nodes)``: a slot for ``node`` applies ``op`` to
-    ``arg`` and its children's jets; it is merged with others on ``key``."""
+    """``(op, arg, child nodes)``: a slot for ``node`` applies ``op`` to
+    ``arg`` and its children's jets."""
     t = type(node)
     op = _BINARY.get(t)
     if op is not None:
-        return op, None, None, (node.left, node.right)
+        return op, None, (node.left, node.right)
     if t is ex.Num:
-        return "num", float(node.value), _bits(node.value), ()
+        return "num", node.value, ()
     if t is ex.Var:
-        return "var", node.index, node.index, ()
+        return "var", node.index, ()
     if t is ex.Neg:
-        return "neg", None, None, (node.arg,)
+        return "neg", None, (node.arg,)
     if t is ex.Call:
-        return "call", node.func, node.func, (node.arg,)
+        return "call", node.func, (node.arg,)
     if t is ex.Pow:
         return _describe_pow(node)
     raise TypeError(f"not an expression node: {node!r}")
@@ -273,23 +268,30 @@ def _describe_pow(node: ex.Pow) -> tuple:
     try:
         k = ex.constant_value(node.exponent)
     except (ArithmeticError, ValueError) as err:  # raised in turn, before the base
-        return "raise", err, None, ()
+        return "raise", err, ()
     if k is None:
-        return "pow", None, None, (base, node.exponent)
+        return "pow", None, (base, node.exponent)
     try:
         integral = k == round(k)
     except (OverflowError, ValueError) as err:  # inf or nan: after the base
-        return "raise", err, None, (base,)
+        return "raise", err, (base,)
     if integral:
-        return "powi", int(round(k)), int(round(k)), (base,)
-    return "powf", k, _bits(k), (base,)
+        return "powi", int(round(k)), (base,)
+    return "powf", k, (base,)
 
 
-def _plan(trees) -> tuple[list[tuple], list[int]]:
-    """The slots for ``trees`` (children before parents, left to right) and
-    the slot of each tree. Structurally equal nodes share one slot."""
+class Plan(NamedTuple):
+    """The slots of some trees (children before parents, left to right) and
+    the slot of each tree. Built once, it can be run at any order on any
+    points."""
+
+    slots: list[tuple]
+    roots: list[int]
+
+
+def _plan(trees) -> Plan:
+    trees = list(trees)  # held, so no planned node dies and frees its id
     slots: list[tuple] = []
-    by_key: dict[tuple, int] = {}
     by_id: dict[int, int] = {}  # node objects already planned
     roots: list[int] = []
     for root in trees:
@@ -300,23 +302,16 @@ def _plan(trees) -> tuple[list[tuple], list[int]]:
                 continue
             if desc is None:
                 desc = _describe(node)
-                pending = [k for k in desc[3] if id(k) not in by_id]
+                pending = [k for k in desc[2] if id(k) not in by_id]
                 if pending:
                     stack.append((node, desc))
                     stack.extend((k, None) for k in reversed(pending))
                     continue
-            op, arg, key, kids = desc
-            kids = tuple(by_id[id(k)] for k in kids)
-            if op == "raise":  # never merged: it raises ``arg`` in its turn
-                slot = len(slots)
-                slots.append((op, arg, kids))
-            else:
-                slot = by_key.setdefault((op, key, kids), len(slots))
-                if slot == len(slots):
-                    slots.append((op, arg, kids))
-            by_id[id(node)] = slot
+            op, arg, kids = desc
+            by_id[id(node)] = len(slots)
+            slots.append((op, arg, tuple(by_id[id(k)] for k in kids)))
         roots.append(by_id[id(root)])
-    return slots, roots
+    return Plan(slots, roots)
 
 
 def _run(slots: list[tuple], roots: list[int], pts: Array, order: int) -> list[Jet]:
@@ -349,17 +344,21 @@ def _run(slots: list[tuple], roots: list[int], pts: Array, order: int) -> list[J
 
 
 def evaluate(trees, pts: Array, order: int):
-    """Evaluate an expression tree, or a sequence of trees, at a batch of points.
+    """Evaluate an expression tree, a sequence of trees, or a `Plan` of
+    trees, at a batch of points.
 
     Returns a `Jet` for a single tree and a list of jets, one per tree, for a
-    sequence. All trees share one pass: each structurally distinct subtree is
-    evaluated once.
+    sequence or a plan. All trees share one pass: each distinct subtree is
+    evaluated once. A plan built once by `_plan` saves planning again when
+    the same trees are evaluated many times, as a field's entries are.
     """
     if not 0 <= order <= MAX_ORDER:
         raise ValueError(f"order must be between 0 and {MAX_ORDER}, got {order}")
     pts = np.asarray(pts, float)
     if pts.ndim != 2:
         raise ValueError("pts must have shape (m, n)")
+    if isinstance(trees, Plan):
+        return _run(*trees, pts, order)
     single = isinstance(trees, Expression)
     jets = _run(*_plan([trees] if single else trees), pts, order)
     return jets[0] if single else jets

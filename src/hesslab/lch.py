@@ -223,7 +223,7 @@ def check_lch(struct: LCHStructure, plan=None,
     conn, g, theta = struct.conn, struct.metric, struct.lee_form
 
     def residual(pts):
-        gamma = conn.eval(pts, 0).value
+        gamma = conn.eval(pts, 1).value  # curvature_batch reads order 1
         torsion = _fold("torsion", rel_residual(gamma - gamma.transpose(0, 1, 3, 2), gamma))
         flatness = _fold("flatness", rel_residual(curvature_batch(conn, pts), gamma))
         tval = theta.eval(pts, 0).value

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import copy
 import math
+import os
+import pickle
+import shutil
+import subprocess
 
 import pytest
 from hypothesis import given, settings
@@ -223,3 +228,69 @@ def test_substitute_shifts_indices():
     tree = parse_expression("x0/x1", dim=2)
     shifted = substitute(tree, {0: Var(2), 1: Var(3)})
     assert plain_eval(shifted, (0, 0, 6.0, 3.0)) == 2.0
+
+
+# ---------------------------------------------------------------------------
+# hash-consing
+# ---------------------------------------------------------------------------
+
+def test_equal_trees_are_one_node():
+    tree = parse_expression("x0*x1", 2)
+    assert parse_expression("x0*x1", 2) is tree
+    assert Mul(Var(0), Var(1)) is tree and Mul(left=Var(0), right=Var(1)) is tree
+    assert parse_expression("x1*x0", 2) is not tree
+    assert Num(2) is Num(2.0) and type(Num(2).value) is float
+    assert copy.deepcopy(tree) is tree and pickle.loads(pickle.dumps(tree)) is tree
+    with pytest.raises(TypeError):
+        Var(0, 1)
+
+
+def test_signed_zeros_are_two_equal_nodes():
+    assert Num(0.0) is not Num(-0.0)
+    assert Num(0.0) == Num(-0.0) and hash(Num(0.0)) == hash(Num(-0.0))
+    assert math.copysign(1.0, Num(-0.0).value) == -1.0
+
+
+def test_diff_is_built_once_per_node_and_index(monkeypatch):
+    tree = parse_expression("exp(x0*x1)/x0", 2)
+    first = diff(tree, 0)
+    built = []
+    real = ex._diff
+    monkeypatch.setattr(ex, "_diff", lambda e, i: built.append((e, i)) or real(e, i))
+    assert diff(tree, 0) is first and not built
+    assert diff(tree, 1) is not first and built[0] == (tree, 1)
+    with pytest.raises(TypeError):
+        diff("x0", 0)
+
+
+_PY310_CHECK = """
+import importlib.util, sys
+spec = importlib.util.spec_from_file_location("expr", sys.argv[1])
+ex = importlib.util.module_from_spec(spec)
+sys.modules["expr"] = ex
+spec.loader.exec_module(ex)
+tree = ex.parse_expression("exp(x0*x1)", 2)
+assert tree is ex.parse_expression("exp(x0*x1)", 2)
+assert ex.Num(0.0) is not ex.Num(-0.0) and ex.Num(0.0) == ex.Num(-0.0)
+assert ex.diff(tree, 0) is ex.diff(tree, 0)
+print(sys.version_info[:2])
+"""
+
+
+def test_expr_interns_under_the_oldest_supported_python():
+    # pyproject declares requires-python >= 3.10; expr.py needs only the
+    # standard library, so it can be loaded on its own there.
+    exe = shutil.which("python3.10")
+    if exe is None:
+        pytest.skip("python3.10 not found")
+    env = {**os.environ, "PYENV_VERSION": "3.10"}  # a pyenv shim runs 3.10 only when asked
+
+    def run(*args):
+        return subprocess.run([exe, *args], capture_output=True, text=True, env=env)
+
+    probe = run("-c", "import sys; print(sys.version_info[:2])")
+    if probe.returncode != 0 or probe.stdout.strip() != "(3, 10)":
+        pytest.skip("python3.10 does not start")
+    out = run("-c", _PY310_CHECK, ex.__file__)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "(3, 10)"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import weakref
 
 import numpy as np
@@ -361,6 +362,36 @@ def test_total_symmetry_invariant_under_permutation(seed):
         assert permuted == pytest.approx(base, rel=1e-12)
 
 
+def _total_symmetry_with_identity(t):
+    """The residual over all six permutations, the identity included."""
+    worst = np.zeros(t.shape[0])
+    for perm in itertools.permutations((1, 2, 3)):
+        worst = np.maximum(worst, max_abs(t - np.transpose(t, (0,) + perm)))
+    return worst / (1.0 + max_abs(t))
+
+
+def test_total_symmetry_skipping_the_identity_changes_no_result():
+    # Finite tensors of mixed magnitudes read the same bits; a tensor with an
+    # inf, -inf or NaN entry still reads NaN, as t - t made it before.
+    rng = np.random.default_rng(11)
+    m = 20_000
+    t = rng.normal(size=(m, 3, 3, 3)) * 10.0 ** rng.integers(-8, 9, (m, 1, 1, 1))
+    t[: m // 4] = np.maximum(t[: m // 4], t[: m // 4].transpose(0, 2, 1, 3))
+    bad = rng.random(m) < 0.5
+    flat = t.reshape(m, -1)
+    for _ in range(3):
+        rows = np.flatnonzero(bad & (rng.random(m) < 0.6))
+        flat[rows, rng.integers(0, 27, rows.size)] = rng.choice(
+            [np.inf, -np.inf, np.nan], rows.size)
+    bad = ~np.isfinite(flat).all(axis=1)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        got, want = total_symmetry_residual_batch(t), _total_symmetry_with_identity(t)
+    assert bad.any() and not bad.all()
+    assert np.isnan(got[bad]).all() and np.isnan(want[bad]).all()
+    assert got[~bad].tobytes() == want[~bad].tobytes()
+    assert np.isfinite(got[~bad]).all()
+
+
 # ---------------------------------------------------------------------------
 # positive definiteness
 # ---------------------------------------------------------------------------
@@ -566,6 +597,67 @@ def test_run_suite_evaluates_each_field_once_per_point_set(monkeypatch):
         report = run_suite(scene_from_dict(_sphere_scene(dim)), SamplePlan(count=50, seed=4))
         assert report.all_ok
     assert len(calls) == 8
+
+
+def test_run_suite_plans_the_levi_civita_field_once(monkeypatch):
+    # statistical reads D at order 0 and curvature at order 1 on the same
+    # points; the field's plan serves both, and trees are hash-consed, so the
+    # Christoffel trees built here are the scene's own objects.
+    import hesslab.jets as jets
+    from hesslab.scenes import run_suite, scene_from_dict
+
+    data = _sphere_scene(3)
+    lc = levi_civita(MetricField(Chart(3, ((-0.5, 0.5),) * 3), data["fields"]["g"]["entries"]))
+    christoffel = {id(entry.tree) for entry in lc.entries.flat}
+    planned = []
+    real = jets._plan
+
+    def plan(trees):
+        trees = list(trees)
+        planned.append(sum(id(t) in christoffel for t in trees))
+        return real(trees)
+
+    monkeypatch.setattr(jets, "_plan", plan)
+    report = run_suite(scene_from_dict(data), SamplePlan(count=50, seed=4))
+    assert report.all_ok
+    assert [n for n in planned if n] == [27]
+
+
+def test_levi_civita_shares_each_symmetric_pair():
+    g = MetricField(Chart(3, ((-0.5, 0.5),) * 3), _sphere_scene(3)["fields"]["g"]["entries"])
+    conn = levi_civita(g)
+    for k, i, j in np.ndindex(conn.entries.shape):
+        assert conn.entries[k, i, j] is conn.entries[k, j, i]
+    again = levi_civita(g)  # equal trees are one object
+    assert all(a.tree is b.tree for a, b in zip(conn.entries.flat, again.entries.flat))
+
+
+@pytest.mark.parametrize("dim", [4, 5])
+def test_dense_levi_civita_at_dims_4_and_5(dim):
+    from hesslab.scenes import run_suite, scene_from_dict
+
+    data = _sphere_scene(dim)
+    data["checks"] = data["checks"][:2]  # statistical, curvature
+    report = run_suite(scene_from_dict(data), SamplePlan(count=200, seed=dim))
+    statistical, curvature = report.checks
+    assert statistical["ok"] and statistical["reports"][0]["passed"]
+    assert curvature["ok"]
+    assert 0.99999 <= curvature["reports"][0]["extra"]["c"] <= 1.00001
+
+
+def test_a_dropped_scene_leaves_no_interned_node():
+    import gc
+
+    from hesslab.scenes import run_suite, scene_from_dict
+
+    gc.collect()
+    before = len(ex._INTERNED)
+    scene = scene_from_dict(_sphere_scene(3))
+    assert run_suite(scene, SamplePlan(count=20, seed=1)).all_ok
+    assert len(ex._INTERNED) > before
+    del scene
+    gc.collect()  # a derivative memo refers back to its node: a cycle
+    assert len(ex._INTERNED) == before
 
 
 @pytest.mark.parametrize("dim", [2, 3])

@@ -15,6 +15,7 @@ from hesslab.geomcore import (
     Chart,
     ConnectionField,
     MetricField,
+    OneFormField,
     SamplePlan,
     VectorFieldT,
     euclidean_metric,
@@ -89,6 +90,31 @@ def test_hessian_of_cone_potential_recovers_cone_metric():
 # ---------------------------------------------------------------------------
 # check_hessian_structure
 # ---------------------------------------------------------------------------
+
+def test_gates_read_a_curved_connection_once_at_order_1(monkeypatch):
+    # The hessian, l.c.H. and cone-flatness gates take gamma from the order-1
+    # tensor that curvature_batch reads, so each evaluates the connection once.
+    import hesslab.geomcore as gc
+    from hesslab.lch import LCHStructure, check_lch
+
+    orders: dict = {}
+    real = gc._eval_entries
+
+    def eval_entries(field, pts, order):
+        orders.setdefault(field, []).append(order)
+        return real(field, pts, order)
+
+    monkeypatch.setattr(gc, "_eval_entries", eval_entries)
+    sphere = sphere_statistical()
+    check_hessian_structure(sphere.conn, sphere.metric, PLAN)
+    assert orders.pop(sphere.conn) == [1]
+    sphere = sphere_statistical()  # new fields: nothing held for them yet
+    theta = OneFormField(sphere.chart, ["0", "0"])
+    check_lch(LCHStructure(sphere.chart, sphere.conn, sphere.metric, theta), PLAN)
+    assert orders.pop(sphere.conn) == [1]
+    cone = build_cone_structure(halfplane_statistical(), LAMBDA_HALFPLANE, plan=PLAN)
+    assert orders[cone.conn] == [1]
+
 
 def test_hessian_gate_flat_euclidean():
     chart = Chart(2, ((-1.0, 1.0),) * 2)

@@ -57,7 +57,8 @@ def _assert_same_outcome(trees, pts, order):
 # ---------------------------------------------------------------------------
 
 def _copy(tree, memo=None):
-    """A structurally equal tree that shares no node object with ``tree``."""
+    """``tree`` rebuilt node by node through the constructors, which, nodes
+    being hash-consed, hand back ``tree``'s own nodes."""
     memo = {} if memo is None else memo
     hit = memo.get(id(tree))
     if hit is not None:
@@ -128,6 +129,13 @@ def test_planned_pass_matches_reference(forest, order):
     _assert_same_outcome(trees, pts, order)
 
 
+@given(forest=forests())
+@settings(max_examples=100, deadline=None)
+def test_rebuilt_trees_are_the_same_nodes(forest):
+    trees, _ = forest
+    assert all(_copy(t) is t for t in trees)
+
+
 def test_reference_agreement_covers_domain_errors():
     x = ex.Var(0)
     trees = [ex.call("sqrt", x), ex.call("log", ex.neg(x)), ex.div(ex.ONE, x)]
@@ -170,7 +178,7 @@ def test_dense_levi_civita_matches_reference():
     pts = np.random.default_rng(1).uniform(-0.45, 0.45, (6, 3))
     _assert_same_outcome(trees, pts, 2)
 
-    # structural keys merge far more than object identity does
+    # hash-consed trees: the planner visits one object per slot
     slots, _ = _plan(trees)
     objects = set()
     stack = list(trees)
@@ -180,7 +188,7 @@ def test_dense_levi_civita_matches_reference():
             objects.add(id(node))
             stack.extend(getattr(node, f) for f in node.__dataclass_fields__
                          if isinstance(getattr(node, f), ex.Expression))
-    assert len(slots) < len(objects) / 2
+    assert len(slots) == len(objects) == 313
 
 
 def test_jets_are_freed_after_their_last_use():
