@@ -58,7 +58,6 @@ from .lch import (
     lee_constants,
     lee_identity_residual,
     lee_perturbation_probe,
-    lee_vector,
     local_hessian_gauge,
     metric_from_lee,
     monodromy_rank,

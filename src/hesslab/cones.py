@@ -517,19 +517,25 @@ def characteristic_function(cone: ConeSpec, x, method: str = "closed_form",
     return _psi(cone, p, method, int(samples), np.random.SeedSequence(seed))
 
 
-def log_psi_metric(cone: ConeSpec, x) -> np.ndarray:
-    """Hess(ln psi) at an interior point; positive definite there.
+def log_psi_metric(cone: ConeSpec, pts) -> np.ndarray:
+    """Hess(ln psi) at each row of an (m, dim) array of interior points,
+    stacked as (m, dim, dim); positive definite there.
 
     Requires a closed-form psi: Monte Carlo values cannot be differentiated
     to the needed accuracy.
     """
-    p = cone._point(x)
-    if not cone.contains(p):
-        raise OutsideConeError(
-            f"point {list(map(float, p))} is not strictly inside {cone.describe()}"
+    pts = np.asarray(pts, float)
+    if pts.ndim != 2 or pts.shape[1] != cone.dim:
+        raise ValueError(
+            f"{cone.describe()} expects an (m, {cone.dim}) array of points, got {pts.shape}"
         )
+    for p in pts:
+        if not cone.contains(p):
+            raise OutsideConeError(
+                f"point {list(map(float, p))} is not strictly inside {cone.describe()}"
+            )
     tree = ex.call("log", cone.psi_expression())
-    return evaluate(tree, p[None, :], 2).hess[0]
+    return evaluate(tree, pts, 2).hess
 
 
 def project_to_characteristic_surface(cone: ConeSpec, x, method: str = "closed_form",

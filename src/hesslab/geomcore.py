@@ -638,15 +638,11 @@ def rel_residual(delta: Array, scale: Array) -> Array:
     return max_abs(delta) / (1.0 + max_abs(scale))
 
 
-def component_fold(comps: dict):
-    """``fold(key, arr)`` keeps the worst value of ``arr`` under ``key`` in
-    ``comps`` and returns ``arr``. A NaN sticks (``max(0.0, nan)`` is 0.0)."""
-
-    def fold(key, arr):
-        comps[key] = float(np.maximum(comps.get(key, 0.0), np.max(arr)))
-        return arr
-
-    return fold
+def closedness_residual(theta: OneFormField, pts) -> Array:
+    """Per-sample |d theta| / (1 + |theta|). Reads theta at order 1 first,
+    so the value is a prefix of the same tensor."""
+    dtheta = exterior_derivative_oneform_batch(theta, pts)
+    return rel_residual(dtheta, theta.eval(pts, 0).value)
 
 
 def total_symmetry_residual_batch(t: Array) -> Array:
@@ -680,21 +676,37 @@ def sample_check(residual_fn, chart: Chart, plan: SamplePlan, tolerance: float,
                  name: str = "check", extra=None, notes=()) -> CheckReport:
     """Evaluate a batched residual function over sampled points.
 
-    ``residual_fn`` takes an (m, n) array of points and returns (m,) residuals.
+    ``residual_fn`` takes an (m, n) array of points and returns (m,)
+    residuals, or a dict of named (m,) residual terms. For terms, the
+    residual at a sample is the worst term there, and ``extra`` keeps each
+    term's worst value over the samples under its name; a NaN sticks
+    (``np.maximum`` propagates it where ``max`` would drop it).
+
     Domain errors fall back to per-point evaluation; points that cannot be
     evaluated count as infinite residuals and are recorded in the notes.
+    A call that raises folds none of its terms into ``extra``.
     """
     pts = chart.sample(plan)
     notes = list(notes)
+    extra = dict(extra or {})
+
+    def residuals_at(p):
+        out = residual_fn(p)
+        if not isinstance(out, dict):
+            return out
+        for key, arr in out.items():
+            extra[key] = float(np.maximum(extra.get(key, 0.0), np.max(arr)))
+        return np.maximum.reduce(list(out.values()))
+
     try:
-        residuals = np.asarray(residual_fn(pts), float)
+        residuals = np.asarray(residuals_at(pts), float)
     except DomainError:
         residuals = np.empty(plan.count)
         bad = 0
         first_error = ""
         for k in range(plan.count):
             try:
-                residuals[k] = float(residual_fn(pts[k : k + 1])[0])
+                residuals[k] = float(residuals_at(pts[k : k + 1])[0])
             except DomainError as err:
                 residuals[k] = np.inf
                 bad += 1
@@ -743,6 +755,13 @@ def adjugate_expressions(rows) -> list[list[Expression]]:
 def metric_trees(g: MetricField) -> list[list[Expression]]:
     d = g.chart.dim
     return [[entry_tree(g.entries[i, j]) for j in range(d)] for i in range(d)]
+
+
+def connection_trees(conn: ConnectionField) -> list[list[list[Expression]]]:
+    """Gamma^k_{ij} as trees, indexed [k][i][j]."""
+    d = conn.chart.dim
+    return [[[entry_tree(conn.entries[k, i, j]) for j in range(d)] for i in range(d)]
+            for k in range(d)]
 
 
 def inverse_metric_expressions(g: MetricField) -> list[list[Expression]]:

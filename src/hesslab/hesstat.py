@@ -35,7 +35,8 @@ from .geomcore import (
     VectorFieldT,
     adjugate_expressions,
     as_entry,
-    component_fold,
+    closedness_residual,
+    connection_trees,
     covariant_derivative_metric_batch,
     covariant_derivative_vector_batch,
     curvature_batch,
@@ -63,7 +64,9 @@ __all__ = [
     "NoRealSolutionError",
     "TransversalityError",
     "SurfaceConstraintError",
+    "nondegenerate_lambda",
     "hessian_values",
+    "structure_terms",
     "check_hessian_structure",
     "check_radiant",
     "check_self_similar",
@@ -86,6 +89,17 @@ class ConeConstructionError(ValueError):
 class DegenerateLambdaError(ConeConstructionError):
     """lambda in {0, 2}: radiance degenerates at 0 and the cone potential
     s^2/(4 - 2*lambda) is undefined at 2, so neither value admits a cone."""
+
+
+def nondegenerate_lambda(lam) -> float:
+    """``lam`` as a float; raises DegenerateLambdaError near 0 and 2."""
+    lam = float(lam)
+    if abs(lam) <= 1e-9 or abs(lam - 2.0) <= 1e-9:
+        raise DegenerateLambdaError(
+            "lambda must stay away from 0 and 2: radiance degenerates at 0 "
+            "and the potential s^2/(4-2*lambda) is undefined at 2"
+        )
+    return lam
 
 
 class NoRealSolutionError(ValueError):
@@ -139,11 +153,7 @@ class ConeStructure:
             raise ValueError("a cone chart needs at least one base dimension")
         if not self.chart.positive[-1] or self.chart.box[-1][0] <= 0:
             raise ChartError("the radial coordinate must stay strictly positive")
-        if abs(self.lam) <= 1e-9 or abs(self.lam - 2.0) <= 1e-9:
-            raise DegenerateLambdaError(
-                "lambda must stay away from 0 and 2: radiance degenerates at 0 "
-                "and the potential s^2/(4-2*lambda) is undefined at 2"
-            )
+        nondegenerate_lambda(self.lam)
         for f in (self.conn, self.metric, self.radial):
             if f.chart != self.chart:
                 raise ValueError("cone fields must share the cone chart")
@@ -209,17 +219,30 @@ def hessian_values(conn: ConnectionField, phi, pts) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _failed_report(name, plan, tolerance, err, extra=None) -> CheckReport:
-    return CheckReport(
-        name=name,
-        max_residual=float("inf"),
-        mean_residual=float("inf"),
-        tolerance=float(tolerance),
-        passed=False,
-        samples=plan.count,
-        extra=dict(extra or {}),
-        notes=(f"evaluation failed: {err}",),
-    )
+def structure_terms(conn: ConnectionField, g: MetricField, pts, *,
+                    flatness: bool = True, theta=None) -> dict:
+    """Named (m,) residual terms of the nested definitions.
+
+    A statistical structure has torsion-free D with Dg totally symmetric and
+    g positive definite; a Hessian structure adds flatness of D; an l.c.H.
+    structure adds a closed Lee form theta and twists the symmetry to
+    Dg - theta (x) g. Every field is read at its top order first, so the
+    lower-order reads on the same points are prefixes of one tensor.
+    """
+    # order 1 even without flatness: a curvature estimate on the same points
+    # usually follows a statistical gate
+    gamma = conn.eval(pts, 1).value
+    terms = {"torsion": rel_residual(gamma - gamma.transpose(0, 1, 3, 2), gamma)}
+    if flatness:
+        terms["flatness"] = rel_residual(curvature_batch(conn, pts), gamma)
+    nabla = covariant_derivative_metric_batch(conn, g, pts)
+    gval = g.eval(pts, 0).value
+    if theta is not None:
+        terms["closedness"] = closedness_residual(theta, pts)
+        nabla -= np.einsum("ai,ajk->aijk", theta.eval(pts, 0).value, gval)
+    terms["symmetry"] = total_symmetry_residual_batch(nabla)
+    terms["definiteness"] = definiteness_gap(gval)
+    return terms
 
 
 def check_hessian_structure(conn: ConnectionField, g: MetricField, plan=None,
@@ -230,20 +253,11 @@ def check_hessian_structure(conn: ConnectionField, g: MetricField, plan=None,
     The report's ``extra`` carries the worst residual of each ingredient so a
     failure can be attributed.
     """
-    plan = plan or SamplePlan()
-    comps: dict[str, float] = {}
-    _fold = component_fold(comps)
 
     def residual(pts):
-        gamma = conn.eval(pts, 1).value  # curvature_batch reads order 1
-        torsion = _fold("torsion", rel_residual(gamma - gamma.transpose(0, 1, 3, 2), gamma))
-        flatness = _fold("flatness", rel_residual(curvature_batch(conn, pts), gamma))
-        nabla = covariant_derivative_metric_batch(conn, g, pts)
-        symmetry = _fold("symmetry", total_symmetry_residual_batch(nabla))
-        definite = _fold("definiteness", definiteness_gap(g.eval(pts, 0).value))
-        return np.maximum.reduce([torsion, flatness, symmetry, definite])
+        return structure_terms(conn, g, pts)
 
-    return sample_check(residual, conn.chart, plan, tolerance, name=name, extra=comps)
+    return sample_check(residual, conn.chart, plan or SamplePlan(), tolerance, name=name)
 
 
 def check_radiant(conn: ConnectionField, xi: VectorFieldT, plan=None,
@@ -259,7 +273,8 @@ def check_radiant(conn: ConnectionField, xi: VectorFieldT, plan=None,
         pts = conn.chart.sample(plan)
         jac = covariant_derivative_vector_batch(conn, xi, pts)
     except DomainError as err:
-        return _failed_report(name, plan, tolerance, err)
+        return make_report(name, np.full(plan.count, np.inf), tolerance,
+                           notes=(f"evaluation failed: {err}",))
     d = conn.chart.dim
     if lam is None:
         lam = float(np.mean(np.trace(jac, axis1=1, axis2=2)) / d)
@@ -300,7 +315,8 @@ def check_potential_field(g: MetricField, xi: VectorFieldT, plan=None,
         gj = g.eval(pts, 1)
         xj = xi.eval(pts, 1)
     except DomainError as err:
-        return _failed_report(name, plan, tolerance, err)
+        return make_report(name, np.full(plan.count, np.inf), tolerance,
+                           notes=(f"evaluation failed: {err}",))
     omega = np.einsum("ak,akj->aj", xj.value, gj.value)
     domega = np.einsum("aki,akj->aij", xj.d1, gj.value)
     domega += np.einsum("ak,akji->aij", xj.value, gj.d1)
@@ -323,20 +339,11 @@ def check_statistical(struct: StatisticalStructure, plan=None,
                       tolerance: float = DEFAULT_TOLERANCE,
                       name: str = "statistical") -> CheckReport:
     """Torsion-freeness of D, total symmetry of Dg, positivity of g."""
-    plan = plan or SamplePlan()
-    conn, g = struct.conn, struct.metric
-    comps: dict[str, float] = {}
-    _fold = component_fold(comps)
 
     def residual(pts):
-        gamma = conn.eval(pts, 0).value
-        torsion = _fold("torsion", rel_residual(gamma - gamma.transpose(0, 1, 3, 2), gamma))
-        nabla = covariant_derivative_metric_batch(conn, g, pts)
-        symmetry = _fold("symmetry", total_symmetry_residual_batch(nabla))
-        definite = _fold("definiteness", definiteness_gap(g.eval(pts, 0).value))
-        return np.maximum.reduce([torsion, symmetry, definite])
+        return structure_terms(struct.conn, struct.metric, pts, flatness=False)
 
-    return sample_check(residual, struct.chart, plan, tolerance, name=name, extra=comps)
+    return sample_check(residual, struct.chart, plan or SamplePlan(), tolerance, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -355,10 +362,7 @@ def dual_connection(conn: ConnectionField, g: MetricField) -> ConnectionField:
     d = chart.dim
     rows = metric_trees(g)
     ginv = inverse_metric_expressions(g)
-    gam = [
-        [[entry_tree(conn.entries[m, i, j]) for j in range(d)] for i in range(d)]
-        for m in range(d)
-    ]
+    gam = connection_trees(conn)
     dual = np.empty((d, d, d), dtype=object)
     for k in range(d):
         for i in range(d):
@@ -452,12 +456,7 @@ def build_cone_structure(base: StatisticalStructure, lam: float, *,
     any of them.  The reports are attached to the result.
     """
     plan = plan or SamplePlan()
-    lam = float(lam)
-    if abs(lam) <= 1e-9 or abs(lam - 2.0) <= 1e-9:
-        raise DegenerateLambdaError(
-            "lambda must stay away from 0 and 2: radiance degenerates at 0 "
-            "and the potential s^2/(4-2*lambda) is undefined at 2"
-        )
+    lam = nondegenerate_lambda(lam)
     stat = check_statistical(base, plan, tolerance)
     if not stat.passed:
         raise ConeConstructionError(
@@ -483,7 +482,7 @@ def build_cone_structure(base: StatisticalStructure, lam: float, *,
     chart = Chart(n + 1, base.chart.box + ((lo, hi),),
                   positive=base.chart.positive + (True,))
     s = ex.Var(n)
-    gm = [[entry_tree(base.metric.entries[i, j]) for j in range(n)] for i in range(n)]
+    gm = metric_trees(base.metric)
 
     gamma = np.full((n + 1, n + 1, n + 1), ex.ZERO, dtype=object)
     for c_ in range(n):
@@ -631,10 +630,7 @@ def level_set_statistical(conn: ConnectionField, phi, surface, surface_chart: Ch
             "transversal field becomes tangent to the surface on the chart"
         )
 
-    gamma_trees = [
-        [[entry_tree(conn.entries[c, a, b]) for b in range(n)] for a in range(n)]
-        for c in range(n)
-    ]
+    gamma_trees = connection_trees(conn)
     gamma_sub = [
         [[ex.substitute(gamma_trees[c][a][b], subs) for b in range(n)] for a in range(n)]
         for c in range(n)

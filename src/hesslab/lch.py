@@ -30,30 +30,25 @@ from .geomcore import (
     PD_FLOOR,
     SamplePlan,
     VectorFieldT,
-    component_fold,
-    covariant_derivative_metric_batch,
+    closedness_residual,
+    connection_trees,
     covariant_derivative_oneform_batch,
-    covariant_derivative_vector_batch,
-    curvature_batch,
-    definiteness_gap,
     entry_tree,
-    exterior_derivative_oneform_batch,
     flat_connection,
     inverse_metric_expressions,
     lie_derivative_metric_batch,
     make_report,
-    max_abs,
     rel_residual,
     sample_check,
     smallest_eigenvalues,
-    total_symmetry_residual_batch,
 )
 from .hesstat import (
-    DegenerateLambdaError,
     StatisticalStructure,
     build_cone_structure,
     check_hessian_structure,
     check_radiant,
+    nondegenerate_lambda,
+    structure_terms,
 )
 from .jets import evaluate
 
@@ -71,7 +66,6 @@ __all__ = [
     "lee_constants",
     "lee_identity_residual",
     "lee_perturbation_probe",
-    "lee_vector",
     "lee_vector_field",
     "local_hessian_gauge",
     "metric_from_lee",
@@ -167,12 +161,7 @@ class MappingTorusSpec:
         if abs(q - 1.0) <= 1e-9:
             raise ValueError("the scale q must differ from 1 (q = 1 glues nothing)")
         self.scale = q
-        self.lam = float(self.lam)
-        if abs(self.lam) <= 1e-9 or abs(self.lam - 2.0) <= 1e-9:
-            raise DegenerateLambdaError(
-                "lambda must stay away from 0 and 2: radiance degenerates at 0 "
-                "and the potential s^2/(4-2*lambda) is undefined at 2"
-            )
+        self.lam = nondegenerate_lambda(self.lam)
         dim = self.base.chart.dim
         comps = tuple(self.automorphism)
         if len(comps) != dim:
@@ -216,27 +205,11 @@ def check_lch(struct: LCHStructure, plan=None,
     The twisted symmetry condition is total symmetry of
     nabla g - theta (x) g; component residuals land in ``extra``.
     """
-    plan = plan or SamplePlan()
-    comps: dict[str, float] = {}
-    _fold = component_fold(comps)
-
-    conn, g, theta = struct.conn, struct.metric, struct.lee_form
 
     def residual(pts):
-        gamma = conn.eval(pts, 1).value  # curvature_batch reads order 1
-        torsion = _fold("torsion", rel_residual(gamma - gamma.transpose(0, 1, 3, 2), gamma))
-        flatness = _fold("flatness", rel_residual(curvature_batch(conn, pts), gamma))
-        tval = theta.eval(pts, 0).value
-        closed = _fold("closedness",
-                       rel_residual(exterior_derivative_oneform_batch(theta, pts), tval))
-        gval = g.eval(pts, 0).value
-        twisted = covariant_derivative_metric_batch(conn, g, pts)
-        twisted -= np.einsum("ai,ajk->aijk", tval, gval)
-        symmetry = _fold("symmetry", total_symmetry_residual_batch(twisted))
-        definite = _fold("definiteness", definiteness_gap(gval))
-        return np.maximum.reduce([torsion, flatness, closed, symmetry, definite])
+        return structure_terms(struct.conn, struct.metric, pts, theta=struct.lee_form)
 
-    return sample_check(residual, struct.chart, plan, tolerance, name=name, extra=comps)
+    return sample_check(residual, struct.chart, plan or SamplePlan(), tolerance, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -260,14 +233,6 @@ def lee_vector_field(metric: MetricField, theta: OneFormField) -> VectorFieldT:
     return VectorFieldT(metric.chart, comps)
 
 
-def lee_vector(metric: MetricField, theta: OneFormField, p) -> np.ndarray:
-    """Pointwise Lee vector: solve g(p) xi = theta(p)."""
-    pt = np.asarray(p, float).reshape(1, -1)
-    gval = metric.eval(pt, 0).value[0]
-    tval = theta.eval(pt, 0).value[0]
-    return np.linalg.solve(gval, tval)
-
-
 def lee_constants(struct: LCHStructure, plan=None) -> LeeConstants:
     """Estimate (a, mu, u) of the Lee field together with the residuals that
     decide whether the field is Killing, radiant, and affine."""
@@ -276,13 +241,14 @@ def lee_constants(struct: LCHStructure, plan=None) -> LeeConstants:
     pts = chart.sample(plan)
     xi = lee_vector_field(struct.metric, struct.lee_form)
 
+    # order 1 first, so the order-0 reads of g and xi below are prefixes
+    lie = lie_derivative_metric_batch(xi, struct.metric, pts)
     gval = struct.metric.eval(pts, 0).value
     xival = xi.eval(pts, 0).value
     avals = np.einsum("aij,ai,aj->a", gval, xival, xival)
     a = float(np.mean(avals))
     a_dev = float(np.max(np.abs(avals - a))) / (1.0 + abs(a))
 
-    lie = lie_derivative_metric_batch(xi, struct.metric, pts)
     killing = float(np.max(rel_residual(lie, gval)))
     killing = max(killing, a_dev)
 
@@ -305,12 +271,7 @@ def _affine_residual(conn: ConnectionField, xi: VectorFieldT, pts) -> float:
     """Worst second covariant derivative of xi, relative to |nabla xi|."""
     n = conn.chart.dim
     xtrees = [entry_tree(xi.entries[i]) for i in range(n)]
-    gtrees = None
-    if not conn.flat:
-        gtrees = [
-            [[entry_tree(conn.entries[k, i, j]) for j in range(n)] for i in range(n)]
-            for k in range(n)
-        ]
+    gtrees = None if conn.flat else connection_trees(conn)
 
     # T^i_j = nabla_j xi^i as trees, then one more covariant derivative
     terms = []
@@ -378,12 +339,7 @@ def lee_identity_residual(struct: LCHStructure, constants: LeeConstants,
 def _nabla_theta_trees(conn: ConnectionField, ttrees) -> np.ndarray:
     """(nabla theta)_{ij} as a mirrored tree matrix (valid once d(theta) = 0)."""
     n = len(ttrees)
-    gtrees = None
-    if not conn.flat:
-        gtrees = [
-            [[entry_tree(conn.entries[k, i, j]) for j in range(n)] for i in range(n)]
-            for k in range(n)
-        ]
+    gtrees = None if conn.flat else connection_trees(conn)
     out = np.empty((n, n), dtype=object)
     for i in range(n):
         for j in range(i, n):
@@ -402,8 +358,7 @@ def _nabla_theta_trees(conn: ConnectionField, ttrees) -> np.ndarray:
 
 
 def _require_closed(theta: OneFormField, pts, tolerance, what: str):
-    tval = theta.eval(pts, 0).value
-    res = float(np.max(rel_residual(exterior_derivative_oneform_batch(theta, pts), tval)))
+    res = float(np.max(closedness_residual(theta, pts)))
     if res > tolerance:
         raise ValueError(f"{what} must be closed; d residual {res:.3g} > {tolerance:.3g}")
 
@@ -454,26 +409,20 @@ def koszul_check(conn: ConnectionField, theta: OneFormField, plan=None,
                  name: str = "koszul") -> CheckReport:
     """Is nabla(theta) a Hessian metric for this connection?
 
-    Aggregates closedness of theta with the full Hessian-structure gate
-    (torsion, flatness, total symmetry, positive definiteness) applied to
-    g = nabla theta.
+    Closedness of theta together with the full Hessian-structure terms
+    (torsion, flatness, total symmetry, positive definiteness) of
+    g = nabla theta, in one gate.
     """
-    plan = plan or SamplePlan()
-    chart = conn.chart
-    n = chart.dim
+    n = conn.chart.dim
     ttrees = [entry_tree(theta.entries[i]) for i in range(n)]
-    candidate = MetricField(chart, _nabla_theta_trees(conn, ttrees))
-    inner = check_hessian_structure(conn, candidate, plan, tolerance, name=name)
+    candidate = MetricField(conn.chart, _nabla_theta_trees(conn, ttrees))
 
-    pts = chart.sample(plan)
-    tval = theta.eval(pts, 0).value
-    closed = float(np.max(rel_residual(
-        exterior_derivative_oneform_batch(theta, pts), tval)))
-    extra = dict(inner.extra)
-    extra["closedness"] = closed
-    worst = max(inner.max_residual, closed)
-    return make_report(name, [worst, inner.mean_residual], tolerance,
-                       samples=inner.samples, extra=extra, notes=inner.notes)
+    def residual(pts):
+        terms = structure_terms(conn, candidate, pts)
+        terms["closedness"] = closedness_residual(theta, pts)
+        return terms
+
+    return sample_check(residual, conn.chart, plan or SamplePlan(), tolerance, name=name)
 
 
 def local_hessian_gauge(struct: LCHStructure, base_point, p=None, *,

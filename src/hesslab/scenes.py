@@ -44,6 +44,7 @@ from .geomcore import (
     flat_connection,
     levi_civita,
     make_report,
+    smallest_eigenvalues,
 )
 from .hesstat import (
     ConeStructure,
@@ -678,9 +679,9 @@ def _op_homogeneity(ctx, check, tol):
 def _op_barrier(ctx, check, tol):
     cone = ctx.scene.cones[check["cone"]]
     pts = sample_interior(cone, int(check.get("count", 50)), seed=ctx.plan.seed)
-    mats = np.stack([log_psi_metric(cone, p) for p in pts])
+    mats = log_psi_metric(cone, pts)
     gaps = definiteness_gap(mats)
-    eig = float(np.linalg.eigvalsh(0.5 * (mats + mats.transpose(0, 2, 1)))[:, 0].min())
+    eig = float(smallest_eigenvalues(mats).min())
     return [make_report("barrier-definiteness", gaps, tol,
                         samples=pts.shape[0], extra={"smallest_eigenvalue": eig})]
 

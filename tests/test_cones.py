@@ -342,12 +342,12 @@ def _fd_hessian(f, x, h=1e-5):
 
 
 def test_log_psi_metric_orthant_values():
-    out = log_psi_metric(OrthantCone(2), (1.0, 2.0))
+    out = log_psi_metric(OrthantCone(2), np.array([(1.0, 2.0)]))[0]
     assert np.allclose(out, np.diag([1.0, 0.25]))
 
 
 def test_log_psi_metric_lorentz_values():
-    out = log_psi_metric(LorentzCone(2), (1.0, 0.0))
+    out = log_psi_metric(LorentzCone(2), np.array([(1.0, 0.0)]))[0]
     assert np.allclose(out, np.diag([2.0, 2.0]))
 
 
@@ -357,7 +357,7 @@ def test_log_psi_metric_lorentz_values():
     (PolyhedralCone([[1, 0], [1, 1]]), (2.0, 0.5)),
 ])
 def test_log_psi_metric_against_finite_differences(cone, x):
-    exact = log_psi_metric(cone, x)
+    exact = log_psi_metric(cone, np.array([x]))[0]
 
     def lnpsi(p):
         return math.log(characteristic_function(cone, p).value)
@@ -370,18 +370,18 @@ def test_log_psi_metric_positive_definite_on_samples():
     for cone in (OrthantCone(2), OrthantCone(4), LorentzCone(2),
                  PolyhedralCone([[1, 0], [1, 1]])):
         pts = sample_interior(cone, 40, seed=23)
-        mats = np.stack([log_psi_metric(cone, p) for p in pts])
+        mats = log_psi_metric(cone, pts)
         assert smallest_eigenvalues(mats).min() > 0.0
 
 
 def test_log_psi_metric_needs_closed_form():
     with pytest.raises(NoClosedFormError):
-        log_psi_metric(LorentzCone(3), (1.0, 0.0, 0.0))
+        log_psi_metric(LorentzCone(3), np.array([(1.0, 0.0, 0.0)]))
 
 
 def test_log_psi_metric_rejects_outside_points():
     with pytest.raises(OutsideConeError):
-        log_psi_metric(OrthantCone(2), (1.0, -1.0))
+        log_psi_metric(OrthantCone(2), np.array([(1.0, -1.0)]))
 
 
 # ---------------------------------------------------------------------------

@@ -579,9 +579,10 @@ def _sphere_scene(dim: int) -> dict:
 
 
 def test_run_suite_evaluates_each_field_once_per_point_set(monkeypatch):
-    # statistical evaluates D and g, curvature lifts D to order 1 and reads g,
-    # the hessian gate evaluates the flat connection: 4 tensor evaluations per
-    # scene where each gate evaluating its own fields took 9.
+    # statistical evaluates D and g at order 1, curvature and the hessian
+    # gate read both as prefixes, and the hessian gate evaluates the flat
+    # connection: 3 tensor evaluations per scene where each gate evaluating
+    # its own fields took 9.
     import hesslab.geomcore as gc
     from hesslab.scenes import run_suite, scene_from_dict
 
@@ -596,7 +597,7 @@ def test_run_suite_evaluates_each_field_once_per_point_set(monkeypatch):
     for dim in (2, 3):
         report = run_suite(scene_from_dict(_sphere_scene(dim)), SamplePlan(count=50, seed=4))
         assert report.all_ok
-    assert len(calls) == 8
+    assert len(calls) == 6
 
 
 def test_run_suite_plans_the_levi_civita_field_once(monkeypatch):

@@ -92,8 +92,9 @@ def test_hessian_of_cone_potential_recovers_cone_metric():
 # ---------------------------------------------------------------------------
 
 def test_gates_read_a_curved_connection_once_at_order_1(monkeypatch):
-    # The hessian, l.c.H. and cone-flatness gates take gamma from the order-1
-    # tensor that curvature_batch reads, so each evaluates the connection once.
+    # The hessian, statistical, l.c.H. and cone-flatness gates take gamma from
+    # the order-1 tensor that curvature_batch reads, so each evaluates the
+    # connection once; the l.c.H. gate reads g and theta at order 1 first.
     import hesslab.geomcore as gc
     from hesslab.lch import LCHStructure, check_lch
 
@@ -111,6 +112,13 @@ def test_gates_read_a_curved_connection_once_at_order_1(monkeypatch):
     sphere = sphere_statistical()  # new fields: nothing held for them yet
     theta = OneFormField(sphere.chart, ["0", "0"])
     check_lch(LCHStructure(sphere.chart, sphere.conn, sphere.metric, theta), PLAN)
+    assert orders.pop(sphere.conn) == [1]
+    assert orders.pop(sphere.metric) == [1]
+    assert orders.pop(theta) == [1]
+    sphere = sphere_statistical()
+    check_statistical(sphere, PLAN)
+    assert orders[sphere.conn] == [1]
+    estimate_constant_curvature(sphere, PLAN)  # curvature reads the same points
     assert orders.pop(sphere.conn) == [1]
     cone = build_cone_structure(halfplane_statistical(), LAMBDA_HALFPLANE, plan=PLAN)
     assert orders[cone.conn] == [1]

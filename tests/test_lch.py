@@ -33,7 +33,10 @@ from hesslab.geomcore import (
     euclidean_metric,
     flat_connection,
     levi_civita,
+    definiteness_gap,
     lie_derivative_metric_batch,
+    rel_residual,
+    total_symmetry_residual_batch,
 )
 from hesslab.geomcore import GaugedEntry
 from hesslab.hesstat import (
@@ -55,13 +58,13 @@ from hesslab.lch import (
     lee_constants,
     lee_identity_residual,
     lee_perturbation_probe,
-    lee_vector,
     lee_vector_field,
     local_hessian_gauge,
     metric_from_lee,
     monodromy_rank,
     perturbed_structure,
 )
+from hesslab.scenes import load_example, run_suite
 
 PLAN = SamplePlan(count=70, seed=5)
 LAM = 1.0 + math.sqrt(2.0)
@@ -150,8 +153,9 @@ def test_cone_lch_structures_pass_check():
 
 def test_lee_vector_hopf_point_value():
     chart, conn, g, theta, _ = hopf_structure()
-    assert np.allclose(lee_vector(g, theta, (1.0, 0.0)), [-2.0, 0.0])
-    assert np.allclose(lee_vector(g, theta, (0.6, 1.1)), [-1.2, -2.2])
+    xi = lee_vector_field(g, theta)
+    assert np.allclose(xi.eval(np.array([(1.0, 0.0)]), 0).value[0], [-2.0, 0.0])
+    assert np.allclose(xi.eval(np.array([(0.6, 1.1)]), 0).value[0], [-1.2, -2.2])
 
 
 def test_lee_vector_field_matches_closed_form():
@@ -314,6 +318,33 @@ def test_koszul_torus_sign_depends_on_root():
     assert not bad.passed
     assert bad.extra["definiteness"] >= 1.0
     assert bad.extra["closedness"] < 1e-12
+
+
+def test_koszul_mean_residual_is_a_mean_over_samples():
+    # hopf at 200 samples: the mean over samples of the worst term (1.18)
+    scene = load_example("hopf")
+    plan = SamplePlan(count=200, seed=42)
+    checks = run_suite(scene, plan).checks
+    rep = next(c for c in checks if c["op"] == "koszul")["reports"][0]
+    pts = scene.chart.sample(plan)
+    tj = scene.fields["theta"].eval(pts, 2)
+    g = tj.d1.transpose(0, 2, 1)  # the flat connection: nabla theta = d_i theta_j
+    worst = np.maximum.reduce([
+        total_symmetry_residual_batch(tj.d2),  # d_k g_ij = d_k d_i theta_j
+        definiteness_gap(g),
+        rel_residual(g - g.transpose(0, 2, 1), tj.value),
+    ])
+    assert rep["mean_residual"] == pytest.approx(float(np.mean(worst)), rel=1e-9)
+    assert rep["max_residual"] == pytest.approx(float(np.max(worst)), rel=1e-9)
+
+
+def test_koszul_domain_error_in_theta_fails_those_samples():
+    chart = Chart(2, ((-1.0, 1.0), (-1.0, 1.0)))
+    theta = OneFormField(chart, ["log(x0)", "0"])
+    rep = koszul_check(flat_connection(chart), theta, PLAN)
+    assert not rep.passed and rep.max_residual == math.inf
+    assert "samples hit domain errors: log of non-positive value" in rep.notes[0]
+    assert rep.extra["closedness"] == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -342,6 +342,30 @@ def test_infinite_tolerance_override_is_strict_json():
     assert Report.from_json(text).to_json() == text
 
 
+def test_domain_error_reports_keep_their_names_under_infinite_tolerance():
+    # log(x0) is undefined on half of (-1, 1): each check reports an infinite
+    # residual under its own name, and the report stays valid at tol = inf
+    data = {
+        "name": "log-field",
+        "chart": {"dim": 1, "box": [[-1.0, 1.0]]},
+        "fields": {
+            "nabla": {"type": "connection", "flat": True},
+            "g": {"type": "metric", "entries": [["1"]]},
+            "xi": {"type": "vector", "components": ["log(x0)"]},
+        },
+        "checks": [
+            {"op": "radiant", "conn": "nabla", "field": "xi"},
+            {"op": "potential_field", "metric": "g", "field": "xi"},
+        ],
+    }
+    rep = run_suite(scene_from_dict(data), PLAN, tolerance=float("inf"))
+    reports = [c["reports"][0] for c in rep.checks]
+    assert [r["name"] for r in reports] == ["radiant", "potential-field"]
+    for r in reports:
+        assert r["max_residual"] == float("inf")
+        assert r["notes"][0].startswith("evaluation failed: log of non-positive value")
+
+
 @pytest.mark.parametrize("name", ["torus_quotient", "lorentz_cone"])
 def test_repeated_runs_are_byte_identical(name):
     a = run_example(name, PLAN).to_json()
