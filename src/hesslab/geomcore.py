@@ -134,6 +134,12 @@ class SamplePlan:
             raise ValueError("margin must lie in [0, 0.5)")
 
 
+def residual_passes(max_residual: float, tolerance: float) -> bool:
+    """A check passes when its worst residual is finite and within tolerance;
+    an inf or NaN residual fails even under an infinite tolerance."""
+    return bool(np.isfinite(max_residual) and max_residual <= tolerance)
+
+
 @dataclass(frozen=True)
 class CheckReport:
     name: str
@@ -146,9 +152,10 @@ class CheckReport:
     notes: tuple[str, ...] = ()
 
     def __post_init__(self):
-        ok = bool(self.max_residual <= self.tolerance)
-        if self.passed != ok:
-            raise ValueError("CheckReport invariant violated: passed must equal max<=tol")
+        if self.passed != residual_passes(self.max_residual, self.tolerance):
+            raise ValueError(
+                "CheckReport invariant violated: passed must equal finite max <= tol"
+            )
 
     def as_dict(self) -> dict:
         return {
@@ -172,7 +179,7 @@ def make_report(name, residuals, tolerance, samples=None, extra=None, notes=()) 
         max_residual=mx,
         mean_residual=mean,
         tolerance=float(tolerance),
-        passed=bool(mx <= tolerance),
+        passed=residual_passes(mx, tolerance),
         samples=int(samples if samples is not None else residuals.size),
         extra=dict(extra or {}),
         notes=tuple(notes),

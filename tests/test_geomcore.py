@@ -114,6 +114,13 @@ def test_report_invariant():
     rep = make_report("x", [0.1, 0.3], 0.5)
     assert rep.passed and rep.max_residual == 0.3 and rep.mean_residual == 0.2
     assert make_report("x", [1.0], 0.5).passed is False
+    # a non-finite worst residual never passes, whatever the tolerance
+    inf = float("inf")
+    assert make_report("x", [0.1, inf], inf).passed is False
+    assert make_report("x", [float("nan")], inf).passed is False
+    assert make_report("x", [1e300], inf).passed is True
+    with pytest.raises(ValueError):
+        CheckReport("x", inf, inf, inf, True, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -345,6 +345,9 @@ def test_koszul_domain_error_in_theta_fails_those_samples():
     assert not rep.passed and rep.max_residual == math.inf
     assert "samples hit domain errors: log of non-positive value" in rep.notes[0]
     assert rep.extra["closedness"] == 0.0
+    # an infinite residual fails under an infinite tolerance too
+    rep = koszul_check(flat_connection(chart), theta, PLAN, tolerance=math.inf)
+    assert not rep.passed and rep.max_residual == math.inf
 
 
 # ---------------------------------------------------------------------------

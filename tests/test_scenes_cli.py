@@ -344,7 +344,7 @@ def test_infinite_tolerance_override_is_strict_json():
 
 def test_domain_error_reports_keep_their_names_under_infinite_tolerance():
     # log(x0) is undefined on half of (-1, 1): each check reports an infinite
-    # residual under its own name, and the report stays valid at tol = inf
+    # residual under its own name and fails, even at tol = inf
     data = {
         "name": "log-field",
         "chart": {"dim": 1, "box": [[-1.0, 1.0]]},
@@ -362,8 +362,9 @@ def test_domain_error_reports_keep_their_names_under_infinite_tolerance():
     reports = [c["reports"][0] for c in rep.checks]
     assert [r["name"] for r in reports] == ["radiant", "potential-field"]
     for r in reports:
-        assert r["max_residual"] == float("inf")
+        assert r["max_residual"] == float("inf") and not r["passed"]
         assert r["notes"][0].startswith("evaluation failed: log of non-positive value")
+    assert not any(c["ok"] for c in rep.checks) and not rep.all_ok
 
 
 @pytest.mark.parametrize("name", ["torus_quotient", "lorentz_cone"])
