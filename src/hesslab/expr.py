@@ -100,6 +100,8 @@ class Expression:
         if cls is Num:
             args = (float(args[0]),)
             key = (cls, struct.pack("<d", args[0]))
+        elif cls is Gauge:
+            key = (cls, id(args[0]))  # held by the node, so the id stays its own
         else:
             key = (cls, *[id(a) if isinstance(a, Expression) else a for a in args])
         ref = _INTERNED.get(key)
@@ -169,6 +171,16 @@ class Pow(Expression):
 class Call(Expression):
     func: str
     arg: Expression
+
+
+@_node
+class Gauge(Expression):
+    """A leaf whose jet comes from ``source.jet(pts, order)``, such as a
+    line-integral gauge. Keyed on the identity of ``source``. It has no
+    symbolic form: `diff`, `substitute`, `to_source` and `plain_eval`
+    reject it."""
+
+    source: object
 
 
 UNARY_FUNCTIONS = ("exp", "log", "sqrt", "sin", "cos")

@@ -17,8 +17,13 @@ magnitude across the box.
 Evaluation is batched: fields evaluate all their entries at an (m, n)
 array of sample points at once, returning stacked value/derivative arrays
 with the derivative axes last (value[m, i, j], d1[m, i, j, a] = d_a g_ij).
-A field plans the jet pass over its expression entries once, on its first
-evaluation, and runs that plan at every order and on every point set.
+Every field entry is a hash-consed expression tree, so a field is
+evaluated on one path: its trees form one shared DAG, planned once on the
+first evaluation and run as one jet pass at every order and on every point
+set. A line-integral gauge f (df = theta, for the l.c.H. metric e^{-f} g)
+is a `Gauge` leaf of that DAG: its value comes from quadrature along a
+segment and its derivatives from jets of theta. exp(sign * f) is then one
+node, shared by every entry it scales.
 
 The most recently sampled point set is held, read-only, together with every
 field tensor evaluated on exactly that array, so the checks of one structure
@@ -187,29 +192,8 @@ def make_report(name, residuals, tolerance, samples=None, extra=None, notes=()) 
 
 
 # ---------------------------------------------------------------------------
-# Entries: things a field component can be
+# Entries: expression trees, with a line-integral gauge as a leaf
 # ---------------------------------------------------------------------------
-
-class ExprEntry:
-    """Field entry backed by an expression tree."""
-
-    __slots__ = ("tree",)
-
-    def __init__(self, tree: Expression):
-        self.tree = tree
-
-    def jet(self, pts: Array, order: int) -> Jet:
-        return evaluate(self.tree, pts, order)
-
-    def __eq__(self, other):
-        return isinstance(other, ExprEntry) and self.tree == other.tree
-
-    def __hash__(self):
-        return hash(self.tree)
-
-    def __repr__(self):
-        return f"ExprEntry({ex.to_source(self.tree)})"
-
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(48)
 _GL_T = 0.5 * (_GL_NODES + 1.0)
@@ -221,7 +205,8 @@ class LineIntegralGauge:
 
     Because the form is closed on the convex box, f is a potential for it:
     grad f = the form itself, so all derivative tensors of f come from jets
-    of the components and only the value needs quadrature.
+    of the components and only the value needs quadrature. A field entry
+    reads f through an `ex.Gauge` leaf, as `gauged` builds it.
     """
 
     def __init__(self, components, base_point):
@@ -294,66 +279,22 @@ class LineIntegralGauge:
         return Jet(order, value, grad, hess, third)
 
 
-class GaugedEntry:
-    """Entry of the form exp(sign * f) * inner with f a line-integral gauge."""
-
-    __slots__ = ("gauge", "sign", "inner")
-
-    def __init__(self, gauge: LineIntegralGauge, sign: float, inner):
-        self.gauge = gauge
-        self.sign = float(sign)
-        self.inner = inner
-
-    def jet(self, pts: Array, order: int) -> Jet:
-        return self.factor(pts, order) * self.inner.jet(pts, order)
-
-    def factor(self, pts: Array, order: int) -> Jet:
-        """The jet of exp(sign * f)."""
-        f = self.gauge.jet(pts, order)
-        if self.sign != 1.0:
-            f = _scale_jet(f, self.sign)
-        return f.exp()
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GaugedEntry)
-            and self.gauge is other.gauge
-            and self.sign == other.sign
-            and self.inner == other.inner
-        )
-
-    def __hash__(self):
-        return hash((id(self.gauge), self.sign))
+def gauged(gauge: LineIntegralGauge, sign: float, entry) -> Expression:
+    """exp(sign * f) * entry, with f the gauge as a `Gauge` leaf. The factor
+    is one node per (gauge, sign), so the entries scaled by it share it."""
+    factor = ex.call("exp", ex.mul(ex.const(sign), ex.Gauge(gauge)))
+    return ex.mul(factor, entry)
 
 
-def _scale_jet(jet: Jet, c: float) -> Jet:
-    o = jet.order
-    return Jet(
-        o,
-        c * jet.value,
-        c * jet.grad if o >= 1 else None,
-        c * jet.hess if o >= 2 else None,
-        c * jet.third if o >= 3 else None,
-    )
-
-
-def as_entry(obj, dim: int):
-    if isinstance(obj, (ExprEntry, GaugedEntry)):
-        return obj
+def as_entry(obj, dim: int) -> Expression:
+    """An expression tree, parsed from a string or made from a number."""
     if isinstance(obj, Expression):
-        return ExprEntry(obj)
+        return obj
     if isinstance(obj, str):
-        return ExprEntry(ex.parse_expression(obj, dim))
+        return ex.parse_expression(obj, dim)
     if isinstance(obj, (int, float)):
-        return ExprEntry(ex.const(float(obj)))
+        return ex.const(float(obj))
     raise TypeError(f"cannot interpret {obj!r} as a field entry")
-
-
-def entry_tree(entry) -> Expression:
-    """The expression tree of a symbolic entry; gauged entries are rejected."""
-    if isinstance(entry, ExprEntry):
-        return entry.tree
-    raise TypeError("operation needs symbolic (expression) entries, got a gauged entry")
 
 
 # ---------------------------------------------------------------------------
@@ -403,31 +344,16 @@ def drop_held_points() -> None:
 
 
 def _eval_entries(field: _Field, pts: Array, order: int) -> EvaluatedTensor:
-    """Stack the entry jets. The trees of all expression entries share one
-    `evaluate` pass over the field's plan; the exp(sign * f) factor of each
-    (gauge, sign) pair is computed once and shared by the distinct gauged
-    entries that use it."""
+    """Stack the entry jets, all taken in one `evaluate` pass over the
+    field's plan, so a subtree shared by several entries (a gauge factor
+    among them) is evaluated once."""
     m, n = pts.shape
-    entries = field.entries
-    shape = entries.shape
+    shape = field.entries.shape
     value = np.empty((m,) + shape)
     d1 = np.empty((m,) + shape + (n,)) if order >= 1 else None
     d2 = np.empty((m,) + shape + (n, n)) if order >= 2 else None
     d3 = np.empty((m,) + shape + (n, n, n)) if order >= 3 else None
-    symbolic, plan = field.jet_plan()
-    symbolic_jets = dict(zip(symbolic, evaluate(plan, pts, order)))
-    factors: dict = {}
-    gauged: dict = {}
-    for idx in np.ndindex(shape):
-        jet = symbolic_jets.pop(idx, None)
-        if jet is None:
-            entry = entries[idx]
-            if entry not in gauged:
-                key = (entry.gauge, entry.sign)
-                if key not in factors:
-                    factors[key] = entry.factor(pts, order)
-                gauged[entry] = factors[key] * entry.inner.jet(pts, order)
-            jet = gauged[entry]
+    for idx, jet in zip(np.ndindex(shape), evaluate(field.jet_plan(), pts, order)):
         sel = (slice(None),) + idx
         value[sel] = jet.value
         if order >= 1:
@@ -455,15 +381,11 @@ class _Field:
         self.entries = arr
         self._jet_plan = None
 
-    def jet_plan(self) -> tuple[list[tuple], jets.Plan]:
-        """The indices of the expression entries and the jet plan of their
-        trees, built on the first call and reused at every order and on
-        every point set."""
+    def jet_plan(self) -> jets.Plan:
+        """The jet plan of the entries in C order, built on the first call
+        and reused at every order and on every point set."""
         if self._jet_plan is None:
-            entries = self.entries
-            symbolic = [idx for idx in np.ndindex(entries.shape)
-                        if isinstance(entries[idx], ExprEntry)]
-            self._jet_plan = symbolic, jets._plan([entries[idx].tree for idx in symbolic])
+            self._jet_plan = jets._plan(self.entries.flat)
         return self._jet_plan
 
     @classmethod
@@ -516,10 +438,8 @@ class ConnectionField(_Field):
         super().__init__(chart, christoffel)
         self.flat = bool(flat)
         if self.flat:
-            for idx in np.ndindex(self.entries.shape):
-                entry = self.entries[idx]
-                if not (isinstance(entry, ExprEntry) and entry.tree == ex.ZERO):
-                    raise ValueError("flat connection must have all-zero christoffel entries")
+            if any(entry != ex.ZERO for entry in self.entries.flat):
+                raise ValueError("flat connection must have all-zero christoffel entries")
 
 
 class OneFormField(_Field):
@@ -760,15 +680,12 @@ def adjugate_expressions(rows) -> list[list[Expression]]:
 
 
 def metric_trees(g: MetricField) -> list[list[Expression]]:
-    d = g.chart.dim
-    return [[entry_tree(g.entries[i, j]) for j in range(d)] for i in range(d)]
+    return g.entries.tolist()
 
 
 def connection_trees(conn: ConnectionField) -> list[list[list[Expression]]]:
     """Gamma^k_{ij} as trees, indexed [k][i][j]."""
-    d = conn.chart.dim
-    return [[[entry_tree(conn.entries[k, i, j]) for j in range(d)] for i in range(d)]
-            for k in range(d)]
+    return conn.entries.tolist()
 
 
 def inverse_metric_expressions(g: MetricField) -> list[list[Expression]]:
@@ -799,5 +716,5 @@ def levi_civita(g: MetricField) -> ConnectionField:
                 total: Expression = ex.ZERO
                 for l in range(d):
                     total = ex.add(total, ex.mul(ginv[k][l], brackets[l]))
-                gamma[k, i, j] = gamma[k, j, i] = ExprEntry(ex.mul(ex.const(0.5), total))
+                gamma[k, i, j] = gamma[k, j, i] = ex.mul(ex.const(0.5), total)
     return ConnectionField(g.chart, gamma)

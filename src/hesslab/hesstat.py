@@ -28,7 +28,6 @@ from .geomcore import (
     ChartError,
     CheckReport,
     ConnectionField,
-    ExprEntry,
     MetricField,
     SamplePlan,
     ScalarField,
@@ -42,7 +41,6 @@ from .geomcore import (
     curvature_batch,
     definiteness_gap,
     det_expression,
-    entry_tree,
     inverse_metric_expressions,
     lie_derivative_metric_batch,
     make_report,
@@ -196,20 +194,13 @@ class LambdaRoots:
 # ---------------------------------------------------------------------------
 
 
-def _scalar_entry(obj, dim: int):
-    if isinstance(obj, ScalarField):
-        return obj.entry
-    return as_entry(obj, dim)
-
-
 def _tree(obj, dim: int) -> Expression:
-    return entry_tree(_scalar_entry(obj, dim))
+    return obj.entry if isinstance(obj, ScalarField) else as_entry(obj, dim)
 
 
 def hessian_values(conn: ConnectionField, phi, pts) -> np.ndarray:
     """(Hess phi)_{ij} = d_i d_j phi - Gamma^k_{ij} d_k phi at each sample."""
-    entry = _scalar_entry(phi, conn.chart.dim)
-    jet = entry.jet(np.asarray(pts, float), 2)
+    jet = evaluate(_tree(phi, conn.chart.dim), pts, 2)
     gamma = conn.eval(pts, 0).value
     return jet.hess - np.einsum("akij,ak->aij", gamma, jet.grad)
 
@@ -355,7 +346,7 @@ def dual_connection(conn: ConnectionField, g: MetricField) -> ConnectionField:
     """Connection D-bar with d_i g_{jl} = Gamma^m_{ij} g_{ml} + Gbar^m_{il} g_{jm}.
 
     Built symbolically through the inverse metric, so the result can feed any
-    downstream check.  Entries must be expression trees (no gauge factors);
+    downstream check.  Entries must have a symbolic form (no gauge leaves);
     a singular metric surfaces as a division domain error at evaluation time.
     """
     chart = g.chart
@@ -488,7 +479,7 @@ def build_cone_structure(base: StatisticalStructure, lam: float, *,
     for c_ in range(n):
         for a in range(n):
             for b in range(n):
-                gamma[c_, a, b] = entry_tree(base.conn.entries[c_, a, b])
+                gamma[c_, a, b] = base.conn.entries[c_, a, b]
     for a in range(n):
         for b in range(a, n):
             tree = ex.mul(ex.const(lam - 2.0), ex.mul(s, gm[a][b]))
@@ -556,13 +547,13 @@ def potential_identity_residual(cone: ConeStructure, plan=None,
     """Residual of g = Hess( g(xi, xi) / (4 - 2*lambda) ) with xi = s d/ds."""
     plan = plan or SamplePlan()
     d = cone.chart.dim
-    xi = [entry_tree(cone.radial.entries[i]) for i in range(d)]
+    xi = list(cone.radial.entries)
     gtrees = metric_trees(cone.metric)
     terms = []
     for i in range(d):
         for j in range(d):
             terms.append(ex.mul(gtrees[i][j], ex.mul(xi[i], xi[j])))
-    phi = ExprEntry(ex.div(ex.sum_of(terms), ex.const(4.0 - 2.0 * cone.lam)))
+    phi = ex.div(ex.sum_of(terms), ex.const(4.0 - 2.0 * cone.lam))
 
     def residual(pts):
         hess = hessian_values(cone.conn, phi, pts)
@@ -611,7 +602,7 @@ def level_set_statistical(conn: ConnectionField, phi, surface, surface_chart: Ch
     phi_tree = _tree(phi, n)
 
     jac = [[ex.diff(xmap[a], al) for al in range(k)] for a in range(n)]
-    xi_sub = [ex.substitute(entry_tree(transversal.entries[c]), subs) for c in range(n)]
+    xi_sub = [ex.substitute(transversal.entries[c], subs) for c in range(n)]
     rows = [jac[c] + [xi_sub[c]] for c in range(n)]
     det = det_expression(rows)
     adj = adjugate_expressions(rows)

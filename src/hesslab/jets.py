@@ -224,7 +224,7 @@ class Jet:
 # structurally distinct subtree is one object and is evaluated once, however
 # many trees share it. Slots come in the order a left-to-right recursive walk
 # would first finish them, so the first `DomainError` raised is the one that
-# walk would raise.
+# walk would raise. A `Gauge` leaf's slot takes the jet its source computes.
 
 _APPLY = {
     "neg": lambda _, u: -u,
@@ -258,6 +258,8 @@ def _describe(node) -> tuple:
         return "call", node.func, (node.arg,)
     if t is ex.Pow:
         return _describe_pow(node)
+    if t is ex.Gauge:
+        return "gauge", node.source, ()
     raise TypeError(f"not an expression node: {node!r}")
 
 
@@ -332,6 +334,9 @@ def _run(slots: list[tuple], roots: list[int], pts: Array, order: int) -> list[J
             if arg >= n:
                 raise VariableDimensionError(arg, n)
             jets[s] = Jet.coordinate(arg, pts, order)
+            continue
+        if op == "gauge":
+            jets[s] = arg.jet(pts, order)
             continue
         if op == "raise":
             raise arg

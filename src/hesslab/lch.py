@@ -23,7 +23,6 @@ from .geomcore import (
     CheckReport,
     ConnectionField,
     DEFAULT_TOLERANCE,
-    GaugedEntry,
     LineIntegralGauge,
     MetricField,
     OneFormField,
@@ -33,8 +32,8 @@ from .geomcore import (
     closedness_residual,
     connection_trees,
     covariant_derivative_oneform_batch,
-    entry_tree,
     flat_connection,
+    gauged,
     inverse_metric_expressions,
     lie_derivative_metric_batch,
     make_report,
@@ -221,7 +220,7 @@ def lee_vector_field(metric: MetricField, theta: OneFormField) -> VectorFieldT:
     """xi = theta-sharp as expression trees: xi^i = g^{ij} theta_j."""
     n = metric.chart.dim
     inv = inverse_metric_expressions(metric)
-    ttrees = [entry_tree(theta.entries[i]) for i in range(n)]
+    ttrees = list(theta.entries)
     comps = []
     for i in range(n):
         terms = [
@@ -270,7 +269,7 @@ def lee_constants(struct: LCHStructure, plan=None) -> LeeConstants:
 def _affine_residual(conn: ConnectionField, xi: VectorFieldT, pts) -> float:
     """Worst second covariant derivative of xi, relative to |nabla xi|."""
     n = conn.chart.dim
-    xtrees = [entry_tree(xi.entries[i]) for i in range(n)]
+    xtrees = list(xi.entries)
     gtrees = None if conn.flat else connection_trees(conn)
 
     # T^i_j = nabla_j xi^i as trees, then one more covariant derivative
@@ -379,7 +378,7 @@ def metric_from_lee(conn: ConnectionField, theta: OneFormField, u: float,
     _require_closed(theta, pts, max(tolerance, RADIANT_GATE), "the Lee form")
 
     n = chart.dim
-    ttrees = [entry_tree(theta.entries[i]) for i in range(n)]
+    ttrees = list(theta.entries)
     trees = _nabla_theta_trees(conn, ttrees)
     out = np.empty((n, n), dtype=object)
     for i in range(n):
@@ -413,9 +412,7 @@ def koszul_check(conn: ConnectionField, theta: OneFormField, plan=None,
     (torsion, flatness, total symmetry, positive definiteness) of
     g = nabla theta, in one gate.
     """
-    n = conn.chart.dim
-    ttrees = [entry_tree(theta.entries[i]) for i in range(n)]
-    candidate = MetricField(conn.chart, _nabla_theta_trees(conn, ttrees))
+    candidate = MetricField(conn.chart, _nabla_theta_trees(conn, list(theta.entries)))
 
     def residual(pts):
         terms = structure_terms(conn, candidate, pts)
@@ -445,27 +442,20 @@ def local_hessian_gauge(struct: LCHStructure, base_point, p=None, *,
             "gauge target point lies outside the chart box; the integration "
             "segment would exit the chart"
         )
-    n = chart.dim
-    ttrees = [entry_tree(struct.lee_form.entries[i]) for i in range(n)]
-    gauge = LineIntegralGauge(ttrees, base)
+    gauge = LineIntegralGauge(struct.lee_form.entries, base)
     gauge.check_closed(chart, max(tolerance, RADIANT_GATE))
     f_p = float(gauge.values(target.reshape(1, -1))[0])
 
     sub = chart.subbox(base, fraction)
-    entries = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(i, n):
-            entry = GaugedEntry(gauge, -1.0, struct.metric.entries[i, j])
-            entries[i, j] = entry
-            entries[j, i] = entry
-    gauged = MetricField(sub, entries)
+    rescaled = MetricField(sub, [[gauged(gauge, -1.0, g_ij) for g_ij in row]
+                                 for row in struct.metric.entries])
     conn = struct.conn
     sub_conn = (
         flat_connection(sub)
         if conn.flat
         else ConnectionField(sub, conn.entries)
     )
-    report = check_hessian_structure(sub_conn, gauged, plan or SamplePlan(),
+    report = check_hessian_structure(sub_conn, rescaled, plan or SamplePlan(),
                                      tolerance, name="hessian-gauge")
     return f_p, report
 
@@ -483,28 +473,36 @@ def _map_jets(map_trees, pts):
     return image, jac, hess
 
 
-def _pullback_residuals(map_trees, conn, metric, theta, pts):
-    """Residuals of phi^* (g, Gamma, theta) against the fields themselves."""
+def _pullback_residuals(map_trees, conn, metric, theta, pts) -> dict:
+    """Named (m,) residuals of phi^* (g, Gamma, theta) against the fields
+    themselves."""
     image, jac, hess = _map_jets(map_trees, pts)
 
     gval = metric.eval(pts, 0).value
     g_at = metric.eval(image, 0).value
     pull_g = np.einsum("acu,adv,acd->auv", jac, jac, g_at)
-    res = {"metric": float(np.max(rel_residual(pull_g - gval, gval)))}
+    res = {"metric": rel_residual(pull_g - gval, gval)}
 
     cval = conn.eval(pts, 0).value
     c_at = conn.eval(image, 0).value
     inner = np.einsum("acde,adu,aev->acuv", c_at, jac, jac) + hess
     m, n = pts.shape
     pulled = np.linalg.solve(jac, inner.reshape(m, n, n * n)).reshape(m, n, n, n)
-    res["connection"] = float(np.max(rel_residual(pulled - cval, cval)))
+    res["connection"] = rel_residual(pulled - cval, cval)
 
     if theta is not None:
         tval = theta.eval(pts, 0).value
         t_at = theta.eval(image, 0).value
         pull_t = np.einsum("ac,acu->au", t_at, jac)
-        res["lee_form"] = float(np.max(rel_residual(pull_t - tval, tval)))
+        res["lee_form"] = rel_residual(pull_t - tval, tval)
     return res
+
+
+def _pullback_report(name: str, terms: dict, tolerance: float) -> CheckReport:
+    """The pointwise worst term, with each term's worst value in ``extra``."""
+    extra = {key: float(np.max(arr)) for key, arr in terms.items()}
+    return make_report(name, np.maximum.reduce(list(terms.values())), tolerance,
+                       extra=extra)
 
 
 def check_symmetry(struct: LCHStructure, mapping, plan=None,
@@ -516,7 +514,6 @@ def check_symmetry(struct: LCHStructure, mapping, plan=None,
     through it, so the image must stay inside the fields' domain (not
     necessarily inside the chart box).
     """
-    plan = plan or SamplePlan()
     n = struct.chart.dim
     trees = tuple(
         c if isinstance(c, ex.Expression) else ex.parse_expression(c, n)
@@ -524,11 +521,11 @@ def check_symmetry(struct: LCHStructure, mapping, plan=None,
     )
     if len(trees) != n:
         raise ValueError(f"mapping needs {n} components, got {len(trees)}")
-    pts = struct.chart.sample(plan)
-    res = _pullback_residuals(trees, struct.conn, struct.metric,
-                              struct.lee_form, pts)
-    return make_report(name, list(res.values()), tolerance,
-                       samples=pts.shape[0], extra=res)
+
+    def residual(pts):
+        return _pullback_residuals(trees, struct.conn, struct.metric, struct.lee_form, pts)
+
+    return sample_check(residual, struct.chart, plan or SamplePlan(), tolerance, name=name)
 
 
 def build_mapping_torus(spec: MappingTorusSpec, *, plan=None,
@@ -552,16 +549,13 @@ def build_mapping_torus(spec: MappingTorusSpec, *, plan=None,
 
     base_pts = base.chart.sample(plan)
     auto = _pullback_residuals(spec.automorphism, base.conn, base.metric, None, base_pts)
-    worst_auto = max(auto.values())
-    if worst_auto > tolerance:
+    auto_report = _pullback_report("mapping-torus-automorphism", auto, tolerance)
+    if auto_report.max_residual > tolerance:
         raise MappingTorusError(
             "automorphism does not preserve the base structure "
-            f"(metric residual {auto['metric']:.3g}, "
-            f"connection residual {auto['connection']:.3g})"
+            f"(metric residual {auto_report.extra['metric']:.3g}, "
+            f"connection residual {auto_report.extra['connection']:.3g})"
         )
-    auto_report = make_report("mapping-torus-automorphism",
-                              list(auto.values()), tolerance,
-                              samples=plan.count, extra=auto)
 
     lo, hi = min(1.0, q), max(1.0, q)
     cone = build_cone_structure(base, spec.lam, s_interval=(lo, hi),
@@ -573,7 +567,7 @@ def build_mapping_torus(spec: MappingTorusSpec, *, plan=None,
     entries = np.empty((n, n), dtype=object)
     for a in range(k):
         for b in range(a, k):
-            tree = entry_tree(base.metric.entries[a, b])
+            tree = base.metric.entries[a, b]
             entries[a, b] = tree
             entries[b, a] = tree
         entries[a, k] = ex.ZERO
@@ -589,14 +583,12 @@ def build_mapping_torus(spec: MappingTorusSpec, *, plan=None,
     seam_map = list(spec.automorphism) + [ex.mul(ex.const(q), s)]
     seam_pts = np.hstack([base_pts, np.ones((base_pts.shape[0], 1))])
     seam = _pullback_residuals(seam_map, cone.conn, metric, theta, seam_pts)
-    worst_seam = max(seam.values())
-    if worst_seam > tolerance:
+    seam_report = _pullback_report("mapping-torus-seam", seam, tolerance)
+    if seam_report.max_residual > tolerance:
         raise MappingTorusError(
-            f"seam residual {worst_seam:.3g} exceeds {tolerance:.3g}: the deck "
-            "map does not glue the structure"
+            f"seam residual {seam_report.max_residual:.3g} exceeds {tolerance:.3g}: "
+            "the deck map does not glue the structure"
         )
-    seam_report = make_report("mapping-torus-seam", list(seam.values()),
-                              tolerance, samples=seam_pts.shape[0], extra=seam)
 
     return struct, (auto_report, seam_report) + cone.reports
 
@@ -663,9 +655,8 @@ def _probe_candidate_factory(struct: LCHStructure, alpha: OneFormField,
     which keeps the twisted symmetry exactly.
     """
     chart = struct.chart
-    n = chart.dim
-    ttrees = [entry_tree(struct.lee_form.entries[i]) for i in range(n)]
-    atrees = [entry_tree(alpha.entries[i]) for i in range(n)]
+    ttrees = list(struct.lee_form.entries)
+    atrees = list(alpha.entries)
 
     consts = lee_constants(struct, plan)
     radiant = (
@@ -688,13 +679,8 @@ def _probe_candidate_factory(struct: LCHStructure, alpha: OneFormField,
             trial = LCHStructure(chart, struct.conn, g_eps, theta_eps)
             if check_lch(trial, plan, tolerance).passed:
                 return trial
-        entries = np.empty((n, n), dtype=object)
-        for i in range(n):
-            for j in range(i, n):
-                entry = GaugedEntry(gauge, eps, struct.metric.entries[i, j])
-                entries[i, j] = entry
-                entries[j, i] = entry
-        trial = LCHStructure(chart, struct.conn, MetricField(chart, entries), theta_eps)
+        rescaled = [[gauged(gauge, eps, g_ij) for g_ij in row] for row in struct.metric.entries]
+        trial = LCHStructure(chart, struct.conn, MetricField(chart, rescaled), theta_eps)
         if check_lch(trial, plan, tolerance).passed:
             return trial
         return None

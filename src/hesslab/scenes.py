@@ -644,6 +644,15 @@ def _op_surface(ctx, check, tol):
     return [stat, curv]
 
 
+# A Monte Carlo psi matches its expected value when the two lie within
+# PSI_Z standard errors: a correct estimate then fails with two-sided
+# probability PSI_FALSE_ALARM_RATE. PSI_Z is the standard normal's
+# 1 - PSI_FALSE_ALARM_RATE / 2 quantile, written out so that no statistics
+# package loads at run time.
+PSI_FALSE_ALARM_RATE = 1e-6
+PSI_Z = 4.8916
+
+
 def _op_psi(ctx, check, tol):
     cone = ctx.scene.cones[check["cone"]]
     point = tuple(float(v) for v in check["point"])
@@ -655,8 +664,10 @@ def _op_psi(ctx, check, tol):
     if "expect_value" in check:
         target = _constant(check["expect_value"], "psi expect_value")
         residual = abs(psi.value - target)
-        eff_tol = max(tol, 3.0 * psi.stderr)
+        eff_tol = max(tol, PSI_Z * psi.stderr)
         extra["expected"] = target
+        if psi.stderr > 0:
+            extra["z_score"] = residual / psi.stderr
     else:
         residual, eff_tol = 0.0, tol
     return [make_report(f"psi-{method}", [residual], eff_tol,

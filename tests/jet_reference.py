@@ -44,4 +44,6 @@ def reference_evaluate(tree: ex.Expression, pts, order: int) -> Jet:
     if isinstance(tree, ex.Call):
         u = reference_evaluate(tree.arg, pts, order)
         return getattr(u, tree.func)()
+    if isinstance(tree, ex.Gauge):
+        return tree.source.jet(pts, order)
     raise TypeError(f"not an expression node: {tree!r}")

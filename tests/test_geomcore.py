@@ -18,8 +18,6 @@ from hesslab.geomcore import (
     ChartError,
     CheckReport,
     ConnectionField,
-    ExprEntry,
-    GaugedEntry,
     LineIntegralGauge,
     MetricField,
     OneFormField,
@@ -36,6 +34,7 @@ from hesslab.geomcore import (
     euler_field,
     exterior_derivative_oneform_batch,
     flat_connection,
+    gauged,
     inverse_metric_expressions,
     levi_civita,
     lie_derivative_metric_batch,
@@ -145,7 +144,7 @@ def test_flat_connection_must_be_zero():
 def test_scalar_field_entry():
     chart = Chart(2, ((0.0, 1.0), (0.0, 1.0)))
     phi = ScalarField(chart, "x0*x1")
-    assert phi.entry == ExprEntry(parse_expression("x0*x1", 2))
+    assert phi.entry is parse_expression("x0*x1", 2)
 
 
 # ---------------------------------------------------------------------------
@@ -493,11 +492,10 @@ def test_gauged_entry_jets_match_explicit_factor():
     theta = [parse_expression("2*x0*x1", 2), parse_expression("x0*x0", 2)]
     base = (0.5, 0.5)
     gauge = LineIntegralGauge(theta, base)
-    inner = ExprEntry(parse_expression("x0", 2))
-    entry = GaugedEntry(gauge, -1.0, inner)
+    entry = gauged(gauge, -1.0, parse_expression("x0", 2))
     explicit = parse_expression("exp(-(x0*x0*x1 - 0.125)) * x0", 2)
     pts = chart.sample(SamplePlan(count=40, seed=5))
-    got = entry.jet(pts, 2)
+    got = evaluate(entry, pts, 2)
     want = evaluate(explicit, pts, 2)
     assert np.allclose(got.value, want.value, rtol=1e-11, atol=1e-13)
     assert np.allclose(got.grad, want.grad, rtol=1e-10, atol=1e-12)
@@ -528,9 +526,8 @@ def test_field_evaluation_takes_each_gauge_jet_once(monkeypatch):
     chart = Chart(2, ((0.3, 1.2), (0.3, 1.2)))
     theta = [parse_expression("2*x0*x1", 2), parse_expression("x0*x0", 2)]
     gauge = LineIntegralGauge(theta, (0.5, 0.5))
-    inner = [[ExprEntry(parse_expression(src, 2)) for src in row]
-             for row in (("x0", "x1"), ("x0*x1", "1"))]
-    entries = [[GaugedEntry(gauge, -2.0, inner[i][j]) for j in range(2)] for i in range(2)]
+    inner = [[parse_expression(src, 2) for src in row] for row in (("x0", "x1"), ("x0*x1", "1"))]
+    entries = [[gauged(gauge, -2.0, inner[i][j]) for j in range(2)] for i in range(2)]
     field = ConnectionField(chart, [entries, entries])
     pts = chart.sample(SamplePlan(count=20, seed=3))
     calls = _count_gauge_jets(monkeypatch)
@@ -540,7 +537,7 @@ def test_field_evaluation_takes_each_gauge_jet_once(monkeypatch):
     for k in range(2):
         for i in range(2):
             for j in range(2):
-                want = entries[i][j].jet(pts, 3)
+                want = evaluate(entries[i][j], pts, 3)
                 assert np.array_equal(got.value[:, k, i, j], want.value)
                 assert np.array_equal(got.d3[:, k, i, j], want.third)
 
@@ -616,7 +613,7 @@ def test_run_suite_plans_the_levi_civita_field_once(monkeypatch):
 
     data = _sphere_scene(3)
     lc = levi_civita(MetricField(Chart(3, ((-0.5, 0.5),) * 3), data["fields"]["g"]["entries"]))
-    christoffel = {id(entry.tree) for entry in lc.entries.flat}
+    christoffel = {id(entry) for entry in lc.entries.flat}
     planned = []
     real = jets._plan
 
@@ -637,7 +634,7 @@ def test_levi_civita_shares_each_symmetric_pair():
     for k, i, j in np.ndindex(conn.entries.shape):
         assert conn.entries[k, i, j] is conn.entries[k, j, i]
     again = levi_civita(g)  # equal trees are one object
-    assert all(a.tree is b.tree for a, b in zip(conn.entries.flat, again.entries.flat))
+    assert all(a is b for a, b in zip(conn.entries.flat, again.entries.flat))
 
 
 @pytest.mark.parametrize("dim", [4, 5])

@@ -430,12 +430,10 @@ def test_cone_rejects_nonpositive_radial_interval():
 
 def test_potential_identity_detects_corruption():
     cone = build_cone_structure(halfplane_statistical(), LAMBDA_HALFPLANE, plan=PLAN)
-    from hesslab.geomcore import entry_tree
-
     entries = np.array(cone.conn.entries, dtype=object, copy=True)
     # perturb an entry the potential actually contracts against: the upper
     # index must be the radial one, since the potential depends only on s
-    entries[2, 0, 0] = ex.add(entry_tree(entries[2, 0, 0]), ex.parse_expression("s/20", 3))
+    entries[2, 0, 0] = ex.add(entries[2, 0, 0], ex.parse_expression("s/20", 3))
     bad_conn = ConnectionField(cone.chart, entries)
     bad = ConeStructure(cone.chart, bad_conn, cone.metric, cone.radial, cone.lam)
     rep = potential_identity_residual(bad, PLAN)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from jet_reference import reference_evaluate
 
 from hesslab import expr as ex
-from hesslab.geomcore import Chart, MetricField, levi_civita
+from hesslab.geomcore import Chart, LineIntegralGauge, MetricField, gauged, levi_civita
 from hesslab.jets import _plan, evaluate
 
 PARTS = ("value", "grad", "hess", "third")
@@ -129,6 +129,45 @@ def test_planned_pass_matches_reference(forest, order):
     _assert_same_outcome(trees, pts, order)
 
 
+# Potentials F of the gauge forms dF, one per forest dimension.
+POTENTIALS = {1: "x0^3 + 2*x0", 2: "x0*x0*x1 + sin(x1)", 3: "x0*x1*x2 + x2^2"}
+
+
+@st.composite
+def gauge_forests(draw):
+    """A forest whose trees are all scaled by one exp(sign * f), f a gauge
+    leaf, with the bare leaf as a tree of its own."""
+    trees, pts = draw(forests())
+    dim = pts.shape[1]
+    potential = ex.parse_expression(POTENTIALS[dim], dim)
+    gauge = LineIntegralGauge([ex.diff(potential, i) for i in range(dim)], np.full(dim, 0.25))
+    sign = draw(st.sampled_from((-1.0, 1.0, -2.0, 0.5)))
+    return [gauged(gauge, sign, t) for t in trees] + [ex.Gauge(gauge)], pts
+
+
+@given(forest=gauge_forests(), order=st.integers(0, 3))
+@settings(max_examples=100, deadline=None)
+def test_planned_pass_matches_reference_with_a_shared_gauge(forest, order):
+    trees, pts = forest
+    _assert_same_outcome(trees, pts, order)
+    # the gauge leaf is one slot, however many trees use it
+    slots, _ = _plan(trees)
+    assert sum(op == "gauge" for op, _, _ in slots) == 1
+
+
+def test_gauge_leaves_are_interned_on_their_source():
+    f = LineIntegralGauge([ex.ONE], (0.0,))
+    g = LineIntegralGauge([ex.ONE], (0.0,))
+    assert ex.Gauge(f) is ex.Gauge(f)
+    assert ex.Gauge(f) is not ex.Gauge(g) and ex.Gauge(f) != ex.Gauge(g)
+    factor = gauged(f, -1.0, ex.ONE)  # exp(-f), shared by every entry it scales
+    assert gauged(f, -1.0, ex.Var(0)).left is factor is gauged(f, -1.0, ex.Var(1)).left
+    for reject in (lambda t: ex.diff(t, 0), lambda t: ex.substitute(t, {}),
+                   ex.to_source, ex.plain_eval):
+        with pytest.raises(TypeError):
+            reject(ex.Gauge(f))
+
+
 @given(forest=forests())
 @settings(max_examples=100, deadline=None)
 def test_rebuilt_trees_are_the_same_nodes(forest):
@@ -174,7 +213,7 @@ def _dense_metric(dim: int) -> MetricField:
 
 def test_dense_levi_civita_matches_reference():
     conn = levi_civita(_dense_metric(3))
-    trees = [conn.entries[idx].tree for idx in np.ndindex(conn.entries.shape)]
+    trees = list(conn.entries.flat)
     pts = np.random.default_rng(1).uniform(-0.45, 0.45, (6, 3))
     _assert_same_outcome(trees, pts, 2)
 

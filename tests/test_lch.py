@@ -29,16 +29,15 @@ from hesslab.geomcore import (
     PathDependenceError,
     SamplePlan,
     VectorFieldT,
-    entry_tree,
     euclidean_metric,
     flat_connection,
+    gauged,
     levi_civita,
     definiteness_gap,
     lie_derivative_metric_batch,
     rel_residual,
     total_symmetry_residual_batch,
 )
-from hesslab.geomcore import GaugedEntry
 from hesslab.hesstat import (
     DegenerateLambdaError,
     StatisticalStructure,
@@ -54,6 +53,7 @@ from hesslab.lch import (
     NotPositiveDefiniteError,
     build_mapping_torus,
     check_lch,
+    check_symmetry,
     koszul_check,
     lee_constants,
     lee_identity_residual,
@@ -383,6 +383,27 @@ def test_mapping_torus_rejects_non_isometry():
         halfplane_torus(automorphism=("2*x0", "x1"))
 
 
+def test_symmetry_mean_is_over_samples():
+    # (1.1 x0, x1) moves the Hopf metric and Lee form but not the flat
+    # connection; mean_residual is the mean over samples of the worst term,
+    # not the mean of the terms' worst values
+    struct = hopf_lch()
+    plan = SamplePlan(seed=42)
+    rep = check_symmetry(struct, ["1.1*x0", "x1"], plan)
+    x0, x1 = struct.chart.sample(plan).T
+    r2, r2_at = x0 * x0 + x1 * x1, 1.21 * x0 * x0 + x1 * x1
+    metric = np.maximum(np.abs(1.21 / r2_at - 1 / r2), np.abs(1 / r2_at - 1 / r2)) / (1 + 1 / r2)
+    lee = np.maximum(np.abs(-2.42 * x0 / r2_at + 2 * x0 / r2),
+                     np.abs(-2 * x1 / r2_at + 2 * x1 / r2))
+    lee = lee / (1 + 2 * np.maximum(np.abs(x0), np.abs(x1)) / r2)
+    assert not rep.passed
+    assert rep.extra["connection"] == 0.0
+    assert rep.extra["metric"] == pytest.approx(metric.max(), rel=1e-12)
+    assert rep.extra["lee_form"] == pytest.approx(lee.max(), rel=1e-12)
+    assert rep.mean_residual == pytest.approx(np.maximum(metric, lee).mean(), rel=1e-12)
+    assert rep.mean_residual < np.mean(list(rep.extra.values())) - 1e-3
+
+
 def test_mapping_torus_spec_validation():
     base = halfplane_base()
     with pytest.raises(ValueError, match="positive"):
@@ -489,16 +510,10 @@ def test_minimal_covering_scaling():
     struct, _ = halfplane_torus()
     chart = struct.chart
     n = chart.dim
-    ttrees = [entry_tree(struct.lee_form.entries[i]) for i in range(n)]
     center = 0.5 * (chart.lo() + chart.hi())
-    gauge = LineIntegralGauge(ttrees, center)
-    entries = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(i, n):
-            entry = GaugedEntry(gauge, -1.0, struct.metric.entries[i, j])
-            entries[i, j] = entry
-            entries[j, i] = entry
-    descended = MetricField(chart, entries)
+    gauge = LineIntegralGauge(struct.lee_form.entries, center)
+    descended = MetricField(chart, [[gauged(gauge, -1.0, g_ij) for g_ij in row]
+                                    for row in struct.metric.entries])
     scaled = VectorFieldT(chart, [ex.ZERO] * (n - 1) + [ex.Var(n - 1)])  # -(2/a) xi
     pts = chart.sample(PLAN)
     lie = lie_derivative_metric_batch(scaled, descended, pts)

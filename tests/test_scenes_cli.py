@@ -1,15 +1,20 @@
 """Scene loading, suite execution, report serialization, and the CLI."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import hesslab
 from hesslab.cli import main
 from hesslab.geomcore import SamplePlan
 from hesslab.scenes import (
     EXAMPLES,
+    PSI_FALSE_ALARM_RATE,
+    PSI_Z,
     Report,
     SceneError,
     list_examples,
@@ -291,6 +296,35 @@ def test_mc_budget_flows_into_psi_checks():
     assert rep.all_ok
 
 
+def test_psi_z_is_the_quantile_of_its_false_alarm_rate():
+    from scipy.stats import norm
+
+    assert norm.isf(PSI_FALSE_ALARM_RATE / 2) == pytest.approx(PSI_Z, abs=5e-5)
+
+
+@pytest.mark.parametrize("seed", [325, 903])
+def test_monte_carlo_psi_band_has_no_false_alarm(seed):
+    # correct input that a 3-stderr band failed (z = 3.18 and 3.06)
+    rep = run_example("lorentz_cone", SamplePlan(seed=seed))
+    assert rep.all_ok
+    check = next(c for c in rep.checks if c["id"] == "psi-monte-carlo")
+    (report,) = check["reports"]
+    assert report["tolerance"] == pytest.approx(PSI_Z * report["extra"]["stderr"])
+    assert 3.0 < report["extra"]["z_score"] < PSI_Z
+
+
+def test_monte_carlo_psi_ten_stderr_off_fails():
+    check = {"op": "psi", "cone": "V", "point": [2.0, 3.0], "method": "monte_carlo"}
+    data = unit_scene(cones={"V": "orthant(2)"}, checks=[check])
+    first = run_suite(scene_from_dict(data), PLAN, mc_samples=20000)
+    extra = first.checks[0]["reports"][0]["extra"]
+    check["expect_value"] = extra["value"] + 10.0 * extra["stderr"]
+    rep = run_suite(scene_from_dict(data), PLAN, mc_samples=20000)
+    (report,) = rep.checks[0]["reports"]
+    assert not rep.all_ok and not report["passed"]
+    assert report["extra"]["z_score"] == pytest.approx(10.0)
+
+
 # ---------------------------------------------------------------------------
 # reports
 # ---------------------------------------------------------------------------
@@ -501,10 +535,14 @@ def test_cli_usage_error_exits_2(capsys):
 
 
 def test_console_entry_point_runs():
+    # the child finds the package the tests import, installed or not
+    src = str(Path(hesslab.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "hesslab.cli", "example", "poincare",
          "--samples", "40"],
         capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["all_ok"] is True
