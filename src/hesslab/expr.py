@@ -606,7 +606,7 @@ def _diff(expr: Expression, index: int) -> Expression:
             return mul(call("cos", u), du)
         if expr.func == "cos":
             return neg(mul(call("sin", u), du))
-    raise TypeError(f"not an expression node: {expr!r}")
+    raise TypeError(f"{type(expr).__name__} has no symbolic derivative: {expr!r}")
 
 
 def _pow_const(base: Expression, k: float) -> Expression:
