@@ -253,7 +253,7 @@ class LineIntegralGauge:
         straight = self.values(probes)
         stairs = self.values_staircase(probes)
         gap = np.max(np.abs(straight - stairs)) / (1.0 + np.max(np.abs(straight)))
-        if gap > tolerance:
+        if not residual_passes(gap, tolerance):
             raise PathDependenceError(
                 f"line integral is path-dependent (two-path disagreement {gap:.3g}); "
                 "the gauge form is not closed on this chart"
@@ -430,16 +430,15 @@ class ConnectionField(_Field):
     def shape_for(cls, dim):
         return (dim, dim, dim)
 
-    def __init__(self, chart, christoffel=None, flat: bool = False):
-        if christoffel is None:
-            if not flat:
-                raise ValueError("non-flat connection needs christoffel entries")
-            christoffel = np.full(self.shape_for(chart.dim), ex.ZERO, dtype=object)
+    def __init__(self, chart, christoffel):
         super().__init__(chart, christoffel)
-        self.flat = bool(flat)
-        if self.flat:
-            if any(entry != ex.ZERO for entry in self.entries.flat):
-                raise ValueError("flat connection must have all-zero christoffel entries")
+        self._flat = all(entry == ex.ZERO for entry in self.entries.flat)
+
+    @property
+    def flat(self) -> bool:
+        """Every Christoffel symbol is the zero node, so the batch operators
+        may skip the Gamma terms."""
+        return self._flat
 
 
 class OneFormField(_Field):
@@ -468,7 +467,7 @@ class ScalarField(_Field):
 
 
 def flat_connection(chart: Chart) -> ConnectionField:
-    return ConnectionField(chart, flat=True)
+    return ConnectionField(chart, np.full((chart.dim,) * 3, ex.ZERO, dtype=object))
 
 
 def euclidean_metric(chart: Chart) -> MetricField:
@@ -679,17 +678,8 @@ def adjugate_expressions(rows) -> list[list[Expression]]:
     return adj
 
 
-def metric_trees(g: MetricField) -> list[list[Expression]]:
-    return g.entries.tolist()
-
-
-def connection_trees(conn: ConnectionField) -> list[list[list[Expression]]]:
-    """Gamma^k_{ij} as trees, indexed [k][i][j]."""
-    return conn.entries.tolist()
-
-
 def inverse_metric_expressions(g: MetricField) -> list[list[Expression]]:
-    rows = metric_trees(g)
+    rows = g.entries
     det = det_expression(rows)
     adj = adjugate_expressions(rows)
     return [[ex.div(adj[i][j], det) for j in range(len(rows))] for i in range(len(rows))]
@@ -703,10 +693,9 @@ def levi_civita(g: MetricField) -> ConnectionField:
     one derivative. The bracket for (j, i) would differ from the one for
     (i, j) only in the order of an addition, so the values are unchanged."""
     d = g.chart.dim
-    rows = metric_trees(g)
     ginv = inverse_metric_expressions(g)
     # dg[i][j][k] = d_i g_{jk}, one derivative per symmetric pair
-    dg = [[[ex.diff(rows[min(j, k)][max(j, k)], i) for k in range(d)] for j in range(d)]
+    dg = [[[ex.diff(g.entries[min(j, k), max(j, k)], i) for k in range(d)] for j in range(d)]
           for i in range(d)]
     gamma = np.empty((d, d, d), dtype=object)
     for i in range(d):

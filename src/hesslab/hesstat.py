@@ -35,7 +35,6 @@ from .geomcore import (
     adjugate_expressions,
     as_entry,
     closedness_residual,
-    connection_trees,
     covariant_derivative_metric_batch,
     covariant_derivative_vector_batch,
     curvature_batch,
@@ -45,8 +44,8 @@ from .geomcore import (
     lie_derivative_metric_batch,
     make_report,
     max_abs,
-    metric_trees,
     rel_residual,
+    residual_passes,
     sample_check,
     total_symmetry_residual_batch,
 )
@@ -351,18 +350,17 @@ def dual_connection(conn: ConnectionField, g: MetricField) -> ConnectionField:
     """
     chart = g.chart
     d = chart.dim
-    rows = metric_trees(g)
+    rows, gam = g.entries, conn.entries
     ginv = inverse_metric_expressions(g)
-    gam = connection_trees(conn)
     dual = np.empty((d, d, d), dtype=object)
     for k in range(d):
         for i in range(d):
             for l in range(d):
                 terms = []
                 for j in range(d):
-                    inner = ex.diff(rows[j][l], i)
+                    inner = ex.diff(rows[j, l], i)
                     for m in range(d):
-                        inner = ex.sub(inner, ex.mul(gam[m][i][j], rows[m][l]))
+                        inner = ex.sub(inner, ex.mul(gam[m, i, j], rows[m, l]))
                     terms.append(ex.mul(ginv[j][k], inner))
                 dual[k, i, l] = ex.sum_of(terms)
     return ConnectionField(chart, dual)
@@ -455,12 +453,13 @@ def build_cone_structure(base: StatisticalStructure, lam: float, *,
             f"exceeds {tolerance:.1e}"
         )
     est = estimate_constant_curvature(base, plan)
-    if est.residual > tolerance:
+    if not residual_passes(est.residual, tolerance):
         raise ConeConstructionError(
             f"base curvature is not constant: residual {est.residual:.3e} "
             f"exceeds {tolerance:.1e}"
         )
-    if abs(lam * (2.0 - lam) - est.c) > max(tolerance, 10.0 * est.residual):
+    if not residual_passes(abs(lam * (2.0 - lam) - est.c),
+                           max(tolerance, 10.0 * est.residual)):
         raise ConeConstructionError(
             f"lambda*(2-lambda) = {lam * (2.0 - lam):.8f} does not match the "
             f"base curvature c = {est.c:.8f}"
@@ -473,7 +472,7 @@ def build_cone_structure(base: StatisticalStructure, lam: float, *,
     chart = Chart(n + 1, base.chart.box + ((lo, hi),),
                   positive=base.chart.positive + (True,))
     s = ex.Var(n)
-    gm = metric_trees(base.metric)
+    gm = base.metric.entries
 
     gamma = np.full((n + 1, n + 1, n + 1), ex.ZERO, dtype=object)
     for c_ in range(n):
@@ -482,7 +481,7 @@ def build_cone_structure(base: StatisticalStructure, lam: float, *,
                 gamma[c_, a, b] = base.conn.entries[c_, a, b]
     for a in range(n):
         for b in range(a, n):
-            tree = ex.mul(ex.const(lam - 2.0), ex.mul(s, gm[a][b]))
+            tree = ex.mul(ex.const(lam - 2.0), ex.mul(s, gm[a, b]))
             gamma[n, a, b] = tree
             gamma[n, b, a] = tree
     mixed = ex.div(ex.const(lam), s)
@@ -496,7 +495,7 @@ def build_cone_structure(base: StatisticalStructure, lam: float, *,
     gentries = np.full((n + 1, n + 1), ex.ZERO, dtype=object)
     for a in range(n):
         for b in range(a, n):
-            tree = ex.mul(s2, gm[a][b])
+            tree = ex.mul(s2, gm[a, b])
             gentries[a, b] = tree
             gentries[b, a] = tree
     gentries[n, n] = ex.ONE
@@ -547,12 +546,11 @@ def potential_identity_residual(cone: ConeStructure, plan=None,
     """Residual of g = Hess( g(xi, xi) / (4 - 2*lambda) ) with xi = s d/ds."""
     plan = plan or SamplePlan()
     d = cone.chart.dim
-    xi = list(cone.radial.entries)
-    gtrees = metric_trees(cone.metric)
+    xi = cone.radial.entries
     terms = []
     for i in range(d):
         for j in range(d):
-            terms.append(ex.mul(gtrees[i][j], ex.mul(xi[i], xi[j])))
+            terms.append(ex.mul(cone.metric.entries[i, j], ex.mul(xi[i], xi[j])))
     phi = ex.div(ex.sum_of(terms), ex.const(4.0 - 2.0 * cone.lam))
 
     def residual(pts):
@@ -610,20 +608,19 @@ def level_set_statistical(conn: ConnectionField, phi, surface, surface_chart: Ch
     pts = surface_chart.sample(plan)
     vals = evaluate(ex.substitute(phi_tree, subs), pts, 0).value
     spread = float(vals.max() - vals.min())
-    if spread > tolerance * (1.0 + abs(float(np.mean(vals)))):
+    if not residual_passes(spread, tolerance * (1.0 + abs(float(np.mean(vals))))):
         raise SurfaceConstraintError(
             f"parametrization does not stay on a level set of the potential: "
             f"values spread by {spread:.3e}"
         )
     detvals = evaluate(det, pts, 0).value
-    if np.min(np.abs(detvals)) <= 1e-12 * (1.0 + np.max(np.abs(detvals))):
+    if not np.min(np.abs(detvals)) > 1e-12 * (1.0 + np.max(np.abs(detvals))):
         raise TransversalityError(
             "transversal field becomes tangent to the surface on the chart"
         )
 
-    gamma_trees = connection_trees(conn)
     gamma_sub = [
-        [[ex.substitute(gamma_trees[c][a][b], subs) for b in range(n)] for a in range(n)]
+        [[ex.substitute(conn.entries[c, a, b], subs) for b in range(n)] for a in range(n)]
         for c in range(n)
     ]
 
@@ -634,10 +631,8 @@ def level_set_statistical(conn: ConnectionField, phi, surface, surface_chart: Ch
                 terms = [ex.diff(jac[c][al], be)]
                 for a in range(n):
                     for b in range(n):
-                        gam = gamma_sub[c][a][b]
-                        if gam == ex.ZERO:
-                            continue
-                        terms.append(ex.mul(gam, ex.mul(jac[a][al], jac[b][be])))
+                        terms.append(ex.mul(gamma_sub[c][a][b],
+                                            ex.mul(jac[a][al], jac[b][be])))
                 tree = ex.sum_of(terms)
                 rhs[c][al][be] = tree
                 rhs[c][be][al] = tree
@@ -665,10 +660,7 @@ def level_set_statistical(conn: ConnectionField, phi, surface, surface_chart: Ch
         for b in range(a, n):
             terms = [ex.diff(dphi[a], b)]
             for c in range(n):
-                gam = gamma_trees[c][a][b]
-                if gam == ex.ZERO:
-                    continue
-                terms.append(ex.neg(ex.mul(gam, dphi[c])))
+                terms.append(ex.neg(ex.mul(conn.entries[c, a, b], dphi[c])))
             tree = ex.sum_of(terms)
             hess_amb[a][b] = tree
             hess_amb[b][a] = tree
@@ -678,15 +670,8 @@ def level_set_statistical(conn: ConnectionField, phi, surface, surface_chart: Ch
     gentries = np.empty((k, k), dtype=object)
     for al in range(k):
         for be in range(al, k):
-            terms = []
-            for a in range(n):
-                for b in range(n):
-                    if hess_sub[a][b] == ex.ZERO:
-                        continue
-                    terms.append(
-                        ex.mul(hess_sub[a][b], ex.mul(jac[a][al], jac[b][be]))
-                    )
-            tree = ex.sum_of(terms)
+            tree = ex.sum_of(ex.mul(hess_sub[a][b], ex.mul(jac[a][al], jac[b][be]))
+                             for a in range(n) for b in range(n))
             gentries[al, be] = tree
             gentries[be, al] = tree
 

@@ -30,14 +30,14 @@ from .geomcore import (
     SamplePlan,
     VectorFieldT,
     closedness_residual,
-    connection_trees,
     covariant_derivative_oneform_batch,
-    flat_connection,
+    covariant_derivative_vector_batch,
     gauged,
     inverse_metric_expressions,
     lie_derivative_metric_batch,
     make_report,
     rel_residual,
+    residual_passes,
     sample_check,
     smallest_eigenvalues,
 )
@@ -218,17 +218,9 @@ def check_lch(struct: LCHStructure, plan=None,
 
 def lee_vector_field(metric: MetricField, theta: OneFormField) -> VectorFieldT:
     """xi = theta-sharp as expression trees: xi^i = g^{ij} theta_j."""
-    n = metric.chart.dim
     inv = inverse_metric_expressions(metric)
-    ttrees = list(theta.entries)
-    comps = []
-    for i in range(n):
-        terms = [
-            ex.mul(inv[i][j], ttrees[j])
-            for j in range(n)
-            if inv[i][j] != ex.ZERO and ttrees[j] != ex.ZERO
-        ]
-        comps.append(ex.sum_of(terms))
+    comps = [ex.sum_of(ex.mul(g_ij, t_j) for g_ij, t_j in zip(row, theta.entries))
+             for row in inv]
     return VectorFieldT(metric.chart, comps)
 
 
@@ -240,7 +232,9 @@ def lee_constants(struct: LCHStructure, plan=None) -> LeeConstants:
     pts = chart.sample(plan)
     xi = lee_vector_field(struct.metric, struct.lee_form)
 
-    # order 1 first, so the order-0 reads of g and xi below are prefixes
+    # xi at order 2 first, so every later read of xi is a prefix; then g at
+    # order 1 first, so the order-0 reads of g below are prefixes
+    affine = _affine_residual(struct.conn, xi, pts)
     lie = lie_derivative_metric_batch(xi, struct.metric, pts)
     gval = struct.metric.eval(pts, 0).value
     xival = xi.eval(pts, 0).value
@@ -254,8 +248,6 @@ def lee_constants(struct: LCHStructure, plan=None) -> LeeConstants:
     radiant_report = check_radiant(struct.conn, xi, plan)
     mu = float(radiant_report.extra["lambda"])
     radiant = float(radiant_report.max_residual)
-
-    affine = _affine_residual(struct.conn, xi, pts)
     return LeeConstants(
         a=a,
         mu=mu,
@@ -267,36 +259,22 @@ def lee_constants(struct: LCHStructure, plan=None) -> LeeConstants:
 
 
 def _affine_residual(conn: ConnectionField, xi: VectorFieldT, pts) -> float:
-    """Worst second covariant derivative of xi, relative to |nabla xi|."""
-    n = conn.chart.dim
-    xtrees = list(xi.entries)
-    gtrees = None if conn.flat else connection_trees(conn)
+    """Worst second covariant derivative of xi, relative to |nabla xi|.
 
-    # T^i_j = nabla_j xi^i as trees, then one more covariant derivative
-    terms = []
-    for i in range(n):
-        for j in range(n):
-            term = ex.diff(xtrees[i], j)
-            if gtrees is not None:
-                term = ex.sum_of(
-                    [term]
-                    + [
-                        ex.mul(gtrees[i][j][k], xtrees[k])
-                        for k in range(n)
-                        if gtrees[i][j][k] != ex.ZERO and xtrees[k] != ex.ZERO
-                    ]
-                )
-            terms.append(term)
-    jets = evaluate(terms, pts, 1)
-    m = pts.shape[0]
-    tval = np.stack([j.value for j in jets], axis=1).reshape(m, n, n)
-    td1 = np.stack([j.grad for j in jets], axis=1).reshape(m, n, n, n)
-
-    second = td1
-    if not conn.flat:
-        c = conn.eval(pts, 0).value
-        second = second + np.einsum("aikl,alj->aijk", c, tval)
-        second = second - np.einsum("alkj,ail->aijk", c, tval)
+    T^i_j = (nabla xi)^i_j and its derivative d_k T^i_j both come from the
+    jets of xi (order 2) and Gamma (order 1); the order-1 and order-0 reads
+    inside `covariant_derivative_vector_batch` are prefixes of those."""
+    xj = xi.eval(pts, 2)
+    cj = None if conn.flat else conn.eval(pts, 1)
+    tval = covariant_derivative_vector_batch(conn, xi, pts)
+    second = xj.d2  # (m, i, j, k) = d_k d_j xi^i
+    if cj is not None:
+        c = cj.value
+        # d_k (Gamma^i_{jl} xi^l), then the two Gamma terms of nabla_k T
+        second = second + np.einsum("aijlk,al->aijk", cj.d1, xj.value)
+        second += np.einsum("aijl,alk->aijk", c, xj.d1)
+        second += np.einsum("aikl,alj->aijk", c, tval)
+        second -= np.einsum("alkj,ail->aijk", c, tval)
     return float(np.max(rel_residual(second, tval)))
 
 
@@ -309,7 +287,8 @@ def lee_identity_residual(struct: LCHStructure, constants: LeeConstants,
     treated as hypotheses: violating them is an error, not a failed report.
     """
     gate = max(tolerance, RADIANT_GATE)
-    if constants.killing_residual > gate or constants.radiant_residual > gate:
+    if not (residual_passes(constants.killing_residual, gate)
+            and residual_passes(constants.radiant_residual, gate)):
         raise ValueError(
             "the identity u*g = nabla(theta) - theta(x)theta assumes a Killing "
             f"radiant Lee field; residuals (killing {constants.killing_residual:.3g}, "
@@ -338,28 +317,19 @@ def lee_identity_residual(struct: LCHStructure, constants: LeeConstants,
 def _nabla_theta_trees(conn: ConnectionField, ttrees) -> np.ndarray:
     """(nabla theta)_{ij} as a mirrored tree matrix (valid once d(theta) = 0)."""
     n = len(ttrees)
-    gtrees = None if conn.flat else connection_trees(conn)
     out = np.empty((n, n), dtype=object)
     for i in range(n):
         for j in range(i, n):
-            term = ex.diff(ttrees[j], i)
-            if gtrees is not None:
-                drop = [
-                    ex.mul(gtrees[k][i][j], ttrees[k])
-                    for k in range(n)
-                    if gtrees[k][i][j] != ex.ZERO and ttrees[k] != ex.ZERO
-                ]
-                if drop:
-                    term = ex.sub(term, ex.sum_of(drop))
-            out[i, j] = term
-            out[j, i] = term
+            drop = ex.sum_of(ex.mul(conn.entries[k, i, j], ttrees[k]) for k in range(n))
+            out[i, j] = out[j, i] = ex.sub(ex.diff(ttrees[j], i), drop)
     return out
 
 
 def _require_closed(theta: OneFormField, pts, tolerance, what: str):
     res = float(np.max(closedness_residual(theta, pts)))
-    if res > tolerance:
-        raise ValueError(f"{what} must be closed; d residual {res:.3g} > {tolerance:.3g}")
+    if not residual_passes(res, tolerance):
+        raise ValueError(f"{what} must be closed; d residual {res:.3g} is not "
+                         f"within {tolerance:.3g}")
 
 
 def metric_from_lee(conn: ConnectionField, theta: OneFormField, u: float,
@@ -393,7 +363,7 @@ def metric_from_lee(conn: ConnectionField, theta: OneFormField, u: float,
     vals = candidate.eval(pts, 0).value
     mins = smallest_eigenvalues(vals)
     worst = int(np.argmin(mins))
-    if mins[worst] <= PD_FLOOR:
+    if not mins[worst] > PD_FLOOR:
         raise NotPositiveDefiniteError(
             "candidate metric from the Lee form is not positive definite: "
             f"smallest eigenvalue {mins[worst]:.3g} at {pts[worst].tolist()}",
@@ -449,12 +419,7 @@ def local_hessian_gauge(struct: LCHStructure, base_point, p=None, *,
     sub = chart.subbox(base, fraction)
     rescaled = MetricField(sub, [[gauged(gauge, -1.0, g_ij) for g_ij in row]
                                  for row in struct.metric.entries])
-    conn = struct.conn
-    sub_conn = (
-        flat_connection(sub)
-        if conn.flat
-        else ConnectionField(sub, conn.entries)
-    )
+    sub_conn = ConnectionField(sub, struct.conn.entries)
     report = check_hessian_structure(sub_conn, rescaled, plan or SamplePlan(),
                                      tolerance, name="hessian-gauge")
     return f_p, report
@@ -550,7 +515,7 @@ def build_mapping_torus(spec: MappingTorusSpec, *, plan=None,
     base_pts = base.chart.sample(plan)
     auto = _pullback_residuals(spec.automorphism, base.conn, base.metric, None, base_pts)
     auto_report = _pullback_report("mapping-torus-automorphism", auto, tolerance)
-    if auto_report.max_residual > tolerance:
+    if not auto_report.passed:
         raise MappingTorusError(
             "automorphism does not preserve the base structure "
             f"(metric residual {auto_report.extra['metric']:.3g}, "
@@ -584,7 +549,7 @@ def build_mapping_torus(spec: MappingTorusSpec, *, plan=None,
     seam_pts = np.hstack([base_pts, np.ones((base_pts.shape[0], 1))])
     seam = _pullback_residuals(seam_map, cone.conn, metric, theta, seam_pts)
     seam_report = _pullback_report("mapping-torus-seam", seam, tolerance)
-    if seam_report.max_residual > tolerance:
+    if not seam_report.passed:
         raise MappingTorusError(
             f"seam residual {seam_report.max_residual:.3g} exceeds {tolerance:.3g}: "
             "the deck map does not glue the structure"
@@ -632,15 +597,8 @@ def monodromy_rank(char) -> int:
 
 
 def _theta_plus(theta_trees, alpha_trees, eps: float, chart: Chart) -> OneFormField:
-    if eps == 0.0:
-        return OneFormField(chart, list(theta_trees))
-    comps = []
-    for t, a in zip(theta_trees, alpha_trees):
-        if a == ex.ZERO:
-            comps.append(t)
-        else:
-            comps.append(ex.add(t, ex.mul(ex.const(eps), a)))
-    return OneFormField(chart, comps)
+    return OneFormField(chart, [ex.add(t, ex.mul(ex.const(eps), a))
+                                for t, a in zip(theta_trees, alpha_trees)])
 
 
 def _probe_candidate_factory(struct: LCHStructure, alpha: OneFormField,

@@ -531,13 +531,16 @@ def _op_statistical(ctx, check, tol):
     return None if struct is None else [check_statistical(struct, ctx.plan, tol)]
 
 
+def _curvature_report(ctx, struct, name, tol):
+    """The constant-curvature fit of ``struct`` as a report carrying c."""
+    est = estimate_constant_curvature(struct, ctx.plan)
+    return make_report(name, [est.residual], tol, samples=ctx.plan.count,
+                       extra={"c": est.c})
+
+
 def _op_curvature(ctx, check, tol):
     struct = _typed_structure(ctx, check, StatisticalStructure)
-    if struct is None:
-        return None
-    est = estimate_constant_curvature(struct, ctx.plan)
-    return [make_report("curvature", [est.residual], tol,
-                        samples=ctx.plan.count, extra={"c": est.c})]
+    return None if struct is None else [_curvature_report(ctx, struct, "curvature", tol)]
 
 
 def _op_lch(ctx, check, tol):
@@ -623,11 +626,9 @@ def _op_cone_restriction(ctx, check, tol):
     dev = np.abs(recovered.metric.eval(pts, 0).value - gv).max((1, 2))
     dev = dev / (1.0 + np.abs(gv).max())
     metric_rep = make_report("restriction-metric", dev, tol, samples=pts.shape[0])
-    est = estimate_constant_curvature(recovered, ctx.plan)
     curv_tol = float(check.get("curvature_tolerance", 1e-4))
-    curv_rep = make_report("restriction-curvature", [est.residual], curv_tol,
-                           samples=ctx.plan.count, extra={"c": est.c})
-    return [metric_rep, curv_rep]
+    return [metric_rep,
+            _curvature_report(ctx, recovered, "restriction-curvature", curv_tol)]
 
 
 def _op_surface(ctx, check, tol):
@@ -637,11 +638,8 @@ def _op_surface(ctx, check, tol):
         cone, check["surface"], chart, plan=ctx.plan, tolerance=tol,
     )
     stat = check_statistical(struct, ctx.plan, tol)
-    est = estimate_constant_curvature(struct, ctx.plan)
     curv_tol = float(check.get("curvature_tolerance", 1e-4))
-    curv = make_report("surface-curvature", [est.residual], curv_tol,
-                       samples=ctx.plan.count, extra={"c": est.c})
-    return [stat, curv]
+    return [stat, _curvature_report(ctx, struct, "surface-curvature", curv_tol)]
 
 
 # A Monte Carlo psi matches its expected value when the two lie within

@@ -133,12 +133,15 @@ def test_metric_symmetry_enforced():
     MetricField(chart, [["1", "x0"], ["x0", "1"]])  # fine
 
 
-def test_flat_connection_must_be_zero():
-    chart = Chart(1, ((0.0, 1.0),))
-    with pytest.raises(ValueError):
-        ConnectionField(chart, [[["x0"]]], flat=True)
-    conn = flat_connection(chart)
-    assert conn.flat
+def test_flat_is_read_from_the_symbols():
+    chart = Chart(2, ((0.0, 1.0), (0.0, 1.0)))
+    assert flat_connection(chart).flat
+    symbols = [[["0"] * 2 for _ in range(2)] for _ in range(2)]
+    assert ConnectionField(chart, symbols).flat
+    symbols[1][0][1] = "x0"
+    assert not ConnectionField(chart, symbols).flat
+    with pytest.raises(AttributeError):
+        flat_connection(chart).flat = False
 
 
 def test_scalar_field_entry():
@@ -484,6 +487,14 @@ def test_gauge_detects_path_dependence():
         gauge.check_closed(chart)
     good = [parse_expression("2*x0*x1", 2), parse_expression("x0*x0", 2)]
     LineIntegralGauge(good, (0.2, 0.2)).check_closed(chart)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_gauge_with_a_nan_form_is_not_closed():
+    chart = Chart(1, ((1.0, 2.0),))
+    nan_form = [parse_expression("exp(800*x0) - exp(800*x0) + 1/x0", 1)]
+    with pytest.raises(PathDependenceError):
+        LineIntegralGauge(nan_form, (1.5,)).check_closed(chart)
 
 
 def test_gauged_entry_jets_match_explicit_factor():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from affine_reference import reference_affine_residual
 from conftest import (
     e67_structure,
     halfplane_chart,
@@ -51,6 +52,8 @@ from hesslab.lch import (
     MappingTorusSpec,
     MonodromyCharacter,
     NotPositiveDefiniteError,
+    _affine_residual,
+    _require_closed,
     build_mapping_torus,
     check_lch,
     check_symmetry,
@@ -64,7 +67,7 @@ from hesslab.lch import (
     monodromy_rank,
     perturbed_structure,
 )
-from hesslab.scenes import load_example, run_suite
+from hesslab.scenes import _Context, load_example, run_suite
 
 PLAN = SamplePlan(count=70, seed=5)
 LAM = 1.0 + math.sqrt(2.0)
@@ -200,6 +203,53 @@ def test_lee_constants_invariant():
     assert not still.admissible()  # mu = 0
 
 
+def _bundled_structure(example: str, name: str):
+    scene = load_example(example)
+    return _Context(scene, PLAN, None, 1).structure(name)
+
+
+BUNDLED_LCH = [("hopf", "S"), ("poincare", "S"), ("torus_quotient", "S"), ("e67", "S"),
+               ("lee_perturbation_torus", "S"), ("orthant_cone", "L"),
+               ("lorentz_cone", "L"), ("mapping_torus_halfplane", "T")]
+
+
+def _assert_affine_matches_reference(conn, xi, pts):
+    got = _affine_residual(conn, xi, pts)
+    want = reference_affine_residual(conn, xi, pts)
+    assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+    return want
+
+
+@pytest.mark.parametrize("example,name", BUNDLED_LCH)
+def test_affine_residual_matches_tree_reference(example, name):
+    struct = _bundled_structure(example, name)
+    xi = lee_vector_field(struct.metric, struct.lee_form)
+    _assert_affine_matches_reference(struct.conn, xi, struct.chart.sample(PLAN))
+
+
+def test_affine_residual_matches_tree_reference_off_zero():
+    # a Levi-Civita connection, far from flat, and a field far from affine
+    chart = sphere_chart()
+    conn = levi_civita(sphere_metric(chart))
+    assert not conn.flat
+    xi = VectorFieldT(chart, ["x0*x1 + exp(x0)", "x0^2 - sin(x1)"])
+    want = _assert_affine_matches_reference(conn, xi, chart.sample(PLAN))
+    assert want >= 1e-2
+
+
+def test_lee_constants_of_gauged_perturbed_structure():
+    # eps = 5 along dx1 takes the conformal route: the metric carries a gauge
+    # leaf, which has jets but no symbolic derivative
+    scene = load_example("lee_perturbation_torus")
+    struct = _bundled_structure("lee_perturbation_torus", "S")
+    perturbed = perturbed_structure(struct, scene.fields["alpha1"], 5.0, PLAN)
+    with pytest.raises(TypeError, match="no symbolic derivative"):
+        ex.diff(perturbed.metric.entries[0, 0], 0)
+    c = lee_constants(perturbed, PLAN)
+    assert all(math.isfinite(v) for v in (c.a, c.mu, c.u, c.killing_residual,
+                                          c.radiant_residual, c.affine_residual))
+
+
 # ---------------------------------------------------------------------------
 # Lee identity and metric reconstruction
 # ---------------------------------------------------------------------------
@@ -225,6 +275,13 @@ def test_lee_identity_requires_radiant_killing_field():
     c = lee_constants(struct, PLAN)
     with pytest.raises(ValueError, match="Killing"):
         lee_identity_residual(struct, c, PLAN)
+
+
+@pytest.mark.parametrize("killing,radiant", [(math.nan, 0.0), (0.0, math.nan)])
+def test_lee_identity_rejects_a_nan_hypothesis(killing, radiant):
+    consts = LeeConstants(4.0, -2.0, -2.0, killing, radiant, 0.0)
+    with pytest.raises(ValueError, match="Killing"):
+        lee_identity_residual(hopf_lch(), consts, PLAN)
 
 
 def test_metric_from_lee_round_trip():
@@ -258,6 +315,28 @@ def test_metric_from_lee_requires_closed_form():
     theta = OneFormField(chart, ["x1", "0"])
     with pytest.raises(ValueError, match="closed"):
         metric_from_lee(flat_connection(chart), theta, 1.0, PLAN)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nan_closedness_residual_is_not_closed():
+    # exp(800 x0) overflows, so theta and its jets are inf - inf = NaN
+    chart = Chart(1, ((1.0, 2.0),))
+    theta = OneFormField(chart, ["exp(800*x0) - exp(800*x0) + 1/x0"])
+    with pytest.raises(ValueError, match="closed"):
+        _require_closed(theta, chart.sample(PLAN), 1e-4, "the Lee form")
+    with pytest.raises(ValueError, match="closed"):
+        metric_from_lee(flat_connection(chart), theta, 1.0, PLAN)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_metric_from_lee_rejects_a_nan_eigenvalue():
+    # closed (constant) theta whose square overflows: the candidate holds inf
+    # next to finite entries, and its smallest eigenvalue is NaN
+    chart = Chart(2, ((1.0, 2.0), (1.0, 2.0)))
+    theta = OneFormField(chart, ["1e160", "1"])
+    with pytest.raises(NotPositiveDefiniteError) as err:
+        metric_from_lee(flat_connection(chart), theta, -1.0, PLAN)
+    assert math.isnan(err.value.eigenvalue)
 
 
 # ---------------------------------------------------------------------------
