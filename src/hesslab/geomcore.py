@@ -28,7 +28,13 @@ node, shared by every entry it scales.
 The most recently sampled point set is held, read-only, together with every
 field tensor evaluated on exactly that array, so the checks of one structure
 evaluate each field once. A lower-order request reads a prefix of a stored
-higher-order tensor. Sampling a different (chart, plan) drops everything held.
+higher-order tensor. The held point set also keeps small results derived on
+exactly that array (`held_result`), keyed on (operator, fields): the (m,)
+residual terms of `hesstat.structure_terms`, the constant-curvature fit and
+the Lee constants. Only (m,) arrays and scalars are kept, never a derived
+tensor such as the curvature or nabla g: at 20 000 samples a dim-3
+curvature is 12.4 MiB, its flatness term 156 KiB. Sampling a different
+(chart, plan) drops everything held.
 """
 
 from __future__ import annotations
@@ -324,14 +330,16 @@ class EvaluatedTensor:
 
 
 class _PointSet:
-    """A sampled point set and the field tensors evaluated on that array."""
+    """A sampled point set, the field tensors evaluated on that array and
+    the small results derived on it."""
 
-    __slots__ = ("key", "pts", "tensors")
+    __slots__ = ("key", "pts", "tensors", "results")
 
     def __init__(self, key=None, pts=None):
         self.key = key
         self.pts = pts
         self.tensors: dict = {}  # field -> read-only EvaluatedTensor
+        self.results: dict = {}  # (operator, *fields) -> read-only (m,) array or scalar
 
 
 _held = _PointSet()
@@ -341,6 +349,26 @@ def drop_held_points() -> None:
     """Forget the held point set and every tensor evaluated on it."""
     global _held
     _held = _PointSet()
+
+
+def held_result(key: tuple, pts: Array, compute):
+    """``compute()``, kept with the held point set when ``pts`` is its array.
+
+    ``key`` names the operator and the fields it reads, so the result must
+    depend on nothing else. Keep only (m,) arrays and scalars here; an array
+    comes back read-only. Any other array (a slice, a copy, the single points
+    of `sample_check`'s fallback) neither reads nor writes the store, and a
+    ``compute`` that raises stores nothing."""
+    held = _held
+    if pts is not held.pts:
+        return compute()
+    out = held.results.get(key)
+    if out is None:
+        out = compute()
+        if isinstance(out, np.ndarray):
+            out.flags.writeable = False
+        held.results[key] = out
+    return out
 
 
 def _eval_entries(field: _Field, pts: Array, order: int) -> EvaluatedTensor:
@@ -551,12 +579,19 @@ def exterior_derivative_oneform_batch(theta: OneFormField, pts) -> Array:
 # ---------------------------------------------------------------------------
 
 def max_abs(arr: Array) -> Array:
-    """Per-sample max-norm: collapses all axes but the first. Reads the
-    largest and smallest entry instead of copying ``abs``; NaN propagates and
-    ``+ 0.0`` turns a -0.0 into 0.0, as ``abs`` would."""
+    """Per-sample max-norm: collapses all axes but the first.
+
+    Folds the components one (m,) column at a time, taking ``abs`` into one
+    reused buffer: a reduction over a short last axis pays a loop per row,
+    and ``abs`` of the whole array would copy it. NaN propagates (unsigned,
+    as ``abs`` leaves it) and -0.0 reads 0.0."""
     a = np.asarray(arr, float)
     a = a.reshape(a.shape[0], -1)
-    return np.maximum(a.max(axis=1), -a.min(axis=1)) + 0.0
+    out = np.abs(a[:, 0])
+    buf = np.empty_like(out)
+    for j in range(1, a.shape[1]):
+        np.maximum(out, np.abs(a[:, j], out=buf), out=out)
+    return out
 
 
 def rel_residual(delta: Array, scale: Array) -> Array:
@@ -582,11 +617,19 @@ def total_symmetry_residual_batch(t: Array) -> Array:
     return worst / scale
 
 
+def positive_definite(smallest: Array, floor: float = PD_FLOOR) -> Array:
+    """Whether a smallest eigenvalue certifies a positive definite matrix:
+    finite and above ``floor``. An inf or NaN eigenvalue certifies nothing."""
+    return np.isfinite(smallest) & (smallest > floor)
+
+
 def definiteness_gap(mats: Array, floor: float = PD_FLOOR) -> Array:
-    """0 where the symmetric matrix is positive definite (smallest eigenvalue
-    above ``floor``); otherwise a residual of at least 1 so the check fails."""
+    """0 where the symmetric matrix is positive definite (`positive_definite`
+    of its smallest eigenvalue); otherwise a residual of at least 1 (NaN for
+    a NaN eigenvalue) so the check fails."""
     smallest = smallest_eigenvalues(mats)
-    return np.where(smallest > floor, 0.0, np.maximum(1.0, floor - smallest))
+    return np.where(positive_definite(smallest, floor), 0.0,
+                    np.maximum(1.0, floor - smallest))
 
 
 def smallest_eigenvalues(mats: Array) -> Array:

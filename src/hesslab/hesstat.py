@@ -40,6 +40,7 @@ from .geomcore import (
     curvature_batch,
     definiteness_gap,
     det_expression,
+    held_result,
     inverse_metric_expressions,
     lie_derivative_metric_batch,
     make_report,
@@ -64,6 +65,7 @@ __all__ = [
     "nondegenerate_lambda",
     "hessian_values",
     "structure_terms",
+    "flatness_term",
     "check_hessian_structure",
     "check_radiant",
     "check_self_similar",
@@ -216,23 +218,43 @@ def structure_terms(conn: ConnectionField, g: MetricField, pts, *,
     A statistical structure has torsion-free D with Dg totally symmetric and
     g positive definite; a Hessian structure adds flatness of D; an l.c.H.
     structure adds a closed Lee form theta and twists the symmetry to
-    Dg - theta (x) g. Every field is read at its top order first, so the
-    lower-order reads on the same points are prefixes of one tensor.
+    Dg - theta (x) g. Each term is kept with the held point set under the
+    fields it reads (`held_result`), so a gate that repeats a term of an
+    earlier gate on the same points reads it back. Every field is read at
+    its top order first, so the lower-order reads on the same points are
+    prefixes of one tensor.
     """
     # order 1 even without flatness: a curvature estimate on the same points
     # usually follows a statistical gate
     gamma = conn.eval(pts, 1).value
-    terms = {"torsion": rel_residual(gamma - gamma.transpose(0, 1, 3, 2), gamma)}
+    terms = {"torsion": held_result(
+        ("torsion", conn), pts,
+        lambda: rel_residual(gamma - gamma.transpose(0, 1, 3, 2), gamma))}
     if flatness:
-        terms["flatness"] = rel_residual(curvature_batch(conn, pts), gamma)
-    nabla = covariant_derivative_metric_batch(conn, g, pts)
-    gval = g.eval(pts, 0).value
+        terms["flatness"] = flatness_term(conn, pts)
     if theta is not None:
-        terms["closedness"] = closedness_residual(theta, pts)
-        nabla -= np.einsum("ai,ajk->aijk", theta.eval(pts, 0).value, gval)
-    terms["symmetry"] = total_symmetry_residual_batch(nabla)
-    terms["definiteness"] = definiteness_gap(gval)
+        terms["closedness"] = held_result(("closedness", theta), pts,
+                                          lambda: closedness_residual(theta, pts))
+
+    def symmetry():
+        nabla = covariant_derivative_metric_batch(conn, g, pts)
+        if theta is not None:
+            nabla -= np.einsum("ai,ajk->aijk", theta.eval(pts, 0).value,
+                               g.eval(pts, 0).value)
+        return total_symmetry_residual_batch(nabla)
+
+    terms["symmetry"] = held_result(("symmetry", conn, g, theta), pts, symmetry)
+    terms["definiteness"] = held_result(("definiteness", g), pts,
+                                        lambda: definiteness_gap(g.eval(pts, 0).value))
     return terms
+
+
+def flatness_term(conn: ConnectionField, pts) -> np.ndarray:
+    """Per-sample |R| / (1 + |Gamma|), kept with the held point set. The
+    curvature tensor itself is dropped once the term is taken."""
+    return held_result(("flatness", conn), pts,
+                       lambda: rel_residual(curvature_batch(conn, pts),
+                                            conn.eval(pts, 1).value))
 
 
 def check_hessian_structure(conn: ConnectionField, g: MetricField, plan=None,
@@ -388,21 +410,27 @@ def estimate_constant_curvature(struct: StatisticalStructure, plan=None) -> Curv
 
     The fit runs over every curvature component at every sample; the residual
     is the worst relative deviation from the fitted model.  One-dimensional
-    charts carry no curvature, so they report (0, 0).
+    charts carry no curvature, so they report (0, 0). The estimate is kept
+    with the held point set under (conn, metric).
     """
     plan = plan or SamplePlan()
     chart = struct.chart
     if chart.dim == 1:
         return CurvatureEstimate(0.0, 0.0)
     pts = chart.sample(plan)
-    r = curvature_batch(struct.conn, pts)
-    gval = struct.metric.eval(pts, 0).value
-    eye = np.eye(chart.dim)
-    basis = np.einsum("ajk,li->alijk", gval, eye) - np.einsum("aik,lj->alijk", gval, eye)
-    denom = float(np.sum(basis * basis))
-    c = float(np.sum(r * basis) / denom) if denom > 0 else 0.0
-    residual = float(np.max(rel_residual(r - c * basis, c * basis)))
-    return CurvatureEstimate(c, residual)
+
+    def fit():
+        r = curvature_batch(struct.conn, pts)
+        gval = struct.metric.eval(pts, 0).value
+        eye = np.eye(chart.dim)
+        basis = (np.einsum("ajk,li->alijk", gval, eye)
+                 - np.einsum("aik,lj->alijk", gval, eye))
+        denom = float(np.sum(basis * basis))
+        c = float(np.sum(r * basis) / denom) if denom > 0 else 0.0
+        residual = float(np.max(rel_residual(r - c * basis, c * basis)))
+        return CurvatureEstimate(c, residual)
+
+    return held_result(("curvature_estimate", struct.conn, struct.metric), pts, fit)
 
 
 def solve_lambda(c: float) -> LambdaRoots:
@@ -516,11 +544,9 @@ def _cone_postcondition_reports(cone: ConeStructure, base: StatisticalStructure,
     chart = cone.chart
     n = chart.dim - 1
 
-    def flat_res(pts):
-        gamma = cone.conn.eval(pts, 1).value  # curvature_batch reads order 1
-        return rel_residual(curvature_batch(cone.conn, pts), gamma)
-
-    flatness = sample_check(flat_res, chart, plan, tolerance, name="cone-flatness")
+    # the flatness term of the cone-hessian gate below, computed once
+    flatness = sample_check(lambda pts: flatness_term(cone.conn, pts), chart, plan,
+                            tolerance, name="cone-flatness")
     radiance = check_radiant(cone.conn, cone.radial, plan, tolerance,
                              name="cone-radiance", lam=cone.lam)
 

@@ -26,16 +26,17 @@ from .geomcore import (
     LineIntegralGauge,
     MetricField,
     OneFormField,
-    PD_FLOOR,
     SamplePlan,
     VectorFieldT,
     closedness_residual,
     covariant_derivative_oneform_batch,
     covariant_derivative_vector_batch,
     gauged,
+    held_result,
     inverse_metric_expressions,
     lie_derivative_metric_batch,
     make_report,
+    positive_definite,
     rel_residual,
     residual_passes,
     sample_check,
@@ -226,36 +227,42 @@ def lee_vector_field(metric: MetricField, theta: OneFormField) -> VectorFieldT:
 
 def lee_constants(struct: LCHStructure, plan=None) -> LeeConstants:
     """Estimate (a, mu, u) of the Lee field together with the residuals that
-    decide whether the field is Killing, radiant, and affine."""
+    decide whether the field is Killing, radiant, and affine. The constants
+    are kept with the held point set under (conn, metric, lee_form), so the
+    ops and probe steps asking for them on one structure build the Lee field
+    once."""
     plan = plan or SamplePlan()
-    chart = struct.chart
-    pts = chart.sample(plan)
-    xi = lee_vector_field(struct.metric, struct.lee_form)
+    pts = struct.chart.sample(plan)
 
-    # xi at order 2 first, so every later read of xi is a prefix; then g at
-    # order 1 first, so the order-0 reads of g below are prefixes
-    affine = _affine_residual(struct.conn, xi, pts)
-    lie = lie_derivative_metric_batch(xi, struct.metric, pts)
-    gval = struct.metric.eval(pts, 0).value
-    xival = xi.eval(pts, 0).value
-    avals = np.einsum("aij,ai,aj->a", gval, xival, xival)
-    a = float(np.mean(avals))
-    a_dev = float(np.max(np.abs(avals - a))) / (1.0 + abs(a))
+    def estimate():
+        xi = lee_vector_field(struct.metric, struct.lee_form)
+        # xi at order 2 first, so every later read of xi is a prefix; then g
+        # at order 1 first, so the order-0 reads of g below are prefixes
+        affine = _affine_residual(struct.conn, xi, pts)
+        lie = lie_derivative_metric_batch(xi, struct.metric, pts)
+        gval = struct.metric.eval(pts, 0).value
+        xival = xi.eval(pts, 0).value
+        avals = np.einsum("aij,ai,aj->a", gval, xival, xival)
+        a = float(np.mean(avals))
+        a_dev = float(np.max(np.abs(avals - a))) / (1.0 + abs(a))
 
-    killing = float(np.max(rel_residual(lie, gval)))
-    killing = max(killing, a_dev)
+        killing = float(np.max(rel_residual(lie, gval)))
+        killing = max(killing, a_dev)
 
-    radiant_report = check_radiant(struct.conn, xi, plan)
-    mu = float(radiant_report.extra["lambda"])
-    radiant = float(radiant_report.max_residual)
-    return LeeConstants(
-        a=a,
-        mu=mu,
-        u=-(mu + a),
-        killing_residual=killing,
-        radiant_residual=radiant,
-        affine_residual=affine,
-    )
+        radiant_report = check_radiant(struct.conn, xi, plan)
+        mu = float(radiant_report.extra["lambda"])
+        radiant = float(radiant_report.max_residual)
+        return LeeConstants(
+            a=a,
+            mu=mu,
+            u=-(mu + a),
+            killing_residual=killing,
+            radiant_residual=radiant,
+            affine_residual=affine,
+        )
+
+    return held_result(("lee_constants", struct.conn, struct.metric, struct.lee_form),
+                       pts, estimate)
 
 
 def _affine_residual(conn: ConnectionField, xi: VectorFieldT, pts) -> float:
@@ -362,8 +369,9 @@ def metric_from_lee(conn: ConnectionField, theta: OneFormField, u: float,
 
     vals = candidate.eval(pts, 0).value
     mins = smallest_eigenvalues(vals)
-    worst = int(np.argmin(mins))
-    if not mins[worst] > PD_FLOOR:
+    bad = np.flatnonzero(~positive_definite(mins))
+    if bad.size:
+        worst = int(bad[np.argmin(mins[bad])])
         raise NotPositiveDefiniteError(
             "candidate metric from the Lee form is not positive definite: "
             f"smallest eigenvalue {mins[worst]:.3g} at {pts[worst].tolist()}",

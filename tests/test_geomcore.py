@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -39,7 +40,9 @@ from hesslab.geomcore import (
     levi_civita,
     lie_derivative_metric_batch,
     make_report,
+    held_result,
     max_abs,
+    positive_definite,
     sample_check,
     total_symmetry_residual_batch,
 )
@@ -98,6 +101,50 @@ def test_max_abs_keeps_nan_and_unsigned_zero():
     assert got[:2].tolist() == [3.0, 0.0]
     assert not np.signbit(got[1])
     assert np.isnan(got[2]) and got[3] == np.inf
+
+
+def _two_sided_max_abs(a):
+    """The row-wise reduction max_abs replaced: the largest entry against the
+    negated smallest one, + 0.0 for an unsigned zero."""
+    a = a.reshape(a.shape[0], -1)
+    return np.maximum(a.max(axis=1), -a.min(axis=1)) + 0.0
+
+
+@pytest.mark.parametrize("m", [1, 200, 20_000])
+@pytest.mark.parametrize("k", [1, 2, 4, 8, 16, 27, 81])
+def test_max_abs_is_bit_identical_to_the_two_sided_reduction(m, k):
+    rng = np.random.default_rng(100 * m + k)
+    a = rng.normal(size=(m, k)) * 10.0 ** rng.integers(-8, 9, (m, k))
+    pick = rng.random((m, k))
+    a[pick < 0.03] = np.nan
+    a[(pick >= 0.03) & (pick < 0.06)] = np.inf
+    a[(pick >= 0.06) & (pick < 0.09)] = -np.inf
+    a[(pick >= 0.09) & (pick < 0.3)] = -0.0
+    a[(pick >= 0.3) & (pick < 0.4)] = 0.0
+    a[m // 2] = -0.0  # a row of signed zeros only
+    assert max_abs(a).tobytes() == _two_sided_max_abs(a).tobytes()
+    # a NaN with its sign bit set (as inf - inf gives on x86) comes out
+    # unsigned; the reduction kept or dropped that sign depending on k
+    a[pick < 0.03] = np.copysign(np.nan, -1.0)
+    got, want = max_abs(a), _two_sided_max_abs(a)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+@pytest.mark.parametrize("shape", [(8,), (2, 2, 2, 2), (3, 3, 3), (3, 3, 3, 3)])
+def test_max_abs_takes_no_input_sized_temporary(shape):
+    m = 20_000
+    a = np.random.default_rng(5).normal(size=(m,) + shape)
+    assert max_abs(a).tobytes() == _two_sided_max_abs(a).tobytes()
+    tracemalloc.start()
+    try:
+        max_abs(a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < a.nbytes / 2
+    assert peak <= 2 * m * a.itemsize + 4096  # the result and one column buffer
 
 
 def test_subbox():
@@ -411,6 +458,16 @@ def test_definiteness_gap():
     assert gap[0] == 0.0
     assert gap[1] >= 1.0
     assert gap[2] >= 1.0  # below the floor counts as failed
+
+
+def test_positive_definite_needs_a_finite_eigenvalue_above_the_floor():
+    smallest = np.array([1.0, 2e-9, 1e-9, 0.0, -1.0, np.inf, -np.inf, np.nan])
+    assert positive_definite(smallest).tolist() == [True, True] + [False] * 6
+
+
+def test_definiteness_gap_fails_an_infinite_eigenvalue():
+    gap = definiteness_gap(np.array([[[np.inf]], [[1.0]], [[np.nan]]]))
+    assert gap[0] >= 1.0 and gap[1] == 0.0 and np.isnan(gap[2])
 
 
 # ---------------------------------------------------------------------------
@@ -739,3 +796,38 @@ def test_domain_error_is_never_held():
         with pytest.raises(DomainError):
             bad.eval(pts, 1)
     assert np.array_equal(good.eval(pts, 0).value, pts[:, 0] * pts[:, 0])
+
+
+def test_held_results_are_read_only_and_dropped_with_the_point_set():
+    chart = Chart(2, ((0.5, 1.5),) * 2)
+    pts = chart.sample(SamplePlan(count=10, seed=2))
+    computed = []
+
+    def compute():
+        computed.append(1)
+        return pts[:, 0] * 2.0
+
+    kept = held_result(("double", chart), pts, compute)
+    assert held_result(("double", chart), pts, compute) is kept
+    assert len(computed) == 1
+    with pytest.raises(ValueError):
+        kept[0] = 0.0
+    copy = held_result(("double", chart), pts.copy(), compute)  # not held
+    assert copy.flags.writeable and copy is not kept and len(computed) == 2
+    kept = weakref.ref(kept)
+    other = chart.sample(SamplePlan(count=10, seed=3))
+    assert kept() is None
+    held_result(("double", chart), other, compute)
+    assert len(computed) == 3
+
+
+def test_a_raising_result_is_never_held():
+    chart = Chart(1, ((-1.0, 1.0),))
+    bad = ScalarField(chart, "log(x0)")
+    pts = chart.sample(SamplePlan(count=20, seed=6))
+    import hesslab.geomcore as gc
+
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            held_result(("value", bad), pts, lambda: bad.eval(pts, 0).value[:, 0])
+        assert ("value", bad) not in gc._held.results

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -44,6 +45,7 @@ from hesslab.hesstat import (
     level_set_statistical,
     potential_identity_residual,
     solve_lambda,
+    structure_terms,
 )
 
 PLAN = SamplePlan(count=80, seed=3)
@@ -565,3 +567,111 @@ def test_cone_round_trip_recovers_base(build_base, lam):
     assert est.residual <= 1e-5
     dd = struct.conn.eval(pts, 0).value - base.conn.eval(pts, 0).value
     assert np.max(np.abs(dd)) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# residual terms kept with the held point set
+# ---------------------------------------------------------------------------
+
+def _count_curvature(monkeypatch) -> list:
+    """Every (connection, points) pair handed to curvature_batch by hesstat."""
+    import hesslab.hesstat as hs
+
+    calls = []
+    real = hs.curvature_batch
+
+    def curvature_batch(conn, pts):
+        calls.append((conn, pts))
+        return real(conn, pts)
+
+    monkeypatch.setattr(hs, "curvature_batch", curvature_batch)
+    return calls
+
+
+def test_sphere_cone_takes_each_curvature_once_per_point_set(monkeypatch):
+    # the base curvature serves the curvature op and the cone precondition;
+    # the cone's serves cone-flatness and the flatness term of cone-hessian
+    from hesslab.scenes import run_example
+
+    calls = _count_curvature(monkeypatch)
+    assert run_example("sphere_cone", SamplePlan(count=20_000, seed=42)).all_ok
+    pairs = [(id(conn), id(pts)) for conn, pts in calls]
+    assert len(pairs) == len(set(pairs)) == 2
+
+
+def test_stored_terms_are_read_only_and_shared():
+    sphere = sphere_statistical()
+    pts = sphere.chart.sample(PLAN)
+    terms = structure_terms(sphere.conn, sphere.metric, pts)
+    again = structure_terms(sphere.conn, sphere.metric, pts)
+    assert set(terms) == {"torsion", "flatness", "symmetry", "definiteness"}
+    for key, arr in terms.items():
+        assert again[key] is arr and arr.shape == (PLAN.count,)
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    fresh = structure_terms(sphere.conn, sphere.metric, pts.copy())  # not held
+    for key, arr in fresh.items():
+        assert arr.flags.writeable
+        assert arr.tobytes() == terms[key].tobytes()
+
+
+def test_sampling_another_plan_drops_the_stored_terms(monkeypatch):
+    calls = _count_curvature(monkeypatch)
+    sphere = sphere_statistical()
+    for _ in range(2):
+        check_hessian_structure(sphere.conn, sphere.metric, PLAN)
+    assert len(calls) == 1
+    flatness = weakref.ref(
+        structure_terms(sphere.conn, sphere.metric, sphere.chart.sample(PLAN))["flatness"])
+    other = SamplePlan(count=PLAN.count, seed=PLAN.seed + 1)
+    sphere.chart.sample(other)
+    assert flatness() is None
+    check_hessian_structure(sphere.conn, sphere.metric, other)
+    check_hessian_structure(sphere.conn, sphere.metric, PLAN)
+    assert len(calls) == 3
+
+
+def test_domain_error_fallback_neither_reads_nor_writes_the_store(monkeypatch):
+    import hesslab.geomcore as gc
+    import hesslab.hesstat as hs
+
+    chart = Chart(1, ((-1.0, 1.0),))
+    conn = ConnectionField(chart, [[["x0"]]])
+    g = MetricField(chart, [["5 + log(x0)"]])  # log raises where x0 <= 0
+    plan = SamplePlan(count=40, seed=3)
+    pts = chart.sample(plan)
+    kept = gc._held.results
+    per_point = []
+    real = hs.held_result
+
+    def held_result(key, p, compute):
+        if p is pts:
+            return real(key, p, compute)
+        before = dict(kept)
+        out = real(key, p, compute)
+        per_point.append(np.shape(out))
+        assert kept.keys() == before.keys()
+        assert all(kept[k] is v for k, v in before.items())
+        return out
+
+    monkeypatch.setattr(hs, "held_result", held_result)
+    report = check_hessian_structure(conn, g, plan)
+    assert not report.passed and "domain errors" in report.notes[0]
+    assert per_point and set(per_point) == {(1,)}
+    assert kept and all(np.shape(v) == (plan.count,) for v in kept.values())
+
+
+def test_suites_in_turn_repeat_their_bytes_and_keep_nothing(monkeypatch):
+    # run_suite drops the point set with its stored terms, so a scene run
+    # again computes its terms again and prints the same bytes
+    from hesslab.scenes import run_example
+
+    calls = _count_curvature(monkeypatch)
+    plan = SamplePlan(count=500, seed=42)
+    texts, counts = [], []
+    for name in ("hopf", "sphere_cone", "hopf"):
+        before = len(calls)
+        texts.append(run_example(name, plan).to_json())
+        counts.append(len(calls) - before)
+    assert texts[0] == texts[2]
+    assert counts == [1, 2, 1]

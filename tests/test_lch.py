@@ -339,6 +339,35 @@ def test_metric_from_lee_rejects_a_nan_eigenvalue():
     assert math.isnan(err.value.eigenvalue)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_metric_from_lee_rejects_an_infinite_eigenvalue():
+    # theta (x) theta = 1e320 overflows: the candidate metric is +inf
+    chart = Chart(1, ((1.0, 2.0),))
+    theta = OneFormField(chart, ["1e160"])
+    with pytest.raises(NotPositiveDefiniteError) as err:
+        metric_from_lee(flat_connection(chart), theta, -1.0, PLAN)
+    assert err.value.eigenvalue == math.inf
+
+
+@pytest.mark.parametrize("name", ["e67", "lee_perturbation_torus"])
+def test_lee_field_is_built_once_per_structure_in_a_suite(monkeypatch, name):
+    # the lee_constants ops and every probe step on one structure read the
+    # constants kept with the held point set
+    import hesslab.lch as lch
+    from hesslab.scenes import run_example
+
+    built = []
+    real = lch.lee_vector_field
+
+    def lee_vector_field(metric, theta):
+        built.append((metric, theta))
+        return real(metric, theta)
+
+    monkeypatch.setattr(lch, "lee_vector_field", lee_vector_field)
+    assert run_example(name).all_ok
+    assert len(built) == 1
+
+
 # ---------------------------------------------------------------------------
 # local Hessian gauge
 # ---------------------------------------------------------------------------
