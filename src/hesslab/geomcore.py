@@ -30,9 +30,10 @@ field tensor evaluated on exactly that array, so the checks of one structure
 evaluate each field once. A lower-order request reads a prefix of a stored
 higher-order tensor. The held point set also keeps small results derived on
 exactly that array (`held_result`), keyed on (operator, fields): the (m,)
-residual terms of `hesstat.structure_terms`, the constant-curvature fit and
-the Lee constants. Only (m,) arrays and scalars are kept, never a derived
-tensor such as the curvature or nabla g: at 20 000 samples a dim-3
+residual terms of `hesstat.structure_terms` (closedness is kept by
+`closedness_residual` itself, for every caller), the constant-curvature fit
+and the Lee constants. Only (m,) arrays and scalars are kept, never a
+derived tensor such as the curvature or nabla g: at 20 000 samples a dim-3
 curvature is 12.4 MiB, its flatness term 156 KiB. Sampling a different
 (chart, plan) drops everything held.
 """
@@ -600,10 +601,14 @@ def rel_residual(delta: Array, scale: Array) -> Array:
 
 
 def closedness_residual(theta: OneFormField, pts) -> Array:
-    """Per-sample |d theta| / (1 + |theta|). Reads theta at order 1 first,
-    so the value is a prefix of the same tensor."""
-    dtheta = exterior_derivative_oneform_batch(theta, pts)
-    return rel_residual(dtheta, theta.eval(pts, 0).value)
+    """Per-sample |d theta| / (1 + |theta|), kept with the held point set
+    (`held_result`). Reads theta at order 1 first, so the value is a prefix
+    of the same tensor."""
+    def compute():
+        dtheta = exterior_derivative_oneform_batch(theta, pts)
+        return rel_residual(dtheta, theta.eval(pts, 0).value)
+
+    return held_result(("closedness", theta), pts, compute)
 
 
 def total_symmetry_residual_batch(t: Array) -> Array:
@@ -617,19 +622,19 @@ def total_symmetry_residual_batch(t: Array) -> Array:
     return worst / scale
 
 
-def positive_definite(smallest: Array, floor: float = PD_FLOOR) -> Array:
+def positive_definite(smallest: Array) -> Array:
     """Whether a smallest eigenvalue certifies a positive definite matrix:
-    finite and above ``floor``. An inf or NaN eigenvalue certifies nothing."""
-    return np.isfinite(smallest) & (smallest > floor)
+    finite and above ``PD_FLOOR``. An inf or NaN eigenvalue certifies nothing."""
+    return np.isfinite(smallest) & (smallest > PD_FLOOR)
 
 
-def definiteness_gap(mats: Array, floor: float = PD_FLOOR) -> Array:
+def definiteness_gap(mats: Array) -> Array:
     """0 where the symmetric matrix is positive definite (`positive_definite`
     of its smallest eigenvalue); otherwise a residual of at least 1 (NaN for
     a NaN eigenvalue) so the check fails."""
     smallest = smallest_eigenvalues(mats)
-    return np.where(positive_definite(smallest, floor), 0.0,
-                    np.maximum(1.0, floor - smallest))
+    return np.where(positive_definite(smallest), 0.0,
+                    np.maximum(1.0, PD_FLOOR - smallest))
 
 
 def smallest_eigenvalues(mats: Array) -> Array:

@@ -233,8 +233,7 @@ def structure_terms(conn: ConnectionField, g: MetricField, pts, *,
     if flatness:
         terms["flatness"] = flatness_term(conn, pts)
     if theta is not None:
-        terms["closedness"] = held_result(("closedness", theta), pts,
-                                          lambda: closedness_residual(theta, pts))
+        terms["closedness"] = closedness_residual(theta, pts)
 
     def symmetry():
         nabla = covariant_derivative_metric_batch(conn, g, pts)

@@ -368,6 +368,28 @@ def test_lee_field_is_built_once_per_structure_in_a_suite(monkeypatch, name):
     assert len(built) == 1
 
 
+def test_closedness_is_computed_once_per_point_set(monkeypatch):
+    # the l.c.H. gate and the closedness precondition read one kept term
+    import hesslab.geomcore as geomcore
+    from hesslab.hesstat import structure_terms
+
+    built = []
+    real = geomcore.exterior_derivative_oneform_batch
+
+    def exterior_derivative_oneform_batch(theta, pts):
+        built.append(theta)
+        return real(theta, pts)
+
+    monkeypatch.setattr(geomcore, "exterior_derivative_oneform_batch",
+                        exterior_derivative_oneform_batch)
+    struct = hopf_lch()
+    pts = struct.chart.sample(PLAN)
+    terms = structure_terms(struct.conn, struct.metric, pts, theta=struct.lee_form)
+    _require_closed(struct.lee_form, pts, 1e-6, "theta")
+    assert len(built) == 1
+    assert not terms["closedness"].flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # local Hessian gauge
 # ---------------------------------------------------------------------------
