@@ -279,6 +279,100 @@ def test_unbuilt_structure_never_satisfies_expect_fail():
     assert not rep.all_ok
 
 
+def _torus_over_halfplane(checks):
+    """unit_scene plus a mapping torus 'T' whose automorphism breaks base 'B'."""
+    data = unit_scene(checks=checks)
+    data["fields"]["gm"] = {
+        "type": "metric",
+        "entries": [["1/x0^2", "0"], ["0", "1/x0^2"]],
+    }
+    data["fields"]["D"] = {"type": "connection", "levi_civita_of": "gm"}
+    data["structures"] = {
+        "B": {"type": "statistical", "conn": "D", "metric": "gm"},
+        "T": {"type": "mapping_torus", "base": "B",
+              "automorphism": ["2*x0", "x1"], "scale": 2.0, "lambda": 1.5},
+    }
+    return data
+
+
+_BROKEN_BASE = {"type": "statistical", "conn": "g", "metric": "g"}
+_BASE_FAILED = ("structure 'B' failed to build: SceneError: "
+                "field 'g' is a MetricField, expected ConnectionField")
+
+
+@pytest.mark.parametrize("data, expected", [
+    pytest.param(
+        unit_scene(checks=[{"op": "hessian", "conn": "g", "metric": "g"}]),
+        "field 'g' is a MetricField, expected ConnectionField",
+        id="check-field-of-wrong-kind"),
+    pytest.param(
+        unit_scene(checks=[{"op": "statistical", "structure": "S"}]),
+        "check 'statistical': structure 'S' is a LCHStructure, "
+        "expected StatisticalStructure",
+        id="check-structure-of-wrong-kind"),
+    pytest.param(
+        _torus_over_halfplane([{"op": "reports", "structure": "T"}]),
+        [("reports-unavailable",
+          "structure 'T' failed to build: MappingTorusError: automorphism does "
+          "not preserve the base structure (metric residual 0.589, "
+          "connection residual 0.493)")],
+        id="reports-of-unbuilt-torus"),
+    pytest.param(
+        unit_scene(
+            structures={"B": _BROKEN_BASE,
+                        "C": {"type": "cone", "base": "B", "lambda": 2.5}},
+            checks=[{"op": "statistical", "structure": "B"},
+                    {"op": "reports", "structure": "C"},
+                    {"op": "cone_restriction", "structure": "C"}]),
+        [("statistical-unavailable", _BASE_FAILED),
+         ("reports-unavailable", "structure 'C' failed to build: "
+          "SceneError: base structure 'B' failed to build"),
+         ("cone_restriction-unavailable", "structure 'C' failed to build: "
+          "SceneError: base structure 'B' failed to build")],
+        id="cone-over-unbuilt-base"),
+    pytest.param(
+        unit_scene(structures={
+            "C": {"type": "cone", "base": "B", "lambda": 2.5},
+            "B": {"type": "statistical", "conn": "nabla", "metric": "g"},
+        }),
+        "structure 'C' references undeclared structure 'B'",
+        id="base-declared-later"),
+    pytest.param(
+        unit_scene(structures={
+            "B": {"type": "statistical", "conn": "nabla", "metric": "g"},
+            "C": {"type": "cone", "base": "B"},
+        }),
+        "structure 'C' needs 'lambda'",
+        id="cone-without-lambda"),
+    pytest.param(
+        unit_scene(structures={"L": {"type": "cone_lch", "cone": "V"}}),
+        "structure 'L' references undeclared cone 'V'",
+        id="cone-lch-of-undeclared-cone"),
+])
+def test_scene_error_paths(data, expected):
+    """The SceneError message, or each check's (report name, note)."""
+    try:
+        rep = run_suite(scene_from_dict(data), PLAN)
+    except SceneError as err:
+        assert str(err) == expected
+        return
+    got = [(c["reports"][0]["name"], *c["reports"][0]["notes"]) for c in rep.checks]
+    assert got == expected
+    assert not any(c["ok"] for c in rep.checks)
+
+
+def test_euclidean_position_field_is_self_similar():
+    data = unit_scene(
+        fields={"e": {"type": "metric", "entries": [["1", "0"], ["0", "1"]]},
+                "xi": {"type": "vector", "components": ["x0", "x1"]}},
+        structures={},
+        checks=[{"op": "self_similar", "metric": "e", "field": "xi"}],
+    )
+    rep = run_suite(scene_from_dict(data), PLAN)
+    assert rep.all_ok
+    assert rep.checks[0]["reports"][0]["name"] == "self-similar"
+
+
 def test_tolerance_override_applies_everywhere():
     rep = run_suite(scene_from_dict(unit_scene()), PLAN, tolerance=1e-30)
     assert not rep.all_ok
