@@ -518,7 +518,7 @@ def div(a: Expression, b: Expression) -> Expression:
     return Div(a, b)
 
 
-def powi(a: Expression, k: int) -> Expression:
+def powi(a: Expression, k: float) -> Expression:
     if k == 0:
         return ONE
     if k == 1:
@@ -588,7 +588,7 @@ def _diff(expr: Expression, index: int) -> Expression:
             if k == 0:
                 return ZERO
             # d(b^k) = k * b^(k-1) * b'
-            return mul(mul(const(k), _pow_const(base, k - 1)), db)
+            return mul(mul(const(k), powi(base, k - 1)), db)
         # general exponent: b^e = exp(e log b)
         de = diff(exponent, index)
         term = add(mul(de, call("log", base)), mul(exponent, div(db, base)))
@@ -607,14 +607,6 @@ def _diff(expr: Expression, index: int) -> Expression:
         if expr.func == "cos":
             return neg(mul(call("sin", u), du))
     raise TypeError(f"{type(expr).__name__} has no symbolic derivative: {expr!r}")
-
-
-def _pow_const(base: Expression, k: float) -> Expression:
-    if k == 0:
-        return ONE
-    if k == 1:
-        return base
-    return Pow(base, const(k))
 
 
 def substitute(expr: Expression, mapping: dict[int, Expression]) -> Expression:

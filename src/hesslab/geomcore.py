@@ -64,6 +64,10 @@ class PathDependenceError(ValueError):
     """Line integrals along two different paths disagreed: the form is not closed."""
 
 
+class FieldShapeError(ValueError):
+    """A field's entries do not have the shape its chart dimension asks for."""
+
+
 # ---------------------------------------------------------------------------
 # Chart and sampling
 # ---------------------------------------------------------------------------
@@ -402,7 +406,7 @@ class _Field:
         arr = np.empty(self.shape_for(chart.dim), dtype=object)
         entries = np.asarray(entries, dtype=object)
         if entries.shape != arr.shape:
-            raise ValueError(
+            raise FieldShapeError(
                 f"{type(self).__name__} expected entries of shape {arr.shape}, got {entries.shape}"
             )
         for idx in np.ndindex(arr.shape):

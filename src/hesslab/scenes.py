@@ -5,6 +5,15 @@ chart, optionally declares cones and composite structures (statistical bases,
 cone lifts, mapping tori, l.c.H. triples), and lists the checks to run.
 ``load_scene`` validates names and dimensions; ``run_suite`` executes the
 checks and returns a serializable report.
+
+Each structure type and check op is declared in one place: its builder or
+handler, decorated with ``_structure`` or ``_op``. The declaration maps each
+spec key that references a declared object to the kind of that object: a
+field class, ``ConeSpec``, or a structure class (``object`` for any
+structure). Loading checks that every reference names a declared object.
+Running resolves the references in declaration order, checks their kinds,
+and passes them to the builder or handler as keyword arguments; a check that
+reaches a structure that failed to build reports ``<op>-unavailable``.
 """
 
 from __future__ import annotations
@@ -34,6 +43,7 @@ from .geomcore import (
     CheckReport,
     ConnectionField,
     DEFAULT_TOLERANCE,
+    FieldShapeError,
     MetricField,
     OneFormField,
     SamplePlan,
@@ -103,31 +113,41 @@ EXAMPLES = (
 )
 
 _FIELD_TYPES = ("metric", "oneform", "vector", "scalar", "connection")
+_FIELD_KINDS = (MetricField, ConnectionField, OneFormField, VectorFieldT, ScalarField)
 
-_STRUCTURE_TYPES = ("lch", "statistical", "cone", "mapping_torus", "cone_lch")
+_STRUCTURE_TYPES: dict = {}  # type -> (builder, references, other required keys)
+_OPS: dict = {}  # op -> handler(ctx, check, tol, **references)
+_OP_REFS: dict = {}  # op -> references
 
-# which keys of a check refer to which kind of declared object
-_OP_REFS: dict[str, dict[str, str]] = {
-    "hessian": {"conn": "field", "metric": "field"},
-    "radiant": {"conn": "field", "field": "field"},
-    "self_similar": {"metric": "field", "field": "field"},
-    "potential_field": {"metric": "field", "field": "field"},
-    "statistical": {"structure": "structure"},
-    "curvature": {"structure": "structure"},
-    "lch": {"structure": "structure"},
-    "lee_identity": {"structure": "structure"},
-    "lee_constants": {"structure": "structure"},
-    "koszul": {"structure": "structure"},
-    "symmetry": {"structure": "structure"},
-    "reports": {"structure": "structure"},
-    "cone_restriction": {"structure": "structure"},
-    "surface": {"cone": "cone"},
-    "psi": {"cone": "cone"},
-    "homogeneity": {"cone": "cone"},
-    "barrier": {"cone": "cone"},
-    "monodromy": {},
-    "perturbation": {"structure": "structure", "alpha": "field"},
-}
+
+def _structure(kind: str, *needs: str, **refs):
+    def declare(builder):
+        _STRUCTURE_TYPES[kind] = (builder, refs, needs)
+        return builder
+    return declare
+
+
+def _op(name: str, **refs):
+    def declare(handler):
+        _OPS[name] = handler
+        _OP_REFS[name] = refs
+        return handler
+    return declare
+
+
+def _pool(kind) -> str:
+    """Which declared objects a reference of this kind names."""
+    if kind is ConeSpec:
+        return "cone"
+    return "field" if kind in _FIELD_KINDS else "structure"
+
+
+class _Unbuilt(Exception):
+    """A check or structure reached a structure that failed to build."""
+
+    def __init__(self, name: str):
+        super().__init__(name)
+        self.name = name
 
 
 @dataclass
@@ -254,13 +274,6 @@ def _build_chart(spec, what: str = "chart") -> Chart:
         raise SceneError(f"{what}: {err}") from err
 
 
-def _wrap_field_error(name: str, err: Exception) -> SceneError:
-    msg = str(err)
-    if "shape" in msg:
-        return SceneError(f"field '{name}': dimension mismatch: {msg}")
-    return SceneError(f"field '{name}': {msg}")
-
-
 def _build_field(name: str, spec, chart: Chart, metrics: dict):
     if not isinstance(spec, dict) or "type" not in spec:
         raise SceneError(f"field '{name}' needs a 'type' ({', '.join(_FIELD_TYPES)})")
@@ -289,12 +302,26 @@ def _build_field(name: str, spec, chart: Chart, metrics: dict):
         raise
     except KeyError as err:
         raise SceneError(f"field '{name}' is missing key {err}") from err
-    except (ex.ExprError, ValueError) as err:
-        raise _wrap_field_error(name, err) from err
+    except FieldShapeError as err:
+        raise SceneError(f"field '{name}': dimension mismatch: {err}") from err
+    except ValueError as err:  # ExprError included
+        raise SceneError(f"field '{name}': {err}") from err
     raise SceneError(f"field '{name}' has unknown type '{kind}'")
 
 
-def _validate_structure(name: str, spec, fields, cones, earlier):
+def _check_refs(owner: str, spec: dict, refs: dict, pools: dict) -> None:
+    """Every reference of ``refs`` is set in ``spec`` and names a declared
+    object of its pool."""
+    for key, kind in refs.items():
+        ref = spec.get(key)
+        if ref is None:
+            raise SceneError(f"{owner} needs '{key}'")
+        pool = _pool(kind)
+        if ref not in pools[pool]:
+            raise SceneError(f"{owner} references undeclared {pool} '{ref}'")
+
+
+def _validate_structure(name: str, spec, pools: dict):
     if not isinstance(spec, dict) or "type" not in spec:
         raise SceneError(f"structure '{name}' needs a 'type'")
     kind = spec["type"]
@@ -303,29 +330,11 @@ def _validate_structure(name: str, spec, fields, cones, earlier):
             f"structure '{name}' has unknown type '{kind}' "
             f"(expected one of {', '.join(_STRUCTURE_TYPES)})"
         )
-    def need(key, pool, what):
-        ref = spec.get(key)
-        if ref is None:
+    _, refs, needs = _STRUCTURE_TYPES[kind]
+    _check_refs(f"structure '{name}'", spec, refs, pools)
+    for key in needs:
+        if key not in spec:
             raise SceneError(f"structure '{name}' needs '{key}'")
-        if ref not in pool:
-            raise SceneError(
-                f"structure '{name}' references undeclared {what} '{ref}'"
-            )
-        return ref
-
-    if kind == "lch":
-        need("conn", fields, "field")
-        need("metric", fields, "field")
-        need("lee_form", fields, "field")
-    elif kind == "statistical":
-        need("conn", fields, "field")
-        need("metric", fields, "field")
-    elif kind in ("cone", "mapping_torus"):
-        need("base", earlier, "structure")
-        if "lambda" not in spec:
-            raise SceneError(f"structure '{name}' needs 'lambda'")
-    elif kind == "cone_lch":
-        need("cone", cones, "cone")
 
 
 def scene_from_dict(data: dict, source: str = "<memory>") -> Scene:
@@ -355,9 +364,11 @@ def scene_from_dict(data: dict, source: str = "<memory>") -> Scene:
             raise SceneError(f"cone '{cname}': {err}") from err
 
     structures = dict(data.get("structures", {}))
-    earlier: dict = {}
+    earlier: dict = {}  # a structure may reference only those declared before it
     for sname, sspec in structures.items():
-        _validate_structure(sname, sspec, fields, cones, earlier)
+        _validate_structure(
+            sname, sspec, {"field": fields, "cone": cones, "structure": earlier}
+        )
         earlier[sname] = sspec
 
     checks = list(data.get("checks", []))
@@ -366,19 +377,12 @@ def scene_from_dict(data: dict, source: str = "<memory>") -> Scene:
         if not isinstance(check, dict) or "op" not in check:
             raise SceneError(f"check {i} needs an 'op'")
         op = check["op"]
-        if op not in _OP_REFS:
+        if op not in _OPS:
             raise SceneError(
                 f"check {i} has unknown op '{op}' "
-                f"(known: {', '.join(sorted(_OP_REFS))})"
+                f"(known: {', '.join(sorted(_OPS))})"
             )
-        for key, pool_name in _OP_REFS[op].items():
-            ref = check.get(key)
-            if ref is None:
-                raise SceneError(f"check {i} ('{op}') needs '{key}'")
-            if ref not in pools[pool_name]:
-                raise SceneError(
-                    f"check {i} ('{op}') references undeclared {pool_name} '{ref}'"
-                )
+        _check_refs(f"check {i} ('{op}')", check, _OP_REFS[op], pools)
 
     return Scene(
         name=name,
@@ -414,121 +418,107 @@ class _Context:
             return float(self.override)
         return float(check.get("tolerance", DEFAULT_TOLERANCE))
 
-    def field(self, name: str, kind):
-        obj = self.scene.fields[name]
-        if not isinstance(obj, kind):
-            raise SceneError(
-                f"field '{name}' is a {type(obj).__name__}, expected {kind.__name__}"
-            )
-        return obj
+    def resolve(self, owner: str, spec: dict, refs: dict) -> dict:
+        """The objects that ``spec`` references, by key, in declaration order;
+        a reference to a structure that failed to build raises ``_Unbuilt``."""
+        out = {}
+        for key, kind in refs.items():
+            name = spec[key]
+            pool = _pool(kind)
+            if pool == "structure":
+                obj, what = self.structure(name), f"{owner}: structure '{name}'"
+            else:
+                obj = (self.scene.fields if pool == "field" else self.scene.cones)[name]
+                what = f"{pool} '{name}'"
+            if not isinstance(obj, kind):
+                raise SceneError(
+                    f"{what} is a {type(obj).__name__}, expected {kind.__name__}"
+                )
+            out[key] = obj
+        return out
 
     def structure(self, name: str):
+        if name not in self.structures and name not in self.failures:
+            try:
+                self.structures[name] = self._build(name, self.scene.structures[name])
+            except Exception as err:  # construction failures become failed reports
+                self.failures[name] = f"{type(err).__name__}: {err}"
         if name in self.failures:
-            return None
-        if name in self.structures:
-            return self.structures[name]
-        spec = self.scene.structures[name]
-        try:
-            self.structures[name] = self._build(name, spec)
-        except Exception as err:  # construction failures become failed reports
-            self.failures[name] = f"{type(err).__name__}: {err}"
-            return None
+            raise _Unbuilt(name)
         return self.structures[name]
 
     def _build(self, name: str, spec: dict):
-        kind = spec["type"]
-        if kind == "lch":
-            return LCHStructure(
-                self.scene.chart,
-                self.field(spec["conn"], ConnectionField),
-                self.field(spec["metric"], MetricField),
-                self.field(spec["lee_form"], OneFormField),
-            )
-        if kind == "statistical":
-            return StatisticalStructure(
-                self.scene.chart,
-                self.field(spec["conn"], ConnectionField),
-                self.field(spec["metric"], MetricField),
-            )
-        if kind == "cone":
-            base = self.structure(spec["base"])
-            if base is None:
-                raise SceneError(f"base structure '{spec['base']}' failed to build")
-            lam = _constant(spec["lambda"], f"structure '{name}' lambda")
-            interval = tuple(spec.get("s_interval", (0.5, 2.0)))
-            tol = float(spec.get("tolerance", DEFAULT_TOLERANCE))
-            cone = build_cone_structure(
-                base, lam, s_interval=interval, plan=self.plan, tolerance=tol
-            )
-            self.attached[name] = cone.reports
-            return cone
-        if kind == "mapping_torus":
-            base = self.structure(spec["base"])
-            if base is None:
-                raise SceneError(f"base structure '{spec['base']}' failed to build")
-            lam = _constant(spec["lambda"], f"structure '{name}' lambda")
-            scale = _constant(spec.get("scale", 2.0), f"structure '{name}' scale")
-            torus_spec = MappingTorusSpec(base, tuple(spec["automorphism"]), scale, lam)
-            tol = float(spec.get("tolerance", DEFAULT_TOLERANCE))
-            struct, reports = build_mapping_torus(torus_spec, plan=self.plan, tolerance=tol)
-            self.attached[name] = reports
-            return struct
-        if kind == "cone_lch":
-            cone = self.scene.cones[spec["cone"]]
-            chart = _build_chart(spec["chart"], "cone_lch chart") if "chart" in spec else None
-            return cone_lch_structure(cone, chart)
-        raise SceneError(f"structure '{name}' has unknown type '{kind}'")
+        builder, refs, _ = _STRUCTURE_TYPES[spec["type"]]
+        try:
+            resolved = self.resolve(f"structure '{name}'", spec, refs)
+        except _Unbuilt as err:
+            raise SceneError(f"base structure '{err.name}' failed to build") from err
+        return builder(self, name, spec, **resolved)
 
 
-def _typed_structure(ctx: _Context, check: dict, kind):
-    name = check["structure"]
-    obj = ctx.structure(name)
-    if obj is None:
-        return None
-    if not isinstance(obj, kind):
-        raise SceneError(
-            f"check '{check['op']}': structure '{name}' is a "
-            f"{type(obj).__name__}, expected {kind.__name__}"
-        )
-    return obj
+@_structure("lch", conn=ConnectionField, metric=MetricField, lee_form=OneFormField)
+def _build_lch(ctx, name, spec, **refs):
+    return LCHStructure(ctx.scene.chart, **refs)
 
 
-def _op_hessian(ctx, check, tol):
-    return [check_hessian_structure(
-        ctx.field(check["conn"], ConnectionField),
-        ctx.field(check["metric"], MetricField),
-        ctx.plan, tol,
-    )]
+@_structure("statistical", conn=ConnectionField, metric=MetricField)
+def _build_statistical(ctx, name, spec, **refs):
+    return StatisticalStructure(ctx.scene.chart, **refs)
 
 
-def _op_radiant(ctx, check, tol):
+@_structure("cone", "lambda", base=object)
+def _build_cone(ctx, name, spec, base):
+    lam = _constant(spec["lambda"], f"structure '{name}' lambda")
+    interval = tuple(spec.get("s_interval", (0.5, 2.0)))
+    tol = float(spec.get("tolerance", DEFAULT_TOLERANCE))
+    cone = build_cone_structure(
+        base, lam, s_interval=interval, plan=ctx.plan, tolerance=tol
+    )
+    ctx.attached[name] = cone.reports
+    return cone
+
+
+@_structure("mapping_torus", "lambda", base=object)
+def _build_mapping_torus(ctx, name, spec, base):
+    lam = _constant(spec["lambda"], f"structure '{name}' lambda")
+    scale = _constant(spec.get("scale", 2.0), f"structure '{name}' scale")
+    torus_spec = MappingTorusSpec(base, tuple(spec["automorphism"]), scale, lam)
+    tol = float(spec.get("tolerance", DEFAULT_TOLERANCE))
+    struct, reports = build_mapping_torus(torus_spec, plan=ctx.plan, tolerance=tol)
+    ctx.attached[name] = reports
+    return struct
+
+
+@_structure("cone_lch", cone=ConeSpec)
+def _build_cone_lch(ctx, name, spec, cone):
+    chart = _build_chart(spec["chart"], "cone_lch chart") if "chart" in spec else None
+    return cone_lch_structure(cone, chart)
+
+
+@_op("hessian", conn=ConnectionField, metric=MetricField)
+def _op_hessian(ctx, check, tol, conn, metric):
+    return [check_hessian_structure(conn, metric, ctx.plan, tol)]
+
+
+@_op("radiant", conn=ConnectionField, field=VectorFieldT)
+def _op_radiant(ctx, check, tol, conn, field):
     lam = None if "lambda" not in check else _constant(check["lambda"], "radiant lambda")
-    return [check_radiant(
-        ctx.field(check["conn"], ConnectionField),
-        ctx.field(check["field"], VectorFieldT),
-        ctx.plan, tol, lam=lam,
-    )]
+    return [check_radiant(conn, field, ctx.plan, tol, lam=lam)]
 
 
-def _op_self_similar(ctx, check, tol):
-    return [check_self_similar(
-        ctx.field(check["metric"], MetricField),
-        ctx.field(check["field"], VectorFieldT),
-        ctx.plan, tol,
-    )]
+@_op("self_similar", metric=MetricField, field=VectorFieldT)
+def _op_self_similar(ctx, check, tol, metric, field):
+    return [check_self_similar(metric, field, ctx.plan, tol)]
 
 
-def _op_potential_field(ctx, check, tol):
-    return [check_potential_field(
-        ctx.field(check["metric"], MetricField),
-        ctx.field(check["field"], VectorFieldT),
-        ctx.plan, tol,
-    )]
+@_op("potential_field", metric=MetricField, field=VectorFieldT)
+def _op_potential_field(ctx, check, tol, metric, field):
+    return [check_potential_field(metric, field, ctx.plan, tol)]
 
 
-def _op_statistical(ctx, check, tol):
-    struct = _typed_structure(ctx, check, StatisticalStructure)
-    return None if struct is None else [check_statistical(struct, ctx.plan, tol)]
+@_op("statistical", structure=StatisticalStructure)
+def _op_statistical(ctx, check, tol, structure):
+    return [check_statistical(structure, ctx.plan, tol)]
 
 
 def _curvature_report(ctx, struct, name, tol):
@@ -538,22 +528,20 @@ def _curvature_report(ctx, struct, name, tol):
                        extra={"c": est.c})
 
 
-def _op_curvature(ctx, check, tol):
-    struct = _typed_structure(ctx, check, StatisticalStructure)
-    return None if struct is None else [_curvature_report(ctx, struct, "curvature", tol)]
+@_op("curvature", structure=StatisticalStructure)
+def _op_curvature(ctx, check, tol, structure):
+    return [_curvature_report(ctx, structure, "curvature", tol)]
 
 
-def _op_lch(ctx, check, tol):
-    struct = _typed_structure(ctx, check, LCHStructure)
-    return None if struct is None else [check_lch(struct, ctx.plan, tol)]
+@_op("lch", structure=LCHStructure)
+def _op_lch(ctx, check, tol, structure):
+    return [check_lch(structure, ctx.plan, tol)]
 
 
-def _op_lee_identity(ctx, check, tol):
-    struct = _typed_structure(ctx, check, LCHStructure)
-    if struct is None:
-        return None
-    consts = lee_constants(struct, ctx.plan)
-    rep = lee_identity_residual(struct, consts, ctx.plan, tol)
+@_op("lee_identity", structure=LCHStructure)
+def _op_lee_identity(ctx, check, tol, structure):
+    consts = lee_constants(structure, ctx.plan)
+    rep = lee_identity_residual(structure, consts, ctx.plan, tol)
     extra = dict(rep.extra)
     extra.update(a=consts.a, mu=consts.mu,
                  killing_residual=consts.killing_residual,
@@ -562,11 +550,9 @@ def _op_lee_identity(ctx, check, tol):
     return [dataclasses.replace(rep, extra=extra)]
 
 
-def _op_lee_constants(ctx, check, tol):
-    struct = _typed_structure(ctx, check, LCHStructure)
-    if struct is None:
-        return None
-    consts = lee_constants(struct, ctx.plan)
+@_op("lee_constants", structure=LCHStructure)
+def _op_lee_constants(ctx, check, tol, structure):
+    consts = lee_constants(structure, ctx.plan)
     which = check.get("require", "killing")
     residuals = {
         "killing": consts.killing_residual,
@@ -582,44 +568,34 @@ def _op_lee_constants(ctx, check, tol):
                         samples=ctx.plan.count, extra=extra)]
 
 
-def _op_koszul(ctx, check, tol):
-    struct = _typed_structure(ctx, check, LCHStructure)
-    if struct is None:
-        return None
-    return [koszul_check(struct.conn, struct.lee_form, ctx.plan, tol)]
+@_op("koszul", structure=LCHStructure)
+def _op_koszul(ctx, check, tol, structure):
+    return [koszul_check(structure.conn, structure.lee_form, ctx.plan, tol)]
 
 
-def _op_symmetry(ctx, check, tol):
-    struct = _typed_structure(ctx, check, LCHStructure)
-    if struct is None:
-        return None
-    return [check_symmetry(struct, check["map"], ctx.plan, tol)]
+@_op("symmetry", structure=LCHStructure)
+def _op_symmetry(ctx, check, tol, structure):
+    return [check_symmetry(structure, check["map"], ctx.plan, tol)]
 
 
-def _op_reports(ctx, check, tol):
-    name = check["structure"]
-    if ctx.structure(name) is None:
-        return None
-    return list(ctx.attached.get(name, ()))
+@_op("reports", structure=object)
+def _op_reports(ctx, check, tol, structure):
+    return list(ctx.attached.get(check["structure"], ()))
 
 
-def _op_cone_restriction(ctx, check, tol):
-    cone = _typed_structure(ctx, check, ConeStructure)
-    if cone is None:
-        return None
-    base_name = ctx.scene.structures[check["structure"]]["base"]
-    base = ctx.structure(base_name)
-    if base is None:
-        return None
-    lam = cone.lam
+@_op("cone_restriction", structure=ConeStructure)
+def _op_cone_restriction(ctx, check, tol, structure):
+    # a built cone implies a built base
+    base = ctx.structure(ctx.scene.structures[check["structure"]]["base"])
+    lam = structure.lam
     n = base.chart.dim
     surface = [ex.Var(a) for a in range(n)] + [ex.ONE]
     transversal = VectorFieldT(
-        cone.chart, [ex.ZERO] * n + [ex.div(ex.Var(n), ex.const(2.0 - lam))]
+        structure.chart, [ex.ZERO] * n + [ex.div(ex.Var(n), ex.const(2.0 - lam))]
     )
     phi = ex.div(ex.powi(ex.Var(n), 2), ex.const(4.0 - 2.0 * lam))
     recovered, _ = level_set_statistical(
-        cone.conn, phi, surface, base.chart, transversal, plan=ctx.plan,
+        structure.conn, phi, surface, base.chart, transversal, plan=ctx.plan,
     )
     pts = base.chart.sample(ctx.plan)
     gv = base.metric.eval(pts, 0).value
@@ -631,8 +607,8 @@ def _op_cone_restriction(ctx, check, tol):
             _curvature_report(ctx, recovered, "restriction-curvature", curv_tol)]
 
 
-def _op_surface(ctx, check, tol):
-    cone = ctx.scene.cones[check["cone"]]
+@_op("surface", cone=ConeSpec)
+def _op_surface(ctx, check, tol, cone):
     chart = _build_chart(check["chart"], "surface chart")
     struct = surface_statistical_structure(
         cone, check["surface"], chart, plan=ctx.plan, tolerance=tol,
@@ -651,8 +627,8 @@ PSI_FALSE_ALARM_RATE = 1e-6
 PSI_Z = 4.8916
 
 
-def _op_psi(ctx, check, tol):
-    cone = ctx.scene.cones[check["cone"]]
+@_op("psi", cone=ConeSpec)
+def _op_psi(ctx, check, tol, cone):
     point = tuple(float(v) for v in check["point"])
     method = check.get("method", "closed_form")
     samples = int(check.get("samples", ctx.mc_samples))
@@ -673,8 +649,8 @@ def _op_psi(ctx, check, tol):
                         extra=extra, notes=(cone.describe(),))]
 
 
-def _op_homogeneity(ctx, check, tol):
-    cone = ctx.scene.cones[check["cone"]]
+@_op("homogeneity", cone=ConeSpec)
+def _op_homogeneity(ctx, check, tol, cone):
     x = np.asarray([float(v) for v in check["point"]])
     base = characteristic_function(cone, x).value
     residuals = []
@@ -685,8 +661,8 @@ def _op_homogeneity(ctx, check, tol):
                         samples=len(residuals), extra={"value": base})]
 
 
-def _op_barrier(ctx, check, tol):
-    cone = ctx.scene.cones[check["cone"]]
+@_op("barrier", cone=ConeSpec)
+def _op_barrier(ctx, check, tol, cone):
     pts = sample_interior(cone, int(check.get("count", 50)), seed=ctx.plan.seed)
     mats = log_psi_metric(cone, pts)
     gaps = definiteness_gap(mats)
@@ -695,6 +671,7 @@ def _op_barrier(ctx, check, tol):
                         samples=pts.shape[0], extra={"smallest_eigenvalue": eig})]
 
 
+@_op("monodromy")
 def _op_monodromy(ctx, check, tol):
     exponents = check.get("exponents", [])
     rank = monodromy_rank(exponents)
@@ -703,16 +680,13 @@ def _op_monodromy(ctx, check, tol):
                         samples=len(exponents), extra={"rank": rank})]
 
 
-def _op_perturbation(ctx, check, tol):
-    struct = _typed_structure(ctx, check, LCHStructure)
-    if struct is None:
-        return None
-    alpha = ctx.field(check["alpha"], OneFormField)
-    eps = lee_perturbation_probe(struct, alpha, ctx.plan, tol)
+@_op("perturbation", structure=LCHStructure, alpha=OneFormField)
+def _op_perturbation(ctx, check, tol, structure, alpha):
+    eps = lee_perturbation_probe(structure, alpha, ctx.plan, tol)
     min_eps = float(check.get("min_eps", 1e-3))
     notes = []
     if eps >= min_eps:
-        half = perturbed_structure(struct, alpha, eps / 2.0, ctx.plan, tol)
+        half = perturbed_structure(structure, alpha, eps / 2.0, ctx.plan, tol)
         inner = check_lch(half, ctx.plan, tol)
         residuals = [inner.max_residual]
         notes.append(f"re-checked at eps = {eps / 2.0!r}")
@@ -723,29 +697,6 @@ def _op_perturbation(ctx, check, tol):
                         samples=ctx.plan.count,
                         extra={"eps_max": eps, "min_eps": min_eps},
                         notes=notes)]
-
-
-_OPS = {
-    "hessian": _op_hessian,
-    "radiant": _op_radiant,
-    "self_similar": _op_self_similar,
-    "potential_field": _op_potential_field,
-    "statistical": _op_statistical,
-    "curvature": _op_curvature,
-    "lch": _op_lch,
-    "lee_identity": _op_lee_identity,
-    "lee_constants": _op_lee_constants,
-    "koszul": _op_koszul,
-    "symmetry": _op_symmetry,
-    "reports": _op_reports,
-    "cone_restriction": _op_cone_restriction,
-    "surface": _op_surface,
-    "psi": _op_psi,
-    "homogeneity": _op_homogeneity,
-    "barrier": _op_barrier,
-    "monodromy": _op_monodromy,
-    "perturbation": _op_perturbation,
-}
 
 
 def _expectations_ok(check: dict, reports) -> tuple[bool, list[str]]:
@@ -795,22 +746,22 @@ def run_suite(scene: Scene, plan: SamplePlan | None = None,
         tol = ctx.tol(check)
         crashed = False
         try:
-            reports = _OPS[op](ctx, check, tol)
+            refs = ctx.resolve(f"check '{op}'", check, _OP_REFS[op])
+            reports = _OPS[op](ctx, check, tol, **refs)
         except SceneError:
             raise
+        except _Unbuilt as err:
+            crashed = True
+            reports = [make_report(
+                f"{op}-unavailable", [float("inf")], tol, samples=0,
+                notes=(f"structure '{err.name}' failed to build: "
+                       f"{ctx.failures[err.name]}",),
+            )]
         except Exception as err:
             crashed = True
             reports = [make_report(
                 f"{op}-error", [float("inf")], tol, samples=0,
                 notes=(f"{type(err).__name__}: {err}",),
-            )]
-        if reports is None:
-            crashed = True
-            name = check.get("structure", "?")
-            reports = [make_report(
-                f"{op}-unavailable", [float("inf")], tol, samples=0,
-                notes=(f"structure '{name}' failed to build: "
-                       f"{ctx.failures.get(name, 'unknown error')}",),
             )]
         expect_fail = bool(check.get("expect_fail", False))
         passed = all(r.passed for r in reports)

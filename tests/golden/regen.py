@@ -79,6 +79,7 @@ def write_dense_scenes() -> None:
     for seed in DENSE_SEEDS:
         rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
         for k, dim in enumerate(DENSE_DIMS):
+            # draw every dim, so the dim-3 scene sees the benchmark's stream
             data = workloads.dense_scene(dim, rng, f"dense_d{dim}_{k}")
             path = dense_path(dim, seed)
             if not path.exists():

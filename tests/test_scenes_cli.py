@@ -110,6 +110,14 @@ def test_metric_dimension_mismatch():
         scene_from_dict(data)
 
 
+def test_expression_error_is_not_a_dimension_mismatch():
+    data = unit_scene()
+    data["fields"]["g"]["entries"] = [["shape*x0", "0"], ["0", "1"]]
+    with pytest.raises(SceneError) as err:
+        scene_from_dict(data)
+    assert str(err.value) == "field 'g': unknown identifier 'shape' (at position 0)"
+
+
 def test_bad_expression_names_the_field():
     data = unit_scene()
     data["fields"]["theta"]["components"] = ["-2*x0/(x0^2 + y1)", "0"]
@@ -250,7 +258,7 @@ def test_check_errors_are_reported_not_raised():
 def test_crash_never_satisfies_expect_fail(monkeypatch):
     from hesslab import scenes
 
-    def boom(ctx, check, tol):
+    def boom(ctx, check, tol, **refs):
         raise RuntimeError("koszul op crashed")
 
     monkeypatch.setitem(scenes._OPS, "koszul", boom)
@@ -438,7 +446,7 @@ def _reject_constant(name):
 def test_non_finite_report_is_strict_json_and_round_trips(monkeypatch):
     from hesslab import scenes
 
-    def boom(ctx, check, tol):
+    def boom(ctx, check, tol, **refs):
         raise RuntimeError("koszul op crashed")
 
     monkeypatch.setitem(scenes._OPS, "koszul", boom)
