@@ -41,6 +41,7 @@ curvature is 12.4 MiB, its flatness term 156 KiB. Sampling a different
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -518,13 +519,67 @@ def euler_field(chart: Chart) -> VectorFieldT:
 # Tensor calculus (batched)
 # ---------------------------------------------------------------------------
 
+def contract(spec: str, *ops) -> Array:
+    """Batched tensor contraction in einsum notation, by matrix products.
+
+    The operands are taken in pairs from the left. A letter found in both
+    operands of a pair and again later in ``spec`` (a later operand or the
+    output) is a batch axis; one found in both and nowhere later is summed;
+    every other letter is free. Each pair is transposed and reshaped to
+    (B, Fx, S) @ (B, S, Fy) and multiplied by one np.matmul. The sums run in
+    matmul's order, so results agree with einsum to rounding, and a pair
+    that sums nothing is an exact product. A spec that does not lower this
+    way (no explicit output, a letter repeated within one subscript, a sum
+    within one operand) raises ValueError; there is no other contraction
+    path. Like einsum it raises no floating-point warning: NaN and inf
+    propagate to the gates that judge them."""
+    def fail(why):
+        return ValueError(f"contract cannot lower {spec!r}: {why}")
+
+    lhs, arrow, out = spec.partition("->")
+    subs = lhs.split(",")
+    if not arrow or len(subs) < 2 or len(subs) != len(ops):
+        raise fail("it needs '->' and one subscript per operand, at least two")
+    ops = [np.asarray(op) for op in ops]
+    for sub in subs + [out]:
+        if not sub.isalpha() or len(set(sub)) != len(sub):
+            raise fail(f"{sub!r} must be distinct letters")
+    for sub, op in zip(subs, ops):
+        if op.ndim != len(sub):
+            raise fail(f"{sub!r} names {len(sub)} axes of a {op.ndim}-axis operand")
+    if not set(out) <= set(lhs):
+        raise fail("an output letter names no operand axis")
+    x, xs = ops[0], subs[0]
+    for k in range(1, len(ops)):
+        y, ys = ops[k], subs[k]
+        later = "".join(subs[k + 1:]) + out
+        lone = [c for c in xs + ys if c not in later and (c in xs) != (c in ys)]
+        if lone:
+            raise fail(f"{lone[0]!r} is summed within one operand")
+        size = dict(zip(xs, x.shape))
+        for c, n in zip(ys, y.shape):
+            if size.setdefault(c, n) != n:
+                raise fail(f"axis {c!r} has lengths {size[c]} and {n}")
+        batch = [c for c in xs if c in ys and c in later]
+        summed = [c for c in xs if c in ys and c not in later]
+        fx = [c for c in xs if c not in ys]
+        fy = [c for c in ys if c not in xs]
+        nb, nx, ns, ny = (math.prod(size[c] for c in cs) for cs in (batch, fx, summed, fy))
+        a = x.transpose([xs.index(c) for c in batch + fx + summed]).reshape(nb, nx, ns)
+        b = y.transpose([ys.index(c) for c in batch + summed + fy]).reshape(nb, ns, ny)
+        with np.errstate(all="ignore"):
+            x = np.matmul(a, b).reshape([size[c] for c in batch + fx + fy])
+        xs = "".join(batch + fx + fy)
+    return x.transpose([xs.index(c) for c in out])
+
+
 def covariant_derivative_metric_batch(conn: ConnectionField, g: MetricField, pts) -> Array:
     gj = g.eval(pts, 1)
     nabla = gj.d1.transpose(0, 3, 1, 2).copy()  # (m, i, j, k) = d_i g_jk
     if not conn.flat:
         c = conn.eval(pts, 0).value
-        nabla -= np.einsum("alij,alk->aijk", c, gj.value)
-        nabla -= np.einsum("alik,ajl->aijk", c, gj.value)
+        nabla -= contract("alij,alk->aijk", c, gj.value)
+        nabla -= contract("alik,ajl->aijk", c, gj.value)
     return nabla
 
 
@@ -533,7 +588,7 @@ def covariant_derivative_oneform_batch(conn: ConnectionField, theta: OneFormFiel
     nabla = tj.d1.transpose(0, 2, 1).copy()  # (m, i, j) = d_i theta_j
     if not conn.flat:
         c = conn.eval(pts, 0).value
-        nabla -= np.einsum("akij,ak->aij", c, tj.value)
+        nabla -= contract("akij,ak->aij", c, tj.value)
     return nabla
 
 
@@ -542,16 +597,16 @@ def covariant_derivative_vector_batch(conn: ConnectionField, xi: VectorFieldT, p
     nabla = xj.d1.copy()  # (m, i, j) = d_j xi^i
     if not conn.flat:
         c = conn.eval(pts, 0).value
-        nabla += np.einsum("aijk,ak->aij", c, xj.value)
+        nabla += contract("aijk,ak->aij", c, xj.value)
     return nabla
 
 
 def lie_derivative_metric_batch(xi: VectorFieldT, g: MetricField, pts) -> Array:
     gj = g.eval(pts, 1)
     xj = xi.eval(pts, 1)
-    out = np.einsum("ak,aijk->aij", xj.value, gj.d1)
-    out += np.einsum("akj,aki->aij", gj.value, xj.d1)
-    out += np.einsum("aik,akj->aij", gj.value, xj.d1)
+    out = contract("ak,aijk->aij", xj.value, gj.d1)
+    out += contract("akj,aki->aij", gj.value, xj.d1)
+    out += contract("aik,akj->aij", gj.value, xj.d1)
     return out
 
 
@@ -562,14 +617,14 @@ def curvature_batch(conn: ConnectionField, pts) -> Array:
     if conn.flat:
         return np.zeros((m, d, d, d, d))
     cj = conn.eval(pts, 1)
-    dgamma = cj.d1  # (m, l, j, k, i) with last axis the derivative
-    term1 = dgamma.transpose(0, 1, 4, 2, 3)  # (m, l, i, j, k) = d_i Gamma^l_{jk}
-    term2 = term1.transpose(0, 1, 3, 2, 4)
-    out = term1 - term2
-    for l in range(d):  # one slice of the quadratic term at a time
-        quad = np.einsum("aiu,aujk->aijk", cj.value[:, l], cj.value)
-        out[:, l] += quad
-        out[:, l] -= quad.transpose(0, 2, 1, 3)
+    gamma = cj.value
+    dgamma = cj.d1.transpose(0, 1, 4, 2, 3)  # (m, l, i, j, k) = d_i Gamma^l_{jk}
+    out = np.empty((m, d, d, d, d))
+    for l in range(d):  # one upper index at a time, so scratch is one slice
+        a = contract("aiu,aujk->aijk", gamma[:, l], gamma)
+        a += dgamma[:, l]  # A^l_{ijk} = Gamma^l_{iu} Gamma^u_{jk} + d_i Gamma^l_{jk}
+        np.subtract(a, a.transpose(0, 2, 1, 3), out=out[:, l])
+        del a  # before the next slice is allocated: scratch stays one slice
     return out
 
 

@@ -35,6 +35,7 @@ from .geomcore import (
     adjugate_expressions,
     as_entry,
     closedness_residual,
+    contract,
     covariant_derivative_metric_batch,
     covariant_derivative_vector_batch,
     curvature_batch,
@@ -203,7 +204,7 @@ def hessian_values(conn: ConnectionField, phi, pts) -> np.ndarray:
     """(Hess phi)_{ij} = d_i d_j phi - Gamma^k_{ij} d_k phi at each sample."""
     jet = evaluate(_tree(phi, conn.chart.dim), pts, 2)
     gamma = conn.eval(pts, 0).value
-    return jet.hess - np.einsum("akij,ak->aij", gamma, jet.grad)
+    return jet.hess - contract("akij,ak->aij", gamma, jet.grad)
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +239,8 @@ def structure_terms(conn: ConnectionField, g: MetricField, pts, *,
     def symmetry():
         nabla = covariant_derivative_metric_batch(conn, g, pts)
         if theta is not None:
-            nabla -= np.einsum("ai,ajk->aijk", theta.eval(pts, 0).value,
-                               g.eval(pts, 0).value)
+            nabla -= contract("ai,ajk->aijk", theta.eval(pts, 0).value,
+                              g.eval(pts, 0).value)
         return total_symmetry_residual_batch(nabla)
 
     terms["symmetry"] = held_result(("symmetry", conn, g, theta), pts, symmetry)
@@ -328,9 +329,9 @@ def check_potential_field(g: MetricField, xi: VectorFieldT, plan=None,
     except DomainError as err:
         return make_report(name, np.full(plan.count, np.inf), tolerance,
                            notes=(f"evaluation failed: {err}",))
-    omega = np.einsum("ak,akj->aj", xj.value, gj.value)
-    domega = np.einsum("aki,akj->aij", xj.d1, gj.value)
-    domega += np.einsum("ak,akji->aij", xj.value, gj.d1)
+    omega = contract("ak,akj->aj", xj.value, gj.value)
+    domega = contract("aki,akj->aij", xj.d1, gj.value)
+    domega += contract("ak,akji->aij", xj.value, gj.d1)
     dw = domega - domega.transpose(0, 2, 1)
     residuals = rel_residual(dw, omega)
 
@@ -394,8 +395,8 @@ def duality_residual_batch(conn: ConnectionField, dual: ConnectionField,
     gamma = conn.eval(pts, 0).value
     gammabar = dual.eval(pts, 0).value
     lhs = gj.d1.transpose(0, 3, 1, 2)  # (a, i, j, l) = d_i g_{jl}
-    lhs = lhs - np.einsum("amij,aml->aijl", gamma, gj.value)
-    lhs = lhs - np.einsum("amil,ajm->aijl", gammabar, gj.value)
+    lhs = lhs - contract("amij,aml->aijl", gamma, gj.value)
+    lhs = lhs - contract("amil,ajm->aijl", gammabar, gj.value)
     return rel_residual(lhs, gj.value)
 
 
@@ -422,8 +423,8 @@ def estimate_constant_curvature(struct: StatisticalStructure, plan=None) -> Curv
         r = curvature_batch(struct.conn, pts)
         gval = struct.metric.eval(pts, 0).value
         eye = np.eye(chart.dim)
-        basis = (np.einsum("ajk,li->alijk", gval, eye)
-                 - np.einsum("aik,lj->alijk", gval, eye))
+        basis = (contract("ajk,li->alijk", gval, eye)
+                 - contract("aik,lj->alijk", gval, eye))
         denom = float(np.sum(basis * basis))
         c = float(np.sum(r * basis) / denom) if denom > 0 else 0.0
         residual = float(np.max(rel_residual(r - c * basis, c * basis)))

@@ -29,6 +29,7 @@ from .geomcore import (
     SamplePlan,
     VectorFieldT,
     closedness_residual,
+    contract,
     covariant_derivative_oneform_batch,
     covariant_derivative_vector_batch,
     gauged,
@@ -242,7 +243,7 @@ def lee_constants(struct: LCHStructure, plan=None) -> LeeConstants:
         lie = lie_derivative_metric_batch(xi, struct.metric, pts)
         gval = struct.metric.eval(pts, 0).value
         xival = xi.eval(pts, 0).value
-        avals = np.einsum("aij,ai,aj->a", gval, xival, xival)
+        avals = contract("aij,ai,aj->a", gval, xival, xival)
         a = float(np.mean(avals))
         a_dev = float(np.max(np.abs(avals - a))) / (1.0 + abs(a))
 
@@ -278,10 +279,10 @@ def _affine_residual(conn: ConnectionField, xi: VectorFieldT, pts) -> float:
     if cj is not None:
         c = cj.value
         # d_k (Gamma^i_{jl} xi^l), then the two Gamma terms of nabla_k T
-        second = second + np.einsum("aijlk,al->aijk", cj.d1, xj.value)
-        second += np.einsum("aijl,alk->aijk", c, xj.d1)
-        second += np.einsum("aikl,alj->aijk", c, tval)
-        second -= np.einsum("alkj,ail->aijk", c, tval)
+        second = second + contract("aijlk,al->aijk", cj.d1, xj.value)
+        second += contract("aijl,alk->aijk", c, xj.d1)
+        second += contract("aikl,alj->aijk", c, tval)
+        second -= contract("alkj,ail->aijk", c, tval)
     return float(np.max(rel_residual(second, tval)))
 
 
@@ -309,7 +310,7 @@ def lee_identity_residual(struct: LCHStructure, constants: LeeConstants,
         gval = g.eval(pts, 0).value
         tval = theta.eval(pts, 0).value
         rhs = covariant_derivative_oneform_batch(conn, theta, pts)
-        rhs -= np.einsum("ai,aj->aij", tval, tval)
+        rhs -= contract("ai,aj->aij", tval, tval)
         return rel_residual(u * gval - rhs, u * gval)
 
     return sample_check(residual, struct.chart, plan, tolerance, name=name,
@@ -453,12 +454,12 @@ def _pullback_residuals(map_trees, conn, metric, theta, pts) -> dict:
 
     gval = metric.eval(pts, 0).value
     g_at = metric.eval(image, 0).value
-    pull_g = np.einsum("acu,adv,acd->auv", jac, jac, g_at)
+    pull_g = contract("acu,adv,acd->auv", jac, jac, g_at)
     res = {"metric": rel_residual(pull_g - gval, gval)}
 
     cval = conn.eval(pts, 0).value
     c_at = conn.eval(image, 0).value
-    inner = np.einsum("acde,adu,aev->acuv", c_at, jac, jac) + hess
+    inner = contract("acde,adu,aev->acuv", c_at, jac, jac) + hess
     m, n = pts.shape
     pulled = np.linalg.solve(jac, inner.reshape(m, n, n * n)).reshape(m, n, n, n)
     res["connection"] = rel_residual(pulled - cval, cval)
@@ -466,7 +467,7 @@ def _pullback_residuals(map_trees, conn, metric, theta, pts) -> dict:
     if theta is not None:
         tval = theta.eval(pts, 0).value
         t_at = theta.eval(image, 0).value
-        pull_t = np.einsum("ac,acu->au", t_at, jac)
+        pull_t = contract("ac,acu->au", t_at, jac)
         res["lee_form"] = rel_residual(pull_t - tval, tval)
     return res
 

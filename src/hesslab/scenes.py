@@ -278,15 +278,25 @@ def _build_field(name: str, spec, chart: Chart, metrics: dict):
     if not isinstance(spec, dict) or "type" not in spec:
         raise SceneError(f"field '{name}' needs a 'type' ({', '.join(_FIELD_TYPES)})")
     kind = spec["type"]
+
+    def entries(key):
+        bad = _non_entry(spec[key])
+        if bad is not None:
+            index, value = bad
+            where = f"entry {list(index)}" if index else f"'{key}'"
+            raise SceneError(f"field '{name}': {where} is {json.dumps(value, default=repr)}, "
+                             "not an expression string or a number")
+        return spec[key]
+
     try:
         if kind == "metric":
-            return MetricField(chart, spec["entries"])
+            return MetricField(chart, entries("entries"))
         if kind == "oneform":
-            return OneFormField(chart, spec["components"])
+            return OneFormField(chart, entries("components"))
         if kind == "vector":
-            return VectorFieldT(chart, spec["components"])
+            return VectorFieldT(chart, entries("components"))
         if kind == "scalar":
-            return ScalarField(chart, spec["expression"])
+            return ScalarField(chart, entries("expression"))
         if kind == "connection":
             if spec.get("flat"):
                 return flat_connection(chart)
@@ -297,7 +307,7 @@ def _build_field(name: str, spec, chart: Chart, metrics: dict):
                         f"field '{name}' references undeclared metric '{ref}'"
                     )
                 return levi_civita(metrics[ref])
-            return ConnectionField(chart, spec["christoffel"])
+            return ConnectionField(chart, entries("christoffel"))
     except SceneError:
         raise
     except KeyError as err:
@@ -307,6 +317,22 @@ def _build_field(name: str, spec, chart: Chart, metrics: dict):
     except ValueError as err:  # ExprError included
         raise SceneError(f"field '{name}': {err}") from err
     raise SceneError(f"field '{name}' has unknown type '{kind}'")
+
+
+def _non_entry(obj, index=()):
+    """(index, value) of the first leaf of nested lists that is neither an
+    expression (string or tree) nor a number, or None. JSON null and booleans
+    are not entries."""
+    if isinstance(obj, (list, tuple)):
+        for i, item in enumerate(obj):
+            bad = _non_entry(item, index + (i,))
+            if bad is not None:
+                return bad
+        return None
+    if isinstance(obj, (str, ex.Expression)) or (
+            isinstance(obj, (int, float)) and not isinstance(obj, bool)):
+        return None
+    return index, obj
 
 
 def _check_refs(owner: str, spec: dict, refs: dict, pools: dict) -> None:

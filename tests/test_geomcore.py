@@ -26,6 +26,7 @@ from hesslab.geomcore import (
     SamplePlan,
     ScalarField,
     VectorFieldT,
+    contract,
     covariant_derivative_metric_batch,
     covariant_derivative_oneform_batch,
     covariant_derivative_vector_batch,
@@ -735,16 +736,41 @@ def test_a_dropped_scene_leaves_no_interned_node():
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_curvature_matches_the_closed_formula_bit_for_bit(dim):
-    # curvature_batch adds the quadratic term one upper index at a time;
-    # the sums must round exactly as the whole-tensor formula does
+    # curvature_batch forms A^l_{ijk} = Gamma^l_{iu} Gamma^u_{jk} + d_i Gamma^l_{jk}
+    # one upper index at a time and takes A^l_{ijk} - A^l_{jik}; written out
+    # here, the same formula must round exactly as the kernel does
     chart = Chart(dim, ((-0.5, 0.5),) * dim)
     lc = levi_civita(MetricField(chart, _sphere_scene(dim)["fields"]["g"]["entries"]))
     pts = chart.sample(SamplePlan(count=40, seed=9))
     cj = lc.eval(pts.copy(), 1)
-    term1 = cj.d1.transpose(0, 1, 4, 2, 3)
-    quad1 = np.einsum("aliu,aujk->alijk", cj.value, cj.value)
-    want = term1 - term1.transpose(0, 1, 3, 2, 4) + quad1 - quad1.transpose(0, 1, 3, 2, 4)
-    assert curvature_batch(lc, pts).tobytes() == want.tobytes()
+    term1 = cj.d1.transpose(0, 1, 4, 2, 3)  # (m, l, i, j, k) = d_i Gamma^l_{jk}
+    want = np.empty_like(term1)
+    for l in range(dim):
+        a = contract("aiu,aujk->aijk", cj.value[:, l], cj.value) + term1[:, l]
+        want[:, l] = a - a.transpose(0, 2, 1, 3)
+    got = curvature_batch(lc, pts)
+    assert got.tobytes() == want.tobytes()
+    # the whole-tensor einsum formula sums in another order: equal to rounding
+    quad = np.einsum("aliu,aujk->alijk", cj.value, cj.value)
+    old = term1 - term1.transpose(0, 1, 3, 2, 4) + quad - quad.transpose(0, 1, 3, 2, 4)
+    assert np.max(np.abs(got - old)) <= 1e-13 * np.max(np.abs(old))
+
+
+def test_curvature_scratch_is_one_slice():
+    # with Gamma held, one call allocates the output and one (m, d, d, d)
+    # slice at a time, 4/3 of the output at dim 3; a kernel over the whole
+    # 5-index tensor would need about three outputs' worth
+    chart = Chart(3, ((-0.5, 0.5),) * 3)
+    lc = levi_civita(MetricField(chart, _sphere_scene(3)["fields"]["g"]["entries"]))
+    pts = chart.sample(SamplePlan(count=20_000, seed=4))
+    lc.eval(pts, 1)
+    tracemalloc.start()
+    try:
+        out = curvature_batch(lc, pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * out.nbytes
 
 
 def test_lower_order_is_a_bit_identical_prefix():

@@ -581,6 +581,25 @@ def test_cli_parse_error_exits_2(tmp_path, capsys):
     assert "parse error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field,key,index,entry", [
+    ("g", "entries", (0, 1), None),
+    ("g", "entries", (1, 0), True),
+    ("theta", "components", (1,), {"x": 1}),
+])
+def test_cli_entry_that_is_no_expression_exits_2(tmp_path, capsys, field, key, index, entry):
+    # a JSON null is a malformed scene (exit 2), not a failed check (exit 1)
+    data = unit_scene()
+    target = data["fields"][field][key]
+    for i in index[:-1]:
+        target = target[i]
+    target[index[-1]] = entry
+    path = write_scene(tmp_path, data)
+    assert main(["check", str(path), "--samples", "20"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: field '{field}': entry {list(index)} is ")
+    assert "Traceback" not in err
+
+
 def test_cli_bad_margin_exits_2(tmp_path, capsys):
     path = write_scene(tmp_path, unit_scene())
     assert main(["check", str(path), "--margin", "0.7"]) == 2
