@@ -25,6 +25,18 @@ is a `Gauge` leaf of that DAG: its value comes from quadrature along a
 segment and its derivatives from jets of theta. exp(sign * f) is then one
 node, shared by every entry it scales.
 
+Memory order: the sample axis is at unit stride in every jet, field tensor
+and residual intermediate. Each array is indexed as above, sample axis first,
+but is a transposed view of a buffer with the sample axis last
+(`samples_first`), so a component such as value[:, i, j] is one contiguous
+row of m samples. A point set is an m x n array and n is 2 to 5, so every
+elementwise operation, contraction and reduction runs over rows of m rather
+than over loops of length n. numpy keeps the order through ufuncs, einsum,
+`np.copy` and `np.zeros_like` (their default order is 'K');
+`ndarray.copy()`, `np.empty((m, ...))` and `np.stack(..., axis=1)` would
+not, so the code here uses none of them on sample arrays. Values never
+depend on the layout, up to the sign and payload of a NaN.
+
 The most recently sampled point set is held, read-only, together with every
 field tensor evaluated on exactly that array, so the checks of one structure
 evaluate each field once. A lower-order request reads a prefix of a stored
@@ -41,7 +53,6 @@ curvature is 12.4 MiB, its flatness term 156 KiB. Sampling a different
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -203,6 +214,12 @@ def make_report(name, residuals, tolerance, samples=None, extra=None, notes=()) 
     )
 
 
+def samples_first(buf: Array) -> Array:
+    """A (..., m) buffer viewed as (m, ...): the sample axis first in the
+    index and at unit stride in memory."""
+    return buf.transpose((buf.ndim - 1,) + tuple(range(buf.ndim - 1)))
+
+
 # ---------------------------------------------------------------------------
 # Entries: expression trees, with a line-integral gauge as a leaf
 # ---------------------------------------------------------------------------
@@ -276,14 +293,15 @@ class LineIntegralGauge:
         m, n = pts.shape
         value = self.values(pts)
         grad = hess = third = None
+        # each stack is a (k, ..., m) buffer, viewed sample axis first
         if order >= 1:
             comp_jets = evaluate(self.components, pts, order - 1)
-            grad = np.stack([j.value for j in comp_jets], axis=1)
+            grad = samples_first(np.stack([j.value for j in comp_jets]))  # (m, k) = w_k
         if order >= 2:
-            dform = np.stack([j.grad for j in comp_jets], axis=1)  # (m, k, i) = d_i w_k
+            dform = samples_first(np.stack([j.grad.T for j in comp_jets]))  # (m, k, i) = d_i w_k
             hess = 0.5 * (dform + dform.transpose(0, 2, 1))
         if order >= 3:
-            d2 = np.stack([j.hess for j in comp_jets], axis=1)  # (m, k, i, j)
+            d2 = samples_first(np.stack([j.hess.transpose(1, 2, 0) for j in comp_jets]))
             t = d2.transpose(0, 2, 3, 1)  # (m, i, j, k) = d_i d_j w_k
             third = sum(
                 np.transpose(t, (0,) + perm) for perm in itertools.permutations((1, 2, 3))
@@ -380,13 +398,14 @@ def held_result(key: tuple, pts: Array, compute):
 def _eval_entries(field: _Field, pts: Array, order: int) -> EvaluatedTensor:
     """Stack the entry jets, all taken in one `evaluate` pass over the
     field's plan, so a subtree shared by several entries (a gauge factor
-    among them) is evaluated once."""
+    among them) is evaluated once. Each entry's value and derivatives are
+    copied as rows of m contiguous samples."""
     m, n = pts.shape
     shape = field.entries.shape
-    value = np.empty((m,) + shape)
-    d1 = np.empty((m,) + shape + (n,)) if order >= 1 else None
-    d2 = np.empty((m,) + shape + (n, n)) if order >= 2 else None
-    d3 = np.empty((m,) + shape + (n, n, n)) if order >= 3 else None
+    value = samples_first(np.empty(shape + (m,)))
+    d1 = samples_first(np.empty(shape + (n, m))) if order >= 1 else None
+    d2 = samples_first(np.empty(shape + (n, n, m))) if order >= 2 else None
+    d3 = samples_first(np.empty(shape + (n, n, n, m))) if order >= 3 else None
     for idx, jet in zip(np.ndindex(shape), evaluate(field.jet_plan(), pts, order)):
         sel = (slice(None),) + idx
         value[sel] = jet.value
@@ -520,19 +539,20 @@ def euler_field(chart: Chart) -> VectorFieldT:
 # ---------------------------------------------------------------------------
 
 def contract(spec: str, *ops) -> Array:
-    """Batched tensor contraction in einsum notation, by matrix products.
+    """Batched tensor contraction in einsum notation, as one np.einsum.
 
-    The operands are taken in pairs from the left. A letter found in both
-    operands of a pair and again later in ``spec`` (a later operand or the
-    output) is a batch axis; one found in both and nowhere later is summed;
-    every other letter is free. Each pair is transposed and reshaped to
-    (B, Fx, S) @ (B, S, Fy) and multiplied by one np.matmul. The sums run in
-    matmul's order, so results agree with einsum to rounding, and a pair
-    that sums nothing is an exact product. A spec that does not lower this
-    way (no explicit output, a letter repeated within one subscript, a sum
-    within one operand) raises ValueError; there is no other contraction
-    path. Like einsum it raises no floating-point warning: NaN and inf
-    propagate to the gates that judge them."""
+    Every letter of the output names a free axis and every other letter is
+    summed, over all operands at once: einsum runs without ``optimize``, so
+    it forms no intermediate product, and a three-operand spec multiplies the
+    three factors of each term before summing. The result keeps the memory
+    order of the operands (einsum's default order is 'K'), so sample-first
+    operands with the sample axis at unit stride give such a result. A spec
+    einsum would read as a trace, a sum within one operand or an implicit
+    output (no '->', a letter repeated within one subscript, a letter in one
+    operand and not in the output) raises ValueError, as do fewer than two
+    operands and axes of different lengths under one letter; there is no
+    other contraction path. einsum raises no floating-point warning: NaN and
+    inf propagate to the gates that judge them."""
     def fail(why):
         return ValueError(f"contract cannot lower {spec!r}: {why}")
 
@@ -549,33 +569,21 @@ def contract(spec: str, *ops) -> Array:
             raise fail(f"{sub!r} names {len(sub)} axes of a {op.ndim}-axis operand")
     if not set(out) <= set(lhs):
         raise fail("an output letter names no operand axis")
-    x, xs = ops[0], subs[0]
-    for k in range(1, len(ops)):
-        y, ys = ops[k], subs[k]
-        later = "".join(subs[k + 1:]) + out
-        lone = [c for c in xs + ys if c not in later and (c in xs) != (c in ys)]
-        if lone:
-            raise fail(f"{lone[0]!r} is summed within one operand")
-        size = dict(zip(xs, x.shape))
-        for c, n in zip(ys, y.shape):
+    lone = [c for c in lhs if c.isalpha() and c not in out
+            and sum(c in sub for sub in subs) == 1]
+    if lone:
+        raise fail(f"{lone[0]!r} is summed within one operand")
+    size: dict[str, int] = {}
+    for sub, op in zip(subs, ops):
+        for c, n in zip(sub, op.shape):
             if size.setdefault(c, n) != n:
                 raise fail(f"axis {c!r} has lengths {size[c]} and {n}")
-        batch = [c for c in xs if c in ys and c in later]
-        summed = [c for c in xs if c in ys and c not in later]
-        fx = [c for c in xs if c not in ys]
-        fy = [c for c in ys if c not in xs]
-        nb, nx, ns, ny = (math.prod(size[c] for c in cs) for cs in (batch, fx, summed, fy))
-        a = x.transpose([xs.index(c) for c in batch + fx + summed]).reshape(nb, nx, ns)
-        b = y.transpose([ys.index(c) for c in batch + summed + fy]).reshape(nb, ns, ny)
-        with np.errstate(all="ignore"):
-            x = np.matmul(a, b).reshape([size[c] for c in batch + fx + fy])
-        xs = "".join(batch + fx + fy)
-    return x.transpose([xs.index(c) for c in out])
+    return np.einsum(spec, *ops)
 
 
 def covariant_derivative_metric_batch(conn: ConnectionField, g: MetricField, pts) -> Array:
     gj = g.eval(pts, 1)
-    nabla = gj.d1.transpose(0, 3, 1, 2).copy()  # (m, i, j, k) = d_i g_jk
+    nabla = np.copy(gj.d1.transpose(0, 3, 1, 2))  # (m, i, j, k) = d_i g_jk
     if not conn.flat:
         c = conn.eval(pts, 0).value
         nabla -= contract("alij,alk->aijk", c, gj.value)
@@ -585,7 +593,7 @@ def covariant_derivative_metric_batch(conn: ConnectionField, g: MetricField, pts
 
 def covariant_derivative_oneform_batch(conn: ConnectionField, theta: OneFormField, pts) -> Array:
     tj = theta.eval(pts, 1)
-    nabla = tj.d1.transpose(0, 2, 1).copy()  # (m, i, j) = d_i theta_j
+    nabla = np.copy(tj.d1.transpose(0, 2, 1))  # (m, i, j) = d_i theta_j
     if not conn.flat:
         c = conn.eval(pts, 0).value
         nabla -= contract("akij,ak->aij", c, tj.value)
@@ -594,7 +602,7 @@ def covariant_derivative_oneform_batch(conn: ConnectionField, theta: OneFormFiel
 
 def covariant_derivative_vector_batch(conn: ConnectionField, xi: VectorFieldT, pts) -> Array:
     xj = xi.eval(pts, 1)
-    nabla = xj.d1.copy()  # (m, i, j) = d_j xi^i
+    nabla = np.copy(xj.d1)  # (m, i, j) = d_j xi^i
     if not conn.flat:
         c = conn.eval(pts, 0).value
         nabla += contract("aijk,ak->aij", c, xj.value)
@@ -615,11 +623,11 @@ def curvature_batch(conn: ConnectionField, pts) -> Array:
     m = pts.shape[0]
     d = conn.chart.dim
     if conn.flat:
-        return np.zeros((m, d, d, d, d))
+        return samples_first(np.zeros((d, d, d, d, m)))
     cj = conn.eval(pts, 1)
     gamma = cj.value
     dgamma = cj.d1.transpose(0, 1, 4, 2, 3)  # (m, l, i, j, k) = d_i Gamma^l_{jk}
-    out = np.empty((m, d, d, d, d))
+    out = samples_first(np.empty((d, d, d, d, m)))
     for l in range(d):  # one upper index at a time, so scratch is one slice
         a = contract("aiu,aujk->aijk", gamma[:, l], gamma)
         a += dgamma[:, l]  # A^l_{ijk} = Gamma^l_{iu} Gamma^u_{jk} + d_i Gamma^l_{jk}
@@ -641,16 +649,23 @@ def exterior_derivative_oneform_batch(theta: OneFormField, pts) -> Array:
 def max_abs(arr: Array) -> Array:
     """Per-sample max-norm: collapses all axes but the first.
 
-    Folds the components one (m,) column at a time, taking ``abs`` into one
-    reused buffer: a reduction over a short last axis pays a loop per row,
-    and ``abs`` of the whole array would copy it. NaN propagates (unsigned,
-    as ``abs`` leaves it) and -0.0 reads 0.0."""
+    Folds the components one (m,) row at a time, taking ``abs`` into one
+    reused buffer, so its scratch is two (m,) arrays whatever the layout: a
+    reduction over a short last axis pays a loop per sample, and ``abs`` of
+    the whole array would copy it. The component axes are walked in memory
+    order, so on a sample-first array each row is contiguous, and any array
+    whose components merge into one axis (a C-ordered array, any transpose
+    of a dense buffer, which covers every field tensor and residual) is read
+    without a copy. NaN propagates (unsigned, as ``abs`` leaves it) and -0.0
+    reads 0.0."""
     a = np.asarray(arr, float)
-    a = a.reshape(a.shape[0], -1)
-    out = np.abs(a[:, 0])
+    m = a.shape[0]
+    axes = sorted(range(1, a.ndim), key=a.strides.__getitem__, reverse=True)
+    rows = a.transpose(axes + [0]).reshape(-1, m)
+    out = np.abs(rows[0])
     buf = np.empty_like(out)
-    for j in range(1, a.shape[1]):
-        np.maximum(out, np.abs(a[:, j], out=buf), out=out)
+    for row in rows[1:]:
+        np.maximum(out, np.abs(row, out=buf), out=out)
     return out
 
 

@@ -420,14 +420,25 @@ def estimate_constant_curvature(struct: StatisticalStructure, plan=None) -> Curv
     pts = chart.sample(plan)
 
     def fit():
-        r = curvature_batch(struct.conn, pts)
-        gval = struct.metric.eval(pts, 0).value
-        eye = np.eye(chart.dim)
-        basis = (contract("ajk,li->alijk", gval, eye)
-                 - contract("aik,lj->alijk", gval, eye))
-        denom = float(np.sum(basis * basis))
-        c = float(np.sum(r * basis) / denom) if denom > 0 else 0.0
-        residual = float(np.max(rel_residual(r - c * basis, c * basis)))
+        # The model is c * B with B^l_{ijk} = delta^l_i g_jk - delta^l_j g_ik,
+        # never built: sum(r * B) is two traces of r against g, and
+        # sum(B * B) = 2 (d - 1) |g|^2 at each sample.
+        d = chart.dim
+        r = curvature_batch(struct.conn, pts)  # a fresh array, changed in place below
+        g = struct.metric.eval(pts, 0).value
+        traces = np.trace(r, axis1=1, axis2=2) - np.trace(r, axis1=1, axis2=3)
+        along = float(np.sum(contract("ajk,ajk->a", traces, g)))
+        denom = 2.0 * (d - 1) * float(np.sum(contract("ajk,ajk->a", g, g)))
+        c = along / denom if denom > 0 else 0.0
+        # r - c B where B is nonzero (i = l or j = l, not both): the misfit
+        # takes r's place; every g_jk appears in B, so max|c B| = max|c g|
+        cg = c * g
+        for l in range(d):
+            for i in range(d):
+                if i != l:
+                    r[:, l, l, i] -= cg[:, i]
+                    r[:, l, i, l] += cg[:, i]
+        residual = float(np.max(max_abs(r) / (1.0 + max_abs(cg))))
         return CurvatureEstimate(c, residual)
 
     return held_result(("curvature_estimate", struct.conn, struct.metric), pts, fit)

@@ -9,6 +9,15 @@ Arithmetic implements the truncated Taylor (Leibniz / Faa di Bruno) rules
 exactly, so derivatives of parsed expressions are exact to roundoff rather
 than finite-difference approximations.  Tensors above the requested order
 are simply absent (None).
+
+Every derivative tensor is stored with the sample axis at unit stride: it is
+a transposed view of an (n, ..., n, m) buffer, indexed as above. The leaves
+(`Jet.constant`, `Jet.coordinate`) allocate that way, and numpy's ufuncs and
+einsum keep their operands' memory order, so every tensor of every jet has
+it, and each elementwise operation runs over rows of m contiguous samples
+rather than over loops of length n. Values do not depend on the layout, up
+to the sign and payload of a NaN (which operand's NaN a sum propagates
+depends on the loop numpy picks).
 """
 
 from __future__ import annotations
@@ -42,9 +51,9 @@ class Jet:
     @staticmethod
     def constant(c, m: int, n: int, order: int) -> "Jet":
         value = np.full(m, float(c))
-        g = np.zeros((m, n)) if order >= 1 else None
-        h = np.zeros((m, n, n)) if order >= 2 else None
-        t = np.zeros((m, n, n, n)) if order >= 3 else None
+        g = np.zeros((n, m)).T if order >= 1 else None
+        h = np.zeros((n, n, m)).T if order >= 2 else None
+        t = np.zeros((n, n, n, m)).T if order >= 3 else None
         return Jet(order, value, g, h, t)
 
     @staticmethod
@@ -53,12 +62,12 @@ class Jet:
         value = pts[:, index].astype(float).copy()
         g = h = t = None
         if order >= 1:
-            g = np.zeros((m, n))
+            g = np.zeros((n, m)).T
             g[:, index] = 1.0
         if order >= 2:
-            h = np.zeros((m, n, n))
+            h = np.zeros((n, n, m)).T
         if order >= 3:
-            t = np.zeros((m, n, n, n))
+            t = np.zeros((n, n, n, m)).T
         return Jet(order, value, g, h, t)
 
     # -- ring operations ----------------------------------------------------
@@ -225,13 +234,20 @@ class Jet:
 # many trees share it. Slots come in the order a left-to-right recursive walk
 # would first finish them, so the first `DomainError` raised is the one that
 # walk would raise. A `Gauge` leaf's slot takes the jet its source computes.
+#
+# A division u / v is planned as u * recip(v), with one "recip" slot per
+# distinct divisor, placed right after the first division by it: dense
+# Levi-Civita symbols divide dozens of times by a few determinants, and each
+# reciprocal jet is taken once. `Jet.__truediv__` is that same product, so
+# values do not change, and a zero divisor raises where the first division by
+# it did.
 
 _APPLY = {
     "neg": lambda _, u: -u,
     "add": lambda _, u, v: u + v,
     "sub": lambda _, u, v: u - v,
     "mul": lambda _, u, v: u * v,
-    "div": lambda _, u, v: u / v,
+    "recip": lambda _, v: v.reciprocal(),
     "powi": lambda k, u: u.powi(k),
     "powf": lambda r, u: u.powf(r),
     "pow": lambda _, u, e: (e * u.log()).exp(),
@@ -295,6 +311,7 @@ def _plan(trees) -> Plan:
     trees = list(trees)  # held, so no planned node dies and frees its id
     slots: list[tuple] = []
     by_id: dict[int, int] = {}  # node objects already planned
+    recips: dict[int, int] = {}  # divisor slot -> its reciprocal's slot
     roots: list[int] = []
     for root in trees:
         stack = [(root, None)]
@@ -310,8 +327,15 @@ def _plan(trees) -> Plan:
                     stack.extend((k, None) for k in reversed(pending))
                     continue
             op, arg, kids = desc
+            kids = tuple(by_id[id(k)] for k in kids)
+            if op == "div":
+                u, v = kids
+                if v not in recips:
+                    recips[v] = len(slots)
+                    slots.append(("recip", None, (v,)))
+                op, kids = "mul", (u, recips[v])
             by_id[id(node)] = len(slots)
-            slots.append((op, arg, tuple(by_id[id(k)] for k in kids)))
+            slots.append((op, arg, kids))
         roots.append(by_id[id(root)])
     return Plan(slots, roots)
 

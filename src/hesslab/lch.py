@@ -41,6 +41,7 @@ from .geomcore import (
     rel_residual,
     residual_passes,
     sample_check,
+    samples_first,
     smallest_eigenvalues,
 )
 from .hesstat import (
@@ -440,10 +441,12 @@ def local_hessian_gauge(struct: LCHStructure, base_point, p=None, *,
 
 
 def _map_jets(map_trees, pts):
+    """The image points and the map's Jacobian and Hessian, sample axis
+    first and at unit stride."""
     jets = evaluate(map_trees, pts, 2)
-    image = np.stack([j.value for j in jets], axis=1)
-    jac = np.stack([j.grad for j in jets], axis=1)        # (m, c, u) = d_u phi^c
-    hess = np.stack([j.hess for j in jets], axis=1)       # (m, c, u, v)
+    image = samples_first(np.stack([j.value for j in jets]))
+    jac = samples_first(np.stack([j.grad.T for j in jets]))  # (m, c, u) = d_u phi^c
+    hess = samples_first(np.stack([j.hess.transpose(1, 2, 0) for j in jets]))  # (m, c, u, v)
     return image, jac, hess
 
 

@@ -1,13 +1,15 @@
 """`geomcore.contract`, the one contraction path of the residual algebra.
 
 Every spec string the package passes to `contract` is checked against
-np.einsum on random shapes, with and without non-finite entries.
+np.einsum on random shapes, with and without non-finite entries, and for the
+memory order of its result.
 """
 
 from __future__ import annotations
 
 import ast
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -39,11 +41,6 @@ def test_every_call_site_is_found():
     assert len(SPECS) >= 20
 
 
-def _sums_nothing(spec: str) -> bool:
-    lhs, out = spec.split("->")
-    return set(lhs) - {","} == set(out)
-
-
 NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf, 0.0])
 
 
@@ -64,23 +61,24 @@ def test_contract_matches_einsum(spec, m, lengths, seed, spoil):
         flat[rng.integers(flat.size)] = value
     with np.errstate(all="ignore"):
         want = np.einsum(spec, *ops)
-        bound = 1e-12 * np.einsum(spec, *[np.abs(op) for op in ops])
-    got = contract(spec, *ops)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # NaN and inf pass silently
+        got = contract(spec, *ops)
+    # one einsum call: the same sums in the same order, NaN and inf included
     assert got.shape == want.shape
-    if _sums_nothing(spec):
-        assert np.array_equal(got, want, equal_nan=True)
-        return
-    finite = np.isfinite(want)
-    assert np.array_equal(np.isfinite(got), finite)
-    # two operands: NaN and each sign of inf land where einsum's do. With
-    # three, einsum adds the products of all three while contract sums a
-    # pair first: (sum_d a_d b_d) * inf is one signed inf where
-    # sum_d (a_d b_d inf) may hold both signs and read NaN, so only the
-    # non-finite entries are pinned
-    if len(subs) == 2:
-        assert np.array_equal(np.isnan(got), np.isnan(want))
-        assert np.array_equal(np.isposinf(got), np.isposinf(want))
-    assert np.all(np.abs(got[finite] - want[finite]) <= bound[finite])
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_contract_keeps_the_sample_axis_at_unit_stride(spec):
+    # every spec names the sample axis "a"; operands stored sample axis last
+    m, n = 50, 3
+    lhs, out = spec.split("->")
+    rng = np.random.default_rng(0)
+    ops = [np.moveaxis(rng.standard_normal((n,) * (len(sub) - 1) + (m,)), -1, sub.index("a"))
+           for sub in lhs.split(",")]
+    got = contract(spec, *ops)
+    assert got.strides[out.index("a")] == got.itemsize
 
 
 @pytest.mark.parametrize("spec,shapes", [
@@ -97,6 +95,18 @@ def test_contract_rejects_what_it_cannot_lower(spec, shapes):
         contract(spec, *[np.ones(s) for s in shapes])
 
 
+def _einsum_sites(tree, where="") -> list[str]:
+    """The enclosing function of every ``np.einsum`` reference."""
+    if (isinstance(tree, ast.Attribute) and tree.attr == "einsum"
+            and isinstance(tree.value, ast.Name) and tree.value.id == "np"):
+        return [where]
+    if isinstance(tree, ast.FunctionDef):
+        where = tree.name
+    return [site for child in ast.iter_child_nodes(tree)
+            for site in _einsum_sites(child, where)]
+
+
 @pytest.mark.parametrize("module", ["geomcore.py", "hesstat.py", "lch.py"])
 def test_residual_algebra_has_one_contraction_path(module):
-    assert "np.einsum" not in (SRC / module).read_text()
+    sites = _einsum_sites(ast.parse((SRC / module).read_text()))
+    assert sites == (["contract"] if module == "geomcore.py" else [])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -19,10 +20,13 @@ from hesslab.geomcore import (
     OneFormField,
     SamplePlan,
     VectorFieldT,
+    curvature_batch,
+    drop_held_points,
     euclidean_metric,
     euler_field,
     flat_connection,
     levi_civita,
+    rel_residual,
 )
 from hesslab.hesstat import (
     ConeConstructionError,
@@ -343,6 +347,57 @@ def test_curvature_flat_is_zero():
     g = MetricField(chart, [["exp(x0)", "0"], ["0", "exp(x1)"]])
     est = estimate_constant_curvature(StatisticalStructure(chart, flat_connection(chart), g), PLAN)
     assert est.c == 0.0 and est.residual == 0.0
+
+
+def _fit_with_the_model_tensor(struct, plan):
+    """The least-squares fit with the model tensor built whole."""
+    pts = struct.chart.sample(plan)
+    r = curvature_batch(struct.conn, pts)
+    g = struct.metric.eval(pts, 0).value
+    eye = np.eye(struct.chart.dim)
+    basis = np.einsum("ajk,li->alijk", g, eye) - np.einsum("aik,lj->alijk", g, eye)
+    c = float(np.sum(r * basis) / np.sum(basis * basis))
+    return c, float(np.max(rel_residual(r - c * basis, c * basis)))
+
+
+@pytest.mark.parametrize("metric", [
+    [["1 + x0^2", "x0*x1"], ["x0*x1", "exp(x1)"]],
+    [["2 + x1", "0.3*x0", "x2"], ["0.3*x0", "1 + x0^2", "0"], ["x2", "0", "3 + x1*x2"]],
+])
+def test_curvature_fit_matches_the_model_tensor(metric):
+    # metrics of non-constant curvature: the misfit is large and every
+    # component of the model enters it
+    dim = len(metric)
+    g = MetricField(Chart(dim, ((0.2, 0.9),) * dim), metric)
+    struct = StatisticalStructure(g.chart, levi_civita(g), g)
+    est = estimate_constant_curvature(struct, PLAN)
+    c, residual = _fit_with_the_model_tensor(struct, PLAN)
+    assert est.c == pytest.approx(c, rel=1e-12)
+    assert est.residual == pytest.approx(residual, rel=1e-12)
+    assert est.residual > 1e-2
+
+
+def test_curvature_fit_scratch_is_under_half_a_curvature_tensor():
+    # dense dim-3 sphere, 20 000 samples, the fields already held
+    m, d = 20_000, 3
+    q = np.array([[1.3, 0.2, 0.1], [0.2, 1.1, 0.3], [0.1, 0.3, 1.2]])
+    quad = " + ".join(f"{q[i, j]}*x{i}*x{j}" for i in range(d) for j in range(d))
+    g = MetricField(Chart(d, ((-0.5, 0.5),) * d),
+                    [[f"4*{q[i, j]}/(1 + {quad})^2" for j in range(d)] for i in range(d)])
+    struct = StatisticalStructure(g.chart, levi_civita(g), g)
+    plan = SamplePlan(count=m, seed=1)
+    pts = g.chart.sample(plan)
+    struct.conn.eval(pts, 1)
+    g.eval(pts, 0)
+    tracemalloc.start()
+    try:
+        est = estimate_constant_curvature(struct, plan)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        drop_held_points()
+    assert est.c == pytest.approx(1.0, abs=1e-9) and est.residual <= 1e-9
+    assert peak <= 1.5 * m * d**4 * 8
 
 
 def test_curvature_one_dimensional_trivial():

@@ -218,17 +218,21 @@ def test_dense_levi_civita_matches_reference():
     pts = np.random.default_rng(1).uniform(-0.45, 0.45, (6, 3))
     _assert_same_outcome(trees, pts, 2)
 
-    # hash-consed trees: the planner visits one object per slot
+    # hash-consed trees: the planner visits one object per slot, and adds one
+    # reciprocal slot for each of the 3 distinct divisors of the 33 divisions
     slots, _ = _plan(trees)
-    objects = set()
+    objects = {}
     stack = list(trees)
     while stack:
         node = stack.pop()
         if id(node) not in objects:
-            objects.add(id(node))
+            objects[id(node)] = node
             stack.extend(getattr(node, f) for f in node.__dataclass_fields__
                          if isinstance(getattr(node, f), ex.Expression))
-    assert len(slots) == len(objects) == 313
+    assert len(objects) == 313
+    assert sum(isinstance(node, ex.Div) for node in objects.values()) == 33
+    assert sum(op == "recip" for op, _, _ in slots) == 3
+    assert len(slots) == 316
 
 
 def test_jets_are_freed_after_their_last_use():

@@ -1,0 +1,236 @@
+"""Memory order: the sample axis at unit stride from jet to residual.
+
+Every jet, field tensor and residual intermediate is indexed sample axis
+first and stored with that axis at unit stride. These tests pin the layout
+of each producer, check that jet arithmetic gives the same bits whatever the
+layout of its operands, and bound the scratch of `max_abs` on either layout.
+"""
+
+from __future__ import annotations
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hesslab import expr as ex
+from hesslab.expr import DomainError
+from hesslab.geomcore import (
+    Chart,
+    LineIntegralGauge,
+    MetricField,
+    OneFormField,
+    SamplePlan,
+    ScalarField,
+    VectorFieldT,
+    covariant_derivative_metric_batch,
+    covariant_derivative_oneform_batch,
+    covariant_derivative_vector_batch,
+    curvature_batch,
+    drop_held_points,
+    flat_connection,
+    gauged,
+    levi_civita,
+    lie_derivative_metric_batch,
+    max_abs,
+    samples_first,
+)
+from hesslab.jets import MAX_ORDER, Jet
+
+CHART = Chart(2, ((0.4, 2.1), (0.3, 1.9)))
+
+
+def unit_stride(arr) -> bool:
+    return arr.shape[0] == 1 or arr.strides[0] == arr.itemsize
+
+
+def sample_contiguous_copy(arr):
+    """The same values, sample axis first, stored sample axis last."""
+    return samples_first(np.ascontiguousarray(np.moveaxis(arr, 0, -1)))
+
+
+def _metric() -> MetricField:
+    r2 = "(x0*x0 + x1*x1)"
+    return MetricField(CHART, [[f"1/{r2} + x0", "x0*x1"], ["x0*x1", f"exp(x1)/{r2}"]])
+
+
+def _fields():
+    g = _metric()
+    form = [ex.parse_expression(w, 2) for w in ("x1", "x0 + 2*x1")]
+    gauge = LineIntegralGauge(form, (1.0, 1.0))
+    gauged_metric = MetricField(CHART, [[gauged(gauge, -1.0, e) for e in row]
+                                        for row in g.entries])
+    return {
+        "metric": g,
+        "gauged-metric": gauged_metric,
+        "connection": levi_civita(g),
+        "one-form": OneFormField(CHART, ["sin(x0)*x1", "log(x0 + x1)"]),
+        "vector": VectorFieldT(CHART, ["x0^2 - x1", "sqrt(x0)*x1"]),
+        "scalar": ScalarField(CHART, "x0^3*x1 + cos(x1)"),
+    }
+
+
+@pytest.mark.parametrize("order", range(MAX_ORDER + 1))
+@pytest.mark.parametrize("kind", sorted(_fields()))
+def test_field_tensors_have_the_sample_axis_at_unit_stride(kind, order):
+    field = _fields()[kind]
+    loose = np.random.default_rng(3).uniform(0.5, 1.8, (40, 2))
+    held = CHART.sample(SamplePlan(count=40, seed=5))
+    try:
+        for pts in (loose, held):
+            tensor = field.eval(pts, order)
+            arrays = (tensor.value, tensor.d1, tensor.d2, tensor.d3)[:order + 1]
+            for arr in arrays:
+                assert arr.shape[:1] == (40,)
+                assert unit_stride(arr), arr.strides
+    finally:
+        drop_held_points()
+
+
+def test_batch_operators_have_the_sample_axis_at_unit_stride():
+    g = _metric()
+    conn = levi_civita(g)
+    theta = OneFormField(CHART, ["x1", "x0*x1"])
+    xi = VectorFieldT(CHART, ["x0 + x1^2", "x0*x1"])
+    pts = np.random.default_rng(1).uniform(0.5, 1.8, (30, 2))
+    for c in (conn, flat_connection(CHART)):
+        outputs = [
+            curvature_batch(c, pts),
+            covariant_derivative_metric_batch(c, g, pts),
+            covariant_derivative_oneform_batch(c, theta, pts),
+            covariant_derivative_vector_batch(c, xi, pts),
+        ]
+        for out in outputs:
+            assert unit_stride(out), out.strides
+    assert unit_stride(lie_derivative_metric_batch(xi, g, pts))
+
+
+# ---------------------------------------------------------------------------
+# jet arithmetic: the same bits on either layout
+# ---------------------------------------------------------------------------
+
+SPOILERS = (np.nan, np.inf, -np.inf, 0.0)
+UNARY = ("neg", "exp", "log", "sqrt", "sin", "cos", "reciprocal", "powi", "powf")
+BINARY = ("add", "sub", "mul", "truediv")
+
+
+def same_bits(a, b) -> bool:
+    """Equal shapes, NaN at the same entries and the same bits elsewhere.
+    A NaN's sign and payload are not compared: which operand's NaN a binary
+    ufunc propagates depends on the inner loop numpy picks for the layout,
+    and nothing reads them."""
+    if a.shape != b.shape:
+        return False
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    nan = np.isnan(a)
+    return (np.array_equal(nan, np.isnan(b))
+            and a[~nan].tobytes() == b[~nan].tobytes())
+
+
+def _random_parts(rng, m, n, order, spoil):
+    value = rng.uniform(0.05, 2.0, m) * rng.choice([1.0, 1.0, -1.0], m)
+    parts = [value] + [rng.standard_normal((m,) + (n,) * r) for r in range(1, order + 1)]
+    for v in spoil:  # NaN, +-inf and zeros at random entries of random parts
+        part = parts[rng.integers(len(parts))].reshape(-1)
+        part[rng.integers(part.size)] = v
+    return parts
+
+
+def _apply(op, arg, u, v=None):
+    if op == "powi":
+        return u.powi(arg)
+    if op == "powf":
+        return u.powf(arg)
+    if op in BINARY:
+        return getattr(u, f"__{op}__")(v)
+    if op == "neg":
+        return -u
+    return getattr(u, op)()
+
+
+def _run_program(program, leaves, order):
+    """Each step applies an op to jets of the pool; a DomainError is the
+    step's outcome and the pool does not grow."""
+    pool = [Jet(order, *parts) for parts in leaves]
+    outcomes = []
+    for op, arg, i, j in program:
+        u, v = pool[i % len(pool)], pool[j % len(pool)]
+        try:
+            with np.errstate(all="ignore"):
+                pool.append(_apply(op, arg, u, v))
+            outcomes.append("ok")
+        except DomainError as err:
+            outcomes.append(str(err))
+    return pool, outcomes
+
+
+STEP = st.tuples(
+    st.sampled_from(UNARY + BINARY),
+    st.sampled_from([-2, -1, 0, 1, 2, 3, 0.5, -1.5, 2.25]),
+    st.integers(0, 50),
+    st.integers(0, 50),
+).map(lambda s: (s[0], int(s[1]) if s[0] == "powi" else float(s[1]), s[2], s[3]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(order=st.integers(0, MAX_ORDER), n=st.integers(1, 3),
+       m=st.sampled_from([1, 5, 33]), seed=st.integers(0, 2**32 - 1),
+       spoil=st.lists(st.sampled_from(SPOILERS), max_size=3),
+       program=st.lists(STEP, min_size=1, max_size=10))
+def test_jet_arithmetic_is_bit_identical_on_either_layout(order, n, m, seed, spoil,
+                                                          program):
+    rng = np.random.default_rng(seed)
+    leaves = [_random_parts(rng, m, n, order, spoil) for _ in range(3)]
+    c_leaves = [[np.ascontiguousarray(p) for p in parts] for parts in leaves]
+    s_leaves = [[p if p.ndim == 1 else sample_contiguous_copy(p) for p in parts]
+                for parts in leaves]
+    c_pool, c_outcomes = _run_program(program, c_leaves, order)
+    s_pool, s_outcomes = _run_program(program, s_leaves, order)
+    assert c_outcomes == s_outcomes
+    for c_jet, s_jet in zip(c_pool, s_pool):
+        for part in ("value", "grad", "hess", "third"):
+            a, b = getattr(c_jet, part), getattr(s_jet, part)
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert same_bits(a, b), part
+                if a.ndim > 1 and b.shape[0] > 1 and part != "value":
+                    assert unit_stride(b)  # the order carries through
+
+
+# ---------------------------------------------------------------------------
+# max_abs: two (m,) arrays of scratch, whatever the layout
+# ---------------------------------------------------------------------------
+
+def test_max_abs_peak_is_two_rows_on_either_layout():
+    m = 20_000
+    rng = np.random.default_rng(0)
+    point_major = rng.standard_normal((m, 3, 3, 3))
+    point_major[17, 2, 1, 0] = np.nan
+    point_major[5, 0, 0, 1] = -np.inf
+    want = np.max(np.abs(point_major.reshape(m, -1)), axis=1)
+    layouts = {
+        "point-major": point_major,
+        "sample-contiguous": sample_contiguous_copy(point_major),
+        "permuted": sample_contiguous_copy(point_major).transpose(0, 3, 1, 2),
+    }
+    for name, arr in layouts.items():
+        tracemalloc.start()
+        try:
+            got = max_abs(arr)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * m * 8 + 4096, (name, peak)
+        if name == "permuted":
+            want_here = np.max(np.abs(arr.reshape(m, -1)), axis=1)
+        else:
+            want_here = want
+        assert got.tobytes() == want_here.tobytes(), name
+
+
+def test_max_abs_reads_components_that_do_not_merge():
+    arr = np.random.default_rng(2).standard_normal((50, 4, 4))[:, ::2, 1:]
+    assert max_abs(arr).tobytes() == np.max(np.abs(arr.reshape(50, -1)), axis=1).tobytes()
+    assert max_abs(arr[:, 0, 0]).tobytes() == np.abs(arr[:, 0, 0]).tobytes()

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import ast
+import inspect
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +23,7 @@ from conftest import (
     sphere_metric,
 )
 from hesslab import expr as ex
+from hesslab import lch
 from hesslab.cones import LorentzCone, OrthantCone, cone_lch_structure
 from hesslab.geomcore import (
     Chart,
@@ -30,6 +34,7 @@ from hesslab.geomcore import (
     PathDependenceError,
     SamplePlan,
     VectorFieldT,
+    contract,
     euclidean_metric,
     flat_connection,
     gauged,
@@ -721,3 +726,38 @@ def test_perturbed_structure_raises_when_rejected():
     alpha = OneFormField(chart, ["0", "1"])
     with pytest.raises(NotPositiveDefiniteError):
         perturbed_structure(broken, alpha, 0.0, PLAN)
+
+
+def _metric_pullback_call():
+    """The spec and operand names of the metric pullback in `_pullback_residuals`."""
+    tree = ast.parse(inspect.getsource(lch._pullback_residuals))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+                and node.targets[0].id == "pull_g"):
+            spec, *names = node.value.args
+            return spec.value, [n.id for n in names]
+    raise AssertionError("no metric pullback found")
+
+
+def test_metric_pullback_builds_no_intermediate():
+    # 20 000 samples of a dim-3 map: the pullback's scratch, its (m, 3, 3)
+    # result included, stays below one (m, 3, 3, 3) array, so no product of
+    # two of its three operands is formed
+    m = 20_000
+    chart = Chart(3, ((0.5, 1.5),) * 3)
+    g = MetricField(chart, [["1 + x0^2", "x1", "0"], ["x1", "2", "x0*x2"],
+                            ["0", "x0*x2", "3 + x1"]])
+    trees = [ex.parse_expression(c, 3) for c in ("x1 + 0.1*x0^2", "x2*x0", "x0 - x1*x2")]
+    pts = np.random.default_rng(4).uniform(0.5, 1.5, (m, 3))
+    image, jac, _ = lch._map_jets(trees, pts)
+    operands = {"jac": jac, "g_at": g.eval(image, 0).value}
+    spec, names = _metric_pullback_call()
+    tracemalloc.start()
+    try:
+        pulled = contract(spec, *[operands[n] for n in names])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    want = np.einsum("acu,acd,adv->auv", jac, operands["g_at"], jac)
+    assert np.allclose(pulled, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
+    assert peak < m * 27 * 8
