@@ -640,20 +640,21 @@ def cone_from_spec(spec) -> ConeSpec:
             ) from None
         return cone_from_spec(parsed)
     if not isinstance(spec, dict):
-        raise TypeError(f"cone spec must be a dict or string, got {type(spec).__name__}")
+        raise ValueError(f"cone spec must be a dict or string, got {type(spec).__name__}")
     if "kind" not in spec:
         raise ValueError("cone spec needs a 'kind' field")
     kind = spec["kind"]
-    if kind == "orthant":
-        return OrthantCone(int(spec["dim"]))
-    if kind == "lorentz":
-        return LorentzCone(int(spec["dim"]))
+    if kind in ("orthant", "lorentz"):
+        dim = spec.get("dim")
+        if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)):
+            raise ValueError(f"{kind} cone spec needs an integer 'dim', got {dim!r}")
+        return OrthantCone(dim) if kind == "orthant" else LorentzCone(dim)
     if kind == "polyhedral":
         if "generators" not in spec:
             raise ValueError("polyhedral cone spec needs 'generators'")
         return PolyhedralCone(spec["generators"])
     if kind == "product":
-        if "factors" not in spec:
-            raise ValueError("product cone spec needs 'factors'")
+        if not isinstance(spec.get("factors"), list):
+            raise ValueError("product cone spec needs a list of 'factors'")
         return ProductCone([cone_from_spec(f) for f in spec["factors"]])
     raise ValueError(f"unknown cone kind {kind!r}")

@@ -35,7 +35,10 @@ than over loops of length n. numpy keeps the order through ufuncs, einsum,
 `np.copy` and `np.zeros_like` (their default order is 'K');
 `ndarray.copy()`, `np.empty((m, ...))` and `np.stack(..., axis=1)` would
 not, so the code here uses none of them on sample arrays. Values never
-depend on the layout, up to the sign and payload of a NaN.
+depend on the layout, up to the sign and payload of a NaN. Every contraction
+is one `np.einsum` call without ``optimize``, so a three-operand spec forms
+no intermediate product, and einsum raises no floating-point warning: NaN and
+inf propagate to the gates that judge them.
 
 The most recently sampled point set is held, read-only, together with every
 field tensor evaluated on exactly that array, so the checks of one structure
@@ -538,56 +541,13 @@ def euler_field(chart: Chart) -> VectorFieldT:
 # Tensor calculus (batched)
 # ---------------------------------------------------------------------------
 
-def contract(spec: str, *ops) -> Array:
-    """Batched tensor contraction in einsum notation, as one np.einsum.
-
-    Every letter of the output names a free axis and every other letter is
-    summed, over all operands at once: einsum runs without ``optimize``, so
-    it forms no intermediate product, and a three-operand spec multiplies the
-    three factors of each term before summing. The result keeps the memory
-    order of the operands (einsum's default order is 'K'), so sample-first
-    operands with the sample axis at unit stride give such a result. A spec
-    einsum would read as a trace, a sum within one operand or an implicit
-    output (no '->', a letter repeated within one subscript, a letter in one
-    operand and not in the output) raises ValueError, as do fewer than two
-    operands and axes of different lengths under one letter; there is no
-    other contraction path. einsum raises no floating-point warning: NaN and
-    inf propagate to the gates that judge them."""
-    def fail(why):
-        return ValueError(f"contract cannot lower {spec!r}: {why}")
-
-    lhs, arrow, out = spec.partition("->")
-    subs = lhs.split(",")
-    if not arrow or len(subs) < 2 or len(subs) != len(ops):
-        raise fail("it needs '->' and one subscript per operand, at least two")
-    ops = [np.asarray(op) for op in ops]
-    for sub in subs + [out]:
-        if not sub.isalpha() or len(set(sub)) != len(sub):
-            raise fail(f"{sub!r} must be distinct letters")
-    for sub, op in zip(subs, ops):
-        if op.ndim != len(sub):
-            raise fail(f"{sub!r} names {len(sub)} axes of a {op.ndim}-axis operand")
-    if not set(out) <= set(lhs):
-        raise fail("an output letter names no operand axis")
-    lone = [c for c in lhs if c.isalpha() and c not in out
-            and sum(c in sub for sub in subs) == 1]
-    if lone:
-        raise fail(f"{lone[0]!r} is summed within one operand")
-    size: dict[str, int] = {}
-    for sub, op in zip(subs, ops):
-        for c, n in zip(sub, op.shape):
-            if size.setdefault(c, n) != n:
-                raise fail(f"axis {c!r} has lengths {size[c]} and {n}")
-    return np.einsum(spec, *ops)
-
-
 def covariant_derivative_metric_batch(conn: ConnectionField, g: MetricField, pts) -> Array:
     gj = g.eval(pts, 1)
     nabla = np.copy(gj.d1.transpose(0, 3, 1, 2))  # (m, i, j, k) = d_i g_jk
     if not conn.flat:
         c = conn.eval(pts, 0).value
-        nabla -= contract("alij,alk->aijk", c, gj.value)
-        nabla -= contract("alik,ajl->aijk", c, gj.value)
+        nabla -= np.einsum("alij,alk->aijk", c, gj.value)
+        nabla -= np.einsum("alik,ajl->aijk", c, gj.value)
     return nabla
 
 
@@ -596,7 +556,7 @@ def covariant_derivative_oneform_batch(conn: ConnectionField, theta: OneFormFiel
     nabla = np.copy(tj.d1.transpose(0, 2, 1))  # (m, i, j) = d_i theta_j
     if not conn.flat:
         c = conn.eval(pts, 0).value
-        nabla -= contract("akij,ak->aij", c, tj.value)
+        nabla -= np.einsum("akij,ak->aij", c, tj.value)
     return nabla
 
 
@@ -605,16 +565,16 @@ def covariant_derivative_vector_batch(conn: ConnectionField, xi: VectorFieldT, p
     nabla = np.copy(xj.d1)  # (m, i, j) = d_j xi^i
     if not conn.flat:
         c = conn.eval(pts, 0).value
-        nabla += contract("aijk,ak->aij", c, xj.value)
+        nabla += np.einsum("aijk,ak->aij", c, xj.value)
     return nabla
 
 
 def lie_derivative_metric_batch(xi: VectorFieldT, g: MetricField, pts) -> Array:
     gj = g.eval(pts, 1)
     xj = xi.eval(pts, 1)
-    out = contract("ak,aijk->aij", xj.value, gj.d1)
-    out += contract("akj,aki->aij", gj.value, xj.d1)
-    out += contract("aik,akj->aij", gj.value, xj.d1)
+    out = np.einsum("ak,aijk->aij", xj.value, gj.d1)
+    out += np.einsum("akj,aki->aij", gj.value, xj.d1)
+    out += np.einsum("aik,akj->aij", gj.value, xj.d1)
     return out
 
 
@@ -629,7 +589,7 @@ def curvature_batch(conn: ConnectionField, pts) -> Array:
     dgamma = cj.d1.transpose(0, 1, 4, 2, 3)  # (m, l, i, j, k) = d_i Gamma^l_{jk}
     out = samples_first(np.empty((d, d, d, d, m)))
     for l in range(d):  # one upper index at a time, so scratch is one slice
-        a = contract("aiu,aujk->aijk", gamma[:, l], gamma)
+        a = np.einsum("aiu,aujk->aijk", gamma[:, l], gamma)
         a += dgamma[:, l]  # A^l_{ijk} = Gamma^l_{iu} Gamma^u_{jk} + d_i Gamma^l_{jk}
         np.subtract(a, a.transpose(0, 2, 1, 3), out=out[:, l])
         del a  # before the next slice is allocated: scratch stays one slice

@@ -35,7 +35,6 @@ from .geomcore import (
     adjugate_expressions,
     as_entry,
     closedness_residual,
-    contract,
     covariant_derivative_metric_batch,
     covariant_derivative_vector_batch,
     curvature_batch,
@@ -204,7 +203,7 @@ def hessian_values(conn: ConnectionField, phi, pts) -> np.ndarray:
     """(Hess phi)_{ij} = d_i d_j phi - Gamma^k_{ij} d_k phi at each sample."""
     jet = evaluate(_tree(phi, conn.chart.dim), pts, 2)
     gamma = conn.eval(pts, 0).value
-    return jet.hess - contract("akij,ak->aij", gamma, jet.grad)
+    return jet.hess - np.einsum("akij,ak->aij", gamma, jet.grad)
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +238,8 @@ def structure_terms(conn: ConnectionField, g: MetricField, pts, *,
     def symmetry():
         nabla = covariant_derivative_metric_batch(conn, g, pts)
         if theta is not None:
-            nabla -= contract("ai,ajk->aijk", theta.eval(pts, 0).value,
-                              g.eval(pts, 0).value)
+            nabla -= np.einsum("ai,ajk->aijk", theta.eval(pts, 0).value,
+                               g.eval(pts, 0).value)
         return total_symmetry_residual_batch(nabla)
 
     terms["symmetry"] = held_result(("symmetry", conn, g, theta), pts, symmetry)
@@ -329,9 +328,9 @@ def check_potential_field(g: MetricField, xi: VectorFieldT, plan=None,
     except DomainError as err:
         return make_report(name, np.full(plan.count, np.inf), tolerance,
                            notes=(f"evaluation failed: {err}",))
-    omega = contract("ak,akj->aj", xj.value, gj.value)
-    domega = contract("aki,akj->aij", xj.d1, gj.value)
-    domega += contract("ak,akji->aij", xj.value, gj.d1)
+    omega = np.einsum("ak,akj->aj", xj.value, gj.value)
+    domega = np.einsum("aki,akj->aij", xj.d1, gj.value)
+    domega += np.einsum("ak,akji->aij", xj.value, gj.d1)
     dw = domega - domega.transpose(0, 2, 1)
     residuals = rel_residual(dw, omega)
 
@@ -395,8 +394,8 @@ def duality_residual_batch(conn: ConnectionField, dual: ConnectionField,
     gamma = conn.eval(pts, 0).value
     gammabar = dual.eval(pts, 0).value
     lhs = gj.d1.transpose(0, 3, 1, 2)  # (a, i, j, l) = d_i g_{jl}
-    lhs = lhs - contract("amij,aml->aijl", gamma, gj.value)
-    lhs = lhs - contract("amil,ajm->aijl", gammabar, gj.value)
+    lhs = lhs - np.einsum("amij,aml->aijl", gamma, gj.value)
+    lhs = lhs - np.einsum("amil,ajm->aijl", gammabar, gj.value)
     return rel_residual(lhs, gj.value)
 
 
@@ -427,8 +426,8 @@ def estimate_constant_curvature(struct: StatisticalStructure, plan=None) -> Curv
         r = curvature_batch(struct.conn, pts)  # a fresh array, changed in place below
         g = struct.metric.eval(pts, 0).value
         traces = np.trace(r, axis1=1, axis2=2) - np.trace(r, axis1=1, axis2=3)
-        along = float(np.sum(contract("ajk,ajk->a", traces, g)))
-        denom = 2.0 * (d - 1) * float(np.sum(contract("ajk,ajk->a", g, g)))
+        along = float(np.sum(np.einsum("ajk,ajk->a", traces, g)))
+        denom = 2.0 * (d - 1) * float(np.sum(np.einsum("ajk,ajk->a", g, g)))
         c = along / denom if denom > 0 else 0.0
         # r - c B where B is nonzero (i = l or j = l, not both): the misfit
         # takes r's place; every g_jk appears in B, so max|c B| = max|c g|

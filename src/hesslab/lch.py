@@ -29,7 +29,6 @@ from .geomcore import (
     SamplePlan,
     VectorFieldT,
     closedness_residual,
-    contract,
     covariant_derivative_oneform_batch,
     covariant_derivative_vector_batch,
     gauged,
@@ -41,7 +40,6 @@ from .geomcore import (
     rel_residual,
     residual_passes,
     sample_check,
-    samples_first,
     smallest_eigenvalues,
 )
 from .hesstat import (
@@ -52,7 +50,6 @@ from .hesstat import (
     nondegenerate_lambda,
     structure_terms,
 )
-from .jets import evaluate
 
 __all__ = [
     "LCHStructure",
@@ -145,14 +142,15 @@ class LeeConstants:
 class MappingTorusSpec:
     """Base for a mapping torus: statistical fiber, automorphism, scale q.
 
-    The automorphism is given as one expression per base coordinate; it must
-    preserve the base metric and connection (checked by the builder).  The
-    scale q > 0, q != 1 fixes the deck transformation (m, s) -> (phi(m), qs),
-    and ``lam`` picks a root of lam*(2 - lam) = c for the cone lift.
+    The automorphism is given as one expression per base coordinate and kept
+    as a vector field on the base chart; it must preserve the base metric and
+    connection (checked by the builder).  The scale q > 0, q != 1 fixes the
+    deck transformation (m, s) -> (phi(m), qs), and ``lam`` picks a root of
+    lam*(2 - lam) = c for the cone lift.
     """
 
     base: StatisticalStructure
-    automorphism: tuple
+    automorphism: VectorFieldT
     scale: float
     lam: float
 
@@ -165,15 +163,12 @@ class MappingTorusSpec:
         self.scale = q
         self.lam = nondegenerate_lambda(self.lam)
         dim = self.base.chart.dim
-        comps = tuple(self.automorphism)
+        comps = list(self.automorphism)
         if len(comps) != dim:
             raise ValueError(
                 f"automorphism needs {dim} components, got {len(comps)}"
             )
-        self.automorphism = tuple(
-            c if isinstance(c, ex.Expression) else ex.parse_expression(c, dim)
-            for c in comps
-        )
+        self.automorphism = VectorFieldT(self.base.chart, comps)
 
 
 @dataclass(frozen=True)
@@ -244,7 +239,7 @@ def lee_constants(struct: LCHStructure, plan=None) -> LeeConstants:
         lie = lie_derivative_metric_batch(xi, struct.metric, pts)
         gval = struct.metric.eval(pts, 0).value
         xival = xi.eval(pts, 0).value
-        avals = contract("aij,ai,aj->a", gval, xival, xival)
+        avals = np.einsum("aij,ai,aj->a", gval, xival, xival)
         a = float(np.mean(avals))
         a_dev = float(np.max(np.abs(avals - a))) / (1.0 + abs(a))
 
@@ -280,10 +275,10 @@ def _affine_residual(conn: ConnectionField, xi: VectorFieldT, pts) -> float:
     if cj is not None:
         c = cj.value
         # d_k (Gamma^i_{jl} xi^l), then the two Gamma terms of nabla_k T
-        second = second + contract("aijlk,al->aijk", cj.d1, xj.value)
-        second += contract("aijl,alk->aijk", c, xj.d1)
-        second += contract("aikl,alj->aijk", c, tval)
-        second -= contract("alkj,ail->aijk", c, tval)
+        second = second + np.einsum("aijlk,al->aijk", cj.d1, xj.value)
+        second += np.einsum("aijl,alk->aijk", c, xj.d1)
+        second += np.einsum("aikl,alj->aijk", c, tval)
+        second -= np.einsum("alkj,ail->aijk", c, tval)
     return float(np.max(rel_residual(second, tval)))
 
 
@@ -311,7 +306,7 @@ def lee_identity_residual(struct: LCHStructure, constants: LeeConstants,
         gval = g.eval(pts, 0).value
         tval = theta.eval(pts, 0).value
         rhs = covariant_derivative_oneform_batch(conn, theta, pts)
-        rhs -= contract("ai,aj->aij", tval, tval)
+        rhs -= np.einsum("ai,aj->aij", tval, tval)
         return rel_residual(u * gval - rhs, u * gval)
 
     return sample_check(residual, struct.chart, plan, tolerance, name=name,
@@ -440,29 +435,21 @@ def local_hessian_gauge(struct: LCHStructure, base_point, p=None, *,
 # ---------------------------------------------------------------------------
 
 
-def _map_jets(map_trees, pts):
-    """The image points and the map's Jacobian and Hessian, sample axis
-    first and at unit stride."""
-    jets = evaluate(map_trees, pts, 2)
-    image = samples_first(np.stack([j.value for j in jets]))
-    jac = samples_first(np.stack([j.grad.T for j in jets]))  # (m, c, u) = d_u phi^c
-    hess = samples_first(np.stack([j.hess.transpose(1, 2, 0) for j in jets]))  # (m, c, u, v)
-    return image, jac, hess
-
-
-def _pullback_residuals(map_trees, conn, metric, theta, pts) -> dict:
+def _pullback_residuals(phi: VectorFieldT, conn, metric, theta, pts) -> dict:
     """Named (m,) residuals of phi^* (g, Gamma, theta) against the fields
-    themselves."""
-    image, jac, hess = _map_jets(map_trees, pts)
+    themselves. The map's jet gives the image points, the Jacobian
+    jac[m, c, u] = d_u phi^c and the Hessian hess[m, c, u, v]."""
+    pj = phi.eval(pts, 2)
+    image, jac, hess = pj.value, pj.d1, pj.d2
 
     gval = metric.eval(pts, 0).value
     g_at = metric.eval(image, 0).value
-    pull_g = contract("acu,adv,acd->auv", jac, jac, g_at)
+    pull_g = np.einsum("acu,adv,acd->auv", jac, jac, g_at)
     res = {"metric": rel_residual(pull_g - gval, gval)}
 
     cval = conn.eval(pts, 0).value
     c_at = conn.eval(image, 0).value
-    inner = contract("acde,adu,aev->acuv", c_at, jac, jac) + hess
+    inner = np.einsum("acde,adu,aev->acuv", c_at, jac, jac) + hess
     m, n = pts.shape
     pulled = np.linalg.solve(jac, inner.reshape(m, n, n * n)).reshape(m, n, n, n)
     res["connection"] = rel_residual(pulled - cval, cval)
@@ -470,7 +457,7 @@ def _pullback_residuals(map_trees, conn, metric, theta, pts) -> dict:
     if theta is not None:
         tval = theta.eval(pts, 0).value
         t_at = theta.eval(image, 0).value
-        pull_t = contract("ac,acu->au", t_at, jac)
+        pull_t = np.einsum("ac,acu->au", t_at, jac)
         res["lee_form"] = rel_residual(pull_t - tval, tval)
     return res
 
@@ -492,15 +479,13 @@ def check_symmetry(struct: LCHStructure, mapping, plan=None,
     necessarily inside the chart box).
     """
     n = struct.chart.dim
-    trees = tuple(
-        c if isinstance(c, ex.Expression) else ex.parse_expression(c, n)
-        for c in mapping
-    )
-    if len(trees) != n:
-        raise ValueError(f"mapping needs {n} components, got {len(trees)}")
+    mapping = list(mapping)
+    if len(mapping) != n:
+        raise ValueError(f"mapping needs {n} components, got {len(mapping)}")
+    phi = VectorFieldT(struct.chart, mapping)
 
     def residual(pts):
-        return _pullback_residuals(trees, struct.conn, struct.metric, struct.lee_form, pts)
+        return _pullback_residuals(phi, struct.conn, struct.metric, struct.lee_form, pts)
 
     return sample_check(residual, struct.chart, plan or SamplePlan(), tolerance, name=name)
 
@@ -557,7 +542,7 @@ def build_mapping_torus(spec: MappingTorusSpec, *, plan=None,
     )
     struct = LCHStructure(chart, cone.conn, metric, theta)
 
-    seam_map = list(spec.automorphism) + [ex.mul(ex.const(q), s)]
+    seam_map = VectorFieldT(chart, [*spec.automorphism.entries, ex.mul(ex.const(q), s)])
     seam_pts = np.hstack([base_pts, np.ones((base_pts.shape[0], 1))])
     seam = _pullback_residuals(seam_map, cone.conn, metric, theta, seam_pts)
     seam_report = _pullback_report("mapping-torus-seam", seam, tolerance)

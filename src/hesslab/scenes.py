@@ -54,6 +54,8 @@ from .geomcore import (
     flat_connection,
     levi_civita,
     make_report,
+    rel_residual,
+    sample_check,
     smallest_eigenvalues,
 )
 from .hesstat import (
@@ -623,11 +625,13 @@ def _op_cone_restriction(ctx, check, tol, structure):
     recovered, _ = level_set_statistical(
         structure.conn, phi, surface, base.chart, transversal, plan=ctx.plan,
     )
-    pts = base.chart.sample(ctx.plan)
-    gv = base.metric.eval(pts, 0).value
-    dev = np.abs(recovered.metric.eval(pts, 0).value - gv).max((1, 2))
-    dev = dev / (1.0 + np.abs(gv).max())
-    metric_rep = make_report("restriction-metric", dev, tol, samples=pts.shape[0])
+
+    def metric_residual(pts):
+        gv = base.metric.eval(pts, 0).value
+        return rel_residual(recovered.metric.eval(pts, 0).value - gv, gv)
+
+    metric_rep = sample_check(metric_residual, base.chart, ctx.plan, tol,
+                              name="restriction-metric")
     curv_tol = float(check.get("curvature_tolerance", 1e-4))
     return [metric_rep,
             _curvature_report(ctx, recovered, "restriction-curvature", curv_tol)]

@@ -498,6 +498,18 @@ def test_cone_from_spec_errors():
         cone_from_spec({"dim": 3})
     with pytest.raises(ValueError, match="unknown cone kind"):
         cone_from_spec({"kind": "icecream", "dim": 3})
+    with pytest.raises(ValueError, match="dict or string, got list"):
+        cone_from_spec([1, 2])
+    with pytest.raises(ValueError, match="dict or string"):
+        cone_from_spec('[1, 2]')
+    for spec in ({"kind": "orthant"}, {"kind": "orthant", "dim": None},
+                 {"kind": "lorentz", "dim": 2.5}, {"kind": "lorentz", "dim": "2"},
+                 {"kind": "orthant", "dim": True}):
+        with pytest.raises(ValueError, match="integer 'dim'"):
+            cone_from_spec(spec)
+    for factors in (3, "orthant(2)", {"kind": "orthant", "dim": 1}):
+        with pytest.raises(ValueError, match="list of 'factors'"):
+            cone_from_spec({"kind": "product", "factors": factors})
 
 
 def test_dimension_mismatch_message():

@@ -1,72 +1,45 @@
-"""`geomcore.contract`, the one contraction path of the residual algebra.
+"""The tensor contractions of the residual algebra, as `np.einsum` calls.
 
-Every spec string the package passes to `contract` is checked against
-np.einsum on random shapes, with and without non-finite entries, and for the
-memory order of its result.
+`geomcore`, `hesstat` and `lch` contract by calling ``np.einsum(spec, *ops)``
+directly. Every such call is found in the source: each must spell out a plain
+contraction (explicit output, every summed index shared by two operands) and
+run without ``optimize``, and each spec keeps the sample axis at unit stride.
 """
 
 from __future__ import annotations
 
 import ast
 import pathlib
-import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-from hesslab.geomcore import contract
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "hesslab"
+RESIDUAL_MODULES = ("geomcore.py", "hesstat.py", "lch.py")
 
 
-def _specs_in_source() -> list[str]:
-    specs = set()
-    for path in SRC.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                    and node.func.id == "contract" and node.args
-                    and isinstance(node.args[0], ast.Constant)):
-                specs.add(node.args[0].value)
-    return sorted(specs)
+def _is_np_einsum(node) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == "einsum"
+            and isinstance(node.value, ast.Name) and node.value.id == "np")
 
 
-SPECS = _specs_in_source()
+def _einsum_calls(module: str) -> tuple[list[ast.Call], int]:
+    """Every ``np.einsum(...)`` call in ``module``, and the number of
+    ``np.einsum`` references there (a reference that is not called would
+    hide a contraction from this search)."""
+    nodes = list(ast.walk(ast.parse((SRC / module).read_text())))
+    calls = [n for n in nodes if isinstance(n, ast.Call) and _is_np_einsum(n.func)]
+    return calls, sum(_is_np_einsum(n) for n in nodes)
+
+
+SPECS = sorted({call.args[0].value for module in RESIDUAL_MODULES
+                for call in _einsum_calls(module)[0]})
 
 
 def test_every_call_site_is_found():
     assert "aiu,aujk->aijk" in SPECS  # the curvature kernel
     assert "acde,adu,aev->acuv" in SPECS  # three operands
     assert len(SPECS) >= 20
-
-
-NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf, 0.0])
-
-
-@pytest.mark.parametrize("spec", SPECS)
-@settings(max_examples=30, deadline=None)
-@given(m=st.sampled_from([1, 7, 200]),
-       lengths=st.lists(st.integers(1, 4), min_size=26, max_size=26),
-       seed=st.integers(0, 2**32 - 1),
-       spoil=st.lists(NON_FINITE, max_size=4))
-def test_contract_matches_einsum(spec, m, lengths, seed, spoil):
-    size = dict(zip("abcdefghijklmnopqrstuvwxyz", lengths))
-    size["a"] = m
-    rng = np.random.default_rng(seed)
-    subs = spec.split("->")[0].split(",")
-    ops = [rng.standard_normal([size[c] for c in sub]) for sub in subs]
-    for value in spoil:  # NaN, +-inf and exact zeros at random entries
-        flat = ops[rng.integers(len(ops))].reshape(-1)
-        flat[rng.integers(flat.size)] = value
-    with np.errstate(all="ignore"):
-        want = np.einsum(spec, *ops)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)  # NaN and inf pass silently
-        got = contract(spec, *ops)
-    # one einsum call: the same sums in the same order, NaN and inf included
-    assert got.shape == want.shape
-    assert np.array_equal(got, want, equal_nan=True)
 
 
 @pytest.mark.parametrize("spec", SPECS)
@@ -77,36 +50,33 @@ def test_contract_keeps_the_sample_axis_at_unit_stride(spec):
     rng = np.random.default_rng(0)
     ops = [np.moveaxis(rng.standard_normal((n,) * (len(sub) - 1) + (m,)), -1, sub.index("a"))
            for sub in lhs.split(",")]
-    got = contract(spec, *ops)
+    got = np.einsum(spec, *ops)
     assert got.strides[out.index("a")] == got.itemsize
 
 
-@pytest.mark.parametrize("spec,shapes", [
-    ("aii,ai->a", [(4, 3, 3), (4, 3)]),  # a letter repeated within one operand
-    ("ai,ai", [(4, 3), (4, 3)]),  # no explicit output
-    ("ab,ac->a", [(4, 3), (4, 2)]),  # a sum within one operand
-    ("ai,aj->aik", [(4, 3), (4, 3)]),  # an output letter no operand has
-    ("ai,ai->a", [(4, 3), (4, 2)]),  # one letter, two lengths
-    ("aij,ai->aj", [(4, 3), (4, 3)]),  # a subscript of the wrong length
-    ("ai->ai", [(4, 3)]),  # a single operand
-])
-def test_contract_rejects_what_it_cannot_lower(spec, shapes):
-    with pytest.raises(ValueError, match="cannot lower"):
-        contract(spec, *[np.ones(s) for s in shapes])
+def _summed(spec: str) -> set[str]:
+    lhs, out = spec.split("->")
+    return set(lhs) - set(out) - {","}
 
 
-def _einsum_sites(tree, where="") -> list[str]:
-    """The enclosing function of every ``np.einsum`` reference."""
-    if (isinstance(tree, ast.Attribute) and tree.attr == "einsum"
-            and isinstance(tree.value, ast.Name) and tree.value.id == "np"):
-        return [where]
-    if isinstance(tree, ast.FunctionDef):
-        where = tree.name
-    return [site for child in ast.iter_child_nodes(tree)
-            for site in _einsum_sites(child, where)]
-
-
-@pytest.mark.parametrize("module", ["geomcore.py", "hesstat.py", "lch.py"])
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
 def test_residual_algebra_has_one_contraction_path(module):
-    sites = _einsum_sites(ast.parse((SRC / module).read_text()))
-    assert sites == (["contract"] if module == "geomcore.py" else [])
+    calls, refs = _einsum_calls(module)
+    assert refs == len(calls)
+    if module not in RESIDUAL_MODULES + ("jets.py",):
+        assert not calls
+    for call in calls:
+        # no keyword: without optimize, einsum forms no intermediate product
+        assert not call.keywords
+        spec = call.args[0]
+        assert isinstance(spec, ast.Constant) and isinstance(spec.value, str)
+        lhs, arrow, out = spec.value.partition("->")
+        subs = lhs.split(",")
+        assert arrow and len(subs) == len(call.args) - 1 >= 2, spec.value
+        # no trace, no implicit output, no sum within one operand
+        assert all(s.isalpha() and len(set(s)) == len(s) for s in subs + [out]), spec.value
+        assert set(out) <= set(lhs), spec.value
+        assert all(sum(c in s for s in subs) >= 2 for c in _summed(spec.value)), spec.value
+        if module == "jets.py":  # the jets' products of derivatives are outer products
+            assert {s[0] for s in subs} == {out[0]}, spec.value
+            assert out == out[0] + "".join(s[1:] for s in subs), spec.value

@@ -26,7 +26,6 @@ from hesslab.geomcore import (
     SamplePlan,
     ScalarField,
     VectorFieldT,
-    contract,
     covariant_derivative_metric_batch,
     covariant_derivative_oneform_batch,
     covariant_derivative_vector_batch,
@@ -746,7 +745,7 @@ def test_curvature_matches_the_closed_formula_bit_for_bit(dim):
     term1 = cj.d1.transpose(0, 1, 4, 2, 3)  # (m, l, i, j, k) = d_i Gamma^l_{jk}
     want = np.empty_like(term1)
     for l in range(dim):
-        a = contract("aiu,aujk->aijk", cj.value[:, l], cj.value) + term1[:, l]
+        a = np.einsum("aiu,aujk->aijk", cj.value[:, l], cj.value) + term1[:, l]
         want[:, l] = a - a.transpose(0, 2, 1, 3)
     got = curvature_batch(lc, pts)
     assert got.tobytes() == want.tobytes()

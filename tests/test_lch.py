@@ -34,7 +34,6 @@ from hesslab.geomcore import (
     PathDependenceError,
     SamplePlan,
     VectorFieldT,
-    contract,
     euclidean_metric,
     flat_connection,
     gauged,
@@ -518,6 +517,11 @@ def test_mapping_torus_rejects_non_isometry():
         halfplane_torus(automorphism=("2*x0", "x1"))
 
 
+def test_symmetry_map_needs_one_component_per_coordinate():
+    with pytest.raises(ValueError, match="mapping needs 2 components, got 1"):
+        check_symmetry(hopf_lch(), ["x0"], PLAN)
+
+
 def test_symmetry_mean_is_over_samples():
     # (1.1 x0, x1) moves the Hopf metric and Lee form but not the flat
     # connection; mean_residual is the mean over samples of the worst term,
@@ -747,14 +751,15 @@ def test_metric_pullback_builds_no_intermediate():
     chart = Chart(3, ((0.5, 1.5),) * 3)
     g = MetricField(chart, [["1 + x0^2", "x1", "0"], ["x1", "2", "x0*x2"],
                             ["0", "x0*x2", "3 + x1"]])
-    trees = [ex.parse_expression(c, 3) for c in ("x1 + 0.1*x0^2", "x2*x0", "x0 - x1*x2")]
+    phi = VectorFieldT(chart, ["x1 + 0.1*x0^2", "x2*x0", "x0 - x1*x2"])
     pts = np.random.default_rng(4).uniform(0.5, 1.5, (m, 3))
-    image, jac, _ = lch._map_jets(trees, pts)
-    operands = {"jac": jac, "g_at": g.eval(image, 0).value}
+    pj = phi.eval(pts, 2)
+    jac = pj.d1
+    operands = {"jac": jac, "g_at": g.eval(pj.value, 0).value}
     spec, names = _metric_pullback_call()
     tracemalloc.start()
     try:
-        pulled = contract(spec, *[operands[n] for n in names])
+        pulled = np.einsum(spec, *[operands[n] for n in names])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

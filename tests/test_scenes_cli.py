@@ -149,6 +149,12 @@ def test_bad_cone_spec_names_the_cone():
         scene_from_dict(data)
 
 
+@pytest.mark.parametrize("spec", [{"kind": "orthant"}, {"kind": "orthant", "dim": 2.5}])
+def test_cone_spec_without_integer_dim_is_a_scene_error(spec):
+    with pytest.raises(SceneError, match="cone 'V'"):
+        scene_from_dict(unit_scene(cones={"V": spec}))
+
+
 def test_levi_civita_reference_must_be_a_metric():
     data = unit_scene()
     data["fields"]["D"] = {"type": "connection", "levi_civita_of": "missing"}
@@ -637,6 +643,30 @@ def test_cli_cone_psi_no_closed_form_exits_2(capsys):
 def test_cli_cone_psi_bad_point_exits_2(capsys):
     assert main(["cone", "psi", "orthant(2)", "2,zebra"]) == 2
     assert "comma-separated" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec,why", [
+    ("[1,2]", "dict or string, got list"),
+    ('{"kind":"orthant"}', "integer 'dim', got None"),
+    ('{"kind":"orthant","dim":null}', "integer 'dim', got None"),
+    ('{"kind":"lorentz","dim":1.5}', "integer 'dim', got 1.5"),
+    ('{"kind":"product","factors":"orthant(1)"}', "list of 'factors'"),
+], ids=["list", "no-dim", "null-dim", "float-dim", "string-factors"])
+def test_cli_cone_psi_malformed_spec_exits_2(capsys, spec, why):
+    assert main(["cone", "psi", spec, "1,2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and why in err
+    assert "Traceback" not in err
+
+
+def test_cli_scene_cone_without_dim_exits_2(tmp_path, capsys):
+    data = unit_scene()
+    data["cones"] = {"K": {"kind": "orthant"}}
+    path = write_scene(tmp_path, data)
+    assert main(["check", str(path), "--samples", "20"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cone 'K': orthant cone spec needs an integer 'dim'")
+    assert "Traceback" not in err
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
