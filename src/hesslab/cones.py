@@ -200,7 +200,10 @@ class OrthantCone(ConeSpec):
         norm = float(np.prod(rates))
 
         def sampler(rng, count):
-            y = rng.exponential(1.0 / rates, size=(count, self.dim))
+            # scale * standard draws is how numpy draws exponential(scale),
+            # so these are its values without its broadcast per-element path
+            y = rng.standard_exponential((count, self.dim))
+            y *= 1.0 / rates
             return np.exp(0.5 * (y @ x)) / norm
 
         return sampler
@@ -282,6 +285,14 @@ class PolyhedralCone(ConeSpec):
     kind = "polyhedral"
 
     def __init__(self, generators):
+        try:
+            lengths = [len(row) for row in generators]
+        except TypeError:  # not rows at all: the ndim check below says so
+            lengths = []
+        if len(set(lengths)) > 1:
+            raise ValueError(
+                f"generators must be rows of one length; found rows of lengths {lengths}"
+            )
         g = np.asarray(generators, float)
         if g.ndim != 2 or g.shape[0] < 1:
             raise ValueError("generators must form a nonempty matrix")

@@ -40,6 +40,13 @@ is one `np.einsum` call without ``optimize``, so a three-operand spec forms
 no intermediate product, and einsum raises no floating-point warning: NaN and
 inf propagate to the gates that judge them.
 
+Positive definiteness is decided by a certificate first (`definiteness`): a
+Cholesky factorization of S - t I, one (m,) row per entry, whose pivots are
+all positive proves a smallest eigenvalue above PD_FLOOR (`CERT_SLACK`).
+Eigenvalues are computed only for the samples it leaves open, by the rule
+that decided every sample before (`eigenvalue_definiteness`, the one
+``eigvalsh`` call), so the gaps, eigenvalues and reports are the same bytes.
+
 The most recently sampled point set is held, read-only, together with every
 field tensor evaluated on exactly that array, so the checks of one structure
 evaluate each field once. A lower-order request reads a prefix of a stored
@@ -645,13 +652,19 @@ def closedness_residual(theta: OneFormField, pts) -> Array:
     return held_result(("closedness", theta), pts, compute)
 
 
+# The permutations of S_3 but the identity and one of the two 3-cycles:
+# max|t - t o s| = max|t - t o s^-1| (the second is the first with its indices
+# relabelled by s^-1), and the 3-cycles (2, 3, 1) and (3, 1, 2) are inverses.
+_SYMMETRY_PERMS = ((1, 3, 2), (2, 1, 3), (3, 2, 1), (2, 3, 1))
+
+
 def total_symmetry_residual_batch(t: Array) -> Array:
     """Worst deviation of ``t`` from its index permutations, relative to t.
     The identity is skipped: ``t - t`` is 0 where t is finite, and where it
     is not, ``scale`` is inf or NaN, so the result is NaN either way."""
     scale = 1.0 + max_abs(t)
     worst = np.zeros(t.shape[0])
-    for perm in itertools.islice(itertools.permutations((1, 2, 3)), 1, None):
+    for perm in _SYMMETRY_PERMS:
         worst = np.maximum(worst, max_abs(t - np.transpose(t, (0,) + perm)))
     return worst / scale
 
@@ -662,18 +675,96 @@ def positive_definite(smallest: Array) -> Array:
     return np.isfinite(smallest) & (smallest > PD_FLOOR)
 
 
-def definiteness_gap(mats: Array) -> Array:
-    """0 where the symmetric matrix is positive definite (`positive_definite`
-    of its smallest eigenvalue); otherwise a residual of at least 1 (NaN for
-    a NaN eigenvalue) so the check fails."""
-    smallest = smallest_eigenvalues(mats)
-    return np.where(positive_definite(smallest), 0.0,
-                    np.maximum(1.0, PD_FLOOR - smallest))
-
-
-def smallest_eigenvalues(mats: Array) -> Array:
+def eigenvalue_definiteness(mats: Array) -> tuple[Array, Array]:
+    """The eigenvalue rule on every sample: the smallest eigenvalue of each
+    symmetric part, and its definiteness gap, 0 where `positive_definite`,
+    otherwise max(1, PD_FLOOR - eigenvalue) (NaN for a NaN eigenvalue), so a
+    check on it fails. The only ``eigvalsh`` call in the package: gates reach
+    it through `definiteness`, which sends it only the samples the Cholesky
+    certificate leaves open."""
     sym = 0.5 * (mats + mats.transpose(0, 2, 1))
-    return np.linalg.eigvalsh(sym)[:, 0]
+    smallest = np.linalg.eigvalsh(sym)[:, 0]
+    return smallest, np.where(positive_definite(smallest), 0.0,
+                              np.maximum(1.0, PD_FLOOR - smallest))
+
+
+# Relative shift of the Cholesky certificate. `_cholesky_certified` factors
+# S - t I with t = PD_FLOOR + CERT_SLACK * ||S||_F, S a d x d symmetric part;
+# the figures below are for d <= 5. A factorization that completes in
+# floating point (u = 2^-53) gives L L^T = S - t I + E with
+# |E| <= gamma_{d+1} |L| |L^T| and gamma_k = k u / (1 - k u) (Demmel, LAPACK
+# Working Note 14, 1989; Higham, Accuracy and Stability of Numerical
+# Algorithms, 2nd ed., Thm 10.3). As ||L||_F^2 = tr(L L^T) <= tr(S) /
+# (1 - gamma_{d+1}) <= sqrt(d) ||S||_F (to first order), ||E||_2 <=
+# gamma_{d+1} sqrt(d) ||S||_F <= 1.5e-15 ||S||_F, and rounding S_jj - t adds
+# u (|S_jj| + t). L L^T is positive semidefinite, so lambda_min(S) >=
+# PD_FLOOR (1 - u) + (CERT_SLACK - 1.7e-15) ||S||_F. LAPACK's eigvalsh
+# returns the eigenvalues of S + F with ||F||_2 = O(d u ||S||_2), a few
+# 1e-15 ||S||_F here. Both errors are far below 1e-10 ||S||_F; they grow as
+# d^1.5 u and d u, so they stay below 1e-12 ||S||_F up to d = 100. So the
+# computed smallest eigenvalue of a certified sample is finite (its entries
+# are, as ||S||_F is) and above PD_FLOOR: its gap is 0, as the eigenvalue
+# rule would give. Certifying needs ||S||_F > PD_FLOOR, which dwarfs the
+# u PD_FLOOR term.
+CERT_SLACK = 1e-10
+
+
+def _cholesky_certified(sym: Array) -> Array:
+    """Samples whose symmetric matrix is certified positive definite with a
+    smallest eigenvalue above PD_FLOOR (see CERT_SLACK): ||S||_F is finite and
+    every pivot of the Cholesky factorization of S - t I is > 0 (a NaN pivot
+    is not). The factor is built one (m,) row per entry, so on a
+    sample-contiguous array every operation runs over a contiguous row."""
+    d = sym.shape[1]
+    a = [[sym[:, i, j] for j in range(d)] for i in range(d)]
+    low = [[None] * d for _ in range(d)]
+    with np.errstate(all="ignore"):
+        scale = np.zeros(sym.shape[0])
+        for row in a:
+            for entry in row:
+                scale += entry * entry
+        np.sqrt(scale, out=scale)
+        shift = PD_FLOOR + CERT_SLACK * scale
+        certified = np.isfinite(scale)
+        for j in range(d):
+            pivot = a[j][j] - shift
+            for k in range(j):
+                pivot -= low[j][k] * low[j][k]
+            certified &= pivot > 0.0
+            root = np.sqrt(pivot)
+            for i in range(j + 1, d):
+                entry = a[i][j]
+                for k in range(j):
+                    entry = entry - low[i][k] * low[j][k]
+                low[i][j] = entry / root
+    return certified
+
+
+def definiteness(mats: Array) -> tuple[Array, Array, Array]:
+    """Positive definiteness of each sample's symmetric part, by the Cholesky
+    certificate first and by eigenvalues only where it leaves a sample open.
+
+    Returns ``(gap, rest, smallest)``: the definiteness gap of every sample
+    (as `eigenvalue_definiteness` defines it), the indices of the samples the
+    certificate left open, and their smallest eigenvalues. A certified
+    sample's gap is 0, the value the eigenvalue rule gives it (CERT_SLACK).
+    The open samples are symmetrized from ``mats`` again, elementwise, and
+    LAPACK factors each matrix of a batch on its own, so every gap and
+    eigenvalue is the one `eigenvalue_definiteness` computes on all samples.
+    When every sample is certified, no eigenvalue is computed."""
+    sym = 0.5 * (mats + mats.transpose(0, 2, 1))
+    rest = np.flatnonzero(~_cholesky_certified(sym))
+    gap = np.zeros(sym.shape[0])
+    smallest = np.empty(0)
+    if rest.size:
+        smallest, gap[rest] = eigenvalue_definiteness(mats[rest])
+    return gap, rest, smallest
+
+
+def definiteness_gap(mats: Array) -> Array:
+    """0 where the symmetric part is positive definite; otherwise a residual
+    of at least 1 (NaN for a NaN eigenvalue) so the check fails."""
+    return definiteness(mats)[0]
 
 
 # ---------------------------------------------------------------------------

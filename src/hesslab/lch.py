@@ -31,6 +31,7 @@ from .geomcore import (
     closedness_residual,
     covariant_derivative_oneform_batch,
     covariant_derivative_vector_batch,
+    definiteness,
     gauged,
     held_result,
     inverse_metric_expressions,
@@ -40,7 +41,6 @@ from .geomcore import (
     rel_residual,
     residual_passes,
     sample_check,
-    smallest_eigenvalues,
 )
 from .hesstat import (
     StatisticalStructure,
@@ -364,16 +364,16 @@ def metric_from_lee(conn: ConnectionField, theta: OneFormField, u: float,
             out[j, i] = tree
     candidate = MetricField(chart, out)
 
-    vals = candidate.eval(pts, 0).value
-    mins = smallest_eigenvalues(vals)
-    bad = np.flatnonzero(~positive_definite(mins))
-    if bad.size:
-        worst = int(bad[np.argmin(mins[bad])])
+    _, rest, mins = definiteness(candidate.eval(pts, 0).value)
+    bad = ~positive_definite(mins)  # a certified sample is positive definite
+    if bad.any():
+        k = int(np.argmin(mins[bad]))
+        worst, eig = int(rest[bad][k]), float(mins[bad][k])
         raise NotPositiveDefiniteError(
             "candidate metric from the Lee form is not positive definite: "
-            f"smallest eigenvalue {mins[worst]:.3g} at {pts[worst].tolist()}",
+            f"smallest eigenvalue {eig:.3g} at {pts[worst].tolist()}",
             point=pts[worst],
-            eigenvalue=float(mins[worst]),
+            eigenvalue=eig,
         )
     return candidate
 

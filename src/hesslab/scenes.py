@@ -49,14 +49,13 @@ from .geomcore import (
     SamplePlan,
     ScalarField,
     VectorFieldT,
-    definiteness_gap,
     drop_held_points,
+    eigenvalue_definiteness,
     flat_connection,
     levi_civita,
     make_report,
     rel_residual,
     sample_check,
-    smallest_eigenvalues,
 )
 from .hesstat import (
     ConeStructure,
@@ -120,6 +119,9 @@ _FIELD_KINDS = (MetricField, ConnectionField, OneFormField, VectorFieldT, Scalar
 _STRUCTURE_TYPES: dict = {}  # type -> (builder, references, other required keys)
 _OPS: dict = {}  # op -> handler(ctx, check, tol, **references)
 _OP_REFS: dict = {}  # op -> references
+# op or structure type -> the key of the coordinate map it takes: one field
+# entry per coordinate, checked at load as a field's entries are
+_ENTRY_KEYS = {"symmetry": "map", "mapping_torus": "automorphism"}
 
 
 def _structure(kind: str, *needs: str, **refs):
@@ -282,13 +284,7 @@ def _build_field(name: str, spec, chart: Chart, metrics: dict):
     kind = spec["type"]
 
     def entries(key):
-        bad = _non_entry(spec[key])
-        if bad is not None:
-            index, value = bad
-            where = f"entry {list(index)}" if index else f"'{key}'"
-            raise SceneError(f"field '{name}': {where} is {json.dumps(value, default=repr)}, "
-                             "not an expression string or a number")
-        return spec[key]
+        return _check_entries(f"field '{name}'", key, spec[key])
 
     try:
         if kind == "metric":
@@ -319,6 +315,27 @@ def _build_field(name: str, spec, chart: Chart, metrics: dict):
     except ValueError as err:  # ExprError included
         raise SceneError(f"field '{name}': {err}") from err
     raise SceneError(f"field '{name}' has unknown type '{kind}'")
+
+
+def _check_entries(owner: str, key: str, value):
+    """``value``, the entries under ``key``, once every leaf is an entry."""
+    bad = _non_entry(value)
+    if bad is not None:
+        index, leaf = bad
+        where = f"entry {list(index)}" if index else f"'{key}'"
+        raise SceneError(f"{owner}: {where} is {json.dumps(leaf, default=repr)}, "
+                         "not an expression string or a number")
+    return value
+
+
+def _require_entries(owner: str, spec: dict, kind: str) -> None:
+    """The entry list that an op or structure type of this kind takes (a
+    coordinate map) is present and holds only entries."""
+    if kind in _ENTRY_KEYS:
+        key = _ENTRY_KEYS[kind]
+        if not isinstance(spec.get(key), list):
+            raise SceneError(f"{owner} needs '{key}', a list of one entry per coordinate")
+        _check_entries(f"{owner} '{key}'", key, spec[key])
 
 
 def _non_entry(obj, index=()):
@@ -363,6 +380,7 @@ def _validate_structure(name: str, spec, pools: dict):
     for key in needs:
         if key not in spec:
             raise SceneError(f"structure '{name}' needs '{key}'")
+    _require_entries(f"structure '{name}'", spec, kind)
 
 
 def scene_from_dict(data: dict, source: str = "<memory>") -> Scene:
@@ -411,6 +429,7 @@ def scene_from_dict(data: dict, source: str = "<memory>") -> Scene:
                 f"(known: {', '.join(sorted(_OPS))})"
             )
         _check_refs(f"check {i} ('{op}')", check, _OP_REFS[op], pools)
+        _require_entries(f"check {i} ('{op}')", check, op)
 
     return Scene(
         name=name,
@@ -694,9 +713,10 @@ def _op_homogeneity(ctx, check, tol, cone):
 @_op("barrier", cone=ConeSpec)
 def _op_barrier(ctx, check, tol, cone):
     pts = sample_interior(cone, int(check.get("count", 50)), seed=ctx.plan.seed)
-    mats = log_psi_metric(cone, pts)
-    gaps = definiteness_gap(mats)
-    eig = float(smallest_eigenvalues(mats).min())
+    # the report carries the smallest eigenvalue over every sample, so every
+    # eigenvalue is computed (once) and no certificate can spare one
+    smallest, gaps = eigenvalue_definiteness(log_psi_metric(cone, pts))
+    eig = float(smallest.min())
     return [make_report("barrier-definiteness", gaps, tol,
                         samples=pts.shape[0], extra={"smallest_eigenvalue": eig})]
 

@@ -32,7 +32,7 @@ from hesslab.geomcore import (
     Chart,
     SamplePlan,
     covariant_derivative_metric_batch,
-    smallest_eigenvalues,
+    eigenvalue_definiteness,
     total_symmetry_residual_batch,
 )
 from hesslab.hesstat import check_statistical, estimate_constant_curvature
@@ -371,7 +371,7 @@ def test_log_psi_metric_positive_definite_on_samples():
                  PolyhedralCone([[1, 0], [1, 1]])):
         pts = sample_interior(cone, 40, seed=23)
         mats = log_psi_metric(cone, pts)
-        assert smallest_eigenvalues(mats).min() > 0.0
+        assert eigenvalue_definiteness(mats)[0].min() > 0.0
 
 
 def test_log_psi_metric_needs_closed_form():
@@ -464,7 +464,7 @@ def test_cone_lch_metric_is_gauge_symmetric():
         tval = struct.lee_form.eval(pts, 0).value
         twisted = nabla - np.einsum("ai,ajk->aijk", tval, gval)
         assert np.max(total_symmetry_residual_batch(twisted)) < 1e-11
-        assert smallest_eigenvalues(gval).min() > 0.0
+        assert eigenvalue_definiteness(gval)[0].min() > 0.0
 
 
 def test_cone_lch_rejects_conefull_without_chart():

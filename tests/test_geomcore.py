@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import ast
 import itertools
+import pathlib
 import tracemalloc
 import weakref
 
@@ -22,6 +24,7 @@ from hesslab.geomcore import (
     LineIntegralGauge,
     MetricField,
     OneFormField,
+    PD_FLOOR,
     PathDependenceError,
     SamplePlan,
     ScalarField,
@@ -42,6 +45,8 @@ from hesslab.geomcore import (
     make_report,
     held_result,
     max_abs,
+    definiteness,
+    eigenvalue_definiteness,
     positive_definite,
     sample_check,
     total_symmetry_residual_batch,
@@ -468,6 +473,154 @@ def test_positive_definite_needs_a_finite_eigenvalue_above_the_floor():
 def test_definiteness_gap_fails_an_infinite_eigenvalue():
     gap = definiteness_gap(np.array([[[np.inf]], [[1.0]], [[np.nan]]]))
     assert gap[0] >= 1.0 and gap[1] == 0.0 and np.isnan(gap[2])
+
+
+def _eigenvalue_rule(mats):
+    """The definiteness rule on every sample's eigenvalues, as written
+    before the Cholesky certificate: (smallest eigenvalue, gap)."""
+    sym = 0.5 * (mats + mats.transpose(0, 2, 1))
+    smallest = np.linalg.eigvalsh(sym)[:, 0]
+    ok = np.isfinite(smallest) & (smallest > PD_FLOOR)
+    return smallest, np.where(ok, 0.0, np.maximum(1.0, PD_FLOOR - smallest))
+
+
+_SPECIAL = (np.inf, -np.inf, np.nan, -0.0)
+
+
+@st.composite
+def _sample_matrix(draw, dim):
+    """One d x d matrix: a rotated diagonal with its smallest eigenvalue
+    well inside, at or just across PD_FLOOR, or negative, at a scale of 1,
+    1e-150 or 1e150, maybe skewed and maybe with a non-finite or -0.0 entry."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["spd", "indefinite", "above", "below", "at"]))
+    lam = rng.uniform(0.1, 10.0, dim)
+    if kind == "indefinite":
+        lam[rng.integers(dim)] = -rng.uniform(1e-12, 10.0)
+    elif kind != "spd":
+        lam[0] = PD_FLOOR * {"above": 1.0 + 1e-6, "below": 1.0 - 1e-6, "at": 1.0}[kind]
+    lam *= draw(st.sampled_from([1.0, 1e-150, 1e150]))
+    if draw(st.booleans()):
+        q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+        mat = (q * lam) @ q.T
+    else:
+        mat = np.diag(lam)
+    if draw(st.booleans()):  # the rule reads the symmetric part only
+        skew = rng.standard_normal((dim, dim)) * lam.max()
+        mat = mat + skew - skew.T
+    if draw(st.booleans()):
+        i, j = rng.integers(dim), rng.integers(dim)
+        mat[i, j] = draw(st.sampled_from(_SPECIAL))
+        if draw(st.booleans()):
+            mat[j, i] = mat[i, j]
+    return mat
+
+
+@st.composite
+def _matrix_batches(draw):
+    dim = draw(st.integers(1, 5))
+    mats = np.stack(draw(st.lists(_sample_matrix(dim), min_size=1, max_size=6)))
+    if draw(st.booleans()):  # sample axis at unit stride, as field tensors are
+        mats = np.ascontiguousarray(mats.transpose(1, 2, 0)).transpose(2, 0, 1)
+    return mats
+
+
+@given(_matrix_batches())
+@settings(max_examples=400, deadline=None)
+def test_definiteness_matches_the_eigenvalue_rule_bit_for_bit(mats):
+    with np.errstate(all="ignore"):
+        try:
+            smallest, want = _eigenvalue_rule(mats)
+        except np.linalg.LinAlgError:  # LAPACK on non-finite entries
+            with pytest.raises(np.linalg.LinAlgError):
+                definiteness(mats)
+            return
+        gap, rest, open_smallest = definiteness(mats)
+    assert gap.tobytes() == want.tobytes()
+    assert definiteness_gap(mats).tobytes() == want.tobytes()
+    # never certified where the rule fails, and the open samples' eigenvalues
+    # are the ones the whole batch gives them
+    assert set(np.flatnonzero(want != 0.0)) <= set(rest.tolist())
+    assert open_smallest.tobytes() == smallest[rest].tobytes()
+
+
+def _counting_eigvalsh(monkeypatch):
+    """Patch np.linalg.eigvalsh to record the number of rows of each call."""
+    rows = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        rows.append(len(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return rows
+
+
+def test_a_certified_batch_computes_no_eigenvalue(monkeypatch):
+    rows = _counting_eigvalsh(monkeypatch)
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((500, 3, 3))
+    mats = np.einsum("aij,akj->aik", a, a) + 0.5 * np.eye(3)
+    gap, rest, smallest = definiteness(mats)
+    assert rows == [] and rest.size == 0 and smallest.size == 0
+    assert gap.tobytes() == np.zeros(500).tobytes()
+
+
+def test_a_mixed_batch_computes_only_the_uncertified_eigenvalues(monkeypatch):
+    rng = np.random.default_rng(4)
+    a = rng.standard_normal((300, 3, 3))
+    mats = np.einsum("aij,akj->aik", a, a) + 0.5 * np.eye(3)
+    bad = np.sort(rng.choice(300, 40, replace=False))
+    mats[bad, 2, 2] -= 20.0  # indefinite
+    mats[bad[:5]] = np.diag([2.0, 1.0, PD_FLOOR * (1.0 + 1e-6)])  # above the floor
+    want_smallest, want = _eigenvalue_rule(mats)
+    rows = _counting_eigvalsh(monkeypatch)
+    gap, rest, smallest = definiteness(mats)
+    assert rows == [40]
+    assert rest.tolist() == bad.tolist()
+    assert gap.tobytes() == want.tobytes()
+    assert smallest.tobytes() == want_smallest[bad].tobytes()
+    assert (gap[bad[:5]] == 0.0).all() and (gap[bad[5:]] >= 1.0).all()
+
+
+def test_a_wide_pass_computes_eigenvalues_once(monkeypatch):
+    # hopf and sphere_cone at 20 000 samples: every metric gate is certified;
+    # only the Koszul check of an indefinite nabla theta (expected to fail)
+    # reads eigenvalues, and its mean residual needs every one of them
+    from hesslab.scenes import load_example, run_suite
+
+    rows = _counting_eigvalsh(monkeypatch)
+    plan = SamplePlan(count=20_000, seed=11)
+    reports = [run_suite(load_example(name), plan) for name in ("hopf", "sphere_cone")]
+    assert all(report.all_ok for report in reports)
+    assert rows == [20_000]
+
+
+_SYMMETRIC_EIGENSOLVERS = {"eigvalsh", "eigh"}
+
+
+def _eigensolver_sites(tree, function=None):
+    """The enclosing function of every reference to a symmetric eigensolver
+    (an attribute, a bare name or an import of one) under an AST node."""
+    for node in ast.iter_child_nodes(tree):
+        name = (node.attr if isinstance(node, ast.Attribute)
+                else node.id if isinstance(node, ast.Name)
+                else node.name if isinstance(node, ast.alias) else None)
+        if name in _SYMMETRIC_EIGENSOLVERS:
+            yield function
+        inner = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
+        yield from _eigensolver_sites(node, inner)
+
+
+def test_eigenvalues_have_one_call_site():
+    # every positive-definiteness decision goes through definiteness(), or
+    # reads every eigenvalue through its fallback eigenvalue_definiteness(),
+    # which holds the package's only eigvalsh
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "hesslab"
+    sites = [(path.name, fn) for path in sorted(src.glob("*.py"))
+             for fn in _eigensolver_sites(ast.parse(path.read_text()))]
+    assert sites == [("geomcore.py", "eigenvalue_definiteness")]
 
 
 # ---------------------------------------------------------------------------

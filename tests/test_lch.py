@@ -39,6 +39,7 @@ from hesslab.geomcore import (
     gauged,
     levi_civita,
     definiteness_gap,
+    eigenvalue_definiteness,
     lie_derivative_metric_batch,
     rel_residual,
     total_symmetry_residual_batch,
@@ -330,6 +331,40 @@ def test_nan_closedness_residual_is_not_closed():
         _require_closed(theta, chart.sample(PLAN), 1e-4, "the Lee form")
     with pytest.raises(ValueError, match="closed"):
         metric_from_lee(flat_connection(chart), theta, 1.0, PLAN)
+
+
+def test_metric_from_lee_reports_what_every_eigenvalue_would(monkeypatch):
+    # u^{-1} (nabla theta - theta (x) theta) = I - x x^T for theta = x on a flat
+    # chart: positive definite inside the unit disc only. The certificate
+    # settles the inside; the error must name the point and eigenvalue that
+    # eigenvalues on every sample name.
+    chart = Chart(2, ((-1.2, 1.2), (-1.2, 1.2)))
+    theta = OneFormField(chart, ["x0", "x1"])
+    plan = SamplePlan(count=400, seed=2)
+
+    def raised():
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            metric_from_lee(flat_connection(chart), theta, 1.0, plan)
+        return err.value
+
+    rows = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a: rows.append(len(a)) or eigvalsh(a))
+    certified = raised()
+
+    def every_sample(mats):
+        smallest, gap = eigenvalue_definiteness(mats)
+        return gap, np.arange(gap.size), smallest
+
+    monkeypatch.setattr(lch, "definiteness", every_sample)
+    uncertified = raised()
+    assert 0 < rows[0] < plan.count and rows[1:] == [plan.count]
+    assert str(certified) == str(uncertified)
+    assert certified.point.tobytes() == uncertified.point.tobytes()
+    assert np.float64(certified.eigenvalue).tobytes() == np.float64(
+        uncertified.eigenvalue).tobytes()
+    assert certified.eigenvalue < 0
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -606,6 +606,42 @@ def test_cli_entry_that_is_no_expression_exits_2(tmp_path, capsys, field, key, i
     assert "Traceback" not in err
 
 
+def _torus_quotient_with_null_map_entry():
+    data = json.loads((Path(hesslab.__file__).parent / "data" / "torus_quotient.json").read_text())
+    check = next(c for c in data["checks"] if c["op"] == "symmetry")
+    check["map"] = [None, "x1"]
+    return data, f"check {data['checks'].index(check)} ('symmetry') 'map'"
+
+
+def _halfplane_torus_with_null_automorphism_entry():
+    data = _torus_over_halfplane([{"op": "reports", "structure": "T"}])
+    data["structures"]["T"]["automorphism"] = ["x0", None]
+    return data, "structure 'T' 'automorphism'"
+
+
+@pytest.mark.parametrize("make, index", [
+    (_torus_quotient_with_null_map_entry, 0),
+    (_halfplane_torus_with_null_automorphism_entry, 1),
+], ids=["symmetry-map", "mapping-torus-automorphism"])
+def test_cli_coordinate_map_entry_that_is_no_expression_exits_2(tmp_path, capsys, make, index):
+    # a null coordinate-map entry is a malformed scene, as a null field entry is
+    data, owner = make()
+    path = write_scene(tmp_path, data)
+    assert main(["check", str(path), "--samples", "20"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {owner}: entry [{index}] is null, "
+                          "not an expression string or a number")
+    assert "Traceback" not in err
+
+
+def test_cli_coordinate_map_must_be_a_list(tmp_path, capsys):
+    data = _torus_over_halfplane([{"op": "reports", "structure": "T"}])
+    del data["structures"]["T"]["automorphism"]
+    assert main(["check", str(write_scene(tmp_path, data)), "--samples", "20"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: structure 'T' needs 'automorphism', a list of one entry per coordinate")
+
+
 def test_cli_bad_margin_exits_2(tmp_path, capsys):
     path = write_scene(tmp_path, unit_scene())
     assert main(["check", str(path), "--margin", "0.7"]) == 2
@@ -651,7 +687,9 @@ def test_cli_cone_psi_bad_point_exits_2(capsys):
     ('{"kind":"orthant","dim":null}', "integer 'dim', got None"),
     ('{"kind":"lorentz","dim":1.5}', "integer 'dim', got 1.5"),
     ('{"kind":"product","factors":"orthant(1)"}', "list of 'factors'"),
-], ids=["list", "no-dim", "null-dim", "float-dim", "string-factors"])
+    ('{"kind":"polyhedral","generators":[[1,0],[0]]}',
+     "generators must be rows of one length; found rows of lengths [2, 1]"),
+], ids=["list", "no-dim", "null-dim", "float-dim", "string-factors", "ragged-generators"])
 def test_cli_cone_psi_malformed_spec_exits_2(capsys, spec, why):
     assert main(["cone", "psi", spec, "1,2"]) == 2
     err = capsys.readouterr().err
