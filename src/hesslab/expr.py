@@ -29,7 +29,6 @@ memoized on the node they were taken of.
 
 from __future__ import annotations
 
-import math
 import re
 import struct
 import weakref
@@ -177,8 +176,7 @@ class Call(Expression):
 class Gauge(Expression):
     """A leaf whose jet comes from ``source.jet(pts, order)``, such as a
     line-integral gauge. Keyed on the identity of ``source``. It has no
-    symbolic form: `diff`, `substitute`, `to_source` and `plain_eval`
-    reject it."""
+    symbolic form: `diff`, `substitute` and `to_source` reject it."""
 
     source: object
 
@@ -390,64 +388,21 @@ def variables(expr: Expression) -> frozenset[int]:
     raise TypeError(f"not an expression node: {expr!r}")
 
 
-def arity(expr: Expression) -> int:
-    """Number of distinct variables referenced by the tree."""
-    return len(variables(expr))
-
-
-def plain_eval(expr: Expression, point=()) -> float:
-    """Plain float evaluation (no jets); raises DomainError off-domain."""
+def constant_value(expr: Expression) -> float | None:
+    """Value of a variable-free subtree, or None if it references coordinates.
+    A tree other than a ``Num`` is an order-0 jet at one point of no
+    coordinates, where overflow and invalid operations raise
+    `FloatingPointError`: exp(1000) is an error, not inf. numpy and `jets`
+    (which imports this module) load here: this module needs only the
+    standard library."""
     if isinstance(expr, Num):
         return expr.value
-    if isinstance(expr, Var):
-        if expr.index >= len(point):
-            raise VariableRangeError(f"x{expr.index} out of range for point of length {len(point)}")
-        return float(point[expr.index])
-    if isinstance(expr, Neg):
-        return -plain_eval(expr.arg, point)
-    if isinstance(expr, Add):
-        return plain_eval(expr.left, point) + plain_eval(expr.right, point)
-    if isinstance(expr, Sub):
-        return plain_eval(expr.left, point) - plain_eval(expr.right, point)
-    if isinstance(expr, Mul):
-        return plain_eval(expr.left, point) * plain_eval(expr.right, point)
-    if isinstance(expr, Div):
-        denom = plain_eval(expr.right, point)
-        if denom == 0.0:
-            raise DomainError("division by zero")
-        return plain_eval(expr.left, point) / denom
-    if isinstance(expr, Pow):
-        base = plain_eval(expr.base, point)
-        k = plain_eval(expr.exponent, point)
-        if k != round(k) and base <= 0.0:
-            raise DomainError(f"{base:g}^{k:g} with non-integer exponent needs a positive base")
-        if base == 0.0 and k < 0:
-            raise DomainError("zero raised to a negative power")
-        return base ** k
-    if isinstance(expr, Call):
-        u = plain_eval(expr.arg, point)
-        if expr.func == "exp":
-            return math.exp(u)
-        if expr.func == "log":
-            if u <= 0.0:
-                raise DomainError(f"log of non-positive value {u:g}")
-            return math.log(u)
-        if expr.func == "sqrt":
-            if u <= 0.0:
-                raise DomainError(f"sqrt of non-positive value {u:g}")
-            return math.sqrt(u)
-        if expr.func == "sin":
-            return math.sin(u)
-        if expr.func == "cos":
-            return math.cos(u)
-    raise TypeError(f"not an expression node: {expr!r}")
-
-
-def constant_value(expr: Expression) -> float | None:
-    """Value of a variable-free subtree, or None if it references coordinates."""
     if variables(expr):
         return None
-    return plain_eval(expr, ())
+    import numpy as np
+    from .jets import evaluate
+    with np.errstate(over="raise", invalid="raise"):
+        return float(evaluate(expr, np.empty((1, 0)), 0).value[0])
 
 
 # ---------------------------------------------------------------------------

@@ -533,13 +533,6 @@ def flat_connection(chart: Chart) -> ConnectionField:
     return ConnectionField(chart, np.full((chart.dim,) * 3, ex.ZERO, dtype=object))
 
 
-def euclidean_metric(chart: Chart) -> MetricField:
-    rows = [
-        [ex.ONE if i == j else ex.ZERO for j in range(chart.dim)] for i in range(chart.dim)
-    ]
-    return MetricField(chart, rows)
-
-
 def euler_field(chart: Chart) -> VectorFieldT:
     return VectorFieldT(chart, [ex.Var(i) for i in range(chart.dim)])
 
@@ -677,13 +670,16 @@ def positive_definite(smallest: Array) -> Array:
 
 def eigenvalue_definiteness(mats: Array) -> tuple[Array, Array]:
     """The eigenvalue rule on every sample: the smallest eigenvalue of each
-    symmetric part, and its definiteness gap, 0 where `positive_definite`,
-    otherwise max(1, PD_FLOOR - eigenvalue) (NaN for a NaN eigenvalue), so a
-    check on it fails. The only ``eigvalsh`` call in the package: gates reach
-    it through `definiteness`, which sends it only the samples the Cholesky
-    certificate leaves open."""
+    symmetric part (NaN where it is not finite), and its definiteness gap, 0
+    where `positive_definite`, otherwise max(1, PD_FLOOR - eigenvalue) (NaN
+    for a NaN eigenvalue), so a check on it fails. The only ``eigvalsh`` call
+    in the package: gates reach it through `definiteness`, which sends it
+    only the samples the Cholesky certificate leaves open."""
     sym = 0.5 * (mats + mats.transpose(0, 2, 1))
+    bad = ~np.isfinite(max_abs(sym))
+    sym[bad] = 0.0  # LAPACK may not converge on an inf or NaN entry
     smallest = np.linalg.eigvalsh(sym)[:, 0]
+    smallest[bad] = np.nan
     return smallest, np.where(positive_definite(smallest), 0.0,
                               np.maximum(1.0, PD_FLOOR - smallest))
 

@@ -36,7 +36,6 @@ from .geomcore import (
     held_result,
     inverse_metric_expressions,
     lie_derivative_metric_batch,
-    make_report,
     positive_definite,
     rel_residual,
     residual_passes,
@@ -462,13 +461,6 @@ def _pullback_residuals(phi: VectorFieldT, conn, metric, theta, pts) -> dict:
     return res
 
 
-def _pullback_report(name: str, terms: dict, tolerance: float) -> CheckReport:
-    """The pointwise worst term, with each term's worst value in ``extra``."""
-    extra = {key: float(np.max(arr)) for key, arr in terms.items()}
-    return make_report(name, np.maximum.reduce(list(terms.values())), tolerance,
-                       extra=extra)
-
-
 def check_symmetry(struct: LCHStructure, mapping, plan=None,
                    tolerance: float = DEFAULT_TOLERANCE,
                    name: str = "symmetry") -> CheckReport:
@@ -509,14 +501,17 @@ def build_mapping_torus(spec: MappingTorusSpec, *, plan=None,
     k = base.chart.dim
     q = spec.scale
 
-    base_pts = base.chart.sample(plan)
-    auto = _pullback_residuals(spec.automorphism, base.conn, base.metric, None, base_pts)
-    auto_report = _pullback_report("mapping-torus-automorphism", auto, tolerance)
+    def auto_residual(pts):
+        return _pullback_residuals(spec.automorphism, base.conn, base.metric, None, pts)
+
+    auto_report = sample_check(auto_residual, base.chart, plan, tolerance,
+                               name="mapping-torus-automorphism")
     if not auto_report.passed:
         raise MappingTorusError(
             "automorphism does not preserve the base structure "
-            f"(metric residual {auto_report.extra['metric']:.3g}, "
-            f"connection residual {auto_report.extra['connection']:.3g})"
+            f"(metric residual {auto_report.extra.get('metric', np.inf):.3g}, "
+            f"connection residual {auto_report.extra.get('connection', np.inf):.3g})"
+            + "".join(f"; {note}" for note in auto_report.notes)
         )
 
     lo, hi = min(1.0, q), max(1.0, q)
@@ -543,9 +538,13 @@ def build_mapping_torus(spec: MappingTorusSpec, *, plan=None,
     struct = LCHStructure(chart, cone.conn, metric, theta)
 
     seam_map = VectorFieldT(chart, [*spec.automorphism.entries, ex.mul(ex.const(q), s)])
-    seam_pts = np.hstack([base_pts, np.ones((base_pts.shape[0], 1))])
-    seam = _pullback_residuals(seam_map, cone.conn, metric, theta, seam_pts)
-    seam_report = _pullback_report("mapping-torus-seam", seam, tolerance)
+
+    def seam_residual(pts):  # base points on the s = 1 slice
+        seam_pts = np.hstack([pts, np.ones((pts.shape[0], 1))])
+        return _pullback_residuals(seam_map, cone.conn, metric, theta, seam_pts)
+
+    seam_report = sample_check(seam_residual, base.chart, plan, tolerance,
+                               name="mapping-torus-seam")
     if not seam_report.passed:
         raise MappingTorusError(
             f"seam residual {seam_report.max_residual:.3g} exceeds {tolerance:.3g}: "

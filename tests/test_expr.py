@@ -9,6 +9,7 @@ import pickle
 import shutil
 import subprocess
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,15 +28,15 @@ from hesslab.expr import (
     UnknownIdentifierError,
     Var,
     VariableRangeError,
-    arity,
     const,
+    constant_value,
     diff,
     parse_expression,
-    plain_eval,
     substitute,
     to_source,
     variables,
 )
+from hesslab.jets import evaluate
 
 
 # ---------------------------------------------------------------------------
@@ -99,11 +100,10 @@ def test_pow_function_is_caret():
         parse_expression("exp(x0, x1)", dim=2)
 
 
-def test_arity_and_variables():
+def test_variables():
     tree = parse_expression("x0*x2 + x0", dim=3)
     assert variables(tree) == frozenset({0, 2})
-    assert arity(tree) == 2
-    assert arity(Num(4.0)) == 0
+    assert variables(Num(4.0)) == frozenset()
 
 
 # ---------------------------------------------------------------------------
@@ -148,27 +148,45 @@ def test_negative_literal_round_trip():
 
 
 # ---------------------------------------------------------------------------
-# plain evaluation
+# values: order-0 jets
 # ---------------------------------------------------------------------------
 
-def test_plain_eval_values():
+def _value(tree, point=()) -> float:
+    """The value of ``tree`` at one point, as an order-0 jet."""
+    return float(evaluate(tree, np.array([point], float), 0).value[0])
+
+
+def test_order_zero_values():
     tree = parse_expression("x0*x0 + 2*x1", dim=2)
-    assert plain_eval(tree, (3.0, 4.0)) == 17.0
-    assert plain_eval(parse_expression("2^0.5", dim=0)) == pytest.approx(math.sqrt(2))
-    assert plain_eval(parse_expression("pow(x0, x1)", dim=2), (2.0, 3.0)) == 8.0
+    assert _value(tree, (3.0, 4.0)) == 17.0
+    assert _value(parse_expression("2^0.5", dim=0)) == pytest.approx(math.sqrt(2))
+    # exp(3 log 2) = 7.999999999999998
+    assert _value(parse_expression("pow(x0, x1)", dim=2), (2.0, 3.0)) == pytest.approx(8.0)
 
 
-def test_plain_eval_domain_errors():
+def test_order_zero_domain_errors():
     with pytest.raises(DomainError):
-        plain_eval(parse_expression("log(x0)", dim=1), (0.0,))
+        _value(parse_expression("log(x0)", dim=1), (0.0,))
     with pytest.raises(DomainError):
-        plain_eval(parse_expression("sqrt(x0)", dim=1), (-1.0,))
+        _value(parse_expression("sqrt(x0)", dim=1), (-1.0,))
     with pytest.raises(DomainError):
-        plain_eval(parse_expression("1/x0", dim=1), (0.0,))
+        _value(parse_expression("1/x0", dim=1), (0.0,))
     with pytest.raises(DomainError):
-        plain_eval(parse_expression("x0^0.5", dim=1), (-4.0,))
+        _value(parse_expression("x0^0.5", dim=1), (-4.0,))
     with pytest.raises(DomainError):
-        plain_eval(parse_expression("x0^(-1)", dim=1), (0.0,))
+        _value(parse_expression("x0^(-1)", dim=1), (0.0,))
+
+
+def test_constant_value():
+    assert constant_value(parse_expression("1 + sqrt(2)", dim=0)) == 1 + math.sqrt(2)
+    assert math.copysign(1.0, constant_value(Num(-0.0))) == -1.0
+    assert constant_value(parse_expression("x1^(log(0) + x0)", dim=2).exponent) is None
+    with pytest.raises(DomainError, match="log of non-positive value"):
+        constant_value(parse_expression("log(0)", dim=0))
+    # overflow and invalid operations raise, where a float would be inf or NaN
+    for src in ("exp(1000)", "10^400", "sin(1e400)", "1e308*10", "1e400 - 1e400"):
+        with pytest.raises(ArithmeticError):
+            constant_value(parse_expression(src, dim=0))
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +200,7 @@ def _check_diff(src, hand, index=0, points=POINTS):
     tree = parse_expression(src, dim=2)
     d = diff(tree, index)
     for p in points:
-        assert plain_eval(d, p) == pytest.approx(hand(*p), rel=1e-12, abs=1e-12)
+        assert _value(d, p) == pytest.approx(hand(*p), rel=1e-12, abs=1e-12)
 
 
 def test_diff_polynomial():
@@ -221,13 +239,13 @@ def test_substitute_composes():
     tree = parse_expression("x0*x0 + x1", dim=2)
     mapped = substitute(tree, {0: parse_expression("exp(x0)", dim=1), 1: Num(2.0)})
     for t in (0.3, 1.0, -0.5):
-        assert plain_eval(mapped, (t,)) == pytest.approx(math.exp(t) ** 2 + 2.0)
+        assert _value(mapped, (t,)) == pytest.approx(math.exp(t) ** 2 + 2.0)
 
 
 def test_substitute_shifts_indices():
     tree = parse_expression("x0/x1", dim=2)
     shifted = substitute(tree, {0: Var(2), 1: Var(3)})
-    assert plain_eval(shifted, (0, 0, 6.0, 3.0)) == 2.0
+    assert _value(shifted, (0, 0, 6.0, 3.0)) == 2.0
 
 
 # ---------------------------------------------------------------------------

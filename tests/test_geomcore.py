@@ -34,7 +34,6 @@ from hesslab.geomcore import (
     covariant_derivative_vector_batch,
     curvature_batch,
     definiteness_gap,
-    euclidean_metric,
     euler_field,
     exterior_derivative_oneform_batch,
     flat_connection,
@@ -209,7 +208,7 @@ def test_scalar_field_entry():
 def test_nabla_metric_constant_is_zero():
     chart = Chart(2, ((-1.0, 1.0), (-1.0, 1.0)))
     out = covariant_derivative_metric_batch(
-        flat_connection(chart), euclidean_metric(chart), np.array([(0.2, 0.3)])
+        flat_connection(chart), MetricField(chart, np.eye(chart.dim)), np.array([(0.2, 0.3)])
     )[0]
     assert np.allclose(out, 0.0)
 
@@ -267,7 +266,7 @@ def test_nabla_vector_e67_not_proportional_to_identity():
 def test_lie_euler_flat_metric():
     chart = Chart(2, ((-1.0, 1.0), (-1.0, 1.0)))
     out = lie_derivative_metric_batch(
-        euler_field(chart), euclidean_metric(chart), np.array([(0.3, -0.2)])
+        euler_field(chart), MetricField(chart, np.eye(chart.dim)), np.array([(0.3, -0.2)])
     )[0]
     assert np.allclose(out, 2 * np.eye(2))
 
@@ -472,14 +471,32 @@ def test_positive_definite_needs_a_finite_eigenvalue_above_the_floor():
 
 def test_definiteness_gap_fails_an_infinite_eigenvalue():
     gap = definiteness_gap(np.array([[[np.inf]], [[1.0]], [[np.nan]]]))
-    assert gap[0] >= 1.0 and gap[1] == 0.0 and np.isnan(gap[2])
+    assert np.isnan(gap[0]) and gap[1] == 0.0 and np.isnan(gap[2])
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("diagonal", [True, False])
+def test_a_non_finite_entry_reads_a_nan_gap(dim, bad, diagonal):
+    # LAPACK fails to converge on some such matrices (a NaN or inf at
+    # (0, d-1) for d = 3, 5) and returns a finite eigenvalue for others (a
+    # NaN on the diagonal); neither may hide the non-finite sample
+    mats = np.stack([np.eye(dim), np.diag(np.arange(1.0, dim + 1)), np.eye(dim)])
+    mats[1, 0, 0 if diagonal else dim - 1] = bad
+    smallest, gap = eigenvalue_definiteness(mats)
+    assert np.isnan(smallest[1]) and np.isnan(gap[1])
+    assert smallest[[0, 2]].tolist() == [1.0, 1.0] and gap[[0, 2]].tolist() == [0.0, 0.0]
+    for got in (definiteness(mats)[0], definiteness_gap(mats)):
+        assert np.isnan(got[1]) and got[[0, 2]].tolist() == [0.0, 0.0]
 
 
 def _eigenvalue_rule(mats):
-    """The definiteness rule on every sample's eigenvalues, as written
-    before the Cholesky certificate: (smallest eigenvalue, gap)."""
+    """The definiteness rule on every sample's eigenvalues, one matrix at a
+    time, with a NaN eigenvalue for a symmetric part that is not finite:
+    (smallest eigenvalue, gap)."""
     sym = 0.5 * (mats + mats.transpose(0, 2, 1))
-    smallest = np.linalg.eigvalsh(sym)[:, 0]
+    smallest = np.array([np.linalg.eigvalsh(s)[0] if np.isfinite(s).all() else np.nan
+                         for s in sym])
     ok = np.isfinite(smallest) & (smallest > PD_FLOOR)
     return smallest, np.where(ok, 0.0, np.maximum(1.0, PD_FLOOR - smallest))
 
@@ -529,12 +546,7 @@ def _matrix_batches(draw):
 @settings(max_examples=400, deadline=None)
 def test_definiteness_matches_the_eigenvalue_rule_bit_for_bit(mats):
     with np.errstate(all="ignore"):
-        try:
-            smallest, want = _eigenvalue_rule(mats)
-        except np.linalg.LinAlgError:  # LAPACK on non-finite entries
-            with pytest.raises(np.linalg.LinAlgError):
-                definiteness(mats)
-            return
+        smallest, want = _eigenvalue_rule(mats)
         gap, rest, open_smallest = definiteness(mats)
     assert gap.tobytes() == want.tobytes()
     assert definiteness_gap(mats).tobytes() == want.tobytes()

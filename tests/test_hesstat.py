@@ -22,7 +22,6 @@ from hesslab.geomcore import (
     VectorFieldT,
     curvature_batch,
     drop_held_points,
-    euclidean_metric,
     euler_field,
     flat_connection,
     levi_civita,
@@ -132,7 +131,7 @@ def test_gates_read_a_curved_connection_once_at_order_1(monkeypatch):
 
 def test_hessian_gate_flat_euclidean():
     chart = Chart(2, ((-1.0, 1.0),) * 2)
-    rep = check_hessian_structure(flat_connection(chart), euclidean_metric(chart), PLAN)
+    rep = check_hessian_structure(flat_connection(chart), MetricField(chart, np.eye(chart.dim)), PLAN)
     assert rep.passed and rep.max_residual == 0.0
 
 
@@ -193,14 +192,14 @@ def test_radiant_rejects_anisotropic_linear_field():
 
 def test_self_similar_euler():
     chart = Chart(2, ((-1.0, 1.0),) * 2)
-    rep = check_self_similar(euclidean_metric(chart), euler_field(chart), PLAN)
+    rep = check_self_similar(MetricField(chart, np.eye(chart.dim)), euler_field(chart), PLAN)
     assert rep.passed and rep.max_residual < 1e-15
 
 
 def test_self_similar_translation_fails():
     chart = Chart(2, ((-1.0, 1.0),) * 2)
     xi = VectorFieldT(chart, ["1", "0"])
-    rep = check_self_similar(euclidean_metric(chart), xi, PLAN)
+    rep = check_self_similar(MetricField(chart, np.eye(chart.dim)), xi, PLAN)
     assert not rep.passed
 
 
@@ -212,7 +211,7 @@ def test_self_similar_on_cone():
 
 def test_potential_field_euler():
     chart = Chart(2, ((-1.0, 1.0),) * 2)
-    rep = check_potential_field(euclidean_metric(chart), euler_field(chart), PLAN)
+    rep = check_potential_field(MetricField(chart, np.eye(chart.dim)), euler_field(chart), PLAN)
     assert rep.passed
     assert rep.extra["eigenvalue_0"] == pytest.approx(1.0)
     assert rep.extra["eigenvalue_1"] == pytest.approx(1.0)
@@ -221,7 +220,7 @@ def test_potential_field_euler():
 def test_potential_field_diagonal_weights():
     chart = Chart(2, ((-1.0, 1.0),) * 2)
     xi = VectorFieldT(chart, ["x0", "2*x1"])
-    rep = check_potential_field(euclidean_metric(chart), xi, PLAN)
+    rep = check_potential_field(MetricField(chart, np.eye(chart.dim)), xi, PLAN)
     assert rep.passed
     assert rep.extra["eigenvalue_0"] == pytest.approx(1.0)
     assert rep.extra["eigenvalue_1"] == pytest.approx(2.0)
@@ -273,7 +272,7 @@ def test_dual_of_flat_exponential_metric():
 def test_dual_connection_is_involutive():
     chart = Chart(2, ((0.2, 1.5), (0.2, 1.5)))
     g = MetricField(chart, [["1 + x0^2", "x0*x1/3"], ["x0*x1/3", "2 + x1^2"]])
-    conn = levi_civita(euclidean_metric(chart))  # flat, zero
+    conn = levi_civita(MetricField(chart, np.eye(chart.dim)))  # flat, zero
     first = dual_connection(conn, g)
     second = dual_connection(first, g)
     pts = chart.sample(PLAN)
@@ -323,7 +322,7 @@ def test_statistical_requires_shared_chart():
     chart = Chart(1, ((0.5, 2.0),))
     other = Chart(1, ((0.1, 0.9),))
     with pytest.raises(ValueError):
-        StatisticalStructure(chart, flat_connection(other), euclidean_metric(chart))
+        StatisticalStructure(chart, flat_connection(other), MetricField(chart, np.eye(chart.dim)))
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,6 @@ from hesslab.geomcore import (
     PathDependenceError,
     SamplePlan,
     VectorFieldT,
-    euclidean_metric,
     flat_connection,
     gauged,
     levi_civita,
@@ -378,14 +377,28 @@ def test_metric_from_lee_rejects_a_nan_eigenvalue():
     assert math.isnan(err.value.eigenvalue)
 
 
+def _rejected_lee_form(entries) -> NotPositiveDefiniteError:
+    dim = len(entries)
+    chart = Chart(dim, ((1.0, 2.0),) * dim)
+    with pytest.raises(NotPositiveDefiniteError) as err:
+        metric_from_lee(flat_connection(chart), OneFormField(chart, entries), -1.0, PLAN)
+    # every sample is non-finite, so the first one is named
+    point = chart.sample(PLAN)[0]
+    assert np.array_equal(err.value.point, point) and f"at {point.tolist()}" in str(err.value)
+    return err.value
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_metric_from_lee_rejects_an_infinite_eigenvalue():
-    # theta (x) theta = 1e320 overflows: the candidate metric is +inf
-    chart = Chart(1, ((1.0, 2.0),))
-    theta = OneFormField(chart, ["1e160"])
-    with pytest.raises(NotPositiveDefiniteError) as err:
-        metric_from_lee(flat_connection(chart), theta, -1.0, PLAN)
-    assert err.value.eigenvalue == math.inf
+    # theta (x) theta = 1e320 overflows: the candidate metric is +inf, and
+    # a non-finite sample reads a NaN eigenvalue
+    assert math.isnan(_rejected_lee_form(["1e160"]).eigenvalue)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_metric_from_lee_rejects_an_infinite_entry_off_the_diagonal():
+    # at dim 3, +inf at (0, 2) as well: LAPACK does not converge on it
+    assert math.isnan(_rejected_lee_form(["1e160", "0", "1e160"]).eigenvalue)
 
 
 @pytest.mark.parametrize("name", ["e67", "lee_perturbation_torus"])
@@ -460,7 +473,7 @@ def test_gauge_rejects_points_outside_chart():
 
 def test_gauge_detects_non_closed_form():
     chart = Chart(2, ((0.5, 1.5), (0.5, 1.5)))
-    g = euclidean_metric(chart)
+    g = MetricField(chart, np.eye(chart.dim))
     fuzz = LCHStructure(chart, flat_connection(chart), g, OneFormField(chart, ["x1", "0"]))
     with pytest.raises(PathDependenceError):
         local_hessian_gauge(fuzz, (1.0, 1.0), plan=PLAN)
@@ -550,6 +563,16 @@ def test_mapping_torus_translation_automorphism():
 def test_mapping_torus_rejects_non_isometry():
     with pytest.raises(MappingTorusError, match="preserve"):
         halfplane_torus(automorphism=("2*x0", "x1"))
+
+
+@pytest.mark.parametrize("x1_image, bad", [("log(x1 - 2)", "all"),  # x1 < 1
+                                            ("x1 + 0*log(x1)", "of")])  # identity where x1 > 0
+def test_mapping_torus_rejects_a_map_off_its_domain(x1_image, bad):
+    # the points where the map raises count as failed samples of the gate
+    with pytest.raises(MappingTorusError, match="preserve") as err:
+        halfplane_torus(automorphism=("x0", x1_image))
+    note = f"{bad} {PLAN.count} samples hit domain errors: log of non-positive value"
+    assert note in str(err.value)
 
 
 def test_symmetry_map_needs_one_component_per_coordinate():
