@@ -405,27 +405,31 @@ def held_result(key: tuple, pts: Array, compute):
     return out
 
 
+_JET_PARTS = ("value", "grad", "hess", "third")
+
+
 def _eval_entries(field: _Field, pts: Array, order: int) -> EvaluatedTensor:
     """Stack the entry jets, all taken in one `evaluate` pass over the
     field's plan, so a subtree shared by several entries (a gauge factor
-    among them) is evaluated once. Each entry's value and derivatives are
-    copied as rows of m contiguous samples."""
+    among them) is evaluated once. Each distinct entry's value and
+    derivatives are written as rows of m contiguous samples when its slot
+    finishes, a known-zero order as 0.0, and the pass then drops its jet
+    unless a later slot reads it; an entry that is the same node as an
+    earlier one (g_ij = g_ji) copies the rows already written."""
     m, n = pts.shape
     shape = field.entries.shape
-    value = samples_first(np.empty(shape + (m,)))
-    d1 = samples_first(np.empty(shape + (n, m))) if order >= 1 else None
-    d2 = samples_first(np.empty(shape + (n, n, m))) if order >= 2 else None
-    d3 = samples_first(np.empty(shape + (n, n, n, m))) if order >= 3 else None
-    for idx, jet in zip(np.ndindex(shape), evaluate(field.jet_plan(), pts, order)):
-        sel = (slice(None),) + idx
-        value[sel] = jet.value
-        if order >= 1:
-            d1[sel] = jet.grad
-        if order >= 2:
-            d2[sel] = jet.hess
-        if order >= 3:
-            d3[sel] = jet.third
-    return EvaluatedTensor(value, d1, d2, d3)
+    parts = [samples_first(np.empty(shape + (n,) * k + (m,))) for k in range(order + 1)]
+    index = list(np.ndindex(shape))
+
+    def write(positions, jet):
+        first = (slice(None),) + index[positions[0]]
+        for k, out in enumerate(parts):
+            out[first] = getattr(jet, _JET_PARTS[k]) if k <= jet.degree else 0.0
+            for r in positions[1:]:
+                out[(slice(None),) + index[r]] = out[first]
+
+    evaluate(jets.Feed(field.jet_plan(), write), pts, order)
+    return EvaluatedTensor(*parts)
 
 
 class _Field:

@@ -561,7 +561,7 @@ def _cone_postcondition_reports(cone: ConeStructure, base: StatisticalStructure,
                              name="cone-radiance", lam=cone.lam)
 
     def form_res(pts):
-        gval = cone.metric.eval(pts, 0).value
+        gval = cone.metric.eval(pts, 1).value  # the order the cone-hessian gate reads
         base_val = base.metric.eval(np.ascontiguousarray(pts[:, :n]), 0).value
         s = pts[:, n]
         expected = np.zeros_like(gval)

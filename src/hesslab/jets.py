@@ -7,22 +7,37 @@ function evaluated at a batch of m points in n coordinates:
 
 Arithmetic implements the truncated Taylor (Leibniz / Faa di Bruno) rules
 exactly, so derivatives of parsed expressions are exact to roundoff rather
-than finite-difference approximations.  Tensors above the requested order
-are simply absent (None).
+than finite-difference approximations.
+
+Each jet also records its `degree`, the highest derivative order that can be
+nonzero (sparse forward mode): 0 for `Jet.constant`, 1 for
+`Jet.coordinate`, the larger of the operands' degrees for a sum, difference
+or negation, min(order, sum of the degrees) for a product, 0 for a function
+of a constant and the full order for a function of anything else. A
+derivative above the degree is known zero and is not stored: no zero tensor
+is allocated, and a product or composition drops every term with a
+known-zero factor and adds the rest in the order of the full rule. A product
+of two full-degree jets runs the full Leibniz rule. Dropping a zero term
+changes no value, except that a 0 * inf = NaN it would have added is gone
+and the sign of a zero may differ. Reads do not change: ``grad``, ``hess``
+and ``third`` return full arrays at every order up to the requested one, a
+known-zero order as zeros, and None above the requested order. No jet's
+arrays are written in place, so a sum with a known-zero side shares the
+other side's tensor.
 
 Every derivative tensor is stored with the sample axis at unit stride: it is
-a transposed view of an (n, ..., n, m) buffer, indexed as above. The leaves
-(`Jet.constant`, `Jet.coordinate`) allocate that way, and numpy's ufuncs and
-einsum keep their operands' memory order, so every tensor of every jet has
-it, and each elementwise operation runs over rows of m contiguous samples
-rather than over loops of length n. Values do not depend on the layout, up
-to the sign and payload of a NaN (which operand's NaN a sum propagates
-depends on the loop numpy picks).
+a transposed view of an (n, ..., n, m) buffer, indexed as above. Coordinate
+gradients and the zeros of a known-zero read are allocated that way, and
+numpy's ufuncs and einsum keep their operands' memory order, so every tensor
+of every jet has it, and each elementwise operation runs over rows of m
+contiguous samples rather than over loops of length n. Values do not depend
+on the layout, up to the sign and payload of a NaN (which operand's NaN a
+sum propagates depends on the loop numpy picks).
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -34,130 +49,206 @@ Array = np.ndarray
 MAX_ORDER = 3
 
 
-class Jet:
-    __slots__ = ("order", "m", "n", "value", "grad", "hess", "third")
+def _add(x, y):
+    return y if x is None else x if y is None else x + y
 
-    def __init__(self, order: int, value: Array, grad=None, hess=None, third=None):
+
+def _sub(x, y):
+    return x if y is None else -y if x is None else x - y
+
+
+def _neg(x):
+    return None if x is None else -x
+
+
+def _plus(acc, *terms):
+    """acc + terms[0] + terms[1] + ..., added left to right; None for no
+    terms and no acc. ``acc`` is None or an array nothing else reads, and the
+    terms are added to it in place; the terms may be views of one another,
+    so without ``acc`` the first two make a new array."""
+    if acc is None:
+        if len(terms) < 2:
+            return terms[0] if terms else None
+        acc, terms = terms[0] + terms[1], terms[2:]
+    for term in terms:
+        acc += term
+    return acc
+
+
+class Jet:
+    """A jet built from its parts has the full degree, every part up to the
+    order given; a lower ``degree`` marks the parts above it as known zero
+    (passed as None), and ``n`` is then given with it."""
+
+    __slots__ = ("order", "degree", "m", "n", "value", "_grad", "_hess", "_third")
+
+    def __init__(self, order: int, value: Array, grad=None, hess=None, third=None,
+                 degree: int | None = None, n: int | None = None):
         self.order = order
+        self.degree = order if degree is None else degree
         self.value = value
         self.m = value.shape[0]
-        self.n = grad.shape[1] if grad is not None else 0
-        self.grad = grad
-        self.hess = hess
-        self.third = third
+        if n is None:
+            n = grad.shape[1] if grad is not None else 0
+        self.n = n
+        self._grad = grad
+        self._hess = hess
+        self._third = third
+
+    # -- reads: a known-zero order reads as zeros ---------------------------
+
+    def _read(self, k: int, part):
+        if part is None and k <= self.order:
+            return np.zeros((self.n,) * k + (self.m,)).T
+        return part
+
+    @property
+    def grad(self):
+        return self._read(1, self._grad)
+
+    @property
+    def hess(self):
+        return self._read(2, self._hess)
+
+    @property
+    def third(self):
+        return self._read(3, self._third)
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
     def constant(c, m: int, n: int, order: int) -> "Jet":
-        value = np.full(m, float(c))
-        g = np.zeros((n, m)).T if order >= 1 else None
-        h = np.zeros((n, n, m)).T if order >= 2 else None
-        t = np.zeros((n, n, n, m)).T if order >= 3 else None
-        return Jet(order, value, g, h, t)
+        return Jet(order, np.full(m, float(c)), degree=0, n=n)
 
     @staticmethod
     def coordinate(index: int, pts: Array, order: int) -> "Jet":
         m, n = pts.shape
         value = pts[:, index].astype(float).copy()
-        g = h = t = None
+        g = None
         if order >= 1:
             g = np.zeros((n, m)).T
             g[:, index] = 1.0
-        if order >= 2:
-            h = np.zeros((n, n, m)).T
-        if order >= 3:
-            t = np.zeros((n, n, n, m)).T
-        return Jet(order, value, g, h, t)
+        return Jet(order, value, g, degree=min(order, 1), n=n)
 
     # -- ring operations ----------------------------------------------------
 
     def __neg__(self) -> "Jet":
-        o = self.order
-        return Jet(
-            o,
-            -self.value,
-            -self.grad if o >= 1 else None,
-            -self.hess if o >= 2 else None,
-            -self.third if o >= 3 else None,
-        )
+        return Jet(self.order, -self.value, _neg(self._grad), _neg(self._hess),
+                   _neg(self._third), self.degree, self.n)
 
     def __add__(self, other: "Jet") -> "Jet":
-        o = self.order
-        return Jet(
-            o,
-            self.value + other.value,
-            self.grad + other.grad if o >= 1 else None,
-            self.hess + other.hess if o >= 2 else None,
-            self.third + other.third if o >= 3 else None,
-        )
+        a, b = self, other
+        return Jet(a.order, a.value + b.value, _add(a._grad, b._grad), _add(a._hess, b._hess),
+                   _add(a._third, b._third), max(a.degree, b.degree), a.n)
 
     def __sub__(self, other: "Jet") -> "Jet":
-        o = self.order
-        return Jet(
-            o,
-            self.value - other.value,
-            self.grad - other.grad if o >= 1 else None,
-            self.hess - other.hess if o >= 2 else None,
-            self.third - other.third if o >= 3 else None,
-        )
+        a, b = self, other
+        return Jet(a.order, a.value - b.value, _sub(a._grad, b._grad), _sub(a._hess, b._hess),
+                   _sub(a._third, b._third), max(a.degree, b.degree), a.n)
 
     def __mul__(self, other: "Jet") -> "Jet":
         o = self.order
         a, b = self, other
+        if a.degree < o or b.degree < o:
+            return a._sparse_product(b)
         value = a.value * b.value
         g = h = t = None
         if o >= 1:
-            g = a.grad * b.value[:, None] + b.grad * a.value[:, None]
+            g = a._grad * b.value[:, None] + b._grad * a.value[:, None]
         if o >= 2:
-            cross = np.einsum("mi,mj->mij", a.grad, b.grad)
+            cross = np.einsum("mi,mj->mij", a._grad, b._grad)
             h = (
-                a.hess * b.value[:, None, None]
-                + b.hess * a.value[:, None, None]
+                a._hess * b.value[:, None, None]
+                + b._hess * a.value[:, None, None]
                 + cross
                 + cross.transpose(0, 2, 1)
             )
         if o >= 3:
-            t = a.third * b.value[:, None, None, None] + b.third * a.value[:, None, None, None]
-            hb = np.einsum("mij,mk->mijk", a.hess, b.grad)
+            t = a._third * b.value[:, None, None, None] + b._third * a.value[:, None, None, None]
+            hb = np.einsum("mij,mk->mijk", a._hess, b._grad)
             t = t + hb + hb.transpose(0, 1, 3, 2) + hb.transpose(0, 3, 1, 2)
-            ha = np.einsum("mij,mk->mijk", b.hess, a.grad)
+            ha = np.einsum("mij,mk->mijk", b._hess, a._grad)
             t = t + ha + ha.transpose(0, 1, 3, 2) + ha.transpose(0, 3, 1, 2)
-        return Jet(o, value, g, h, t)
+        return Jet(o, value, g, h, t, o, a.n)
+
+    def _sparse_product(self, other: "Jet") -> "Jet":
+        """The Leibniz rule of `__mul__` without its terms that have a
+        known-zero factor; the others are added in the same order, each
+        into the sum as soon as it is made."""
+        o = self.order
+        a, b = self, other
+        av, bv = a.value, b.value
+        ga, ha, ta = a._grad, a._hess, a._third
+        gb, hb, tb = b._grad, b._hess, b._third
+        g = h = t = None
+        if ga is not None:
+            g = ga * bv[:, None]
+        if gb is not None:
+            g = _plus(g, gb * av[:, None])
+        if o >= 2:
+            if ha is not None:
+                h = ha * bv[:, None, None]
+            if hb is not None:
+                h = _plus(h, hb * av[:, None, None])
+            if ga is not None and gb is not None:
+                cross = np.einsum("mi,mj->mij", ga, gb)
+                h = _plus(h, cross, cross.transpose(0, 2, 1))
+        if o >= 3:
+            if ta is not None:
+                t = ta * bv[:, None, None, None]
+            if tb is not None:
+                t = _plus(t, tb * av[:, None, None, None])
+            for hx, gy in ((ha, gb), (hb, ga)):
+                if hx is not None and gy is not None:
+                    hg = np.einsum("mij,mk->mijk", hx, gy)
+                    t = _plus(t, hg, hg.transpose(0, 1, 3, 2), hg.transpose(0, 3, 1, 2))
+        return Jet(o, av * bv, g, h, t, min(o, a.degree + b.degree), a.n)
 
     def __truediv__(self, other: "Jet") -> "Jet":
         return self * other.reciprocal()
 
     # -- univariate composition (Faa di Bruno through order 3) ---------------
     #
-    # The derivative coefficients f1-f3 are built only up to the jet's order:
-    # an order-0 pass never reads them, and their powers can overflow.
+    # The derivative coefficients f1-f3 are built only up to `_chain_order`:
+    # an order-0 pass never reads them, nor does a constant's composition,
+    # and their powers can overflow.
+
+    @property
+    def _chain_order(self) -> int:
+        return self.order if self.degree else 0
 
     def compose(self, f0: Array, f1=None, f2=None, f3=None) -> "Jet":
         o = self.order
+        if not self.degree:
+            return Jet(o, f0, degree=0, n=self.n)
+        grad, hess, third = self._grad, self._hess, self._third
         g = h = t = None
         if o >= 1:
-            g = f1[:, None] * self.grad
+            g = f1[:, None] * grad
+        # each sum starts from a fresh product, so the terms after it are
+        # added in place, in the order of the full rule
         if o >= 2:
-            gg = np.einsum("mi,mj->mij", self.grad, self.grad)
-            h = f2[:, None, None] * gg + f1[:, None, None] * self.hess
+            gg = np.einsum("mi,mj->mij", grad, grad)
+            h = f2[:, None, None] * gg
+            if hess is not None:
+                h += f1[:, None, None] * hess
         if o >= 3:
-            ggg = np.einsum("mi,mj,mk->mijk", self.grad, self.grad, self.grad)
-            hg = np.einsum("mij,mk->mijk", self.hess, self.grad)
-            sym3 = hg + hg.transpose(0, 1, 3, 2) + hg.transpose(0, 3, 1, 2)
-            t = (
-                f3[:, None, None, None] * ggg
-                + f2[:, None, None, None] * sym3
-                + f1[:, None, None, None] * self.third
-            )
-        return Jet(o, f0, g, h, t)
+            ggg = np.einsum("mi,mj,mk->mijk", grad, grad, grad)
+            t = f3[:, None, None, None] * ggg
+            if hess is not None:
+                hg = np.einsum("mij,mk->mijk", hess, grad)
+                sym3 = hg + hg.transpose(0, 1, 3, 2) + hg.transpose(0, 3, 1, 2)
+                t += f2[:, None, None, None] * sym3
+            if third is not None:
+                t += f1[:, None, None, None] * third
+        return Jet(o, f0, g, h, t, o, self.n)
 
     def reciprocal(self) -> "Jet":
         v = self.value
         if np.any(v == 0.0):
             raise DomainError("division by zero")
         inv = 1.0 / v
-        o = self.order
+        o = self._chain_order
         return self.compose(
             inv,
             -(inv**2) if o >= 1 else None,
@@ -173,7 +264,7 @@ class Jet:
         v = self.value
         if np.any(v <= 0.0):
             raise DomainError(f"log of non-positive value (min {v.min():g})")
-        o = self.order
+        o = self._chain_order
         inv = 1.0 / v if o >= 1 else None
         return self.compose(
             np.log(v),
@@ -187,7 +278,7 @@ class Jet:
         if np.any(v <= 0.0):
             raise DomainError(f"sqrt of non-positive value (min {v.min():g})")
         r = np.sqrt(v)
-        o = self.order
+        o = self._chain_order
         return self.compose(
             r,
             0.5 / r if o >= 1 else None,
@@ -204,18 +295,24 @@ class Jet:
         return self.compose(c, -s, -c, s)
 
     def powi(self, k: int) -> "Jet":
+        """self**k by repeated squaring from the leading bit of k down: at
+        most 2 floor(log2 k) products, and k = 2 and 3 are x*x and (x*x)*x."""
         if k < 0:
             return self.powi(-k).reciprocal()
-        out = Jet.constant(1.0, self.m, self.n, self.order)
-        for _ in range(k):
-            out = out * self
+        if k == 0:
+            return Jet.constant(1.0, self.m, self.n, self.order)
+        out = self
+        for bit in bin(k)[3:]:
+            out = out * out
+            if bit == "1":
+                out = out * self
         return out
 
     def powf(self, r: float) -> "Jet":
         v = self.value
         if np.any(v <= 0.0):
             raise DomainError(f"power {r:g} of non-positive base (min {v.min():g})")
-        o = self.order
+        o = self._chain_order
         return self.compose(
             v**r,
             r * v ** (r - 1) if o >= 1 else None,
@@ -307,6 +404,16 @@ class Plan(NamedTuple):
     roots: list[int]
 
 
+class Feed(NamedTuple):
+    """A plan to `evaluate` whose roots are handed to ``emit(positions,
+    jet)`` as their slots finish, instead of being returned: ``positions``
+    are the root's places in ``plan.roots`` (several when trees are the same
+    node). A root no later slot reads is then not held by the pass."""
+
+    plan: Plan
+    emit: Callable[[list[int], Jet], None]
+
+
 def _plan(trees) -> Plan:
     trees = list(trees)  # held, so no planned node dies and frees its id
     slots: list[tuple] = []
@@ -340,57 +447,70 @@ def _plan(trees) -> Plan:
     return Plan(slots, roots)
 
 
-def _run(slots: list[tuple], roots: list[int], pts: Array, order: int) -> list[Jet]:
-    """Evaluate every slot once; a jet is dropped after its last consumer."""
+def _run(slots: list[tuple], roots: list[int], pts: Array, order: int, emit) -> None:
+    """Evaluate every slot once and emit each root as its slot finishes; a
+    jet is dropped after its last consumer."""
     m, n = pts.shape
     uses = [0] * len(slots)
     for _, _, kids in slots:
         for k in kids:
             uses[k] += 1
-    for r in roots:
-        uses[r] += 1  # held until the end
+    emitted: list[list[int] | None] = [None] * len(slots)
+    for r, s in enumerate(roots):
+        if emitted[s] is None:
+            emitted[s] = []
+        emitted[s].append(r)
     jets: list[Jet | None] = [None] * len(slots)
     for s, (op, arg, kids) in enumerate(slots):
         if op == "num":
-            jets[s] = Jet.constant(arg, m, n, order)
-            continue
-        if op == "var":
+            jet = Jet.constant(arg, m, n, order)
+        elif op == "var":
             if arg >= n:
                 raise VariableDimensionError(arg, n)
-            jets[s] = Jet.coordinate(arg, pts, order)
-            continue
-        if op == "gauge":
-            jets[s] = arg.jet(pts, order)
-            continue
-        if op == "raise":
+            jet = Jet.coordinate(arg, pts, order)
+        elif op == "gauge":
+            jet = arg.jet(pts, order)
+        elif op == "raise":
             raise arg
-        jets[s] = _APPLY[op](arg, *[jets[k] for k in kids])
-        for k in kids:
-            uses[k] -= 1
-            if not uses[k]:
-                jets[k] = None
-    return [jets[r] for r in roots]
+        else:
+            jet = _APPLY[op](arg, *[jets[k] for k in kids])
+            for k in kids:
+                uses[k] -= 1
+                if not uses[k]:
+                    jets[k] = None
+        if emitted[s] is not None:
+            emit(emitted[s], jet)
+        if uses[s]:
+            jets[s] = jet
 
 
 def evaluate(trees, pts: Array, order: int):
-    """Evaluate an expression tree, a sequence of trees, or a `Plan` of
-    trees, at a batch of points.
+    """Evaluate an expression tree, a sequence of trees, or a `Feed`, at a
+    batch of points.
 
-    Returns a `Jet` for a single tree and a list of jets, one per tree, for a
-    sequence or a plan. All trees share one pass: each distinct subtree is
-    evaluated once. A plan built once by `_plan` saves planning again when
-    the same trees are evaluated many times, as a field's entries are.
+    Returns a `Jet` for a single tree, a list of jets, one per tree, for a
+    sequence, and None for a feed, whose jets go to its ``emit``. All trees
+    share one pass: each distinct subtree is evaluated once. A field feeds
+    its plan, built once, because it evaluates the same trees many times.
     """
     if not 0 <= order <= MAX_ORDER:
         raise ValueError(f"order must be between 0 and {MAX_ORDER}, got {order}")
     pts = np.asarray(pts, float)
     if pts.ndim != 2:
         raise ValueError("pts must have shape (m, n)")
-    if isinstance(trees, Plan):
-        return _run(*trees, pts, order)
+    if isinstance(trees, Feed):
+        _run(*trees.plan, pts, order, trees.emit)
+        return None
     single = isinstance(trees, Expression)
-    jets = _run(*_plan([trees] if single else trees), pts, order)
-    return jets[0] if single else jets
+    plan = _plan([trees] if single else trees)
+    out: list[Jet | None] = [None] * len(plan.roots)
+
+    def keep(positions, jet):
+        for r in positions:
+            out[r] = jet
+
+    _run(*plan, pts, order, keep)
+    return out[0] if single else out
 
 
 class VariableDimensionError(ex.ExprError):

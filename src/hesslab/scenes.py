@@ -260,7 +260,7 @@ def _constant(value, what: str) -> float:
     if isinstance(value, str):
         try:
             return float(ex.constant_value(ex.parse_expression(value, 0)))
-        except ex.ExprError as err:
+        except (ex.ExprError, ArithmeticError) as err:
             raise SceneError(f"{what}: not a constant expression: {err}") from err
     raise SceneError(f"{what}: expected a number or expression string")
 

@@ -29,6 +29,7 @@ from hesslab.geomcore import (
     SamplePlan,
     ScalarField,
     VectorFieldT,
+    as_entry,
     covariant_derivative_metric_batch,
     covariant_derivative_oneform_batch,
     covariant_derivative_vector_batch,
@@ -1021,3 +1022,61 @@ def test_a_raising_result_is_never_held():
         with pytest.raises(DomainError):
             held_result(("value", bad), pts, lambda: bad.eval(pts, 0).value[:, 0])
         assert ("value", bad) not in gc._held.results
+
+
+# ---------------------------------------------------------------------------
+# field tensors written from the jet pass
+# ---------------------------------------------------------------------------
+
+def _field_cases():
+    chart = Chart(3, ((0.5, 1.5),) * 3)
+    sym = [["exp(x0*x1)", "x0*x2", "2"], ["x0*x2", "x1^2", "0"], ["2", "0", "sin(x2)/x0"]]
+    gauge = LineIntegralGauge([ex.Var(1), ex.Var(0), ex.ONE], np.full(3, 1.0))
+    scaled = [[gauged(gauge, -1.0, as_entry(e, 3)) for e in row] for row in sym]
+    return chart, [MetricField(chart, sym), MetricField(chart, scaled),
+                   levi_civita(MetricField(chart, [["x0", "0", "0"], ["0", "x1", "0"],
+                                                   ["0", "0", "1"]])),
+                   OneFormField(chart, ["1", "x2", "x0*x0*x1"])]
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_field_tensor_is_the_stacked_entry_jets(case):
+    # mirrored entries (g_ij = g_ji) are copies, known-zero orders read 0.0,
+    # and every row holds the bits of its entry's jet
+    chart, fields = _field_cases()
+    field = fields[case]
+    pts = chart.sample(SamplePlan(count=40, seed=2)).copy()  # not the held array
+    for order in range(4):
+        got = field.eval(pts, order)
+        jets = evaluate(list(field.entries.flat), pts, order)
+        parts = (got.value, got.d1, got.d2, got.d3)
+        for k, name in enumerate(("value", "grad", "hess", "third")):
+            if k > order:
+                assert parts[k] is None
+                continue
+            want = np.stack([getattr(j, name) for j in jets], axis=1)
+            want = want.reshape((len(pts),) + field.entries.shape + want.shape[2:])
+            assert parts[k].tobytes() == want.tobytes()
+            assert parts[k].strides[0] == 8
+
+
+def test_field_pass_drops_each_entry_jet_once_written():
+    # 10 distinct order-3 entries: holding every root jet until the pass
+    # ends would keep 10 of them beside the tensor; writing each root as it
+    # finishes keeps a handful.
+    dim, m = 4, 5000
+    chart = Chart(dim, ((0.5, 1.5),) * dim)
+    entries = [[f"exp(x{min(i, j)}*x{max(i, j)}) + x{min(i, j)}*x{max(i, j)}^2"
+                for j in range(dim)] for i in range(dim)]
+    g = MetricField(chart, entries)
+    pts = np.random.default_rng(0).uniform(0.5, 1.5, (m, dim))
+    g.eval(pts, 3)
+    one_jet = m * 8 * (1 + dim + dim**2 + dim**3)
+    tracemalloc.start()
+    try:
+        tensor = g.eval(pts, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    written = sum(a.nbytes for a in (tensor.value, tensor.d1, tensor.d2, tensor.d3))
+    assert peak - written < 8 * one_jet

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import tracemalloc
 import weakref
@@ -50,6 +51,7 @@ from hesslab.hesstat import (
     solve_lambda,
     structure_terms,
 )
+from hesslab.scenes import strict_json
 
 PLAN = SamplePlan(count=80, seed=3)
 LAMBDA_HALFPLANE = 1.0 + math.sqrt(2.0)
@@ -729,3 +731,47 @@ def test_suites_in_turn_repeat_their_bytes_and_keep_nothing(monkeypatch):
         counts.append(len(calls) - before)
     assert texts[0] == texts[2]
     assert counts == [1, 2, 1]
+
+
+def test_cone_build_evaluates_each_field_once_on_the_held_points(monkeypatch):
+    # The metric-form postcondition reads the cone metric at order 1, the
+    # order the cone-hessian gate needs on the same held array.
+    import hesslab.geomcore as gc
+    from hesslab.scenes import load_example
+
+    calls: list = []
+    real = gc._eval_entries
+
+    def eval_entries(field, pts, order):
+        if pts is gc._held.pts:
+            calls.append((field, pts))
+        return real(field, pts, order)
+
+    monkeypatch.setattr(gc, "_eval_entries", eval_entries)
+    scene = load_example("sphere_cone")
+    base = StatisticalStructure(scene.chart, scene.fields["D"], scene.fields["g"])
+    cone = build_cone_structure(base, 1.0, plan=SamplePlan(count=60, seed=42),
+                                tolerance=1e-6)
+    assert all(rep.passed for rep in cone.reports)
+    per_field = {}
+    for field, pts in calls:
+        per_field.setdefault((id(field), id(pts)), []).append(field)
+    assert {len(v) for v in per_field.values()} == {1}
+    assert sum(field is cone.metric for field, _ in calls) == 1
+
+
+def test_an_overflowing_metric_entry_still_fails():
+    # 2*exp(800*x0) is inf on part of the chart. Its product with the
+    # constant 2 no longer adds the 0*inf = NaN of the constant's zero
+    # gradient, so d g reads inf there, not NaN; the gate must still fail
+    # with a non-finite residual and name the term.
+    chart = Chart(1, ((0.5, 1.5),))
+    g = MetricField(chart, [["2*exp(800*x0)"]])
+    pts = chart.sample(PLAN)
+    with np.errstate(all="ignore"):
+        d1 = g.eval(pts, 1).d1[:, 0, 0, 0]
+        rep = check_hessian_structure(flat_connection(chart), g, PLAN)
+    assert np.isinf(d1).any() and not np.isnan(d1).any()
+    assert not rep.passed and not math.isfinite(rep.max_residual)
+    assert not math.isfinite(rep.extra["symmetry"])
+    assert json.loads(strict_json(rep.as_dict()))["extra"]["symmetry"] in ("NaN", "Infinity")

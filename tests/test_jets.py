@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -288,3 +289,72 @@ def test_jet_constant_and_coordinate():
     v = Jet.coordinate(1, pts, 2)
     assert v.value.tolist() == [2.0, 4.0]
     assert v.grad.tolist() == [[0.0, 1.0], [0.0, 1.0]]
+
+
+# ---------------------------------------------------------------------------
+# known-zero orders and powering
+# ---------------------------------------------------------------------------
+
+def test_product_with_a_constant_allocates_no_higher_tensors():
+    m, n = 20_000, 3
+    pts = np.random.default_rng(5).uniform(-1.0, 1.0, (m, n))
+    c, x = Jet.constant(2.5, m, n, 3), Jet.coordinate(1, pts, 3)
+    hess_bytes = m * n * n * 8
+    tracemalloc.start()
+    try:
+        y = c * x
+        z = y + c
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the value and the gradient of each result, no (m, n, n) tensor
+    assert peak < hess_bytes
+    assert (c.degree, x.degree, y.degree, z.degree) == (0, 1, 1, 1)
+    assert (y * y).degree == 2 and (y * y * y).degree == 3
+    # a known-zero order still reads as a full array of zeros
+    assert y.hess.shape == (m, n, n) and not y.hess.any()
+    assert y.third.shape == (m, n, n, n) and not y.third.any()
+    assert y.hess.strides[0] == 8  # sample axis at unit stride, as stored tensors
+    assert np.array_equal(y.grad[:, 1], np.full(m, 2.5))
+    assert (c.exp().degree, c.reciprocal().degree) == (0, 0)
+    assert (x.exp().degree, x.exp().hess.any()) == (3, True)
+
+
+def test_powi_squares_repeatedly(monkeypatch):
+    products = 0
+    real_mul = Jet.__mul__
+
+    def counting_mul(a, b):
+        nonlocal products
+        products += 1
+        return real_mul(a, b)
+
+    monkeypatch.setattr(Jet, "__mul__", counting_mul)
+    x = Jet.coordinate(0, np.array([[1.0001], [0.9999]]), 2)
+    jet = x.powi(20000)
+    assert products <= 28  # 2 floor(log2 20000)
+    assert jet.value == pytest.approx(np.array([1.0001, 0.9999]) ** 20000, rel=1e-12)
+    assert jet.grad[:, 0] == pytest.approx(20000 * np.array([1.0001, 0.9999]) ** 19999,
+                                           rel=1e-12)
+    products = 0
+    assert x.powi(2).value.tolist() == (x * x).value.tolist() and products == 2
+    # a variable-free 1^1e20 is 67 squarings of a constant
+    assert evaluate(parse_expression("1^1e20", dim=0), np.zeros((1, 0)), 0).value[0] == 1.0
+
+
+def test_powi_agrees_with_exp_log():
+    x = np.linspace(0.5, 1.5, 101)[:, None]
+    jet = evaluate(parse_expression("x0^1000", dim=1), x, 0)
+    want = np.exp(1000 * np.log(x[:, 0]))
+    assert np.all(np.abs(jet.value - want) <= 1e-12 * want)
+
+
+def test_powi_keeps_the_bits_of_repeated_products():
+    # k = 2 and 3 multiply in the order of x*x and (x*x)*x, the only
+    # integer powers the bundled scenes use
+    pts = np.random.default_rng(2).uniform(-2.0, 2.0, (50, 2))
+    u = evaluate(parse_expression("sin(x0) + x0*x1", dim=2), pts, 3)
+    for k, want in ((2, u * u), (3, u * u * u)):
+        got = u.powi(k)
+        for part in ("value", "grad", "hess", "third"):
+            assert getattr(got, part).tobytes() == getattr(want, part).tobytes()

@@ -735,3 +735,15 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["all_ok"] is True
+
+
+def test_cli_overflowing_scene_constant_exits_2(tmp_path, capsys):
+    # a bound that overflows is a malformed scene, not a crash
+    data = json.loads((Path(hesslab.__file__).parent / "data" / "hopf.json").read_text())
+    expect = next(check["expect"] for check in data["checks"] if "expect" in check)
+    expect[next(iter(expect))][0] = "exp(1000)"
+    path = write_scene(tmp_path, data, "hopf.json")
+    assert main(["check", str(path), "--samples", "20"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: expect a lower bound: not a constant expression")
+    assert "overflow" in err
