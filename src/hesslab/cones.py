@@ -51,8 +51,6 @@ __all__ = [
     "NoClosedFormError",
     "MonteCarloDivergenceError",
     "cone_from_spec",
-    "contains",
-    "dual_contains",
     "characteristic_function",
     "log_psi_metric",
     "project_to_characteristic_surface",
@@ -467,16 +465,6 @@ class ProductCone(ConeSpec):
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
-
-
-def contains(cone: ConeSpec, x) -> bool:
-    """Strict interior membership."""
-    return cone.contains(x)
-
-
-def dual_contains(cone: ConeSpec, y) -> bool:
-    """Strict interior membership in the dual cone."""
-    return cone.dual_contains(y)
 
 
 def _psi(cone: ConeSpec, x: np.ndarray, method: str, samples: int,

@@ -82,10 +82,6 @@ class ChartError(ValueError):
     pass
 
 
-class PathDependenceError(ValueError):
-    """Line integrals along two different paths disagreed: the form is not closed."""
-
-
 class FieldShapeError(ValueError):
     """A field's entries do not have the shape its chart dimension asks for."""
 
@@ -242,7 +238,8 @@ _GL_W = 0.5 * _GL_WEIGHTS
 class LineIntegralGauge:
     """f(p) = integral of a (closed) 1-form along the straight segment base -> p.
 
-    Because the form is closed on the convex box, f is a potential for it:
+    Where the form is closed (`lch.local_hessian_gauge` checks dθ = 0 first),
+    f is a potential for it on the convex box:
     grad f = the form itself, so all derivative tensors of f come from jets
     of the components and only the value needs quadrature. A field entry
     reads f through an `ex.Gauge` leaf, as `gauged` builds it.
@@ -265,38 +262,6 @@ class LineIntegralGauge:
             vals = jet.value.reshape(len(_GL_T), m)
             total += (_GL_W[:, None] * vals).sum(axis=0) * diffs[:, k]
         return total
-
-    def values_staircase(self, pts: Array) -> Array:
-        """Same integral along axis-aligned legs (coordinate j moves on leg j)."""
-        pts = np.asarray(pts, float)
-        m, n = pts.shape
-        total = np.zeros(m)
-        for j in range(n):
-            start = np.concatenate(
-                [pts[:, :j], np.broadcast_to(self.base[j:], (m, n - j))], axis=1
-            )
-            delta = pts[:, j] - self.base[j]
-            legs = np.repeat(start[None, :, :], len(_GL_T), axis=0)
-            legs[:, :, j] = self.base[j] + _GL_T[:, None] * delta
-            vals = evaluate(self.components[j], legs.reshape(-1, n), 0).value
-            vals = vals.reshape(len(_GL_T), m)
-            total += (_GL_W[:, None] * vals).sum(axis=0) * delta
-        return total
-
-    def check_closed(self, chart: Chart, tolerance: float = 1e-6):
-        lo, hi = chart.lo(), chart.hi()
-        lo = lo + 0.1 * (hi - lo)
-        hi = hi - 0.1 * (hi - lo)
-        corners = np.array(list(itertools.product(*zip(lo, hi))))
-        probes = np.vstack([corners, 0.5 * (lo + hi)])
-        straight = self.values(probes)
-        stairs = self.values_staircase(probes)
-        gap = np.max(np.abs(straight - stairs)) / (1.0 + np.max(np.abs(straight)))
-        if not residual_passes(gap, tolerance):
-            raise PathDependenceError(
-                f"line integral is path-dependent (two-path disagreement {gap:.3g}); "
-                "the gauge form is not closed on this chart"
-            )
 
     def jet(self, pts: Array, order: int) -> Jet:
         pts = np.asarray(pts, float)

@@ -16,14 +16,15 @@ or negation, min(order, sum of the degrees) for a product, 0 for a function
 of a constant and the full order for a function of anything else. A
 derivative above the degree is known zero and is not stored: no zero tensor
 is allocated, and a product or composition drops every term with a
-known-zero factor and adds the rest in the order of the full rule. A product
-of two full-degree jets runs the full Leibniz rule. Dropping a zero term
-changes no value, except that a 0 * inf = NaN it would have added is gone
-and the sign of a zero may differ. Reads do not change: ``grad``, ``hess``
-and ``third`` return full arrays at every order up to the requested one, a
-known-zero order as zeros, and None above the requested order. No jet's
-arrays are written in place, so a sum with a known-zero side shares the
-other side's tensor.
+known-zero factor and adds the rest in place into a fresh sum, in the order
+of the full rule, so a product of two full-degree jets is the textbook
+Leibniz rule bit for bit. Dropping a zero term changes no value, except that
+a 0 * inf = NaN it would have added is gone and the sign of a zero may
+differ. Reads do not change: ``grad``, ``hess`` and ``third`` return full
+arrays at every order up to the requested one, a known-zero order as zeros,
+and None above the requested order. A finished jet's arrays are never
+written in place, so a sum with a known-zero side shares the other side's
+tensor.
 
 Every derivative tensor is stored with the sample axis at unit stride: it is
 a transposed view of an (n, ..., n, m) buffer, indexed as above. Coordinate
@@ -147,34 +148,7 @@ class Jet:
                    _sub(a._third, b._third), max(a.degree, b.degree), a.n)
 
     def __mul__(self, other: "Jet") -> "Jet":
-        o = self.order
-        a, b = self, other
-        if a.degree < o or b.degree < o:
-            return a._sparse_product(b)
-        value = a.value * b.value
-        g = h = t = None
-        if o >= 1:
-            g = a._grad * b.value[:, None] + b._grad * a.value[:, None]
-        if o >= 2:
-            cross = np.einsum("mi,mj->mij", a._grad, b._grad)
-            h = (
-                a._hess * b.value[:, None, None]
-                + b._hess * a.value[:, None, None]
-                + cross
-                + cross.transpose(0, 2, 1)
-            )
-        if o >= 3:
-            t = a._third * b.value[:, None, None, None] + b._third * a.value[:, None, None, None]
-            hb = np.einsum("mij,mk->mijk", a._hess, b._grad)
-            t = t + hb + hb.transpose(0, 1, 3, 2) + hb.transpose(0, 3, 1, 2)
-            ha = np.einsum("mij,mk->mijk", b._hess, a._grad)
-            t = t + ha + ha.transpose(0, 1, 3, 2) + ha.transpose(0, 3, 1, 2)
-        return Jet(o, value, g, h, t, o, a.n)
-
-    def _sparse_product(self, other: "Jet") -> "Jet":
-        """The Leibniz rule of `__mul__` without its terms that have a
-        known-zero factor; the others are added in the same order, each
-        into the sum as soon as it is made."""
+        """The Leibniz rule, each term added into a fresh sum once it is made."""
         o = self.order
         a, b = self, other
         av, bv = a.value, b.value
@@ -237,7 +211,7 @@ class Jet:
             t = f3[:, None, None, None] * ggg
             if hess is not None:
                 hg = np.einsum("mij,mk->mijk", hess, grad)
-                sym3 = hg + hg.transpose(0, 1, 3, 2) + hg.transpose(0, 3, 1, 2)
+                sym3 = _plus(None, hg, hg.transpose(0, 1, 3, 2), hg.transpose(0, 3, 1, 2))
                 t += f2[:, None, None, None] * sym3
             if third is not None:
                 t += f1[:, None, None, None] * third

@@ -402,8 +402,8 @@ def local_hessian_gauge(struct: LCHStructure, base_point, p=None, *,
     """Gauge potential f with df = theta, plus the Hessian check of e^{-f} g.
 
     f is the line integral of theta from ``base_point`` along straight
-    segments (the chart box is convex, so segments stay inside); a two-path
-    comparison rejects non-closed forms.  Returns ``(f(p), report)`` where the
+    segments (the chart box is convex, so segments stay inside), once
+    d(theta) = 0 at the plan's points.  Returns ``(f(p), report)`` where the
     report runs the Hessian gate for e^{-f} g on a sub-box around the base.
     """
     chart = struct.chart
@@ -416,15 +416,17 @@ def local_hessian_gauge(struct: LCHStructure, base_point, p=None, *,
             "gauge target point lies outside the chart box; the integration "
             "segment would exit the chart"
         )
+    plan = plan or SamplePlan()
+    _require_closed(struct.lee_form, chart.sample(plan), max(tolerance, RADIANT_GATE),
+                    "the Lee form")
     gauge = LineIntegralGauge(struct.lee_form.entries, base)
-    gauge.check_closed(chart, max(tolerance, RADIANT_GATE))
     f_p = float(gauge.values(target.reshape(1, -1))[0])
 
     sub = chart.subbox(base, fraction)
     rescaled = MetricField(sub, [[gauged(gauge, -1.0, g_ij) for g_ij in row]
                                  for row in struct.metric.entries])
     sub_conn = ConnectionField(sub, struct.conn.entries)
-    report = check_hessian_structure(sub_conn, rescaled, plan or SamplePlan(),
+    report = check_hessian_structure(sub_conn, rescaled, plan,
                                      tolerance, name="hessian-gauge")
     return f_p, report
 

@@ -299,7 +299,7 @@ def _build_field(name: str, spec, chart: Chart, metrics: dict):
             if spec.get("flat"):
                 return flat_connection(chart)
             if "levi_civita_of" in spec:
-                ref = spec["levi_civita_of"]
+                ref = _ref_name(f"field '{name}'", "levi_civita_of", spec["levi_civita_of"])
                 if ref not in metrics:
                     raise SceneError(
                         f"field '{name}' references undeclared metric '{ref}'"
@@ -354,6 +354,14 @@ def _non_entry(obj, index=()):
     return index, obj
 
 
+def _ref_name(owner: str, key: str, ref) -> str:
+    """``ref``, once it is a name: a reference is a string."""
+    if not isinstance(ref, str):
+        raise SceneError(f"{owner}: '{key}' is {json.dumps(ref, default=repr)}, "
+                         "not a name")
+    return ref
+
+
 def _check_refs(owner: str, spec: dict, refs: dict, pools: dict) -> None:
     """Every reference of ``refs`` is set in ``spec`` and names a declared
     object of its pool."""
@@ -361,6 +369,7 @@ def _check_refs(owner: str, spec: dict, refs: dict, pools: dict) -> None:
         ref = spec.get(key)
         if ref is None:
             raise SceneError(f"{owner} needs '{key}'")
+        _ref_name(owner, key, ref)
         pool = _pool(kind)
         if ref not in pools[pool]:
             raise SceneError(f"{owner} references undeclared {pool} '{ref}'")
@@ -370,7 +379,7 @@ def _validate_structure(name: str, spec, pools: dict):
     if not isinstance(spec, dict) or "type" not in spec:
         raise SceneError(f"structure '{name}' needs a 'type'")
     kind = spec["type"]
-    if kind not in _STRUCTURE_TYPES:
+    if not isinstance(kind, str) or kind not in _STRUCTURE_TYPES:
         raise SceneError(
             f"structure '{name}' has unknown type '{kind}' "
             f"(expected one of {', '.join(_STRUCTURE_TYPES)})"
@@ -383,13 +392,23 @@ def _validate_structure(name: str, spec, pools: dict):
     _require_entries(f"structure '{name}'", spec, kind)
 
 
+def _section(data: dict, key: str, kind: type):
+    """The scene's ``key`` section, an object (``dict``) or a list, empty
+    when absent."""
+    value = data.get(key, kind())
+    if not isinstance(value, kind):
+        what = "an object" if kind is dict else "a list"
+        raise SceneError(f"'{key}' must be {what}, not {json.dumps(value, default=repr)}")
+    return value
+
+
 def scene_from_dict(data: dict, source: str = "<memory>") -> Scene:
     if not isinstance(data, dict):
         raise SceneError(f"scene {source}: top level must be an object")
     name = data.get("name", Path(source).stem)
     chart = _build_chart(data.get("chart"), "chart")
 
-    specs = data.get("fields", {})
+    specs = _section(data, "fields", dict)
     fields: dict = {}
     metrics: dict = {}
     # connections may reference metrics (levi_civita_of), so build them last
@@ -403,13 +422,13 @@ def scene_from_dict(data: dict, source: str = "<memory>") -> Scene:
             fields[fname] = _build_field(fname, fspec, chart, metrics)
 
     cones: dict = {}
-    for cname, cspec in data.get("cones", {}).items():
+    for cname, cspec in _section(data, "cones", dict).items():
         try:
             cones[cname] = cone_from_spec(cspec)
         except (TypeError, ValueError) as err:
             raise SceneError(f"cone '{cname}': {err}") from err
 
-    structures = dict(data.get("structures", {}))
+    structures = dict(_section(data, "structures", dict))
     earlier: dict = {}  # a structure may reference only those declared before it
     for sname, sspec in structures.items():
         _validate_structure(
@@ -417,13 +436,13 @@ def scene_from_dict(data: dict, source: str = "<memory>") -> Scene:
         )
         earlier[sname] = sspec
 
-    checks = list(data.get("checks", []))
+    checks = list(_section(data, "checks", list))
     pools = {"field": fields, "cone": cones, "structure": structures}
     for i, check in enumerate(checks):
         if not isinstance(check, dict) or "op" not in check:
             raise SceneError(f"check {i} needs an 'op'")
         op = check["op"]
-        if op not in _OPS:
+        if not isinstance(op, str) or op not in _OPS:
             raise SceneError(
                 f"check {i} has unknown op '{op}' "
                 f"(known: {', '.join(sorted(_OPS))})"

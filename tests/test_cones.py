@@ -21,8 +21,6 @@ from hesslab.cones import (
     characteristic_function,
     cone_from_spec,
     cone_lch_structure,
-    contains,
-    dual_contains,
     log_psi_metric,
     project_to_characteristic_surface,
     sample_interior,
@@ -59,28 +57,28 @@ def lorentz_psi_oracle(x):
 
 def test_orthant_membership():
     cone = OrthantCone(2)
-    assert contains(cone, (1, 1))
-    assert not contains(cone, (1, -1))
-    assert not contains(cone, (1, 0))  # boundary is out, strictly
-    assert dual_contains(cone, (0.3, 2.0))
+    assert cone.contains((1, 1))
+    assert not cone.contains((1, -1))
+    assert not cone.contains((1, 0))  # boundary is out, strictly
+    assert cone.dual_contains((0.3, 2.0))
 
 
 def test_lorentz_membership():
     cone = LorentzCone(2)
-    assert contains(cone, (1, 0))
-    assert dual_contains(cone, (1, 0))
-    assert not contains(cone, (1, 1))
-    assert not contains(cone, (1, 1.2))
+    assert cone.contains((1, 0))
+    assert cone.dual_contains((1, 0))
+    assert not cone.contains((1, 1))
+    assert not cone.contains((1, 1.2))
 
 
 def test_polyhedral_membership_and_duality():
     cone = PolyhedralCone([[1, 0], [1, 1]])
-    assert not dual_contains(cone, (0, 1))  # pairs to zero with (1,0): boundary
-    assert dual_contains(cone, (1, 0.5))
-    assert contains(cone, (1, 0.5))
-    assert not contains(cone, (1, 0))
-    assert not contains(cone, (0, 1))
-    assert not contains(cone, (1, 1))
+    assert not cone.dual_contains((0, 1))  # pairs to zero with (1,0): boundary
+    assert cone.dual_contains((1, 0.5))
+    assert cone.contains((1, 0.5))
+    assert not cone.contains((1, 0))
+    assert not cone.contains((0, 1))
+    assert not cone.contains((1, 1))
 
 
 def test_polyhedral_validation():
@@ -125,15 +123,15 @@ def test_self_duality_on_random_points():
         inside = sample_interior(cone, 50, seed=5)
         outside = rng.normal(size=(50, 3)) * 3.0
         for p in np.vstack([inside, outside]):
-            assert contains(cone, p) == dual_contains(cone, p)
+            assert cone.contains(p) == cone.dual_contains(p)
 
 
 def test_product_membership():
     cone = ProductCone([OrthantCone(1), LorentzCone(2)])
-    assert contains(cone, (1.0, 1.0, 0.2))
-    assert not contains(cone, (-1.0, 1.0, 0.2))
-    assert not contains(cone, (1.0, 0.5, 0.9))
-    assert dual_contains(cone, (2.0, 1.0, 0.0))
+    assert cone.contains((1.0, 1.0, 0.2))
+    assert not cone.contains((-1.0, 1.0, 0.2))
+    assert not cone.contains((1.0, 0.5, 0.9))
+    assert cone.dual_contains((2.0, 1.0, 0.0))
 
 
 def test_sample_interior_lands_inside():
@@ -142,7 +140,7 @@ def test_sample_interior_lands_inside():
                  ProductCone([OrthantCone(1), LorentzCone(2)])):
         pts = sample_interior(cone, 40, seed=11)
         assert pts.shape == (40, cone.dim)
-        assert all(contains(cone, p) for p in pts)
+        assert all(cone.contains(p) for p in pts)
 
 
 # ---------------------------------------------------------------------------
@@ -514,4 +512,4 @@ def test_cone_from_spec_errors():
 
 def test_dimension_mismatch_message():
     with pytest.raises(ValueError, match="dimension 2"):
-        contains(OrthantCone(2), (1.0, 1.0, 1.0))
+        OrthantCone(2).contains((1.0, 1.0, 1.0))

@@ -358,3 +358,71 @@ def test_powi_keeps_the_bits_of_repeated_products():
         got = u.powi(k)
         for part in ("value", "grad", "hess", "third"):
             assert getattr(got, part).tobytes() == getattr(want, part).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the product rule against the textbook Leibniz rule
+# ---------------------------------------------------------------------------
+
+def _textbook_product(a: Jet, b: Jet) -> list:
+    """The parts of a * b by the full Leibniz rule, every term read as a full
+    array and the terms summed out of place, left to right."""
+    o = a.order
+    av, bv = a.value, b.value
+    parts = [av * bv]
+    if o >= 1:
+        parts.append(a.grad * bv[:, None] + b.grad * av[:, None])
+    if o >= 2:
+        cross = np.einsum("mi,mj->mij", a.grad, b.grad)
+        parts.append(a.hess * bv[:, None, None] + b.hess * av[:, None, None]
+                     + cross + cross.transpose(0, 2, 1))
+    if o >= 3:
+        hg = np.einsum("mij,mk->mijk", a.hess, b.grad)
+        gh = np.einsum("mij,mk->mijk", b.hess, a.grad)
+        parts.append(a.third * bv[:, None, None, None] + b.third * av[:, None, None, None]
+                     + hg + hg.transpose(0, 1, 3, 2) + hg.transpose(0, 3, 1, 2)
+                     + gh + gh.transpose(0, 1, 3, 2) + gh.transpose(0, 3, 1, 2))
+    return parts
+
+
+def _product_parts(jet: Jet) -> list:
+    return [jet.value, jet.grad, jet.hess, jet.third][:jet.order + 1]
+
+
+def _full_jet(rng, order: int, m: int, n: int, special: bool) -> Jet:
+    """A full-degree jet of random parts, each a transposed view of a buffer
+    with the sample axis last, as the evaluator stores them; ``special``
+    salts them with NaN, -NaN, +-inf and -0.0."""
+    parts = []
+    for k in range(order + 1):
+        buf = rng.uniform(-2.0, 2.0, (n,) * k + (m,))
+        if special:
+            flat = buf.reshape(-1)
+            picks = rng.choice(flat.size, size=min(flat.size, 6), replace=False)
+            flat[picks] = [np.nan, -np.nan, np.inf, -np.inf, -0.0, 0.0][:len(picks)]
+        parts.append(buf.T if k else buf)
+    return Jet(order, *parts)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_full_degree_product_is_the_textbook_rule_bit_for_bit(order):
+    rng = np.random.default_rng(40 + order)
+    for special in (False, True):
+        a = _full_jet(rng, order, 30, 3, special)
+        b = _full_jet(rng, order, 30, 3, special)
+        got, want = _product_parts(a * b), _textbook_product(a, b)
+        assert [p.tobytes() for p in got] == [p.tobytes() for p in want]
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_product_with_known_zero_orders_matches_the_textbook_rule(order):
+    rng = np.random.default_rng(50 + order)
+    pts = rng.uniform(-2.0, 2.0, (30, 3))
+    full = _full_jet(rng, order, 30, 3, special=False)
+    sparse = (Jet.constant(-1.5, 30, 3, order), Jet.coordinate(2, pts, order),
+              Jet.coordinate(0, pts, order) * Jet.coordinate(1, pts, order))
+    for s in sparse:
+        for a, b in ((s, full), (full, s), (s, s)):
+            got, want = _product_parts(a * b), _textbook_product(a, b)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))

@@ -31,7 +31,6 @@ from hesslab.geomcore import (
     LineIntegralGauge,
     MetricField,
     OneFormField,
-    PathDependenceError,
     SamplePlan,
     VectorFieldT,
     flat_connection,
@@ -472,11 +471,27 @@ def test_gauge_rejects_points_outside_chart():
 
 
 def test_gauge_detects_non_closed_form():
-    chart = Chart(2, ((0.5, 1.5), (0.5, 1.5)))
+    chart = Chart(2, ((0.0, 1.0), (0.0, 1.0)))
     g = MetricField(chart, np.eye(chart.dim))
     fuzz = LCHStructure(chart, flat_connection(chart), g, OneFormField(chart, ["x1", "0"]))
-    with pytest.raises(PathDependenceError):
-        local_hessian_gauge(fuzz, (1.0, 1.0), plan=PLAN)
+    with pytest.raises(ValueError, match="Lee form must be closed"):
+        local_hessian_gauge(fuzz, (0.2, 0.2), plan=PLAN)
+    # d(x0^2 x1) is closed: the gauge is its potential from the base
+    exact = LCHStructure(chart, flat_connection(chart), g,
+                         OneFormField(chart, ["2*x0*x1", "x0*x0"]))
+    f, _ = local_hessian_gauge(exact, (0.2, 0.2), (0.7, 0.4), plan=PLAN)
+    assert f == pytest.approx(0.7**2 * 0.4 - 0.2**3, rel=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_gauge_rejects_a_nan_lee_form():
+    # exp(800 x0) overflows, so theta is inf - inf = NaN on the whole chart
+    chart = Chart(1, ((1.0, 2.0),))
+    g = MetricField(chart, np.eye(chart.dim))
+    nan_form = OneFormField(chart, ["exp(800*x0) - exp(800*x0) + 1/x0"])
+    struct = LCHStructure(chart, flat_connection(chart), g, nan_form)
+    with pytest.raises(ValueError, match="Lee form must be closed"):
+        local_hessian_gauge(struct, (1.5,), plan=PLAN)
 
 
 # ---------------------------------------------------------------------------

@@ -95,6 +95,9 @@ def test_unknown_op_lists_known_ones():
     data = unit_scene(checks=[{"op": "frobnicate"}])
     with pytest.raises(SceneError, match="unknown op 'frobnicate'"):
         scene_from_dict(data)
+    data = unit_scene(checks=[{"op": ["lch"], "structure": "S"}])
+    with pytest.raises(SceneError, match=r"unknown op '\['lch'\]'"):
+        scene_from_dict(data)
 
 
 def test_check_missing_reference_key():
@@ -140,6 +143,9 @@ def test_unknown_field_and_structure_types():
     data = unit_scene()
     data["structures"]["S"]["type"] = "warped"
     with pytest.raises(SceneError, match="unknown type 'warped'"):
+        scene_from_dict(data)
+    data["structures"]["S"]["type"] = ["lch"]
+    with pytest.raises(SceneError, match=r"unknown type '\['lch'\]'"):
         scene_from_dict(data)
 
 
@@ -362,6 +368,22 @@ _BASE_FAILED = ("structure 'B' failed to build: SceneError: "
         unit_scene(structures={"L": {"type": "cone_lch", "cone": "V"}}),
         "structure 'L' references undeclared cone 'V'",
         id="cone-lch-of-undeclared-cone"),
+    pytest.param(unit_scene(fields=[]), "'fields' must be an object, not []",
+                 id="fields-list"),
+    pytest.param(unit_scene(cones=[1]), "'cones' must be an object, not [1]",
+                 id="cones-list"),
+    pytest.param(unit_scene(structures=[1]), "'structures' must be an object, not [1]",
+                 id="structures-list"),
+    pytest.param(unit_scene(checks={"op": "lch"}),
+                 "'checks' must be a list, not {\"op\": \"lch\"}", id="checks-object"),
+    pytest.param(
+        unit_scene(checks=[{"op": "hessian", "conn": ["g"], "metric": "g"}]),
+        "check 0 ('hessian'): 'conn' is [\"g\"], not a name",
+        id="reference-list"),
+    pytest.param(
+        unit_scene(fields={"D": {"type": "connection", "levi_civita_of": ["g"]}}),
+        "field 'D': 'levi_civita_of' is [\"g\"], not a name",
+        id="levi-civita-reference-list"),
 ])
 def test_scene_error_paths(data, expected):
     """The SceneError message, or each check's (report name, note)."""
