@@ -98,32 +98,67 @@ def _ball_volume(d: int) -> float:
     return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
 
 
-def _uniform_ball(rng, count: int, d: int) -> np.ndarray:
-    """Uniform samples in the unit d-ball."""
+def _uniform_ball(rng, ball: np.ndarray, radii: np.ndarray, squares=None) -> None:
+    """Fill the (count, d) ``ball`` with uniform samples in the unit d-ball.
+
+    ``radii`` is (count,) scratch and ``squares`` (count, d) scratch, needed
+    for d > 1. The draws and the arithmetic are numpy's own: ``uniform(-1, 1)``
+    is -1 + 2u, and the normalizing norm is ``np.linalg.norm``'s sum of
+    squares; the columns are scaled one at a time, not by a broadcast over
+    the short last axis."""
+    d = ball.shape[1]
     if d == 1:
-        return rng.uniform(-1.0, 1.0, size=(count, 1))
-    z = rng.standard_normal((count, d))
-    z /= np.linalg.norm(z, axis=1, keepdims=True)
-    radii = rng.random(count) ** (1.0 / d)
-    return z * radii[:, None]
+        rng.random(out=ball)
+        ball *= 2.0
+        ball -= 1.0
+        return
+    rng.standard_normal(out=ball)
+    np.add.reduce(np.multiply(ball, ball, out=squares), axis=1, out=radii)
+    np.sqrt(radii, out=radii)
+    for j in range(d):
+        ball[:, j] /= radii
+    rng.random(out=radii)
+    radii **= 1.0 / d  # the operator, so numpy picks the same power path as `**`
+    for j in range(d):
+        ball[:, j] *= radii
+
+
+def _chunk_buffers(*specs):
+    """``take(count)``: one array of ``count`` rows per (trailing shape, dtype)
+    in ``specs``, the leading rows of buffers allocated at the first call's
+    size and reused by every later call that fits. `_mc_mean`'s first chunk
+    is its largest, so a sampler allocates its scratch once per estimate."""
+    held = []
+
+    def take(count):
+        if not held or len(held[0]) < count:
+            held[:] = [np.empty((count,) + shape, dtype) for shape, dtype in specs]
+        return [a[:count] for a in held]
+
+    return take
 
 
 def _mc_mean(total: int, seed_seq: np.random.SeedSequence, sampler):
     """Chunked, reproducible Monte Carlo mean with standard error.
 
-    Chunks draw from independent child streams spawned from ``seed_seq``, so
-    the result does not depend on chunk boundaries being hit in order.
+    Chunk k draws from child k of ``seed_seq``'s spawn, so the result does not
+    depend on chunk boundaries being hit in order. ``sampler(rng, out)``
+    writes a chunk's weights into ``out``, a slice of one buffer reused by
+    every chunk, as is the buffer of their squares.
     """
     nchunks = (total + MC_CHUNK - 1) // MC_CHUNK
     children = seed_seq.spawn(nchunks)
+    weights = np.empty(min(total, MC_CHUNK))
+    squares = np.empty_like(weights)
     sum_w = 0.0
     sum_w2 = 0.0
     done = 0
     for k in range(nchunks):
         count = min(MC_CHUNK, total - done)
-        w = sampler(np.random.default_rng(children[k]), count)
+        w = weights[:count]
+        sampler(np.random.default_rng(children[k]), w)
         sum_w += float(w.sum())
-        sum_w2 += float((w * w).sum())
+        sum_w2 += float(np.multiply(w, w, out=squares[:count]).sum())
         done += count
     mean = sum_w / total
     variance = max(sum_w2 / total - mean * mean, 0.0)
@@ -196,13 +231,19 @@ class OrthantCone(ConeSpec):
     def _mc_sampler(self, x):
         rates = 1.5 * x
         norm = float(np.prod(rates))
+        scales = 1.0 / rates
+        take = _chunk_buffers(((self.dim,), float))
 
-        def sampler(rng, count):
-            # scale * standard draws is how numpy draws exponential(scale),
-            # so these are its values without its broadcast per-element path
-            y = rng.standard_exponential((count, self.dim))
-            y *= 1.0 / rates
-            return np.exp(0.5 * (y @ x)) / norm
+        def sampler(rng, out):
+            y, = take(len(out))
+            # scale * standard draws is how numpy draws exponential(scale)
+            rng.standard_exponential(out=y)
+            for j in range(self.dim):
+                y[:, j] *= scales[j]
+            np.matmul(y, x, out=out)
+            out *= 0.5
+            np.exp(out, out=out)
+            out /= norm
 
         return sampler
 
@@ -249,13 +290,35 @@ class LorentzCone(ConeSpec):
         gap = x0 - float(np.linalg.norm(xbar))
         d = self.dim - 1
         vol = _ball_volume(d)
+        scale = 1.0 / gap
+        take = _chunk_buffers(((), float), ((), float), ((d,), float),
+                              *([((d,), float)] if d > 1 else []))
 
-        def sampler(rng, count):
-            y0 = rng.exponential(1.0 / gap, size=count)
-            ybar = _uniform_ball(rng, count, d) * y0[:, None]
-            inner = x0 * y0 + ybar @ xbar
-            # proposal density: gap * e^{-gap*y0} uniform over the y0-ball
-            return np.exp(gap * y0 - inner) * vol * y0 ** d / gap
+        def sampler(rng, out):
+            y0, aux, ybar, *squares = take(len(out))
+            rng.standard_exponential(out=y0)
+            y0 *= scale
+            _uniform_ball(rng, ybar, aux, *squares)
+            for j in range(d):
+                ybar[:, j] *= y0
+            if d == 1:  # a one-term reduction is its product
+                np.multiply(ybar[:, 0], xbar[0], out=aux)
+            else:
+                np.matmul(ybar, xbar, out=aux)
+            inner = np.multiply(y0, x0, out=out)
+            inner += aux
+            # proposal density: gap * e^{-gap*y0} uniform over the y0-ball;
+            # the weight is e^{gap*y0 - inner} * vol * y0^d / gap
+            np.subtract(np.multiply(y0, gap, out=aux), inner, out=out)
+            np.exp(out, out=out)
+            out *= vol
+            if d > 1:
+                np.copyto(aux, y0)
+                aux **= d  # the operator, so numpy picks the same power path as `**`
+                out *= aux
+            else:
+                out *= y0
+            out /= gap
 
         return sampler
 
@@ -266,8 +329,10 @@ class LorentzCone(ConeSpec):
 
     def _sample_interior(self, rng, count):
         x0 = rng.uniform(1.0, 3.0, size=count)
-        xbar = _uniform_ball(rng, count, self.dim - 1) * (0.8 * x0)[:, None]
-        return np.column_stack([x0, xbar])
+        d = self.dim - 1
+        xbar = np.empty((count, d))
+        _uniform_ball(rng, xbar, np.empty(count), np.empty((count, d)))
+        return np.column_stack([x0, xbar * (0.8 * x0)[:, None]])
 
 
 class PolyhedralCone(ConeSpec):
@@ -395,12 +460,26 @@ class PolyhedralCone(ConeSpec):
         norm = absdet * float(np.prod(rates))
         subinv_t = np.linalg.inv(sub).T
         gt = self.generators.T
+        scales = 1.0 / rates
+        tilt = rates - coeff
+        d, m = gt.shape
+        take = _chunk_buffers(((d,), float), ((d,), float), ((m,), float),
+                              ((), bool), ((), bool))
 
-        def sampler(rng, count):
-            z = rng.exponential(1.0 / rates, size=(count, self.dim))
-            y = z @ subinv_t
-            inside = np.all(y @ gt > 0.0, axis=1)
-            return np.exp(z @ (rates - coeff)) * inside / norm
+        def sampler(rng, out):
+            z, y, pairings, inside, positive = take(len(out))
+            # scale * standard draws is how numpy draws exponential(scale)
+            rng.standard_exponential(out=z)
+            for j in range(d):
+                z[:, j] *= scales[j]
+            np.matmul(np.matmul(z, subinv_t, out=y), gt, out=pairings)
+            np.greater(pairings[:, 0], 0.0, out=inside)
+            for k in range(1, m):
+                inside &= np.greater(pairings[:, k], 0.0, out=positive)
+            np.matmul(z, tilt, out=out)
+            np.exp(out, out=out)
+            out *= inside
+            out /= norm
 
         return sampler
 

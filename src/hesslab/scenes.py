@@ -254,8 +254,9 @@ def load_scene(path) -> Scene:
 
 
 def _constant(value, what: str) -> float:
-    """A JSON number, or an expression string like '1 + sqrt(2)'."""
-    if isinstance(value, (int, float)):
+    """A JSON number, or an expression string like '1 + sqrt(2)'. A JSON
+    boolean is neither."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         return float(value)
     if isinstance(value, str):
         try:
@@ -296,7 +297,7 @@ def _build_field(name: str, spec, chart: Chart, metrics: dict):
         if kind == "scalar":
             return ScalarField(chart, entries("expression"))
         if kind == "connection":
-            if spec.get("flat"):
+            if _flag(f"field '{name}'", spec, "flat"):
                 return flat_connection(chart)
             if "levi_civita_of" in spec:
                 ref = _ref_name(f"field '{name}'", "levi_civita_of", spec["levi_civita_of"])
@@ -315,6 +316,33 @@ def _build_field(name: str, spec, chart: Chart, metrics: dict):
     except ValueError as err:  # ExprError included
         raise SceneError(f"field '{name}': {err}") from err
     raise SceneError(f"field '{name}' has unknown type '{kind}'")
+
+
+def _flag(owner: str, spec: dict, key: str) -> bool:
+    """``spec[key]``, false when absent, once it is a JSON boolean: a string
+    such as "no" is not read by its truthiness."""
+    value = spec.get(key, False)
+    if not isinstance(value, bool):
+        raise SceneError(f"{owner}: '{key}' is {json.dumps(value, default=repr)}, "
+                         "not true or false")
+    return value
+
+
+def _expect_bounds(owner: str, check: dict) -> dict:
+    """A check's ``expect``, {} when absent: an object mapping each report
+    extra it bounds to a [lo, hi] pair of constants, returned as floats."""
+    bounds = check.get("expect", {})
+    if not isinstance(bounds, dict):
+        raise SceneError(f"{owner}: 'expect' is {json.dumps(bounds, default=repr)}, "
+                         "not an object of [lo, hi] bounds")
+    out = {}
+    for key, pair in bounds.items():
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise SceneError(f"{owner}: 'expect' bound on '{key}' is "
+                             f"{json.dumps(pair, default=repr)}, not a [lo, hi] pair")
+        out[key] = (_constant(pair[0], f"expect {key} lower bound"),
+                    _constant(pair[1], f"expect {key} upper bound"))
+    return out
 
 
 def _check_entries(owner: str, key: str, value):
@@ -447,8 +475,11 @@ def scene_from_dict(data: dict, source: str = "<memory>") -> Scene:
                 f"check {i} has unknown op '{op}' "
                 f"(known: {', '.join(sorted(_OPS))})"
             )
-        _check_refs(f"check {i} ('{op}')", check, _OP_REFS[op], pools)
-        _require_entries(f"check {i} ('{op}')", check, op)
+        owner = f"check {i} ('{op}')"
+        _check_refs(owner, check, _OP_REFS[op], pools)
+        _require_entries(owner, check, op)
+        _flag(owner, check, "expect_fail")
+        _expect_bounds(owner, check)
 
     return Scene(
         name=name,
@@ -768,15 +799,10 @@ def _op_perturbation(ctx, check, tol, structure, alpha):
                         notes=notes)]
 
 
-def _expectations_ok(check: dict, reports) -> tuple[bool, list[str]]:
-    bounds = check.get("expect", {})
-    if not bounds:
-        return True, []
+def _expectations_ok(owner: str, check: dict, reports) -> tuple[bool, list[str]]:
     ok = True
     notes = []
-    for key, (lo, hi) in bounds.items():
-        lo = _constant(lo, f"expect {key} lower bound")
-        hi = _constant(hi, f"expect {key} upper bound")
+    for key, (lo, hi) in _expect_bounds(owner, check).items():
         carriers = [r for r in reports if key in r.extra]
         if not carriers:
             ok = False
@@ -834,7 +860,7 @@ def run_suite(scene: Scene, plan: SamplePlan | None = None,
             )]
         expect_fail = bool(check.get("expect_fail", False))
         passed = all(r.passed for r in reports)
-        bounds_ok, bound_notes = _expectations_ok(check, reports)
+        bounds_ok, bound_notes = _expectations_ok(f"check {i} ('{op}')", check, reports)
         ok = (passed != expect_fail) and bounds_ok and not crashed
         record = {
             "index": i,

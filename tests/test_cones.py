@@ -35,6 +35,7 @@ from hesslab.geomcore import (
 )
 from hesslab.hesstat import check_statistical, estimate_constant_curvature
 from hesslab.jets import evaluate
+from mc_reference import reference_psi, uniform_ball
 
 PLAN = SamplePlan(count=60, seed=9)
 MC_N = 200_000
@@ -277,6 +278,38 @@ def test_monte_carlo_is_deterministic():
     a = characteristic_function(cone, (1.5, 0.2, 0.1), "monte_carlo", samples=50_000, seed=8)
     b = characteristic_function(cone, (1.5, 0.2, 0.1), "monte_carlo", samples=50_000, seed=8)
     assert a.value == b.value and a.stderr == b.stderr
+
+
+MC_REFERENCE_CONES = {
+    "orthant2": (OrthantCone(2), (2.0, 3.0)),
+    "orthant3": (OrthantCone(3), (1.0, 2.0, 0.5)),
+    "lorentz2": (LorentzCone(2), (1.5, 0.5)),
+    "lorentz3": (LorentzCone(3), (2.0, 0.5, 0.3)),
+    "simplicial": (PolyhedralCone([[1, 0, 0], [1, 1, 0], [1, 1, 1]]), (3.0, 0.5, 0.2)),
+    "square": (PolyhedralCone([[1, 1, 1], [1, 1, -1], [1, -1, 1], [1, -1, -1]]),
+               (1.5, 0.2, -0.3)),
+    "product": (ProductCone([OrthantCone(1), LorentzCone(2)]), (1.5, 2.0, 0.3)),
+}
+
+
+@pytest.mark.parametrize("total", [1_000_000, 250_001, 777],
+                         ids=["full-chunks", "partial-last-chunk", "under-one-chunk"])
+@pytest.mark.parametrize("name", list(MC_REFERENCE_CONES))
+def test_monte_carlo_matches_the_plain_reference_bit_for_bit(name, total):
+    # same child streams, same variates, same floating-point operations
+    cone, x = MC_REFERENCE_CONES[name]
+    psi = characteristic_function(cone, x, "monte_carlo", samples=total, seed=42)
+    value, stderr = reference_psi(cone, x, total, seed=42)
+    assert psi.value == value and psi.stderr == stderr
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_lorentz_interior_samples_match_the_plain_reference(dim):
+    rng = np.random.default_rng(np.random.SeedSequence(42))
+    x0 = rng.uniform(1.0, 3.0, size=50)
+    xbar = uniform_ball(rng, 50, dim - 1) * (0.8 * x0)[:, None]
+    expected = np.column_stack([x0, xbar])
+    assert sample_interior(LorentzCone(dim), 50).tobytes() == expected.tobytes()
 
 
 def test_monte_carlo_divergence_near_boundary():

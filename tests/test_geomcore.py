@@ -410,6 +410,40 @@ def test_total_symmetry_of_hessian_metric_gradient():
     assert np.max(total_symmetry_residual_batch(nabla)) < 1e-14
 
 
+def _symmetry_by_permutations(t):
+    """The permutation rule: max |t - t o s| over S_3 but the identity."""
+    scale = 1.0 + max_abs(t)
+    worst = np.zeros(t.shape[0])
+    for perm in itertools.permutations((1, 2, 3)):
+        if perm != (1, 2, 3):
+            worst = np.maximum(worst, max_abs(t - np.transpose(t, (0,) + perm)))
+    return worst / scale
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_total_symmetry_matches_the_permutation_rule(d):
+    # the same value bit for bit, NaN exactly where the rule gives NaN (only
+    # a NaN's sign bit may differ); the (i, i, i) entries keep a lone inf
+    # from reading 0 against an inf scale
+    rng = np.random.default_rng(d)
+    specials = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1e308, -1e308])
+    with np.errstate(all="ignore"):
+        for trial in range(60):
+            t = rng.normal(size=(40, d, d, d))
+            if trial % 3 == 0:  # symmetrized: differences at rounding level
+                t = sum(np.transpose(t, (0,) + p) for p in itertools.permutations((1, 2, 3)))
+            salt = rng.random(t.shape) < 0.03 * (trial % 4)
+            t[salt] = rng.choice(specials, size=int(salt.sum()))
+            t[0] = 0.0
+            t[0, 0, 0, 0] = np.inf
+            t[1] = -0.0
+            want = _symmetry_by_permutations(t)
+            got = total_symmetry_residual_batch(t)
+            assert np.array_equal(np.isnan(got), np.isnan(want))
+            assert got[~np.isnan(got)].tobytes() == want[~np.isnan(want)].tobytes()
+    assert np.isnan(got[0])
+
+
 @given(st.integers(0, 5))
 @settings(max_examples=20)
 def test_total_symmetry_invariant_under_permutation(seed):

@@ -769,3 +769,43 @@ def test_cli_overflowing_scene_constant_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: expect a lower bound: not a constant expression")
     assert "overflow" in err
+
+
+@pytest.mark.parametrize("expect, message", [
+    (5, "'expect' is 5, not an object of [lo, hi] bounds"),
+    ({"c": [1]}, "'expect' bound on 'c' is [1], not a [lo, hi] pair"),
+    ({"c": "x"}, "'expect' bound on 'c' is \"x\", not a [lo, hi] pair"),
+], ids=["number", "one-bound", "string"])
+def test_cli_malformed_expect_exits_2(tmp_path, capsys, expect, message):
+    # validated at load: a malformed bound is a scene error, not a crash of the run
+    data = json.loads((Path(hesslab.__file__).parent / "data" / "hopf.json").read_text())
+    index, check = next((i, c) for i, c in enumerate(data["checks"]) if "expect" in c)
+    check["expect"] = expect
+    with pytest.raises(SceneError):
+        scene_from_dict(data)
+    path = write_scene(tmp_path, data, "hopf.json")
+    assert main(["check", str(path), "--samples", "20"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: check {index} ('{check['op']}'): {message}\n"
+
+
+def test_expect_bound_is_no_boolean():
+    checks = [{"op": "lee_identity", "structure": "S", "expect": {"a": [True, 5.0]}}]
+    with pytest.raises(SceneError, match="expect a lower bound: expected a number"):
+        scene_from_dict(unit_scene(checks=checks))
+
+
+def test_cli_flat_must_be_a_boolean(tmp_path, capsys):
+    # "no" is truthy: read as a flag it would build a flat connection
+    data = unit_scene()
+    data["fields"]["nabla"]["flat"] = "no"
+    assert main(["check", str(write_scene(tmp_path, data)), "--samples", "20"]) == 2
+    assert capsys.readouterr().err == "error: field 'nabla': 'flat' is \"no\", not true or false\n"
+
+
+def test_cli_expect_fail_must_be_a_boolean(tmp_path, capsys):
+    data = unit_scene(checks=[{"op": "hessian", "conn": "nabla", "metric": "g",
+                               "tolerance": 0.01, "expect_fail": "yes"}])
+    assert main(["check", str(write_scene(tmp_path, data)), "--samples", "20"]) == 2
+    assert capsys.readouterr().err == (
+        "error: check 0 ('hessian'): 'expect_fail' is \"yes\", not true or false\n")
