@@ -33,6 +33,7 @@ from .geomcore import (
     Chart,
     MetricField,
     OneFormField,
+    covariant_hessian_trees,
     euler_field,
     flat_connection,
 )
@@ -664,20 +665,14 @@ def cone_lch_structure(cone: ConeSpec, chart: Chart | None = None):
     if chart.dim != cone.dim:
         raise ValueError("chart dimension must match the cone dimension")
     psi = cone.psi_expression()
-    d = cone.dim
-    dpsi = [ex.diff(psi, i) for i in range(d)]
-    gentries = np.empty((d, d), dtype=object)
-    for i in range(d):
-        for j in range(i, d):
-            tree = ex.div(ex.diff(dpsi[i], j), psi)
-            gentries[i, j] = tree
-            gentries[j, i] = tree
-    theta = [ex.neg(ex.div(dpsi[i], psi)) for i in range(d)]
+    conn = flat_connection(chart)
+    dpsi = [ex.diff(psi, i) for i in range(cone.dim)]
+    hess = covariant_hessian_trees(conn, dpsi)
     return LCHStructure(
         chart,
-        flat_connection(chart),
-        MetricField(chart, gentries),
-        OneFormField(chart, theta),
+        conn,
+        MetricField(chart, [[ex.div(h, psi) for h in row] for row in hess]),
+        OneFormField(chart, [ex.neg(ex.div(t, psi)) for t in dpsi]),
     )
 
 

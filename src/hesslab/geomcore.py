@@ -860,3 +860,19 @@ def levi_civita(g: MetricField) -> ConnectionField:
                     total = ex.add(total, ex.mul(ginv[k][l], brackets[l]))
                 gamma[k, i, j] = gamma[k, j, i] = ex.mul(ex.const(0.5), total)
     return ConnectionField(g.chart, gamma)
+
+
+def covariant_hessian_trees(conn: ConnectionField, theta) -> Array:
+    """(nabla theta)_{ij} = d_j theta_i - Gamma^k_{ij} theta_k as a mirrored
+    (n, n) tree matrix, built for i <= j from the component trees ``theta``.
+
+    With theta = d(phi) this is the covariant Hessian of phi. For a closed
+    theta and a torsion-free connection it is nabla theta; it is not, in
+    general, otherwise: the mirror drops any antisymmetric part."""
+    n = conn.chart.dim
+    out = np.empty((n, n), dtype=object)
+    for i in range(n):
+        for j in range(i, n):
+            drop = ex.sum_of(ex.mul(conn.entries[k, i, j], theta[k]) for k in range(n))
+            out[i, j] = out[j, i] = ex.sub(ex.diff(theta[i], j), drop)
+    return out

@@ -29,6 +29,7 @@ from .geomcore import (
     CheckReport,
     ConnectionField,
     MetricField,
+    OneFormField,
     SamplePlan,
     ScalarField,
     VectorFieldT,
@@ -37,6 +38,7 @@ from .geomcore import (
     closedness_residual,
     covariant_derivative_metric_batch,
     covariant_derivative_vector_batch,
+    covariant_hessian_trees,
     curvature_batch,
     definiteness_gap,
     det_expression,
@@ -63,7 +65,6 @@ __all__ = [
     "TransversalityError",
     "SurfaceConstraintError",
     "nondegenerate_lambda",
-    "hessian_values",
     "structure_terms",
     "flatness_term",
     "check_hessian_structure",
@@ -190,20 +191,8 @@ class LambdaRoots:
         return len(self.roots)
 
 
-# ---------------------------------------------------------------------------
-# Hessians
-# ---------------------------------------------------------------------------
-
-
 def _tree(obj, dim: int) -> Expression:
     return obj.entry if isinstance(obj, ScalarField) else as_entry(obj, dim)
-
-
-def hessian_values(conn: ConnectionField, phi, pts) -> np.ndarray:
-    """(Hess phi)_{ij} = d_i d_j phi - Gamma^k_{ij} d_k phi at each sample."""
-    jet = evaluate(_tree(phi, conn.chart.dim), pts, 2)
-    gamma = conn.eval(pts, 0).value
-    return jet.hess - np.einsum("akij,ak->aij", gamma, jet.grad)
 
 
 # ---------------------------------------------------------------------------
@@ -321,18 +310,17 @@ def check_potential_field(g: MetricField, xi: VectorFieldT, plan=None,
     field these are the scaling weights on the eigenspace decomposition.
     """
     plan = plan or SamplePlan()
+    d = g.chart.dim
+    omega = OneFormField(g.chart, [
+        ex.sum_of(ex.mul(xi.entries[k], g.entries[k, j]) for k in range(d))
+        for j in range(d)])
     try:
         pts = g.chart.sample(plan)
-        gj = g.eval(pts, 1)
+        residuals = closedness_residual(omega, pts)
         xj = xi.eval(pts, 1)
     except DomainError as err:
         return make_report(name, np.full(plan.count, np.inf), tolerance,
                            notes=(f"evaluation failed: {err}",))
-    omega = np.einsum("ak,akj->aj", xj.value, gj.value)
-    domega = np.einsum("aki,akj->aij", xj.d1, gj.value)
-    domega += np.einsum("ak,akji->aij", xj.value, gj.d1)
-    dw = domega - domega.transpose(0, 2, 1)
-    residuals = rel_residual(dw, omega)
 
     extra: dict[str, float] = {}
     jac = xj.d1  # (sample, component, derivative)
@@ -588,11 +576,12 @@ def potential_identity_residual(cone: ConeStructure, plan=None,
         for j in range(d):
             terms.append(ex.mul(cone.metric.entries[i, j], ex.mul(xi[i], xi[j])))
     phi = ex.div(ex.sum_of(terms), ex.const(4.0 - 2.0 * cone.lam))
+    hess = MetricField(cone.chart, covariant_hessian_trees(
+        cone.conn, [ex.diff(phi, a) for a in range(d)]))
 
     def residual(pts):
-        hess = hessian_values(cone.conn, phi, pts)
         gval = cone.metric.eval(pts, 0).value
-        return rel_residual(hess - gval, gval)
+        return rel_residual(hess.eval(pts, 0).value - gval, gval)
 
     return sample_check(residual, cone.chart, plan, tolerance, name=name)
 
@@ -690,18 +679,9 @@ def level_set_statistical(conn: ConnectionField, phi, surface, surface_chart: Ch
             hentries[al, be] = htree
             hentries[be, al] = htree
 
-    dphi = [ex.diff(phi_tree, a) for a in range(n)]
-    hess_amb = [[ex.ZERO] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(a, n):
-            terms = [ex.diff(dphi[a], b)]
-            for c in range(n):
-                terms.append(ex.neg(ex.mul(conn.entries[c, a, b], dphi[c])))
-            tree = ex.sum_of(terms)
-            hess_amb[a][b] = tree
-            hess_amb[b][a] = tree
+    hess_amb = covariant_hessian_trees(conn, [ex.diff(phi_tree, a) for a in range(n)])
     hess_sub = [
-        [ex.substitute(hess_amb[a][b], subs) for b in range(n)] for a in range(n)
+        [ex.substitute(hess_amb[a, b], subs) for b in range(n)] for a in range(n)
     ]
     gentries = np.empty((k, k), dtype=object)
     for al in range(k):

@@ -30,6 +30,7 @@ from .geomcore import (
     VectorFieldT,
     closedness_residual,
     covariant_derivative_oneform_batch,
+    covariant_hessian_trees,
     covariant_derivative_vector_batch,
     definiteness,
     gauged,
@@ -317,17 +318,6 @@ def lee_identity_residual(struct: LCHStructure, constants: LeeConstants,
 # ---------------------------------------------------------------------------
 
 
-def _nabla_theta_trees(conn: ConnectionField, ttrees) -> np.ndarray:
-    """(nabla theta)_{ij} as a mirrored tree matrix (valid once d(theta) = 0)."""
-    n = len(ttrees)
-    out = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(i, n):
-            drop = ex.sum_of(ex.mul(conn.entries[k, i, j], ttrees[k]) for k in range(n))
-            out[i, j] = out[j, i] = ex.sub(ex.diff(ttrees[j], i), drop)
-    return out
-
-
 def _require_closed(theta: OneFormField, pts, tolerance, what: str):
     res = float(np.max(closedness_residual(theta, pts)))
     if not residual_passes(res, tolerance):
@@ -351,16 +341,14 @@ def metric_from_lee(conn: ConnectionField, theta: OneFormField, u: float,
     _require_closed(theta, pts, max(tolerance, RADIANT_GATE), "the Lee form")
 
     n = chart.dim
-    ttrees = list(theta.entries)
-    trees = _nabla_theta_trees(conn, ttrees)
-    out = np.empty((n, n), dtype=object)
+    t = theta.entries
+    out = covariant_hessian_trees(conn, t)
     for i in range(n):
         for j in range(i, n):
-            tree = ex.sub(trees[i, j], ex.mul(ttrees[i], ttrees[j]))
+            tree = ex.sub(out[i, j], ex.mul(t[i], t[j]))
             if u != 1.0:
                 tree = ex.div(tree, ex.const(u))
-            out[i, j] = tree
-            out[j, i] = tree
+            out[i, j] = out[j, i] = tree
     candidate = MetricField(chart, out)
 
     _, rest, mins = definiteness(candidate.eval(pts, 0).value)
@@ -386,7 +374,7 @@ def koszul_check(conn: ConnectionField, theta: OneFormField, plan=None,
     (torsion, flatness, total symmetry, positive definiteness) of
     g = nabla theta, in one gate.
     """
-    candidate = MetricField(conn.chart, _nabla_theta_trees(conn, list(theta.entries)))
+    candidate = MetricField(conn.chart, covariant_hessian_trees(conn, theta.entries))
 
     def residual(pts):
         terms = structure_terms(conn, candidate, pts)
@@ -561,32 +549,12 @@ def build_mapping_torus(spec: MappingTorusSpec, *, plan=None,
 # ---------------------------------------------------------------------------
 
 
-def _rational_rank(rows) -> int:
-    """Rank of a matrix of Fractions by exact Gaussian elimination."""
-    work = [list(r) for r in rows]
-    if not work:
-        return 0
-    ncols = len(work[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(work)) if work[r][col] != 0), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        lead = work[rank][col]
-        for r in range(rank + 1, len(work)):
-            if work[r][col] != 0:
-                factor = work[r][col] / lead
-                work[r] = [x - factor * y for x, y in zip(work[r], work[rank])]
-        rank += 1
-    return rank
-
-
 def monodromy_rank(char) -> int:
-    """Rank over the rationals of the group generated by the exponents."""
+    """Rank over the rationals of the group generated by the exponents: a
+    subgroup of Q has rank 1 unless every generator is 0."""
     if not isinstance(char, MonodromyCharacter):
         char = MonodromyCharacter(tuple(char))
-    return _rational_rank([(e,) for e in char.exponents])
+    return int(any(e != 0 for e in char.exponents))
 
 
 # ---------------------------------------------------------------------------

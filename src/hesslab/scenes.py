@@ -7,10 +7,12 @@ cone lifts, mapping tori, l.c.H. triples), and lists the checks to run.
 checks and returns a serializable report.
 
 Each structure type and check op is declared in one place: its builder or
-handler, decorated with ``_structure`` or ``_op``. The declaration maps each
-spec key that references a declared object to the kind of that object: a
-field class, ``ConeSpec``, or a structure class (``object`` for any
-structure). Loading checks that every reference names a declared object.
+handler, decorated with ``_structure`` or ``_op``. The declaration lists the
+other spec keys it needs, and maps each spec key that references a declared
+object to the kind of that object: a field class, ``ConeSpec``, or a
+structure class (``object`` for any structure). Loading checks, by one rule
+for structures and checks, that every needed key is set and every reference
+names a declared object.
 Running resolves the references in declaration order, checks their kinds,
 and passes them to the builder or handler as keyword arguments; a check that
 reaches a structure that failed to build reports ``<op>-unavailable``.
@@ -116,9 +118,10 @@ EXAMPLES = (
 _FIELD_TYPES = ("metric", "oneform", "vector", "scalar", "connection")
 _FIELD_KINDS = (MetricField, ConnectionField, OneFormField, VectorFieldT, ScalarField)
 
-_STRUCTURE_TYPES: dict = {}  # type -> (builder, references, other required keys)
-_OPS: dict = {}  # op -> handler(ctx, check, tol, **references)
-_OP_REFS: dict = {}  # op -> references
+# type or op -> (builder or handler, references, other required keys); a
+# handler is called as handler(ctx, check, tol, **references)
+_STRUCTURE_TYPES: dict = {}
+_OPS: dict = {}
 # op or structure type -> the key of the coordinate map it takes: one field
 # entry per coordinate, checked at load as a field's entries are
 _ENTRY_KEYS = {"symmetry": "map", "mapping_torus": "automorphism"}
@@ -131,10 +134,9 @@ def _structure(kind: str, *needs: str, **refs):
     return declare
 
 
-def _op(name: str, **refs):
+def _op(name: str, *needs: str, **refs):
     def declare(handler):
-        _OPS[name] = handler
-        _OP_REFS[name] = refs
+        _OPS[name] = (handler, refs, needs)
         return handler
     return declare
 
@@ -273,8 +275,11 @@ def _build_chart(spec, what: str = "chart") -> Chart:
         return Chart(
             int(spec["dim"]),
             tuple(tuple(float(v) for v in pair) for pair in spec["box"]),
-            tuple(bool(p) for p in spec["positive"]) if "positive" in spec else None,
+            tuple(_boolean(what, "positive", p) for p in spec["positive"])
+            if "positive" in spec else None,
         )
+    except SceneError:
+        raise
     except (TypeError, ValueError) as err:
         raise SceneError(f"{what}: {err}") from err
 
@@ -319,9 +324,13 @@ def _build_field(name: str, spec, chart: Chart, metrics: dict):
 
 
 def _flag(owner: str, spec: dict, key: str) -> bool:
-    """``spec[key]``, false when absent, once it is a JSON boolean: a string
+    """``spec[key]``, false when absent, once it is a JSON boolean."""
+    return _boolean(owner, key, spec.get(key, False))
+
+
+def _boolean(owner: str, key: str, value) -> bool:
+    """``value``, read under ``key``, once it is a JSON boolean: a string
     such as "no" is not read by its truthiness."""
-    value = spec.get(key, False)
     if not isinstance(value, bool):
         raise SceneError(f"{owner}: '{key}' is {json.dumps(value, default=repr)}, "
                          "not true or false")
@@ -390,34 +399,34 @@ def _ref_name(owner: str, key: str, ref) -> str:
     return ref
 
 
-def _check_refs(owner: str, spec: dict, refs: dict, pools: dict) -> None:
-    """Every reference of ``refs`` is set in ``spec`` and names a declared
-    object of its pool."""
-    for key, kind in refs.items():
+def _declared(owner: str, spec, key: str, registry: dict) -> str:
+    """``spec[key]``, once it names a declared structure type or op."""
+    if not isinstance(spec, dict) or key not in spec:
+        raise SceneError(f"{owner} needs '{key}'")
+    kind = spec[key]
+    if not isinstance(kind, str) or kind not in registry:
+        raise SceneError(f"{owner} has unknown {key} '{kind}' "
+                         f"(known: {', '.join(sorted(registry))})")
+    return kind
+
+
+def _validate(owner: str, spec: dict, kind: str, registry: dict, pools: dict) -> None:
+    """``spec`` sets every key that the declaration of ``kind`` needs, every
+    reference names a declared object of its pool, and its coordinate map
+    holds only entries."""
+    _, refs, needs = registry[kind]
+    for key, ref_kind in refs.items():
         ref = spec.get(key)
         if ref is None:
             raise SceneError(f"{owner} needs '{key}'")
         _ref_name(owner, key, ref)
-        pool = _pool(kind)
+        pool = _pool(ref_kind)
         if ref not in pools[pool]:
             raise SceneError(f"{owner} references undeclared {pool} '{ref}'")
-
-
-def _validate_structure(name: str, spec, pools: dict):
-    if not isinstance(spec, dict) or "type" not in spec:
-        raise SceneError(f"structure '{name}' needs a 'type'")
-    kind = spec["type"]
-    if not isinstance(kind, str) or kind not in _STRUCTURE_TYPES:
-        raise SceneError(
-            f"structure '{name}' has unknown type '{kind}' "
-            f"(expected one of {', '.join(_STRUCTURE_TYPES)})"
-        )
-    _, refs, needs = _STRUCTURE_TYPES[kind]
-    _check_refs(f"structure '{name}'", spec, refs, pools)
     for key in needs:
         if key not in spec:
-            raise SceneError(f"structure '{name}' needs '{key}'")
-    _require_entries(f"structure '{name}'", spec, kind)
+            raise SceneError(f"{owner} needs '{key}'")
+    _require_entries(owner, spec, kind)
 
 
 def _section(data: dict, key: str, kind: type):
@@ -459,25 +468,18 @@ def scene_from_dict(data: dict, source: str = "<memory>") -> Scene:
     structures = dict(_section(data, "structures", dict))
     earlier: dict = {}  # a structure may reference only those declared before it
     for sname, sspec in structures.items():
-        _validate_structure(
-            sname, sspec, {"field": fields, "cone": cones, "structure": earlier}
-        )
+        owner = f"structure '{sname}'"
+        kind = _declared(owner, sspec, "type", _STRUCTURE_TYPES)
+        _validate(owner, sspec, kind, _STRUCTURE_TYPES,
+                  {"field": fields, "cone": cones, "structure": earlier})
         earlier[sname] = sspec
 
     checks = list(_section(data, "checks", list))
     pools = {"field": fields, "cone": cones, "structure": structures}
     for i, check in enumerate(checks):
-        if not isinstance(check, dict) or "op" not in check:
-            raise SceneError(f"check {i} needs an 'op'")
-        op = check["op"]
-        if not isinstance(op, str) or op not in _OPS:
-            raise SceneError(
-                f"check {i} has unknown op '{op}' "
-                f"(known: {', '.join(sorted(_OPS))})"
-            )
+        op = _declared(f"check {i}", check, "op", _OPS)
         owner = f"check {i} ('{op}')"
-        _check_refs(owner, check, _OP_REFS[op], pools)
-        _require_entries(owner, check, op)
+        _validate(owner, check, op, _OPS, pools)
         _flag(owner, check, "expect_fail")
         _expect_bounds(owner, check)
 
@@ -706,7 +708,7 @@ def _op_cone_restriction(ctx, check, tol, structure):
             _curvature_report(ctx, recovered, "restriction-curvature", curv_tol)]
 
 
-@_op("surface", cone=ConeSpec)
+@_op("surface", "chart", "surface", cone=ConeSpec)
 def _op_surface(ctx, check, tol, cone):
     chart = _build_chart(check["chart"], "surface chart")
     struct = surface_statistical_structure(
@@ -726,7 +728,7 @@ PSI_FALSE_ALARM_RATE = 1e-6
 PSI_Z = 4.8916
 
 
-@_op("psi", cone=ConeSpec)
+@_op("psi", "point", cone=ConeSpec)
 def _op_psi(ctx, check, tol, cone):
     point = tuple(float(v) for v in check["point"])
     method = check.get("method", "closed_form")
@@ -748,7 +750,7 @@ def _op_psi(ctx, check, tol, cone):
                         extra=extra, notes=(cone.describe(),))]
 
 
-@_op("homogeneity", cone=ConeSpec)
+@_op("homogeneity", "point", cone=ConeSpec)
 def _op_homogeneity(ctx, check, tol, cone):
     x = np.asarray([float(v) for v in check["point"]])
     base = characteristic_function(cone, x).value
@@ -771,7 +773,7 @@ def _op_barrier(ctx, check, tol, cone):
                         samples=pts.shape[0], extra={"smallest_eigenvalue": eig})]
 
 
-@_op("monodromy")
+@_op("monodromy", "expect_rank")
 def _op_monodromy(ctx, check, tol):
     exponents = check.get("exponents", [])
     rank = monodromy_rank(exponents)
@@ -840,9 +842,9 @@ def run_suite(scene: Scene, plan: SamplePlan | None = None,
         op = check["op"]
         tol = ctx.tol(check)
         crashed = False
+        handler, refs, _ = _OPS[op]
         try:
-            refs = ctx.resolve(f"check '{op}'", check, _OP_REFS[op])
-            reports = _OPS[op](ctx, check, tol, **refs)
+            reports = handler(ctx, check, tol, **ctx.resolve(f"check '{op}'", check, refs))
         except SceneError:
             raise
         except _Unbuilt as err:

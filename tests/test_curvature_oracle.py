@@ -1,12 +1,14 @@
-"""`curvature_batch` against a Riemann tensor derived by sympy.
+"""`curvature_batch`, `covariant_hessian_trees` and
+`covariant_derivative_oneform_batch` against tensors derived by sympy.
 
 The metrics are random and of non-constant curvature, so a swapped index
 or a dropped term of the curvature formula cannot hide behind the symmetry
-of a constant-curvature model. sympy derives Gamma and R from the entry
-strings by itself; only the strings and the sample points are shared. For a
-Levi-Civita connection Gamma^u_{jk} = Gamma^u_{kj}, so the lower indices of
-the second Gamma in the quadratic term may be read in either order; a
-random connection with torsion pins that order too.
+of a constant-curvature model. sympy derives Gamma, R and the covariant
+derivatives from the entry strings by itself; only the strings and the
+sample points are shared. For a Levi-Civita connection Gamma^u_{jk} =
+Gamma^u_{kj}, so the lower indices of the second Gamma in the quadratic term
+may be read in either order; a random connection with torsion pins that
+order too, and so it does for nabla theta of a one-form that is not closed.
 """
 
 from __future__ import annotations
@@ -14,11 +16,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from hesslab import expr as ex
 from hesslab.geomcore import (
     Chart,
     ConnectionField,
     MetricField,
+    OneFormField,
     SamplePlan,
+    covariant_derivative_oneform_batch,
+    covariant_hessian_trees,
     curvature_batch,
     levi_civita,
 )
@@ -64,21 +70,30 @@ def _riemann(gamma, xs, pts: np.ndarray) -> np.ndarray:
               for u in span)
         for l in span for i in span for j in span for k in span
     ]
-    f = sympy.lambdify(xs, riemann, modules="numpy", cse=True)
+    return _values(riemann, xs, pts, 4)
+
+
+def _values(exprs, xs, pts: np.ndarray, rank: int) -> np.ndarray:
+    """The sympy expressions ``exprs``, listed in C order of a tensor of
+    this rank, at each point: an (m, dim, ..., dim) array."""
+    f = sympy.lambdify(xs, exprs, modules="numpy", cse=True)
     cols = [np.broadcast_to(np.asarray(v, float), pts.shape[:1]) for v in f(*pts.T)]
-    return np.stack(cols, axis=1).reshape((len(pts),) + (len(xs),) * 4)
+    return np.stack(cols, axis=1).reshape((len(pts),) + (len(xs),) * rank)
 
 
-def _levi_civita_riemann(rows: list[list[str]], pts: np.ndarray) -> np.ndarray:
+def _levi_civita_gamma(rows: list[list[str]], xs):
     dim = len(rows)
-    xs = sympy.symbols(f"x0:{dim}")
     g = sympy.Matrix(dim, dim, lambda i, j: _parse(rows[i][j], xs))
     ginv = g.adjugate() / g.det()
     span = range(dim)
-    gamma = [[[sum(ginv[l, m] * (g[m, k].diff(xs[j]) + g[m, j].diff(xs[k])
-                                 - g[j, k].diff(xs[m])) for m in span) / 2
-               for k in span] for j in span] for l in span]
-    return _riemann(gamma, xs, pts)
+    return [[[sum(ginv[l, m] * (g[m, k].diff(xs[j]) + g[m, j].diff(xs[k])
+                                - g[j, k].diff(xs[m])) for m in span) / 2
+              for k in span] for j in span] for l in span]
+
+
+def _levi_civita_riemann(rows: list[list[str]], pts: np.ndarray) -> np.ndarray:
+    xs = sympy.symbols(f"x0:{len(rows)}")
+    return _riemann(_levi_civita_gamma(rows, xs), xs, pts)
 
 
 def _assert_close(got: np.ndarray, want: np.ndarray) -> None:
@@ -111,3 +126,54 @@ def test_curvature_with_torsion_matches_sympy(dim, seed):
                for j in range(dim) for k in range(dim))
     _assert_close(curvature_batch(ConnectionField(chart, entries), pts),
                   _riemann(gamma, xs, pts))
+
+
+@pytest.mark.parametrize("dim,seed", [(2, 6), (3, 7)])
+def test_covariant_hessian_matches_sympy(dim, seed):
+    # Hess phi = d_i d_j phi - Gamma^k_{ij} d_k phi on a curved Levi-Civita
+    # connection, built as trees from the gradient of phi
+    rows = _random_metric(dim, seed)
+    rng = np.random.default_rng(seed)
+    phi = " + ".join(_random_entry(rng, dim) for _ in range(2 * dim))
+    chart = Chart(dim, ((-BOX, BOX),) * dim)
+    pts = chart.sample(SamplePlan(count=40, seed=seed))
+    conn = levi_civita(MetricField(chart, rows))
+    tree = ex.parse_expression(phi, dim)
+    hess = MetricField(chart, covariant_hessian_trees(
+        conn, [ex.diff(tree, a) for a in range(dim)]))
+
+    xs = sympy.symbols(f"x0:{dim}")
+    gamma = _levi_civita_gamma(rows, xs)
+    f = _parse(phi, xs)
+    span = range(dim)
+    drop = _values([sum(gamma[k][i][j] * f.diff(xs[k]) for k in span)
+                    for i in span for j in span], xs, pts, 2)
+    want = _values([f.diff(xs[i], xs[j]) for i in span for j in span], xs, pts, 2) - drop
+    # the connection term is not negligible: dropping it would fail the bound
+    assert np.max(np.abs(drop)) > 1e-3 * np.max(np.abs(want))
+    _assert_close(hess.eval(pts, 0).value, want)
+
+
+@pytest.mark.parametrize("dim,seed", [(2, 8), (3, 9)])
+def test_covariant_derivative_of_a_oneform_with_torsion_matches_sympy(dim, seed):
+    # (nabla theta)_{ij} = d_i theta_j - Gamma^k_{ij} theta_k with Gamma^k_{ij}
+    # != Gamma^k_{ji} and d theta != 0, so neither the lower indices of Gamma
+    # nor those of d theta may be read in the other order
+    rng = np.random.default_rng(seed)
+    entries = [[[_random_entry(rng, dim) for _ in range(dim)] for _ in range(dim)]
+               for _ in range(dim)]
+    theta = [f"1 + {_random_entry(rng, dim)} + {_random_entry(rng, dim)}"
+             for _ in range(dim)]
+    chart = Chart(dim, ((-BOX, BOX),) * dim)
+    pts = chart.sample(SamplePlan(count=40, seed=seed))
+    xs = sympy.symbols(f"x0:{dim}")
+    gamma = [[[_parse(e, xs) for e in row] for row in plane] for plane in entries]
+    t = [_parse(c, xs) for c in theta]
+    span = range(dim)
+    assert any(gamma[k][i][j] != gamma[k][j][i] for k in span for i in span for j in span)
+    assert any(t[j].diff(xs[i]) != t[i].diff(xs[j]) for i in span for j in span)
+    want = _values([t[j].diff(xs[i]) - sum(gamma[k][i][j] * t[k] for k in span)
+                    for i in span for j in span], xs, pts, 2)
+    got = covariant_derivative_oneform_batch(
+        ConnectionField(chart, entries), OneFormField(chart, theta), pts)
+    _assert_close(got, want)

@@ -21,6 +21,8 @@ from hesslab.geomcore import (
     OneFormField,
     SamplePlan,
     VectorFieldT,
+    as_entry,
+    covariant_hessian_trees,
     curvature_batch,
     drop_held_points,
     euler_field,
@@ -45,7 +47,6 @@ from hesslab.hesstat import (
     dual_connection,
     duality_residual_batch,
     estimate_constant_curvature,
-    hessian_values,
     level_set_statistical,
     potential_identity_residual,
     solve_lambda,
@@ -69,8 +70,18 @@ def sphere_statistical():
 
 
 # ---------------------------------------------------------------------------
-# hessian_values
+# covariant Hessians
 # ---------------------------------------------------------------------------
+
+def hessian_values(conn, phi, pts):
+    """Hess phi at each sample, built by `covariant_hessian_trees` from the
+    gradient trees of phi and evaluated as a metric field."""
+    n = conn.chart.dim
+    tree = as_entry(phi, n)
+    hess = MetricField(conn.chart, covariant_hessian_trees(
+        conn, [ex.diff(tree, a) for a in range(n)]))
+    return hess.eval(pts, 0).value
+
 
 def test_hessian_of_half_square_norm():
     chart = Chart(3, ((-1.0, 1.0),) * 3)

@@ -273,7 +273,7 @@ def test_crash_never_satisfies_expect_fail(monkeypatch):
     def boom(ctx, check, tol, **refs):
         raise RuntimeError("koszul op crashed")
 
-    monkeypatch.setitem(scenes._OPS, "koszul", boom)
+    monkeypatch.setitem(scenes._OPS, "koszul", (boom, *scenes._OPS["koszul"][1:]))
     rep = run_example("hopf", PLAN)
     assert not rep.all_ok
     crashed = [c for c in rep.checks if c["op"] == "koszul"]
@@ -477,7 +477,7 @@ def test_non_finite_report_is_strict_json_and_round_trips(monkeypatch):
     def boom(ctx, check, tol, **refs):
         raise RuntimeError("koszul op crashed")
 
-    monkeypatch.setitem(scenes._OPS, "koszul", boom)
+    monkeypatch.setitem(scenes._OPS, "koszul", (boom, *scenes._OPS["koszul"][1:]))
     rep = run_example("hopf", PLAN)
     crashed = next(c for c in rep.checks if c["op"] == "koszul")["reports"][0]
     assert crashed["max_residual"] == float("inf")
@@ -809,3 +809,46 @@ def test_cli_expect_fail_must_be_a_boolean(tmp_path, capsys):
     assert main(["check", str(write_scene(tmp_path, data)), "--samples", "20"]) == 2
     assert capsys.readouterr().err == (
         "error: check 0 ('hessian'): 'expect_fail' is \"yes\", not true or false\n")
+
+
+_OP_CHECKS = {  # a complete check of each op whose declaration needs keys
+    "psi": {"op": "psi", "cone": "K", "point": [2.0, 3.0]},
+    "homogeneity": {"op": "homogeneity", "cone": "K", "point": [2.0, 3.0]},
+    "monodromy": {"op": "monodromy", "exponents": ["1"], "expect_rank": 1},
+    "surface": {"op": "surface", "cone": "K3", "surface": ["exp(x0)", "exp(x1)", "exp(-x0 - x1)"],
+                "chart": {"dim": 2, "box": [[-0.5, 0.5], [-0.5, 0.5]]}},
+}
+
+
+@pytest.mark.parametrize("op, key", [
+    ("psi", "point"),
+    ("homogeneity", "point"),
+    ("monodromy", "expect_rank"),
+    ("surface", "chart"),
+    ("surface", "surface"),
+])
+def test_cli_missing_required_key_of_an_op_exits_2(tmp_path, capsys, op, key):
+    # checked at load: a missing key is a malformed scene, not a failed check
+    complete = unit_scene(cones={"K": "orthant(2)", "K3": "orthant(3)"},
+                          checks=[_OP_CHECKS[op]])
+    assert run_suite(scene_from_dict(complete), PLAN).all_ok
+    check = {k: v for k, v in _OP_CHECKS[op].items() if k != key}
+    data = unit_scene(cones={"K": "orthant(2)", "K3": "orthant(3)"}, checks=[check])
+    with pytest.raises(SceneError):
+        scene_from_dict(data)
+    assert main(["check", str(write_scene(tmp_path, data)), "--samples", "20"]) == 2
+    assert capsys.readouterr().err == f"error: check 0 ('{op}') needs '{key}'\n"
+
+
+@pytest.mark.parametrize("flags", [["no", "no"], [1, 0], [True, None]],
+                         ids=["strings", "numbers", "null"])
+def test_cli_chart_positive_flags_must_be_booleans(tmp_path, capsys, flags):
+    # "no" is truthy: read as a flag it would mark the coordinate positive
+    data = unit_scene()
+    data["chart"]["positive"] = flags
+    assert main(["check", str(write_scene(tmp_path, data)), "--samples", "20"]) == 2
+    bad = next(f for f in flags if not isinstance(f, bool))
+    assert capsys.readouterr().err == (
+        f"error: chart: 'positive' is {json.dumps(bad)}, not true or false\n")
+    data["chart"]["positive"] = [True, False]
+    assert scene_from_dict(data).chart.positive == (True, False)
