@@ -22,6 +22,7 @@ from .scenes import (
     list_examples,
     load_example,
     load_scene,
+    positive_constant,
     run_suite,
     strict_json,
 )
@@ -75,7 +76,8 @@ def _plan(args) -> SamplePlan:
 
 
 def _run_scene(scene, args) -> int:
-    report = run_suite(scene, _plan(args), args.tol, args.mc_samples)
+    tol = args.tol if args.tol is None else positive_constant(args.tol, "command line", "--tol")
+    report = run_suite(scene, _plan(args), tol, args.mc_samples)
     print(report.to_json())
     return 0 if report.all_ok else 1
 

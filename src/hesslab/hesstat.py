@@ -137,8 +137,8 @@ class ConeStructure:
     """Flat radiant structure on base x (0, inf): g = s^2 g_M + ds^2.
 
     ``lam`` is the radiance constant: nabla(s d/ds) = lam * Id.  ``reports``
-    holds the postcondition reports when the structure came out of
-    ``build_cone_structure``; hand-built instances may leave it empty.
+    and ``base`` hold the postconditions and the base when the structure came
+    out of ``build_cone_structure``; hand-built instances may leave them empty.
     """
 
     chart: Chart
@@ -147,6 +147,7 @@ class ConeStructure:
     radial: VectorFieldT
     lam: float
     reports: tuple = ()
+    base: StatisticalStructure | None = None
 
     def __post_init__(self):
         if self.chart.dim < 2:
@@ -528,7 +529,7 @@ def build_cone_structure(base: StatisticalStructure, lam: float, *,
     metric = MetricField(chart, gentries)
     radial = VectorFieldT(chart, [ex.ZERO] * n + [s])
 
-    cone = ConeStructure(chart, conn, metric, radial, lam)
+    cone = ConeStructure(chart, conn, metric, radial, lam, base=base)
     reports = _cone_postcondition_reports(cone, base, plan, tolerance)
     cone.reports = tuple(reports)
     failed = [rep.name for rep in reports if not rep.passed]

@@ -3,19 +3,24 @@
 A scene is a JSON document that binds expression strings into fields on one
 chart, optionally declares cones and composite structures (statistical bases,
 cone lifts, mapping tori, l.c.H. triples), and lists the checks to run.
-``load_scene`` validates names and dimensions; ``run_suite`` executes the
+``load_scene`` validates the whole document; ``run_suite`` executes the
 checks and returns a serializable report.
 
-Each structure type and check op is declared in one place: its builder or
-handler, decorated with ``_structure`` or ``_op``. The declaration lists the
-other spec keys it needs, and maps each spec key that references a declared
-object to the kind of that object: a field class, ``ConeSpec``, or a
-structure class (``object`` for any structure). Loading checks, by one rule
-for structures and checks, that every needed key is set and every reference
-names a declared object.
-Running resolves the references in declaration order, checks their kinds,
-and passes them to the builder or handler as keyword arguments; a check that
-reaches a structure that failed to build reports ``<op>-unavailable``.
+Each structure type and check op is declared in one place, after the model
+of the JSON Schema vocabulary: its builder or handler, decorated with
+``_structure`` or ``_op``, declares one ``_Key`` per parameter. A key gives
+the kind that reads the value (a constant, a positive constant, a count, a
+point, a list of constants, a choice, an entry list, a chart, or a reference
+to a declared object of a class) and its default, if it has one. A structure
+type also declares the class it builds, and the keys common to every check
+are declared once, in ``_CHECK_KEYS``.
+
+Loading reads every declared key by its kind and stores the coerced specs on
+``Scene``: a value of the wrong kind, or out of range, is a ``SceneError``
+(undeclared keys are ignored). Running looks the references up, builds
+structures on first use, and calls each builder or handler with the coerced
+values; a check that reaches a structure that failed to build reports
+``<op>-unavailable``.
 """
 
 from __future__ import annotations
@@ -24,8 +29,12 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import partial
 from importlib import resources
 from pathlib import Path
+from types import SimpleNamespace
+from typing import Callable
 
 import numpy as np
 
@@ -42,7 +51,7 @@ from .cones import (
 )
 from .geomcore import (
     Chart,
-    CheckReport,
+    ChartError,
     ConnectionField,
     DEFAULT_TOLERANCE,
     FieldShapeError,
@@ -99,7 +108,7 @@ __all__ = [
 
 
 class SceneError(ValueError):
-    """Malformed scene: parse failure, bad reference, or dimension mismatch."""
+    """Malformed scene: a parse failure, or a value of the wrong kind or out of range."""
 
 
 EXAMPLES = (
@@ -115,50 +124,56 @@ EXAMPLES = (
     "lee_perturbation_torus",
 )
 
-_FIELD_TYPES = ("metric", "oneform", "vector", "scalar", "connection")
-_FIELD_KINDS = (MetricField, ConnectionField, OneFormField, VectorFieldT, ScalarField)
+# field type -> (class, the key of its entries)
+_FIELD_TYPES = {"metric": (MetricField, "entries"), "oneform": (OneFormField, "components"),
+                "vector": (VectorFieldT, "components"), "scalar": (ScalarField, "expression"),
+                "connection": (ConnectionField, "christoffel")}
+_FIELD_KINDS = tuple(cls for cls, _ in _FIELD_TYPES.values())
 
-# type or op -> (builder or handler, references, other required keys); a
-# handler is called as handler(ctx, check, tol, **references)
+# type -> (builder, the class it builds, keys); op -> (handler, keys). A
+# builder is called as builder(ctx, **values) and a handler as
+# handler(ctx, tol, **values), with the coerced values of the declared keys.
 _STRUCTURE_TYPES: dict = {}
 _OPS: dict = {}
-# op or structure type -> the key of the coordinate map it takes: one field
-# entry per coordinate, checked at load as a field's entries are
-_ENTRY_KEYS = {"symmetry": "map", "mapping_torus": "automorphism"}
+
+_REQUIRED = object()  # the default of a key that a spec must set
 
 
-def _structure(kind: str, *needs: str, **refs):
-    def declare(builder):
-        _STRUCTURE_TYPES[kind] = (builder, refs, needs)
-        return builder
+@dataclass(frozen=True)
+class _Key:
+    """One declared key: ``read(value, owner, key, scope)`` returns the coerced
+    value or raises SceneError, ``name`` is the spec key when it is not the
+    parameter's (``lambda`` is a Python keyword), and a reference names an
+    object of ``pool``. Calling a key gives it a default or a name."""
+
+    read: Callable
+    default: object = _REQUIRED
+    name: str | None = None
+    pool: str | None = None
+
+    def __call__(self, default=_REQUIRED, name=None) -> "_Key":
+        return dataclasses.replace(self, default=default, name=name)
+
+
+def _declare(registry: dict, name: str, *builds: type, **keys: _Key):
+    def declare(run):
+        registry[name] = (run, *builds, keys)
+        return run
     return declare
 
 
-def _op(name: str, *needs: str, **refs):
-    def declare(handler):
-        _OPS[name] = (handler, refs, needs)
-        return handler
-    return declare
-
-
-def _pool(kind) -> str:
-    """Which declared objects a reference of this kind names."""
-    if kind is ConeSpec:
-        return "cone"
-    return "field" if kind in _FIELD_KINDS else "structure"
+_structure = partial(_declare, _STRUCTURE_TYPES)  # (type, the class it builds, **keys)
+_op = partial(_declare, _OPS)  # (op, **keys)
 
 
 class _Unbuilt(Exception):
     """A check or structure reached a structure that failed to build."""
 
-    def __init__(self, name: str):
-        super().__init__(name)
-        self.name = name
-
 
 @dataclass
 class Scene:
-    """A validated scene: fields are built, structures stay declarative."""
+    """A validated scene: fields and cones are built, and structures and
+    checks are coerced specs, built and run by ``run_suite``."""
 
     name: str
     description: str
@@ -255,6 +270,14 @@ def load_scene(path) -> Scene:
     return scene_from_dict(data, source=str(path))
 
 
+def _dump(value) -> str:
+    return json.dumps(value, default=repr)
+
+
+def _wrong(owner: str, key: str, value, noun: str) -> SceneError:
+    return SceneError(f"{owner}: '{key}' is {_dump(value)}, not {noun}")
+
+
 def _constant(value, what: str) -> float:
     """A JSON number, or an expression string like '1 + sqrt(2)'. A JSON
     boolean is neither."""
@@ -268,135 +291,173 @@ def _constant(value, what: str) -> float:
     raise SceneError(f"{what}: expected a number or expression string")
 
 
-def _build_chart(spec, what: str = "chart") -> Chart:
-    if not isinstance(spec, dict) or "dim" not in spec or "box" not in spec:
-        raise SceneError(f"{what} needs 'dim' and 'box'")
-    try:
-        return Chart(
-            int(spec["dim"]),
-            tuple(tuple(float(v) for v in pair) for pair in spec["box"]),
-            tuple(_boolean(what, "positive", p) for p in spec["positive"])
-            if "positive" in spec else None,
-        )
-    except SceneError:
-        raise
-    except (TypeError, ValueError) as err:
-        raise SceneError(f"{what}: {err}") from err
+def positive_constant(value, owner: str, key: str, scope=None) -> float:
+    """A constant > 0, such as a tolerance; NaN is none."""
+    number = _constant(value, f"{owner}: '{key}'")
+    if not number > 0:
+        raise _wrong(owner, key, value, "a positive constant")
+    return number
 
 
-def _build_field(name: str, spec, chart: Chart, metrics: dict):
-    if not isinstance(spec, dict) or "type" not in spec:
-        raise SceneError(f"field '{name}' needs a 'type' ({', '.join(_FIELD_TYPES)})")
-    kind = spec["type"]
-
-    def entries(key):
-        return _check_entries(f"field '{name}'", key, spec[key])
-
-    try:
-        if kind == "metric":
-            return MetricField(chart, entries("entries"))
-        if kind == "oneform":
-            return OneFormField(chart, entries("components"))
-        if kind == "vector":
-            return VectorFieldT(chart, entries("components"))
-        if kind == "scalar":
-            return ScalarField(chart, entries("expression"))
-        if kind == "connection":
-            if _flag(f"field '{name}'", spec, "flat"):
-                return flat_connection(chart)
-            if "levi_civita_of" in spec:
-                ref = _ref_name(f"field '{name}'", "levi_civita_of", spec["levi_civita_of"])
-                if ref not in metrics:
-                    raise SceneError(
-                        f"field '{name}' references undeclared metric '{ref}'"
-                    )
-                return levi_civita(metrics[ref])
-            return ConnectionField(chart, entries("christoffel"))
-    except SceneError:
-        raise
-    except KeyError as err:
-        raise SceneError(f"field '{name}' is missing key {err}") from err
-    except FieldShapeError as err:
-        raise SceneError(f"field '{name}': dimension mismatch: {err}") from err
-    except ValueError as err:  # ExprError included
-        raise SceneError(f"field '{name}': {err}") from err
-    raise SceneError(f"field '{name}' has unknown type '{kind}'")
+def _is(test: Callable, noun: str) -> Callable:
+    """A reader of the values that pass ``test``, which it returns as they are."""
+    def read(value, owner: str, key: str, scope=None):
+        if not test(value):
+            raise _wrong(owner, key, value, noun)
+        return value
+    return read
 
 
-def _flag(owner: str, spec: dict, key: str) -> bool:
-    """``spec[key]``, false when absent, once it is a JSON boolean."""
-    return _boolean(owner, key, spec.get(key, False))
+# a JSON integer, not a boolean or a float such as 2.0; a JSON boolean, not a
+# string such as "no" read by its truthiness; a name
+_count = _is(lambda v: type(v) is int and v >= 0, "a count (an integer >= 0)")
+_boolean = _is(lambda v: isinstance(v, bool), "true or false")
+_name = _is(lambda v: isinstance(v, str), "a name")
 
 
-def _boolean(owner: str, key: str, value) -> bool:
-    """``value``, read under ``key``, once it is a JSON boolean: a string
-    such as "no" is not read by its truthiness."""
-    if not isinstance(value, bool):
-        raise SceneError(f"{owner}: '{key}' is {json.dumps(value, default=repr)}, "
-                         "not true or false")
-    return value
+def _constants(value, owner: str, key: str, n: int | None = None) -> tuple:
+    """A list of constants, of ``n`` of them when ``n`` is given."""
+    if not isinstance(value, list) or n not in (None, len(value)):
+        raise _wrong(owner, key, value, f"a list of {'' if n is None else f'{n} '}constants")
+    return tuple(_constant(v, f"{owner}: '{key}' [{i}]") for i, v in enumerate(value))
 
 
-def _expect_bounds(owner: str, check: dict) -> dict:
-    """A check's ``expect``, {} when absent: an object mapping each report
-    extra it bounds to a [lo, hi] pair of constants, returned as floats."""
-    bounds = check.get("expect", {})
-    if not isinstance(bounds, dict):
-        raise SceneError(f"{owner}: 'expect' is {json.dumps(bounds, default=repr)}, "
-                         "not an object of [lo, hi] bounds")
-    out = {}
-    for key, pair in bounds.items():
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise SceneError(f"{owner}: 'expect' bound on '{key}' is "
-                             f"{json.dumps(pair, default=repr)}, not a [lo, hi] pair")
-        out[key] = (_constant(pair[0], f"expect {key} lower bound"),
-                    _constant(pair[1], f"expect {key} upper bound"))
-    return out
+def _entry_list(value, owner: str, key: str, n: int) -> list:
+    """A flat list of ``n`` entries, one per coordinate."""
+    if not isinstance(value, list) or len(value) != n or any(isinstance(v, list) for v in value):
+        raise _wrong(owner, key, value, f"a list of {n} entries")
+    return _check_entries(f"{owner} '{key}'", key, value)
 
 
-def _check_entries(owner: str, key: str, value):
-    """``value``, the entries under ``key``, once every leaf is an entry."""
-    bad = _non_entry(value)
-    if bad is not None:
-        index, leaf = bad
+def _check_entries(owner: str, key: str, value, index=()):
+    """``value``, the entries under ``key``, once every leaf of its nested
+    lists is an expression (string or tree) or a number: JSON null and
+    booleans are not entries."""
+    if isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            _check_entries(owner, key, item, index + (i,))
+    elif not isinstance(value, (str, ex.Expression)) and (
+            isinstance(value, bool) or not isinstance(value, (int, float))):
         where = f"entry {list(index)}" if index else f"'{key}'"
-        raise SceneError(f"{owner}: {where} is {json.dumps(leaf, default=repr)}, "
+        raise SceneError(f"{owner}: {where} is {_dump(value)}, "
                          "not an expression string or a number")
     return value
 
 
-def _require_entries(owner: str, spec: dict, kind: str) -> None:
-    """The entry list that an op or structure type of this kind takes (a
-    coordinate map) is present and holds only entries."""
-    if kind in _ENTRY_KEYS:
-        key = _ENTRY_KEYS[kind]
-        if not isinstance(spec.get(key), list):
-            raise SceneError(f"{owner} needs '{key}', a list of one entry per coordinate")
-        _check_entries(f"{owner} '{key}'", key, spec[key])
+def _bounds(value, owner: str, key: str, scope=None) -> dict:
+    """An object mapping each report extra it bounds to a [lo, hi] pair of
+    constants, returned as a pair of floats."""
+    if not isinstance(value, dict):
+        raise _wrong(owner, key, value, "an object of [lo, hi] bounds")
+    out = {}
+    for extra, pair in value.items():
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise SceneError(f"{owner}: '{key}' bound on '{extra}' is {_dump(pair)}, "
+                             "not a [lo, hi] pair")
+        out[extra] = (_constant(pair[0], f"expect {extra} lower bound"),
+                      _constant(pair[1], f"expect {extra} upper bound"))
+    return out
 
 
-def _non_entry(obj, index=()):
-    """(index, value) of the first leaf of nested lists that is neither an
-    expression (string or tree) nor a number, or None. JSON null and booleans
-    are not entries."""
-    if isinstance(obj, (list, tuple)):
-        for i, item in enumerate(obj):
-            bad = _non_entry(item, index + (i,))
-            if bad is not None:
-                return bad
-        return None
-    if isinstance(obj, (str, ex.Expression)) or (
-            isinstance(obj, (int, float)) and not isinstance(obj, bool)):
-        return None
-    return index, obj
+def _chart(spec, what: str) -> Chart:
+    if not isinstance(spec, dict) or "dim" not in spec or "box" not in spec:
+        raise SceneError(f"{what} needs 'dim' and 'box'")
+    for key in ("box", "positive"):
+        if not isinstance(spec.get(key, []), list):
+            raise _wrong(what, key, spec[key], "a list")
+    try:
+        return Chart(
+            _count(spec["dim"], what, "dim"),
+            tuple(_constants(pair, what, "box", 2) for pair in spec["box"]),
+            tuple(_boolean(p, what, "positive") for p in spec["positive"])
+            if "positive" in spec else None,
+        )
+    except ChartError as err:
+        raise SceneError(f"{what}: {err}") from err
 
 
-def _ref_name(owner: str, key: str, ref) -> str:
-    """``ref``, once it is a name: a reference is a string."""
-    if not isinstance(ref, str):
-        raise SceneError(f"{owner}: '{key}' is {json.dumps(ref, default=repr)}, "
-                         "not a name")
-    return ref
+def _choice(*options: str) -> _Key:
+    return _Key(_is(lambda v: v in options, f"one of {', '.join(options)}"))
+
+
+def _ref(kind: type) -> _Key:
+    """The name of a declared object of class ``kind``: a field, a cone, or
+    a structure of a type that builds one (``object``: any structure)."""
+    pool = "cone" if kind is ConeSpec else "field" if kind in _FIELD_KINDS else "structure"
+
+    def read(value, owner, key, scope):
+        declared = scope.classes[pool]
+        if _name(value, owner, key) not in declared:
+            raise SceneError(f"{owner} references undeclared {pool} '{value}'")
+        if not issubclass(declared[value], kind):
+            raise SceneError(f"{owner}: {pool} '{value}' is a "
+                             f"{declared[value].__name__}, expected {kind.__name__}")
+        return value
+    return _Key(read, pool=pool)
+
+
+_CONSTANT = _Key(lambda value, owner, key, scope: _constant(value, f"{owner}: '{key}'"))
+_POSITIVE = _Key(positive_constant)
+_COUNT = _Key(_count)
+_CONSTANTS = _Key(lambda value, owner, key, scope: _constants(value, owner, key))
+_INTERVAL = _Key(lambda value, owner, key, scope: _constants(value, owner, key, 2))
+_POINT = _Key(lambda value, owner, key, scope:  # a point of the spec's cone
+              _constants(value, owner, key, scope.cones[scope.values["cone"]].dim))
+_MAP = _Key(lambda value, owner, key, scope:  # a map of the scene chart
+            _entry_list(value, owner, key, scope.chart.dim))
+_CONE_MAP = _Key(lambda value, owner, key, scope:  # a map into the spec's cone
+                 _entry_list(value, owner, key, scope.cones[scope.values["cone"]].dim))
+_CHART = _Key(lambda value, owner, key, scope: _chart(value, f"{owner} '{key}'"))
+
+_CHECK_KEYS = {  # declared once for every op
+    "id": _Key(_name)(None),
+    "tolerance": _POSITIVE(DEFAULT_TOLERANCE),
+    "expect": _Key(_bounds)({}),
+    "expect_fail": _Key(_boolean)(False),
+}
+
+
+def _load(owner: str, spec: dict, keys: dict, scope: SimpleNamespace) -> dict:
+    """The coerced spec, by parameter: the value of each declared key read
+    by its kind, or its default when ``spec`` leaves the key out. The kinds
+    read against ``scope``: the scene's chart and cones, the class of each
+    declared object by pool, and the ``values`` read so far."""
+    scope.values = values = {}
+    for param, key in keys.items():
+        name = key.name or param
+        if name in spec:
+            values[param] = key.read(spec[name], owner, name, scope)
+        elif key.default is _REQUIRED:
+            raise SceneError(f"{owner} needs '{name}'")
+        else:
+            values[param] = key.default
+    return values
+
+
+def _build_field(name: str, spec, chart: Chart, metrics: dict):
+    owner = f"field '{name}'"
+    if not isinstance(spec, dict) or "type" not in spec:
+        raise SceneError(f"{owner} needs a 'type' ({', '.join(_FIELD_TYPES)})")
+    if not isinstance(spec["type"], str) or spec["type"] not in _FIELD_TYPES:
+        raise SceneError(f"{owner} has unknown type '{spec['type']}'")
+    kind, key = _FIELD_TYPES[spec["type"]]
+    try:
+        if kind is ConnectionField and _boolean(spec.get("flat", False), owner, "flat"):
+            return flat_connection(chart)
+        if kind is ConnectionField and "levi_civita_of" in spec:
+            ref = _name(spec["levi_civita_of"], owner, "levi_civita_of")
+            if ref not in metrics:
+                raise SceneError(f"{owner} references undeclared metric '{ref}'")
+            return levi_civita(metrics[ref])
+        return kind(chart, _check_entries(owner, key, spec[key]))
+    except SceneError:
+        raise
+    except KeyError as err:
+        raise SceneError(f"{owner} is missing key {err}") from err
+    except FieldShapeError as err:
+        raise SceneError(f"{owner}: dimension mismatch: {err}") from err
+    except ValueError as err:  # ExprError included
+        raise SceneError(f"{owner}: {err}") from err
 
 
 def _declared(owner: str, spec, key: str, registry: dict) -> str:
@@ -410,32 +471,13 @@ def _declared(owner: str, spec, key: str, registry: dict) -> str:
     return kind
 
 
-def _validate(owner: str, spec: dict, kind: str, registry: dict, pools: dict) -> None:
-    """``spec`` sets every key that the declaration of ``kind`` needs, every
-    reference names a declared object of its pool, and its coordinate map
-    holds only entries."""
-    _, refs, needs = registry[kind]
-    for key, ref_kind in refs.items():
-        ref = spec.get(key)
-        if ref is None:
-            raise SceneError(f"{owner} needs '{key}'")
-        _ref_name(owner, key, ref)
-        pool = _pool(ref_kind)
-        if ref not in pools[pool]:
-            raise SceneError(f"{owner} references undeclared {pool} '{ref}'")
-    for key in needs:
-        if key not in spec:
-            raise SceneError(f"{owner} needs '{key}'")
-    _require_entries(owner, spec, kind)
-
-
 def _section(data: dict, key: str, kind: type):
     """The scene's ``key`` section, an object (``dict``) or a list, empty
     when absent."""
     value = data.get(key, kind())
     if not isinstance(value, kind):
         what = "an object" if kind is dict else "a list"
-        raise SceneError(f"'{key}' must be {what}, not {json.dumps(value, default=repr)}")
+        raise SceneError(f"'{key}' must be {what}, not {_dump(value)}")
     return value
 
 
@@ -443,7 +485,7 @@ def scene_from_dict(data: dict, source: str = "<memory>") -> Scene:
     if not isinstance(data, dict):
         raise SceneError(f"scene {source}: top level must be an object")
     name = data.get("name", Path(source).stem)
-    chart = _build_chart(data.get("chart"), "chart")
+    chart = _chart(data.get("chart"), "chart")
 
     specs = _section(data, "fields", dict)
     fields: dict = {}
@@ -465,23 +507,26 @@ def scene_from_dict(data: dict, source: str = "<memory>") -> Scene:
         except (TypeError, ValueError) as err:
             raise SceneError(f"cone '{cname}': {err}") from err
 
-    structures = dict(_section(data, "structures", dict))
-    earlier: dict = {}  # a structure may reference only those declared before it
-    for sname, sspec in structures.items():
+    scope = SimpleNamespace(chart=chart, cones=cones, classes={
+        "field": {n: type(f) for n, f in fields.items()},
+        "cone": {n: type(c) for n, c in cones.items()}, "structure": {}})
+    structures: dict = {}
+    for sname, sspec in _section(data, "structures", dict).items():
         owner = f"structure '{sname}'"
         kind = _declared(owner, sspec, "type", _STRUCTURE_TYPES)
-        _validate(owner, sspec, kind, _STRUCTURE_TYPES,
-                  {"field": fields, "cone": cones, "structure": earlier})
-        earlier[sname] = sspec
+        _, builds, keys = _STRUCTURE_TYPES[kind]
+        structures[sname] = {"type": kind, **_load(owner, sspec, keys, scope)}
+        # a structure may reference only those declared before it
+        scope.classes["structure"][sname] = builds
 
-    checks = list(_section(data, "checks", list))
-    pools = {"field": fields, "cone": cones, "structure": structures}
-    for i, check in enumerate(checks):
+    checks = []
+    for i, check in enumerate(_section(data, "checks", list)):
         op = _declared(f"check {i}", check, "op", _OPS)
-        owner = f"check {i} ('{op}')"
-        _validate(owner, check, op, _OPS, pools)
-        _flag(owner, check, "expect_fail")
-        _expect_bounds(owner, check)
+        keys = {**_OPS[op][1], **_CHECK_KEYS}
+        check = {"op": op, **_load(f"check {i} ('{op}')", check, keys, scope)}
+        if check["id"] is None:
+            check["id"] = f"{i}:{op}"
+        checks.append(check)
 
     return Scene(
         name=name,
@@ -503,120 +548,97 @@ def scene_from_dict(data: dict, source: str = "<memory>") -> Scene:
 class _Context:
     """Materialized structures plus the run parameters."""
 
-    def __init__(self, scene: Scene, plan: SamplePlan, tolerance, mc_samples: int):
+    def __init__(self, scene: Scene, plan: SamplePlan, mc_samples: int):
         self.scene = scene
         self.plan = plan
-        self.override = tolerance
         self.mc_samples = mc_samples
-        self.structures: dict = {}
-        self.attached: dict = {}
-        self.failures: dict = {}
+        self.built: dict = {}  # name -> the structure, or the _Unbuilt it raises
+        self.attached: dict = {}  # id of a built structure -> its construction reports
+        self.lookup = {"field": scene.fields.__getitem__,
+                       "cone": scene.cones.__getitem__, "structure": self.structure}
 
-    def tol(self, check: dict) -> float:
-        if self.override is not None:
-            return float(self.override)
-        return float(check.get("tolerance", DEFAULT_TOLERANCE))
-
-    def resolve(self, owner: str, spec: dict, refs: dict) -> dict:
-        """The objects that ``spec`` references, by key, in declaration order;
-        a reference to a structure that failed to build raises ``_Unbuilt``."""
-        out = {}
-        for key, kind in refs.items():
-            name = spec[key]
-            pool = _pool(kind)
-            if pool == "structure":
-                obj, what = self.structure(name), f"{owner}: structure '{name}'"
-            else:
-                obj = (self.scene.fields if pool == "field" else self.scene.cones)[name]
-                what = f"{pool} '{name}'"
-            if not isinstance(obj, kind):
-                raise SceneError(
-                    f"{what} is a {type(obj).__name__}, expected {kind.__name__}"
-                )
-            out[key] = obj
-        return out
+    def resolve(self, spec: dict, keys: dict) -> dict:
+        """The values of the declared ``keys`` in the coerced ``spec``, each
+        reference looked up."""
+        return {param: spec[param] if key.pool is None else self.lookup[key.pool](spec[param])
+                for param, key in keys.items()}
 
     def structure(self, name: str):
-        if name not in self.structures and name not in self.failures:
+        """The structure ``name``, built on first use; raises ``_Unbuilt``
+        when it failed to build."""
+        if name not in self.built:
+            spec = self.scene.structures[name]
+            builder, _, keys = _STRUCTURE_TYPES[spec["type"]]
             try:
-                self.structures[name] = self._build(name, self.scene.structures[name])
+                self.built[name] = builder(self, **self.resolve(spec, keys))
             except Exception as err:  # construction failures become failed reports
-                self.failures[name] = f"{type(err).__name__}: {err}"
-        if name in self.failures:
-            raise _Unbuilt(name)
-        return self.structures[name]
-
-    def _build(self, name: str, spec: dict):
-        builder, refs, _ = _STRUCTURE_TYPES[spec["type"]]
-        try:
-            resolved = self.resolve(f"structure '{name}'", spec, refs)
-        except _Unbuilt as err:
-            raise SceneError(f"base structure '{err.name}' failed to build") from err
-        return builder(self, name, spec, **resolved)
+                why = (f"its base {err}" if isinstance(err, _Unbuilt)
+                       else f"{type(err).__name__}: {err}")
+                self.built[name] = _Unbuilt(f"structure '{name}' failed to build: {why}")
+        if isinstance(self.built[name], _Unbuilt):
+            raise self.built[name]
+        return self.built[name]
 
 
-@_structure("lch", conn=ConnectionField, metric=MetricField, lee_form=OneFormField)
-def _build_lch(ctx, name, spec, **refs):
-    return LCHStructure(ctx.scene.chart, **refs)
+@_structure("lch", LCHStructure, conn=_ref(ConnectionField), metric=_ref(MetricField),
+            lee_form=_ref(OneFormField))
+def _build_lch(ctx, **fields):
+    return LCHStructure(ctx.scene.chart, **fields)
 
 
-@_structure("statistical", conn=ConnectionField, metric=MetricField)
-def _build_statistical(ctx, name, spec, **refs):
-    return StatisticalStructure(ctx.scene.chart, **refs)
+@_structure("statistical", StatisticalStructure, conn=_ref(ConnectionField),
+            metric=_ref(MetricField))
+def _build_statistical(ctx, **fields):
+    return StatisticalStructure(ctx.scene.chart, **fields)
 
 
-@_structure("cone", "lambda", base=object)
-def _build_cone(ctx, name, spec, base):
-    lam = _constant(spec["lambda"], f"structure '{name}' lambda")
-    interval = tuple(spec.get("s_interval", (0.5, 2.0)))
-    tol = float(spec.get("tolerance", DEFAULT_TOLERANCE))
-    cone = build_cone_structure(
-        base, lam, s_interval=interval, plan=ctx.plan, tolerance=tol
-    )
-    ctx.attached[name] = cone.reports
+@_structure("cone", ConeStructure, base=_ref(object), lam=_CONSTANT(name="lambda"),
+            s_interval=_INTERVAL((0.5, 2.0)), tolerance=_POSITIVE(DEFAULT_TOLERANCE))
+def _build_cone(ctx, base, lam, s_interval, tolerance):
+    cone = build_cone_structure(base, lam, s_interval=s_interval, plan=ctx.plan,
+                                tolerance=tolerance)
+    ctx.attached[id(cone)] = cone.reports
     return cone
 
 
-@_structure("mapping_torus", "lambda", base=object)
-def _build_mapping_torus(ctx, name, spec, base):
-    lam = _constant(spec["lambda"], f"structure '{name}' lambda")
-    scale = _constant(spec.get("scale", 2.0), f"structure '{name}' scale")
-    torus_spec = MappingTorusSpec(base, tuple(spec["automorphism"]), scale, lam)
-    tol = float(spec.get("tolerance", DEFAULT_TOLERANCE))
-    struct, reports = build_mapping_torus(torus_spec, plan=ctx.plan, tolerance=tol)
-    ctx.attached[name] = reports
+@_structure("mapping_torus", LCHStructure, base=_ref(object), automorphism=_MAP,
+            scale=_CONSTANT(2.0), lam=_CONSTANT(name="lambda"),
+            tolerance=_POSITIVE(DEFAULT_TOLERANCE))
+def _build_mapping_torus(ctx, base, automorphism, scale, lam, tolerance):
+    torus_spec = MappingTorusSpec(base, automorphism, scale, lam)
+    struct, reports = build_mapping_torus(torus_spec, plan=ctx.plan, tolerance=tolerance)
+    ctx.attached[id(struct)] = reports
     return struct
 
 
-@_structure("cone_lch", cone=ConeSpec)
-def _build_cone_lch(ctx, name, spec, cone):
-    chart = _build_chart(spec["chart"], "cone_lch chart") if "chart" in spec else None
+@_structure("cone_lch", LCHStructure, cone=_ref(ConeSpec), chart=_CHART(None))
+def _build_cone_lch(ctx, cone, chart):
     return cone_lch_structure(cone, chart)
 
 
-@_op("hessian", conn=ConnectionField, metric=MetricField)
-def _op_hessian(ctx, check, tol, conn, metric):
+@_op("hessian", conn=_ref(ConnectionField), metric=_ref(MetricField))
+def _op_hessian(ctx, tol, conn, metric):
     return [check_hessian_structure(conn, metric, ctx.plan, tol)]
 
 
-@_op("radiant", conn=ConnectionField, field=VectorFieldT)
-def _op_radiant(ctx, check, tol, conn, field):
-    lam = None if "lambda" not in check else _constant(check["lambda"], "radiant lambda")
+@_op("radiant", conn=_ref(ConnectionField), field=_ref(VectorFieldT),
+     lam=_CONSTANT(None, name="lambda"))
+def _op_radiant(ctx, tol, conn, field, lam):
     return [check_radiant(conn, field, ctx.plan, tol, lam=lam)]
 
 
-@_op("self_similar", metric=MetricField, field=VectorFieldT)
-def _op_self_similar(ctx, check, tol, metric, field):
+@_op("self_similar", metric=_ref(MetricField), field=_ref(VectorFieldT))
+def _op_self_similar(ctx, tol, metric, field):
     return [check_self_similar(metric, field, ctx.plan, tol)]
 
 
-@_op("potential_field", metric=MetricField, field=VectorFieldT)
-def _op_potential_field(ctx, check, tol, metric, field):
+@_op("potential_field", metric=_ref(MetricField), field=_ref(VectorFieldT))
+def _op_potential_field(ctx, tol, metric, field):
     return [check_potential_field(metric, field, ctx.plan, tol)]
 
 
-@_op("statistical", structure=StatisticalStructure)
-def _op_statistical(ctx, check, tol, structure):
+@_op("statistical", structure=_ref(StatisticalStructure))
+def _op_statistical(ctx, tol, structure):
     return [check_statistical(structure, ctx.plan, tol)]
 
 
@@ -627,66 +649,59 @@ def _curvature_report(ctx, struct, name, tol):
                        extra={"c": est.c})
 
 
-@_op("curvature", structure=StatisticalStructure)
-def _op_curvature(ctx, check, tol, structure):
+@_op("curvature", structure=_ref(StatisticalStructure))
+def _op_curvature(ctx, tol, structure):
     return [_curvature_report(ctx, structure, "curvature", tol)]
 
 
-@_op("lch", structure=LCHStructure)
-def _op_lch(ctx, check, tol, structure):
+@_op("lch", structure=_ref(LCHStructure))
+def _op_lch(ctx, tol, structure):
     return [check_lch(structure, ctx.plan, tol)]
 
 
-@_op("lee_identity", structure=LCHStructure)
-def _op_lee_identity(ctx, check, tol, structure):
+_LEE_TERMS = ("killing", "radiant", "affine")  # each LeeConstants.<term>_residual
+
+
+def _lee_residuals(consts) -> dict:
+    return {f"{t}_residual": getattr(consts, f"{t}_residual") for t in _LEE_TERMS}
+
+
+@_op("lee_identity", structure=_ref(LCHStructure))
+def _op_lee_identity(ctx, tol, structure):
     consts = lee_constants(structure, ctx.plan)
     rep = lee_identity_residual(structure, consts, ctx.plan, tol)
-    extra = dict(rep.extra)
-    extra.update(a=consts.a, mu=consts.mu,
-                 killing_residual=consts.killing_residual,
-                 radiant_residual=consts.radiant_residual,
-                 affine_residual=consts.affine_residual)
+    extra = {**rep.extra, "a": consts.a, "mu": consts.mu, **_lee_residuals(consts)}
     return [dataclasses.replace(rep, extra=extra)]
 
 
-@_op("lee_constants", structure=LCHStructure)
-def _op_lee_constants(ctx, check, tol, structure):
+@_op("lee_constants", structure=_ref(LCHStructure), require=_choice(*_LEE_TERMS)("killing"))
+def _op_lee_constants(ctx, tol, structure, require):
     consts = lee_constants(structure, ctx.plan)
-    which = check.get("require", "killing")
-    residuals = {
-        "killing": consts.killing_residual,
-        "radiant": consts.radiant_residual,
-        "affine": consts.affine_residual,
-    }
-    if which not in residuals:
-        raise SceneError(f"lee_constants 'require' must be one of {sorted(residuals)}")
-    extra = {"a": consts.a, "mu": consts.mu, "u": consts.u, **{
-        f"{k}_residual": v for k, v in residuals.items()
-    }}
-    return [make_report(f"lee-{which}", [residuals[which]], tol,
+    residuals = _lee_residuals(consts)
+    extra = {"a": consts.a, "mu": consts.mu, "u": consts.u, **residuals}
+    return [make_report(f"lee-{require}", [residuals[f"{require}_residual"]], tol,
                         samples=ctx.plan.count, extra=extra)]
 
 
-@_op("koszul", structure=LCHStructure)
-def _op_koszul(ctx, check, tol, structure):
+@_op("koszul", structure=_ref(LCHStructure))
+def _op_koszul(ctx, tol, structure):
     return [koszul_check(structure.conn, structure.lee_form, ctx.plan, tol)]
 
 
-@_op("symmetry", structure=LCHStructure)
-def _op_symmetry(ctx, check, tol, structure):
-    return [check_symmetry(structure, check["map"], ctx.plan, tol)]
+@_op("symmetry", structure=_ref(LCHStructure), map=_MAP)
+def _op_symmetry(ctx, tol, structure, map):
+    return [check_symmetry(structure, map, ctx.plan, tol)]
 
 
-@_op("reports", structure=object)
-def _op_reports(ctx, check, tol, structure):
-    return list(ctx.attached.get(check["structure"], ()))
+@_op("reports", structure=_ref(object))
+def _op_reports(ctx, tol, structure):
+    return list(ctx.attached.get(id(structure), ()))
 
 
-@_op("cone_restriction", structure=ConeStructure)
-def _op_cone_restriction(ctx, check, tol, structure):
-    # a built cone implies a built base
-    base = ctx.structure(ctx.scene.structures[check["structure"]]["base"])
-    lam = structure.lam
+@_op("cone_restriction", structure=_ref(ConeStructure),
+     curvature_tolerance=_POSITIVE(1e-4))
+def _op_cone_restriction(ctx, tol, structure, curvature_tolerance):
+    base, lam = structure.base, structure.lam
     n = base.chart.dim
     surface = [ex.Var(a) for a in range(n)] + [ex.ONE]
     transversal = VectorFieldT(
@@ -703,20 +718,16 @@ def _op_cone_restriction(ctx, check, tol, structure):
 
     metric_rep = sample_check(metric_residual, base.chart, ctx.plan, tol,
                               name="restriction-metric")
-    curv_tol = float(check.get("curvature_tolerance", 1e-4))
-    return [metric_rep,
-            _curvature_report(ctx, recovered, "restriction-curvature", curv_tol)]
+    return [metric_rep, _curvature_report(ctx, recovered, "restriction-curvature",
+                                          curvature_tolerance)]
 
 
-@_op("surface", "chart", "surface", cone=ConeSpec)
-def _op_surface(ctx, check, tol, cone):
-    chart = _build_chart(check["chart"], "surface chart")
-    struct = surface_statistical_structure(
-        cone, check["surface"], chart, plan=ctx.plan, tolerance=tol,
-    )
+@_op("surface", cone=_ref(ConeSpec), surface=_CONE_MAP, chart=_CHART,
+     curvature_tolerance=_POSITIVE(1e-4))
+def _op_surface(ctx, tol, cone, surface, chart, curvature_tolerance):
+    struct = surface_statistical_structure(cone, surface, chart, plan=ctx.plan, tolerance=tol)
     stat = check_statistical(struct, ctx.plan, tol)
-    curv_tol = float(check.get("curvature_tolerance", 1e-4))
-    return [stat, _curvature_report(ctx, struct, "surface-curvature", curv_tol)]
+    return [stat, _curvature_report(ctx, struct, "surface-curvature", curvature_tolerance)]
 
 
 # A Monte Carlo psi matches its expected value when the two lie within
@@ -728,19 +739,18 @@ PSI_FALSE_ALARM_RATE = 1e-6
 PSI_Z = 4.8916
 
 
-@_op("psi", "point", cone=ConeSpec)
-def _op_psi(ctx, check, tol, cone):
-    point = tuple(float(v) for v in check["point"])
-    method = check.get("method", "closed_form")
-    samples = int(check.get("samples", ctx.mc_samples))
-    seed = int(check.get("seed", ctx.plan.seed))
+@_op("psi", cone=_ref(ConeSpec), point=_POINT,
+     method=_choice("closed_form", "monte_carlo")("closed_form"),
+     samples=_COUNT(None), seed=_COUNT(None), expect_value=_CONSTANT(None))
+def _op_psi(ctx, tol, cone, point, method, samples, seed, expect_value):
+    samples = ctx.mc_samples if samples is None else samples
+    seed = ctx.plan.seed if seed is None else seed
     psi = characteristic_function(cone, point, method, samples=samples, seed=seed)
     extra = {"value": psi.value, "stderr": psi.stderr}
-    if "expect_value" in check:
-        target = _constant(check["expect_value"], "psi expect_value")
-        residual = abs(psi.value - target)
+    if expect_value is not None:
+        residual = abs(psi.value - expect_value)
         eff_tol = max(tol, PSI_Z * psi.stderr)
-        extra["expected"] = target
+        extra["expected"] = expect_value
         if psi.stderr > 0:
             extra["z_score"] = residual / psi.stderr
     else:
@@ -750,21 +760,22 @@ def _op_psi(ctx, check, tol, cone):
                         extra=extra, notes=(cone.describe(),))]
 
 
-@_op("homogeneity", "point", cone=ConeSpec)
-def _op_homogeneity(ctx, check, tol, cone):
-    x = np.asarray([float(v) for v in check["point"]])
+@_op("homogeneity", cone=_ref(ConeSpec), point=_POINT,
+     factors=_CONSTANTS((0.5, 2.0, 7.0)))
+def _op_homogeneity(ctx, tol, cone, point, factors):
+    x = np.asarray(point)
     base = characteristic_function(cone, x).value
     residuals = []
-    for t in check.get("factors", (0.5, 2.0, 7.0)):
-        scaled = characteristic_function(cone, float(t) * x).value
-        residuals.append(abs(scaled * float(t) ** cone.dim - base) / (1.0 + abs(base)))
+    for t in factors:
+        scaled = characteristic_function(cone, t * x).value
+        residuals.append(abs(scaled * t ** cone.dim - base) / (1.0 + abs(base)))
     return [make_report("psi-homogeneity", residuals, tol,
                         samples=len(residuals), extra={"value": base})]
 
 
-@_op("barrier", cone=ConeSpec)
-def _op_barrier(ctx, check, tol, cone):
-    pts = sample_interior(cone, int(check.get("count", 50)), seed=ctx.plan.seed)
+@_op("barrier", cone=_ref(ConeSpec), count=_COUNT(50))
+def _op_barrier(ctx, tol, cone, count):
+    pts = sample_interior(cone, count, seed=ctx.plan.seed)
     # the report carries the smallest eigenvalue over every sample, so every
     # eigenvalue is computed (once) and no certificate can spare one
     smallest, gaps = eigenvalue_definiteness(log_psi_metric(cone, pts))
@@ -773,19 +784,17 @@ def _op_barrier(ctx, check, tol, cone):
                         samples=pts.shape[0], extra={"smallest_eigenvalue": eig})]
 
 
-@_op("monodromy", "expect_rank")
-def _op_monodromy(ctx, check, tol):
-    exponents = check.get("exponents", [])
-    rank = monodromy_rank(exponents)
-    expected = int(check["expect_rank"])
-    return [make_report("monodromy-rank", [float(abs(rank - expected))], tol,
+@_op("monodromy", expect_rank=_COUNT, exponents=_CONSTANTS(()))
+def _op_monodromy(ctx, tol, expect_rank, exponents):
+    rank = monodromy_rank([Fraction(e) for e in exponents])  # a float is exact
+    return [make_report("monodromy-rank", [abs(rank - expect_rank)], tol,
                         samples=len(exponents), extra={"rank": rank})]
 
 
-@_op("perturbation", structure=LCHStructure, alpha=OneFormField)
-def _op_perturbation(ctx, check, tol, structure, alpha):
+@_op("perturbation", structure=_ref(LCHStructure), alpha=_ref(OneFormField),
+     min_eps=_POSITIVE(1e-3))
+def _op_perturbation(ctx, tol, structure, alpha, min_eps):
     eps = lee_perturbation_probe(structure, alpha, ctx.plan, tol)
-    min_eps = float(check.get("min_eps", 1e-3))
     notes = []
     if eps >= min_eps:
         half = perturbed_structure(structure, alpha, eps / 2.0, ctx.plan, tol)
@@ -795,29 +804,28 @@ def _op_perturbation(ctx, check, tol, structure, alpha):
     else:
         residuals = [1.0]
         notes.append(f"probe stopped below min_eps = {min_eps!r}")
-    return [make_report("perturbation-probe", residuals, tol,
-                        samples=ctx.plan.count,
-                        extra={"eps_max": eps, "min_eps": min_eps},
-                        notes=notes)]
+    return [make_report("perturbation-probe", residuals, tol, samples=ctx.plan.count,
+                        extra={"eps_max": eps, "min_eps": min_eps}, notes=notes)]
 
 
-def _expectations_ok(owner: str, check: dict, reports) -> tuple[bool, list[str]]:
-    ok = True
+def _expectation_notes(check: dict, reports) -> list[str]:
+    """Why ``reports`` miss the check's expectations: an ``expect`` bound that
+    no report carries or that a value falls outside, and under ``expect_fail``
+    a non-finite residual (a NaN or a crash is not a numerical failure)."""
     notes = []
-    for key, (lo, hi) in _expect_bounds(owner, check).items():
+    for key, (lo, hi) in check["expect"].items():
         carriers = [r for r in reports if key in r.extra]
         if not carriers:
-            ok = False
             notes.append(f"expectation on '{key}': no report carries it")
-            continue
         for r in carriers:
             val = float(r.extra[key])
             if not lo <= val <= hi:
-                ok = False
-                notes.append(
-                    f"expectation on '{key}': {val!r} outside [{lo!r}, {hi!r}]"
-                )
-    return ok, notes
+                notes.append(f"expectation on '{key}': {val!r} outside [{lo!r}, {hi!r}]")
+    if check["expect_fail"]:
+        notes += [f"expect_fail: report '{r.name}' has a non-finite max_residual "
+                  f"({r.max_residual!r})"
+                  for r in reports if not math.isfinite(r.max_residual)]
+    return notes
 
 
 def run_suite(scene: Scene, plan: SamplePlan | None = None,
@@ -826,10 +834,10 @@ def run_suite(scene: Scene, plan: SamplePlan | None = None,
     """Execute every declared check; a check is ok when its reports land on
     the expected side of the tolerance (``expect_fail`` flips the sense) and
     every ``expect`` bound on the report extras holds. A check whose op
-    raised or whose structure failed to build is never ok: a crash is not
-    the numerical failure ``expect_fail`` asks for."""
+    raised or whose structure failed to build reports an infinite residual,
+    so it is never ok: under ``expect_fail`` no report may be non-finite."""
     plan = plan or SamplePlan()
-    ctx = _Context(scene, plan, tolerance, mc_samples)
+    ctx = _Context(scene, plan, mc_samples)
     out = Report(
         scene=scene.name,
         version=__version__,
@@ -840,40 +848,27 @@ def run_suite(scene: Scene, plan: SamplePlan | None = None,
     )
     for i, check in enumerate(scene.checks):
         op = check["op"]
-        tol = ctx.tol(check)
-        crashed = False
-        handler, refs, _ = _OPS[op]
+        tol = check["tolerance"] if tolerance is None else tolerance
+        handler, keys = _OPS[op]
         try:
-            reports = handler(ctx, check, tol, **ctx.resolve(f"check '{op}'", check, refs))
-        except SceneError:
-            raise
+            reports = handler(ctx, tol, **ctx.resolve(check, keys))
         except _Unbuilt as err:
-            crashed = True
-            reports = [make_report(
-                f"{op}-unavailable", [float("inf")], tol, samples=0,
-                notes=(f"structure '{err.name}' failed to build: "
-                       f"{ctx.failures[err.name]}",),
-            )]
+            reports = [make_report(f"{op}-unavailable", [math.inf], tol, samples=0,
+                                   notes=err.args)]
         except Exception as err:
-            crashed = True
-            reports = [make_report(
-                f"{op}-error", [float("inf")], tol, samples=0,
-                notes=(f"{type(err).__name__}: {err}",),
-            )]
-        expect_fail = bool(check.get("expect_fail", False))
-        passed = all(r.passed for r in reports)
-        bounds_ok, bound_notes = _expectations_ok(f"check {i} ('{op}')", check, reports)
-        ok = (passed != expect_fail) and bounds_ok and not crashed
+            reports = [make_report(f"{op}-error", [math.inf], tol, samples=0,
+                                   notes=(f"{type(err).__name__}: {err}",))]
+        notes = _expectation_notes(check, reports)
         record = {
             "index": i,
-            "id": check.get("id", f"{i}:{op}"),
+            "id": check["id"],
             "op": op,
-            "expect_fail": expect_fail,
-            "ok": bool(ok),
+            "expect_fail": check["expect_fail"],
+            "ok": all(r.passed for r in reports) != check["expect_fail"] and not notes,
             "reports": [r.as_dict() for r in reports],
         }
-        if bound_notes:
-            record["expectation_notes"] = bound_notes
+        if notes:
+            record["expectation_notes"] = notes
         out.checks.append(record)
     drop_held_points()  # the suite's sampled points and field tensors
     return out

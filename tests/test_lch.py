@@ -208,7 +208,7 @@ def test_lee_constants_invariant():
 
 def _bundled_structure(example: str, name: str):
     scene = load_example(example)
-    return _Context(scene, PLAN, None, 1).structure(name)
+    return _Context(scene, PLAN, 1).structure(name)
 
 
 BUNDLED_LCH = [("hopf", "S"), ("poincare", "S"), ("torus_quotient", "S"), ("e67", "S"),

@@ -270,7 +270,7 @@ def test_check_errors_are_reported_not_raised():
 def test_crash_never_satisfies_expect_fail(monkeypatch):
     from hesslab import scenes
 
-    def boom(ctx, check, tol, **refs):
+    def boom(ctx, tol, **values):
         raise RuntimeError("koszul op crashed")
 
     monkeypatch.setitem(scenes._OPS, "koszul", (boom, *scenes._OPS["koszul"][1:]))
@@ -299,8 +299,9 @@ def test_unbuilt_structure_never_satisfies_expect_fail():
     assert not rep.all_ok
 
 
-def _torus_over_halfplane(checks):
-    """unit_scene plus a mapping torus 'T' whose automorphism breaks base 'B'."""
+def _torus_over_halfplane(checks, **structures):
+    """unit_scene plus a mapping torus 'T' whose automorphism breaks base 'B',
+    and ``structures``."""
     data = unit_scene(checks=checks)
     data["fields"]["gm"] = {
         "type": "metric",
@@ -311,45 +312,47 @@ def _torus_over_halfplane(checks):
         "B": {"type": "statistical", "conn": "D", "metric": "gm"},
         "T": {"type": "mapping_torus", "base": "B",
               "automorphism": ["2*x0", "x1"], "scale": 2.0, "lambda": 1.5},
+        **structures,
     }
     return data
 
 
-_BROKEN_BASE = {"type": "statistical", "conn": "g", "metric": "g"}
-_BASE_FAILED = ("structure 'B' failed to build: SceneError: "
-                "field 'g' is a MetricField, expected ConnectionField")
+_UNBUILT_T = ("structure 'T' failed to build: MappingTorusError: automorphism does "
+              "not preserve the base structure (metric residual 0.589, "
+              "connection residual 0.493)")
+_BASE_T_FAILED = "structure 'C' failed to build: its base " + _UNBUILT_T
 
 
 @pytest.mark.parametrize("data, expected", [
     pytest.param(
         unit_scene(checks=[{"op": "hessian", "conn": "g", "metric": "g"}]),
-        "field 'g' is a MetricField, expected ConnectionField",
+        "check 0 ('hessian'): field 'g' is a MetricField, expected ConnectionField",
         id="check-field-of-wrong-kind"),
     pytest.param(
         unit_scene(checks=[{"op": "statistical", "structure": "S"}]),
-        "check 'statistical': structure 'S' is a LCHStructure, "
+        "check 0 ('statistical'): structure 'S' is a LCHStructure, "
         "expected StatisticalStructure",
         id="check-structure-of-wrong-kind"),
     pytest.param(
         _torus_over_halfplane([{"op": "reports", "structure": "T"}]),
-        [("reports-unavailable",
-          "structure 'T' failed to build: MappingTorusError: automorphism does "
-          "not preserve the base structure (metric residual 0.589, "
-          "connection residual 0.493)")],
+        [("reports-unavailable", _UNBUILT_T)],
         id="reports-of-unbuilt-torus"),
     pytest.param(
         unit_scene(
-            structures={"B": _BROKEN_BASE,
+            structures={"B": {"type": "statistical", "conn": "g", "metric": "g"},
                         "C": {"type": "cone", "base": "B", "lambda": 2.5}},
-            checks=[{"op": "statistical", "structure": "B"},
-                    {"op": "reports", "structure": "C"},
-                    {"op": "cone_restriction", "structure": "C"}]),
-        [("statistical-unavailable", _BASE_FAILED),
-         ("reports-unavailable", "structure 'C' failed to build: "
-          "SceneError: base structure 'B' failed to build"),
-         ("cone_restriction-unavailable", "structure 'C' failed to build: "
-          "SceneError: base structure 'B' failed to build")],
+            checks=[{"op": "statistical", "structure": "B"}]),
+        "structure 'B': field 'g' is a MetricField, expected ConnectionField",
         id="cone-over-unbuilt-base"),
+    pytest.param(
+        _torus_over_halfplane([{"op": "lch", "structure": "T"},
+                               {"op": "reports", "structure": "C"},
+                               {"op": "cone_restriction", "structure": "C"}],
+                              C={"type": "cone", "base": "T", "lambda": 2.5}),
+        [("lch-unavailable", _UNBUILT_T),
+         ("reports-unavailable", _BASE_T_FAILED),
+         ("cone_restriction-unavailable", _BASE_T_FAILED)],
+        id="cone-over-unbuilt-torus"),
     pytest.param(
         unit_scene(structures={
             "C": {"type": "cone", "base": "B", "lambda": 2.5},
@@ -474,7 +477,7 @@ def _reject_constant(name):
 def test_non_finite_report_is_strict_json_and_round_trips(monkeypatch):
     from hesslab import scenes
 
-    def boom(ctx, check, tol, **refs):
+    def boom(ctx, tol, **values):
         raise RuntimeError("koszul op crashed")
 
     monkeypatch.setitem(scenes._OPS, "koszul", (boom, *scenes._OPS["koszul"][1:]))
@@ -660,8 +663,11 @@ def test_cli_coordinate_map_must_be_a_list(tmp_path, capsys):
     data = _torus_over_halfplane([{"op": "reports", "structure": "T"}])
     del data["structures"]["T"]["automorphism"]
     assert main(["check", str(write_scene(tmp_path, data)), "--samples", "20"]) == 2
-    assert capsys.readouterr().err.startswith(
-        "error: structure 'T' needs 'automorphism', a list of one entry per coordinate")
+    assert capsys.readouterr().err == "error: structure 'T' needs 'automorphism'\n"
+    data["structures"]["T"]["automorphism"] = "2*x0"
+    assert main(["check", str(write_scene(tmp_path, data)), "--samples", "20"]) == 2
+    assert capsys.readouterr().err == (
+        "error: structure 'T': 'automorphism' is \"2*x0\", not a list of 2 entries\n")
 
 
 def test_cli_bad_margin_exits_2(tmp_path, capsys):
