@@ -65,6 +65,7 @@ class DomainError(ExprError):
 # key holds a node's children by id; a child's id cannot be reused while the
 # node keyed on it lives, and a node's entry is dropped when it dies.
 _INTERNED: dict[tuple, weakref.KeyedRef] = {}
+_float_bits = struct.Struct("<d").pack
 
 
 def _forget(ref, table=_INTERNED):
@@ -96,13 +97,17 @@ class Expression:
     def __new__(cls, *args, **kwargs):
         if kwargs or len(args) != len(cls.__match_args__):
             args = _bind(cls, args, kwargs)
-        if cls is Num:
-            args = (float(args[0]),)
-            key = (cls, struct.pack("<d", args[0]))
-        elif cls is Gauge:
-            key = (cls, id(args[0]))  # held by the node, so the id stays its own
-        else:
-            key = (cls, *[id(a) if isinstance(a, Expression) else a for a in args])
+        a = args[0]
+        if len(args) == 2:  # a binary node, or a Call keyed on its function name
+            key = (cls, a if cls is Call else id(a), id(args[1]))
+        elif cls is Num:
+            a = float(a)
+            args = (a,)
+            key = (cls, _float_bits(a))
+        elif cls is Var:
+            key = (cls, a)
+        else:  # Neg, or a Gauge: the node holds its source, so the id stays its own
+            key = (cls, id(a))
         ref = _INTERNED.get(key)
         node = None if ref is None else ref()
         if node is None:
@@ -332,11 +337,24 @@ class _Parser:
         return Var(index)
 
 
+# (text, dim) -> the tree it parses to, for as long as that tree lives.
+_PARSED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 def parse_expression(src: str, dim: int) -> Expression:
-    """Parse ``src`` into an expression tree over at most ``dim`` coordinates."""
+    """Parse ``src`` into an expression tree over at most ``dim`` coordinates.
+
+    A text is parsed once per dimension while its tree lives: nodes are
+    hash-consed, so a second parse would build the very same object. The
+    entries of a symmetric metric repeat (g_ij = g_ji), and each repeat is a
+    lookup. Nothing outlives its tree, so no scene keeps another's alive."""
     if dim < 0:
         raise ValueError("dim must be non-negative")
-    return _Parser(src, dim).parse()
+    key = (src, dim)
+    tree = _PARSED.get(key)
+    if tree is None:
+        tree = _PARSED[key] = _Parser(src, dim).parse()
+    return tree
 
 
 # ---------------------------------------------------------------------------

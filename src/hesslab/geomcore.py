@@ -231,9 +231,14 @@ def samples_first(buf: Array) -> Array:
 # Entries: expression trees, with a line-integral gauge as a leaf
 # ---------------------------------------------------------------------------
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(48)
-_GL_T = 0.5 * (_GL_NODES + 1.0)
-_GL_W = 0.5 * _GL_WEIGHTS
+@functools.cache
+def _gauss_legendre() -> tuple[Array, Array]:
+    """The 48 Gauss-Legendre nodes and weights on [0, 1], built on first use:
+    an interpreter that integrates no gauge never loads `numpy.polynomial`."""
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = leggauss(48)
+    return 0.5 * (nodes + 1.0), 0.5 * weights
 
 
 class LineIntegralGauge:
@@ -255,13 +260,14 @@ class LineIntegralGauge:
     def values(self, pts: Array) -> Array:
         pts = np.asarray(pts, float)
         m, n = pts.shape
+        nodes, weights = _gauss_legendre()
         diffs = pts - self.base
-        stacked = self.base + _GL_T[:, None, None] * diffs  # (q, m, n)
+        stacked = self.base + nodes[:, None, None] * diffs  # (q, m, n)
         flat = stacked.reshape(-1, n)
         total = np.zeros(m)
         for k, jet in enumerate(evaluate(self.components, flat, 0)):
-            vals = jet.value.reshape(len(_GL_T), m)
-            total += (_GL_W[:, None] * vals).sum(axis=0) * diffs[:, k]
+            vals = jet.value.reshape(len(nodes), m)
+            total += (weights[:, None] * vals).sum(axis=0) * diffs[:, k]
         return total
 
     def jet(self, pts: Array, order: int) -> Jet:

@@ -389,34 +389,34 @@ class Feed(NamedTuple):
 
 
 def _plan(trees) -> Plan:
+    """One depth-first walk: a node is described when it is pushed and stays
+    on the stack while its children, left to right, are planned; popped, it
+    becomes a slot. The stack is the path from the root, so no node is on it
+    twice, and a node reached again once planned is not described again."""
     trees = list(trees)  # held, so no planned node dies and frees its id
     slots: list[tuple] = []
     by_id: dict[int, int] = {}  # node objects already planned
     recips: dict[int, int] = {}  # divisor slot -> its reciprocal's slot
     roots: list[int] = []
     for root in trees:
-        stack = [(root, None)]
+        stack = [] if id(root) in by_id else [(root, _describe(root))]
         while stack:
-            node, desc = stack.pop()
-            if id(node) in by_id:
-                continue
-            if desc is None:
-                desc = _describe(node)
-                pending = [k for k in desc[2] if id(k) not in by_id]
-                if pending:
-                    stack.append((node, desc))
-                    stack.extend((k, None) for k in reversed(pending))
-                    continue
-            op, arg, kids = desc
-            kids = tuple(by_id[id(k)] for k in kids)
-            if op == "div":
-                u, v = kids
-                if v not in recips:
-                    recips[v] = len(slots)
-                    slots.append(("recip", None, (v,)))
-                op, kids = "mul", (u, recips[v])
-            by_id[id(node)] = len(slots)
-            slots.append((op, arg, kids))
+            node, (op, arg, kids) = stack[-1]
+            for kid in kids:
+                if id(kid) not in by_id:
+                    stack.append((kid, _describe(kid)))
+                    break
+            else:
+                stack.pop()
+                kids = tuple([by_id[id(k)] for k in kids])
+                if op == "div":
+                    u, v = kids
+                    if v not in recips:
+                        recips[v] = len(slots)
+                        slots.append(("recip", None, (v,)))
+                    op, kids = "mul", (u, recips[v])
+                by_id[id(node)] = len(slots)
+                slots.append((op, arg, kids))
         roots.append(by_id[id(root)])
     return Plan(slots, roots)
 

@@ -60,6 +60,7 @@ from .geomcore import (
     SamplePlan,
     ScalarField,
     VectorFieldT,
+    as_entry,
     drop_held_points,
     eigenvalue_definiteness,
     flat_connection,
@@ -207,7 +208,11 @@ class Report:
         return out
 
     def to_json(self) -> str:
-        return strict_json(self.to_dict())
+        """``strict_json(self.to_dict())``, from a shallow dict of the fields:
+        encoding the non-finite floats is the one copy of the checks it makes."""
+        out = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        out["all_ok"] = self.all_ok
+        return strict_json(out)
 
     @classmethod
     def from_dict(cls, data: dict) -> "Report":
@@ -322,11 +327,19 @@ def _constants(value, owner: str, key: str, n: int | None = None) -> tuple:
     return tuple(_constant(v, f"{owner}: '{key}' [{i}]") for i, v in enumerate(value))
 
 
-def _entry_list(value, owner: str, key: str, n: int) -> list:
-    """A flat list of ``n`` entries, one per coordinate."""
+def _entry_list(value, owner: str, key: str, n: int, dim: int) -> list:
+    """A flat list of ``n`` entries, one per coordinate, as trees over
+    ``dim`` coordinates."""
     if not isinstance(value, list) or len(value) != n or any(isinstance(v, list) for v in value):
         raise _wrong(owner, key, value, f"a list of {n} entries")
-    return _check_entries(f"{owner} '{key}'", key, value)
+    _check_entries(f"{owner} '{key}'", key, value)
+    trees = []
+    for i, entry in enumerate(value):
+        try:
+            trees.append(as_entry(entry, dim))
+        except ex.ExprError as err:
+            raise SceneError(f"{owner} '{key}': entry [{i}]: {err}") from err
+    return trees
 
 
 def _check_entries(owner: str, key: str, value, index=()):
@@ -404,9 +417,10 @@ _INTERVAL = _Key(lambda value, owner, key, scope: _constants(value, owner, key, 
 _POINT = _Key(lambda value, owner, key, scope:  # a point of the spec's cone
               _constants(value, owner, key, scope.cones[scope.values["cone"]].dim))
 _MAP = _Key(lambda value, owner, key, scope:  # a map of the scene chart
-            _entry_list(value, owner, key, scope.chart.dim))
-_CONE_MAP = _Key(lambda value, owner, key, scope:  # a map into the spec's cone
-                 _entry_list(value, owner, key, scope.cones[scope.values["cone"]].dim))
+            _entry_list(value, owner, key, scope.chart.dim, scope.chart.dim))
+_SURFACE = _Key(lambda value, owner, key, scope:  # the spec's chart into its cone
+                _entry_list(value, owner, key, scope.cones[scope.values["cone"]].dim,
+                            scope.values["chart"].dim))
 _CHART = _Key(lambda value, owner, key, scope: _chart(value, f"{owner} '{key}'"))
 
 _CHECK_KEYS = {  # declared once for every op
@@ -722,9 +736,9 @@ def _op_cone_restriction(ctx, tol, structure, curvature_tolerance):
                                           curvature_tolerance)]
 
 
-@_op("surface", cone=_ref(ConeSpec), surface=_CONE_MAP, chart=_CHART,
+@_op("surface", cone=_ref(ConeSpec), chart=_CHART, surface=_SURFACE,
      curvature_tolerance=_POSITIVE(1e-4))
-def _op_surface(ctx, tol, cone, surface, chart, curvature_tolerance):
+def _op_surface(ctx, tol, cone, chart, surface, curvature_tolerance):
     struct = surface_statistical_structure(cone, surface, chart, plan=ctx.plan, tolerance=tol)
     stat = check_statistical(struct, ctx.plan, tol)
     return [stat, _curvature_report(ctx, struct, "surface-curvature", curvature_tolerance)]
@@ -835,8 +849,12 @@ def run_suite(scene: Scene, plan: SamplePlan | None = None,
     the expected side of the tolerance (``expect_fail`` flips the sense) and
     every ``expect`` bound on the report extras holds. A check whose op
     raised or whose structure failed to build reports an infinite residual,
-    so it is never ok: under ``expect_fail`` no report may be non-finite."""
+    so it is never ok: under ``expect_fail`` no report may be non-finite.
+    A ``tolerance`` override, which replaces every check's, is read as the
+    scene key is: a positive constant (inf included), else a SceneError."""
     plan = plan or SamplePlan()
+    if tolerance is not None:
+        tolerance = positive_constant(tolerance, "run_suite", "tolerance")
     ctx = _Context(scene, plan, mc_samples)
     out = Report(
         scene=scene.name,
@@ -844,7 +862,7 @@ def run_suite(scene: Scene, plan: SamplePlan | None = None,
         seed=plan.seed,
         count=plan.count,
         margin=plan.margin,
-        tolerance=float(tolerance if tolerance is not None else DEFAULT_TOLERANCE),
+        tolerance=DEFAULT_TOLERANCE if tolerance is None else tolerance,
     )
     for i, check in enumerate(scene.checks):
         op = check["op"]

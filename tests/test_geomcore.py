@@ -734,6 +734,37 @@ def test_line_integral_matches_potential():
     assert got == pytest.approx(want, rel=1e-12)
 
 
+_COLD_START = """
+import sys
+import numpy
+preloaded = "numpy.polynomial" in sys.modules  # numpy 1.x imports it itself
+import hesslab
+from hesslab import cli
+assert cli.main(["example", "hopf", "--samples", "20"]) == 0
+assert ("numpy.polynomial" in sys.modules) == preloaded, "loaded before any gauge"
+from hesslab.geomcore import LineIntegralGauge
+from hesslab.expr import ONE
+assert LineIntegralGauge([ONE], (0.0,)).values(numpy.array([[2.0]]))[0] == 2.0
+assert "numpy.polynomial" in sys.modules
+"""
+
+
+def test_gauss_legendre_table_is_built_on_first_use():
+    import os
+    import subprocess
+    import sys
+
+    import hesslab
+
+    src = str(pathlib.Path(hesslab.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_START], capture_output=True, text=True,
+        timeout=120, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_gauge_detects_path_dependence():
     # x1 dx0 is not closed, so its line integral depends on the path; the
     # closedness residual is what `lch.local_hessian_gauge` rejects it by
@@ -924,6 +955,50 @@ def test_a_dropped_scene_leaves_no_interned_node():
     del scene
     gc.collect()  # a derivative memo refers back to its node: a cycle
     assert len(ex._INTERNED) == before
+
+
+def test_a_dropped_scene_leaves_no_parsed_tree():
+    import gc
+
+    from hesslab.scenes import run_suite, scene_from_dict
+
+    gc.collect()
+    before = len(ex._PARSED)
+    scene = scene_from_dict(_sphere_scene(3))
+    assert run_suite(scene, SamplePlan(count=20, seed=1)).all_ok
+    assert len(ex._PARSED) > before
+    del scene
+    gc.collect()
+    assert len(ex._PARSED) == before
+
+
+def test_a_dense_load_parses_each_distinct_entry_once(monkeypatch):
+    from hesslab.scenes import scene_from_dict
+
+    data = _sphere_scene(3)
+    entries = [e for row in data["fields"]["g"]["entries"] for e in row]
+    assert len(entries) == 9 and len(set(entries)) == 6  # g_ij = g_ji
+    parsed = []
+
+    class CountingParser(ex._Parser):
+        def __init__(self, src, dim):
+            parsed.append((src, dim))
+            super().__init__(src, dim)
+
+    monkeypatch.setattr(ex, "_Parser", CountingParser)
+    monkeypatch.setattr(ex, "_PARSED", weakref.WeakValueDictionary())  # no earlier load's trees
+    g = scene_from_dict(data).fields["g"]
+    assert sorted(parsed) == sorted({(e, 3) for e in entries})
+    assert g.entries[0, 1] is g.entries[1, 0]
+
+
+def test_a_parse_is_memoized_per_text_and_dimension():
+    assert parse_expression("x0 * s", 2) is parse_expression("x0 * s", 2)
+    assert parse_expression("x0 * s", 2) == ex.Mul(ex.Var(0), ex.Var(1))
+    assert parse_expression("x0 * s", 3) == ex.Mul(ex.Var(0), ex.Var(2))
+    for _ in range(2):  # a failed parse is not remembered
+        with pytest.raises(ex.VariableRangeError):
+            parse_expression("x0 * x2", 2)
 
 
 @pytest.mark.parametrize("dim", [2, 3])

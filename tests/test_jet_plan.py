@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from jet_reference import reference_evaluate
 
 from hesslab import expr as ex
+from hesslab import jets
 from hesslab.geomcore import Chart, LineIntegralGauge, MetricField, gauged, levi_civita
 from hesslab.jets import _plan, evaluate
 
@@ -238,6 +239,64 @@ def test_dense_levi_civita_matches_reference():
     assert sum(isinstance(node, ex.Div) for node in objects.values()) == 33
     assert sum(op == "recip" for op, _, _ in slots) == 3
     assert len(slots) == 316
+
+
+def _recursive_plan(trees):
+    """The plan `_plan` must build, written as a recursive post-order:
+    children left to right, each distinct node once, and a division's
+    reciprocal slot made just before the division's product."""
+    slots, by_id, recips = [], {}, {}
+
+    def visit(node):
+        if id(node) not in by_id:
+            op, arg, kids = jets._describe(node)
+            kids = tuple(visit(k) for k in kids)
+            if op == "div":
+                u, v = kids
+                if v not in recips:
+                    recips[v] = len(slots)
+                    slots.append(("recip", None, (v,)))
+                op, kids = "mul", (u, recips[v])
+            by_id[id(node)] = len(slots)
+            slots.append((op, arg, kids))
+        return by_id[id(node)]
+
+    roots = [visit(t) for t in trees]
+    return slots, roots
+
+
+def _assert_same_plan(trees):
+    slots, roots = _plan(trees)
+    want_slots, want_roots = _recursive_plan(trees)
+    assert roots == want_roots
+    assert [(op, kids) for op, _, kids in slots] == [(op, kids) for op, _, kids in want_slots]
+    for (op, arg, _), (_, want, _) in zip(slots, want_slots):
+        if op == "raise":  # a fresh error per description
+            assert type(arg) is type(want) and str(arg) == str(want)
+        else:
+            assert arg is want or arg == want or (arg != arg and want != want)
+
+
+@given(forest=forests())
+@settings(max_examples=300, deadline=None)
+def test_plan_is_the_recursive_post_order(forest):
+    _assert_same_plan(forest[0])
+
+
+def test_plan_describes_each_node_once(monkeypatch):
+    conn = levi_civita(_dense_metric(3))
+    trees = list(conn.entries.flat) + list(conn.entries.flat)[::-1]
+    _assert_same_plan(trees)
+    described = []
+    real = jets._describe
+
+    def describe(node):
+        described.append(id(node))
+        return real(node)
+
+    monkeypatch.setattr(jets, "_describe", describe)
+    slots, _ = _plan(trees)
+    assert len(described) == len(set(described)) == len(slots) - 3  # 3 reciprocals
 
 
 def test_jets_are_freed_after_their_last_use():

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import hesslab
+from hesslab import expr as ex
 from hesslab.cli import main
 from hesslab.geomcore import SamplePlan
 from hesslab.scenes import (
@@ -509,6 +510,54 @@ def test_infinite_tolerance_override_is_strict_json():
     assert Report.from_json(text).to_json() == text
 
 
+def _report_with_every_special_value():
+    """A report carrying NaN, +-inf, expectation notes and a non-ASCII note."""
+    data = unit_scene(checks=[{"op": "hessian", "conn": "nabla", "metric": "g",
+                               "expect": {"missing": [0, 1]}}])
+    rep = run_suite(scene_from_dict(data), PLAN, tolerance=float("inf"))
+    report = rep.checks[0]["reports"][0]
+    report["mean_residual"] = float("nan")
+    report["extra"] = {"a": float("-inf"), "b": float("inf"), "c": float("nan"), "d": 0.5}
+    report["notes"].append("résidu ≤ 1e-6 — ∇g")
+    assert rep.checks[0]["expectation_notes"]
+    return rep
+
+
+def test_to_json_is_strict_json_of_to_dict():
+    from hesslab.scenes import strict_json
+
+    rep = _report_with_every_special_value()
+    text = rep.to_json()
+    assert text == strict_json(rep.to_dict())
+    assert "\\u2264" in text and "Infinity" in text and "NaN" in text
+    assert Report.from_json(text).to_json() == text
+
+
+def test_mutating_to_dict_leaves_the_report_unchanged():
+    rep = _report_with_every_special_value()
+    text = rep.to_json()
+    out = rep.to_dict()
+    out["checks"][0]["reports"][0]["extra"]["d"] = 7.0
+    out["checks"][0]["reports"][0]["notes"].clear()
+    out["checks"][0]["expectation_notes"].append("added")
+    out["checks"].append({"ok": False})
+    out["scene"] = "other"
+    assert rep.to_json() == text and rep.all_ok == json.loads(text)["all_ok"]
+
+
+@pytest.mark.parametrize("tolerance", [-1.0, 0.0, float("nan"), "abc", [1e-6]])
+def test_tolerance_override_is_a_positive_constant(tolerance):
+    # read as a scene's tolerance is: an expect_fail check must not pass
+    # because every residual exceeds a negative tolerance
+    with pytest.raises(SceneError, match="run_suite: 'tolerance'"):
+        run_example("hopf", SamplePlan(count=20), tolerance=tolerance)
+
+
+def test_tolerance_override_accepts_a_constant_expression():
+    rep = run_suite(scene_from_dict(unit_scene()), PLAN, tolerance="1e-3 / 10")
+    assert rep.tolerance == 1e-4 and rep.all_ok
+
+
 def test_domain_error_reports_keep_their_names_under_infinite_tolerance():
     # log(x0) is undefined on half of (-1, 1): each check reports an infinite
     # residual under its own name and fails, even at tol = inf
@@ -631,32 +680,78 @@ def test_cli_entry_that_is_no_expression_exits_2(tmp_path, capsys, field, key, i
     assert "Traceback" not in err
 
 
-def _torus_quotient_with_null_map_entry():
-    data = json.loads((Path(hesslab.__file__).parent / "data" / "torus_quotient.json").read_text())
+def _bundled(name):
+    return json.loads((Path(hesslab.__file__).parent / "data" / f"{name}.json").read_text())
+
+
+_NULL = "is null, not an expression string or a number"
+
+
+def _torus_quotient_map(entries, message):
+    data = _bundled("torus_quotient")
     check = next(c for c in data["checks"] if c["op"] == "symmetry")
-    check["map"] = [None, "x1"]
-    return data, f"check {data['checks'].index(check)} ('symmetry') 'map'"
+    check["map"] = entries
+    return data, f"check {data['checks'].index(check)} ('symmetry') 'map': {message}"
 
 
-def _halfplane_torus_with_null_automorphism_entry():
+def _halfplane_torus_automorphism(entries, message):
     data = _torus_over_halfplane([{"op": "reports", "structure": "T"}])
-    data["structures"]["T"]["automorphism"] = ["x0", None]
-    return data, "structure 'T' 'automorphism'"
+    data["structures"]["T"]["automorphism"] = entries
+    return data, f"structure 'T' 'automorphism': {message}"
 
 
-@pytest.mark.parametrize("make, index", [
-    (_torus_quotient_with_null_map_entry, 0),
-    (_halfplane_torus_with_null_automorphism_entry, 1),
-], ids=["symmetry-map", "mapping-torus-automorphism"])
-def test_cli_coordinate_map_entry_that_is_no_expression_exits_2(tmp_path, capsys, make, index):
-    # a null coordinate-map entry is a malformed scene, as a null field entry is
-    data, owner = make()
-    path = write_scene(tmp_path, data)
-    assert main(["check", str(path), "--samples", "20"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {owner}: entry [{index}] is null, "
-                          "not an expression string or a number")
+def _orthant_surface_beyond_its_chart():
+    # the surface chart has dim 2, so x5 is out of range however large the cone
+    data = _bundled("orthant_cone")
+    check = next(c for c in data["checks"] if c["op"] == "surface")
+    check["surface"][0] = "exp(x5)"
+    return data, (f"check {data['checks'].index(check)} ('surface') 'surface': entry [0]: "
+                  "variable x5 out of range for dimension 2")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _torus_quotient_map([None, "x1"], f"entry [0] {_NULL}"),
+    lambda: _halfplane_torus_automorphism(["x0", None], f"entry [1] {_NULL}"),
+    lambda: _torus_quotient_map(["zz", "x1"], "entry [0]: unknown identifier 'zz'"),
+    lambda: _halfplane_torus_automorphism(["x0", "2 * (x1"], "entry [1]: expected ')'"),
+    _orthant_surface_beyond_its_chart,
+], ids=["symmetry-map", "mapping-torus-automorphism", "symmetry-map-unparsed",
+        "mapping-torus-automorphism-unparsed", "surface-unparsed"])
+def test_cli_coordinate_map_entry_that_is_no_expression_exits_2(tmp_path, capsys, make):
+    # a null coordinate-map entry, or one that does not parse, is a malformed
+    # scene, as such a field entry is: it exits 2 at load, not 1 as a failed check
+    data, message = make()
+    with pytest.raises(SceneError):
+        scene_from_dict(data)
+    assert main(["check", str(write_scene(tmp_path, data)), "--samples", "20"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {message}") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_coordinate_maps_reach_their_handlers_as_trees(monkeypatch):
+    from hesslab import scenes
+
+    seen = {}
+
+    def record(op):
+        handler, keys = scenes._OPS[op]
+
+        def run(ctx, tol, **values):
+            seen.setdefault(op, []).append(values)
+            return handler(ctx, tol, **values)
+        monkeypatch.setitem(scenes._OPS, op, (run, keys))
+
+    record("symmetry")
+    record("surface")
+    for name in ("torus_quotient", "orthant_cone"):
+        assert run_example(name, PLAN).all_ok
+    maps = [values["map"] for values in seen["symmetry"]]
+    assert maps == [[ex.parse_expression(e, 2) for e in m]
+                    for m in (("2*x0", "2*x1"), ("x0", "x1 + 1"))]
+    (values,) = seen["surface"]
+    assert values["surface"] == [ex.parse_expression(e, 2)
+                                 for e in ("exp(x0)", "exp(x1)", "exp(-x0 - x1)")]
 
 
 def test_cli_coordinate_map_must_be_a_list(tmp_path, capsys):
