@@ -33,12 +33,14 @@ row of m samples. A point set is an m x n array and n is 2 to 5, so every
 elementwise operation, contraction and reduction runs over rows of m rather
 than over loops of length n. numpy keeps the order through ufuncs, einsum,
 `np.copy` and `np.zeros_like` (their default order is 'K');
-`ndarray.copy()`, `np.empty((m, ...))` and `np.stack(..., axis=1)` would
-not, so the code here uses none of them on sample arrays. Values never
-depend on the layout, up to the sign and payload of a NaN. Every contraction
-is one `np.einsum` call without ``optimize``, so a three-operand spec forms
-no intermediate product, and einsum raises no floating-point warning: NaN and
-inf propagate to the gates that judge them.
+`ndarray.copy()`, `np.empty((m, ...))`, `np.stack(..., axis=1)` and indexing
+the sample axis with an index array would not, so the code here uses none of
+them on sample arrays. Values never depend on the layout, up to the sign and
+payload of a NaN. Every contraction is one `np.einsum` call without
+``optimize``, so a three-operand spec forms no intermediate product, and
+einsum raises no floating-point warning: NaN and inf propagate to the gates
+that judge them. No residual builds a tensor only to reduce it (`max_abs`,
+`torsion_residual`, `flatness_residual`, `total_symmetry_residual_batch`).
 
 Positive definiteness is decided by a certificate first (`definiteness`): a
 Cholesky factorization of S - t I, one (m,) row per entry, whose pivots are
@@ -55,8 +57,9 @@ exactly that array (`held_result`), keyed on (operator, fields): the (m,)
 residual terms of `hesstat.structure_terms` (closedness is kept by
 `closedness_residual` itself, for every caller), the constant-curvature fit
 and the Lee constants. Only (m,) arrays and scalars are kept, never a
-derived tensor such as the curvature or nabla g: at 20 000 samples a dim-3
-curvature is 12.4 MiB, its flatness term 156 KiB. Sampling a different
+derived tensor such as nabla g: at 20 000 samples a dim-3 flatness term is
+156 KiB, the curvature slice it folds 4.1 MiB, and the whole curvature, which
+only the constant-curvature fit builds, 12.4 MiB. Sampling a different
 (chart, plan) drops everything held.
 """
 
@@ -554,21 +557,27 @@ def lie_derivative_metric_batch(xi: VectorFieldT, g: MetricField, pts) -> Array:
     return out
 
 
-def curvature_batch(conn: ConnectionField, pts) -> Array:
-    pts = np.asarray(pts, float)
-    m = pts.shape[0]
-    d = conn.chart.dim
-    if conn.flat:
-        return samples_first(np.zeros((d, d, d, d, m)))
+def _curvature_slices(conn: ConnectionField, pts, take) -> None:
+    """``take(l, a)`` for each upper index l, with a fresh (m, d, d, d) slice
+    A^l_{ijk} = Gamma^l_{iu} Gamma^u_{jk} + d_i Gamma^l_{jk} that ``take`` may
+    overwrite: R^l_{ijk} = A^l_{ijk} - A^l_{jik}. The scratch is one slice."""
     cj = conn.eval(pts, 1)
     gamma = cj.value
     dgamma = cj.d1.transpose(0, 1, 4, 2, 3)  # (m, l, i, j, k) = d_i Gamma^l_{jk}
-    out = samples_first(np.empty((d, d, d, d, m)))
-    for l in range(d):  # one upper index at a time, so scratch is one slice
+    for l in range(conn.chart.dim):
         a = np.einsum("aiu,aujk->aijk", gamma[:, l], gamma)
-        a += dgamma[:, l]  # A^l_{ijk} = Gamma^l_{iu} Gamma^u_{jk} + d_i Gamma^l_{jk}
-        np.subtract(a, a.transpose(0, 2, 1, 3), out=out[:, l])
-        del a  # before the next slice is allocated: scratch stays one slice
+        a += dgamma[:, l]
+        take(l, a)
+        del a  # before the next slice is allocated
+
+
+def curvature_batch(conn: ConnectionField, pts) -> Array:
+    m, d = len(pts), conn.chart.dim
+    if conn.flat:
+        return samples_first(np.zeros((d, d, d, d, m)))
+    out = samples_first(np.empty((d, d, d, d, m)))
+    _curvature_slices(conn, pts, lambda l, a: np.subtract(a, a.transpose(0, 2, 1, 3),
+                                                          out=out[:, l]))
     return out
 
 
@@ -583,26 +592,17 @@ def exterior_derivative_oneform_batch(theta: OneFormField, pts) -> Array:
 # ---------------------------------------------------------------------------
 
 def max_abs(arr: Array) -> Array:
-    """Per-sample max-norm: collapses all axes but the first.
-
-    Folds the components one (m,) row at a time, taking ``abs`` into one
-    reused buffer, so its scratch is two (m,) arrays whatever the layout: a
-    reduction over a short last axis pays a loop per sample, and ``abs`` of
-    the whole array would copy it. The component axes are walked in memory
-    order, so on a sample-first array each row is contiguous, and any array
-    whose components merge into one axis (a C-ordered array, any transpose
-    of a dense buffer, which covers every field tensor and residual) is read
-    without a copy. NaN propagates (unsigned, as ``abs`` leaves it) and -0.0
-    reads 0.0."""
+    """Per-sample max-norm: collapses all axes but the first, by one
+    ``np.maximum.reduce`` and one ``np.minimum.reduce`` (|max(hi, -lo)|), so
+    the scratch is two (m,) arrays. Each reduction runs along rows of m on a
+    sample-first array; on a C-ordered one it loops per sample over a short
+    axis. NaN propagates (unsigned, as ``abs`` leaves it); -0.0 reads 0.0."""
     a = np.asarray(arr, float)
-    m = a.shape[0]
-    axes = sorted(range(1, a.ndim), key=a.strides.__getitem__, reverse=True)
-    rows = a.transpose(axes + [0]).reshape(-1, m)
-    out = np.abs(rows[0])
-    buf = np.empty_like(out)
-    for row in rows[1:]:
-        np.maximum(out, np.abs(row, out=buf), out=out)
-    return out
+    axes = tuple(range(1, a.ndim))
+    hi = np.maximum.reduce(a, axis=axes)
+    lo = np.minimum.reduce(a, axis=axes)
+    np.maximum(hi, np.negative(lo, out=lo), out=hi)
+    return np.abs(hi, out=hi)
 
 
 def rel_residual(delta: Array, scale: Array) -> Array:
@@ -621,35 +621,67 @@ def closedness_residual(theta: OneFormField, pts) -> Array:
     return held_result(("closedness", theta), pts, compute)
 
 
-@functools.lru_cache(maxsize=None)
-def _symmetry_pairs(d: int) -> tuple:
-    """The index pairs (a, b), each a row index ``(:, i, j, k)``, that
-    `total_symmetry_residual_batch` compares: every unordered pair of
-    distinct triples inside one S_3-orbit of index triples (15 in an orbit of
-    six, 3 in an orbit of three), and (a, a) for each triple (i, i, i), which
-    has no other triple to differ from. 36 pairs at d = 3, 8 at d = 2."""
-    pairs = []
-    for rep in itertools.combinations_with_replacement(range(d), 3):
-        orbit = sorted(set(itertools.permutations(rep)))
-        pairs += itertools.combinations(orbit, 2) if len(orbit) > 1 else [(rep, rep)]
-    return tuple(((slice(None),) + a, (slice(None),) + b) for a, b in pairs)
+def torsion_residual(conn: ConnectionField, pts) -> Array:
+    """Per-sample |Gamma^k_{ij} - Gamma^k_{ji}| / (1 + |Gamma|), folded over
+    i <= j one (m, d, d - i) block at a time: i > j repeats j < i up to sign,
+    and i = j keeps a non-finite Gamma as NaN. 0 for a flat connection, which
+    is not evaluated."""
+    worst = np.zeros(len(pts))
+    if conn.flat:
+        return worst
+    gamma = conn.eval(pts, 1).value  # the order a flatness term on these points reads
+    for i in range(conn.chart.dim):
+        np.maximum(worst, max_abs(gamma[:, :, i, i:] - gamma[:, :, i:, i]), out=worst)
+    return worst / (1.0 + max_abs(gamma))
+
+
+def flatness_residual(conn: ConnectionField, pts) -> Array:
+    """Per-sample |R| / (1 + |Gamma|), without the curvature tensor. Each
+    slice A^l (`_curvature_slices`) becomes R^l in place: R^l_{ijk} at i < j,
+    its negation at (j, i) (R^l_{jik} = -R^l_{ijk} exactly, up to the sign of
+    a zero) and A - A on the diagonal (0, or NaN where A is not finite), so
+    its largest entry is max |R^l|. 0 for a flat connection, not evaluated."""
+    worst = np.zeros(len(pts))
+    if conn.flat:
+        return worst
+
+    def fold(l, a):
+        for i in range(a.shape[1]):
+            upper, lower, diagonal = a[:, i, i + 1:], a[:, i + 1:, i], a[:, i, i]
+            np.subtract(upper, lower, out=upper)
+            np.negative(upper, out=lower)
+            np.subtract(diagonal, diagonal, out=diagonal)
+        np.maximum(worst, np.maximum.reduce(a, axis=(1, 2, 3)), out=worst)
+
+    _curvature_slices(conn, pts, fold)
+    return np.abs(worst, out=worst) / (1.0 + max_abs(conn.eval(pts, 1).value))
+
+
+@functools.cache
+def _symmetry_orbits(d: int) -> tuple:
+    """The S_3-orbits of index triples as row indices ``(:, i, j, k)``."""
+    return tuple(tuple((slice(None),) + p for p in sorted(set(itertools.permutations(rep))))
+                 for rep in itertools.combinations_with_replacement(range(d), 3))
 
 
 def total_symmetry_residual_batch(t: Array) -> Array:
     """Worst deviation of ``t`` from its index permutations, relative to t:
-    the max of |t[a] - t[b]| over `_symmetry_pairs`, one (m,) row at a time
-    into one reused buffer. These are the entries of t - t o s over the five
-    permutations s but the identity, each unordered pair once (|x - y| is
-    |y - x|), less |t[a] - t[a]| where s fixes a: 0 where t[a] is finite,
-    and where it is not, scale is inf or NaN and a pair of t[a] with another
-    triple, or its own pair for (i, i, i), makes the result NaN either way."""
+    the largest |t[a] - t[b]| over triples a, b of one S_3-orbit, as max - min
+    of the orbit in two (m,) rows. Rounding is monotone, so fl(max - min) is
+    the largest fl|t[a] - t[b]|, bit for bit; a lone (i, i, i) gives t - t, 0
+    where t is finite. A NaN, or inf - inf, gives NaN either way, and so does
+    a scale that is inf or NaN."""
     scale = 1.0 + max_abs(t)
     worst = np.zeros(t.shape[0])
-    diff = np.empty_like(worst)
-    for a, b in _symmetry_pairs(t.shape[1]):
-        np.abs(np.subtract(t[a], t[b], out=diff), out=diff)
-        np.maximum(worst, diff, out=worst)
-    return worst / scale
+    hi, lo = np.empty_like(worst), np.empty_like(worst)
+    for orbit in _symmetry_orbits(t.shape[1]):
+        np.maximum(t[orbit[0]], t[orbit[-1]], out=hi)
+        np.minimum(t[orbit[0]], t[orbit[-1]], out=lo)
+        for row in orbit[1:-1]:
+            np.maximum(hi, t[row], out=hi)
+            np.minimum(lo, t[row], out=lo)
+        np.maximum(worst, np.subtract(hi, lo, out=hi), out=worst)
+    return np.abs(worst, out=worst) / scale
 
 
 def positive_definite(smallest: Array) -> Array:
@@ -743,7 +775,8 @@ def definiteness(mats: Array) -> tuple[Array, Array, Array]:
     gap = np.zeros(sym.shape[0])
     smallest = np.empty(0)
     if rest.size:
-        smallest, gap[rest] = eigenvalue_definiteness(mats[rest])
+        open_mats = samples_first(np.take(np.moveaxis(mats, 0, -1), rest, axis=-1))
+        smallest, gap[rest] = eigenvalue_definiteness(open_mats)
     return gap, rest, smallest
 
 

@@ -42,6 +42,7 @@ from .geomcore import (
     curvature_batch,
     definiteness_gap,
     det_expression,
+    flatness_residual,
     held_result,
     inverse_metric_expressions,
     lie_derivative_metric_batch,
@@ -50,6 +51,7 @@ from .geomcore import (
     rel_residual,
     residual_passes,
     sample_check,
+    torsion_residual,
     total_symmetry_residual_batch,
 )
 from .jets import evaluate
@@ -212,14 +214,10 @@ def structure_terms(conn: ConnectionField, g: MetricField, pts, *,
     fields it reads (`held_result`), so a gate that repeats a term of an
     earlier gate on the same points reads it back. Every field is read at
     its top order first, so the lower-order reads on the same points are
-    prefixes of one tensor.
+    prefixes of one tensor. A flat connection's torsion and flatness are 0,
+    and its Christoffel symbols are never evaluated.
     """
-    # order 1 even without flatness: a curvature estimate on the same points
-    # usually follows a statistical gate
-    gamma = conn.eval(pts, 1).value
-    terms = {"torsion": held_result(
-        ("torsion", conn), pts,
-        lambda: rel_residual(gamma - gamma.transpose(0, 1, 3, 2), gamma))}
+    terms = {"torsion": held_result(("torsion", conn), pts, lambda: torsion_residual(conn, pts))}
     if flatness:
         terms["flatness"] = flatness_term(conn, pts)
     if theta is not None:
@@ -240,10 +238,9 @@ def structure_terms(conn: ConnectionField, g: MetricField, pts, *,
 
 def flatness_term(conn: ConnectionField, pts) -> np.ndarray:
     """Per-sample |R| / (1 + |Gamma|), kept with the held point set. The
-    curvature tensor itself is dropped once the term is taken."""
-    return held_result(("flatness", conn), pts,
-                       lambda: rel_residual(curvature_batch(conn, pts),
-                                            conn.eval(pts, 1).value))
+    curvature is folded one upper-index slice at a time
+    (`geomcore.flatness_residual`), so the tensor R is never built."""
+    return held_result(("flatness", conn), pts, lambda: flatness_residual(conn, pts))
 
 
 def check_hessian_structure(conn: ConnectionField, g: MetricField, plan=None,
@@ -417,7 +414,7 @@ def estimate_constant_curvature(struct: StatisticalStructure, plan=None) -> Curv
         traces = np.trace(r, axis1=1, axis2=2) - np.trace(r, axis1=1, axis2=3)
         along = float(np.sum(np.einsum("ajk,ajk->a", traces, g)))
         denom = 2.0 * (d - 1) * float(np.sum(np.einsum("ajk,ajk->a", g, g)))
-        c = along / denom if denom > 0 else 0.0
+        c = along / denom if denom != 0.0 else 0.0  # a NaN sum stays NaN
         # r - c B where B is nonzero (i = l or j = l, not both): the misfit
         # takes r's place; every g_jk appears in B, so max|c B| = max|c g|
         cg = c * g

@@ -441,7 +441,7 @@ def _pullback_residuals(phi: VectorFieldT, conn, metric, theta, pts) -> dict:
     inner = np.einsum("acde,adu,aev->acuv", c_at, jac, jac) + hess
     m, n = pts.shape
     pulled = np.linalg.solve(jac, inner.reshape(m, n, n * n)).reshape(m, n, n, n)
-    res["connection"] = rel_residual(pulled - cval, cval)
+    res["connection"] = rel_residual(np.subtract(pulled, cval, out=np.empty_like(cval)), cval)
 
     if theta is not None:
         tval = theta.eval(pts, 0).value

@@ -80,3 +80,53 @@ def test_residual_algebra_has_one_contraction_path(module):
         if module == "jets.py":  # the jets' products of derivatives are outer products
             assert {s[0] for s in subs} == {out[0]}, spec.value
             assert out == out[0] + "".join(s[1:] for s in subs), spec.value
+
+
+def _unit_stride(arr) -> bool:
+    arr = np.asarray(arr)
+    return arr.shape[0] == 1 or arr.strides[0] == arr.itemsize
+
+
+def test_max_abs_reads_every_input_sample_axis_first(monkeypatch):
+    # max_abs reduces along rows of m; on a C-ordered input it would loop
+    # per sample over a short axis. Every bundled scene at 2 000 samples
+    # hands it arrays with the sample axis at unit stride.
+    import hesslab
+    from hesslab import geomcore
+    from hesslab.scenes import EXAMPLES, run_example
+
+    real = geomcore.max_abs
+    shapes, strided = [], []
+
+    def max_abs(arr):
+        (shapes if _unit_stride(arr) else strided).append(np.shape(arr))
+        return real(arr)
+
+    for module in vars(hesslab).values():
+        if getattr(module, "max_abs", None) is real:
+            monkeypatch.setattr(module, "max_abs", max_abs)
+    for name in EXAMPLES:
+        run_example(name, geomcore.SamplePlan(count=2_000, seed=42))
+    assert not strided
+    assert len(shapes) > 100 and any(len(s) == 5 for s in shapes)
+
+
+def test_the_samples_left_open_reach_the_eigenvalues_sample_first(monkeypatch):
+    from hesslab import geomcore
+
+    received = []
+    real = geomcore.eigenvalue_definiteness
+
+    def eigenvalue_definiteness(mats):
+        received.append(mats)
+        return real(mats)
+
+    monkeypatch.setattr(geomcore, "eigenvalue_definiteness", eigenvalue_definiteness)
+    m = 2_000
+    mats = np.moveaxis(np.tile(np.eye(2)[:, :, None], m), -1, 0)  # sample-first
+    mats[::3, 1, 1] = -1.0  # every third sample indefinite
+    gap, rest, smallest = geomcore.definiteness(mats)
+    (open_mats,) = received
+    assert rest.tolist() == list(range(0, m, 3))
+    assert _unit_stride(open_mats) and open_mats.shape == (rest.size, 2, 2)
+    assert (smallest == -1.0).all() and (gap[rest] >= 1.0).all()

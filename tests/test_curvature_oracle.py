@@ -1,4 +1,4 @@
-"""`curvature_batch`, `covariant_hessian_trees` and
+"""`curvature_batch`, the flatness term, `covariant_hessian_trees` and
 `covariant_derivative_oneform_batch` against tensors derived by sympy.
 
 The metrics are random and of non-constant curvature, so a swapped index
@@ -28,6 +28,7 @@ from hesslab.geomcore import (
     curvature_batch,
     levi_civita,
 )
+from hesslab.hesstat import flatness_term
 
 sympy = pytest.importorskip("sympy")
 
@@ -103,6 +104,15 @@ def _assert_close(got: np.ndarray, want: np.ndarray) -> None:
     assert np.max(np.abs(got - want)) <= 1e-10 * scale
 
 
+def _assert_flatness_close(conn, pts, riemann: np.ndarray) -> None:
+    """The flatness term folded from curvature slices against max |R| / (1 + max |Gamma|)
+    of sympy's R, each sample to the curvature's rounding."""
+    m = len(pts)
+    gamma = conn.eval(pts, 0).value.reshape(m, -1)
+    want = np.abs(riemann.reshape(m, -1)).max(axis=1) / (1.0 + np.abs(gamma).max(axis=1))
+    assert np.max(np.abs(flatness_term(conn, pts) - want)) <= 1e-10 * np.max(want)
+
+
 @pytest.mark.parametrize("dim,seed", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
 def test_levi_civita_curvature_matches_sympy(dim, seed):
     rows = _random_metric(dim, seed)
@@ -110,7 +120,9 @@ def test_levi_civita_curvature_matches_sympy(dim, seed):
     g = MetricField(chart, rows)
     pts = chart.sample(SamplePlan(count=40, seed=seed))
     assert np.linalg.eigvalsh(g.eval(pts, 0).value).min() > 1.0
-    _assert_close(curvature_batch(levi_civita(g), pts), _levi_civita_riemann(rows, pts))
+    riemann = _levi_civita_riemann(rows, pts)
+    _assert_close(curvature_batch(levi_civita(g), pts), riemann)
+    _assert_flatness_close(levi_civita(g), pts, riemann)
 
 
 @pytest.mark.parametrize("dim,seed", [(2, 4), (3, 5)])
@@ -124,8 +136,9 @@ def test_curvature_with_torsion_matches_sympy(dim, seed):
     gamma = [[[_parse(e, xs) for e in row] for row in plane] for plane in entries]
     assert any(gamma[l][j][k] != gamma[l][k][j] for l in range(dim)
                for j in range(dim) for k in range(dim))
-    _assert_close(curvature_batch(ConnectionField(chart, entries), pts),
-                  _riemann(gamma, xs, pts))
+    conn, riemann = ConnectionField(chart, entries), _riemann(gamma, xs, pts)
+    _assert_close(curvature_batch(conn, pts), riemann)
+    _assert_flatness_close(conn, pts, riemann)
 
 
 @pytest.mark.parametrize("dim,seed", [(2, 6), (3, 7)])

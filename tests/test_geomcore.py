@@ -21,6 +21,7 @@ from hesslab.geomcore import (
     ChartError,
     CheckReport,
     ConnectionField,
+    EvaluatedTensor,
     LineIntegralGauge,
     MetricField,
     OneFormField,
@@ -35,9 +36,11 @@ from hesslab.geomcore import (
     covariant_derivative_vector_batch,
     curvature_batch,
     definiteness_gap,
+    drop_held_points,
     euler_field,
     exterior_derivative_oneform_batch,
     flat_connection,
+    flatness_residual,
     gauged,
     inverse_metric_expressions,
     levi_civita,
@@ -48,7 +51,10 @@ from hesslab.geomcore import (
     definiteness,
     eigenvalue_definiteness,
     positive_definite,
+    rel_residual,
     sample_check,
+    samples_first,
+    torsion_residual,
     total_symmetry_residual_batch,
 )
 from hesslab.jets import evaluate
@@ -109,8 +115,9 @@ def test_max_abs_keeps_nan_and_unsigned_zero():
 
 
 def _two_sided_max_abs(a):
-    """The row-wise reduction max_abs replaced: the largest entry against the
-    negated smallest one, + 0.0 for an unsigned zero."""
+    """The two-sided rule on the flattened components, reduced per sample:
+    the largest entry against the negated smallest one, + 0.0 for an
+    unsigned zero."""
     a = a.reshape(a.shape[0], -1)
     return np.maximum(a.max(axis=1), -a.min(axis=1)) + 0.0
 
@@ -485,6 +492,128 @@ def test_total_symmetry_skipping_the_identity_changes_no_result():
     assert np.isnan(got[bad]).all() and np.isnan(want[bad]).all()
     assert got[~bad].tobytes() == want[~bad].tobytes()
     assert np.isfinite(got[~bad]).all()
+
+
+def _symmetry_by_orbit_pairs(t):
+    """The pairwise fold the orbit extremes replaced: |t[a] - t[b]| for
+    every pair of distinct triples in one S_3-orbit, and (a, a) for a lone
+    triple (i, i, i), folded one (m,) row at a time."""
+    pairs = []
+    for rep in itertools.combinations_with_replacement(range(t.shape[1]), 3):
+        orbit = sorted(set(itertools.permutations(rep)))
+        pairs += itertools.combinations(orbit, 2) if len(orbit) > 1 else [(rep, rep)]
+    worst = np.zeros(t.shape[0])
+    diff = np.empty_like(worst)
+    for a, b in pairs:
+        np.abs(np.subtract(t[(slice(None),) + a], t[(slice(None),) + b], out=diff), out=diff)
+        np.maximum(worst, diff, out=worst)
+    return worst / (1.0 + max_abs(t))
+
+
+SPECIALS = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0])
+
+
+def _symmetrized(arr, count, axes):
+    """``arr`` with its first ``count`` samples made symmetric in ``axes``."""
+    head = arr[:count]
+    arr[:count] = head + np.swapaxes(head, *axes)
+    return arr
+
+
+def _spoiled(rng, shape):
+    """A random sample-first array of mixed magnitudes, with NaN, +-inf and
+    signed zeros at random entries and three samples of signed zeros only."""
+    arr = rng.normal(size=shape) * 10.0 ** rng.integers(-6, 7, shape)
+    pick = rng.random(shape) < 0.01
+    arr[pick] = rng.choice(SPECIALS, size=int(pick.sum()))
+    m = shape[0]
+    arr[m // 2 : m // 2 + 3] = rng.choice([-0.0, 0.0], size=(3,) + shape[1:])
+    return samples_first(np.ascontiguousarray(np.moveaxis(arr, 0, -1)))
+
+
+class _GivenConnection(ConnectionField):
+    """A (curved) connection whose order-1 tensor is given."""
+
+    def __init__(self, value, d1):
+        d = value.shape[1]
+        super().__init__(Chart(d, ((0.0, 1.0),) * d), np.full((d, d, d), "x0", dtype=object))
+        self.tensor = EvaluatedTensor(value, d1)
+
+    def eval(self, pts, order=0):
+        return self.tensor.prefix(order)
+
+
+def _same_bits_or_nan(got, want):
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_folded_residuals_match_the_whole_tensor_formulas(d):
+    # flatness against max|R| of the curvature tensor, torsion against
+    # max|Gamma - Gamma^T|, symmetry against the pairwise fold; each bit for
+    # bit, with NaN at the same samples, on random connections with NaN,
+    # +-inf (so inf - inf) and signed zeros injected
+    rng = np.random.default_rng(d)
+    m = 200
+    with np.errstate(all="ignore"):
+        for trial in range(6):
+            # a quarter of the samples torsion-free, and with trial % 2 flat
+            # too: zero Gamma, d_i Gamma^l_{jk} symmetric in i and j
+            value = _symmetrized(_spoiled(rng, (m, d, d, d)), m // 4, (2, 3))
+            d1 = _spoiled(rng, (m, d, d, d, d))
+            if trial % 2:
+                value[: m // 4] = 0.0
+                _symmetrized(d1, m // 4, (2, 4))
+            conn = _GivenConnection(value, d1)
+            pts = np.zeros((m, d))
+            assert not conn.flat
+            _same_bits_or_nan(flatness_residual(conn, pts),
+                              rel_residual(curvature_batch(conn, pts), value))
+            _same_bits_or_nan(torsion_residual(conn, pts),
+                              rel_residual(value - value.transpose(0, 1, 3, 2), value))
+            t = _spoiled(rng, (m, d, d, d))  # a quarter totally symmetric
+            t[: m // 4] = sum(np.transpose(t[: m // 4], (0,) + p)
+                              for p in itertools.permutations((1, 2, 3)))
+            _same_bits_or_nan(total_symmetry_residual_batch(t), _symmetry_by_orbit_pairs(t))
+        assert np.isnan(flatness_residual(conn, pts)).any()
+
+
+def test_folded_residuals_of_a_flat_connection_are_zero_unevaluated(monkeypatch):
+    import hesslab.geomcore as gc
+
+    def refuse(*args):
+        raise AssertionError("a flat connection was evaluated")
+
+    monkeypatch.setattr(gc, "_eval_entries", refuse)
+    conn = flat_connection(Chart(3, ((0.0, 1.0),) * 3))
+    pts = np.full((7, 3), 0.5)
+    for residual in (torsion_residual, flatness_residual):
+        got = residual(conn, pts)
+        assert got.tobytes() == np.zeros(7).tobytes()
+
+
+def test_flatness_scratch_is_one_curvature_slice():
+    # Gamma held: the flatness term allocates one (m, d, d, d) slice at a
+    # time and a few (m,) rows, never the (m, d, d, d, d) curvature
+    m, d = 20_000, 3
+    chart = Chart(d, ((-0.5, 0.5),) * d)
+    lc = levi_civita(MetricField(chart, _sphere_scene(d)["fields"]["g"]["entries"]))
+    pts = chart.sample(SamplePlan(count=m, seed=4))
+    try:
+        lc.eval(pts, 1)
+        want = rel_residual(curvature_batch(lc, pts), lc.eval(pts, 1).value)
+        tracemalloc.start()
+        try:
+            got = flatness_residual(lc, pts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    finally:
+        drop_held_points()
+    assert got.tobytes() == want.tobytes()
+    assert peak <= (d**3 + 3) * m * 8 + 65536
 
 
 # ---------------------------------------------------------------------------
@@ -876,9 +1005,9 @@ def _sphere_scene(dim: int) -> dict:
 
 def test_run_suite_evaluates_each_field_once_per_point_set(monkeypatch):
     # statistical evaluates D and g at order 1, curvature and the hessian
-    # gate read both as prefixes, and the hessian gate evaluates the flat
-    # connection: 3 tensor evaluations per scene where each gate evaluating
-    # its own fields took 9.
+    # gate read both as prefixes, and the hessian gate never evaluates the
+    # flat connection, whose torsion and flatness are 0: 2 tensor
+    # evaluations per scene where each gate evaluating its own fields took 9.
     import hesslab.geomcore as gc
     from hesslab.scenes import run_suite, scene_from_dict
 
@@ -893,7 +1022,7 @@ def test_run_suite_evaluates_each_field_once_per_point_set(monkeypatch):
     for dim in (2, 3):
         report = run_suite(scene_from_dict(_sphere_scene(dim)), SamplePlan(count=50, seed=4))
         assert report.all_ok
-    assert len(calls) == 6
+    assert len(calls) == 4
 
 
 def test_run_suite_plans_the_levi_civita_field_once(monkeypatch):

@@ -419,6 +419,29 @@ def test_curvature_one_dimensional_trivial():
     assert est == type(est)(0.0, 0.0)
 
 
+def test_a_nan_metric_fits_a_nan_curvature():
+    # g_00 is inf - inf = NaN where x0 > 0.2 + 709/3000, so the fit's sums
+    # are NaN: c reads NaN, not 0.0, and the NaN stays in the report
+    from hesslab.scenes import run_suite, scene_from_dict
+
+    nan = "(exp(3000*(x0 - 0.2)) - exp(3000*(x0 - 0.2)))"
+    sphere = "4/(1 + x0^2 + x1^2)^2"
+    scene = scene_from_dict({
+        "chart": {"dim": 2, "box": [[-0.5, 0.5]] * 2},
+        "fields": {"g": {"type": "metric", "entries": [[f"{sphere} + {nan}", "0"],
+                                                       ["0", sphere]]},
+                   "D": {"type": "connection", "levi_civita_of": "g"}},
+        "structures": {"S": {"type": "statistical", "conn": "D", "metric": "g"}},
+        "checks": [{"op": "curvature", "structure": "S"}],
+    })
+    with np.errstate(all="ignore"):
+        report = run_suite(scene, PLAN).to_dict()["checks"][0]["reports"][0]
+        est = estimate_constant_curvature(StatisticalStructure(
+            scene.chart, scene.fields["D"], scene.fields["g"]), PLAN)
+    assert math.isnan(report["max_residual"]) and math.isnan(report["extra"]["c"])
+    assert math.isnan(est.c) and math.isnan(est.residual)
+
+
 # ---------------------------------------------------------------------------
 # solve_lambda
 # ---------------------------------------------------------------------------
@@ -641,17 +664,18 @@ def test_cone_round_trip_recovers_base(build_base, lam):
 # ---------------------------------------------------------------------------
 
 def _count_curvature(monkeypatch) -> list:
-    """Every (connection, points) pair handed to curvature_batch by hesstat."""
-    import hesslab.hesstat as hs
+    """Every (connection, points) pair whose curvature slices are built: the
+    code `curvature_batch` (the curvature fit) and the flatness term share."""
+    import hesslab.geomcore as gc
 
     calls = []
-    real = hs.curvature_batch
+    real = gc._curvature_slices
 
-    def curvature_batch(conn, pts):
+    def curvature_slices(conn, pts, take):
         calls.append((conn, pts))
-        return real(conn, pts)
+        return real(conn, pts, take)
 
-    monkeypatch.setattr(hs, "curvature_batch", curvature_batch)
+    monkeypatch.setattr(gc, "_curvature_slices", curvature_slices)
     return calls
 
 
@@ -730,18 +754,19 @@ def test_domain_error_fallback_neither_reads_nor_writes_the_store(monkeypatch):
 
 def test_suites_in_turn_repeat_their_bytes_and_keep_nothing(monkeypatch):
     # run_suite drops the point set with its stored terms, so a scene run
-    # again computes its terms again and prints the same bytes
+    # again computes its terms again and prints the same bytes; hopf's
+    # connection is flat, so it builds no curvature slice at all
     from hesslab.scenes import run_example
 
     calls = _count_curvature(monkeypatch)
     plan = SamplePlan(count=500, seed=42)
     texts, counts = [], []
-    for name in ("hopf", "sphere_cone", "hopf"):
+    for name in ("sphere_cone", "hopf", "sphere_cone"):
         before = len(calls)
         texts.append(run_example(name, plan).to_json())
         counts.append(len(calls) - before)
     assert texts[0] == texts[2]
-    assert counts == [1, 2, 1]
+    assert counts == [2, 0, 2]
 
 
 def test_cone_build_evaluates_each_field_once_on_the_held_points(monkeypatch):
