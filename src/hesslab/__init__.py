@@ -49,10 +49,11 @@ from .cones import (
 from .lch import (
     LCHStructure,
     LeeConstants,
+    MappingTorus,
     MappingTorusSpec,
-    MonodromyCharacter,
     build_mapping_torus,
     check_lch,
+    check_monodromy,
     check_symmetry,
     koszul_check,
     lee_constants,
@@ -60,7 +61,6 @@ from .lch import (
     lee_perturbation_probe,
     local_hessian_gauge,
     metric_from_lee,
-    monodromy_rank,
     perturbed_structure,
 )
 from .scenes import (

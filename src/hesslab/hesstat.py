@@ -466,7 +466,7 @@ def build_cone_structure(base: StatisticalStructure, lam: float, *,
     so the function verifies all of its own postconditions (flatness, radiance
     with the given lam, the metric block form, the potential identity, and the
     full Hessian-structure gate) and refuses to return a structure that fails
-    any of them.  The reports are attached to the result.
+    any of them.  The result carries the reports.
     """
     plan = plan or SamplePlan()
     lam = nondegenerate_lambda(lam)

@@ -11,8 +11,8 @@ openness probe that perturbs theta by a closed form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from .geomcore import (
     held_result,
     inverse_metric_expressions,
     lie_derivative_metric_batch,
+    make_report,
     positive_definite,
     rel_residual,
     residual_passes,
@@ -54,12 +55,13 @@ from .hesstat import (
 __all__ = [
     "LCHStructure",
     "LeeConstants",
+    "MappingTorus",
     "MappingTorusSpec",
     "MappingTorusError",
-    "MonodromyCharacter",
     "NotPositiveDefiniteError",
     "build_mapping_torus",
     "check_lch",
+    "check_monodromy",
     "check_symmetry",
     "koszul_check",
     "lee_constants",
@@ -68,7 +70,6 @@ __all__ = [
     "lee_vector_field",
     "local_hessian_gauge",
     "metric_from_lee",
-    "monodromy_rank",
     "perturbed_structure",
 ]
 
@@ -171,22 +172,15 @@ class MappingTorusSpec:
         self.automorphism = VectorFieldT(self.base.chart, comps)
 
 
-@dataclass(frozen=True)
-class MonodromyCharacter:
-    """Multiplicative character values q^{r_i}, stored as exact exponents."""
+@dataclass(eq=False)
+class MappingTorus(LCHStructure):
+    """An l.c.H. structure on a torus's fundamental domain, with what glued
+    it: the deck map (m, s) -> (phi(m), qs), the cover's Hessian metric
+    h = s^2 g (the cone metric), and the construction reports."""
 
-    exponents: tuple
-
-    def __post_init__(self):
-        coerced = []
-        for e in self.exponents:
-            if isinstance(e, float):
-                raise TypeError(
-                    "monodromy exponents must be exact rationals (int, str or "
-                    "Fraction), not floats"
-                )
-            coerced.append(Fraction(e))
-        object.__setattr__(self, "exponents", tuple(coerced))
+    deck_map: VectorFieldT
+    cover_metric: MetricField
+    reports: tuple
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +418,13 @@ def local_hessian_gauge(struct: LCHStructure, base_point, p=None, *,
 # ---------------------------------------------------------------------------
 
 
+def _pullback_metric(pj, metric: MetricField, pts) -> tuple:
+    """(phi^* g, g) at ``pts``, from the map's jet ``pj`` there."""
+    jac, g_at = pj.d1, metric.eval(pj.value, 0).value
+    pull_g = np.einsum("acu,adv,acd->auv", jac, jac, g_at)
+    return pull_g, metric.eval(pts, 0).value
+
+
 def _pullback_residuals(phi: VectorFieldT, conn, metric, theta, pts) -> dict:
     """Named (m,) residuals of phi^* (g, Gamma, theta) against the fields
     themselves. The map's jet gives the image points, the Jacobian
@@ -431,9 +432,7 @@ def _pullback_residuals(phi: VectorFieldT, conn, metric, theta, pts) -> dict:
     pj = phi.eval(pts, 2)
     image, jac, hess = pj.value, pj.d1, pj.d2
 
-    gval = metric.eval(pts, 0).value
-    g_at = metric.eval(image, 0).value
-    pull_g = np.einsum("acu,adv,acd->auv", jac, jac, g_at)
+    pull_g, gval = _pullback_metric(pj, metric, pts)
     res = {"metric": rel_residual(pull_g - gval, gval)}
 
     cval = conn.eval(pts, 0).value
@@ -483,7 +482,7 @@ def build_mapping_torus(spec: MappingTorusSpec, *, plan=None,
     the deck map (m, s) -> (phi(m), q s) pulls all three fields back to
     themselves across the seam.
 
-    Returns ``(structure, reports)`` with the automorphism, seam, and cone
+    The ``MappingTorus`` returned carries the automorphism, seam, and cone
     postcondition reports.
     """
     plan = plan or SamplePlan()
@@ -525,13 +524,11 @@ def build_mapping_torus(spec: MappingTorusSpec, *, plan=None,
     theta = OneFormField(
         chart, [ex.ZERO] * k + [ex.neg(ex.div(ex.const(2.0), s))]
     )
-    struct = LCHStructure(chart, cone.conn, metric, theta)
-
-    seam_map = VectorFieldT(chart, [*spec.automorphism.entries, ex.mul(ex.const(q), s)])
+    deck_map = VectorFieldT(chart, [*spec.automorphism.entries, ex.mul(ex.const(q), s)])
 
     def seam_residual(pts):  # base points on the s = 1 slice
         seam_pts = np.hstack([pts, np.ones((pts.shape[0], 1))])
-        return _pullback_residuals(seam_map, cone.conn, metric, theta, seam_pts)
+        return _pullback_residuals(deck_map, cone.conn, metric, theta, seam_pts)
 
     seam_report = sample_check(seam_residual, base.chart, plan, tolerance,
                                name="mapping-torus-seam")
@@ -540,21 +537,27 @@ def build_mapping_torus(spec: MappingTorusSpec, *, plan=None,
             f"seam residual {seam_report.max_residual:.3g} exceeds {tolerance:.3g}: "
             "the deck map does not glue the structure"
         )
-
-    return struct, (auto_report, seam_report) + cone.reports
-
-
-# ---------------------------------------------------------------------------
-# Monodromy rank
-# ---------------------------------------------------------------------------
+    return MappingTorus(chart, cone.conn, metric, theta, deck_map, cone.metric,
+                        (auto_report, seam_report) + cone.reports)
 
 
-def monodromy_rank(char) -> int:
-    """Rank over the rationals of the group generated by the exponents: a
-    subgroup of Q has rank 1 unless every generator is 0."""
-    if not isinstance(char, MonodromyCharacter):
-        char = MonodromyCharacter(tuple(char))
-    return int(any(e != 0 for e in char.exponents))
+def check_monodromy(torus: MappingTorus, expect_rank: int, plan=None,
+                    tolerance: float = DEFAULT_TOLERANCE,
+                    name: str = "monodromy-character") -> CheckReport:
+    """The deck map's character: gamma^* h = c h fitted by least squares on
+    the seam samples. ``extra`` carries log c (2 log q for a torus) and the
+    rank of its image, 1 when |log c| exceeds the tolerance. The residual is
+    the worst of |gamma^* h - c h| / (1 + |c h|) and |rank - expect_rank|."""
+    k = torus.chart.dim - 1
+    pts = Chart(k, torus.chart.box[:k], torus.chart.positive[:k]).sample(plan or SamplePlan())
+    seam = np.hstack([pts, np.ones((len(pts), 1))])  # base points on the s = 1 slice
+    pulled, h = _pullback_metric(torus.deck_map.eval(seam, 1), torus.cover_metric, seam)
+    c = float(np.sum(pulled * h) / np.sum(h * h))
+    character = math.log(c)
+    rank = int(abs(character) > tolerance)
+    residuals = np.maximum(rel_residual(pulled - c * h, c * h), abs(rank - expect_rank))
+    return make_report(name, residuals, tolerance, samples=len(seam),
+                       extra={"character": character, "rank": rank})
 
 
 # ---------------------------------------------------------------------------

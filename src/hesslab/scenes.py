@@ -29,7 +29,6 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import partial
 from importlib import resources
 from pathlib import Path
@@ -83,15 +82,16 @@ from .hesstat import (
 )
 from .lch import (
     LCHStructure,
+    MappingTorus,
     MappingTorusSpec,
     build_mapping_torus,
     check_lch,
+    check_monodromy,
     check_symmetry,
     koszul_check,
     lee_constants,
     lee_identity_residual,
     lee_perturbation_probe,
-    monodromy_rank,
     perturbed_structure,
 )
 
@@ -393,18 +393,19 @@ def _choice(*options: str) -> _Key:
     return _Key(_is(lambda v: v in options, f"one of {', '.join(options)}"))
 
 
-def _ref(kind: type) -> _Key:
-    """The name of a declared object of class ``kind``: a field, a cone, or
-    a structure of a type that builds one (``object``: any structure)."""
-    pool = "cone" if kind is ConeSpec else "field" if kind in _FIELD_KINDS else "structure"
+def _ref(*kinds: type) -> _Key:
+    """The name of a declared object of a class in ``kinds``: a field, a
+    cone, or a structure of a type that builds one (``object``: any)."""
+    pool = ("cone" if kinds[0] is ConeSpec else "field" if kinds[0] in _FIELD_KINDS
+            else "structure")
 
     def read(value, owner, key, scope):
         declared = scope.classes[pool]
         if _name(value, owner, key) not in declared:
             raise SceneError(f"{owner} references undeclared {pool} '{value}'")
-        if not issubclass(declared[value], kind):
-            raise SceneError(f"{owner}: {pool} '{value}' is a "
-                             f"{declared[value].__name__}, expected {kind.__name__}")
+        if not issubclass(declared[value], kinds):
+            raise SceneError(f"{owner}: {pool} '{value}' is a {declared[value].__name__}, "
+                             f"expected {' or '.join(k.__name__ for k in kinds)}")
         return value
     return _Key(read, pool=pool)
 
@@ -567,7 +568,6 @@ class _Context:
         self.plan = plan
         self.mc_samples = mc_samples
         self.built: dict = {}  # name -> the structure, or the _Unbuilt it raises
-        self.attached: dict = {}  # id of a built structure -> its construction reports
         self.lookup = {"field": scene.fields.__getitem__,
                        "cone": scene.cones.__getitem__, "structure": self.structure}
 
@@ -609,20 +609,16 @@ def _build_statistical(ctx, **fields):
 @_structure("cone", ConeStructure, base=_ref(object), lam=_CONSTANT(name="lambda"),
             s_interval=_INTERVAL((0.5, 2.0)), tolerance=_POSITIVE(DEFAULT_TOLERANCE))
 def _build_cone(ctx, base, lam, s_interval, tolerance):
-    cone = build_cone_structure(base, lam, s_interval=s_interval, plan=ctx.plan,
+    return build_cone_structure(base, lam, s_interval=s_interval, plan=ctx.plan,
                                 tolerance=tolerance)
-    ctx.attached[id(cone)] = cone.reports
-    return cone
 
 
-@_structure("mapping_torus", LCHStructure, base=_ref(object), automorphism=_MAP,
+@_structure("mapping_torus", MappingTorus, base=_ref(object), automorphism=_MAP,
             scale=_CONSTANT(2.0), lam=_CONSTANT(name="lambda"),
             tolerance=_POSITIVE(DEFAULT_TOLERANCE))
 def _build_mapping_torus(ctx, base, automorphism, scale, lam, tolerance):
     torus_spec = MappingTorusSpec(base, automorphism, scale, lam)
-    struct, reports = build_mapping_torus(torus_spec, plan=ctx.plan, tolerance=tolerance)
-    ctx.attached[id(struct)] = reports
-    return struct
+    return build_mapping_torus(torus_spec, plan=ctx.plan, tolerance=tolerance)
 
 
 @_structure("cone_lch", LCHStructure, cone=_ref(ConeSpec), chart=_CHART(None))
@@ -707,9 +703,9 @@ def _op_symmetry(ctx, tol, structure, map):
     return [check_symmetry(structure, map, ctx.plan, tol)]
 
 
-@_op("reports", structure=_ref(object))
+@_op("reports", structure=_ref(ConeStructure, MappingTorus))
 def _op_reports(ctx, tol, structure):
-    return list(ctx.attached.get(id(structure), ()))
+    return list(structure.reports)
 
 
 @_op("cone_restriction", structure=_ref(ConeStructure),
@@ -798,11 +794,9 @@ def _op_barrier(ctx, tol, cone, count):
                         samples=pts.shape[0], extra={"smallest_eigenvalue": eig})]
 
 
-@_op("monodromy", expect_rank=_COUNT, exponents=_CONSTANTS(()))
-def _op_monodromy(ctx, tol, expect_rank, exponents):
-    rank = monodromy_rank([Fraction(e) for e in exponents])  # a float is exact
-    return [make_report("monodromy-rank", [abs(rank - expect_rank)], tol,
-                        samples=len(exponents), extra={"rank": rank})]
+@_op("monodromy", structure=_ref(MappingTorus), expect_rank=_COUNT)
+def _op_monodromy(ctx, tol, structure, expect_rank):
+    return [check_monodromy(structure, expect_rank, ctx.plan, tol)]
 
 
 @_op("perturbation", structure=_ref(LCHStructure), alpha=_ref(OneFormField),

@@ -45,12 +45,12 @@ from hesslab.lch import (
     MappingTorusSpec,
     build_mapping_torus,
     check_lch,
+    check_monodromy,
     koszul_check,
     lee_constants,
     lee_identity_residual,
     lee_perturbation_probe,
     metric_from_lee,
-    monodromy_rank,
     perturbed_structure,
 )
 from hesslab.scenes import list_examples, run_example
@@ -192,24 +192,26 @@ def test_criterion_07_lee_identity():
 
 def test_criterion_08_mapping_torus():
     base = halfplane_base()
-    struct, reports = build_mapping_torus(
+    struct = build_mapping_torus(
         MappingTorusSpec(base, ("x0", "x1"), 2.0, LAM),
         plan=PLAN, tolerance=1e-6)
     gate = check_lch(struct, PLAN, TOL)
     c = lee_constants(struct, PLAN)
-    seam = next(r for r in reports if r.name == "mapping-torus-seam")
+    seam = next(r for r in struct.reports if r.name == "mapping-torus-seam")
     kos = koszul_check(struct.conn, struct.lee_form, PLAN, TOL)
     recovered, _ = unit_slice_restriction(struct.conn, base, LAM, PLAN)
     est = estimate_constant_curvature(recovered, PLAN)
-    rank = monodromy_rank(["1"])
+    mono = check_monodromy(struct, 1, PLAN, TOL)
+    chi, rank = mono.extra["character"], mono.extra["rank"]
     ok = (gate.passed and abs(c.mu + 2.0 * LAM) <= 1e-6
           and abs(c.a - 4.0) <= 1e-6 and seam.max_residual <= 1e-6
-          and kos.passed and abs(est.c + 1.0) <= 1e-4 and rank == 1)
+          and kos.passed and abs(est.c + 1.0) <= 1e-4 and mono.passed
+          and abs(chi - 2.0 * math.log(2.0)) <= 1e-9 and rank == 1)
     record(8, ok,
            f"gate passes; mu = {c.mu:.8f} (target {-2.0 * LAM:.8f}), "
            f"a = {c.a:.8f}; seam {seam.max_residual:.1e} <= 1e-6; Koszul "
            f"passes (u = {c.u:.4f} > 0); fiber c = {est.c:.6f}; "
-           f"monodromy rank {rank}")
+           f"monodromy character {chi:.12f} (2 log 2), rank {rank:g}")
 
 
 def test_criterion_09_killing_affine_separation():

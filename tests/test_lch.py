@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
 import inspect
 import math
 import tracemalloc
-from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from affine_reference import reference_affine_residual
 from conftest import (
@@ -52,13 +51,14 @@ from hesslab.lch import (
     LCHStructure,
     LeeConstants,
     MappingTorusError,
+    MappingTorus,
     MappingTorusSpec,
-    MonodromyCharacter,
     NotPositiveDefiniteError,
     _affine_residual,
     _require_closed,
     build_mapping_torus,
     check_lch,
+    check_monodromy,
     check_symmetry,
     koszul_check,
     lee_constants,
@@ -67,7 +67,6 @@ from hesslab.lch import (
     lee_vector_field,
     local_hessian_gauge,
     metric_from_lee,
-    monodromy_rank,
     perturbed_structure,
 )
 from hesslab.scenes import _Context, load_example, run_suite
@@ -506,11 +505,11 @@ def test_koszul_flat_radial_potential():
 
 
 def test_koszul_torus_sign_depends_on_root():
-    struct, _ = halfplane_torus(lam=LAM)
+    struct = halfplane_torus(lam=LAM)
     good = koszul_check(struct.conn, struct.lee_form, PLAN)
     assert good.passed  # u = 2*lam - 4 > 0
 
-    other, _ = halfplane_torus(lam=1.0 - math.sqrt(2.0))
+    other = halfplane_torus(lam=1.0 - math.sqrt(2.0))
     bad = koszul_check(other.conn, other.lee_form, PLAN)
     assert not bad.passed
     assert bad.extra["definiteness"] >= 1.0
@@ -552,7 +551,8 @@ def test_koszul_domain_error_in_theta_fails_those_samples():
 # ---------------------------------------------------------------------------
 
 def test_mapping_torus_halfplane():
-    struct, reports = halfplane_torus()
+    struct = halfplane_torus()
+    reports = struct.reports
     names = [r.name for r in reports]
     assert names[:2] == ["mapping-torus-automorphism", "mapping-torus-seam"]
     assert all(r.passed for r in reports)
@@ -570,8 +570,8 @@ def test_mapping_torus_halfplane():
 
 
 def test_mapping_torus_translation_automorphism():
-    struct, reports = halfplane_torus(q=3.0, automorphism=("x0", "x1 + 1"))
-    assert all(r.passed for r in reports)
+    struct = halfplane_torus(q=3.0, automorphism=("x0", "x1 + 1"))
+    assert all(r.passed for r in struct.reports)
     assert check_lch(struct, PLAN).passed
 
 
@@ -630,7 +630,7 @@ def test_mapping_torus_spec_validation():
 
 def test_mapping_torus_fiber_recovery():
     base = halfplane_base()
-    struct, _ = halfplane_torus()
+    struct = halfplane_torus()
     n = base.chart.dim
     surface = [ex.Var(a) for a in range(n)] + [ex.ONE]
     transversal = VectorFieldT(
@@ -664,7 +664,7 @@ def test_mapping_torus_fiber_recovery():
 ])
 def test_mapping_torus_curvature_sign_rule(build, c_sign):
     # c < 0 exactly when mu leaves [-a, 0]
-    struct, _ = build()
+    struct = build()
     c = lee_constants(struct, PLAN)
     outside = c.mu < -c.a - 1e-9 or c.mu > 1e-9
     assert outside == (c_sign < 0)
@@ -677,7 +677,7 @@ def test_mapping_torus_curvature_sign_rule(build, c_sign):
 
 @pytest.mark.parametrize("build", [
     hopf_lch,
-    lambda: halfplane_torus()[0],
+    halfplane_torus,
     lambda: cone_lch_structure(OrthantCone(2)),
     lambda: cone_lch_structure(OrthantCone(3)),
     lambda: cone_lch_structure(LorentzCone(2)),
@@ -719,7 +719,7 @@ def test_lee_field_is_determined_up_to_scale():
 
 def test_minimal_covering_scaling():
     # with the gauge potential removed, -(2/a) xi is an exact homothety field
-    struct, _ = halfplane_torus()
+    struct = halfplane_torus()
     chart = struct.chart
     n = chart.dim
     center = 0.5 * (chart.lo() + chart.hi())
@@ -734,26 +734,54 @@ def test_minimal_covering_scaling():
 
 
 # ---------------------------------------------------------------------------
-# monodromy rank
+# monodromy character
 # ---------------------------------------------------------------------------
 
-def test_monodromy_rank_examples():
-    assert monodromy_rank(MonodromyCharacter((1,))) == 1
-    assert monodromy_rank([0, 0, 0]) == 0
-    assert monodromy_rank([1, Fraction(1, 2), 3]) == 1
-    assert monodromy_rank(["1/2", "2/3"]) == 1
-    assert monodromy_rank([]) == 0
+@pytest.mark.parametrize("q", [2.0, 3.0, 0.5])
+def test_monodromy_measures_twice_the_log_of_the_scale(q):
+    # the deck map multiplies h = s^2 g by q^2 on every seam sample
+    torus = halfplane_torus(q=q)
+    rep = check_monodromy(torus, 1, PLAN)
+    assert rep.passed and rep.max_residual <= 1e-12
+    assert rep.extra["character"] == pytest.approx(2.0 * math.log(q), abs=1e-9)
+    assert rep.extra["rank"] == 1 and rep.samples == PLAN.count
 
 
-def test_monodromy_rejects_floats():
-    with pytest.raises(TypeError, match="exact"):
-        MonodromyCharacter((0.5,))
+def test_monodromy_of_a_translated_fiber_reads_the_same_character():
+    torus = halfplane_torus(q=3.0, automorphism=("x0", "x1 + 1"))
+    rep = check_monodromy(torus, 1, PLAN)
+    assert rep.passed
+    assert rep.extra["character"] == pytest.approx(math.log(9.0), abs=1e-9)
 
 
-@given(st.lists(st.fractions(), max_size=8))
-def test_monodromy_rank_is_zero_one(exps):
-    rank = monodromy_rank(exps)
-    assert rank == (1 if any(e != 0 for e in exps) else 0)
+def test_monodromy_of_the_invariant_metric_has_rank_zero():
+    # the torus metric g = h / s^2 is what the deck map preserves: measured
+    # against it the character is 0, so a rank-1 expectation fails
+    torus = halfplane_torus()
+    invariant = dataclasses.replace(torus, cover_metric=torus.metric)
+    rep = check_monodromy(invariant, 1, PLAN)
+    assert abs(rep.extra["character"]) <= 1e-12 and rep.extra["rank"] == 0
+    assert not rep.passed and rep.max_residual == 1.0
+    assert check_monodromy(invariant, 0, PLAN).passed
+
+
+def test_monodromy_misfit_reads_a_map_that_is_no_homothety():
+    # (m, s) -> (2 x0, x1, s) pulls h = s^2 dx^2 / x0^2 + ds^2 back to
+    # diag(1, 1/4, 1) h on the seam, which no single c fits
+    torus = halfplane_torus()
+    skewed = dataclasses.replace(torus, deck_map=VectorFieldT(torus.chart, ["2*x0", "x1", "x2"]))
+    rep = check_monodromy(skewed, 1, PLAN)
+    assert not rep.passed and rep.max_residual > 0.1
+
+
+def test_mapping_torus_carries_what_it_built():
+    torus = halfplane_torus()
+    assert isinstance(torus, MappingTorus) and isinstance(torus, LCHStructure)
+    assert torus.deck_map.chart == torus.chart == torus.cover_metric.chart
+    pts = torus.chart.sample(PLAN)
+    s = pts[:, -1:, None]
+    h = torus.cover_metric.eval(pts, 0).value
+    assert np.max(np.abs(h - s * s * torus.metric.eval(pts, 0).value)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -806,8 +834,8 @@ def test_perturbed_structure_raises_when_rejected():
 
 
 def _metric_pullback_call():
-    """The spec and operand names of the metric pullback in `_pullback_residuals`."""
-    tree = ast.parse(inspect.getsource(lch._pullback_residuals))
+    """The spec and operand names of the metric pullback in `_pullback_metric`."""
+    tree = ast.parse(inspect.getsource(lch._pullback_metric))
     for node in ast.walk(tree):
         if (isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
                 and node.targets[0].id == "pull_g"):

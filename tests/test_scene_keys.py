@@ -101,7 +101,7 @@ KINDS = {
     "positive-constant": ("hopf", "lch-gate", "tolerance"),
     "count": ("mapping_torus_halfplane", "seam-character", "expect_rank"),
     "point": ("orthant_cone", "psi-exact", "point"),
-    "constants": ("mapping_torus_halfplane", "seam-character", "exponents"),
+    "constants": ("lorentz_cone", "psi-homogeneity", "factors"),
     "choice": ("e67", "lee-killing", "require"),
     "entry-list": ("torus_quotient", "deck-dilation", "map"),
     "chart": ("orthant_cone", "level-surface", "chart"),

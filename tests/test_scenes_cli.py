@@ -258,6 +258,15 @@ def test_failed_construction_becomes_failed_report():
     assert not rep.checks[1]["ok"]
 
 
+def test_cli_reports_of_a_structure_that_carries_none_exits_2(tmp_path, capsys):
+    data = _torus_over_halfplane([{"op": "reports", "structure": "B"}])
+    assert main(["check", str(write_scene(tmp_path, data)), "--samples", "20"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == (
+        "error: check 0 ('reports'): structure 'B' is a StatisticalStructure, "
+        "expected ConeStructure or MappingTorus\n")
+
+
 def test_check_errors_are_reported_not_raised():
     # the probe rejects a perturbation that is not closed
     data = unit_scene()
@@ -300,9 +309,9 @@ def test_unbuilt_structure_never_satisfies_expect_fail():
     assert not rep.all_ok
 
 
-def _torus_over_halfplane(checks, **structures):
-    """unit_scene plus a mapping torus 'T' whose automorphism breaks base 'B',
-    and ``structures``."""
+def _torus_over_halfplane(checks, automorphism=("2*x0", "x1"), **structures):
+    """unit_scene plus a mapping torus 'T' over the half-plane base 'B', by
+    default with an automorphism that breaks it, and ``structures``."""
     data = unit_scene(checks=checks)
     data["fields"]["gm"] = {
         "type": "metric",
@@ -312,7 +321,7 @@ def _torus_over_halfplane(checks, **structures):
     data["structures"] = {
         "B": {"type": "statistical", "conn": "D", "metric": "gm"},
         "T": {"type": "mapping_torus", "base": "B",
-              "automorphism": ["2*x0", "x1"], "scale": 2.0, "lambda": 1.5},
+              "automorphism": list(automorphism), "scale": 2.0, "lambda": "1 + sqrt(2)"},
         **structures,
     }
     return data
@@ -338,6 +347,15 @@ _BASE_T_FAILED = "structure 'C' failed to build: its base " + _UNBUILT_T
         _torus_over_halfplane([{"op": "reports", "structure": "T"}]),
         [("reports-unavailable", _UNBUILT_T)],
         id="reports-of-unbuilt-torus"),
+    pytest.param(
+        _torus_over_halfplane([{"op": "reports", "structure": "B"}]),
+        "check 0 ('reports'): structure 'B' is a StatisticalStructure, "
+        "expected ConeStructure or MappingTorus",
+        id="reports-of-a-structure-that-carries-none"),
+    pytest.param(
+        unit_scene(checks=[{"op": "monodromy", "structure": "S", "expect_rank": 1}]),
+        "check 0 ('monodromy'): structure 'S' is a LCHStructure, expected MappingTorus",
+        id="monodromy-of-a-structure-without-a-deck-map"),
     pytest.param(
         unit_scene(
             structures={"B": {"type": "statistical", "conn": "g", "metric": "g"},
@@ -915,7 +933,7 @@ def test_cli_expect_fail_must_be_a_boolean(tmp_path, capsys):
 _OP_CHECKS = {  # a complete check of each op whose declaration needs keys
     "psi": {"op": "psi", "cone": "K", "point": [2.0, 3.0]},
     "homogeneity": {"op": "homogeneity", "cone": "K", "point": [2.0, 3.0]},
-    "monodromy": {"op": "monodromy", "exponents": ["1"], "expect_rank": 1},
+    "monodromy": {"op": "monodromy", "structure": "T", "expect_rank": 1},
     "surface": {"op": "surface", "cone": "K3", "surface": ["exp(x0)", "exp(x1)", "exp(-x0 - x1)"],
                 "chart": {"dim": 2, "box": [[-0.5, 0.5], [-0.5, 0.5]]}},
 }
@@ -924,17 +942,20 @@ _OP_CHECKS = {  # a complete check of each op whose declaration needs keys
 @pytest.mark.parametrize("op, key", [
     ("psi", "point"),
     ("homogeneity", "point"),
+    ("monodromy", "structure"),
     ("monodromy", "expect_rank"),
     ("surface", "chart"),
     ("surface", "surface"),
 ])
 def test_cli_missing_required_key_of_an_op_exits_2(tmp_path, capsys, op, key):
     # checked at load: a missing key is a malformed scene, not a failed check
-    complete = unit_scene(cones={"K": "orthant(2)", "K3": "orthant(3)"},
-                          checks=[_OP_CHECKS[op]])
-    assert run_suite(scene_from_dict(complete), PLAN).all_ok
-    check = {k: v for k, v in _OP_CHECKS[op].items() if k != key}
-    data = unit_scene(cones={"K": "orthant(2)", "K3": "orthant(3)"}, checks=[check])
+    def scene(check):
+        data = _torus_over_halfplane([check], automorphism=("x0", "x1"))
+        data["cones"] = {"K": "orthant(2)", "K3": "orthant(3)"}
+        return data
+
+    assert run_suite(scene_from_dict(scene(_OP_CHECKS[op])), PLAN).all_ok
+    data = scene({k: v for k, v in _OP_CHECKS[op].items() if k != key})
     with pytest.raises(SceneError):
         scene_from_dict(data)
     assert main(["check", str(write_scene(tmp_path, data)), "--samples", "20"]) == 2
