@@ -22,6 +22,7 @@ from .scenes import (
     list_examples,
     load_example,
     load_scene,
+    monte_carlo_budget,
     positive_constant,
     run_suite,
     strict_json,
@@ -77,7 +78,8 @@ def _plan(args) -> SamplePlan:
 
 def _run_scene(scene, args) -> int:
     tol = args.tol if args.tol is None else positive_constant(args.tol, "command line", "--tol")
-    report = run_suite(scene, _plan(args), tol, args.mc_samples)
+    mc_samples = monte_carlo_budget(args.mc_samples, "command line", "--mc-samples")
+    report = run_suite(scene, _plan(args), tol, mc_samples)
     print(report.to_json())
     return 0 if report.all_ok else 1
 
@@ -97,6 +99,7 @@ def _cmd_examples(args) -> int:
 
 
 def _cmd_psi(args) -> int:
+    monte_carlo_budget(args.mc_samples, "command line", "--mc-samples")
     cone = cone_from_spec(args.spec)
     try:
         point = [float(v) for v in args.point.replace(" ", "").split(",") if v]

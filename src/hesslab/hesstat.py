@@ -89,17 +89,19 @@ class ConeConstructionError(ValueError):
 
 
 class DegenerateLambdaError(ConeConstructionError):
-    """lambda in {0, 2}: radiance degenerates at 0 and the cone potential
-    s^2/(4 - 2*lambda) is undefined at 2, so neither value admits a cone."""
+    """lambda in {0, 2} or not finite: radiance degenerates at 0 and the cone
+    potential s^2/(4 - 2*lambda) is undefined at 2, so no such value admits
+    a cone."""
 
 
 def nondegenerate_lambda(lam) -> float:
-    """``lam`` as a float; raises DegenerateLambdaError near 0 and 2."""
+    """``lam`` as a float; raises DegenerateLambdaError when it is not
+    finite or lies near 0 or 2."""
     lam = float(lam)
-    if abs(lam) <= 1e-9 or abs(lam - 2.0) <= 1e-9:
+    if not math.isfinite(lam) or abs(lam) <= 1e-9 or abs(lam - 2.0) <= 1e-9:
         raise DegenerateLambdaError(
-            "lambda must stay away from 0 and 2: radiance degenerates at 0 "
-            "and the potential s^2/(4-2*lambda) is undefined at 2"
+            "lambda must be finite and stay away from 0 and 2: radiance "
+            "degenerates at 0 and the potential s^2/(4-2*lambda) is undefined at 2"
         )
     return lam
 

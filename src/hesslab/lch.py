@@ -5,8 +5,9 @@ closed one-form, and the twisted symmetry condition: nabla g - theta (x) g is
 totally symmetric.  Locally e^{-f} g is Hessian whenever theta = df.  This
 module verifies such triples, analyses the Lee field xi = theta-sharp and its
 constants (a, mu, u), rebuilds the metric from the Lee form, constructs
-mapping tori over constant-curvature statistical bases, and runs the
-openness probe that perturbs theta by a closed form.
+mapping tori over constant-curvature statistical bases, measures the
+character by which a torus's deck map multiplies the Hessian metric of its
+cover, and runs the openness probe that perturbs theta by a closed form.
 """
 
 from __future__ import annotations
@@ -71,6 +72,7 @@ __all__ = [
     "local_hessian_gauge",
     "metric_from_lee",
     "perturbed_structure",
+    "torus_scale",
 ]
 
 # gate used when deciding whether a structure carries a radiant Killing Lee
@@ -139,6 +141,16 @@ class LeeConstants:
         return abs(self.mu) > gap and abs(self.mu + self.a) > gap
 
 
+def torus_scale(q) -> float:
+    """``q`` as a float, once it is a finite scale q > 0 other than 1."""
+    q = float(q)
+    if not (math.isfinite(q) and q > 0.0):
+        raise ValueError("the scale q must be finite and positive")
+    if abs(q - 1.0) <= 1e-9:
+        raise ValueError("the scale q must differ from 1 (q = 1 glues nothing)")
+    return q
+
+
 @dataclass(eq=False)
 class MappingTorusSpec:
     """Base for a mapping torus: statistical fiber, automorphism, scale q.
@@ -146,8 +158,8 @@ class MappingTorusSpec:
     The automorphism is given as one expression per base coordinate and kept
     as a vector field on the base chart; it must preserve the base metric and
     connection (checked by the builder).  The scale q > 0, q != 1 fixes the
-    deck transformation (m, s) -> (phi(m), qs), and ``lam`` picks a root of
-    lam*(2 - lam) = c for the cone lift.
+    deck transformation (m, s) -> (phi(m), qs) (see ``torus_scale``), and
+    ``lam`` picks a root of lam*(2 - lam) = c for the cone lift.
     """
 
     base: StatisticalStructure
@@ -156,12 +168,7 @@ class MappingTorusSpec:
     lam: float
 
     def __post_init__(self):
-        q = float(self.scale)
-        if q <= 0.0:
-            raise ValueError("the scale q must be positive")
-        if abs(q - 1.0) <= 1e-9:
-            raise ValueError("the scale q must differ from 1 (q = 1 glues nothing)")
-        self.scale = q
+        self.scale = torus_scale(self.scale)
         self.lam = nondegenerate_lambda(self.lam)
         dim = self.base.chart.dim
         comps = list(self.automorphism)

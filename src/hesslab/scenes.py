@@ -79,6 +79,7 @@ from .hesstat import (
     check_statistical,
     estimate_constant_curvature,
     level_set_statistical,
+    nondegenerate_lambda,
 )
 from .lch import (
     LCHStructure,
@@ -93,6 +94,7 @@ from .lch import (
     lee_identity_residual,
     lee_perturbation_probe,
     perturbed_structure,
+    torus_scale,
 )
 
 __all__ = [
@@ -316,6 +318,8 @@ def _is(test: Callable, noun: str) -> Callable:
 # a JSON integer, not a boolean or a float such as 2.0; a JSON boolean, not a
 # string such as "no" read by its truthiness; a name
 _count = _is(lambda v: type(v) is int and v >= 0, "a count (an integer >= 0)")
+monte_carlo_budget = _is(lambda v: type(v) is int and v >= 2,
+                         "a Monte Carlo budget (an integer >= 2)")
 _boolean = _is(lambda v: isinstance(v, bool), "true or false")
 _name = _is(lambda v: isinstance(v, str), "a name")
 
@@ -410,7 +414,20 @@ def _ref(*kinds: type) -> _Key:
     return _Key(read, pool=pool)
 
 
+def _ruled(rule: Callable) -> _Key:
+    """A constant that the library's ``rule`` accepts: the value it returns,
+    and its ValueError as a SceneError."""
+    def read(value, owner, key, scope):
+        number = _constant(value, f"{owner}: '{key}'")
+        try:
+            return rule(number)
+        except ValueError as err:
+            raise SceneError(f"{owner}: '{key}' is {_dump(value)}: {err}") from err
+    return _Key(read)
+
+
 _CONSTANT = _Key(lambda value, owner, key, scope: _constant(value, f"{owner}: '{key}'"))
+_LAMBDA = _ruled(nondegenerate_lambda)(name="lambda")  # a cone's radiance constant
 _POSITIVE = _Key(positive_constant)
 _COUNT = _Key(_count)
 _CONSTANTS = _Key(lambda value, owner, key, scope: _constants(value, owner, key))
@@ -606,7 +623,7 @@ def _build_statistical(ctx, **fields):
     return StatisticalStructure(ctx.scene.chart, **fields)
 
 
-@_structure("cone", ConeStructure, base=_ref(object), lam=_CONSTANT(name="lambda"),
+@_structure("cone", ConeStructure, base=_ref(object), lam=_LAMBDA,
             s_interval=_INTERVAL((0.5, 2.0)), tolerance=_POSITIVE(DEFAULT_TOLERANCE))
 def _build_cone(ctx, base, lam, s_interval, tolerance):
     return build_cone_structure(base, lam, s_interval=s_interval, plan=ctx.plan,
@@ -614,7 +631,7 @@ def _build_cone(ctx, base, lam, s_interval, tolerance):
 
 
 @_structure("mapping_torus", MappingTorus, base=_ref(object), automorphism=_MAP,
-            scale=_CONSTANT(2.0), lam=_CONSTANT(name="lambda"),
+            scale=_ruled(torus_scale)(2.0), lam=_LAMBDA,
             tolerance=_POSITIVE(DEFAULT_TOLERANCE))
 def _build_mapping_torus(ctx, base, automorphism, scale, lam, tolerance):
     torus_spec = MappingTorusSpec(base, automorphism, scale, lam)
@@ -751,7 +768,8 @@ PSI_Z = 4.8916
 
 @_op("psi", cone=_ref(ConeSpec), point=_POINT,
      method=_choice("closed_form", "monte_carlo")("closed_form"),
-     samples=_COUNT(None), seed=_COUNT(None), expect_value=_CONSTANT(None))
+     samples=_Key(monte_carlo_budget)(None), seed=_COUNT(None),
+     expect_value=_CONSTANT(None))
 def _op_psi(ctx, tol, cone, point, method, samples, seed, expect_value):
     samples = ctx.mc_samples if samples is None else samples
     seed = ctx.plan.seed if seed is None else seed
@@ -845,10 +863,12 @@ def run_suite(scene: Scene, plan: SamplePlan | None = None,
     raised or whose structure failed to build reports an infinite residual,
     so it is never ok: under ``expect_fail`` no report may be non-finite.
     A ``tolerance`` override, which replaces every check's, is read as the
-    scene key is: a positive constant (inf included), else a SceneError."""
+    scene key is: a positive constant (inf included), else a SceneError; so
+    is ``mc_samples``, as the psi op's ``samples``: an integer >= 2."""
     plan = plan or SamplePlan()
     if tolerance is not None:
         tolerance = positive_constant(tolerance, "run_suite", "tolerance")
+    monte_carlo_budget(mc_samples, "run_suite", "mc_samples")
     ctx = _Context(scene, plan, mc_samples)
     out = Report(
         scene=scene.name,

@@ -1,5 +1,6 @@
-"""`curvature_batch`, the flatness term, `covariant_hessian_trees` and
-`covariant_derivative_oneform_batch` against tensors derived by sympy.
+"""`curvature_batch`, the flatness term, `covariant_hessian_trees` and the
+covariant derivatives of a one-form, a vector field and a metric against
+tensors derived by sympy.
 
 The metrics are random and of non-constant curvature, so a swapped index
 or a dropped term of the curvature formula cannot hide behind the symmetry
@@ -8,7 +9,8 @@ derivatives from the entry strings by itself; only the strings and the
 sample points are shared. For a Levi-Civita connection Gamma^u_{jk} =
 Gamma^u_{kj}, so the lower indices of the second Gamma in the quadratic term
 may be read in either order; a random connection with torsion pins that
-order too, and so it does for nabla theta of a one-form that is not closed.
+order too, and so it does for nabla theta of a one-form that is not closed,
+for nabla xi and for nabla g.
 """
 
 from __future__ import annotations
@@ -23,7 +25,10 @@ from hesslab.geomcore import (
     MetricField,
     OneFormField,
     SamplePlan,
+    VectorFieldT,
+    covariant_derivative_metric_batch,
     covariant_derivative_oneform_batch,
+    covariant_derivative_vector_batch,
     covariant_hessian_trees,
     curvature_batch,
     levi_civita,
@@ -54,6 +59,18 @@ def _random_metric(dim: int, seed: int) -> list[list[str]]:
             entry = _random_entry(rng, dim)
             rows[i][j] = rows[j][i] = f"2 + {entry}" if i == j else entry
     return rows
+
+
+def _random_connection(rng, dim: int) -> list:
+    """Christoffel entry strings Gamma^l_{jk}, one small term each: no
+    symmetry in the lower indices, so the connection has torsion."""
+    return [[[_random_entry(rng, dim) for _ in range(dim)] for _ in range(dim)]
+            for _ in range(dim)]
+
+
+def _random_components(rng, dim: int) -> list[str]:
+    """One entry string per coordinate, 1 plus two small terms."""
+    return [f"1 + {_random_entry(rng, dim)} + {_random_entry(rng, dim)}" for _ in range(dim)]
 
 
 def _parse(text: str, xs):
@@ -128,8 +145,7 @@ def test_levi_civita_curvature_matches_sympy(dim, seed):
 @pytest.mark.parametrize("dim,seed", [(2, 4), (3, 5)])
 def test_curvature_with_torsion_matches_sympy(dim, seed):
     rng = np.random.default_rng(seed)
-    entries = [[[_random_entry(rng, dim) for _ in range(dim)] for _ in range(dim)]
-               for _ in range(dim)]
+    entries = _random_connection(rng, dim)
     chart = Chart(dim, ((-BOX, BOX),) * dim)
     pts = chart.sample(SamplePlan(count=40, seed=seed))
     xs = sympy.symbols(f"x0:{dim}")
@@ -173,10 +189,8 @@ def test_covariant_derivative_of_a_oneform_with_torsion_matches_sympy(dim, seed)
     # != Gamma^k_{ji} and d theta != 0, so neither the lower indices of Gamma
     # nor those of d theta may be read in the other order
     rng = np.random.default_rng(seed)
-    entries = [[[_random_entry(rng, dim) for _ in range(dim)] for _ in range(dim)]
-               for _ in range(dim)]
-    theta = [f"1 + {_random_entry(rng, dim)} + {_random_entry(rng, dim)}"
-             for _ in range(dim)]
+    entries = _random_connection(rng, dim)
+    theta = _random_components(rng, dim)
     chart = Chart(dim, ((-BOX, BOX),) * dim)
     pts = chart.sample(SamplePlan(count=40, seed=seed))
     xs = sympy.symbols(f"x0:{dim}")
@@ -189,4 +203,64 @@ def test_covariant_derivative_of_a_oneform_with_torsion_matches_sympy(dim, seed)
                     for i in span for j in span], xs, pts, 2)
     got = covariant_derivative_oneform_batch(
         ConnectionField(chart, entries), OneFormField(chart, theta), pts)
+    _assert_close(got, want)
+
+
+@pytest.mark.parametrize("dim,seed", [(2, 10), (3, 11)])
+def test_covariant_derivative_of_a_vector_with_torsion_matches_sympy(dim, seed):
+    # (nabla xi)^i_j = d_j xi^i + Gamma^i_{jk} xi^k with Gamma^i_{jk} !=
+    # Gamma^i_{kj}: reading the lower indices of Gamma in the other order
+    # moves the result by far more than the bound
+    rng = np.random.default_rng(seed)
+    entries, xi = _random_connection(rng, dim), _random_components(rng, dim)
+    chart = Chart(dim, ((-BOX, BOX),) * dim)
+    pts = chart.sample(SamplePlan(count=40, seed=seed))
+    xs = sympy.symbols(f"x0:{dim}")
+    gamma = [[[_parse(e, xs) for e in row] for row in plane] for plane in entries]
+    v = [_parse(c, xs) for c in xi]
+    span = range(dim)
+
+    def nabla(term):
+        return _values([v[i].diff(xs[j]) + sum(term(i, j, k) * v[k] for k in span)
+                        for i in span for j in span], xs, pts, 2)
+
+    want = nabla(lambda i, j, k: gamma[i][j][k])
+    swapped = nabla(lambda i, j, k: gamma[i][k][j])
+    assert np.max(np.abs(swapped - want)) > 1e-2 * np.max(np.abs(want))
+    got = covariant_derivative_vector_batch(
+        ConnectionField(chart, entries), VectorFieldT(chart, xi), pts)
+    _assert_close(got, want)
+
+
+@pytest.mark.parametrize("dim,seed", [(2, 12), (3, 13)])
+def test_covariant_derivative_of_a_metric_with_torsion_matches_sympy(dim, seed):
+    # (nabla g)_{ijk} = d_i g_jk - Gamma^l_{ij} g_lk - Gamma^l_{ik} g_jl on a
+    # curved metric: with torsion, neither Gamma term may read its lower
+    # indices in the other order
+    rows = _random_metric(dim, seed)
+    rng = np.random.default_rng(seed)
+    entries = _random_connection(rng, dim)
+    chart = Chart(dim, ((-BOX, BOX),) * dim)
+    pts = chart.sample(SamplePlan(count=40, seed=seed))
+    xs = sympy.symbols(f"x0:{dim}")
+    gamma = [[[_parse(e, xs) for e in row] for row in plane] for plane in entries]
+    g = [[_parse(e, xs) for e in row] for row in rows]
+    span = range(dim)
+
+    def nabla(first, second):
+        return _values([g[j][k].diff(xs[i]) - sum(first(l, i, j) * g[l][k]
+                                                  + second(l, i, k) * g[j][l] for l in span)
+                        for i in span for j in span for k in span], xs, pts, 3)
+
+    def read(l, a, b):
+        return gamma[l][a][b]
+
+    def swap(l, a, b):
+        return gamma[l][b][a]
+
+    want = nabla(read, read)
+    for wrong in (nabla(swap, read), nabla(read, swap)):
+        assert np.max(np.abs(wrong - want)) > 1e-2 * np.max(np.abs(want))
+    got = covariant_derivative_metric_batch(
+        ConnectionField(chart, entries), MetricField(chart, rows), pts)
     _assert_close(got, want)

@@ -507,6 +507,9 @@ def test_cone_rejects_degenerate_lambda():
         build_cone_structure(base, 0.0, plan=PLAN)
     with pytest.raises(DegenerateLambdaError):
         build_cone_structure(base, 2.0, plan=PLAN)
+    for lam in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DegenerateLambdaError, match="finite"):
+            build_cone_structure(base, lam, plan=PLAN)
 
 
 def test_cone_rejects_mismatched_lambda():

@@ -618,12 +618,15 @@ def test_symmetry_mean_is_over_samples():
 
 def test_mapping_torus_spec_validation():
     base = halfplane_base()
-    with pytest.raises(ValueError, match="positive"):
-        MappingTorusSpec(base, ("x0", "x1"), -1.0, LAM)
+    for q in (-1.0, 0.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            MappingTorusSpec(base, ("x0", "x1"), q, LAM)
     with pytest.raises(ValueError, match="differ from 1"):
         MappingTorusSpec(base, ("x0", "x1"), 1.0, LAM)
-    with pytest.raises(DegenerateLambdaError):
-        MappingTorusSpec(base, ("x0", "x1"), 2.0, 2.0)
+    for lam in (2.0, 0.0, math.nan, math.inf):
+        with pytest.raises(DegenerateLambdaError):
+            MappingTorusSpec(base, ("x0", "x1"), 2.0, lam)
+    assert lch.torus_scale("0.5") == 0.5
     with pytest.raises(ValueError, match="components"):
         MappingTorusSpec(base, ("x0",), 2.0, LAM)
 

@@ -143,15 +143,73 @@ def test_cli_wrong_kind_exits_2(tmp_path, capsys, name, where, key):
      "unknown identifier 'nan' (at position 0)"),
     ("halfplane_cone", lambda d: spec_of(d, "B").update(conn="g"),
      "structure 'B': field 'g' is a MetricField, expected ConnectionField"),
+    ("orthant_cone", lambda d: spec_of(d, "psi-monte-carlo").update(samples=1),
+     "check 1 ('psi'): 'samples' is 1, not a Monte Carlo budget (an integer >= 2)"),
 ], ids=["chart-dim", "surface-chart-dim", "boolean-coordinate", "short-point",
         "negative-tolerance", "zero-tolerance", "nan-tolerance", "nan-string-tolerance",
-        "statistical-conn-names-a-metric"])
+        "statistical-conn-names-a-metric", "one-monte-carlo-sample"])
 def test_value_out_of_range_is_a_scene_error(name, edit, message):
     data = bundled(name)
     edit(data)
     with pytest.raises(SceneError) as err:
         scene_from_dict(data)
     assert str(err.value) == message
+
+
+SCALE_RULE = "the scale q must be finite and positive"
+UNIT_SCALE_RULE = "the scale q must differ from 1 (q = 1 glues nothing)"
+LAMBDA_RULE = ("lambda must be finite and stay away from 0 and 2: radiance degenerates "
+               "at 0 and the potential s^2/(4-2*lambda) is undefined at 2")
+
+
+@pytest.mark.parametrize("where, key, value, rule", [
+    ("T", "scale", 0, SCALE_RULE),
+    ("T", "scale", -1, SCALE_RULE),
+    ("T", "scale", math.nan, SCALE_RULE),
+    ("T", "scale", math.inf, SCALE_RULE),
+    ("T", "scale", 1, UNIT_SCALE_RULE),
+    ("T", "scale", "2 - 1", UNIT_SCALE_RULE),
+    ("T", "lambda", 2, LAMBDA_RULE),
+    ("T", "lambda", math.nan, LAMBDA_RULE),
+    ("C", "lambda", 2, LAMBDA_RULE),
+    ("C", "lambda", "0", LAMBDA_RULE),
+])
+def test_torus_scale_and_lambda_follow_the_library_rule_at_load(where, key, value, rule):
+    # the scene reads each value through the function the library applies,
+    # so a value the builder would refuse never loads
+    data = bundled("mapping_torus_halfplane")
+    spec_of(data, where)[key] = value
+    with pytest.raises(SceneError) as err:
+        scene_from_dict(data)
+    assert str(err.value) == (f"structure '{where}': '{key}' is "
+                              f"{json.dumps(value)}: {rule}")
+
+
+def test_cli_unit_torus_scale_exits_2(tmp_path, capsys):
+    data = bundled("mapping_torus_halfplane")
+    spec_of(data, "T")["scale"] = 1
+    path = tmp_path / "unit-scale.json"
+    path.write_text(json.dumps(data))
+    assert main(["check", str(path), "--samples", "20"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: structure 'T': 'scale' is 1: {UNIT_SCALE_RULE}\n"
+
+
+@pytest.mark.parametrize("budget", ["0", "-5", "1"])
+@pytest.mark.parametrize("command", [["example", "lorentz_cone", "--samples", "20"],
+                                     ["cone", "psi", "lorentz(2)", "1.5,0.5"]],
+                         ids=["example", "cone-psi"])
+def test_cli_monte_carlo_budget_below_two_exits_2(capsys, command, budget):
+    assert main(command + ["--mc-samples", budget]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == (f"error: command line: '--mc-samples' is {budget}, "
+                                 "not a Monte Carlo budget (an integer >= 2)\n")
+
+
+@pytest.mark.parametrize("budget", [1, 0, 2.0, True])
+def test_run_suite_monte_carlo_budget_is_an_integer_of_at_least_two(budget):
+    with pytest.raises(SceneError, match="'mc_samples' is .*, not a Monte Carlo budget"):
+        run_suite(scene_from_dict(bundled("hopf")), PLAN, mc_samples=budget)
 
 
 @pytest.mark.parametrize("tol", ["-1", "0", "nan"])
