@@ -9,9 +9,10 @@ checks and returns a serializable report.
 Each structure type and check op is declared in one place, after the model
 of the JSON Schema vocabulary: its builder or handler, decorated with
 ``_structure`` or ``_op``, declares one ``_Key`` per parameter. A key gives
-the kind that reads the value (a constant, a positive constant, a count, a
-point, a list of constants, a choice, an entry list, a chart, or a reference
-to a declared object of a class) and its default, if it has one. A structure
+the kind that reads the value (a constant, a positive constant, a constant
+that a library rule accepts, a count, a Monte Carlo budget, a point, a list
+of constants, a choice, an entry list, a chart, or a reference to a declared
+object of some classes) and its default, if it has one. A structure
 type also declares the class it builds, and the keys common to every check
 are declared once, in ``_CHECK_KEYS``.
 

@@ -740,21 +740,15 @@ def test_minimal_covering_scaling():
 # monodromy character
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("q", [2.0, 3.0, 0.5])
-def test_monodromy_measures_twice_the_log_of_the_scale(q):
+@pytest.mark.parametrize("q, automorphism", [(2.0, ("x0", "x1")), (3.0, ("x0", "x1")),
+                                             (3.0, ("x0", "x1 + 1")), (0.5, ("x0", "x1"))])
+def test_monodromy_measures_twice_the_log_of_the_scale(q, automorphism):
     # the deck map multiplies h = s^2 g by q^2 on every seam sample
-    torus = halfplane_torus(q=q)
+    torus = halfplane_torus(q=q, automorphism=automorphism)
     rep = check_monodromy(torus, 1, PLAN)
     assert rep.passed and rep.max_residual <= 1e-12
     assert rep.extra["character"] == pytest.approx(2.0 * math.log(q), abs=1e-9)
     assert rep.extra["rank"] == 1 and rep.samples == PLAN.count
-
-
-def test_monodromy_of_a_translated_fiber_reads_the_same_character():
-    torus = halfplane_torus(q=3.0, automorphism=("x0", "x1 + 1"))
-    rep = check_monodromy(torus, 1, PLAN)
-    assert rep.passed
-    assert rep.extra["character"] == pytest.approx(math.log(9.0), abs=1e-9)
 
 
 def test_monodromy_of_the_invariant_metric_has_rank_zero():

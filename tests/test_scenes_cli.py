@@ -258,15 +258,6 @@ def test_failed_construction_becomes_failed_report():
     assert not rep.checks[1]["ok"]
 
 
-def test_cli_reports_of_a_structure_that_carries_none_exits_2(tmp_path, capsys):
-    data = _torus_over_halfplane([{"op": "reports", "structure": "B"}])
-    assert main(["check", str(write_scene(tmp_path, data)), "--samples", "20"]) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and err == (
-        "error: check 0 ('reports'): structure 'B' is a StatisticalStructure, "
-        "expected ConeStructure or MappingTorus\n")
-
-
 def test_check_errors_are_reported_not_raised():
     # the probe rejects a perturbation that is not closed
     data = unit_scene()
