@@ -32,6 +32,7 @@ from .hesstat import (
     dual_connection,
     estimate_constant_curvature,
     level_set_statistical,
+    restrict_cone,
     solve_lambda,
 )
 from .cones import (

@@ -10,7 +10,7 @@ The central construction is the cone correspondence: a statistical structure
 (D, g_M) of constant curvature c on a base chart lifts to a flat radiant
 structure on base x (0, inf) with metric s^2 g_M + ds^2, and restricting that
 cone back to {s = 1} recovers the base.  ``build_cone_structure`` and
-``level_set_statistical`` implement the two directions.
+``restrict_cone`` (through ``level_set_statistical``) are the two directions.
 """
 
 from __future__ import annotations
@@ -78,7 +78,9 @@ __all__ = [
     "check_statistical",
     "estimate_constant_curvature",
     "solve_lambda",
+    "block_metric",
     "build_cone_structure",
+    "restrict_cone",
     "level_set_statistical",
     "potential_identity_residual",
 ]
@@ -501,15 +503,10 @@ def build_cone_structure(base: StatisticalStructure, lam: float, *,
     gm = base.metric.entries
 
     gamma = np.full((n + 1, n + 1, n + 1), ex.ZERO, dtype=object)
-    for c_ in range(n):
-        for a in range(n):
-            for b in range(n):
-                gamma[c_, a, b] = base.conn.entries[c_, a, b]
+    gamma[:n, :n, :n] = base.conn.entries
     for a in range(n):
         for b in range(a, n):
-            tree = ex.mul(ex.const(lam - 2.0), ex.mul(s, gm[a, b]))
-            gamma[n, a, b] = tree
-            gamma[n, b, a] = tree
+            gamma[n, a, b] = gamma[n, b, a] = ex.mul(ex.const(lam - 2.0), ex.mul(s, gm[a, b]))
     mixed = ex.div(ex.const(lam), s)
     for a in range(n):
         gamma[a, a, n] = mixed
@@ -517,15 +514,7 @@ def build_cone_structure(base: StatisticalStructure, lam: float, *,
     gamma[n, n, n] = ex.div(ex.const(lam - 1.0), s)
     conn = ConnectionField(chart, gamma)
 
-    s2 = ex.powi(s, 2)
-    gentries = np.full((n + 1, n + 1), ex.ZERO, dtype=object)
-    for a in range(n):
-        for b in range(a, n):
-            tree = ex.mul(s2, gm[a, b])
-            gentries[a, b] = tree
-            gentries[b, a] = tree
-    gentries[n, n] = ex.ONE
-    metric = MetricField(chart, gentries)
+    metric = block_metric(chart, base.metric, ex.powi(s, 2), ex.ONE)
     radial = VectorFieldT(chart, [ex.ZERO] * n + [s])
 
     cone = ConeStructure(chart, conn, metric, radial, lam, base=base)
@@ -535,6 +524,20 @@ def build_cone_structure(base: StatisticalStructure, lam: float, *,
     if failed:
         raise ConeConstructionError("cone postconditions failed: " + ", ".join(failed))
     return cone
+
+
+def block_metric(chart: Chart, base_metric: MetricField, scale: Expression,
+                 last: Expression) -> MetricField:
+    """The metric scale * g_M + last * ds^2 on base x (s-interval): the cone
+    metric s^2 g_M + ds^2, or the torus metric g_M + ds^2 / s^2 (a ``scale``
+    of 1 keeps g_M's own trees)."""
+    n = base_metric.chart.dim
+    entries = np.full((n + 1, n + 1), ex.ZERO, dtype=object)
+    for a in range(n):
+        for b in range(a, n):
+            entries[a, b] = entries[b, a] = ex.mul(scale, base_metric.entries[a, b])
+    entries[n, n] = last
+    return MetricField(chart, entries)
 
 
 def _cone_postcondition_reports(cone: ConeStructure, base: StatisticalStructure,
@@ -570,12 +573,7 @@ def potential_identity_residual(cone: ConeStructure, plan=None,
     """Residual of g = Hess( g(xi, xi) / (4 - 2*lambda) ) with xi = s d/ds."""
     plan = plan or SamplePlan()
     d = cone.chart.dim
-    xi = cone.radial.entries
-    terms = []
-    for i in range(d):
-        for j in range(d):
-            terms.append(ex.mul(cone.metric.entries[i, j], ex.mul(xi[i], xi[j])))
-    phi = ex.div(ex.sum_of(terms), ex.const(4.0 - 2.0 * cone.lam))
+    phi = _cone_potential(cone)
     hess = MetricField(cone.chart, covariant_hessian_trees(
         cone.conn, [ex.diff(phi, a) for a in range(d)]))
 
@@ -586,9 +584,28 @@ def potential_identity_residual(cone: ConeStructure, plan=None,
     return sample_check(residual, cone.chart, plan, tolerance, name=name)
 
 
+def _cone_potential(cone: ConeStructure) -> Expression:
+    """phi = g(xi, xi) / (4 - 2*lambda) from the cone's radial field xi."""
+    xi, g, d = cone.radial.entries, cone.metric.entries, cone.chart.dim
+    terms = (ex.mul(g[i, j], ex.mul(xi[i], xi[j])) for i in range(d) for j in range(d))
+    return ex.div(ex.sum_of(terms), ex.const(4.0 - 2.0 * cone.lam))
+
+
 # ---------------------------------------------------------------------------
 # Level-set restriction (cone -> base, and general hypersurfaces)
 # ---------------------------------------------------------------------------
+
+
+def restrict_cone(cone: ConeStructure, plan=None) -> StatisticalStructure:
+    """The statistical structure induced on the unit slice s = 1 of a cone
+    from ``build_cone_structure``, the inverse of the lift: the level set of
+    phi = g(xi, xi) / (4 - 2*lambda) with transversal xi / (2 - lambda)."""
+    surface = [ex.Var(a) for a in range(cone.chart.dim - 1)] + [ex.ONE]
+    transversal = VectorFieldT(cone.chart, [ex.div(c, ex.const(2.0 - cone.lam))
+                                            for c in cone.radial.entries])
+    struct, _ = level_set_statistical(cone.conn, _cone_potential(cone), surface,
+                                      cone.base.chart, transversal, plan=plan)
+    return struct
 
 
 def level_set_statistical(conn: ConnectionField, phi, surface, surface_chart: Chart,

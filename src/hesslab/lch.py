@@ -45,7 +45,9 @@ from .geomcore import (
     sample_check,
 )
 from .hesstat import (
+    ConeStructure,
     StatisticalStructure,
+    block_metric,
     build_cone_structure,
     check_hessian_structure,
     check_radiant,
@@ -140,6 +142,11 @@ class LeeConstants:
         """mu away from 0 and -a, the degenerate values for radiant fields."""
         return abs(self.mu) > gap and abs(self.mu + self.a) > gap
 
+    def radiant_killing(self, gate: float = RADIANT_GATE) -> bool:
+        """Is the Lee field Killing and radiant, both residuals within ``gate``?"""
+        return (residual_passes(self.killing_residual, gate)
+                and residual_passes(self.radiant_residual, gate))
+
 
 def torus_scale(q) -> float:
     """``q`` as a float, once it is a finite scale q > 0 other than 1."""
@@ -182,11 +189,11 @@ class MappingTorusSpec:
 @dataclass(eq=False)
 class MappingTorus(LCHStructure):
     """An l.c.H. structure on a torus's fundamental domain, with what glued
-    it: the deck map (m, s) -> (phi(m), qs), the cover's Hessian metric
-    h = s^2 g (the cone metric), and the construction reports."""
+    it: the deck map (m, s) -> (phi(m), qs), the cone it is cut from (its
+    metric h = s^2 g is the cover's Hessian metric), and the reports."""
 
     deck_map: VectorFieldT
-    cover_metric: MetricField
+    cone: ConeStructure
     reports: tuple
 
 
@@ -292,8 +299,7 @@ def lee_identity_residual(struct: LCHStructure, constants: LeeConstants,
     treated as hypotheses: violating them is an error, not a failed report.
     """
     gate = max(tolerance, RADIANT_GATE)
-    if not (residual_passes(constants.killing_residual, gate)
-            and residual_passes(constants.radiant_residual, gate)):
+    if not constants.radiant_killing(gate):
         raise ValueError(
             "the identity u*g = nabla(theta) - theta(x)theta assumes a Killing "
             f"radiant Lee field; residuals (killing {constants.killing_residual:.3g}, "
@@ -489,8 +495,8 @@ def build_mapping_torus(spec: MappingTorusSpec, *, plan=None,
     the deck map (m, s) -> (phi(m), q s) pulls all three fields back to
     themselves across the seam.
 
-    The ``MappingTorus`` returned carries the automorphism, seam, and cone
-    postcondition reports.
+    The ``MappingTorus`` returned carries the cone and the automorphism,
+    seam, and cone postcondition reports.
     """
     plan = plan or SamplePlan()
     base = spec.base
@@ -514,19 +520,8 @@ def build_mapping_torus(spec: MappingTorusSpec, *, plan=None,
     cone = build_cone_structure(base, spec.lam, s_interval=(lo, hi),
                                 plan=plan, tolerance=tolerance)
     chart = cone.chart
-    n = k + 1
     s = ex.Var(k)
-
-    entries = np.empty((n, n), dtype=object)
-    for a in range(k):
-        for b in range(a, k):
-            tree = base.metric.entries[a, b]
-            entries[a, b] = tree
-            entries[b, a] = tree
-        entries[a, k] = ex.ZERO
-        entries[k, a] = ex.ZERO
-    entries[k, k] = ex.div(ex.ONE, ex.powi(s, 2))
-    metric = MetricField(chart, entries)
+    metric = block_metric(chart, base.metric, ex.ONE, ex.div(ex.ONE, ex.powi(s, 2)))
 
     theta = OneFormField(
         chart, [ex.ZERO] * k + [ex.neg(ex.div(ex.const(2.0), s))]
@@ -544,7 +539,7 @@ def build_mapping_torus(spec: MappingTorusSpec, *, plan=None,
             f"seam residual {seam_report.max_residual:.3g} exceeds {tolerance:.3g}: "
             "the deck map does not glue the structure"
         )
-    return MappingTorus(chart, cone.conn, metric, theta, deck_map, cone.metric,
+    return MappingTorus(chart, cone.conn, metric, theta, deck_map, cone,
                         (auto_report, seam_report) + cone.reports)
 
 
@@ -555,10 +550,9 @@ def check_monodromy(torus: MappingTorus, expect_rank: int, plan=None,
     the seam samples. ``extra`` carries log c (2 log q for a torus) and the
     rank of its image, 1 when |log c| exceeds the tolerance. The residual is
     the worst of |gamma^* h - c h| / (1 + |c h|) and |rank - expect_rank|."""
-    k = torus.chart.dim - 1
-    pts = Chart(k, torus.chart.box[:k], torus.chart.positive[:k]).sample(plan or SamplePlan())
+    pts = torus.cone.base.chart.sample(plan or SamplePlan())
     seam = np.hstack([pts, np.ones((len(pts), 1))])  # base points on the s = 1 slice
-    pulled, h = _pullback_metric(torus.deck_map.eval(seam, 1), torus.cover_metric, seam)
+    pulled, h = _pullback_metric(torus.deck_map.eval(seam, 1), torus.cone.metric, seam)
     c = float(np.sum(pulled * h) / np.sum(h * h))
     character = math.log(c)
     rank = int(abs(character) > tolerance)
@@ -589,15 +583,13 @@ def _probe_candidate_factory(struct: LCHStructure, alpha: OneFormField,
     which keeps the twisted symmetry exactly.
     """
     chart = struct.chart
+    _require_closed(alpha, chart.sample(plan), max(tolerance, RADIANT_GATE),
+                    "the perturbation one-form")
     ttrees = list(struct.lee_form.entries)
     atrees = list(alpha.entries)
 
     consts = lee_constants(struct, plan)
-    radiant = (
-        consts.killing_residual <= RADIANT_GATE
-        and consts.radiant_residual <= RADIANT_GATE
-        and consts.admissible()
-    )
+    radiant = consts.radiant_killing() and consts.admissible()
     u_options = (consts.u,) if radiant else (1.0, -1.0)
 
     center = 0.5 * (chart.lo() + chart.hi())
@@ -632,9 +624,6 @@ def lee_perturbation_probe(struct: LCHStructure, alpha: OneFormField,
     breakdown is found.
     """
     plan = plan or SamplePlan()
-    pts = struct.chart.sample(plan)
-    _require_closed(alpha, pts, max(tolerance, RADIANT_GATE),
-                    "the perturbation one-form")
     candidate = _probe_candidate_factory(struct, alpha, plan, tolerance)
     if candidate(eps_hi) is not None:
         return float(eps_hi)
@@ -657,9 +646,6 @@ def perturbed_structure(struct: LCHStructure, alpha: OneFormField, eps: float,
     Raises ``NotPositiveDefiniteError`` when no candidate is accepted there.
     """
     plan = plan or SamplePlan()
-    pts = struct.chart.sample(plan)
-    _require_closed(alpha, pts, max(tolerance, RADIANT_GATE),
-                    "the perturbation one-form")
     out = _probe_candidate_factory(struct, alpha, plan, tolerance)(float(eps))
     if out is None:
         raise NotPositiveDefiniteError(

@@ -79,8 +79,8 @@ from .hesstat import (
     check_self_similar,
     check_statistical,
     estimate_constant_curvature,
-    level_set_statistical,
     nondegenerate_lambda,
+    restrict_cone,
 )
 from .lch import (
     LCHStructure,
@@ -729,16 +729,8 @@ def _op_reports(ctx, tol, structure):
 @_op("cone_restriction", structure=_ref(ConeStructure),
      curvature_tolerance=_POSITIVE(1e-4))
 def _op_cone_restriction(ctx, tol, structure, curvature_tolerance):
-    base, lam = structure.base, structure.lam
-    n = base.chart.dim
-    surface = [ex.Var(a) for a in range(n)] + [ex.ONE]
-    transversal = VectorFieldT(
-        structure.chart, [ex.ZERO] * n + [ex.div(ex.Var(n), ex.const(2.0 - lam))]
-    )
-    phi = ex.div(ex.powi(ex.Var(n), 2), ex.const(4.0 - 2.0 * lam))
-    recovered, _ = level_set_statistical(
-        structure.conn, phi, surface, base.chart, transversal, plan=ctx.plan,
-    )
+    base = structure.base
+    recovered = restrict_cone(structure, ctx.plan)
 
     def metric_residual(pts):
         gv = base.metric.eval(pts, 0).value
@@ -879,31 +871,33 @@ def run_suite(scene: Scene, plan: SamplePlan | None = None,
         margin=plan.margin,
         tolerance=DEFAULT_TOLERANCE if tolerance is None else tolerance,
     )
-    for i, check in enumerate(scene.checks):
-        op = check["op"]
-        tol = check["tolerance"] if tolerance is None else tolerance
-        handler, keys = _OPS[op]
-        try:
-            reports = handler(ctx, tol, **ctx.resolve(check, keys))
-        except _Unbuilt as err:
-            reports = [make_report(f"{op}-unavailable", [math.inf], tol, samples=0,
-                                   notes=err.args)]
-        except Exception as err:
-            reports = [make_report(f"{op}-error", [math.inf], tol, samples=0,
-                                   notes=(f"{type(err).__name__}: {err}",))]
-        notes = _expectation_notes(check, reports)
-        record = {
-            "index": i,
-            "id": check["id"],
-            "op": op,
-            "expect_fail": check["expect_fail"],
-            "ok": all(r.passed for r in reports) != check["expect_fail"] and not notes,
-            "reports": [r.as_dict() for r in reports],
-        }
-        if notes:
-            record["expectation_notes"] = notes
-        out.checks.append(record)
-    drop_held_points()  # the suite's sampled points and field tensors
+    try:
+        for i, check in enumerate(scene.checks):
+            op = check["op"]
+            tol = check["tolerance"] if tolerance is None else tolerance
+            handler, keys = _OPS[op]
+            try:
+                reports = handler(ctx, tol, **ctx.resolve(check, keys))
+            except _Unbuilt as err:
+                reports = [make_report(f"{op}-unavailable", [math.inf], tol, samples=0,
+                                       notes=err.args)]
+            except Exception as err:
+                reports = [make_report(f"{op}-error", [math.inf], tol, samples=0,
+                                       notes=(f"{type(err).__name__}: {err}",))]
+            notes = _expectation_notes(check, reports)
+            record = {
+                "index": i,
+                "id": check["id"],
+                "op": op,
+                "expect_fail": check["expect_fail"],
+                "ok": all(r.passed for r in reports) != check["expect_fail"] and not notes,
+                "reports": [r.as_dict() for r in reports],
+            }
+            if notes:
+                record["expectation_notes"] = notes
+            out.checks.append(record)
+    finally:  # the suite's sampled points and field tensors, even when interrupted
+        drop_held_points()
     return out
 
 

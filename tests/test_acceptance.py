@@ -17,7 +17,6 @@ from conftest import (
     sphere_metric,
 )
 
-import hesslab.expr as ex
 from hesslab.cones import (
     characteristic_function,
     cone_from_spec,
@@ -28,7 +27,6 @@ from hesslab.geomcore import (
     MetricField,
     OneFormField,
     SamplePlan,
-    VectorFieldT,
     flat_connection,
     levi_civita,
 )
@@ -38,7 +36,7 @@ from hesslab.hesstat import (
     check_hessian_structure,
     check_statistical,
     estimate_constant_curvature,
-    level_set_statistical,
+    restrict_cone,
 )
 from hesslab.lch import (
     LCHStructure,
@@ -71,19 +69,11 @@ def halfplane_base() -> StatisticalStructure:
     return StatisticalStructure(g.chart, levi_civita(g), g)
 
 
-def unit_slice_restriction(conn, base, lam, plan):
+def unit_slice_restriction(cone, plan):
     """Recovered statistical structure on {s = 1} plus its metric deviation."""
-    n = base.chart.dim
-    surface = [ex.Var(a) for a in range(n)] + [ex.ONE]
-    transversal = VectorFieldT(
-        conn.chart, [ex.ZERO] * n + [ex.div(ex.Var(n), ex.const(2.0 - lam))]
-    )
-    phi = ex.div(ex.powi(ex.Var(n), 2), ex.const(4.0 - 2.0 * lam))
-    recovered, _ = level_set_statistical(
-        conn, phi, surface, base.chart, transversal, plan=plan
-    )
-    pts = base.chart.sample(plan)
-    gv = base.metric.eval(pts, 0).value
+    recovered = restrict_cone(cone, plan)
+    pts = cone.base.chart.sample(plan)
+    gv = cone.base.metric.eval(pts, 0).value
     dev = float(
         np.max(np.abs(recovered.metric.eval(pts, 0).value - gv))
         / (1.0 + np.abs(gv).max())
@@ -118,10 +108,9 @@ def test_criterion_02_curvature_oracle():
 
 
 def test_criterion_03_cone_round_trip():
-    base = halfplane_base()
-    cone = build_cone_structure(base, LAM, plan=PLAN, tolerance=1e-5)
+    cone = build_cone_structure(halfplane_base(), LAM, plan=PLAN, tolerance=1e-5)
     worst = max(r.max_residual for r in cone.reports)
-    recovered, dev = unit_slice_restriction(cone.conn, base, LAM, PLAN)
+    recovered, dev = unit_slice_restriction(cone, PLAN)
     est = estimate_constant_curvature(recovered, PLAN)
     ok = (all(r.passed for r in cone.reports) and worst <= 1e-5
           and dev <= 1e-5 and abs(est.c + 1.0) <= 1e-4)
@@ -191,15 +180,14 @@ def test_criterion_07_lee_identity():
 
 
 def test_criterion_08_mapping_torus():
-    base = halfplane_base()
     struct = build_mapping_torus(
-        MappingTorusSpec(base, ("x0", "x1"), 2.0, LAM),
+        MappingTorusSpec(halfplane_base(), ("x0", "x1"), 2.0, LAM),
         plan=PLAN, tolerance=1e-6)
     gate = check_lch(struct, PLAN, TOL)
     c = lee_constants(struct, PLAN)
     seam = next(r for r in struct.reports if r.name == "mapping-torus-seam")
     kos = koszul_check(struct.conn, struct.lee_form, PLAN, TOL)
-    recovered, _ = unit_slice_restriction(struct.conn, base, LAM, PLAN)
+    recovered, _ = unit_slice_restriction(struct.cone, PLAN)
     est = estimate_constant_curvature(recovered, PLAN)
     mono = check_monodromy(struct, 1, PLAN, TOL)
     chi, rank = mono.extra["character"], mono.extra["rank"]

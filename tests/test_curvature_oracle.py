@@ -1,6 +1,6 @@
-"""`curvature_batch`, the flatness term, `covariant_hessian_trees` and the
-covariant derivatives of a one-form, a vector field and a metric against
-tensors derived by sympy.
+"""`curvature_batch`, the flatness term, `covariant_hessian_trees`, the
+covariant derivatives of a one-form, a vector field and a metric, and the Lie
+derivative of a metric against tensors derived by sympy.
 
 The metrics are random and of non-constant curvature, so a swapped index
 or a dropped term of the curvature formula cannot hide behind the symmetry
@@ -10,7 +10,8 @@ sample points are shared. For a Levi-Civita connection Gamma^u_{jk} =
 Gamma^u_{kj}, so the lower indices of the second Gamma in the quadratic term
 may be read in either order; a random connection with torsion pins that
 order too, and so it does for nabla theta of a one-form that is not closed,
-for nabla xi and for nabla g.
+for nabla xi and for nabla g. A random vector field has a Jacobian that is
+not symmetric, so L_xi g cannot read it transposed.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from hesslab.geomcore import (
     covariant_hessian_trees,
     curvature_batch,
     levi_civita,
+    lie_derivative_metric_batch,
 )
 from hesslab.hesstat import flatness_term
 
@@ -263,4 +265,32 @@ def test_covariant_derivative_of_a_metric_with_torsion_matches_sympy(dim, seed):
         assert np.max(np.abs(wrong - want)) > 1e-2 * np.max(np.abs(want))
     got = covariant_derivative_metric_batch(
         ConnectionField(chart, entries), MetricField(chart, rows), pts)
+    _assert_close(got, want)
+
+
+@pytest.mark.parametrize("dim,seed", [(2, 14), (3, 15)])
+def test_lie_derivative_of_a_metric_matches_sympy(dim, seed):
+    # (L_xi g)_{ij} = xi^k d_k g_ij + g_kj d_i xi^k + g_ik d_j xi^k on a curved
+    # metric and a field whose Jacobian d_j xi^i is not symmetric: reading it
+    # transposed in either Jacobian term moves the result by far more than
+    # the bound
+    rows = _random_metric(dim, seed)
+    rng = np.random.default_rng(seed)
+    xi = _random_components(rng, dim)
+    chart = Chart(dim, ((-BOX, BOX),) * dim)
+    pts = chart.sample(SamplePlan(count=40, seed=seed))
+    xs = sympy.symbols(f"x0:{dim}")
+    g = [[_parse(e, xs) for e in row] for row in rows]
+    v = [_parse(c, xs) for c in xi]
+    span = range(dim)
+
+    def lie(jac):
+        return _values([sum(v[k] * g[i][j].diff(xs[k]) + g[k][j] * jac(k, i)
+                            + g[i][k] * jac(k, j) for k in span)
+                        for i in span for j in span], xs, pts, 2)
+
+    want = lie(lambda k, i: v[k].diff(xs[i]))
+    transposed = lie(lambda k, i: v[i].diff(xs[k]))
+    assert np.max(np.abs(transposed - want)) > 1e-2 * np.max(np.abs(want))
+    got = lie_derivative_metric_batch(VectorFieldT(chart, xi), MetricField(chart, rows), pts)
     _assert_close(got, want)

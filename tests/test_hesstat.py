@@ -49,6 +49,7 @@ from hesslab.hesstat import (
     estimate_constant_curvature,
     level_set_statistical,
     potential_identity_residual,
+    restrict_cone,
     solve_lambda,
     structure_terms,
 )
@@ -638,19 +639,7 @@ def test_restriction_requires_codimension_one():
 ])
 def test_cone_round_trip_recovers_base(build_base, lam):
     base = build_base()
-    cone = build_cone_structure(base, lam, plan=PLAN)
-    n = base.chart.dim
-    surface = [ex.Var(a) for a in range(n)] + [ex.ONE]
-    transversal = VectorFieldT(
-        cone.chart,
-        [ex.ZERO] * n + [ex.div(ex.Var(n), ex.const(2.0 - lam))],
-    )
-    phi = ex.div(
-        ex.powi(ex.Var(n), 2), ex.const(4.0 - 2.0 * lam)
-    )
-    struct, h = level_set_statistical(
-        cone.conn, phi, surface, base.chart, transversal, plan=PLAN,
-    )
+    struct = restrict_cone(build_cone_structure(base, lam, plan=PLAN), PLAN)
     pts = base.chart.sample(PLAN)
     delta = struct.metric.eval(pts, 0).value - base.metric.eval(pts, 0).value
     scale = 1.0 + np.max(np.abs(base.metric.eval(pts, 0).value))

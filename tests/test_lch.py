@@ -45,7 +45,7 @@ from hesslab.hesstat import (
     DegenerateLambdaError,
     StatisticalStructure,
     estimate_constant_curvature,
-    level_set_statistical,
+    restrict_cone,
 )
 from hesslab.lch import (
     LCHStructure,
@@ -633,17 +633,7 @@ def test_mapping_torus_spec_validation():
 
 def test_mapping_torus_fiber_recovery():
     base = halfplane_base()
-    struct = halfplane_torus()
-    n = base.chart.dim
-    surface = [ex.Var(a) for a in range(n)] + [ex.ONE]
-    transversal = VectorFieldT(
-        struct.chart,
-        [ex.ZERO] * n + [ex.div(ex.Var(n), ex.const(2.0 - LAM))],
-    )
-    phi = ex.div(ex.powi(ex.Var(n), 2), ex.const(4.0 - 2.0 * LAM))
-    recovered, _ = level_set_statistical(
-        struct.conn, phi, surface, base.chart, transversal, plan=PLAN,
-    )
+    recovered = restrict_cone(halfplane_torus().cone, PLAN)
     pts = base.chart.sample(PLAN)
     gv = base.metric.eval(pts, 0).value
     dev = np.max(np.abs(recovered.metric.eval(pts, 0).value - gv)) / (1.0 + np.max(np.abs(gv)))
@@ -755,7 +745,8 @@ def test_monodromy_of_the_invariant_metric_has_rank_zero():
     # the torus metric g = h / s^2 is what the deck map preserves: measured
     # against it the character is 0, so a rank-1 expectation fails
     torus = halfplane_torus()
-    invariant = dataclasses.replace(torus, cover_metric=torus.metric)
+    invariant = dataclasses.replace(
+        torus, cone=dataclasses.replace(torus.cone, metric=torus.metric))
     rep = check_monodromy(invariant, 1, PLAN)
     assert abs(rep.extra["character"]) <= 1e-12 and rep.extra["rank"] == 0
     assert not rep.passed and rep.max_residual == 1.0
@@ -774,10 +765,11 @@ def test_monodromy_misfit_reads_a_map_that_is_no_homothety():
 def test_mapping_torus_carries_what_it_built():
     torus = halfplane_torus()
     assert isinstance(torus, MappingTorus) and isinstance(torus, LCHStructure)
-    assert torus.deck_map.chart == torus.chart == torus.cover_metric.chart
+    assert torus.deck_map.chart == torus.chart == torus.cone.chart
+    assert torus.conn is torus.cone.conn and torus.reports[2:] == torus.cone.reports
     pts = torus.chart.sample(PLAN)
     s = pts[:, -1:, None]
-    h = torus.cover_metric.eval(pts, 0).value
+    h = torus.cone.metric.eval(pts, 0).value
     assert np.max(np.abs(h - s * s * torus.metric.eval(pts, 0).value)) <= 1e-12
 
 

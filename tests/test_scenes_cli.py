@@ -282,6 +282,23 @@ def test_crash_never_satisfies_expect_fail(monkeypatch):
     assert crashed[0]["reports"][0]["name"] == "koszul-error"
 
 
+def test_an_interrupted_suite_releases_the_held_points(monkeypatch):
+    # KeyboardInterrupt is no Exception: it leaves run_suite, which must
+    # still drop the point set and the tensors its earlier checks held
+    from hesslab import geomcore, scenes
+
+    held = []
+
+    def interrupt(ctx, tol, **values):
+        held.append(geomcore._held.pts is not None)
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(scenes._OPS, "koszul", (interrupt, *scenes._OPS["koszul"][1:]))
+    with pytest.raises(KeyboardInterrupt):
+        run_example("hopf", PLAN)
+    assert held == [True] and geomcore._held.pts is None
+
+
 def test_unbuilt_structure_never_satisfies_expect_fail():
     data = unit_scene()
     data["fields"]["gm"] = {
