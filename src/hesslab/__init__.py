@@ -33,7 +33,6 @@ from .hesstat import (
     estimate_constant_curvature,
     level_set_statistical,
     restrict_cone,
-    solve_lambda,
 )
 from .cones import (
     LorentzCone,
@@ -44,7 +43,6 @@ from .cones import (
     cone_from_spec,
     cone_lch_structure,
     log_psi_metric,
-    project_to_characteristic_surface,
     surface_statistical_structure,
 )
 from .lch import (
@@ -60,7 +58,6 @@ from .lch import (
     lee_constants,
     lee_identity_residual,
     lee_perturbation_probe,
-    local_hessian_gauge,
     metric_from_lee,
     perturbed_structure,
 )

@@ -54,7 +54,6 @@ __all__ = [
     "cone_from_spec",
     "characteristic_function",
     "log_psi_metric",
-    "project_to_characteristic_surface",
     "surface_statistical_structure",
     "cone_lch_structure",
     "sample_interior",
@@ -615,14 +614,6 @@ def log_psi_metric(cone: ConeSpec, pts) -> np.ndarray:
             )
     tree = ex.call("log", cone.psi_expression())
     return evaluate(tree, pts, 2).hess
-
-
-def project_to_characteristic_surface(cone: ConeSpec, x, method: str = "closed_form",
-                                      samples: int = 1_000_000, seed: int = 42) -> np.ndarray:
-    """Scale x onto {psi = 1} using homogeneity of degree -dim."""
-    psi = characteristic_function(cone, x, method, samples, seed)
-    t = psi.value ** (1.0 / cone.dim)
-    return t * cone._point(x)
 
 
 def surface_statistical_structure(cone: ConeSpec, surface, surface_chart: Chart, *,

@@ -126,10 +126,6 @@ class Chart:
     def hi(self) -> Array:
         return np.array([b[1] for b in self.box])
 
-    def contains(self, p) -> bool:
-        p = np.asarray(p, float)
-        return bool(np.all(p > self.lo()) and np.all(p < self.hi()))
-
     def sample(self, plan: "SamplePlan") -> Array:
         """The plan's points, read-only. An equal (chart, plan) sampled again
         gets the same array back while no other point set was sampled since."""
@@ -146,15 +142,6 @@ class Chart:
             pts.flags.writeable = False
             held = _held = _PointSet(key, pts)
         return held.pts
-
-    def subbox(self, center, fraction: float) -> "Chart":
-        """A smaller chart around ``center`` spanning ``fraction`` of each width."""
-        center = np.asarray(center, float)
-        lo, hi = self.lo(), self.hi()
-        half = 0.5 * fraction * (hi - lo)
-        new_lo = np.maximum(lo, center - half)
-        new_hi = np.minimum(hi, center + half)
-        return Chart(self.dim, tuple(zip(new_lo, new_hi)), self.positive)
 
 
 @dataclass(frozen=True)
@@ -247,8 +234,8 @@ def _gauss_legendre() -> tuple[Array, Array]:
 class LineIntegralGauge:
     """f(p) = integral of a (closed) 1-form along the straight segment base -> p.
 
-    Where the form is closed (`lch.local_hessian_gauge` checks dθ = 0 first),
-    f is a potential for it on the convex box:
+    Where the form is closed (the openness probe in `lch` checks dθ = 0
+    first), f is a potential for it on the convex box:
     grad f = the form itself, so all derivative tensors of f come from jets
     of the components and only the value needs quadrature. A field entry
     reads f through an `ex.Gauge` leaf, as `gauged` builds it.

@@ -60,10 +60,8 @@ __all__ = [
     "StatisticalStructure",
     "ConeStructure",
     "CurvatureEstimate",
-    "LambdaRoots",
     "ConeConstructionError",
     "DegenerateLambdaError",
-    "NoRealSolutionError",
     "TransversalityError",
     "SurfaceConstraintError",
     "nondegenerate_lambda",
@@ -77,7 +75,6 @@ __all__ = [
     "duality_residual_batch",
     "check_statistical",
     "estimate_constant_curvature",
-    "solve_lambda",
     "block_metric",
     "build_cone_structure",
     "restrict_cone",
@@ -106,10 +103,6 @@ def nondegenerate_lambda(lam) -> float:
             "degenerates at 0 and the potential s^2/(4-2*lambda) is undefined at 2"
         )
     return lam
-
-
-class NoRealSolutionError(ValueError):
-    """lambda*(2 - lambda) = c has no real root (c > 1)."""
 
 
 class TransversalityError(ValueError):
@@ -142,9 +135,10 @@ class StatisticalStructure:
 class ConeStructure:
     """Flat radiant structure on base x (0, inf): g = s^2 g_M + ds^2.
 
-    ``lam`` is the radiance constant: nabla(s d/ds) = lam * Id.  ``reports``
-    and ``base`` hold the postconditions and the base when the structure came
-    out of ``build_cone_structure``; hand-built instances may leave them empty.
+    ``lam`` is the radiance constant: nabla(s d/ds) = lam * Id.  ``base`` is
+    the statistical structure the cone lies over, on the first dim - 1
+    coordinates.  ``reports`` holds the postconditions when the structure came
+    out of ``build_cone_structure``; hand-built instances may leave it empty.
     """
 
     chart: Chart
@@ -152,8 +146,8 @@ class ConeStructure:
     metric: MetricField
     radial: VectorFieldT
     lam: float
+    base: StatisticalStructure
     reports: tuple = ()
-    base: StatisticalStructure | None = None
 
     def __post_init__(self):
         if self.chart.dim < 2:
@@ -161,6 +155,9 @@ class ConeStructure:
         if not self.chart.positive[-1] or self.chart.box[-1][0] <= 0:
             raise ChartError("the radial coordinate must stay strictly positive")
         nondegenerate_lambda(self.lam)
+        base = self.base
+        if not isinstance(base, StatisticalStructure) or base.chart.dim != self.chart.dim - 1:
+            raise ValueError("a cone needs its base statistical structure, one dimension lower")
         for f in (self.conn, self.metric, self.radial):
             if f.chart != self.chart:
                 raise ValueError("cone fields must share the cone chart")
@@ -176,26 +173,6 @@ class CurvatureEstimate:
     def __post_init__(self):
         if self.residual < 0:
             raise ValueError("curvature residual must be nonnegative")
-
-
-@dataclass(frozen=True)
-class LambdaRoots:
-    """Both roots of lambda*(2 - lambda) = c, largest first.
-
-    ``degenerate`` flags roots at 0 or 2, which do not define cone structures.
-    """
-
-    roots: tuple[float, ...]
-    degenerate: bool
-
-    def __iter__(self):
-        return iter(self.roots)
-
-    def __contains__(self, value):
-        return value in self.roots
-
-    def __len__(self):
-        return len(self.roots)
 
 
 def _tree(obj, dim: int) -> Expression:
@@ -431,28 +408,6 @@ def estimate_constant_curvature(struct: StatisticalStructure, plan=None) -> Curv
         return CurvatureEstimate(c, residual)
 
     return held_result(("curvature_estimate", struct.conn, struct.metric), pts, fit)
-
-
-def solve_lambda(c: float) -> LambdaRoots:
-    """Solve lambda*(2 - lambda) = c.
-
-    Roots are 1 +/- sqrt(1 - c), returned largest first; the second root is
-    produced as 2 - lambda_1 so the pair sums to 2 exactly.  c > 1 has no real
-    solution; c = 0 yields the degenerate pair {2, 0}.
-    """
-    c = float(c)
-    if c > 1.0:
-        raise NoRealSolutionError(
-            f"lambda*(2-lambda) = {c} has no real solution (requires c <= 1)"
-        )
-    root = math.sqrt(1.0 - c)
-    if root == 0.0:
-        values: tuple[float, ...] = (1.0,)
-    else:
-        hi = 1.0 + root
-        values = (hi, 2.0 - hi)
-    degenerate = any(abs(v) < 1e-12 or abs(v - 2.0) < 1e-12 for v in values)
-    return LambdaRoots(values, degenerate)
 
 
 # ---------------------------------------------------------------------------

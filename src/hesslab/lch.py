@@ -20,7 +20,6 @@ import numpy as np
 from . import expr as ex
 from .geomcore import (
     Chart,
-    ChartError,
     CheckReport,
     ConnectionField,
     DEFAULT_TOLERANCE,
@@ -49,7 +48,6 @@ from .hesstat import (
     StatisticalStructure,
     block_metric,
     build_cone_structure,
-    check_hessian_structure,
     check_radiant,
     nondegenerate_lambda,
     structure_terms,
@@ -71,7 +69,6 @@ __all__ = [
     "lee_identity_residual",
     "lee_perturbation_probe",
     "lee_vector_field",
-    "local_hessian_gauge",
     "metric_from_lee",
     "perturbed_structure",
     "torus_scale",
@@ -389,41 +386,6 @@ def koszul_check(conn: ConnectionField, theta: OneFormField, plan=None,
         return terms
 
     return sample_check(residual, conn.chart, plan or SamplePlan(), tolerance, name=name)
-
-
-def local_hessian_gauge(struct: LCHStructure, base_point, p=None, *,
-                        plan=None, tolerance: float = DEFAULT_TOLERANCE,
-                        fraction: float = 0.5):
-    """Gauge potential f with df = theta, plus the Hessian check of e^{-f} g.
-
-    f is the line integral of theta from ``base_point`` along straight
-    segments (the chart box is convex, so segments stay inside), once
-    d(theta) = 0 at the plan's points.  Returns ``(f(p), report)`` where the
-    report runs the Hessian gate for e^{-f} g on a sub-box around the base.
-    """
-    chart = struct.chart
-    base = np.asarray(base_point, float)
-    if not chart.contains(base):
-        raise ChartError("gauge base point lies outside the chart box")
-    target = base if p is None else np.asarray(p, float)
-    if not chart.contains(target):
-        raise ChartError(
-            "gauge target point lies outside the chart box; the integration "
-            "segment would exit the chart"
-        )
-    plan = plan or SamplePlan()
-    _require_closed(struct.lee_form, chart.sample(plan), max(tolerance, RADIANT_GATE),
-                    "the Lee form")
-    gauge = LineIntegralGauge(struct.lee_form.entries, base)
-    f_p = float(gauge.values(target.reshape(1, -1))[0])
-
-    sub = chart.subbox(base, fraction)
-    rescaled = MetricField(sub, [[gauged(gauge, -1.0, g_ij) for g_ij in row]
-                                 for row in struct.metric.entries])
-    sub_conn = ConnectionField(sub, struct.conn.entries)
-    report = check_hessian_structure(sub_conn, rescaled, plan,
-                                     tolerance, name="hessian-gauge")
-    return f_p, report
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from hesslab.cones import (
     cone_from_spec,
     cone_lch_structure,
     log_psi_metric,
-    project_to_characteristic_surface,
     sample_interior,
     surface_statistical_structure,
 )
@@ -418,21 +417,6 @@ def test_log_psi_metric_rejects_outside_points():
 # ---------------------------------------------------------------------------
 # characteristic surface
 # ---------------------------------------------------------------------------
-
-def test_projection_orthant():
-    cone = OrthantCone(2)
-    point = project_to_characteristic_surface(cone, (2.0, 3.0))
-    t = (1.0 / 6.0) ** 0.5
-    assert np.allclose(point, [2.0 * t, 3.0 * t])
-    assert abs(characteristic_function(cone, point).value - 1.0) <= 1e-9
-    assert np.array_equal(project_to_characteristic_surface(cone, (1.0, 1.0)), [1.0, 1.0])
-
-
-def test_projection_lorentz():
-    point = project_to_characteristic_surface(LorentzCone(2), (1.0, 0.0))
-    assert np.allclose(point, [math.sqrt(2.0), 0.0])
-    assert abs(characteristic_function(LorentzCone(2), point).value - 1.0) <= 1e-9
-
 
 def test_surface_structure_orthant3():
     chart = Chart(2, ((-0.5, 0.5), (-0.5, 0.5)))

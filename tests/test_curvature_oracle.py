@@ -1,6 +1,7 @@
 """`curvature_batch`, the flatness term, `covariant_hessian_trees`, the
-covariant derivatives of a one-form, a vector field and a metric, and the Lie
-derivative of a metric against tensors derived by sympy.
+covariant derivatives of a one-form, a vector field and a metric, the Lie
+derivative of a metric and the pullback of (g, Gamma, theta) by a map
+against tensors derived by sympy.
 
 The metrics are random and of non-constant curvature, so a swapped index
 or a dropped term of the curvature formula cannot hide behind the symmetry
@@ -11,7 +12,8 @@ Gamma^u_{kj}, so the lower indices of the second Gamma in the quadratic term
 may be read in either order; a random connection with torsion pins that
 order too, and so it does for nabla theta of a one-form that is not closed,
 for nabla xi and for nabla g. A random vector field has a Jacobian that is
-not symmetric, so L_xi g cannot read it transposed.
+not symmetric, so L_xi g cannot read it transposed, and neither can the
+pullback by an affine map whose matrix is not symmetric.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from hesslab.geomcore import (
     lie_derivative_metric_batch,
 )
 from hesslab.hesstat import flatness_term
+from hesslab.lch import LCHStructure, check_symmetry
 
 sympy = pytest.importorskip("sympy")
 
@@ -294,3 +297,59 @@ def test_lie_derivative_of_a_metric_matches_sympy(dim, seed):
     assert np.max(np.abs(transposed - want)) > 1e-2 * np.max(np.abs(want))
     got = lie_derivative_metric_batch(VectorFieldT(chart, xi), MetricField(chart, rows), pts)
     _assert_close(got, want)
+
+
+@pytest.mark.parametrize("dim,seed", [(2, 16), (3, 17)])
+def test_pullback_by_an_affine_map_matches_sympy(dim, seed):
+    # phi(x) = A x + b pulls back g to A^T g(phi) A, theta to A^T theta(phi)
+    # and Gamma to A^{-1} Gamma(phi)(A., A.); `check_symmetry` reports each
+    # against the field itself as max |phi^* T - T| / (1 + max |T|), the
+    # worst over the samples. A is positive below its diagonal and negative
+    # above it, so reading the Jacobian transposed moves each term by far
+    # more than the 1e-10 the report is held to
+    rows = _random_metric(dim, seed)
+    rng = np.random.default_rng(seed)
+    gamma_rows = _random_connection(rng, dim)
+    theta_rows = _random_components(rng, dim)
+    a = sympy.Matrix(dim, dim, lambda c, u: 1 if c == u else sympy.Rational(
+        int(rng.integers(1, 4)) * (1 if c > u else -1), 10))
+    b = [sympy.Rational(int(rng.integers(-2, 3)), 10) for _ in range(dim)]
+    mapping = [" + ".join([f"({a[c, u]})*x{u}" for u in range(dim)] + [f"({b[c]})"])
+               for c in range(dim)]
+    chart = Chart(dim, ((-BOX, BOX),) * dim)
+    plan = SamplePlan(count=40, seed=seed)
+    pts = chart.sample(plan)
+    xs = sympy.symbols(f"x0:{dim}")
+    g = sympy.Matrix(dim, dim, lambda i, j: _parse(rows[i][j], xs))
+    theta = sympy.Matrix([_parse(c, xs) for c in theta_rows])
+    gamma = [sympy.Matrix(dim, dim, lambda j, k: _parse(gamma_rows[l][j][k], xs))
+             for l in range(dim)]
+    image = dict(zip(xs, a * sympy.Matrix(xs) + sympy.Matrix(b)))
+    span = range(dim)
+
+    def term(pulled, own, rank):
+        delta = np.abs(_values(list(pulled - own), xs, pts, rank)).reshape(len(pts), -1)
+        scale = np.abs(_values(list(own), xs, pts, rank)).reshape(len(pts), -1)
+        return float(np.max(delta.max(axis=1) / (1.0 + scale.max(axis=1))))
+
+    def residuals(jac):  # the pullback by phi, read through the Jacobian ``jac``
+        inner = [jac.T * gamma[l].xreplace(image) * jac for l in span]
+        inv = jac.inv()
+        return {
+            "metric": term(jac.T * g.xreplace(image) * jac, g, 2),
+            "connection": term(
+                sympy.Matrix([sum(inv[u, l] * inner[l][j, k] for l in span)
+                              for u in span for j in span for k in span]),
+                sympy.Matrix([gamma[u][j, k] for u in span for j in span for k in span]), 3),
+            "lee_form": term(jac.T * theta.xreplace(image), theta, 1),
+        }
+
+    want, transposed = residuals(a), residuals(a.T)
+    for key, value in want.items():
+        assert abs(transposed[key] - value) > 1e-6 * value > 0, key
+    struct = LCHStructure(chart, ConnectionField(chart, gamma_rows), MetricField(chart, rows),
+                          OneFormField(chart, theta_rows))
+    got = check_symmetry(struct, mapping, plan).extra
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        assert got[key] == pytest.approx(value, rel=1e-10), key

@@ -9,8 +9,6 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import conftest
 from hesslab import expr as ex
@@ -34,7 +32,6 @@ from hesslab.hesstat import (
     ConeConstructionError,
     ConeStructure,
     DegenerateLambdaError,
-    NoRealSolutionError,
     StatisticalStructure,
     SurfaceConstraintError,
     TransversalityError,
@@ -50,7 +47,6 @@ from hesslab.hesstat import (
     level_set_statistical,
     potential_identity_residual,
     restrict_cone,
-    solve_lambda,
     structure_terms,
 )
 from hesslab.scenes import strict_json
@@ -444,38 +440,6 @@ def test_a_nan_metric_fits_a_nan_curvature():
 
 
 # ---------------------------------------------------------------------------
-# solve_lambda
-# ---------------------------------------------------------------------------
-
-def test_solve_lambda_examples():
-    assert solve_lambda(1.0).roots == (1.0,)
-    roots = solve_lambda(-1.0)
-    assert roots.roots[0] == pytest.approx(1.0 + math.sqrt(2.0))
-    assert roots.roots[1] == pytest.approx(1.0 - math.sqrt(2.0))
-    assert not roots.degenerate
-    with pytest.raises(NoRealSolutionError):
-        solve_lambda(2.0)
-
-
-def test_solve_lambda_degenerate_pair():
-    roots = solve_lambda(0.0)
-    assert roots.degenerate
-    assert set(roots) == {0.0, 2.0}
-
-
-@given(st.floats(min_value=-3.0, max_value=1.0))
-@settings(max_examples=200)
-def test_solve_lambda_root_identities(c):
-    roots = list(solve_lambda(c))
-    if len(roots) == 1:
-        roots = roots * 2
-    assert roots[0] + roots[1] == 2.0
-    assert roots[0] * roots[1] == pytest.approx(c, abs=1e-12)
-    for lam in roots:
-        assert lam * (2.0 - lam) == pytest.approx(c, abs=1e-12)
-
-
-# ---------------------------------------------------------------------------
 # cone construction
 # ---------------------------------------------------------------------------
 
@@ -531,9 +495,23 @@ def test_potential_identity_detects_corruption():
     # index must be the radial one, since the potential depends only on s
     entries[2, 0, 0] = ex.add(entries[2, 0, 0], ex.parse_expression("s/20", 3))
     bad_conn = ConnectionField(cone.chart, entries)
-    bad = ConeStructure(cone.chart, bad_conn, cone.metric, cone.radial, cone.lam)
+    bad = ConeStructure(cone.chart, bad_conn, cone.metric, cone.radial, cone.lam,
+                        base=cone.base)
     rep = potential_identity_residual(bad, PLAN)
     assert not rep.passed
+
+
+def test_cone_structure_requires_its_base():
+    # restrict_cone and check_monodromy read base.chart: a cone without its
+    # base, or over a base of the wrong dimension, is refused when built
+    cone = build_cone_structure(halfplane_statistical(), LAMBDA_HALFPLANE, plan=PLAN)
+    fields = (cone.chart, cone.conn, cone.metric, cone.radial, cone.lam)
+    with pytest.raises(TypeError, match="base"):
+        ConeStructure(*fields)
+    with pytest.raises(ValueError, match="base statistical structure"):
+        ConeStructure(*fields, None)
+    with pytest.raises(ValueError, match="one dimension lower"):
+        ConeStructure(*fields, StatisticalStructure(cone.chart, cone.conn, cone.metric))
 
 
 # ---------------------------------------------------------------------------

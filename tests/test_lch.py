@@ -26,7 +26,7 @@ from hesslab import lch
 from hesslab.cones import LorentzCone, OrthantCone, cone_lch_structure
 from hesslab.geomcore import (
     Chart,
-    ChartError,
+    ConnectionField,
     LineIntegralGauge,
     MetricField,
     OneFormField,
@@ -44,6 +44,7 @@ from hesslab.geomcore import (
 from hesslab.hesstat import (
     DegenerateLambdaError,
     StatisticalStructure,
+    check_hessian_structure,
     estimate_constant_curvature,
     restrict_cone,
 )
@@ -65,7 +66,6 @@ from hesslab.lch import (
     lee_identity_residual,
     lee_perturbation_probe,
     lee_vector_field,
-    local_hessian_gauge,
     metric_from_lee,
     perturbed_structure,
 )
@@ -445,52 +445,19 @@ def test_closedness_is_computed_once_per_point_set(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_gauge_hopf_log_potential():
+    # theta = df for f = -2 log(|p|/|base|), and e^{-f} g is Hessian: the
+    # openness probe's route two rescales the metric by such a gauge
     struct = hopf_lch()
     base = np.array([1.0, 0.5])
     target = np.array([1.4, 0.8])
-    f, rep = local_hessian_gauge(struct, base, target, plan=PLAN)
+    gauge = LineIntegralGauge(struct.lee_form.entries, base)
     expected = -2.0 * math.log(np.hypot(*target) / np.hypot(*base))
-    assert f == pytest.approx(expected, abs=1e-10)
+    assert gauge.values(target.reshape(1, -1))[0] == pytest.approx(expected, abs=1e-10)
+    sub = Chart(2, ((0.575, 1.425), (0.3, 0.9)))  # half of each width around base
+    rescaled = MetricField(sub, [[gauged(gauge, -1.0, g_ij) for g_ij in row]
+                                 for row in struct.metric.entries])
+    rep = check_hessian_structure(ConnectionField(sub, struct.conn.entries), rescaled, PLAN)
     assert rep.passed and rep.max_residual < 1e-10
-
-
-def test_gauge_e67_recovers_hessian_metric():
-    struct = e67_lch()
-    f, rep = local_hessian_gauge(struct, (0.0, 0.0), plan=PLAN)
-    assert f == 0.0
-    assert rep.passed
-
-
-def test_gauge_rejects_points_outside_chart():
-    struct = hopf_lch()
-    with pytest.raises(ChartError, match="base"):
-        local_hessian_gauge(struct, (5.0, 5.0), plan=PLAN)
-    with pytest.raises(ChartError, match="target"):
-        local_hessian_gauge(struct, (1.0, 0.5), (5.0, 5.0), plan=PLAN)
-
-
-def test_gauge_detects_non_closed_form():
-    chart = Chart(2, ((0.0, 1.0), (0.0, 1.0)))
-    g = MetricField(chart, np.eye(chart.dim))
-    fuzz = LCHStructure(chart, flat_connection(chart), g, OneFormField(chart, ["x1", "0"]))
-    with pytest.raises(ValueError, match="Lee form must be closed"):
-        local_hessian_gauge(fuzz, (0.2, 0.2), plan=PLAN)
-    # d(x0^2 x1) is closed: the gauge is its potential from the base
-    exact = LCHStructure(chart, flat_connection(chart), g,
-                         OneFormField(chart, ["2*x0*x1", "x0*x0"]))
-    f, _ = local_hessian_gauge(exact, (0.2, 0.2), (0.7, 0.4), plan=PLAN)
-    assert f == pytest.approx(0.7**2 * 0.4 - 0.2**3, rel=1e-12)
-
-
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_gauge_rejects_a_nan_lee_form():
-    # exp(800 x0) overflows, so theta is inf - inf = NaN on the whole chart
-    chart = Chart(1, ((1.0, 2.0),))
-    g = MetricField(chart, np.eye(chart.dim))
-    nan_form = OneFormField(chart, ["exp(800*x0) - exp(800*x0) + 1/x0"])
-    struct = LCHStructure(chart, flat_connection(chart), g, nan_form)
-    with pytest.raises(ValueError, match="Lee form must be closed"):
-        local_hessian_gauge(struct, (1.5,), plan=PLAN)
 
 
 # ---------------------------------------------------------------------------
@@ -614,6 +581,17 @@ def test_symmetry_mean_is_over_samples():
     assert rep.extra["lee_form"] == pytest.approx(lee.max(), rel=1e-12)
     assert rep.mean_residual == pytest.approx(np.maximum(metric, lee).mean(), rel=1e-12)
     assert rep.mean_residual < np.mean(list(rep.extra.values())) - 1e-3
+
+
+def test_symmetry_pulls_theta_back_by_the_transposed_jacobian():
+    # the shear phi(x) = (x0, x0 + x1) has Jacobian A = [[1, 0], [1, 1]]. For
+    # theta = dx0, phi^* theta = A^T theta = theta while A theta = (1, 1), and
+    # phi^* g = A^T A = [[2, 1], [1, 1]] moves g = I by 1: 1 / (1 + 1) = 0.5
+    chart = Chart(2, ((0.0, 1.0), (0.0, 1.0)))
+    struct = LCHStructure(chart, flat_connection(chart), MetricField(chart, np.eye(2)),
+                          OneFormField(chart, ["1", "0"]))
+    rep = check_symmetry(struct, ["x0", "x0 + x1"], PLAN)
+    assert rep.extra == {"metric": 0.5, "connection": 0.0, "lee_form": 0.0}
 
 
 def test_mapping_torus_spec_validation():
