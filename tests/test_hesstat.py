@@ -482,6 +482,34 @@ def test_cone_rejects_mismatched_lambda():
         build_cone_structure(halfplane_statistical(), 1.0, plan=PLAN)
 
 
+def _scaled_base(chart, conf: str, k: float) -> StatisticalStructure:
+    # k * conf * delta: the Levi-Civita connection is that of conf * delta, and
+    # the curvature constant c of conf * delta becomes c / k
+    g = MetricField(chart, [[f"{k}*{conf}", "0"], ["0", f"{k}*{conf}"]])
+    return StatisticalStructure(chart, levi_civita(g), g)
+
+
+@pytest.mark.parametrize("chart,conf,k,c", [
+    (conftest.halfplane_chart, "1/(x0*x0)", 1.0 / 3.0, -3.0),
+    (conftest.halfplane_chart, "1/(x0*x0)", 4.0, -0.25),
+    (conftest.sphere_chart, "4/((1+x0*x0+x1*x1)^2)", 4.0 / 3.0, 0.75),
+    (conftest.sphere_chart, "4/((1+x0*x0+x1*x1)^2)", 1.0, 1.0),
+], ids=["halfplane-c=-3", "halfplane-c=-1/4", "sphere-c=3/4", "sphere-c=1"])
+def test_cone_lifts_the_base_by_either_root_of_its_curvature(chart, conf, k, c):
+    # lambda (2 - lambda) = c has the roots 1 +- sqrt(1 - c), which sum to 2
+    # and multiply to c; c = 1 is the double root 1. Both roots lift the base
+    # and a lambda off them by 0.05 is refused
+    base = _scaled_base(chart(), conf, k)
+    half = math.sqrt(1.0 - c)
+    for lam in {1.0 + half, 1.0 - half}:
+        cone = build_cone_structure(base, lam, plan=PLAN)
+        assert cone.lam == lam and all(rep.passed for rep in cone.reports)
+        assert estimate_constant_curvature(restrict_cone(cone, PLAN), PLAN).c == \
+            pytest.approx(c, abs=1e-5)
+        with pytest.raises(ConeConstructionError, match="does not match"):
+            build_cone_structure(base, lam + 0.05, plan=PLAN)
+
+
 def test_cone_rejects_nonpositive_radial_interval():
     with pytest.raises(ValueError):
         build_cone_structure(halfplane_statistical(), LAMBDA_HALFPLANE,

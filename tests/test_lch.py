@@ -460,6 +460,44 @@ def test_gauge_hopf_log_potential():
     assert rep.passed and rep.max_residual < 1e-10
 
 
+def test_gauge_poincare_log_potential():
+    # theta = -2 dx0 / x0 = df for f = -2 log(x0 / base0), whatever x1 does
+    struct = poincare_lch()
+    base = np.array([1.0, 0.0])
+    gauge = LineIntegralGauge(struct.lee_form.entries, base)
+    targets = np.array([[0.4, -0.7], [1.8, 0.9], [1.0, 0.6]])
+    assert np.allclose(gauge.values(targets), -2.0 * np.log(targets[:, 0]), atol=1e-10)
+    sub = Chart(2, ((0.575, 1.425), (-0.5, 0.5)))  # half of each width around base
+    rescaled = MetricField(sub, [[gauged(gauge, -1.0, g_ij) for g_ij in row]
+                                 for row in struct.metric.entries])
+    rep = check_hessian_structure(ConnectionField(sub, struct.conn.entries), rescaled, PLAN)
+    assert rep.passed and rep.max_residual < 1e-10
+
+
+def test_gauge_e67_recovers_hessian_metric():
+    # the Killing-but-not-affine example: its Lee form is closed, so the gauge
+    # from the origin is a potential (0 at the origin) and e^{-f} g is Hessian
+    struct = e67_lch()
+    gauge = LineIntegralGauge(struct.lee_form.entries, (0.0, 0.0))
+    assert gauge.values(np.zeros((1, 2)))[0] == 0.0
+    sub = Chart(2, ((-0.75, 0.75), (-0.75, 0.75)))  # half of each width around 0
+    rescaled = MetricField(sub, [[gauged(gauge, -1.0, g_ij) for g_ij in row]
+                                 for row in struct.metric.entries])
+    rep = check_hessian_structure(ConnectionField(sub, struct.conn.entries), rescaled, PLAN)
+    assert rep.passed
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_gauge_rejects_a_nan_lee_form():
+    # the openness probe builds its gauge from alpha only once d(alpha) = 0 is
+    # read; exp(800 x0) overflows, so alpha is inf - inf = NaN on the chart
+    # and its closedness residual is NaN, which is not closed
+    struct = hopf_lch()
+    alpha = OneFormField(struct.chart, ["exp(800*x0) - exp(800*x0) + 1", "0"])
+    with pytest.raises(ValueError, match="perturbation one-form must be closed"):
+        lee_perturbation_probe(struct, alpha, PLAN)
+
+
 # ---------------------------------------------------------------------------
 # Koszul check
 # ---------------------------------------------------------------------------
