@@ -19,8 +19,8 @@ array of sample points at once, returning stacked value/derivative arrays
 with the derivative axes last (value[m, i, j], d1[m, i, j, a] = d_a g_ij).
 Every field entry is a hash-consed expression tree, so a field is
 evaluated on one path: its trees form one shared DAG, planned once on the
-first evaluation and run as one jet pass at every order and on every point
-set. A line-integral gauge f (df = theta, for the l.c.H. metric e^{-f} g)
+first evaluation and run as one jet pass per row block (below) at every
+order and on every point set. A line-integral gauge f (df = theta, for the l.c.H. metric e^{-f} g)
 is a `Gauge` leaf of that DAG: its value comes from quadrature along a
 segment and its derivatives from jets of theta. exp(sign * f) is then one
 node, shared by every entry it scales.
@@ -49,6 +49,18 @@ Eigenvalues are computed only for the samples it leaves open, by the rule
 that decided every sample before (`eigenvalue_definiteness`, the one
 ``eigvalsh`` call), so the gaps, eigenvalues and reports are the same bytes.
 
+Blocked passes: a field's plan runs over row blocks of the points
+(`_eval_entries`), each block one jet pass written into its rows of the
+field tensor. Block rows come from the plan and one fixed scratch budget
+(`_SCRATCH_BUDGET`, `_block_rows`): the most jets a pass holds at once, their
+width at the order, and what the consumer of the rows keeps per row. Jets
+are computed per sample, so a blocked pass gives the whole pass's bytes. At
+200 samples every bundled field runs in one block. The curvature fold
+(`_curvature_slices`) is the one consumer that takes the rows as they come:
+above one block it folds each block of Gamma's order-1 jets into the
+flatness rows or the constant-curvature fit's sums, and Gamma is held at
+order 0 only (`_holds_order_1`), so its derivative jets are never held whole.
+
 The most recently sampled point set is held, read-only, together with every
 field tensor evaluated on exactly that array, so the checks of one structure
 evaluate each field once. A lower-order request reads a prefix of a stored
@@ -58,9 +70,9 @@ residual terms of `hesstat.structure_terms` (closedness is kept by
 `closedness_residual` itself, for every caller), the constant-curvature fit
 and the Lee constants. Only (m,) arrays and scalars are kept, never a
 derived tensor such as nabla g: at 20 000 samples a dim-3 flatness term is
-156 KiB, the curvature slice it folds 4.1 MiB, and the whole curvature, which
-only the constant-curvature fit builds, 12.4 MiB. Sampling a different
-(chart, plan) drops everything held.
+156 KiB, Gamma's order-1 tensor 16.5 MiB (held only while the points fit one
+block of the fold) and the whole curvature, which no check builds, 12.4 MiB.
+Sampling a different (chart, plan) drops everything held.
 """
 
 from __future__ import annotations
@@ -369,19 +381,36 @@ def held_result(key: tuple, pts: Array, compute):
 
 _JET_PARTS = ("value", "grad", "hess", "third")
 
+# Bytes of scratch one blocked field pass may hold (`_block_rows`). At 200
+# samples every field of every bundled scene and of the dense round-sphere
+# scenes up to dim 5, and the curvature fold of their connections, fit one
+# block, so such passes run as one.
+_SCRATCH_BUDGET = 32 << 20
 
-def _eval_entries(field: _Field, pts: Array, order: int) -> EvaluatedTensor:
-    """Stack the entry jets, all taken in one `evaluate` pass over the
-    field's plan, so a subtree shared by several entries (a gauge factor
-    among them) is evaluated once. Each distinct entry's value and
-    derivatives are written as rows of m contiguous samples when its slot
-    finishes, a known-zero order as 0.0, and the pass then drops its jet
-    unless a later slot reads it; an entry that is the same node as an
-    earlier one (g_ij = g_ji) copies the rows already written."""
-    m, n = pts.shape
-    shape = field.entries.shape
-    parts = [samples_first(np.empty(shape + (n,) * k + (m,))) for k in range(order + 1)]
-    index = list(np.ndindex(shape))
+
+def _block_rows(field: _Field, m: int, n: int, order: int, keep: int = 0) -> int:
+    """Rows per block of a pass over the field's plan at m n-dim points and
+    ``order``: the most jets the pass holds at once (`jets.live_peak`), each
+    of 1 + n + ... + n^order numbers per row, and ``keep`` bytes per row that
+    the consumer of the rows holds, stay under `_SCRATCH_BUDGET`. When m rows
+    fit even with every slot's jet held, that is m, and the peak is not
+    counted."""
+    jet = 8 * sum(n**k for k in range(order + 1))
+    if m * (jet * len(field.jet_plan().slots) + keep) <= _SCRATCH_BUDGET:
+        return m
+    return max(1, _SCRATCH_BUDGET // (jet * field.live_peak() + keep))
+
+
+def _eval_rows(field: _Field, pts: Array, order: int, parts: list) -> None:
+    """One `evaluate` pass over the field's plan at ``pts``, written into
+    ``parts`` (sample-first arrays of len(pts) rows, one per order): a
+    subtree shared by several entries (a gauge factor among them) is
+    evaluated once. Each distinct entry's value and derivatives are written
+    as rows of contiguous samples when its slot finishes, a known-zero order
+    as 0.0, and the pass then drops its jet unless a later slot reads it; an
+    entry that is the same node as an earlier one (g_ij = g_ji) copies the
+    rows already written."""
+    index = list(np.ndindex(field.entries.shape))
 
     def write(positions, jet):
         first = (slice(None),) + index[positions[0]]
@@ -391,7 +420,44 @@ def _eval_entries(field: _Field, pts: Array, order: int) -> EvaluatedTensor:
                 out[(slice(None),) + index[r]] = out[first]
 
     evaluate(jets.Feed(field.jet_plan(), write), pts, order)
-    return EvaluatedTensor(*parts)
+
+
+def _eval_entries(field: _Field, pts: Array, order: int, take=None, keep: int = 0,
+                  whole: int | None = None) -> EvaluatedTensor | None:
+    """The stacked entry jets at ``pts``, taken one row block at a time
+    (`_block_rows`): each block is one `_eval_rows` pass at the rows
+    ``pts[rows]``, written into those rows. Jets are computed per sample,
+    so the blocks give the whole pass's numbers bit for bit.
+
+    The first ``whole`` orders (all by default) are returned as (m, ...)
+    tensors (None for none); the orders above are held one block at a time.
+    ``take(rows, tensor)``, if given, sees each block's jets at every order
+    as it finishes; ``keep`` is the bytes per row that it and the orders
+    held per block keep. A pass whose blocks raise a `DomainError` is run
+    again whole, so the error it raises is the one an unblocked pass
+    raises."""
+    m, n = pts.shape
+    shape = field.entries.shape
+    whole = order + 1 if whole is None else whole
+
+    def alloc(k, rows):
+        return samples_first(np.empty(shape + (n,) * k + (rows,)))
+
+    parts = [alloc(k, m) for k in range(whole)]
+    step = _block_rows(field, m, n, order, keep)
+    try:
+        for start in range(0, m, step):
+            rows = slice(start, min(start + step, m))
+            block = [p[rows] for p in parts]
+            block += [alloc(k, rows.stop - start) for k in range(whole, order + 1)]
+            _eval_rows(field, pts[rows], order, block)
+            if take is not None:
+                take(rows, EvaluatedTensor(*block))
+    except DomainError:
+        if step < m:
+            _eval_rows(field, pts, order, [alloc(k, m) for k in range(order + 1)])
+        raise
+    return EvaluatedTensor(*parts) if parts else None
 
 
 class _Field:
@@ -409,6 +475,7 @@ class _Field:
             arr[idx] = as_entry(entries[idx], chart.dim)
         self.entries = arr
         self._jet_plan = None
+        self._live_peak = None
 
     def jet_plan(self) -> jets.Plan:
         """The jet plan of the entries in C order, built on the first call
@@ -416,6 +483,13 @@ class _Field:
         if self._jet_plan is None:
             self._jet_plan = jets._plan(self.entries.flat)
         return self._jet_plan
+
+    def live_peak(self) -> int:
+        """The most jets one pass over the plan holds at once, counted on
+        the first call."""
+        if self._live_peak is None:
+            self._live_peak = jets.live_peak(self.jet_plan())
+        return self._live_peak
 
     @classmethod
     def shape_for(cls, dim: int) -> tuple[int, ...]:
@@ -429,12 +503,17 @@ class _Field:
             return _eval_entries(self, pts, order)
         stored = held.tensors.get(self)
         if stored is None or stored.order < order:
-            stored = _eval_entries(self, pts, order)
-            for arr in (stored.value, stored.d1, stored.d2, stored.d3):
-                if arr is not None:
-                    arr.flags.writeable = False
-            held.tensors[self] = stored
+            stored = _hold(self, _eval_entries(self, pts, order))
         return stored.prefix(order)
+
+
+def _hold(field: _Field, tensor: EvaluatedTensor) -> EvaluatedTensor:
+    """Keep ``tensor``, read-only, as the field's tensor on the held points."""
+    for arr in (tensor.value, tensor.d1, tensor.d2, tensor.d3):
+        if arr is not None:
+            arr.flags.writeable = False
+    _held.tensors[field] = tensor
+    return tensor
 
 
 class MetricField(_Field):
@@ -544,28 +623,103 @@ def lie_derivative_metric_batch(xi: VectorFieldT, g: MetricField, pts) -> Array:
     return out
 
 
+def _fold_keep(d: int) -> int:
+    """Bytes per row that one block of the curvature fold keeps besides the
+    jets' scratch: Gamma's derivative rows, one slice A^l, and the block of
+    R and its two traces that the constant-curvature fit builds."""
+    return 8 * (2 * d**4 + d**3 + 2 * d**2)
+
+
+def _fold_step(conn: ConnectionField, m: int, n: int) -> int:
+    """Rows per block of the curvature fold of ``conn`` on m n-dim points."""
+    return _block_rows(conn, m, n, 1, _fold_keep(n))
+
+
+def _holds_order_1(conn: ConnectionField, pts) -> bool:
+    """The one rule for holding Gamma's order-1 tensor: it is held when the
+    points fit one block of the curvature fold (or it is held already).
+    Otherwise Gamma is held at order 0 only, and the fold takes its order-1
+    jets one block at a time. Torsion and the 1 + |Gamma| scale read Gamma
+    at the order this rule holds, so no term evaluates Gamma twice."""
+    held = _held
+    stored = held.tensors.get(conn) if pts is held.pts else None
+    m, n = pts.shape
+    return (stored is not None and stored.order >= 1) or _fold_step(conn, m, n) >= m
+
+
+def _held_gamma(conn: ConnectionField, pts) -> Array:
+    """Gamma's values at ``pts``, read at the order `_holds_order_1` holds."""
+    return conn.eval(pts, 1 if _holds_order_1(conn, pts) else 0).value
+
+
 def _curvature_slices(conn: ConnectionField, pts, take) -> None:
-    """``take(l, a)`` for each upper index l, with a fresh (m, d, d, d) slice
-    A^l_{ijk} = Gamma^l_{iu} Gamma^u_{jk} + d_i Gamma^l_{jk} that ``take`` may
-    overwrite: R^l_{ijk} = A^l_{ijk} - A^l_{jik}. The scratch is one slice."""
-    cj = conn.eval(pts, 1)
-    gamma = cj.value
-    dgamma = cj.d1.transpose(0, 1, 4, 2, 3)  # (m, l, i, j, k) = d_i Gamma^l_{jk}
-    for l in range(conn.chart.dim):
-        a = np.einsum("aiu,aujk->aijk", gamma[:, l], gamma)
-        a += dgamma[:, l]
-        take(l, a)
-        del a  # before the next slice is allocated
+    """``take(rows, l, a)`` for each row block and upper index l, with a
+    fresh slice A^l_{ijk} = Gamma^l_{iu} Gamma^u_{jk} + d_i Gamma^l_{jk} at
+    those rows that ``take`` may overwrite: R^l_{ijk} = A^l_{ijk} - A^l_{jik}.
+
+    Where `_holds_order_1` holds Gamma's order-1 tensor the blocks are rows
+    of it. Otherwise Gamma's order-1 jets are taken one block at a time and
+    dropped once folded; on the held points, unless Gamma's values are held
+    there already, their value rows are written into one (m, d, d, d)
+    tensor that is then held at order 0. The scratch is one block of
+    Gamma's jets and one slice, at any number of points."""
+    d = conn.chart.dim
+
+    def fold(rows, cj):
+        gamma = cj.value
+        dgamma = cj.d1.transpose(0, 1, 4, 2, 3)  # (b, l, i, j, k) = d_i Gamma^l_{jk}
+        for l in range(d):
+            a = np.einsum("aiu,aujk->aijk", gamma[:, l], gamma)
+            a += dgamma[:, l]
+            take(rows, l, a)
+            del a  # before the next slice is allocated
+
+    if _holds_order_1(conn, pts):
+        cj = conn.eval(pts, 1)
+        step = _fold_step(conn, len(pts), d)
+        for start in range(0, len(pts), step):
+            rows = slice(start, start + step)
+            fold(rows, EvaluatedTensor(cj.value[rows], cj.d1[rows]))
+        return
+    held = _held
+    hold = pts is held.pts and conn not in held.tensors
+    values = _eval_entries(conn, pts, 1, fold, _fold_keep(d), whole=int(hold))
+    if hold:
+        _hold(conn, values)
 
 
 def curvature_batch(conn: ConnectionField, pts) -> Array:
+    """The whole curvature tensor (m, l, i, j, k) = R^l_{ijk}, written one
+    slice of one row block at a time (`_curvature_slices`). Only tests
+    build it; the flatness term and the constant-curvature fit fold it."""
     m, d = len(pts), conn.chart.dim
     if conn.flat:
         return samples_first(np.zeros((d, d, d, d, m)))
     out = samples_first(np.empty((d, d, d, d, m)))
-    _curvature_slices(conn, pts, lambda l, a: np.subtract(a, a.transpose(0, 2, 1, 3),
-                                                          out=out[:, l]))
+    _curvature_slices(conn, pts, lambda rows, l, a: np.subtract(
+        a, a.transpose(0, 2, 1, 3), out=out[rows, l]))
     return out
+
+
+def curvature_blocks(conn: ConnectionField, pts, take) -> None:
+    """``take(rows, r)`` for each row block, with r the curvature at those
+    rows, (b, l, i, j, k) = R^l_{ijk}, a fresh array ``take`` may change.
+    The scratch is one block of R besides `_curvature_slices`' own; a flat
+    connection gives one block of zeros and is not evaluated."""
+    m, d = len(pts), conn.chart.dim
+    if conn.flat:
+        take(slice(None), samples_first(np.zeros((d, d, d, d, m))))
+        return
+    block = []
+
+    def put(rows, l, a):
+        if l == 0:
+            block[:] = [samples_first(np.empty((d, d, d, d, len(a))))]
+        np.subtract(a, a.transpose(0, 2, 1, 3), out=block[0][:, l])
+        if l == d - 1:
+            take(rows, block.pop())
+
+    _curvature_slices(conn, pts, put)
 
 
 def exterior_derivative_oneform_batch(theta: OneFormField, pts) -> Array:
@@ -578,16 +732,34 @@ def exterior_derivative_oneform_batch(theta: OneFormField, pts) -> Array:
 # Residual helpers
 # ---------------------------------------------------------------------------
 
+# Samples per block of `max_abs`. A block of a dim-3 curvature (81 entries
+# per sample) is 1.3 MiB, so it stays in a 2 MiB L2 cache from the maximum's
+# reduction to the minimum's, and each reduction still runs over rows of
+# 2048 samples.
+_MAX_ABS_ROWS = 2048
+
+
 def max_abs(arr: Array) -> Array:
     """Per-sample max-norm: collapses all axes but the first, by one
     ``np.maximum.reduce`` and one ``np.minimum.reduce`` (|max(hi, -lo)|), so
-    the scratch is two (m,) arrays. Each reduction runs along rows of m on a
-    sample-first array; on a C-ordered one it loops per sample over a short
-    axis. NaN propagates (unsigned, as ``abs`` leaves it); -0.0 reads 0.0."""
+    the scratch is two (m,) arrays. Above `_MAX_ABS_ROWS` samples both reduce
+    one block of samples before the next, so the input is read from memory
+    once; max and min are exact, so blocks change no bit. Each reduction
+    runs along rows of samples on a sample-first array; on a C-ordered one it
+    loops per sample over a short axis. NaN propagates (unsigned, as ``abs``
+    leaves it); -0.0 reads 0.0."""
     a = np.asarray(arr, float)
     axes = tuple(range(1, a.ndim))
-    hi = np.maximum.reduce(a, axis=axes)
-    lo = np.minimum.reduce(a, axis=axes)
+    m = a.shape[0]
+    if m <= _MAX_ABS_ROWS:
+        hi = np.maximum.reduce(a, axis=axes)
+        lo = np.minimum.reduce(a, axis=axes)
+    else:
+        hi, lo = np.empty(m), np.empty(m)
+        for start in range(0, m, _MAX_ABS_ROWS):
+            rows = slice(start, start + _MAX_ABS_ROWS)
+            np.maximum.reduce(a[rows], axis=axes, out=hi[rows])
+            np.minimum.reduce(a[rows], axis=axes, out=lo[rows])
     np.maximum(hi, np.negative(lo, out=lo), out=hi)
     return np.abs(hi, out=hi)
 
@@ -616,7 +788,7 @@ def torsion_residual(conn: ConnectionField, pts) -> Array:
     worst = np.zeros(len(pts))
     if conn.flat:
         return worst
-    gamma = conn.eval(pts, 1).value  # the order a flatness term on these points reads
+    gamma = _held_gamma(conn, pts)
     for i in range(conn.chart.dim):
         np.maximum(worst, max_abs(gamma[:, :, i, i:] - gamma[:, :, i:, i]), out=worst)
     return worst / (1.0 + max_abs(gamma))
@@ -632,16 +804,16 @@ def flatness_residual(conn: ConnectionField, pts) -> Array:
     if conn.flat:
         return worst
 
-    def fold(l, a):
+    def fold(rows, l, a):
         for i in range(a.shape[1]):
             upper, lower, diagonal = a[:, i, i + 1:], a[:, i + 1:, i], a[:, i, i]
             np.subtract(upper, lower, out=upper)
             np.negative(upper, out=lower)
             np.subtract(diagonal, diagonal, out=diagonal)
-        np.maximum(worst, np.maximum.reduce(a, axis=(1, 2, 3)), out=worst)
+        np.maximum(worst[rows], np.maximum.reduce(a, axis=(1, 2, 3)), out=worst[rows])
 
     _curvature_slices(conn, pts, fold)
-    return np.abs(worst, out=worst) / (1.0 + max_abs(conn.eval(pts, 1).value))
+    return np.abs(worst, out=worst) / (1.0 + max_abs(_held_gamma(conn, pts)))
 
 
 @functools.cache

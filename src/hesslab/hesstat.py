@@ -39,7 +39,7 @@ from .geomcore import (
     covariant_derivative_metric_batch,
     covariant_derivative_vector_batch,
     covariant_hessian_trees,
-    curvature_batch,
+    curvature_blocks,
     definiteness_gap,
     det_expression,
     flatness_residual,
@@ -50,6 +50,7 @@ from .geomcore import (
     max_abs,
     rel_residual,
     residual_passes,
+    samples_first,
     sample_check,
     torsion_residual,
     total_symmetry_residual_batch,
@@ -195,12 +196,13 @@ def structure_terms(conn: ConnectionField, g: MetricField, pts, *,
     fields it reads (`held_result`), so a gate that repeats a term of an
     earlier gate on the same points reads it back. Every field is read at
     its top order first, so the lower-order reads on the same points are
-    prefixes of one tensor. A flat connection's torsion and flatness are 0,
-    and its Christoffel symbols are never evaluated.
+    prefixes of one tensor. The flatness term comes before torsion: above
+    one block its pass holds the values of Gamma that torsion reads. A flat
+    connection's torsion and flatness are 0, and its Christoffel symbols are
+    never evaluated.
     """
-    terms = {"torsion": held_result(("torsion", conn), pts, lambda: torsion_residual(conn, pts))}
-    if flatness:
-        terms["flatness"] = flatness_term(conn, pts)
+    terms = {"flatness": flatness_term(conn, pts)} if flatness else {}
+    terms["torsion"] = held_result(("torsion", conn), pts, lambda: torsion_residual(conn, pts))
     if theta is not None:
         terms["closedness"] = closedness_residual(theta, pts)
 
@@ -387,24 +389,41 @@ def estimate_constant_curvature(struct: StatisticalStructure, plan=None) -> Curv
 
     def fit():
         # The model is c * B with B^l_{ijk} = delta^l_i g_jk - delta^l_j g_ik,
-        # never built: sum(r * B) is two traces of r against g, and
-        # sum(B * B) = 2 (d - 1) |g|^2 at each sample.
-        d = chart.dim
-        r = curvature_batch(struct.conn, pts)  # a fresh array, changed in place below
+        # never built: sum(R * B) is two traces of R against g, and
+        # sum(B * B) = 2 (d - 1) |g|^2 at each sample. R is folded one row
+        # block at a time (`curvature_blocks`) into (m,) rows and never held
+        # whole. B reaches R^l_{ljk} and R^l_{jlk} = -R^l_{ljk} (l != j), and
+        # x -> x - c g_jk is monotone under rounding, so the largest misfit
+        # |R - c B| there is at the largest or smallest R^l_{ljk} over l != j:
+        # the fold keeps those two, and max |R| over the other entries.
+        d, m = chart.dim, len(pts)
         g = struct.metric.eval(pts, 0).value
-        traces = np.trace(r, axis1=1, axis2=2) - np.trace(r, axis1=1, axis2=3)
-        along = float(np.sum(np.einsum("ajk,ajk->a", traces, g)))
+        along, rest = np.empty(m), np.empty(m)  # sum(R * B); max |R| where B = 0
+        hi = samples_first(np.empty((d, d, m)))
+        lo = samples_first(np.empty((d, d, m)))
+        diagonal = np.arange(d)
+        # (j, k, l): l != j. B misses R^l_{llk} = A - A, which is 0, or NaN
+        # and then makes the traces and c NaN
+        reached = diagonal[:, None, None] != diagonal
+
+        def take(rows, r):
+            traces = np.trace(r, axis1=1, axis2=2) - np.trace(r, axis1=1, axis2=3)
+            along[rows] = np.einsum("ajk,ajk->a", traces, g[rows])
+            own = np.diagonal(r, axis1=1, axis2=2)  # (b, j, k, l) = R^l_{ljk}
+            np.maximum.reduce(own, axis=3, out=hi[rows], where=reached, initial=-np.inf)
+            np.minimum.reduce(own, axis=3, out=lo[rows], where=reached, initial=np.inf)
+            r[:, diagonal, diagonal] = 0.0
+            r[:, diagonal, :, diagonal] = 0.0
+            rest[rows] = max_abs(r)
+
+        curvature_blocks(struct.conn, pts, take)
         denom = 2.0 * (d - 1) * float(np.sum(np.einsum("ajk,ajk->a", g, g)))
-        c = along / denom if denom != 0.0 else 0.0  # a NaN sum stays NaN
-        # r - c B where B is nonzero (i = l or j = l, not both): the misfit
-        # takes r's place; every g_jk appears in B, so max|c B| = max|c g|
+        c = float(np.sum(along)) / denom if denom != 0.0 else 0.0  # a NaN sum stays NaN
+        # every g_jk appears in B, so max|c B| = max|c g|
         cg = c * g
-        for l in range(d):
-            for i in range(d):
-                if i != l:
-                    r[:, l, l, i] -= cg[:, i]
-                    r[:, l, i, l] += cg[:, i]
-        residual = float(np.max(max_abs(r) / (1.0 + max_abs(cg))))
+        misfit = np.maximum(rest, max_abs(hi - cg))
+        np.maximum(misfit, max_abs(lo - cg), out=misfit)
+        residual = float(np.max(misfit / (1.0 + max_abs(cg))))
         return CurvatureEstimate(c, residual)
 
     return held_result(("curvature_estimate", struct.conn, struct.metric), pts, fit)

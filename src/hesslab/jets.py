@@ -421,14 +421,34 @@ def _plan(trees) -> Plan:
     return Plan(slots, roots)
 
 
-def _run(slots: list[tuple], roots: list[int], pts: Array, order: int, emit) -> None:
-    """Evaluate every slot once and emit each root as its slot finishes; a
-    jet is dropped after its last consumer."""
-    m, n = pts.shape
+def _uses(slots: list[tuple]) -> list[int]:
+    """How many later slots read each slot's jet."""
     uses = [0] * len(slots)
     for _, _, kids in slots:
         for k in kids:
             uses[k] += 1
+    return uses
+
+
+def live_peak(plan: Plan) -> int:
+    """The most jets a pass over ``plan`` holds at once (`_run`): those a
+    later slot still reads, and the one just made from them."""
+    uses = _uses(plan.slots)
+    live = peak = 0
+    for s, (_, _, kids) in enumerate(plan.slots):
+        peak = max(peak, live + 1)
+        for k in kids:
+            uses[k] -= 1
+            live -= not uses[k]
+        live += bool(uses[s])
+    return peak
+
+
+def _run(slots: list[tuple], roots: list[int], pts: Array, order: int, emit) -> None:
+    """Evaluate every slot once and emit each root as its slot finishes; a
+    jet is dropped after its last consumer."""
+    m, n = pts.shape
+    uses = _uses(slots)
     emitted: list[list[int] | None] = [None] * len(slots)
     for r, s in enumerate(roots):
         if emitted[s] is None:

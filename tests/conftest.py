@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from hesslab.geomcore import Chart, MetricField, OneFormField, VectorFieldT, flat_connection
 
 # Results recorded by tests/test_acceptance.py; printed at the end of the run.
@@ -75,3 +77,28 @@ def e67_structure():
     )
     xi = VectorFieldT(chart, ["-(1+exp(-x0/2))", "-(1+exp(-x1/2))"])
     return chart, flat_connection(chart), g, theta, xi
+
+
+def dense_sphere_scene(dim: int) -> dict:
+    """The round sphere metric 4 Q / (1 + y^T Q y)^2 in a dense linear chart,
+    with its Levi-Civita connection: the shape of a dense-curvature scene."""
+    a = np.eye(dim) + 0.3 * np.random.default_rng(dim).uniform(0.0, 1.0, (dim, dim))
+    q = a.T @ a
+    q = q.tolist()
+    quad = " + ".join(f"({q[i][j]!r})*x{i}*x{j}" for i in range(dim) for j in range(dim))
+    entries = [[f"4*({q[i][j]!r})/(1 + {quad})^2" for j in range(dim)] for i in range(dim)]
+    return {
+        "name": f"sphere-d{dim}",
+        "chart": {"dim": dim, "box": [[-0.5, 0.5]] * dim},
+        "fields": {
+            "g": {"type": "metric", "entries": entries},
+            "D": {"type": "connection", "levi_civita_of": "g"},
+            "flat": {"type": "connection", "flat": True},
+        },
+        "structures": {"S": {"type": "statistical", "conn": "D", "metric": "g"}},
+        "checks": [
+            {"op": "statistical", "structure": "S"},
+            {"op": "curvature", "structure": "S", "expect": {"c": [0.99999, 1.00001]}},
+            {"op": "hessian", "conn": "flat", "metric": "g", "expect_fail": True},
+        ],
+    }

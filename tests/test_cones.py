@@ -7,9 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from hesslab import expr as ex
 from hesslab.cones import (
-    ConeError,
     LorentzCone,
     MonteCarloDivergenceError,
     NoClosedFormError,
@@ -33,7 +31,6 @@ from hesslab.geomcore import (
     total_symmetry_residual_batch,
 )
 from hesslab.hesstat import check_statistical, estimate_constant_curvature
-from hesslab.jets import evaluate
 from mc_reference import reference_psi, uniform_ball
 
 PLAN = SamplePlan(count=60, seed=9)

@@ -157,6 +157,53 @@ def test_max_abs_takes_no_input_sized_temporary(shape):
     assert peak <= 2 * m * a.itemsize + 16384  # the result and one column buffer
 
 
+def _spoil_max_abs_input(a, rng):
+    """NaN, +-inf and signed zeros at random entries, and one sample of
+    signed zeros only, in a multi-block input."""
+    pick = rng.random(a.shape)
+    a[pick < 0.01] = np.nan
+    a[(pick >= 0.01) & (pick < 0.02)] = np.inf
+    a[(pick >= 0.02) & (pick < 0.03)] = -np.inf
+    a[(pick >= 0.03) & (pick < 0.2)] = -0.0
+    a[(pick >= 0.2) & (pick < 0.3)] = 0.0
+    a[12_345] = -0.0
+    return a
+
+
+@pytest.mark.parametrize("shape", [(3, 3, 3, 3), (3, 3)])
+@pytest.mark.parametrize("layout", ["sample-first", "C"])
+def test_max_abs_reads_a_multi_block_input_bit_for_bit(shape, layout):
+    # 20 000 samples fold hi and lo over blocks of samples; every byte is the
+    # two-sided reduction's, NaN, +-inf and -0.0 included
+    import hesslab.geomcore as gc
+
+    m = 20_000
+    assert m > 2 * gc._MAX_ABS_ROWS
+    rng = np.random.default_rng(len(shape))
+    a = rng.normal(size=(m,) + shape) * 10.0 ** rng.integers(-8, 9, (m,) + shape)
+    if layout == "sample-first":
+        a = samples_first(np.moveaxis(a, 0, -1).copy())
+    a = _spoil_max_abs_input(a, rng)
+    assert a.flags.c_contiguous == (layout == "C")
+    got = max_abs(a)
+    assert got.tobytes() == _two_sided_max_abs(a).tobytes()
+    assert not np.signbit(got[12_345]) and got[12_345] == 0.0
+    assert np.isnan(got).any() and np.isinf(got).any()
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_max_abs_at_the_block_boundary(extra):
+    # one whole block (today's reduction), and one block and a single sample
+    import hesslab.geomcore as gc
+
+    m = gc._MAX_ABS_ROWS + extra
+    rng = np.random.default_rng(extra)
+    a = rng.normal(size=(m, 3, 3))
+    a[-1] = [[-0.0, np.nan, 1.0], [np.inf, 2.0, -0.0], [0.0, 0.0, 0.0]]
+    a[-2] = -0.0
+    assert max_abs(a).tobytes() == _two_sided_max_abs(a).tobytes()
+
+
 def test_report_invariant():
     with pytest.raises(ValueError):
         CheckReport("x", 1.0, 1.0, 0.5, True, 1)
@@ -585,26 +632,50 @@ def test_folded_residuals_of_a_flat_connection_are_zero_unevaluated(monkeypatch)
         assert got.tobytes() == np.zeros(7).tobytes()
 
 
-def test_flatness_scratch_is_one_curvature_slice():
-    # Gamma held: the flatness term allocates one (m, d, d, d) slice at a
-    # time and a few (m,) rows, never the (m, d, d, d, d) curvature
-    m, d = 20_000, 3
+def _fold_scratch(measure, d, counts):
+    """measure(lc, pts) on the dense dim-d sphere at each sample count, with
+    Gamma held at order 0, as the fold's rule holds it above one block:
+    (result, tracemalloc peak) per count."""
+    import hesslab.geomcore as gc
+
     chart = Chart(d, ((-0.5, 0.5),) * d)
-    lc = levi_civita(MetricField(chart, _sphere_scene(d)["fields"]["g"]["entries"]))
-    pts = chart.sample(SamplePlan(count=m, seed=4))
-    try:
-        lc.eval(pts, 1)
-        want = rel_residual(curvature_batch(lc, pts), lc.eval(pts, 1).value)
-        tracemalloc.start()
+    out = []
+    for m in counts:
+        lc = levi_civita(MetricField(chart, _sphere_scene(d)["fields"]["g"]["entries"]))
+        pts = chart.sample(SamplePlan(count=m, seed=4))
         try:
-            got = flatness_residual(lc, pts)
-            _, peak = tracemalloc.get_traced_memory()
+            assert gc._fold_step(lc, m, d) < m  # the fold spans more than one block
+            lc.eval(pts, 0)
+            tracemalloc.start()
+            try:
+                got = measure(lc, pts)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            out.append((got, peak))
+            assert lc.eval(pts, 0).d1 is None  # Gamma's order 1 was never held whole
         finally:
-            tracemalloc.stop()
-    finally:
-        drop_held_points()
-    assert got.tobytes() == want.tobytes()
-    assert peak <= (d**3 + 3) * m * 8 + 65536
+            drop_held_points()
+    return out
+
+
+def test_flatness_scratch_is_one_curvature_slice():
+    # Gamma held at order 0: the flatness term folds one slice of one row
+    # block of Gamma's order-1 jets at a time, so its scratch is one block
+    # (under the fold's budget) and a few (m,) rows, at 20 000 and at 40 000
+    # samples alike
+    import hesslab.geomcore as gc
+
+    d = 3
+    (a, peak_a), (b, peak_b) = _fold_scratch(flatness_residual, d, (20_000, 40_000))
+    for got, m in ((a, 20_000), (b, 40_000)):
+        chart = Chart(d, ((-0.5, 0.5),) * d)
+        lc = levi_civita(MetricField(chart, _sphere_scene(d)["fields"]["g"]["entries"]))
+        pts = chart.sample(SamplePlan(count=m, seed=4)).copy()
+        want = rel_residual(curvature_batch(lc, pts), lc.eval(pts, 0).value)
+        assert got.tobytes() == want.tobytes()
+    assert max(peak_a, peak_b) <= gc._SCRATCH_BUDGET + 3 * 40_000 * 8
+    assert abs(peak_b - peak_a) <= 3 * 20_000 * 8
 
 
 # ---------------------------------------------------------------------------
@@ -970,29 +1041,7 @@ def test_example_gauge_jets_once_per_field_evaluation(monkeypatch, name):
 # the held point set: each field evaluated once per sampled array
 # ---------------------------------------------------------------------------
 
-def _sphere_scene(dim: int) -> dict:
-    """The round sphere metric 4 Q / (1 + y^T Q y)^2 in a dense linear chart,
-    with its Levi-Civita connection: the shape of a dense-curvature scene."""
-    a = np.eye(dim) + 0.3 * np.random.default_rng(dim).uniform(0.0, 1.0, (dim, dim))
-    q = a.T @ a
-    q = q.tolist()
-    quad = " + ".join(f"({q[i][j]!r})*x{i}*x{j}" for i in range(dim) for j in range(dim))
-    entries = [[f"4*({q[i][j]!r})/(1 + {quad})^2" for j in range(dim)] for i in range(dim)]
-    return {
-        "name": f"sphere-d{dim}",
-        "chart": {"dim": dim, "box": [[-0.5, 0.5]] * dim},
-        "fields": {
-            "g": {"type": "metric", "entries": entries},
-            "D": {"type": "connection", "levi_civita_of": "g"},
-            "flat": {"type": "connection", "flat": True},
-        },
-        "structures": {"S": {"type": "statistical", "conn": "D", "metric": "g"}},
-        "checks": [
-            {"op": "statistical", "structure": "S"},
-            {"op": "curvature", "structure": "S", "expect": {"c": [0.99999, 1.00001]}},
-            {"op": "hessian", "conn": "flat", "metric": "g", "expect_fail": True},
-        ],
-    }
+_sphere_scene = conftest.dense_sphere_scene
 
 
 def test_run_suite_evaluates_each_field_once_per_point_set(monkeypatch):
@@ -1145,20 +1194,15 @@ def test_curvature_matches_the_closed_formula_bit_for_bit(dim):
 
 
 def test_curvature_scratch_is_one_slice():
-    # with Gamma held, one call allocates the output and one (m, d, d, d)
-    # slice at a time, 4/3 of the output at dim 3; a kernel over the whole
-    # 5-index tensor would need about three outputs' worth
-    chart = Chart(3, ((-0.5, 0.5),) * 3)
-    lc = levi_civita(MetricField(chart, _sphere_scene(3)["fields"]["g"]["entries"]))
-    pts = chart.sample(SamplePlan(count=20_000, seed=4))
-    lc.eval(pts, 1)
-    tracemalloc.start()
-    try:
-        out = curvature_batch(lc, pts)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.5 * out.nbytes
+    # Gamma held at order 0: besides its output, the whole curvature takes
+    # one row block of Gamma's order-1 jets and one slice at a time, the
+    # same scratch at 20 000 and 40 000 samples
+    import hesslab.geomcore as gc
+
+    (a, peak_a), (b, peak_b) = _fold_scratch(curvature_batch, 3, (20_000, 40_000))
+    extra_a, extra_b = peak_a - a.nbytes, peak_b - b.nbytes
+    assert max(extra_a, extra_b) <= gc._SCRATCH_BUDGET
+    assert abs(extra_b - extra_a) <= 20_000 * 8
 
 
 def test_lower_order_is_a_bit_identical_prefix():

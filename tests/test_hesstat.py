@@ -387,26 +387,38 @@ def test_curvature_fit_matches_the_model_tensor(metric):
 
 
 def test_curvature_fit_scratch_is_under_half_a_curvature_tensor():
-    # dense dim-3 sphere, 20 000 samples, the fields already held
-    m, d = 20_000, 3
+    # dense dim-3 sphere with Gamma and g held at order 0, as the fold's rule
+    # holds them above one block: the fit folds R one row block at a time and
+    # keeps 2 d^2 + 2 (m,) rows (sums and extremes), so its peak is one block
+    # and a few more rows, and what grows with m is under half a curvature
+    # tensor (d^4 rows)
+    import hesslab.geomcore as gc
+
+    d = 3
     q = np.array([[1.3, 0.2, 0.1], [0.2, 1.1, 0.3], [0.1, 0.3, 1.2]])
     quad = " + ".join(f"{q[i, j]}*x{i}*x{j}" for i in range(d) for j in range(d))
-    g = MetricField(Chart(d, ((-0.5, 0.5),) * d),
-                    [[f"4*{q[i, j]}/(1 + {quad})^2" for j in range(d)] for i in range(d)])
-    struct = StatisticalStructure(g.chart, levi_civita(g), g)
-    plan = SamplePlan(count=m, seed=1)
-    pts = g.chart.sample(plan)
-    struct.conn.eval(pts, 1)
-    g.eval(pts, 0)
-    tracemalloc.start()
-    try:
-        est = estimate_constant_curvature(struct, plan)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-        drop_held_points()
-    assert est.c == pytest.approx(1.0, abs=1e-9) and est.residual <= 1e-9
-    assert peak <= 1.5 * m * d**4 * 8
+    rows = 2 * d**2 + 4
+    peaks = []
+    for m in (20_000, 40_000):
+        g = MetricField(Chart(d, ((-0.5, 0.5),) * d),
+                        [[f"4*{q[i, j]}/(1 + {quad})^2" for j in range(d)] for i in range(d)])
+        struct = StatisticalStructure(g.chart, levi_civita(g), g)
+        plan = SamplePlan(count=m, seed=1)
+        pts = g.chart.sample(plan)
+        assert gc._fold_step(struct.conn, m, d) < m
+        struct.conn.eval(pts, 0)
+        g.eval(pts, 0)
+        tracemalloc.start()
+        try:
+            est = estimate_constant_curvature(struct, plan)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            drop_held_points()
+        assert est.c == pytest.approx(1.0, abs=1e-9) and est.residual <= 1e-9
+        assert peak <= gc._SCRATCH_BUDGET + rows * m * 8
+        peaks.append(peak)
+    assert peaks[1] - peaks[0] <= rows * 20_000 * 8 < 0.5 * d**4 * 20_000 * 8
 
 
 def test_curvature_one_dimensional_trivial():

@@ -317,6 +317,31 @@ def test_jets_are_freed_after_their_last_use():
     assert peak < 20 * one_jet
 
 
+def test_live_peak_of_a_small_plan():
+    # x0, x1, x0 * x1 (both leaves still read), then x0 * x1 + x0 frees all
+    x, y = ex.Var(0), ex.Var(1)
+    plan = _plan([ex.add(ex.mul(x, y), x)])
+    assert [op for op, _, _ in plan.slots] == ["var", "var", "mul", "add"]
+    assert jets.live_peak(plan) == 3
+
+
+@given(forest=forests())
+@settings(max_examples=200, deadline=None)
+def test_live_peak_counts_the_jets_a_pass_holds(forest):
+    # a slot's jet is held from its slot until the last slot that reads it;
+    # while slot s is made, the jets of earlier slots that s or a later slot
+    # reads are held, and s's own
+    trees, _ = forest
+    plan = _plan(trees)
+    last = {}
+    for s, (_, _, kids) in enumerate(plan.slots):
+        for k in kids:
+            last[k] = s
+    want = max(1 + sum(1 for k, end in last.items() if k < s <= end)
+               for s in range(len(plan.slots)))
+    assert jets.live_peak(plan) == want
+
+
 # ---------------------------------------------------------------------------
 # plan keys: pairs that must never share a slot
 # ---------------------------------------------------------------------------
