@@ -61,24 +61,25 @@ above one block it folds each block of Gamma's order-1 jets into the
 flatness rows or the constant-curvature fit's sums, and Gamma is held at
 order 0 only (`_holds_order_1`), so its derivative jets are never held whole.
 
-The most recently sampled point set is held, read-only, together with every
-field tensor evaluated on exactly that array, so the checks of one structure
-evaluate each field once. A lower-order request reads a prefix of a stored
-higher-order tensor. The held point set also keeps small results derived on
-exactly that array (`held_result`), keyed on (operator, fields): the (m,)
-residual terms of `hesstat.structure_terms` (closedness is kept by
-`closedness_residual` itself, for every caller), the constant-curvature fit
-and the Lee constants. Only (m,) arrays and scalars are kept, never a
-derived tensor such as nabla g: at 20 000 samples a dim-3 flatness term is
-156 KiB, Gamma's order-1 tensor 16.5 MiB (held only while the points fit one
-block of the fold) and the whole curvature, which no check builds, 12.4 MiB.
-Sampling a different (chart, plan) drops everything held.
+The most recently sampled point set is held, read-only (`_PointSet`), with
+each field's tensor on exactly that array, so the checks of one structure
+evaluate each field once and a lower-order request reads a prefix of a
+higher-order tensor. It also keeps small results derived on that array
+(`held_result`), keyed on (operator, fields): the (m,) residual terms (the
+flatness, torsion and closedness residuals keep themselves, for every
+caller), the constant-curvature fit and the Lee constants; never a derived
+tensor such as nabla g. Held data lives exactly as long as the fields it was
+computed from: every field is a weak key, so a throwaway field's tensors (an
+openness-probe candidate's, say) die with it, the store keeps no field
+alive, and a new field never reads a dead one's entries. Sampling a
+different (chart, plan) drops everything held.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -142,9 +143,7 @@ class Chart:
         """The plan's points, read-only. An equal (chart, plan) sampled again
         gets the same array back while no other point set was sampled since."""
         global _held
-        key = (self, plan)
-        held = _held
-        if held.key != key:
+        if _held.key != (self, plan):
             lo, hi = self.lo(), self.hi()
             width = hi - lo
             lo = lo + plan.margin * width
@@ -152,8 +151,8 @@ class Chart:
             rng = np.random.default_rng(plan.seed)
             pts = lo + rng.random((plan.count, self.dim)) * (hi - lo)
             pts.flags.writeable = False
-            held = _held = _PointSet(key, pts)
-        return held.pts
+            _held = _PointSet((self, plan), pts)
+        return _held.pts
 
 
 @dataclass(frozen=True)
@@ -338,23 +337,50 @@ class EvaluatedTensor:
 
 
 class _PointSet:
-    """A sampled point set, the field tensors evaluated on that array and
-    the small results derived on it."""
+    """The held point set and what was computed on it (see the module
+    docstring), field tensors under (field,) and small results under
+    (operator, *fields). Only these methods read the store."""
 
-    __slots__ = ("key", "pts", "tensors", "results")
+    __slots__ = ("key", "pts", "_store", "_forget", "__weakref__")
 
     def __init__(self, key=None, pts=None):
-        self.key = key
-        self.pts = pts
-        self.tensors: dict = {}  # field -> read-only EvaluatedTensor
-        self.results: dict = {}  # (operator, *fields) -> read-only (m,) array or scalar
+        self.key, self.pts = key, pts
+        self._store: dict = {}  # (field,) -> EvaluatedTensor; (operator, *fields) -> result
+        this = weakref.ref(self)  # a strong one would keep a dropped point set in a cycle
+
+        def forget(dead):
+            held = this()
+            for key in [key for key in held._store if dead in key] if held else ():
+                held._store.pop(key, None)
+
+        self._forget = forget
+
+    def get(self, key: tuple, pts: Array):
+        """What is held under ``key`` on exactly ``pts``, or None."""
+        return self._store.get(tuple(map(_weak, key))) if pts is self.pts else None
+
+    def put(self, key: tuple, pts: Array, value):
+        """``value``, held read-only under ``key`` when ``pts`` is the held array."""
+        if pts is self.pts:
+            tensor = isinstance(value, EvaluatedTensor)
+            for arr in (value.value, value.d1, value.d2, value.d3) if tensor else (value,):
+                if isinstance(arr, np.ndarray):
+                    arr.flags.writeable = False
+            self._store[tuple(_weak(part, self._forget) for part in key)] = value
+        return value
+
+
+def _weak(part, forget=None):
+    """A field as a weak reference, which hashes and compares as the field
+    while it lives; any other part of a key as itself."""
+    return weakref.ref(part, forget) if isinstance(part, _Field) else part
 
 
 _held = _PointSet()
 
 
 def drop_held_points() -> None:
-    """Forget the held point set and every tensor evaluated on it."""
+    """Forget the held point set and everything computed on it."""
     global _held
     _held = _PointSet()
 
@@ -363,20 +389,13 @@ def held_result(key: tuple, pts: Array, compute):
     """``compute()``, kept with the held point set when ``pts`` is its array.
 
     ``key`` names the operator and the fields it reads, so the result must
-    depend on nothing else. Keep only (m,) arrays and scalars here; an array
-    comes back read-only. Any other array (a slice, a copy, the single points
-    of `sample_check`'s fallback) neither reads nor writes the store, and a
-    ``compute`` that raises stores nothing."""
-    held = _held
-    if pts is not held.pts:
-        return compute()
-    out = held.results.get(key)
-    if out is None:
-        out = compute()
-        if isinstance(out, np.ndarray):
-            out.flags.writeable = False
-        held.results[key] = out
-    return out
+    depend on nothing else; it lives as long as the point set and every one
+    of those fields, and no other field reads it. Keep only (m,) arrays and
+    scalars here; an array comes back read-only. Any other array (a slice,
+    a copy, the single points of `sample_check`'s fallback) neither reads
+    nor writes the store, and a ``compute`` that raises stores nothing."""
+    out = _held.get(key, pts)
+    return _held.put(key, pts, compute()) if out is None else out
 
 
 _JET_PARTS = ("value", "grad", "hess", "third")
@@ -498,22 +517,10 @@ class _Field:
     def eval(self, pts: Array, order: int = 0) -> EvaluatedTensor:
         """Jets of every entry at ``pts``. On the held sampled array the
         result is read-only and shared with later calls on the same array."""
-        held = _held
-        if pts is not held.pts:
-            return _eval_entries(self, pts, order)
-        stored = held.tensors.get(self)
+        stored = _held.get((self,), pts)
         if stored is None or stored.order < order:
-            stored = _hold(self, _eval_entries(self, pts, order))
+            stored = _held.put((self,), pts, _eval_entries(self, pts, order))
         return stored.prefix(order)
-
-
-def _hold(field: _Field, tensor: EvaluatedTensor) -> EvaluatedTensor:
-    """Keep ``tensor``, read-only, as the field's tensor on the held points."""
-    for arr in (tensor.value, tensor.d1, tensor.d2, tensor.d3):
-        if arr is not None:
-            arr.flags.writeable = False
-    _held.tensors[field] = tensor
-    return tensor
 
 
 class MetricField(_Field):
@@ -636,20 +643,14 @@ def _fold_step(conn: ConnectionField, m: int, n: int) -> int:
 
 
 def _holds_order_1(conn: ConnectionField, pts) -> bool:
-    """The one rule for holding Gamma's order-1 tensor: it is held when the
-    points fit one block of the curvature fold (or it is held already).
-    Otherwise Gamma is held at order 0 only, and the fold takes its order-1
-    jets one block at a time. Torsion and the 1 + |Gamma| scale read Gamma
-    at the order this rule holds, so no term evaluates Gamma twice."""
-    held = _held
-    stored = held.tensors.get(conn) if pts is held.pts else None
+    """The one rule for holding Gamma's order-1 tensor: held when the points
+    fit one block of the curvature fold (or held already), else Gamma is held
+    at order 0 and the fold takes its order-1 jets block by block. Torsion
+    reads Gamma at the order held and the flatness scale reads the values
+    the fold leaves held, so no term evaluates Gamma twice."""
+    stored = _held.get((conn,), pts)
     m, n = pts.shape
     return (stored is not None and stored.order >= 1) or _fold_step(conn, m, n) >= m
-
-
-def _held_gamma(conn: ConnectionField, pts) -> Array:
-    """Gamma's values at ``pts``, read at the order `_holds_order_1` holds."""
-    return conn.eval(pts, 1 if _holds_order_1(conn, pts) else 0).value
 
 
 def _curvature_slices(conn: ConnectionField, pts, take) -> None:
@@ -681,11 +682,10 @@ def _curvature_slices(conn: ConnectionField, pts, take) -> None:
             rows = slice(start, start + step)
             fold(rows, EvaluatedTensor(cj.value[rows], cj.d1[rows]))
         return
-    held = _held
-    hold = pts is held.pts and conn not in held.tensors
+    hold = pts is _held.pts and _held.get((conn,), pts) is None
     values = _eval_entries(conn, pts, 1, fold, _fold_keep(d), whole=int(hold))
     if hold:
-        _hold(conn, values)
+        _held.put((conn,), pts, values)
 
 
 def curvature_batch(conn: ConnectionField, pts) -> Array:
@@ -781,39 +781,47 @@ def closedness_residual(theta: OneFormField, pts) -> Array:
 
 
 def torsion_residual(conn: ConnectionField, pts) -> Array:
-    """Per-sample |Gamma^k_{ij} - Gamma^k_{ji}| / (1 + |Gamma|), folded over
-    i <= j one (m, d, d - i) block at a time: i > j repeats j < i up to sign,
-    and i = j keeps a non-finite Gamma as NaN. 0 for a flat connection, which
-    is not evaluated."""
-    worst = np.zeros(len(pts))
-    if conn.flat:
-        return worst
-    gamma = _held_gamma(conn, pts)
-    for i in range(conn.chart.dim):
-        np.maximum(worst, max_abs(gamma[:, :, i, i:] - gamma[:, :, i:, i]), out=worst)
-    return worst / (1.0 + max_abs(gamma))
+    """Per-sample |Gamma^k_{ij} - Gamma^k_{ji}| / (1 + |Gamma|), kept with
+    the held point set (`held_result`), folded over i <= j one (m, d, d - i)
+    block at a time: i > j repeats j < i up to sign, and i = j keeps a
+    non-finite Gamma as NaN. 0 for a flat connection, which is not
+    evaluated."""
+    def compute():
+        worst = np.zeros(len(pts))
+        if conn.flat:
+            return worst
+        gamma = conn.eval(pts, int(_holds_order_1(conn, pts))).value
+        for i in range(conn.chart.dim):
+            np.maximum(worst, max_abs(gamma[:, :, i, i:] - gamma[:, :, i:, i]), out=worst)
+        return worst / (1.0 + max_abs(gamma))
+
+    return held_result(("torsion", conn), pts, compute)
 
 
 def flatness_residual(conn: ConnectionField, pts) -> Array:
-    """Per-sample |R| / (1 + |Gamma|), without the curvature tensor. Each
-    slice A^l (`_curvature_slices`) becomes R^l in place: R^l_{ijk} at i < j,
-    its negation at (j, i) (R^l_{jik} = -R^l_{ijk} exactly, up to the sign of
-    a zero) and A - A on the diagonal (0, or NaN where A is not finite), so
-    its largest entry is max |R^l|. 0 for a flat connection, not evaluated."""
-    worst = np.zeros(len(pts))
-    if conn.flat:
-        return worst
+    """Per-sample |R| / (1 + |Gamma|), kept with the held point set
+    (`held_result`), without the curvature tensor. Each slice A^l
+    (`_curvature_slices`) becomes R^l in place: R^l_{ijk} at i < j, its
+    negation at (j, i) (R^l_{jik} = -R^l_{ijk} exactly, up to the sign of a
+    zero) and A - A on the diagonal (0, or NaN where A is not finite), so its
+    largest entry is max |R^l|. 0 for a flat connection, not evaluated."""
+    def compute():
+        worst = np.zeros(len(pts))
+        if conn.flat:
+            return worst
 
-    def fold(rows, l, a):
-        for i in range(a.shape[1]):
-            upper, lower, diagonal = a[:, i, i + 1:], a[:, i + 1:, i], a[:, i, i]
-            np.subtract(upper, lower, out=upper)
-            np.negative(upper, out=lower)
-            np.subtract(diagonal, diagonal, out=diagonal)
-        np.maximum(worst[rows], np.maximum.reduce(a, axis=(1, 2, 3)), out=worst[rows])
+        def fold(rows, l, a):
+            for i in range(a.shape[1]):
+                upper, lower, diagonal = a[:, i, i + 1:], a[:, i + 1:, i], a[:, i, i]
+                np.subtract(upper, lower, out=upper)
+                np.negative(upper, out=lower)
+                np.subtract(diagonal, diagonal, out=diagonal)
+            np.maximum(worst[rows], np.maximum.reduce(a, axis=(1, 2, 3)), out=worst[rows])
 
-    _curvature_slices(conn, pts, fold)
-    return np.abs(worst, out=worst) / (1.0 + max_abs(_held_gamma(conn, pts)))
+        _curvature_slices(conn, pts, fold)
+        return np.abs(worst, out=worst) / (1.0 + max_abs(conn.eval(pts, 0).value))
+
+    return held_result(("flatness", conn), pts, compute)
 
 
 @functools.cache

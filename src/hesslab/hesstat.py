@@ -67,7 +67,6 @@ __all__ = [
     "SurfaceConstraintError",
     "nondegenerate_lambda",
     "structure_terms",
-    "flatness_term",
     "check_hessian_structure",
     "check_radiant",
     "check_self_similar",
@@ -201,8 +200,8 @@ def structure_terms(conn: ConnectionField, g: MetricField, pts, *,
     connection's torsion and flatness are 0, and its Christoffel symbols are
     never evaluated.
     """
-    terms = {"flatness": flatness_term(conn, pts)} if flatness else {}
-    terms["torsion"] = held_result(("torsion", conn), pts, lambda: torsion_residual(conn, pts))
+    terms = {"flatness": flatness_residual(conn, pts)} if flatness else {}
+    terms["torsion"] = torsion_residual(conn, pts)
     if theta is not None:
         terms["closedness"] = closedness_residual(theta, pts)
 
@@ -217,13 +216,6 @@ def structure_terms(conn: ConnectionField, g: MetricField, pts, *,
     terms["definiteness"] = held_result(("definiteness", g), pts,
                                         lambda: definiteness_gap(g.eval(pts, 0).value))
     return terms
-
-
-def flatness_term(conn: ConnectionField, pts) -> np.ndarray:
-    """Per-sample |R| / (1 + |Gamma|), kept with the held point set. The
-    curvature is folded one upper-index slice at a time
-    (`geomcore.flatness_residual`), so the tensor R is never built."""
-    return held_result(("flatness", conn), pts, lambda: flatness_residual(conn, pts))
 
 
 def check_hessian_structure(conn: ConnectionField, g: MetricField, plan=None,
@@ -520,7 +512,7 @@ def _cone_postcondition_reports(cone: ConeStructure, base: StatisticalStructure,
     n = chart.dim - 1
 
     # the flatness term of the cone-hessian gate below, computed once
-    flatness = sample_check(lambda pts: flatness_term(cone.conn, pts), chart, plan,
+    flatness = sample_check(lambda pts: flatness_residual(cone.conn, pts), chart, plan,
                             tolerance, name="cone-flatness")
     radiance = check_radiant(cone.conn, cone.radial, plan, tolerance,
                              name="cone-radiance", lam=cone.lam)

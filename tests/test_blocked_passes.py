@@ -165,7 +165,7 @@ def _terms(struct, plan):
         try:
             passes.append([])
             terms = structure_terms(struct.conn, struct.metric, pts)
-            held = gc._held.tensors[struct.conn].order
+            held = gc._held.get((struct.conn,), pts).order
             passes.append([])
             est = estimate_constant_curvature(struct, plan)
         finally:

@@ -393,6 +393,51 @@ def test_log_psi_metric_against_finite_differences(cone, x):
     assert np.allclose(exact, fd, rtol=1e-4, atol=1e-5)
 
 
+def _sympy_psi(kind: str, xs):
+    """psi as sympy builds it from the cone's definition: the orthant's
+    prod 1/x_i, the 2-d Lorentz cone's 2 / (x0^2 - x1^2), and for generator
+    rows G the integral over the dual {G y >= 0}, which u = G y turns into
+    1 / (|det G| prod (G^-T x)_i)."""
+    import sympy
+
+    if kind == "orthant":
+        return sympy.Mul(*[1 / x for x in xs])
+    if kind == "lorentz":
+        return 2 / (xs[0] ** 2 - xs[1] ** 2)
+    g = sympy.Matrix(_SIMPLICIAL)
+    return 1 / (abs(g.det()) * sympy.Mul(*(g.inv().T * sympy.Matrix(xs))))
+
+
+_SIMPLICIAL = [[1, 0, 0], [1, 2, 0], [1, 1, 3]]
+_ORACLE_CONES = {  # the cone, and the (kind, dim) of each factor
+    "orthant(3)": (OrthantCone(3), [("orthant", 3)]),
+    "lorentz(2)": (LorentzCone(2), [("lorentz", 2)]),
+    "simplicial": (PolyhedralCone(_SIMPLICIAL), [("simplicial", 3)]),
+    "product": (ProductCone([LorentzCone(2), OrthantCone(1), PolyhedralCone(_SIMPLICIAL)]),
+                [("lorentz", 2), ("orthant", 1), ("simplicial", 3)]),
+}
+
+
+@pytest.mark.parametrize("name", list(_ORACLE_CONES))
+def test_log_psi_metric_matches_sympys_hessian(name):
+    # Hess(ln psi) from the jets of psi's tree against sympy's Hessian of
+    # ln psi, built from each cone's definition and evaluated at 30 digits
+    sympy = pytest.importorskip("sympy")
+    mpmath = pytest.importorskip("mpmath")
+    cone, factors = _ORACLE_CONES[name]
+    xs = sympy.symbols(f"x0:{cone.dim}")
+    log_psi, start = 0, 0
+    for kind, dim in factors:
+        log_psi += sympy.log(_sympy_psi(kind, xs[start:start + dim]))
+        start += dim
+    fn = sympy.lambdify(xs, sympy.hessian(log_psi, xs), modules="mpmath")
+    pts = sample_interior(cone, 12, seed=31)
+    with mpmath.workdps(30):
+        want = np.array([np.array(fn(*map(mpmath.mpf, p)).tolist(), float) for p in pts])
+    error = np.max(np.abs(log_psi_metric(cone, pts) - want), axis=(1, 2))
+    assert np.all(error <= 1e-13 * np.max(np.abs(want), axis=(1, 2)))
+
+
 def test_log_psi_metric_positive_definite_on_samples():
     for cone in (OrthantCone(2), OrthantCone(4), LorentzCone(2),
                  PolyhedralCone([[1, 0], [1, 1]])):

@@ -34,10 +34,10 @@ from hesslab.geomcore import (
     covariant_derivative_vector_batch,
     covariant_hessian_trees,
     curvature_batch,
+    flatness_residual,
     levi_civita,
     lie_derivative_metric_batch,
 )
-from hesslab.hesstat import flatness_term
 from hesslab.lch import LCHStructure, check_symmetry
 
 sympy = pytest.importorskip("sympy")
@@ -132,7 +132,7 @@ def _assert_flatness_close(conn, pts, riemann: np.ndarray) -> None:
     m = len(pts)
     gamma = conn.eval(pts, 0).value.reshape(m, -1)
     want = np.abs(riemann.reshape(m, -1)).max(axis=1) / (1.0 + np.abs(gamma).max(axis=1))
-    assert np.max(np.abs(flatness_term(conn, pts) - want)) <= 1e-10 * np.max(want)
+    assert np.max(np.abs(flatness_residual(conn, pts) - want)) <= 1e-10 * np.max(want)
 
 
 @pytest.mark.parametrize("dim,seed", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])

@@ -1280,15 +1280,72 @@ def test_held_results_are_read_only_and_dropped_with_the_point_set():
 
 
 def test_a_raising_result_is_never_held():
+    # each call after a raise computes again, and a compute that returns is
+    # then held under the same key
     chart = Chart(1, ((-1.0, 1.0),))
     bad = ScalarField(chart, "log(x0)")
     pts = chart.sample(SamplePlan(count=20, seed=6))
-    import hesslab.geomcore as gc
+    calls = []
 
-    for _ in range(2):
+    def value():
+        calls.append(1)
+        return bad.eval(pts, 0).value[:, 0]
+
+    for n in (1, 2):
         with pytest.raises(DomainError):
-            held_result(("value", bad), pts, lambda: bad.eval(pts, 0).value[:, 0])
-        assert ("value", bad) not in gc._held.results
+            held_result(("value", bad), pts, value)
+        assert len(calls) == n
+    kept = held_result(("value", bad), pts, lambda: calls.append(1) or pts[:, 0])
+    assert held_result(("value", bad), pts, value) is kept and len(calls) == 3
+
+
+def test_a_held_tensor_dies_with_its_field():
+    import gc
+
+    chart = Chart(2, ((0.5, 1.5),) * 2)
+    g = MetricField(chart, [["1/x0", "0"], ["0", "1/x1"]])
+    pts = chart.sample(SamplePlan(count=10, seed=2))
+    value = weakref.ref(g.eval(pts, 1).value)
+    assert value() is not None  # held while g lives
+    del g
+    gc.collect()
+    assert value() is None
+
+
+def test_a_held_result_keeps_neither_its_field_nor_itself_alive():
+    import gc
+
+    chart = Chart(1, ((0.5, 1.5),))
+    theta = OneFormField(chart, ["x0"])
+    pts = chart.sample(SamplePlan(count=10, seed=2))
+    kept = held_result(("double", theta, None), pts, lambda: pts[:, 0] * 2.0)
+    assert held_result(("double", theta, None), pts, lambda: None) is kept
+    field, kept = weakref.ref(theta), weakref.ref(kept)
+    del theta
+    gc.collect()
+    assert field() is None and kept() is None
+
+
+def test_a_dead_fields_result_is_not_returned_for_a_new_field():
+    # CPython gives a field made right after another died the dead one's
+    # memory, so the same id(): the result died with the old field, and the
+    # new one computes its own
+    chart = Chart(1, ((0.5, 1.5),))
+    pts = chart.sample(SamplePlan(count=10, seed=2))
+    calls = []
+    reused = 0
+    for k in range(10):
+        old = ScalarField(chart, "x0")
+        address = id(old)
+        held_result(("value", old), pts, lambda: calls.append(1) or pts[:, 0] * k)
+        del old
+        new = ScalarField(chart, "x0")
+        reused += id(new) == address
+        got = held_result(("value", new), pts, lambda: calls.append(1) or pts[:, 0] * -1.0)
+        assert len(calls) == 2 * (k + 1)
+        assert got.tobytes() == (pts[:, 0] * -1.0).tobytes()
+        del new
+    assert reused
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import pytest
 
 import conftest
 from hesslab import expr as ex
+from hesslab.expr import DomainError
 from hesslab.geomcore import (
     Chart,
     ConnectionField,
@@ -741,25 +742,36 @@ def test_domain_error_fallback_neither_reads_nor_writes_the_store(monkeypatch):
     g = MetricField(chart, [["5 + log(x0)"]])  # log raises where x0 <= 0
     plan = SamplePlan(count=40, seed=3)
     pts = chart.sample(plan)
-    kept = gc._held.results
+    kept = {}  # key -> what the whole array holds under it (None: nothing)
     per_point = []
-    real = hs.held_result
+    real = gc.held_result
 
     def held_result(key, p, compute):
         if p is pts:
-            return real(key, p, compute)
-        before = dict(kept)
-        out = real(key, p, compute)
-        per_point.append(np.shape(out))
-        assert kept.keys() == before.keys()
-        assert all(kept[k] is v for k, v in before.items())
+            try:
+                kept[key] = real(key, p, compute)
+            except DomainError:
+                kept[key] = None
+                raise
+            return kept[key]
+        calls = []
+        out = real(key, p, lambda: calls.append(1) or compute())
+        per_point.append((np.shape(out), len(calls)))
         return out
 
-    monkeypatch.setattr(hs, "held_result", held_result)
+    for mod in (gc, hs):  # torsion and flatness keep themselves in geomcore
+        monkeypatch.setattr(mod, "held_result", held_result)
     report = check_hessian_structure(conn, g, plan)
     assert not report.passed and "domain errors" in report.notes[0]
-    assert per_point and set(per_point) == {(1,)}
-    assert kept and all(np.shape(v) == (plan.count,) for v in kept.values())
+    # every single point computed its term: nothing was read from the store
+    assert per_point and set(per_point) == {((1,), 1)}
+    # and nothing was written to it: the whole array holds what it held
+    assert any(v is None for v in kept.values())
+    assert any(v is not None for v in kept.values())
+    for key, held in kept.items():
+        got = real(key, pts, lambda: None)
+        assert got is held
+        assert held is None or np.shape(held) == (plan.count,)
 
 
 def test_suites_in_turn_repeat_their_bytes_and_keep_nothing(monkeypatch):

@@ -4,6 +4,8 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import pytest
@@ -297,6 +299,47 @@ def test_an_interrupted_suite_releases_the_held_points(monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         run_example("hopf", PLAN)
     assert held == [True] and geomcore._held.pts is None
+
+
+
+def test_the_lee_probe_at_20k_leaves_only_declared_fields_held(monkeypatch):
+    # the openness probe builds a candidate structure per eps it tries; its
+    # tensors die with it, as do the Lee field's and every other built
+    # field's, so when run_suite drops the point set only fields the scene
+    # declares hold tensors (21 tensors, 23.7 MB, when the store kept every
+    # field evaluated on it alive; the peak was 63.6-64.3 MiB then)
+    from hesslab import geomcore, scenes
+
+    made = []
+    real_init = geomcore._Field.__init__
+
+    def init(self, *args):
+        real_init(self, *args)
+        made.append(weakref.ref(self))
+
+    held = []
+    real_drop = scenes.drop_held_points
+
+    def drop():
+        point_set = geomcore._held
+        for field in filter(None, (ref() for ref in made)):
+            if point_set.get((field,), point_set.pts) is not None:
+                held.append(field)
+        real_drop()
+
+    monkeypatch.setattr(geomcore._Field, "__init__", init)
+    monkeypatch.setattr(scenes, "drop_held_points", drop)
+    scene = load_example("lee_perturbation_torus")
+    tracemalloc.start()
+    try:
+        report = run_suite(scene, SamplePlan(count=20_000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.all_ok
+    declared = [id(f) for f in scene.fields.values()]
+    assert held and all(id(f) in declared for f in held)
+    assert peak <= 52 * 2**20
 
 
 def test_unbuilt_structure_never_satisfies_expect_fail():
