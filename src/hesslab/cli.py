@@ -11,6 +11,8 @@ import math
 import sys
 
 from .cones import (
+    LATTICE_SHIFTS,
+    PSI_SAMPLES,
     ConeError,
     MonteCarloDivergenceError,
     characteristic_function,
@@ -28,6 +30,10 @@ from .scenes import (
     strict_json,
 )
 
+_MC_SAMPLES_HELP = (f"Monte Carlo budget for psi: {LATTICE_SHIFTS} shifts of a lattice of "
+                    f"budget // {LATTICE_SHIFTS} points (default {PSI_SAMPLES}, "
+                    f"at least {LATTICE_SHIFTS})")
+
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tol", type=float, default=None,
@@ -38,8 +44,8 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
                         help="seed for sampling and Monte Carlo (default 42)")
     parser.add_argument("--margin", type=float, default=0.05,
                         help="chart boundary margin in (0, 0.5) (default 0.05)")
-    parser.add_argument("--mc-samples", type=int, default=1_000_000,
-                        help="Monte Carlo budget for psi checks (default 1e6)")
+    parser.add_argument("--mc-samples", type=int, default=PSI_SAMPLES,
+                        help=_MC_SAMPLES_HELP)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -68,7 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_psi.add_argument("--method", choices=("closed_form", "monte_carlo"),
                        default="closed_form")
     p_psi.add_argument("--seed", type=int, default=42)
-    p_psi.add_argument("--mc-samples", type=int, default=1_000_000)
+    p_psi.add_argument("--mc-samples", type=int, default=PSI_SAMPLES,
+                       help=_MC_SAMPLES_HELP)
     return parser
 
 

@@ -41,6 +41,8 @@ import numpy as np
 from . import __version__
 from . import expr as ex
 from .cones import (
+    LATTICE_SHIFTS,
+    PSI_SAMPLES,
     ConeSpec,
     characteristic_function,
     cone_from_spec,
@@ -319,8 +321,9 @@ def _is(test: Callable, noun: str) -> Callable:
 # a JSON integer, not a boolean or a float such as 2.0; a JSON boolean, not a
 # string such as "no" read by its truthiness; a name
 _count = _is(lambda v: type(v) is int and v >= 0, "a count (an integer >= 0)")
-monte_carlo_budget = _is(lambda v: type(v) is int and v >= 2,
-                         "a Monte Carlo budget (an integer >= 2)")
+monte_carlo_budget = _is(lambda v: type(v) is int and v >= LATTICE_SHIFTS,
+                         f"a Monte Carlo budget (an integer >= {LATTICE_SHIFTS}, "
+                         "one point per lattice shift)")
 _boolean = _is(lambda v: isinstance(v, bool), "true or false")
 _name = _is(lambda v: isinstance(v, str), "a name")
 
@@ -752,11 +755,12 @@ def _op_surface(ctx, tol, cone, chart, surface, curvature_tolerance):
 
 # A Monte Carlo psi matches its expected value when the two lie within
 # PSI_Z standard errors: a correct estimate then fails with two-sided
-# probability PSI_FALSE_ALARM_RATE. PSI_Z is the standard normal's
-# 1 - PSI_FALSE_ALARM_RATE / 2 quantile, written out so that no statistics
-# package loads at run time.
+# probability PSI_FALSE_ALARM_RATE. The standard error comes from
+# LATTICE_SHIFTS = 32 shift means, so PSI_Z is the 1 - PSI_FALSE_ALARM_RATE / 2
+# quantile of Student's t with 31 degrees of freedom, written out so that no
+# statistics package loads at run time.
 PSI_FALSE_ALARM_RATE = 1e-6
-PSI_Z = 4.8916
+PSI_Z = 6.0720
 
 
 @_op("psi", cone=_ref(ConeSpec), point=_POINT,
@@ -768,7 +772,12 @@ def _op_psi(ctx, tol, cone, point, method, samples, seed, expect_value):
     seed = ctx.plan.seed if seed is None else seed
     psi = characteristic_function(cone, point, method, samples=samples, seed=seed)
     extra = {"value": psi.value, "stderr": psi.stderr}
-    if expect_value is not None:
+    notes = (cone.describe(),)
+    if not (math.isfinite(psi.value) and math.isfinite(psi.stderr)):
+        residual, eff_tol = math.inf, tol
+        notes += (f"psi is not finite at this point (value {psi.value}, "
+                  f"stderr {psi.stderr})",)
+    elif expect_value is not None:
         residual = abs(psi.value - expect_value)
         eff_tol = max(tol, PSI_Z * psi.stderr)
         extra["expected"] = expect_value
@@ -776,9 +785,8 @@ def _op_psi(ctx, tol, cone, point, method, samples, seed, expect_value):
             extra["z_score"] = residual / psi.stderr
     else:
         residual, eff_tol = 0.0, tol
-    return [make_report(f"psi-{method}", [residual], eff_tol,
-                        samples=samples if method == "monte_carlo" else 1,
-                        extra=extra, notes=(cone.describe(),))]
+    return [make_report(f"psi-{method}", [residual], eff_tol, samples=psi.samples,
+                        extra=extra, notes=notes)]
 
 
 @_op("homogeneity", cone=_ref(ConeSpec), point=_POINT,
@@ -849,7 +857,7 @@ def _expectation_notes(check: dict, reports) -> list[str]:
 
 def run_suite(scene: Scene, plan: SamplePlan | None = None,
               tolerance: float | None = None,
-              mc_samples: int = 1_000_000) -> Report:
+              mc_samples: int = PSI_SAMPLES) -> Report:
     """Execute every declared check; a check is ok when its reports land on
     the expected side of the tolerance (``expect_fail`` flips the sense) and
     every ``expect`` bound on the report extras holds. A check whose op
@@ -857,7 +865,8 @@ def run_suite(scene: Scene, plan: SamplePlan | None = None,
     so it is never ok: under ``expect_fail`` no report may be non-finite.
     A ``tolerance`` override, which replaces every check's, is read as the
     scene key is: a positive constant (inf included), else a SceneError; so
-    is ``mc_samples``, as the psi op's ``samples``: an integer >= 2."""
+    is ``mc_samples``, as the psi op's ``samples``: an integer of at least
+    LATTICE_SHIFTS."""
     plan = plan or SamplePlan()
     if tolerance is not None:
         tolerance = positive_constant(tolerance, "run_suite", "tolerance")
@@ -922,5 +931,5 @@ def load_example(name: str) -> Scene:
 
 def run_example(name: str, plan: SamplePlan | None = None,
                 tolerance: float | None = None,
-                mc_samples: int = 1_000_000) -> Report:
+                mc_samples: int = PSI_SAMPLES) -> Report:
     return run_suite(load_example(name), plan, tolerance, mc_samples)

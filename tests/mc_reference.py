@@ -1,11 +1,11 @@
-"""Test-only reference Monte Carlo psi: the samplers and chunked mean written
-plainly, each chunk's weights built from freshly allocated arrays.
+"""Test-only reference Monte Carlo psi: the randomly shifted lattice and the
+cones' importance weights written plainly, each from fresh arrays, with no
+in-place arithmetic.
 
-It draws the same variates from the same child streams as
-`hesslab.cones._mc_mean` and its samplers, and combines them by the same
-floating-point operations without buffer reuse or in-place arithmetic, so
-`reference_psi` must match `characteristic_function(..., "monte_carlo")`
-bit for bit.
+It finds the lattice generator by its own search, draws the same shifts from
+the same stream as `hesslab.cones._lattice_mean`, and builds each weight by
+the same floating-point operations, so `reference_psi` must match
+`characteristic_function(..., "monte_carlo")` bit for bit.
 """
 
 from __future__ import annotations
@@ -13,9 +13,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.special import ndtri
 
 from hesslab.cones import (
-    MC_CHUNK,
+    LATTICE_SHIFTS,
     LorentzCone,
     OrthantCone,
     PolyhedralCone,
@@ -23,85 +24,83 @@ from hesslab.cones import (
     _ball_volume,
 )
 
+GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
+
 
 def uniform_ball(rng, count: int, d: int) -> np.ndarray:
     """Uniform samples in the unit d-ball."""
     if d == 1:
         return rng.uniform(-1.0, 1.0, size=(count, 1))
     z = rng.standard_normal((count, d))
-    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    z = z / np.linalg.norm(z, axis=1, keepdims=True)
     radii = rng.random(count) ** (1.0 / d)
     return z * radii[:, None]
 
 
-def mc_mean(total: int, seed_seq: np.random.SeedSequence, sampler):
-    nchunks = (total + MC_CHUNK - 1) // MC_CHUNK
-    children = seed_seq.spawn(nchunks)
-    sum_w = 0.0
-    sum_w2 = 0.0
-    done = 0
-    for k in range(nchunks):
-        count = min(MC_CHUNK, total - done)
-        w = sampler(np.random.default_rng(children[k]), count)
-        sum_w += float(w.sum())
-        sum_w2 += float((w * w).sum())
-        done += count
-    mean = sum_w / total
-    variance = max(sum_w2 / total - mean * mean, 0.0)
-    stderr = math.sqrt(variance / max(total - 1, 1))
-    return mean, stderr
+def lattice_points(n: int, k: int) -> np.ndarray:
+    """(k, n): row j is {i a^j / n mod 1}, a the integer nearest n / phi
+    coprime to n (the first of two at the same distance)."""
+    coprime = [c for c in range(1, n + 1) if math.gcd(c, n) == 1]
+    a = min(coprime, key=lambda c: abs(c - n / GOLDEN_RATIO))
+    i = np.arange(n)
+    return np.array([(a ** j % n) * i % n / n for j in range(k)])
 
 
-def orthant_sampler(cone: OrthantCone, x):
-    rates = 1.5 * x
+def lattice_mean(total: int, seed_seq: np.random.SeedSequence, k: int, weights):
+    n = total // LATTICE_SHIFTS
+    points = lattice_points(n, k)
+    shifts = np.random.default_rng(seed_seq).random((LATTICE_SHIFTS, k))
+    means = np.array([weights(np.mod(points + s[:, None], 1.0)).mean() for s in shifts])
+    return float(np.mean(means)), float(np.std(means, ddof=1)) / math.sqrt(LATTICE_SHIFTS)
+
+
+def exponentials(u, rates):
+    return -np.log1p(-u) / rates
+
+
+def orthant_weights(cone: OrthantCone, x):
+    rates = 0.75 * x
     norm = float(np.prod(rates))
-
-    def sampler(rng, count):
-        y = rng.standard_exponential((count, cone.dim))
-        y *= 1.0 / rates
-        return np.exp(0.5 * (y @ x)) / norm
-
-    return sampler
+    return cone.dim, lambda u: np.exp((rates - x) @ exponentials(u, rates[:, None])) / norm
 
 
-def lorentz_sampler(cone: LorentzCone, x):
-    x0 = float(x[0])
+def lorentz_weights(cone: LorentzCone, x):
     xbar = x[1:]
-    gap = x0 - float(np.linalg.norm(xbar))
+    rate = 0.75 * (float(x[0]) - float(np.linalg.norm(xbar)))
     d = cone.dim - 1
     vol = _ball_volume(d)
 
-    def sampler(rng, count):
-        y0 = rng.exponential(1.0 / gap, size=count)
-        ybar = uniform_ball(rng, count, d) * y0[:, None]
-        inner = x0 * y0 + ybar @ xbar
-        return np.exp(gap * y0 - inner) * vol * y0 ** d / gap
+    def weights(u):
+        if d == 1:
+            b = 2.0 * u[1:] - 1.0
+        else:
+            z = ndtri(u[1:d + 1])
+            b = z / np.linalg.norm(z, axis=0) * u[d + 1] ** (1.0 / d)
+        y0 = exponentials(u[0], rate)
+        return np.exp(-y0 * (float(x[0]) - rate + xbar @ b)) * vol * y0 ** d / rate
 
-    return sampler
+    return (2 if d == 1 else d + 2), weights
 
 
-def polyhedral_sampler(cone: PolyhedralCone, x):
+def polyhedral_weights(cone: PolyhedralCone, x):
     sub, coeff = cone._tilt_basis(x)
     coeff = np.maximum(coeff, 0.0)
-    rates = np.maximum(1.5 * coeff, 0.25 * float(coeff.mean()))
-    absdet = abs(float(np.linalg.det(sub)))
-    norm = absdet * float(np.prod(rates))
-    subinv_t = np.linalg.inv(sub).T
-    gt = cone.generators.T
+    rates = np.maximum(0.75 * coeff, 0.25 * float(coeff.mean()))
+    norm = abs(float(np.linalg.det(sub))) * float(np.prod(rates))
+    pairings = cone.generators @ np.linalg.inv(sub)
 
-    def sampler(rng, count):
-        z = rng.exponential(1.0 / rates, size=(count, cone.dim))
-        y = z @ subinv_t
-        inside = np.all(y @ gt > 0.0, axis=1)
-        return np.exp(z @ (rates - coeff)) * inside / norm
+    def weights(u):
+        z = exponentials(u, rates[:, None])
+        inside = np.all(pairings @ z > 0.0, axis=0)
+        return np.exp((rates - coeff) @ z) * inside / norm
 
-    return sampler
+    return cone.dim, weights
 
 
-_SAMPLERS = {
-    OrthantCone: orthant_sampler,
-    LorentzCone: lorentz_sampler,
-    PolyhedralCone: polyhedral_sampler,
+_WEIGHTS = {
+    OrthantCone: orthant_weights,
+    LorentzCone: lorentz_weights,
+    PolyhedralCone: polyhedral_weights,
 }
 
 
@@ -120,4 +119,4 @@ def _psi(cone, x, samples, seed_seq):
         value = math.prod(v for v, _ in parts)
         rel2 = sum((e / v) ** 2 for v, e in parts)
         return value, value * math.sqrt(rel2)
-    return mc_mean(samples, seed_seq, _SAMPLERS[type(cone)](cone, x))
+    return lattice_mean(samples, seed_seq, *_WEIGHTS[type(cone)](cone, x))

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from hesslab.cones import (
+    LATTICE_SHIFTS,
+    PSI_SAMPLES,
     LorentzCone,
     MonteCarloDivergenceError,
     NoClosedFormError,
@@ -97,7 +99,19 @@ assert "scipy.optimize" in sys.modules
 """
 
 
-def test_scipy_optimize_loads_only_for_a_polyhedral_cone():
+_COLD_CONE_SCENES = """
+import sys
+from hesslab import cli
+for name in ("orthant_cone", "lorentz_cone"):
+    assert cli.main(["example", name, "--samples", "20"]) == 0
+assert not [m for m in sys.modules if m.startswith("scipy")], "scipy loaded by a cone scene"
+from hesslab.cones import LorentzCone, characteristic_function
+characteristic_function(LorentzCone(3), (2.0, 0.5, 0.3), "monte_carlo", samples=64)
+assert "scipy.special" in sys.modules
+"""
+
+
+def _run_cold(script):
     import os
     import subprocess
     import sys
@@ -108,10 +122,20 @@ def test_scipy_optimize_loads_only_for_a_polyhedral_cone():
     src = str(Path(hesslab.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", _COLD_START], capture_output=True, text=True,
+        [sys.executable, "-c", script], capture_output=True, text=True,
         timeout=120, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_scipy_optimize_loads_only_for_a_polyhedral_cone():
+    _run_cold(_COLD_START)
+
+
+def test_bundled_cone_scenes_load_no_scipy():
+    # Monte Carlo psi of orthant(2) and lorentz(2) needs only numpy; the
+    # normal variates of a Lorentz ball of dimension >= 2 load scipy.special
+    _run_cold(_COLD_CONE_SCENES)
 
 
 def test_self_duality_on_random_points():
@@ -188,6 +212,8 @@ def test_psi_value_invariants():
         PsiValue(0.0, 0.0, "closed_form")
     with pytest.raises(ValueError):
         PsiValue(1.0, -0.1, "closed_form")
+    with pytest.raises(ValueError, match="standard error must be >= 0, not nan"):
+        PsiValue(1.0, math.nan, "monte_carlo")
 
 
 # ---------------------------------------------------------------------------
@@ -288,11 +314,14 @@ MC_REFERENCE_CONES = {
 }
 
 
-@pytest.mark.parametrize("total", [1_000_000, 250_001, 777],
+# a shift of the lattice is a chunk of budget // LATTICE_SHIFTS points: the
+# default budget fills 32 chunks of 8192, 250 001 leaves 17 points unused,
+# and a budget of 32 gives each shift one point
+@pytest.mark.parametrize("total", [PSI_SAMPLES, 250_001, LATTICE_SHIFTS],
                          ids=["full-chunks", "partial-last-chunk", "under-one-chunk"])
 @pytest.mark.parametrize("name", list(MC_REFERENCE_CONES))
 def test_monte_carlo_matches_the_plain_reference_bit_for_bit(name, total):
-    # same child streams, same variates, same floating-point operations
+    # same lattice, same shifts, same floating-point operations
     cone, x = MC_REFERENCE_CONES[name]
     psi = characteristic_function(cone, x, "monte_carlo", samples=total, seed=42)
     value, stderr = reference_psi(cone, x, total, seed=42)

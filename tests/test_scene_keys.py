@@ -144,7 +144,8 @@ def test_cli_wrong_kind_exits_2(tmp_path, capsys, name, where, key):
     ("halfplane_cone", lambda d: spec_of(d, "B").update(conn="g"),
      "structure 'B': field 'g' is a MetricField, expected ConnectionField"),
     ("orthant_cone", lambda d: spec_of(d, "psi-monte-carlo").update(samples=1),
-     "check 1 ('psi'): 'samples' is 1, not a Monte Carlo budget (an integer >= 2)"),
+     "check 1 ('psi'): 'samples' is 1, not a Monte Carlo budget (an integer >= 32, "
+     "one point per lattice shift)"),
 ], ids=["chart-dim", "surface-chart-dim", "boolean-coordinate", "short-point",
         "negative-tolerance", "zero-tolerance", "nan-tolerance", "nan-string-tolerance",
         "statistical-conn-names-a-metric", "one-monte-carlo-sample"])
@@ -203,7 +204,17 @@ def test_cli_monte_carlo_budget_below_two_exits_2(capsys, command, budget):
     assert main(command + ["--mc-samples", budget]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == (f"error: command line: '--mc-samples' is {budget}, "
-                                 "not a Monte Carlo budget (an integer >= 2)\n")
+                                 "not a Monte Carlo budget (an integer >= 32, "
+                                 "one point per lattice shift)\n")
+
+
+def test_cli_monte_carlo_budget_is_one_point_per_lattice_shift_or_more(capsys):
+    # 32 shifts of a one-point lattice is the smallest budget; 31 exits 2
+    command = ["cone", "psi", "orthant(2)", "2,3", "--method", "monte_carlo"]
+    assert main(command + ["--mc-samples", "31"]) == 2
+    assert "'--mc-samples' is 31" in capsys.readouterr().err
+    assert main(command + ["--mc-samples", "32"]) == 0
+    assert json.loads(capsys.readouterr().out)["stderr"] > 0.0
 
 
 @pytest.mark.parametrize("budget", [1, 0, 2.0, True])

@@ -1,6 +1,7 @@
 """Scene loading, suite execution, report serialization, and the CLI."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,6 +14,12 @@ import pytest
 import hesslab
 from hesslab import expr as ex
 from hesslab.cli import main
+from hesslab.cones import (
+    LATTICE_SHIFTS,
+    LorentzCone,
+    OrthantCone,
+    characteristic_function,
+)
 from hesslab.geomcore import SamplePlan
 from hesslab.scenes import (
     EXAMPLES,
@@ -493,27 +500,58 @@ def test_mc_budget_flows_into_psi_checks():
         checks=[{"op": "psi", "cone": "V", "point": [2.0, 3.0],
                  "method": "monte_carlo", "expect_value": "1/6"}],
     )
-    rep = run_suite(scene_from_dict(data), PLAN, mc_samples=20000)
+    rep = run_suite(scene_from_dict(data), PLAN, mc_samples=20031)
     report = rep.checks[0]["reports"][0]
+    # 32 shifts of 625 lattice points: the budget's last 31 buy no shift
     assert report["samples"] == 20000
     assert rep.all_ok
 
 
 def test_psi_z_is_the_quantile_of_its_false_alarm_rate():
-    from scipy.stats import norm
+    # the stderr is the spread of LATTICE_SHIFTS shift means: Student's t
+    from scipy.stats import t
 
-    assert norm.isf(PSI_FALSE_ALARM_RATE / 2) == pytest.approx(PSI_Z, abs=5e-5)
+    dof = LATTICE_SHIFTS - 1
+    assert t(dof).isf(PSI_FALSE_ALARM_RATE / 2) == pytest.approx(PSI_Z, abs=5e-5)
 
 
-@pytest.mark.parametrize("seed", [325, 903])
+@pytest.mark.parametrize("seed", [26, 602])
 def test_monte_carlo_psi_band_has_no_false_alarm(seed):
-    # correct input that a 3-stderr band failed (z = 3.18 and 3.06)
+    # correct input that a 3-stderr band failed (|t| = 3.44 and 3.70)
     rep = run_example("lorentz_cone", SamplePlan(seed=seed))
     assert rep.all_ok
     check = next(c for c in rep.checks if c["id"] == "psi-monte-carlo")
     (report,) = check["reports"]
     assert report["tolerance"] == pytest.approx(PSI_Z * report["extra"]["stderr"])
     assert 3.0 < report["extra"]["z_score"] < PSI_Z
+
+
+def test_monte_carlo_psi_t_statistic_follows_student_t():
+    # 2000 seeded estimates of orthant(2) and lorentz(2) psi at a budget of
+    # 32 x 64 points: none reaches the band, and the count with |t| past
+    # t_31's 99.5 % quantile (2.7440) lies in [7, 37], outside which
+    # Binomial(2000, 0.01) falls with probability 4.4e-4
+    cases = [(OrthantCone(2), (2.0, 3.0), 1.0 / 6.0), (LorentzCone(2), (1.5, 0.5), 1.0)]
+    t = [abs(psi.value - exact) / psi.stderr
+         for cone, x, exact in cases
+         for psi in (characteristic_function(cone, x, "monte_carlo", samples=2048, seed=seed)
+                     for seed in range(1000))]
+    assert max(t) < PSI_Z
+    assert 7 <= sum(v > 2.7440 for v in t) <= 37
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_a_psi_that_is_not_finite_fails_its_check():
+    # psi = 1/(x0 x1) overflows this close to the orthant's corner; with no
+    # expected value to miss, the check still fails, and says why
+    check = {"op": "psi", "cone": "K", "point": [1e-200, 1e-200]}
+    rep = run_suite(scene_from_dict(unit_scene(cones={"K": "orthant(2)"}, checks=[check])),
+                    PLAN)
+    (report,) = rep.checks[0]["reports"]
+    assert not rep.all_ok and not report["passed"]
+    assert report["max_residual"] == math.inf
+    assert report["notes"][-1] == "psi is not finite at this point (value inf, stderr 0.0)"
+    assert json.loads(rep.to_json())["checks"][0]["reports"][0]["max_residual"] == "Infinity"
 
 
 def test_monte_carlo_psi_ten_stderr_off_fails():
