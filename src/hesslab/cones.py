@@ -50,7 +50,7 @@ from .geomcore import (
     flat_connection,
 )
 from .hesstat import StatisticalStructure, level_set_statistical
-from .jets import evaluate
+from .jets import clean, evaluate
 
 __all__ = [
     "ConeSpec",
@@ -510,7 +510,7 @@ class ProductCone(ConeSpec):
 def _psi(cone: ConeSpec, x: np.ndarray, method: str, samples: int,
          seed_seq: np.random.SeedSequence) -> PsiValue:
     if method == "closed_form":
-        value = float(evaluate(cone.psi_expression(), x[None, :], 0).value[0])
+        value = float(clean(evaluate(cone.psi_expression(), x[None, :], 0)).value[0])
         return PsiValue(value, 0.0, "closed_form")
     if method != "monte_carlo":
         raise ValueError(f"unknown method {method!r}: use closed_form or monte_carlo")
@@ -527,7 +527,14 @@ def _psi(cone: ConeSpec, x: np.ndarray, method: str, samples: int,
         value = math.prod(p.value for p in parts)
         rel2 = sum((p.stderr / p.value) ** 2 for p in parts)
         return PsiValue(value, value * math.sqrt(rel2), "monte_carlo", points)
-    mean, stderr = _lattice_mean(samples, seed_seq, *cone._mc_sampler(x))
+    with np.errstate(all="ignore"):  # a weight that is not finite is reported below
+        mean, stderr = _lattice_mean(samples, seed_seq, *cone._mc_sampler(x))
+    if not (math.isfinite(mean) and math.isfinite(stderr)):
+        raise MonteCarloDivergenceError(
+            f"non-finite weights: the estimate is {mean:.6g} with standard error "
+            f"{stderr:.6g}; the importance weights at this point are not "
+            "representable in floating point"
+        )
     if mean <= 0.0:
         raise MonteCarloDivergenceError(
             "no proposal samples landed in the dual cone; the point is too "
@@ -576,8 +583,7 @@ def log_psi_metric(cone: ConeSpec, pts) -> np.ndarray:
             raise OutsideConeError(
                 f"point {list(map(float, p))} is not strictly inside {cone.describe()}"
             )
-    tree = ex.call("log", cone.psi_expression())
-    return evaluate(tree, pts, 2).hess
+    return clean(evaluate(ex.call("log", cone.psi_expression()), pts, 2)).hess
 
 
 def surface_statistical_structure(cone: ConeSpec, surface, surface_chart: Chart, *,

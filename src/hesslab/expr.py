@@ -410,17 +410,17 @@ def constant_value(expr: Expression) -> float | None:
     """Value of a variable-free subtree, or None if it references coordinates.
     A tree other than a ``Num`` is an order-0 jet at one point of no
     coordinates, where overflow and invalid operations raise
-    `FloatingPointError`: exp(1000) is an error, not inf. numpy and `jets`
-    (which imports this module) load here: this module needs only the
-    standard library."""
+    `FloatingPointError`: exp(1000) is an error, not inf, and log(-1) a
+    `DomainError`. numpy and `jets` (which imports this module) load here:
+    this module needs only the standard library."""
     if isinstance(expr, Num):
         return expr.value
     if variables(expr):
         return None
     import numpy as np
-    from .jets import evaluate
+    from .jets import clean, evaluate
     with np.errstate(over="raise", invalid="raise"):
-        return float(evaluate(expr, np.empty((1, 0)), 0).value[0])
+        return float(clean(evaluate(expr, np.empty((1, 0)), 0)).value[0])
 
 
 # ---------------------------------------------------------------------------

@@ -86,7 +86,7 @@ import numpy as np
 
 from . import expr as ex
 from . import jets
-from .expr import DomainError, Expression
+from .expr import Expression
 from .jets import Jet, evaluate
 
 Array = np.ndarray
@@ -259,26 +259,33 @@ class LineIntegralGauge:
             raise ValueError("gauge form components must match base point dimension")
 
     def values(self, pts: Array) -> Array:
-        pts = np.asarray(pts, float)
-        m, n = pts.shape
-        nodes, weights = _gauss_legendre()
-        diffs = pts - self.base
-        stacked = self.base + nodes[:, None, None] * diffs  # (q, m, n)
-        flat = stacked.reshape(-1, n)
-        total = np.zeros(m)
-        for k, jet in enumerate(evaluate(self.components, flat, 0)):
-            vals = jet.value.reshape(len(nodes), m)
-            total += (weights[:, None] * vals).sum(axis=0) * diffs[:, k]
-        return total
+        return self.jet(pts, 0).value
 
     def jet(self, pts: Array, order: int) -> Jet:
         pts = np.asarray(pts, float)
         m, n = pts.shape
-        value = self.values(pts)
+        nodes, weights = _gauss_legendre()
+        q = len(nodes)
+        diffs = pts - self.base
+        # each point's segment in turn, so the first faulty quadrature point
+        # is the lowest faulty point's first faulty node
+        flat = (self.base + nodes[:, None] * diffs[:, None, :]).reshape(-1, n)
+        value = np.zeros(m)
+        fault = None
+        for k, jet in enumerate(evaluate(self.components, flat, 0)):
+            fault = jets.join(fault, jet.fault)
+            # the (q, m) terms in C order, so the sum over nodes adds them in turn
+            value += np.multiply(weights[:, None], jet.value.reshape(m, q).T,
+                                 order="C").sum(axis=0) * diffs[:, k]
+        if fault is not None:
+            row, seq, why = fault.first
+            fault = jets.Fault(fault.rows.reshape(m, q).any(axis=1), (row // q, seq, why))
         grad = hess = third = None
         # each stack is a (k, ..., m) buffer, viewed sample axis first
         if order >= 1:
             comp_jets = evaluate(self.components, pts, order - 1)
+            for j in comp_jets:
+                fault = jets.join(fault, j.fault)
             grad = samples_first(np.stack([j.value for j in comp_jets]))  # (m, k) = w_k
         if order >= 2:
             dform = samples_first(np.stack([j.grad.T for j in comp_jets]))  # (m, k, i) = d_i w_k
@@ -289,7 +296,7 @@ class LineIntegralGauge:
             third = sum(
                 np.transpose(t, (0,) + perm) for perm in itertools.permutations((1, 2, 3))
             ) / 6.0
-        return Jet(order, value, grad, hess, third)
+        return Jet(order, value, grad, hess, third, fault=fault)
 
 
 def gauged(gauge: LineIntegralGauge, sign: float, entry) -> Expression:
@@ -315,15 +322,17 @@ def as_entry(obj, dim: int) -> Expression:
 # ---------------------------------------------------------------------------
 
 class EvaluatedTensor:
-    """Stacked entry jets: value (m, *shape), d1 (m, *shape, n), etc."""
+    """Stacked entry jets: value (m, *shape), d1 (m, *shape, n), etc., and
+    the entries' `jets.Fault` (or None)."""
 
-    __slots__ = ("value", "d1", "d2", "d3")
+    __slots__ = ("value", "d1", "d2", "d3", "fault")
 
-    def __init__(self, value, d1=None, d2=None, d3=None):
+    def __init__(self, value=None, d1=None, d2=None, d3=None, fault=None):
         self.value = value
         self.d1 = d1
         self.d2 = d2
         self.d3 = d3
+        self.fault = fault
 
     @property
     def order(self) -> int:
@@ -333,19 +342,19 @@ class EvaluatedTensor:
         """The same arrays truncated at ``order``: lower-order jet
         coefficients do not depend on the higher ones."""
         parts = (self.d1, self.d2, self.d3)[:order]
-        return EvaluatedTensor(self.value, *parts)
+        return EvaluatedTensor(self.value, *parts, fault=self.fault)
 
 
 class _PointSet:
     """The held point set and what was computed on it (see the module
-    docstring), field tensors under (field,) and small results under
-    (operator, *fields). Only these methods read the store."""
+    docstring), field tensors under (field,) and small results with their
+    faults under (operator, *fields). Only these methods read the store."""
 
     __slots__ = ("key", "pts", "_store", "_forget", "__weakref__")
 
     def __init__(self, key=None, pts=None):
         self.key, self.pts = key, pts
-        self._store: dict = {}  # (field,) -> EvaluatedTensor; (operator, *fields) -> result
+        self._store: dict = {}  # (field,) -> EvaluatedTensor; (operator, *fields) -> (result, fault)
         this = weakref.ref(self)  # a strong one would keep a dropped point set in a cycle
 
         def forget(dead):
@@ -363,7 +372,7 @@ class _PointSet:
         """``value``, held read-only under ``key`` when ``pts`` is the held array."""
         if pts is self.pts:
             tensor = isinstance(value, EvaluatedTensor)
-            for arr in (value.value, value.d1, value.d2, value.d3) if tensor else (value,):
+            for arr in (value.value, value.d1, value.d2, value.d3) if tensor else value:
                 if isinstance(arr, np.ndarray):
                     arr.flags.writeable = False
             self._store[tuple(_weak(part, self._forget) for part in key)] = value
@@ -385,6 +394,30 @@ def drop_held_points() -> None:
     _held = _PointSet()
 
 
+# The fault of what a running `sample_check` or `held_result` has read, in a
+# one-item list; None where neither runs.
+_recording: list | None = None
+
+
+def _note(fault: jets.Fault | None) -> None:
+    """Record the fault of a tensor or result just read; raise its
+    `DomainError` where nothing records."""
+    if fault is not None:
+        if _recording is None:
+            raise fault.error()
+        _recording[0] = jets.join(_recording[0], fault)
+
+
+def _recorded(compute) -> tuple:
+    """``(compute(), fault)``, with the faults it reads recorded, not raised."""
+    global _recording
+    outer, _recording = _recording, [None]
+    try:
+        return compute(), _recording[0]
+    finally:
+        _recording = outer
+
+
 def held_result(key: tuple, pts: Array, compute):
     """``compute()``, kept with the held point set when ``pts`` is its array.
 
@@ -392,10 +425,13 @@ def held_result(key: tuple, pts: Array, compute):
     depend on nothing else; it lives as long as the point set and every one
     of those fields, and no other field reads it. Keep only (m,) arrays and
     scalars here; an array comes back read-only. Any other array (a slice,
-    a copy, the single points of `sample_check`'s fallback) neither reads
-    nor writes the store, and a ``compute`` that raises stores nothing."""
+    a copy) neither reads nor writes the store, and a ``compute`` that raises
+    stores nothing. A read notes the fault of what ``compute`` read."""
     out = _held.get(key, pts)
-    return _held.put(key, pts, compute()) if out is None else out
+    if out is None:
+        out = _held.put(key, pts, _recorded(compute))
+    _note(out[1])
+    return out[0]
 
 
 _JET_PARTS = ("value", "grad", "hess", "third")
@@ -420,7 +456,7 @@ def _block_rows(field: _Field, m: int, n: int, order: int, keep: int = 0) -> int
     return max(1, _SCRATCH_BUDGET // (jet * field.live_peak() + keep))
 
 
-def _eval_rows(field: _Field, pts: Array, order: int, parts: list) -> None:
+def _eval_rows(field: _Field, pts: Array, order: int, parts: list) -> jets.Fault | None:
     """One `evaluate` pass over the field's plan at ``pts``, written into
     ``parts`` (sample-first arrays of len(pts) rows, one per order): a
     subtree shared by several entries (a gauge factor among them) is
@@ -428,10 +464,12 @@ def _eval_rows(field: _Field, pts: Array, order: int, parts: list) -> None:
     as rows of contiguous samples when its slot finishes, a known-zero order
     as 0.0, and the pass then drops its jet unless a later slot reads it; an
     entry that is the same node as an earlier one (g_ij = g_ji) copies the
-    rows already written."""
+    rows already written. Returns the entries' fault."""
     index = list(np.ndindex(field.entries.shape))
+    fault = [None]
 
     def write(positions, jet):
+        fault[0] = jets.join(fault[0], jet.fault)
         first = (slice(None),) + index[positions[0]]
         for k, out in enumerate(parts):
             out[first] = getattr(jet, _JET_PARTS[k]) if k <= jet.degree else 0.0
@@ -439,22 +477,21 @@ def _eval_rows(field: _Field, pts: Array, order: int, parts: list) -> None:
                 out[(slice(None),) + index[r]] = out[first]
 
     evaluate(jets.Feed(field.jet_plan(), write), pts, order)
+    return fault[0]
 
 
 def _eval_entries(field: _Field, pts: Array, order: int, take=None, keep: int = 0,
-                  whole: int | None = None) -> EvaluatedTensor | None:
+                  whole: int | None = None) -> EvaluatedTensor:
     """The stacked entry jets at ``pts``, taken one row block at a time
     (`_block_rows`): each block is one `_eval_rows` pass at the rows
     ``pts[rows]``, written into those rows. Jets are computed per sample,
-    so the blocks give the whole pass's numbers bit for bit.
+    so the blocks give the whole pass's numbers and fault bit for bit.
 
     The first ``whole`` orders (all by default) are returned as (m, ...)
-    tensors (None for none); the orders above are held one block at a time.
+    tensors; the orders above are held one block at a time.
     ``take(rows, tensor)``, if given, sees each block's jets at every order
     as it finishes; ``keep`` is the bytes per row that it and the orders
-    held per block keep. A pass whose blocks raise a `DomainError` is run
-    again whole, so the error it raises is the one an unblocked pass
-    raises."""
+    held per block keep."""
     m, n = pts.shape
     shape = field.entries.shape
     whole = order + 1 if whole is None else whole
@@ -464,19 +501,20 @@ def _eval_entries(field: _Field, pts: Array, order: int, take=None, keep: int = 
 
     parts = [alloc(k, m) for k in range(whole)]
     step = _block_rows(field, m, n, order, keep)
-    try:
-        for start in range(0, m, step):
-            rows = slice(start, min(start + step, m))
-            block = [p[rows] for p in parts]
-            block += [alloc(k, rows.stop - start) for k in range(whole, order + 1)]
-            _eval_rows(field, pts[rows], order, block)
-            if take is not None:
-                take(rows, EvaluatedTensor(*block))
-    except DomainError:
-        if step < m:
-            _eval_rows(field, pts, order, [alloc(k, m) for k in range(order + 1)])
-        raise
-    return EvaluatedTensor(*parts) if parts else None
+    fault = None
+    for start in range(0, m, step):
+        rows = slice(start, min(start + step, m))
+        block = [p[rows] for p in parts]
+        block += [alloc(k, rows.stop - start) for k in range(whole, order + 1)]
+        found = _eval_rows(field, pts[rows], order, block)
+        if found is not None and step < m:  # as a fault of all m rows
+            bad = np.zeros(m, bool)
+            bad[rows] = found.rows
+            found = jets.Fault(bad, (found.first[0] + start,) + found.first[1:])
+        fault = jets.join(fault, found)
+        if take is not None:
+            take(rows, EvaluatedTensor(*block))
+    return EvaluatedTensor(*parts, fault=fault)
 
 
 class _Field:
@@ -516,10 +554,12 @@ class _Field:
 
     def eval(self, pts: Array, order: int = 0) -> EvaluatedTensor:
         """Jets of every entry at ``pts``. On the held sampled array the
-        result is read-only and shared with later calls on the same array."""
+        result is read-only and shared with later calls on the same array.
+        Every read notes the tensor's fault (`_note`)."""
         stored = _held.get((self,), pts)
         if stored is None or stored.order < order:
             stored = _held.put((self,), pts, _eval_entries(self, pts, order))
+        _note(stored.fault)
         return stored.prefix(order)
 
 
@@ -686,6 +726,7 @@ def _curvature_slices(conn: ConnectionField, pts, take) -> None:
     values = _eval_entries(conn, pts, 1, fold, _fold_keep(d), whole=int(hold))
     if hold:
         _held.put((conn,), pts, values)
+    _note(values.fault)
 
 
 def curvature_batch(conn: ConnectionField, pts) -> Array:
@@ -957,52 +998,49 @@ def definiteness_gap(mats: Array) -> Array:
 # Check runner
 # ---------------------------------------------------------------------------
 
+def in_domain(values: Array) -> Array:
+    """The rows of ``values`` (one per sample) that no fault the running
+    check has recorded marks."""
+    fault = None if _recording is None else _recording[0]
+    return values if fault is None else values[~fault.rows]
+
+
 def sample_check(residual_fn, chart: Chart, plan: SamplePlan, tolerance: float,
                  name: str = "check", extra=None, notes=()) -> CheckReport:
-    """Evaluate a batched residual function over sampled points.
+    """Evaluate a batched residual function over sampled points, in one call.
 
     ``residual_fn`` takes an (m, n) array of points and returns (m,)
     residuals, or a dict of named (m,) residual terms. For terms, the
     residual at a sample is the worst term there, and ``extra`` keeps each
     term's worst value over the samples under its name; a NaN sticks
-    (``np.maximum`` propagates it where ``max`` would drop it).
+    (``np.maximum`` propagates it where ``max`` would drop it). ``extra`` is
+    copied after the call, so ``residual_fn`` may add to it.
 
-    Domain errors fall back to per-point evaluation; points that cannot be
-    evaluated count as infinite residuals and are recorded in the notes.
-    A call that raises folds none of its terms into ``extra``.
+    The faults the call reads are recorded (`_recorded`). A faulty sample is
+    an infinite residual, and so is a term that is NaN there: a faulty row is
+    NaN in every tensor computed from it, so a term reads inf where its own
+    inputs are faulty. A note counts them and gives the lowest one's message.
     """
     pts = chart.sample(plan)
+    out, fault = _recorded(lambda: residual_fn(pts))
     notes = list(notes)
     extra = dict(extra or {})
-
-    def residuals_at(p):
-        out = residual_fn(p)
-        if not isinstance(out, dict):
-            return out
-        for key, arr in out.items():
+    bad = None if fault is None else fault.rows
+    if isinstance(out, dict):
+        terms = [np.asarray(arr, float) for arr in out.values()]
+        if bad is not None:
+            terms = [np.where(bad & np.isnan(arr), np.inf, arr) for arr in terms]
+        for key, arr in zip(out, terms):
             extra[key] = float(np.maximum(extra.get(key, 0.0), np.max(arr)))
-        return np.maximum.reduce(list(out.values()))
-
-    try:
-        residuals = np.asarray(residuals_at(pts), float)
-    except DomainError:
-        residuals = np.empty(plan.count)
-        bad = 0
-        first_error = ""
-        for k in range(plan.count):
-            try:
-                residuals[k] = float(residuals_at(pts[k : k + 1])[0])
-            except DomainError as err:
-                residuals[k] = np.inf
-                bad += 1
-                if not first_error:
-                    first_error = str(err)
-        if bad == plan.count:
-            notes.append(f"all {plan.count} samples hit domain errors: {first_error}")
-        else:
-            notes.append(f"{bad} of {plan.count} samples hit domain errors: {first_error}")
+        out = np.maximum.reduce(terms)
+    residuals = np.asarray(out, float)
     if residuals.shape != (plan.count,):
         raise ValueError("residual function must return one residual per sample")
+    if bad is not None:
+        residuals = np.where(bad, np.inf, residuals)
+        k = int(np.count_nonzero(bad))
+        share = f"all {k}" if k == plan.count else f"{k} of {plan.count}"
+        notes.append(f"{share} samples hit domain errors: {fault.first[2]}")
     return make_report(name, residuals, tolerance, samples=plan.count, extra=extra, notes=notes)
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
-from .expr import DomainError, Expression
+from .expr import Expression
 from .geomcore import (
     DEFAULT_TOLERANCE,
     Chart,
@@ -44,9 +44,9 @@ from .geomcore import (
     det_expression,
     flatness_residual,
     held_result,
+    in_domain,
     inverse_metric_expressions,
     lie_derivative_metric_batch,
-    make_report,
     max_abs,
     rel_residual,
     residual_passes,
@@ -55,7 +55,7 @@ from .geomcore import (
     torsion_residual,
     total_symmetry_residual_batch,
 )
-from .jets import evaluate
+from .jets import clean, evaluate
 
 __all__ = [
     "StatisticalStructure",
@@ -239,24 +239,23 @@ def check_radiant(conn: ConnectionField, xi: VectorFieldT, plan=None,
     """Does nabla xi = lam * Id hold for a single constant lam?
 
     When ``lam`` is not supplied it is estimated as the sample mean of
-    trace(nabla xi)/dim and reported under ``extra["lambda"]``.
+    trace(nabla xi)/dim over the samples in the fields' domain (NaN when
+    there are none) and reported under ``extra["lambda"]``.
     """
-    plan = plan or SamplePlan()
-    try:
-        pts = conn.chart.sample(plan)
-        jac = covariant_derivative_vector_batch(conn, xi, pts)
-    except DomainError as err:
-        return make_report(name, np.full(plan.count, np.inf), tolerance,
-                           notes=(f"evaluation failed: {err}",))
     d = conn.chart.dim
-    if lam is None:
-        lam = float(np.mean(np.trace(jac, axis1=1, axis2=2)) / d)
-    else:
-        lam = float(lam)
-    delta = jac - lam * np.eye(d)
-    residuals = max_abs(delta) / (1.0 + abs(lam))
-    return make_report(name, residuals, tolerance, samples=plan.count,
-                       extra={"lambda": lam})
+    extra = {}
+
+    def residual(pts):
+        jac = covariant_derivative_vector_batch(conn, xi, pts)
+        mu = lam
+        if mu is None:
+            trace = in_domain(np.trace(jac, axis1=1, axis2=2))
+            mu = float(np.mean(trace)) / d if trace.size else math.nan
+        extra["lambda"] = mu = float(mu)
+        return max_abs(jac - mu * np.eye(d)) / (1.0 + abs(mu))
+
+    return sample_check(residual, conn.chart, plan or SamplePlan(), tolerance, name=name,
+                        extra=extra)
 
 
 def check_self_similar(g: MetricField, xi: VectorFieldT, plan=None,
@@ -278,33 +277,33 @@ def check_potential_field(g: MetricField, xi: VectorFieldT, plan=None,
                           name: str = "potential-field") -> CheckReport:
     """Is the one-form g(xi, .) closed?
 
-    When the coordinate Jacobian of xi is constant across samples, its
-    eigenvalues are reported (``extra["eigenvalue_k"]``): for a potential
-    field these are the scaling weights on the eigenspace decomposition.
+    When the coordinate Jacobian of xi is constant across the samples in
+    its domain, its eigenvalues are reported (``extra["eigenvalue_k"]``):
+    for a potential field these are the scaling weights on the eigenspace
+    decomposition.
     """
-    plan = plan or SamplePlan()
     d = g.chart.dim
     omega = OneFormField(g.chart, [
         ex.sum_of(ex.mul(xi.entries[k], g.entries[k, j]) for k in range(d))
         for j in range(d)])
-    try:
-        pts = g.chart.sample(plan)
-        residuals = closedness_residual(omega, pts)
-        xj = xi.eval(pts, 1)
-    except DomainError as err:
-        return make_report(name, np.full(plan.count, np.inf), tolerance,
-                           notes=(f"evaluation failed: {err}",))
-
     extra: dict[str, float] = {}
-    jac = xj.d1  # (sample, component, derivative)
-    jmean = jac.mean(axis=0)
-    deviation = float(np.max(np.abs(jac - jmean)))
-    if deviation <= 1e-8 * (1.0 + float(np.max(np.abs(jmean)))):
-        eigs = np.linalg.eigvals(jmean)
-        if float(np.max(np.abs(eigs.imag))) <= 1e-9:
-            for k, val in enumerate(sorted(eigs.real)):
-                extra[f"eigenvalue_{k}"] = float(val)
-    return make_report(name, residuals, tolerance, samples=plan.count, extra=extra)
+
+    def residual(pts):
+        residuals = closedness_residual(omega, pts)
+        jac = in_domain(xi.eval(pts, 1).d1)  # (sample, component, derivative)
+        if not len(jac):
+            return residuals
+        jmean = jac.mean(axis=0)
+        deviation = float(np.max(np.abs(jac - jmean)))
+        if deviation <= 1e-8 * (1.0 + float(np.max(np.abs(jmean)))):
+            eigs = np.linalg.eigvals(jmean)
+            if float(np.max(np.abs(eigs.imag))) <= 1e-9:
+                for k, val in enumerate(sorted(eigs.real)):
+                    extra[f"eigenvalue_{k}"] = float(val)
+        return residuals
+
+    return sample_check(residual, g.chart, plan or SamplePlan(), tolerance, name=name,
+                        extra=extra)
 
 
 def check_statistical(struct: StatisticalStructure, plan=None,
@@ -614,14 +613,14 @@ def level_set_statistical(conn: ConnectionField, phi, surface, surface_chart: Ch
     adj = adjugate_expressions(rows)
 
     pts = surface_chart.sample(plan)
-    vals = evaluate(ex.substitute(phi_tree, subs), pts, 0).value
+    vals = clean(evaluate(ex.substitute(phi_tree, subs), pts, 0)).value
     spread = float(vals.max() - vals.min())
     if not residual_passes(spread, tolerance * (1.0 + abs(float(np.mean(vals))))):
         raise SurfaceConstraintError(
             f"parametrization does not stay on a level set of the potential: "
             f"values spread by {spread:.3e}"
         )
-    detvals = evaluate(det, pts, 0).value
+    detvals = clean(evaluate(det, pts, 0)).value
     if not np.min(np.abs(detvals)) > 1e-12 * (1.0 + np.max(np.abs(detvals))):
         raise TransversalityError(
             "transversal field becomes tangent to the surface on the chart"

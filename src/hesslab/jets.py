@@ -34,10 +34,17 @@ of every jet has it, and each elementwise operation runs over rows of m
 contiguous samples rather than over loops of length n. Values do not depend
 on the layout, up to the sign and payload of a NaN (which operand's NaN a
 sum propagates depends on the loop numpy picks).
+
+A domain error is a per-sample mask, not an exception: ``reciprocal``,
+``log``, ``sqrt`` and ``powf`` set the rows out of their domain to NaN before
+they compute, so numpy warns of nothing, and mark them in the result's
+`Fault`. A jet carries the fault of every jet it was computed from, so a row
+is faulty exactly when, evaluated alone, it would have raised.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -48,6 +55,37 @@ from .expr import DomainError, Expression
 Array = np.ndarray
 
 MAX_ORDER = 3
+
+
+class Fault(NamedTuple):
+    """Rows that left an op's domain (bool, (m,)), and ``first``: (row, seq,
+    message) of the lowest of them and there the first op, in evaluation
+    order (``seq``), to leave it; the message is what that row alone raises."""
+
+    rows: Array
+    first: tuple
+
+    def error(self) -> DomainError:
+        return DomainError(self.first[2])
+
+
+_SEQ = itertools.count()
+
+
+def join(a: Fault | None, b: Fault | None) -> Fault | None:
+    """The fault of a result computed from results with faults a and b."""
+    if a is None or a is b:
+        return b
+    if b is None:
+        return a
+    return Fault(a.rows | b.rows, min(a.first, b.first))
+
+
+def clean(jet: "Jet") -> "Jet":
+    """``jet``, when no row of it is faulty; else raise its `DomainError`."""
+    if jet.fault:
+        raise jet.fault.error()
+    return jet
 
 
 def _add(x, y):
@@ -79,13 +117,15 @@ def _plus(acc, *terms):
 class Jet:
     """A jet built from its parts has the full degree, every part up to the
     order given; a lower ``degree`` marks the parts above it as known zero
-    (passed as None), and ``n`` is then given with it."""
+    (passed as None), and ``n`` is then given with it. ``fault`` is a
+    `Fault`, or None."""
 
-    __slots__ = ("order", "degree", "m", "n", "value", "_grad", "_hess", "_third")
+    __slots__ = ("order", "degree", "m", "n", "value", "_grad", "_hess", "_third", "fault")
 
     def __init__(self, order: int, value: Array, grad=None, hess=None, third=None,
-                 degree: int | None = None, n: int | None = None):
+                 degree: int | None = None, n: int | None = None, fault: Fault | None = None):
         self.order = order
+        self.fault = fault
         self.degree = order if degree is None else degree
         self.value = value
         self.m = value.shape[0]
@@ -135,17 +175,19 @@ class Jet:
 
     def __neg__(self) -> "Jet":
         return Jet(self.order, -self.value, _neg(self._grad), _neg(self._hess),
-                   _neg(self._third), self.degree, self.n)
+                   _neg(self._third), self.degree, self.n, self.fault)
 
     def __add__(self, other: "Jet") -> "Jet":
         a, b = self, other
         return Jet(a.order, a.value + b.value, _add(a._grad, b._grad), _add(a._hess, b._hess),
-                   _add(a._third, b._third), max(a.degree, b.degree), a.n)
+                   _add(a._third, b._third), max(a.degree, b.degree), a.n,
+                   join(a.fault, b.fault))
 
     def __sub__(self, other: "Jet") -> "Jet":
         a, b = self, other
         return Jet(a.order, a.value - b.value, _sub(a._grad, b._grad), _sub(a._hess, b._hess),
-                   _sub(a._third, b._third), max(a.degree, b.degree), a.n)
+                   _sub(a._third, b._third), max(a.degree, b.degree), a.n,
+                   join(a.fault, b.fault))
 
     def __mul__(self, other: "Jet") -> "Jet":
         """The Leibniz rule, each term added into a fresh sum once it is made."""
@@ -176,7 +218,8 @@ class Jet:
                 if hx is not None and gy is not None:
                     hg = np.einsum("mij,mk->mijk", hx, gy)
                     t = _plus(t, hg, hg.transpose(0, 1, 3, 2), hg.transpose(0, 3, 1, 2))
-        return Jet(o, av * bv, g, h, t, min(o, a.degree + b.degree), a.n)
+        return Jet(o, av * bv, g, h, t, min(o, a.degree + b.degree), a.n,
+                   join(a.fault, b.fault))
 
     def __truediv__(self, other: "Jet") -> "Jet":
         return self * other.reciprocal()
@@ -191,10 +234,20 @@ class Jet:
     def _chain_order(self) -> int:
         return self.order if self.degree else 0
 
-    def compose(self, f0: Array, f1=None, f2=None, f3=None) -> "Jet":
+    def _domain(self, bad: Array, why) -> tuple[Array, Fault | None]:
+        """The value, NaN at the rows in ``bad``, and their fault, for which
+        ``why(v)`` words the lowest row's value v."""
+        v = self.value
+        if not bad.any():
+            return v, None
+        row = int(bad.argmax())
+        return np.where(bad, np.nan, v), Fault(bad, (row, next(_SEQ), why(v[row])))
+
+    def compose(self, f0: Array, f1=None, f2=None, f3=None, fault: Fault | None = None) -> "Jet":
         o = self.order
+        fault = join(self.fault, fault)
         if not self.degree:
-            return Jet(o, f0, degree=0, n=self.n)
+            return Jet(o, f0, degree=0, n=self.n, fault=fault)
         grad, hess, third = self._grad, self._hess, self._third
         g = h = t = None
         if o >= 1:
@@ -215,12 +268,10 @@ class Jet:
                 t += f2[:, None, None, None] * sym3
             if third is not None:
                 t += f1[:, None, None, None] * third
-        return Jet(o, f0, g, h, t, o, self.n)
+        return Jet(o, f0, g, h, t, o, self.n, fault)
 
     def reciprocal(self) -> "Jet":
-        v = self.value
-        if np.any(v == 0.0):
-            raise DomainError("division by zero")
+        v, fault = self._domain(self.value == 0.0, lambda _: "division by zero")
         inv = 1.0 / v
         o = self._chain_order
         return self.compose(
@@ -228,6 +279,7 @@ class Jet:
             -(inv**2) if o >= 1 else None,
             2.0 * inv**3 if o >= 2 else None,
             -6.0 * inv**4 if o >= 3 else None,
+            fault,
         )
 
     def exp(self) -> "Jet":
@@ -235,9 +287,8 @@ class Jet:
         return self.compose(e, e, e, e)
 
     def log(self) -> "Jet":
-        v = self.value
-        if np.any(v <= 0.0):
-            raise DomainError(f"log of non-positive value (min {v.min():g})")
+        v, fault = self._domain(self.value <= 0.0,
+                                lambda x: f"log of non-positive value (min {x:g})")
         o = self._chain_order
         inv = 1.0 / v if o >= 1 else None
         return self.compose(
@@ -245,12 +296,12 @@ class Jet:
             inv,
             -(inv**2) if o >= 2 else None,
             2.0 * inv**3 if o >= 3 else None,
+            fault,
         )
 
     def sqrt(self) -> "Jet":
-        v = self.value
-        if np.any(v <= 0.0):
-            raise DomainError(f"sqrt of non-positive value (min {v.min():g})")
+        v, fault = self._domain(self.value <= 0.0,
+                                lambda x: f"sqrt of non-positive value (min {x:g})")
         r = np.sqrt(v)
         o = self._chain_order
         return self.compose(
@@ -258,6 +309,7 @@ class Jet:
             0.5 / r if o >= 1 else None,
             -0.25 / (r * v) if o >= 2 else None,
             0.375 / (r * v * v) if o >= 3 else None,
+            fault,
         )
 
     def sin(self) -> "Jet":
@@ -273,8 +325,9 @@ class Jet:
         most 2 floor(log2 k) products, and k = 2 and 3 are x*x and (x*x)*x."""
         if k < 0:
             return self.powi(-k).reciprocal()
-        if k == 0:
-            return Jet.constant(1.0, self.m, self.n, self.order)
+        if k == 0:  # 1, NaN at the base's faulty rows
+            one = np.ones(self.m) if self.fault is None else np.where(self.fault.rows, np.nan, 1.0)
+            return Jet(self.order, one, degree=0, n=self.n, fault=self.fault)
         out = self
         for bit in bin(k)[3:]:
             out = out * out
@@ -283,15 +336,15 @@ class Jet:
         return out
 
     def powf(self, r: float) -> "Jet":
-        v = self.value
-        if np.any(v <= 0.0):
-            raise DomainError(f"power {r:g} of non-positive base (min {v.min():g})")
+        v, fault = self._domain(self.value <= 0.0,
+                                lambda x: f"power {r:g} of non-positive base (min {x:g})")
         o = self._chain_order
         return self.compose(
             v**r,
             r * v ** (r - 1) if o >= 1 else None,
             r * (r - 1) * v ** (r - 2) if o >= 2 else None,
             r * (r - 1) * (r - 2) * v ** (r - 3) if o >= 3 else None,
+            fault,
         )
 
 
@@ -303,15 +356,15 @@ class Jet:
 # node object of the trees handed to `_plan`. Nodes are hash-consed, so each
 # structurally distinct subtree is one object and is evaluated once, however
 # many trees share it. Slots come in the order a left-to-right recursive walk
-# would first finish them, so the first `DomainError` raised is the one that
-# walk would raise. A `Gauge` leaf's slot takes the jet its source computes.
+# would first finish them, so a `Fault`'s first op at a row is the one that
+# walk raises at on that row alone. A `Gauge` leaf's slot takes the jet its
+# source computes.
 #
 # A division u / v is planned as u * recip(v), with one "recip" slot per
 # distinct divisor, placed right after the first division by it: dense
 # Levi-Civita symbols divide dozens of times by a few determinants, and each
 # reciprocal jet is taken once. `Jet.__truediv__` is that same product, so
-# values do not change, and a zero divisor raises where the first division by
-# it did.
+# values do not change.
 
 _APPLY = {
     "neg": lambda _, u: -u,
@@ -351,20 +404,14 @@ def _describe(node) -> tuple:
 
 
 def _describe_pow(node: ex.Pow) -> tuple:
-    """A Pow's exponent, resolved once: "powi"/"powf" for a constant,
-    "pow" for a variable one, "raise" when resolving it fails."""
+    """A Pow's exponent, resolved once, as the Pow is planned: "powi"/"powf"
+    for a constant, "pow" for a variable one. An exponent that does not
+    resolve to a finite number (log(-1), exp(1000), inf, NaN) raises then."""
     base = node.base
-    try:
-        k = ex.constant_value(node.exponent)
-    except (ArithmeticError, ValueError) as err:  # raised in turn, before the base
-        return "raise", err, ()
+    k = ex.constant_value(node.exponent)
     if k is None:
         return "pow", None, (base, node.exponent)
-    try:
-        integral = k == round(k)
-    except (OverflowError, ValueError) as err:  # inf or nan: after the base
-        return "raise", err, (base,)
-    if integral:
+    if k == round(k):
         return "powi", int(round(k)), (base,)
     return "powf", k, (base,)
 
@@ -464,8 +511,6 @@ def _run(slots: list[tuple], roots: list[int], pts: Array, order: int, emit) -> 
             jet = Jet.coordinate(arg, pts, order)
         elif op == "gauge":
             jet = arg.jet(pts, order)
-        elif op == "raise":
-            raise arg
         else:
             jet = _APPLY[op](arg, *[jets[k] for k in kids])
             for k in kids:
@@ -486,6 +531,7 @@ def evaluate(trees, pts: Array, order: int):
     sequence, and None for a feed, whose jets go to its ``emit``. All trees
     share one pass: each distinct subtree is evaluated once. A field feeds
     its plan, built once, because it evaluates the same trees many times.
+    A row out of an op's domain raises nothing (see the module docstring).
     """
     if not 0 <= order <= MAX_ORDER:
         raise ValueError(f"order must be between 0 and {MAX_ORDER}, got {order}")

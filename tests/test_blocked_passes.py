@@ -15,7 +15,6 @@ import pytest
 
 import conftest
 import hesslab.geomcore as gc
-from hesslab.expr import DomainError
 from hesslab.geomcore import (
     Chart,
     ConnectionField,
@@ -53,12 +52,11 @@ def _points(chart, m=M, seed=0):
 
 
 def _outcome(field, pts, order):
-    """The bytes of every array of a pass, or the error it raised."""
-    try:
-        t = gc._eval_entries(field, pts, order)
-    except DomainError as err:
-        return ("raised", str(err))
-    return tuple(a.tobytes() for a in (t.value, t.d1, t.d2, t.d3) if a is not None)
+    """The bytes of every array of a pass, then its fault: the faulty rows,
+    the lowest of them and its message (None for no fault)."""
+    t = gc._eval_entries(field, pts, order)
+    fault = t.fault and (t.fault.rows.tobytes(), t.fault.first[0], t.fault.first[2])
+    return tuple(a.tobytes() for a in (t.value, t.d1, t.d2, t.d3) if a is not None) + (fault,)
 
 
 @functools.cache
@@ -124,7 +122,7 @@ def test_blocked_pass_matches_the_whole_pass_for_dense_fields(dim, monkeypatch):
         pts = _points(field.chart, seed=dim)
         for order in range(3):
             whole = _outcome(field, pts, order)
-            assert whole[0] != "raised"
+            assert whole[-1] is None
             with monkeypatch.context() as mp:
                 _shrink(mp, field, order)
                 assert _outcome(field, pts, order) == whole
@@ -278,7 +276,7 @@ def _late_domain_error(rows):
     raise AssertionError("no seed puts the bad points in later blocks")
 
 
-def test_a_domain_error_in_a_later_block_reports_as_the_whole_pass(monkeypatch):
+def test_a_domain_error_reports_one_note_and_mask_in_one_block_or_many(monkeypatch):
     chart, plan, theta = _late_domain_error(ROWS)
     calls = []
 
@@ -289,24 +287,25 @@ def test_a_domain_error_in_a_later_block_reports_as_the_whole_pass(monkeypatch):
     def run():
         calls.clear()
         try:
-            return sample_check(residual, chart, plan, 1e-6, name="late").as_dict(), list(calls)
+            pts = chart.sample(plan)
+            report = sample_check(residual, chart, plan, 1e-6, name="late").as_dict()
+            return _outcome(theta, pts, 1), report, list(calls)
         finally:
             drop_held_points()
 
-    pts = chart.sample(plan)
-    with pytest.raises(DomainError) as whole_error:
-        gc._eval_entries(theta, pts, 1)
     whole = run()
-    assert whole[0]["notes"][0].startswith("2 of 200 samples hit domain errors: log")
-    assert whole[1] == [M] + [1] * M  # the pass, then one call per point
+    pts = chart.sample(plan)
+    bad = np.flatnonzero(np.frombuffer(whole[0][-1][0], bool))
+    # the two points, the lower row in a middle block, the other in the last
+    assert len(bad) == 2 and ROWS <= bad[0] < M - M % ROWS <= bad[1]
+    assert whole[0][-1][1] == bad[0]
+    value = pts[bad[0], 0] - theta.entries[0].arg.right.value
+    assert whole[1]["notes"] == [
+        f"2 of 200 samples hit domain errors: log of non-positive value (min {value:g})"]
+    assert whole[1]["max_residual"] == np.inf and whole[2] == [M]  # one call
+    drop_held_points()
     with monkeypatch.context() as mp:
         _shrink(mp, theta, 1)
-        pts = chart.sample(plan)
-        # the error of the pass over every point, not of the block that
-        # raised first (its min would be the other point's value)
-        with pytest.raises(DomainError) as blocked_error:
-            gc._eval_entries(theta, pts, 1)
-        assert str(blocked_error.value) == str(whole_error.value)
         assert run() == whole
 
 

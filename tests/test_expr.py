@@ -36,7 +36,7 @@ from hesslab.expr import (
     to_source,
     variables,
 )
-from hesslab.jets import evaluate
+from hesslab.jets import clean, evaluate
 
 
 # ---------------------------------------------------------------------------
@@ -165,16 +165,21 @@ def test_order_zero_values():
 
 
 def test_order_zero_domain_errors():
-    with pytest.raises(DomainError):
-        _value(parse_expression("log(x0)", dim=1), (0.0,))
-    with pytest.raises(DomainError):
-        _value(parse_expression("sqrt(x0)", dim=1), (-1.0,))
-    with pytest.raises(DomainError):
-        _value(parse_expression("1/x0", dim=1), (0.0,))
-    with pytest.raises(DomainError):
-        _value(parse_expression("x0^0.5", dim=1), (-4.0,))
-    with pytest.raises(DomainError):
-        _value(parse_expression("x0^(-1)", dim=1), (0.0,))
+    # a point off an op's domain raises nothing: its value is NaN, and the
+    # jet's fault marks it with the message it raises
+    for src, x, message in [
+        ("log(x0)", 0.0, "log of non-positive value (min 0)"),
+        ("sqrt(x0)", -1.0, "sqrt of non-positive value (min -1)"),
+        ("1/x0", 0.0, "division by zero"),
+        ("x0^0.5", -4.0, "power 0.5 of non-positive base (min -4)"),
+        ("x0^(-1)", 0.0, "division by zero"),
+    ]:
+        jet = evaluate(parse_expression(src, dim=1), np.array([[x]]), 0)
+        assert np.isnan(jet.value[0])
+        assert jet.fault.rows.tolist() == [True] and jet.fault.first[::2] == (0, message)
+        with pytest.raises(DomainError) as err:
+            clean(jet)
+        assert str(err.value) == message
 
 
 def test_constant_value():

@@ -897,17 +897,25 @@ def test_sample_check_deterministic():
     assert a.max_residual == b.max_residual and a.mean_residual == b.mean_residual
 
 
-def test_sample_check_domain_error_fallback():
+def test_sample_check_marks_faulty_samples_inf():
     chart = Chart(1, ((-1.0, 1.0),))
-    tree = parse_expression("log(x0)", 1)
+    field = ScalarField(chart, "log(x0)")
+    plan = SamplePlan(count=50, seed=3)
 
     def residual(pts):
-        return evaluate(tree, pts, 0).value
+        value = field.eval(pts, 0).value
+        return {"log": np.abs(value), "square": pts[:, 0] ** 2}
 
-    rep = sample_check(residual, chart, SamplePlan(count=50, seed=3), 1e-6, name="log")
-    assert not rep.passed
-    assert any("domain error" in n for n in rep.notes)
-    assert rep.max_residual == np.inf
+    rep = sample_check(residual, chart, plan, 1e-6, name="log")
+    x = chart.sample(plan)[:, 0]
+    bad = x <= 0.0
+    first = int(np.argmax(bad))
+    assert not rep.passed and rep.max_residual == np.inf
+    assert rep.notes == (f"{bad.sum()} of 50 samples hit domain errors: "
+                         f"log of non-positive value (min {x[first]:g})",)
+    # the term that reads the field is inf; the other keeps its own worst
+    assert rep.extra == {"log": np.inf, "square": float(np.max(x**2))}
+    assert rep.mean_residual == np.inf
 
 
 # ---------------------------------------------------------------------------
@@ -1245,15 +1253,23 @@ def test_sampling_another_point_set_drops_held_tensors():
     assert g.eval(other, 1).d1.tobytes() == g.eval(other.copy(), 1).d1.tobytes()
 
 
-def test_domain_error_is_never_held():
+def test_a_faulty_tensor_raises_on_every_read_outside_a_check():
+    import hesslab.geomcore as gc
+
     chart = Chart(1, ((-1.0, 1.0),))
     bad = ScalarField(chart, "log(x0)")
     good = ScalarField(chart, "x0*x0")
     pts = chart.sample(SamplePlan(count=20, seed=6))
     for _ in range(2):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="log of non-positive value"):
             bad.eval(pts, 1)
     assert np.array_equal(good.eval(pts, 0).value, pts[:, 0] * pts[:, 0])
+    # it is held with its fault, and a check records the fault instead
+    held = gc._held.get((bad,), pts)
+    assert np.array_equal(held.fault.rows, pts[:, 0] <= 0.0)
+    assert np.isnan(held.value[held.fault.rows]).all()
+    tensor, fault = gc._recorded(lambda: bad.eval(pts, 0))
+    assert tensor.value is held.value and fault is held.fault
 
 
 def test_held_results_are_read_only_and_dropped_with_the_point_set():
@@ -1283,20 +1299,43 @@ def test_a_raising_result_is_never_held():
     # each call after a raise computes again, and a compute that returns is
     # then held under the same key
     chart = Chart(1, ((-1.0, 1.0),))
+    field = ScalarField(chart, "x0")
+    pts = chart.sample(SamplePlan(count=20, seed=6))
+    calls = []
+
+    def value():
+        calls.append(1)
+        raise ZeroDivisionError("no value")
+
+    for n in (1, 2):
+        with pytest.raises(ZeroDivisionError):
+            held_result(("value", field), pts, value)
+        assert len(calls) == n
+    kept = held_result(("value", field), pts, lambda: calls.append(1) or pts[:, 0])
+    assert held_result(("value", field), pts, value) is kept and len(calls) == 3
+
+
+def test_a_result_with_a_domain_error_is_held_with_its_fault():
+    # computed once: every later read raises its error outside a check, and
+    # inside one hands the fault to the check
+    import hesslab.geomcore as gc
+
+    chart = Chart(1, ((-1.0, 1.0),))
     bad = ScalarField(chart, "log(x0)")
     pts = chart.sample(SamplePlan(count=20, seed=6))
     calls = []
 
     def value():
         calls.append(1)
-        return bad.eval(pts, 0).value[:, 0]
+        return bad.eval(pts, 0).value
 
-    for n in (1, 2):
-        with pytest.raises(DomainError):
+    for _ in range(2):
+        with pytest.raises(DomainError, match="log of non-positive value"):
             held_result(("value", bad), pts, value)
-        assert len(calls) == n
-    kept = held_result(("value", bad), pts, lambda: calls.append(1) or pts[:, 0])
-    assert held_result(("value", bad), pts, value) is kept and len(calls) == 3
+    assert len(calls) == 1
+    kept, fault = gc._recorded(lambda: held_result(("value", bad), pts, value))
+    assert np.array_equal(fault.rows, pts[:, 0] <= 0.0) and np.isnan(kept[fault.rows]).all()
+    assert len(calls) == 1 and not kept.flags.writeable
 
 
 def test_a_held_tensor_dies_with_its_field():

@@ -60,7 +60,7 @@ def differences(got, want, path: str = "") -> list[str]:
 
 
 def test_the_acceptance_set_is_complete():
-    assert len(CASES) == 40
+    assert len(CASES) == 41
     assert sorted(p.stem for p in regen.REPORTS.glob("*.json")) == sorted(CASES)
 
 

@@ -12,7 +12,6 @@ import pytest
 
 import conftest
 from hesslab import expr as ex
-from hesslab.expr import DomainError
 from hesslab.geomcore import (
     Chart,
     ConnectionField,
@@ -733,45 +732,41 @@ def test_sampling_another_plan_drops_the_stored_terms(monkeypatch):
     assert len(calls) == 3
 
 
-def test_domain_error_fallback_neither_reads_nor_writes_the_store(monkeypatch):
+def test_a_domain_error_runs_the_residual_once(monkeypatch):
     import hesslab.geomcore as gc
     import hesslab.hesstat as hs
 
     chart = Chart(1, ((-1.0, 1.0),))
     conn = ConnectionField(chart, [[["x0"]]])
-    g = MetricField(chart, [["5 + log(x0)"]])  # log raises where x0 <= 0
+    g = MetricField(chart, [["5 + log(x0)"]])  # off its domain where x0 <= 0
     plan = SamplePlan(count=40, seed=3)
-    pts = chart.sample(plan)
-    kept = {}  # key -> what the whole array holds under it (None: nothing)
-    per_point = []
-    real = gc.held_result
+    x = chart.sample(plan)[:, 0]
+    calls, computed = [], []
+    real_check, real_held = gc.sample_check, gc.held_result
 
-    def held_result(key, p, compute):
-        if p is pts:
-            try:
-                kept[key] = real(key, p, compute)
-            except DomainError:
-                kept[key] = None
-                raise
-            return kept[key]
-        calls = []
-        out = real(key, p, lambda: calls.append(1) or compute())
-        per_point.append((np.shape(out), len(calls)))
-        return out
+    def sample_check(residual_fn, *args, **kwargs):
+        return real_check(lambda pts: calls.append(len(pts)) or residual_fn(pts),
+                          *args, **kwargs)
 
+    def held_result(key, pts, compute):
+        return real_held(key, pts, lambda: computed.append(key[0]) or compute())
+
+    monkeypatch.setattr(hs, "sample_check", sample_check)
     for mod in (gc, hs):  # torsion and flatness keep themselves in geomcore
         monkeypatch.setattr(mod, "held_result", held_result)
     report = check_hessian_structure(conn, g, plan)
-    assert not report.passed and "domain errors" in report.notes[0]
-    # every single point computed its term: nothing was read from the store
-    assert per_point and set(per_point) == {((1,), 1)}
-    # and nothing was written to it: the whole array holds what it held
-    assert any(v is None for v in kept.values())
-    assert any(v is not None for v in kept.values())
-    for key, held in kept.items():
-        got = real(key, pts, lambda: None)
-        assert got is held
-        assert held is None or np.shape(held) == (plan.count,)
+    assert calls == [40]  # one pass over every sample, no per-point rerun
+    note = (f"{np.count_nonzero(x <= 0)} of 40 samples hit domain errors: "
+            f"log of non-positive value (min {x[np.argmax(x <= 0)]:g})")
+    assert not report.passed and report.notes == (note,)
+    # the terms that read g are inf; those of the connection alone are not
+    assert report.extra["symmetry"] == report.extra["definiteness"] == math.inf
+    assert report.extra["torsion"] == report.extra["flatness"] == 0.0
+    # a second gate reads the terms back with their faults: same note, and
+    # nothing computed again
+    stat = check_statistical(StatisticalStructure(chart, conn, g), plan)
+    assert calls == [40, 40] and stat.notes == (note,)
+    assert sorted(computed) == ["definiteness", "flatness", "symmetry", "torsion"]
 
 
 def test_suites_in_turn_repeat_their_bytes_and_keep_nothing(monkeypatch):

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hesslab.expr import DomainError, parse_expression
-from hesslab.jets import Jet, evaluate
+from hesslab.jets import Jet, clean, evaluate
 
 
 # ---------------------------------------------------------------------------
@@ -251,17 +251,25 @@ def test_truncation_and_order_errors():
 
 
 def test_domain_errors():
-    with pytest.raises(DomainError):
-        evaluate(parse_expression("log(x0)", dim=1), np.array([[-1.0]]), 3)
-    with pytest.raises(DomainError):
-        evaluate(parse_expression("sqrt(x0)", dim=1), np.array([[0.0]]), 3)
-    with pytest.raises(DomainError):
-        evaluate(parse_expression("1/x0", dim=1), np.array([[0.0]]), 3)
-    with pytest.raises(DomainError):
-        evaluate(parse_expression("x0^1.5", dim=1), np.array([[-2.0]]), 3)
-    # batch: one bad point poisons the batch
-    with pytest.raises(DomainError):
-        evaluate(parse_expression("log(x0)", dim=1), np.array([[1.0], [-1.0]]), 0)
+    # each op off its domain marks the row, NaN in every part; nothing raises
+    for src, x in (("log(x0)", -1.0), ("sqrt(x0)", 0.0), ("1/x0", 0.0), ("x0^1.5", -2.0)):
+        jet = evaluate(parse_expression(src, dim=1), np.array([[x]]), 3)
+        assert jet.fault.rows.tolist() == [True]
+        for part in (jet.value, jet.grad, jet.hess, jet.third):
+            assert np.isnan(part).all()
+    # batch: one bad point is one faulty row, and the other rows are the
+    # values of a pass without it
+    tree = parse_expression("x1 * log(x0) + 2", dim=2)
+    pts = np.array([[1.5, 2.0], [-1.0, 2.0], [0.5, 3.0]])
+    jet = evaluate(tree, pts, 2)
+    assert jet.fault.rows.tolist() == [False, True, False]
+    assert jet.fault.first[::2] == (1, "log of non-positive value (min -1)")
+    rest = evaluate(tree, pts[[0, 2]], 2)
+    assert rest.fault is None
+    for got, want in ((jet.value, rest.value), (jet.grad, rest.grad), (jet.hess, rest.hess)):
+        assert np.isnan(got[1]).all() and got[[0, 2]].tobytes() == want.tobytes()
+    with pytest.raises(DomainError, match="log of non-positive value"):
+        clean(jet)
 
 
 @pytest.mark.parametrize("src, x", [

@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hesslab import expr as ex
-from hesslab.expr import DomainError
 from hesslab.geomcore import (
     Chart,
     LineIntegralGauge,
@@ -151,18 +150,16 @@ def _apply(op, arg, u, v=None):
 
 
 def _run_program(program, leaves, order):
-    """Each step applies an op to jets of the pool; a DomainError is the
-    step's outcome and the pool does not grow."""
+    """Each step applies an op to jets of the pool and adds its result; the
+    step's outcome is where the result's fault is (None for none)."""
     pool = [Jet(order, *parts) for parts in leaves]
     outcomes = []
     for op, arg, i, j in program:
         u, v = pool[i % len(pool)], pool[j % len(pool)]
-        try:
-            with np.errstate(all="ignore"):
-                pool.append(_apply(op, arg, u, v))
-            outcomes.append("ok")
-        except DomainError as err:
-            outcomes.append(str(err))
+        with np.errstate(all="ignore"):
+            pool.append(_apply(op, arg, u, v))
+        fault = pool[-1].fault
+        outcomes.append(fault and (fault.rows.tobytes(), fault.first[0], fault.first[2]))
     return pool, outcomes
 
 

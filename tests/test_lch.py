@@ -545,7 +545,10 @@ def test_koszul_domain_error_in_theta_fails_those_samples():
     rep = koszul_check(flat_connection(chart), theta, PLAN)
     assert not rep.passed and rep.max_residual == math.inf
     assert "samples hit domain errors: log of non-positive value" in rep.notes[0]
-    assert rep.extra["closedness"] == 0.0
+    # theta's own term fails; the candidate metric, d(log x0) = 1/x0 and
+    # its derivatives, is defined there
+    assert rep.extra["closedness"] == math.inf
+    assert all(math.isfinite(v) for k, v in rep.extra.items() if k != "closedness")
     # an infinite residual fails under an infinite tolerance too
     rep = koszul_check(flat_connection(chart), theta, PLAN, tolerance=math.inf)
     assert not rep.passed and rep.max_residual == math.inf

@@ -686,7 +686,7 @@ def test_domain_error_reports_keep_their_names_under_infinite_tolerance():
     assert [r["name"] for r in reports] == ["radiant", "potential-field"]
     for r in reports:
         assert r["max_residual"] == float("inf") and not r["passed"]
-        assert r["notes"][0].startswith("evaluation failed: log of non-positive value")
+        assert "of 50 samples hit domain errors: log of non-positive value" in r["notes"][0]
     assert not any(c["ok"] for c in rep.checks) and not rep.all_ok
 
 
@@ -946,6 +946,37 @@ def test_cli_cone_psi_overflow_is_an_error_in_strict_json(capsys):
     data = json.loads(out, parse_constant=lambda name: pytest.fail(f"bare {name}"))
     assert data["value"] == "Infinity"
     assert "not finite" in err
+
+
+def _cli(*args):
+    """The console script run in a child, on the package the tests import."""
+    src = str(Path(hesslab.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "hesslab.cli", *args],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
+def test_cli_cone_psi_names_non_finite_weights():
+    # the proposal's normalization prod(rates) underflows to 0 here, so every
+    # weight is inf: an error naming them, and no numpy warning on stderr
+    proc = _cli("cone", "psi", "orthant(2)", "1e-200,1e-200", "--method", "monte_carlo")
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == ("error: non-finite weights: the estimate is inf with standard "
+                           "error nan; the importance weights at this point are not "
+                           "representable in floating point\n")
+
+
+def test_cli_domain_error_scene_fails_quietly():
+    # a metric off its domain on part of the chart: the check fails (exit 1)
+    # with a strict JSON report, and nothing reaches stderr
+    scene = Path(__file__).resolve().parent / "golden" / "scenes" / "domain_error.json"
+    proc = _cli("check", str(scene), "--seed", "11")
+    assert proc.returncode == 1 and proc.stderr == ""
+    data = json.loads(proc.stdout, parse_constant=lambda name: pytest.fail(f"bare {name}"))
+    (report,) = data["checks"][0]["reports"]
+    assert report["max_residual"] == "Infinity"
+    assert report["notes"][0].startswith("20 of 200 samples hit domain errors: log of")
 
 
 def test_cli_usage_error_exits_2(capsys):
