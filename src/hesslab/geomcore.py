@@ -354,7 +354,7 @@ class _PointSet:
 
     def __init__(self, key=None, pts=None):
         self.key, self.pts = key, pts
-        self._store: dict = {}  # (field,) -> EvaluatedTensor; (operator, *fields) -> (result, fault)
+        self._store: dict = {}  # (field,) -> tensor; (operator, *fields) -> (result, fault)
         this = weakref.ref(self)  # a strong one would keep a dropped point set in a cycle
 
         def forget(dead):
@@ -466,10 +466,11 @@ def _eval_rows(field: _Field, pts: Array, order: int, parts: list) -> jets.Fault
     entry that is the same node as an earlier one (g_ij = g_ji) copies the
     rows already written. Returns the entries' fault."""
     index = list(np.ndindex(field.entries.shape))
-    fault = [None]
+    fault = None
 
     def write(positions, jet):
-        fault[0] = jets.join(fault[0], jet.fault)
+        nonlocal fault
+        fault = jets.join(fault, jet.fault)
         first = (slice(None),) + index[positions[0]]
         for k, out in enumerate(parts):
             out[first] = getattr(jet, _JET_PARTS[k]) if k <= jet.degree else 0.0
@@ -477,7 +478,7 @@ def _eval_rows(field: _Field, pts: Array, order: int, parts: list) -> jets.Fault
                 out[(slice(None),) + index[r]] = out[first]
 
     evaluate(jets.Feed(field.jet_plan(), write), pts, order)
-    return fault[0]
+    return fault
 
 
 def _eval_entries(field: _Field, pts: Array, order: int, take=None, keep: int = 0,

@@ -326,8 +326,9 @@ class Jet:
         if k < 0:
             return self.powi(-k).reciprocal()
         if k == 0:  # 1, NaN at the base's faulty rows
-            one = np.ones(self.m) if self.fault is None else np.where(self.fault.rows, np.nan, 1.0)
-            return Jet(self.order, one, degree=0, n=self.n, fault=self.fault)
+            fault = self.fault
+            one = np.ones(self.m) if fault is None else np.where(fault.rows, np.nan, 1.0)
+            return Jet(self.order, one, degree=0, n=self.n, fault=fault)
         out = self
         for bit in bin(k)[3:]:
             out = out * out
