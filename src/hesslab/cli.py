@@ -7,6 +7,7 @@ value is not finite, 2 for usage, parse, or validation errors.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import sys
 
@@ -156,5 +157,15 @@ def main(argv=None) -> int:
     return 2
 
 
+def run() -> None:
+    """The process entry point (``python -m hesslab.cli`` and the ``hesslab``
+    console script): exit with `main`'s status. The output is written by
+    then and every object still alive dies with the process, so they are
+    frozen first, and the interpreter's final collection does not walk them."""
+    status = main()
+    gc.freeze()
+    raise SystemExit(status)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

@@ -75,6 +75,9 @@ __all__ = [
 # lattice of budget // LATTICE_SHIFTS points; PSI_SAMPLES is the default budget
 LATTICE_SHIFTS = 32
 PSI_SAMPLES = LATTICE_SHIFTS * 8192
+# A shift's lattice points are made and weighed this many at a time, so the
+# scratch of a larger budget stays that of the default one (a single block)
+LATTICE_BLOCK = 8192
 
 
 class ConeError(ValueError):
@@ -146,17 +149,23 @@ def _lattice_mean(budget: int, seed_seq: np.random.SeedSequence, k: int, weights
     uniform, so each shift's mean is an unbiased estimate; the estimate is
     the mean of the shift means, and its standard error is their sample
     standard deviation (ddof 1) over sqrt(LATTICE_SHIFTS), with
-    LATTICE_SHIFTS - 1 degrees of freedom. ``weights(u)`` maps a (k, n)
-    array of points, one row per variate, to their (n,) weights.
+    LATTICE_SHIFTS - 1 degrees of freedom. ``weights(u)`` maps a (k, b)
+    array of points, one row per variate, to their (b,) weights; it is
+    called on blocks of at most LATTICE_BLOCK points, each block's points
+    made once for all shifts, and a shift's mean is the sum of its blocks'
+    weight sums over n.
     """
     n = budget // LATTICE_SHIFTS
-    points = _lattice(n, k)[:, None] * np.arange(n) % n / n
+    z = _lattice(n, k)[:, None]
     shifts = np.random.default_rng(seed_seq).random((LATTICE_SHIFTS, k))
-    means = np.empty(LATTICE_SHIFTS)
-    for r, shift in enumerate(shifts):
-        u = points + shift[:, None]
-        u -= np.floor(u)  # mod 1, exactly, and far cheaper than np.mod
-        means[r] = weights(u).mean()
+    sums = np.zeros(LATTICE_SHIFTS)
+    for start in range(0, n, LATTICE_BLOCK):
+        points = z * np.arange(start, min(start + LATTICE_BLOCK, n)) % n / n
+        for r, shift in enumerate(shifts):
+            u = points + shift[:, None]
+            u -= np.floor(u)  # mod 1, exactly, and far cheaper than np.mod
+            sums[r] += weights(u).sum()
+    means = sums / n
     return float(means.mean()), float(means.std(ddof=1)) / math.sqrt(LATTICE_SHIFTS)
 
 

@@ -274,9 +274,12 @@ class LineIntegralGauge:
         fault = None
         for k, jet in enumerate(evaluate(self.components, flat, 0)):
             fault = jets.join(fault, jet.fault)
-            # the (q, m) terms in C order, so the sum over nodes adds them in turn
-            value += np.multiply(weights[:, None], jet.value.reshape(m, q).T,
-                                 order="C").sum(axis=0) * diffs[:, k]
+            # the (q, m) terms, added over the nodes in turn at every m (a sum
+            # would add one row's terms pairwise), so a row's value does not
+            # depend on the rows evaluated with it
+            terms = np.multiply(weights[:, None], jet.value.reshape(m, q).T, order="C")
+            value += np.add.accumulate(terms, out=terms)[-1] * diffs[:, k]
+            del terms  # before the next component's are made
         if fault is not None:
             row, seq, why = fault.first
             fault = jets.Fault(fault.rows.reshape(m, q).any(axis=1), (row // q, seq, why))
@@ -296,7 +299,7 @@ class LineIntegralGauge:
             third = sum(
                 np.transpose(t, (0,) + perm) for perm in itertools.permutations((1, 2, 3))
             ) / 6.0
-        return Jet(order, value, grad, hess, third, fault=fault)
+        return Jet.from_parts(order, value, grad, hess, third, fault)
 
 
 def gauged(gauge: LineIntegralGauge, sign: float, entry) -> Expression:
@@ -434,8 +437,6 @@ def held_result(key: tuple, pts: Array, compute):
     return out[0]
 
 
-_JET_PARTS = ("value", "grad", "hess", "third")
-
 # Bytes of scratch one blocked field pass may hold (`_block_rows`). At 200
 # samples every field of every bundled scene and of the dense round-sphere
 # scenes up to dim 5, and the curvature fold of their connections, fit one
@@ -465,17 +466,22 @@ def _eval_rows(field: _Field, pts: Array, order: int, parts: list) -> jets.Fault
     as 0.0, and the pass then drops its jet unless a later slot reads it; an
     entry that is the same node as an earlier one (g_ij = g_ji) copies the
     rows already written. Returns the entries' fault."""
-    index = list(np.ndindex(field.entries.shape))
+    shape, (m, n) = field.entries.shape, pts.shape
+    index = list(itertools.product(*map(range, shape)))
+    # each part indexed as a jet's rows are (`Jet.rows`): entry, row, sample
+    outs = [p.transpose(tuple(range(1, p.ndim)) + (0,)).reshape(shape + (n**k, m))
+            for k, p in enumerate(parts)]
     fault = None
 
     def write(positions, jet):
         nonlocal fault
         fault = jets.join(fault, jet.fault)
-        first = (slice(None),) + index[positions[0]]
-        for k, out in enumerate(parts):
-            out[first] = getattr(jet, _JET_PARTS[k]) if k <= jet.degree else 0.0
+        first = index[positions[0]]
+        for k, out in enumerate(outs):
+            rows = jet.rows(k)
+            out[first] = 0.0 if rows is None else rows
             for r in positions[1:]:
-                out[(slice(None),) + index[r]] = out[first]
+                out[index[r]] = out[first]
 
     evaluate(jets.Feed(field.jet_plan(), write), pts, order)
     return fault

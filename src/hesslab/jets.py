@@ -1,39 +1,42 @@
 """Forward-mode derivative jets, truncated at order 3, batched over sample points.
 
 A `Jet` holds the value and the first three derivative tensors of a scalar
-function evaluated at a batch of m points in n coordinates:
+function evaluated at a batch of m points in n coordinates, in one float
+buffer of shape (k, m): row 0 is the value, then come n gradient rows, n^2
+Hessian rows and n^3 third-derivative rows, each in C order of its indices,
+each a row of m contiguous samples. The parts are read-only views of it,
+indexed sample axis first:
 
     value (m,)   grad (m,n)   hess (m,n,n)   third (m,n,n,n)
 
+so ``grad`` is ``buf[1:1+n].T``, with strides (8, 8m).
+
 Arithmetic implements the truncated Taylor (Leibniz / Faa di Bruno) rules
 exactly, so derivatives of parsed expressions are exact to roundoff rather
-than finite-difference approximations.
+than finite-difference approximations. Each op makes one fresh buffer and
+fills it with a few ufunc calls, over all of its rows at once where it can:
+a sum or a negation is one call, and a first-order product is every row of
+one factor times the other's value (one call) plus the other gradient term,
+its one scratch array. Second and third orders add their terms in turn into
+the rows of their order, the outer products among them made by einsum. No op
+writes an operand's buffer, so any number of slots may read a jet.
 
 Each jet also records its `degree`, the highest derivative order that can be
 nonzero (sparse forward mode): 0 for `Jet.constant`, 1 for
 `Jet.coordinate`, the larger of the operands' degrees for a sum, difference
 or negation, min(order, sum of the degrees) for a product, 0 for a function
 of a constant and the full order for a function of anything else. A
-derivative above the degree is known zero and is not stored: no zero tensor
-is allocated, and a product or composition drops every term with a
-known-zero factor and adds the rest in place into a fresh sum, in the order
-of the full rule, so a product of two full-degree jets is the textbook
-Leibniz rule bit for bit. Dropping a zero term changes no value, except that
-a 0 * inf = NaN it would have added is gone and the sign of a zero may
-differ. Reads do not change: ``grad``, ``hess`` and ``third`` return full
-arrays at every order up to the requested one, a known-zero order as zeros,
-and None above the requested order. A finished jet's arrays are never
-written in place, so a sum with a known-zero side shares the other side's
-tensor.
-
-Every derivative tensor is stored with the sample axis at unit stride: it is
-a transposed view of an (n, ..., n, m) buffer, indexed as above. Coordinate
-gradients and the zeros of a known-zero read are allocated that way, and
-numpy's ufuncs and einsum keep their operands' memory order, so every tensor
-of every jet has it, and each elementwise operation runs over rows of m
-contiguous samples rather than over loops of length n. Values do not depend
-on the layout, up to the sign and payload of a NaN (which operand's NaN a
-sum propagates depends on the loop numpy picks).
+derivative above the degree is known zero and has no rows: the buffer ends
+after the rows of the degree. A product or composition drops every term with
+a known-zero factor and adds the rest in the order of the full rule, so a
+product of two full-degree jets is the textbook Leibniz rule bit for bit.
+Dropping a zero term changes no value, except that a 0 * inf = NaN it would
+have added is gone and the sign of a zero may differ. Reads do not change:
+``grad``, ``hess`` and ``third`` return full arrays at every order up to the
+requested one, a known-zero order as fresh zeros, and None above the
+requested order. Values do not depend on the layout of a jet built from its
+parts, up to the sign and payload of a NaN (which operand's NaN a sum
+propagates depends on the loop numpy picks).
 
 A domain error is a per-sample mask, not an exception: ``reciprocal``,
 ``log``, ``sqrt`` and ``powf`` set the rows out of their domain to NaN before
@@ -44,6 +47,7 @@ is faulty exactly when, evaluated alone, it would have raised.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Callable, NamedTuple
 
@@ -88,138 +92,194 @@ def clean(jet: "Jet") -> "Jet":
     return jet
 
 
-def _add(x, y):
-    return y if x is None else x if y is None else x + y
+@functools.cache
+def offsets(n: int) -> tuple[int, ...]:
+    """The first buffer row of each order 0..3 in n coordinates, and the end
+    of the last: order k has rows ``offsets(n)[k]:offsets(n)[k + 1]``."""
+    return tuple(itertools.accumulate((n**k for k in range(MAX_ORDER + 1)), initial=0))
 
 
-def _sub(x, y):
-    return x if y is None else -y if x is None else x - y
-
-
-def _neg(x):
-    return None if x is None else -x
-
-
-def _plus(acc, *terms):
-    """acc + terms[0] + terms[1] + ..., added left to right; None for no
-    terms and no acc. ``acc`` is None or an array nothing else reads, and the
-    terms are added to it in place; the terms may be views of one another,
-    so without ``acc`` the first two make a new array."""
-    if acc is None:
-        if len(terms) < 2:
-            return terms[0] if terms else None
-        acc, terms = terms[0] + terms[1], terms[2:]
+def _add_all(dst: Array, fresh: bool, terms) -> None:
+    """dst (+)= terms[0] + terms[1] + ..., added left to right; a ``fresh``
+    dst holds nothing yet, and there are then at least two terms."""
+    if fresh:
+        np.add(terms[0], terms[1], out=dst)
+        terms = terms[2:]
     for term in terms:
-        acc += term
-    return acc
+        dst += term
 
 
 class Jet:
-    """A jet built from its parts has the full degree, every part up to the
-    order given; a lower ``degree`` marks the parts above it as known zero
-    (passed as None), and ``n`` is then given with it. ``fault`` is a
-    `Fault`, or None."""
+    """A jet of ``degree`` at most ``order`` whose ``buf`` holds its rows up
+    to the degree (`offsets`). ``fault`` is a `Fault`, or None."""
 
-    __slots__ = ("order", "degree", "m", "n", "value", "_grad", "_hess", "_third", "fault")
+    __slots__ = ("order", "degree", "n", "buf", "fault")
 
-    def __init__(self, order: int, value: Array, grad=None, hess=None, third=None,
-                 degree: int | None = None, n: int | None = None, fault: Fault | None = None):
+    def __init__(self, order: int, degree: int, n: int, buf: Array,
+                 fault: Fault | None = None):
         self.order = order
-        self.fault = fault
-        self.degree = order if degree is None else degree
-        self.value = value
-        self.m = value.shape[0]
-        if n is None:
-            n = grad.shape[1] if grad is not None else 0
+        self.degree = degree
         self.n = n
-        self._grad = grad
-        self._hess = hess
-        self._third = third
+        self.buf = buf
+        self.fault = fault
 
-    # -- reads: a known-zero order reads as zeros ---------------------------
+    @staticmethod
+    def from_parts(order: int, value: Array, grad=None, hess=None, third=None,
+                   fault: Fault | None = None) -> "Jet":
+        """A full-degree jet whose parts, indexed sample axis first in any
+        memory order, are copied into one buffer."""
+        parts = (value, grad, hess, third)[:order + 1]
+        m = value.shape[0]
+        n = grad.shape[1] if order else 0
+        off = offsets(n)
+        buf = np.empty((off[order + 1], m))
+        for k, part in enumerate(parts):
+            buf[off[k]:off[k + 1]].reshape((n,) * k + (m,))[...] = np.moveaxis(part, 0, -1)
+        return Jet(order, order, n, buf, fault)
 
-    def _read(self, k: int, part):
-        if part is None and k <= self.order:
-            return np.zeros((self.n,) * k + (self.m,)).T
+    # -- reads: read-only views; a known-zero order reads as zeros ----------
+
+    @property
+    def m(self) -> int:
+        return self.buf.shape[1]
+
+    def rows(self, k: int) -> Array | None:
+        """Order k's n^k rows of the buffer, their indices in C order; None
+        above the degree."""
+        if k > self.degree:
+            return None
+        off = offsets(self.n)
+        return self.buf[off[k]:off[k + 1]]
+
+    def _part(self, k: int):
+        if k > self.order:
+            return None
+        shape = (self.n,) * k + (self.m,)
+        rows = self.rows(k)
+        if rows is None:
+            return np.zeros(shape).T
+        part = rows.reshape(shape).transpose((k,) + tuple(range(k)))
+        part.flags.writeable = False
         return part
 
     @property
+    def value(self):
+        return self._part(0)
+
+    @property
     def grad(self):
-        return self._read(1, self._grad)
+        return self._part(1)
 
     @property
     def hess(self):
-        return self._read(2, self._hess)
+        return self._part(2)
 
     @property
     def third(self):
-        return self._read(3, self._third)
+        return self._part(3)
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
     def constant(c, m: int, n: int, order: int) -> "Jet":
-        return Jet(order, np.full(m, float(c)), degree=0, n=n)
+        buf = np.empty((1, m))
+        buf.fill(c)
+        return Jet(order, 0, n, buf)
 
     @staticmethod
     def coordinate(index: int, pts: Array, order: int) -> "Jet":
         m, n = pts.shape
-        value = pts[:, index].astype(float).copy()
-        g = None
-        if order >= 1:
-            g = np.zeros((n, m)).T
-            g[:, index] = 1.0
-        return Jet(order, value, g, degree=min(order, 1), n=n)
+        degree = min(order, 1)
+        buf = np.zeros((1 + degree * n, m))
+        buf[0] = pts[:, index]
+        if degree:
+            buf[1 + index] = 1.0
+        return Jet(order, degree, n, buf)
 
     # -- ring operations ----------------------------------------------------
 
     def __neg__(self) -> "Jet":
-        return Jet(self.order, -self.value, _neg(self._grad), _neg(self._hess),
-                   _neg(self._third), self.degree, self.n, self.fault)
+        return Jet(self.order, self.degree, self.n, -self.buf, self.fault)
 
     def __add__(self, other: "Jet") -> "Jet":
-        a, b = self, other
-        return Jet(a.order, a.value + b.value, _add(a._grad, b._grad), _add(a._hess, b._hess),
-                   _add(a._third, b._third), max(a.degree, b.degree), a.n,
-                   join(a.fault, b.fault))
+        A, B, degree = self.buf, other.buf, self.degree
+        if degree == other.degree:
+            buf = A + B
+        elif degree > other.degree:  # b's known-zero rows add nothing
+            buf = A.copy()
+            head = buf[:len(B)]
+            head += B
+        else:
+            degree = other.degree
+            buf = B.copy()
+            head = buf[:len(A)]
+            np.add(A, head, out=head)
+        return Jet(self.order, degree, self.n, buf, join(self.fault, other.fault))
 
     def __sub__(self, other: "Jet") -> "Jet":
-        a, b = self, other
-        return Jet(a.order, a.value - b.value, _sub(a._grad, b._grad), _sub(a._hess, b._hess),
-                   _sub(a._third, b._third), max(a.degree, b.degree), a.n,
-                   join(a.fault, b.fault))
+        A, B, degree = self.buf, other.buf, self.degree
+        if degree == other.degree:
+            buf = A - B
+        elif degree > other.degree:
+            buf = A.copy()
+            head = buf[:len(B)]
+            head -= B
+        else:  # a's known-zero rows less b's rows are their negation
+            degree = other.degree
+            buf = -B
+            head = buf[:len(A)]
+            np.add(A, head, out=head)
+        return Jet(self.order, degree, self.n, buf, join(self.fault, other.fault))
 
     def __mul__(self, other: "Jet") -> "Jet":
-        """The Leibniz rule, each term added into a fresh sum once it is made."""
-        o = self.order
+        """The Leibniz rule. Every term of a's rows times b's value comes
+        from one call; each order's other terms are then added in turn, into
+        the rows of that order."""
         a, b = self, other
-        av, bv = a.value, b.value
-        ga, ha, ta = a._grad, a._hess, a._third
-        gb, hb, tb = b._grad, b._hess, b._third
-        g = h = t = None
-        if ga is not None:
-            g = ga * bv[:, None]
-        if gb is not None:
-            g = _plus(g, gb * av[:, None])
-        if o >= 2:
-            if ha is not None:
-                h = ha * bv[:, None, None]
-            if hb is not None:
-                h = _plus(h, hb * av[:, None, None])
-            if ga is not None and gb is not None:
-                cross = np.einsum("mi,mj->mij", ga, gb)
-                h = _plus(h, cross, cross.transpose(0, 2, 1))
-        if o >= 3:
-            if ta is not None:
-                t = ta * bv[:, None, None, None]
-            if tb is not None:
-                t = _plus(t, tb * av[:, None, None, None])
-            for hx, gy in ((ha, gb), (hb, ga)):
-                if hx is not None and gy is not None:
-                    hg = np.einsum("mij,mk->mijk", hx, gy)
-                    t = _plus(t, hg, hg.transpose(0, 1, 3, 2), hg.transpose(0, 3, 1, 2))
-        return Jet(o, av * bv, g, h, t, min(o, a.degree + b.degree), a.n,
-                   join(a.fault, b.fault))
+        A, B = a.buf, b.buf
+        fault = join(a.fault, b.fault)
+        if not b.degree:  # B is one row
+            return Jet(a.order, a.degree, a.n, A * B, fault)
+        if not a.degree:
+            return Jet(a.order, b.degree, a.n, B * A, fault)
+        if a.order == 1:  # both of degree 1: the rows of a, and b's gradient
+            out = A * B[0]
+            grad = out[1:]
+            grad += B[1:] * A[0]
+            return Jet(1, 1, a.n, out, fault)
+        o, n, da, db = a.order, a.n, a.degree, b.degree
+        degree = min(o, da + db)
+        av = A[0]
+        m = A.shape[1]
+        off = offsets(n)
+        out = np.empty((off[degree + 1], m))
+        np.multiply(A, B[0], out=out[:len(A)])
+        ga, gb = A[1:off[2]].T, B[1:off[2]].T
+        for k in range(1, degree + 1):
+            shape = (n,) * k + (m,)
+            dst = out[off[k]:off[k + 1]].reshape(shape)
+            fresh = k > da
+            if k <= db:
+                bk = B[off[k]:off[k + 1]].reshape(shape)
+                if fresh:
+                    np.multiply(bk, av, out=dst)
+                    fresh = False
+                else:
+                    dst += bk * av
+            # einsum's outer products come sample axis first, over rows of
+            # samples; transposed, they index as the buffer's rows do
+            if k == 2:
+                cross = np.einsum("mi,mj->mij", ga, gb).transpose(1, 2, 0)
+                _add_all(dst, fresh, (cross, cross.transpose(1, 0, 2)))
+            elif k == 3:
+                for hx, gy in ((A, gb), (B, ga)):
+                    if len(hx) >= off[3]:
+                        h = hx[off[2]:off[3]].reshape(n, n, m).transpose(2, 0, 1)
+                        hg = np.einsum("mij,mk->mijk", h, gy).transpose(1, 2, 3, 0)
+                        _add_all(dst, fresh, (hg, hg.transpose(0, 2, 1, 3),
+                                              hg.transpose(2, 0, 1, 3)))
+                        fresh = False
+        return Jet(o, degree, n, out, fault)
 
     def __truediv__(self, other: "Jet") -> "Jet":
         return self * other.reciprocal()
@@ -237,41 +297,52 @@ class Jet:
     def _domain(self, bad: Array, why) -> tuple[Array, Fault | None]:
         """The value, NaN at the rows in ``bad``, and their fault, for which
         ``why(v)`` words the lowest row's value v."""
-        v = self.value
+        v = self.buf[0]
         if not bad.any():
             return v, None
         row = int(bad.argmax())
         return np.where(bad, np.nan, v), Fault(bad, (row, next(_SEQ), why(v[row])))
 
     def compose(self, f0: Array, f1=None, f2=None, f3=None, fault: Fault | None = None) -> "Jet":
-        o = self.order
+        """f(self), from f's value f0 (a fresh array) and its derivatives
+        f1-f3 at self's value. Each order's terms are added in turn, into
+        the rows of that order."""
+        o, n = self.order, self.n
         fault = join(self.fault, fault)
         if not self.degree:
-            return Jet(o, f0, degree=0, n=self.n, fault=fault)
-        grad, hess, third = self._grad, self._hess, self._third
-        g = h = t = None
-        if o >= 1:
-            g = f1[:, None] * grad
-        # each sum starts from a fresh product, so the terms after it are
-        # added in place, in the order of the full rule
-        if o >= 2:
-            gg = np.einsum("mi,mj->mij", grad, grad)
-            h = f2[:, None, None] * gg
-            if hess is not None:
-                h += f1[:, None, None] * hess
+            return Jet(o, 0, n, f0[None], fault)
+        A, d = self.buf, self.degree
+        m = A.shape[1]
+        off = offsets(n)
+        out = np.empty((off[o + 1], m))
+        out[0] = f0
+        grad = A[1:off[2]]
+        np.multiply(grad, f1, out[1:off[2]])
+        if o < 2:
+            return Jet(o, o, n, out, fault)
+        g = grad.T
+        hess = out[off[2]:off[3]].reshape(n, n, m)
+        gg = np.einsum("mi,mj->mij", g, g).transpose(1, 2, 0)
+        np.multiply(gg, f2, out=hess)
+        if d >= 2:
+            h = A[off[2]:off[3]].reshape(n, n, m)
+            hess += h * f1
         if o >= 3:
-            ggg = np.einsum("mi,mj,mk->mijk", grad, grad, grad)
-            t = f3[:, None, None, None] * ggg
-            if hess is not None:
-                hg = np.einsum("mij,mk->mijk", hess, grad)
-                sym3 = _plus(None, hg, hg.transpose(0, 1, 3, 2), hg.transpose(0, 3, 1, 2))
-                t += f2[:, None, None, None] * sym3
-            if third is not None:
-                t += f1[:, None, None, None] * third
-        return Jet(o, f0, g, h, t, o, self.n, fault)
+            third = out[off[3]:].reshape(n, n, n, m)
+            ggg = np.einsum("mi,mj,mk->mijk", g, g, g).transpose(1, 2, 3, 0)
+            np.multiply(ggg, f3, out=third)
+            if d >= 2:
+                hg = np.einsum("mij,mk->mijk", h.transpose(2, 0, 1), g).transpose(1, 2, 3, 0)
+                sym3 = hg + hg.transpose(0, 2, 1, 3)
+                sym3 += hg.transpose(2, 0, 1, 3)
+                sym3 *= f2
+                third += sym3
+            if d >= 3:
+                third += A[off[3]:].reshape(n, n, n, m) * f1
+        return Jet(o, o, n, out, fault)
 
     def reciprocal(self) -> "Jet":
-        v, fault = self._domain(self.value == 0.0, lambda _: "division by zero")
+        v, fault = self._domain(self.buf[0] == 0.0, lambda _: "division by zero")
         inv = 1.0 / v
         o = self._chain_order
         return self.compose(
@@ -283,11 +354,11 @@ class Jet:
         )
 
     def exp(self) -> "Jet":
-        e = np.exp(self.value)
+        e = np.exp(self.buf[0])
         return self.compose(e, e, e, e)
 
     def log(self) -> "Jet":
-        v, fault = self._domain(self.value <= 0.0,
+        v, fault = self._domain(self.buf[0] <= 0.0,
                                 lambda x: f"log of non-positive value (min {x:g})")
         o = self._chain_order
         inv = 1.0 / v if o >= 1 else None
@@ -300,7 +371,7 @@ class Jet:
         )
 
     def sqrt(self) -> "Jet":
-        v, fault = self._domain(self.value <= 0.0,
+        v, fault = self._domain(self.buf[0] <= 0.0,
                                 lambda x: f"sqrt of non-positive value (min {x:g})")
         r = np.sqrt(v)
         o = self._chain_order
@@ -313,11 +384,11 @@ class Jet:
         )
 
     def sin(self) -> "Jet":
-        s, c = np.sin(self.value), np.cos(self.value)
+        s, c = np.sin(self.buf[0]), np.cos(self.buf[0])
         return self.compose(s, c, -s, -c)
 
     def cos(self) -> "Jet":
-        s, c = np.sin(self.value), np.cos(self.value)
+        s, c = np.sin(self.buf[0]), np.cos(self.buf[0])
         return self.compose(c, -s, -c, s)
 
     def powi(self, k: int) -> "Jet":
@@ -328,7 +399,7 @@ class Jet:
         if k == 0:  # 1, NaN at the base's faulty rows
             fault = self.fault
             one = np.ones(self.m) if fault is None else np.where(fault.rows, np.nan, 1.0)
-            return Jet(self.order, one, degree=0, n=self.n, fault=fault)
+            return Jet(self.order, 0, self.n, one[None], fault)
         out = self
         for bit in bin(k)[3:]:
             out = out * out
@@ -337,7 +408,7 @@ class Jet:
         return out
 
     def powf(self, r: float) -> "Jet":
-        v, fault = self._domain(self.value <= 0.0,
+        v, fault = self._domain(self.buf[0] <= 0.0,
                                 lambda x: f"power {r:g} of non-positive base (min {x:g})")
         o = self._chain_order
         return self.compose(
@@ -367,11 +438,10 @@ class Jet:
 # reciprocal jet is taken once. `Jet.__truediv__` is that same product, so
 # values do not change.
 
+_BINOPS = {"add": Jet.__add__, "sub": Jet.__sub__, "mul": Jet.__mul__}
+
 _APPLY = {
     "neg": lambda _, u: -u,
-    "add": lambda _, u, v: u + v,
-    "sub": lambda _, u, v: u - v,
-    "mul": lambda _, u, v: u * v,
     "recip": lambda _, v: v.reciprocal(),
     "powi": lambda k, u: u.powi(k),
     "powf": lambda r, u: u.powf(r),
@@ -418,12 +488,14 @@ def _describe_pow(node: ex.Pow) -> tuple:
 
 
 class Plan(NamedTuple):
-    """The slots of some trees (children before parents, left to right) and
-    the slot of each tree. Built once, it can be run at any order on any
-    points."""
+    """The slots of some trees (children before parents, left to right),
+    the slot of each tree, and for each slot the slot that reads its jet
+    last (itself when none does): a pass drops the jet there. Built once,
+    it can be run at any order on any points."""
 
     slots: list[tuple]
     roots: list[int]
+    last: list[int]
 
 
 class Feed(NamedTuple):
@@ -443,6 +515,7 @@ def _plan(trees) -> Plan:
     twice, and a node reached again once planned is not described again."""
     trees = list(trees)  # held, so no planned node dies and frees its id
     slots: list[tuple] = []
+    last: list[int] = []
     by_id: dict[int, int] = {}  # node objects already planned
     recips: dict[int, int] = {}  # divisor slot -> its reciprocal's slot
     roots: list[int] = []
@@ -454,73 +527,77 @@ def _plan(trees) -> Plan:
                 if id(kid) not in by_id:
                     stack.append((kid, _describe(kid)))
                     break
-            else:
+            else:  # every kid planned: the node becomes a slot, s
                 stack.pop()
-                kids = tuple([by_id[id(k)] for k in kids])
-                if op == "div":
-                    u, v = kids
-                    if v not in recips:
-                        recips[v] = len(slots)
-                        slots.append(("recip", None, (v,)))
-                    op, kids = "mul", (u, recips[v])
-                by_id[id(node)] = len(slots)
+                s = len(slots)
+                if len(kids) == 2:
+                    u, v = by_id[id(kids[0])], by_id[id(kids[1])]
+                    if op == "div":
+                        if v not in recips:
+                            recips[v] = last[v] = s
+                            last.append(s)
+                            slots.append(("recip", None, (v,)))
+                            s += 1
+                        op, v = "mul", recips[v]
+                    last[u] = last[v] = s
+                    kids = (u, v)
+                elif kids:
+                    u = by_id[id(kids[0])]
+                    last[u] = s
+                    kids = (u,)
+                last.append(s)
+                by_id[id(node)] = s
                 slots.append((op, arg, kids))
         roots.append(by_id[id(root)])
-    return Plan(slots, roots)
-
-
-def _uses(slots: list[tuple]) -> list[int]:
-    """How many later slots read each slot's jet."""
-    uses = [0] * len(slots)
-    for _, _, kids in slots:
-        for k in kids:
-            uses[k] += 1
-    return uses
+    return Plan(slots, roots, last)
 
 
 def live_peak(plan: Plan) -> int:
     """The most jets a pass over ``plan`` holds at once (`_run`): those a
     later slot still reads, and the one just made from them."""
-    uses = _uses(plan.slots)
+    last = plan.last
     live = peak = 0
     for s, (_, _, kids) in enumerate(plan.slots):
         peak = max(peak, live + 1)
-        for k in kids:
-            uses[k] -= 1
-            live -= not uses[k]
-        live += bool(uses[s])
+        live += (last[s] != s) - sum(last[k] == s for k in set(kids))
     return peak
 
 
-def _run(slots: list[tuple], roots: list[int], pts: Array, order: int, emit) -> None:
+def _run(plan: Plan, pts: Array, order: int, emit) -> None:
     """Evaluate every slot once and emit each root as its slot finishes; a
     jet is dropped after its last consumer."""
     m, n = pts.shape
-    uses = _uses(slots)
-    emitted: list[list[int] | None] = [None] * len(slots)
+    slots, roots, last = plan
+    emitted: dict[int, list[int]] = {}
     for r, s in enumerate(roots):
-        if emitted[s] is None:
-            emitted[s] = []
-        emitted[s].append(r)
+        emitted.setdefault(s, []).append(r)
     jets: list[Jet | None] = [None] * len(slots)
     for s, (op, arg, kids) in enumerate(slots):
-        if op == "num":
+        if len(kids) == 2:
+            u, v = kids
+            binary = _BINOPS.get(op)
+            jet = (binary(jets[u], jets[v]) if binary is not None
+                   else _APPLY[op](arg, jets[u], jets[v]))
+            if last[u] == s:
+                jets[u] = None
+            if last[v] == s:
+                jets[v] = None
+        elif kids:
+            u = kids[0]
+            jet = _APPLY[op](arg, jets[u])
+            if last[u] == s:
+                jets[u] = None
+        elif op == "num":
             jet = Jet.constant(arg, m, n, order)
         elif op == "var":
             if arg >= n:
                 raise VariableDimensionError(arg, n)
             jet = Jet.coordinate(arg, pts, order)
-        elif op == "gauge":
+        else:  # a gauge
             jet = arg.jet(pts, order)
-        else:
-            jet = _APPLY[op](arg, *[jets[k] for k in kids])
-            for k in kids:
-                uses[k] -= 1
-                if not uses[k]:
-                    jets[k] = None
-        if emitted[s] is not None:
+        if s in emitted:
             emit(emitted[s], jet)
-        if uses[s]:
+        if last[s] != s:
             jets[s] = jet
 
 
@@ -540,7 +617,7 @@ def evaluate(trees, pts: Array, order: int):
     if pts.ndim != 2:
         raise ValueError("pts must have shape (m, n)")
     if isinstance(trees, Feed):
-        _run(*trees.plan, pts, order, trees.emit)
+        _run(trees.plan, pts, order, trees.emit)
         return None
     single = isinstance(trees, Expression)
     plan = _plan([trees] if single else trees)
@@ -550,7 +627,7 @@ def evaluate(trees, pts: Array, order: int):
         for r in positions:
             out[r] = jet
 
-    _run(*plan, pts, order, keep)
+    _run(plan, pts, order, keep)
     return out[0] if single else out
 
 

@@ -15,9 +15,11 @@ import pytest
 
 import conftest
 import hesslab.geomcore as gc
+from hesslab import expr as ex
 from hesslab.geomcore import (
     Chart,
     ConnectionField,
+    LineIntegralGauge,
     MetricField,
     OneFormField,
     SamplePlan,
@@ -25,6 +27,7 @@ from hesslab.geomcore import (
     curvature_batch,
     drop_held_points,
     flatness_residual,
+    gauged,
     levi_civita,
     max_abs,
     sample_check,
@@ -114,6 +117,23 @@ def test_blocked_pass_matches_the_whole_pass_for_every_bundled_field(name, monke
             with monkeypatch.context() as mp:
                 _shrink(mp, field, order)
                 assert _outcome(field, pts, order) == whole
+
+
+def test_blocked_pass_of_a_gauged_field_with_a_one_row_last_block(monkeypatch):
+    # 200 = 199 + 1: the last block integrates the gauge of one row alone,
+    # and gives the bits the whole pass gives that row
+    chart = Chart(2, ((0.4, 2.1), (0.3, 1.9)))
+    form = [ex.parse_expression(w, 2) for w in ("x1*exp(x0)", "x0 + 2*x1")]
+    gauge = LineIntegralGauge(form, (1.0, 1.0))
+    entries = [["1 + x0*x0", "x0*x1"], ["x0*x1", "2 + x1*x1"]]
+    g = MetricField(chart, [[gauged(gauge, -1.0, ex.parse_expression(e, 2)) for e in row]
+                            for row in entries])
+    pts = _points(chart)
+    for order in range(3):
+        whole = _outcome(g, pts, order)
+        with monkeypatch.context() as mp:
+            _shrink(mp, g, order, rows=M - 1)
+            assert _outcome(g, pts, order) == whole
 
 
 @pytest.mark.parametrize("dim", [3, 5])

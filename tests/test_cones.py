@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from hesslab.cones import (
+    LATTICE_BLOCK,
     LATTICE_SHIFTS,
     PSI_SAMPLES,
     LorentzCone,
@@ -326,6 +328,24 @@ def test_monte_carlo_matches_the_plain_reference_bit_for_bit(name, total):
     psi = characteristic_function(cone, x, "monte_carlo", samples=total, seed=42)
     value, stderr = reference_psi(cone, x, total, seed=42)
     assert psi.value == value and psi.stderr == stderr
+
+
+@pytest.mark.parametrize("name", ["orthant2", "lorentz3"])
+def test_monte_carlo_scratch_does_not_grow_with_the_budget(name):
+    # each shift's points are made and weighed LATTICE_BLOCK at a time: the
+    # default budget is one block per shift, and 2e6 is four
+    cone, x = MC_REFERENCE_CONES[name]
+    assert PSI_SAMPLES == LATTICE_SHIFTS * LATTICE_BLOCK
+    characteristic_function(cone, x, "monte_carlo", samples=LATTICE_SHIFTS)  # imports
+    peaks = []
+    for total in (PSI_SAMPLES, 2_000_000):
+        tracemalloc.start()
+        try:
+            characteristic_function(cone, x, "monte_carlo", samples=total, seed=42)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])

@@ -933,6 +933,19 @@ def test_line_integral_matches_potential():
     assert got == pytest.approx(want, rel=1e-12)
 
 
+def test_gauge_value_of_a_row_does_not_depend_on_the_rows_beside_it():
+    # the quadrature terms of each row are added node by node at every row
+    # count: a pass over one row gives the bits of the same row in a pass
+    # over many (a pairwise sum of one row's terms would not)
+    form = [parse_expression(w, 2) for w in ("x1*exp(x0)", "x0 + 2*x1")]
+    gauge = LineIntegralGauge(form, (1.0, 1.0))
+    pts = np.random.default_rng(0).uniform(0.5, 2.0, (50, 2))
+    many = gauge.jet(pts, 1)
+    for order in (0, 1):
+        ones = [gauge.jet(pts[i:i + 1], order).value for i in range(len(pts))]
+        assert np.concatenate(ones).tobytes() == many.value.tobytes()
+
+
 _COLD_START = """
 import sys
 import numpy

@@ -254,7 +254,7 @@ def test_dense_levi_civita_matches_reference():
 
     # hash-consed trees: the planner visits one object per slot, and adds one
     # reciprocal slot for each of the 3 distinct divisors of the 33 divisions
-    slots, _ = _plan(trees)
+    slots = _plan(trees).slots
     objects = {}
     stack = list(trees)
     while stack:
@@ -300,8 +300,11 @@ def _assert_same_plan(trees):
     if got[0] == "raised":  # the first exponent that does not resolve
         assert got[1:] == want[1:]
         return
-    (slots, roots), (want_slots, want_roots) = got[1], want[1]
+    (slots, roots, last), (want_slots, want_roots) = got[1], want[1]
     assert roots == want_roots
+    # a slot's jet is dropped by its last reader, or at once when unread
+    assert last == [max([s for s, (_, _, kids) in enumerate(want_slots) if k in kids],
+                        default=k) for k in range(len(want_slots))]
     assert [(op, kids) for op, _, kids in slots] == [(op, kids) for op, _, kids in want_slots]
     for (op, arg, _), (_, want, _) in zip(slots, want_slots):
         assert arg is want or arg == want or (arg != arg and want != want)
@@ -325,7 +328,7 @@ def test_plan_describes_each_node_once(monkeypatch):
         return real(node)
 
     monkeypatch.setattr(jets, "_describe", describe)
-    slots, _ = _plan(trees)
+    slots = _plan(trees).slots
     assert len(described) == len(set(described)) == len(slots) - 3  # 3 reciprocals
 
 
@@ -393,7 +396,7 @@ DISTINCT_PAIRS = {
 @pytest.mark.parametrize("name", sorted(DISTINCT_PAIRS))
 def test_pairs_never_share_a_slot(name):
     a, b = DISTINCT_PAIRS[name]
-    _, (slot_a, slot_b, slot_copy) = _plan([a, b, _copy(a)])
+    slot_a, slot_b, slot_copy = _plan([a, b, _copy(a)]).roots
     assert slot_a != slot_b
     assert slot_copy == slot_a  # equal copies do share
     pts = np.array([[1.25, 2.0]])

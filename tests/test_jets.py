@@ -398,9 +398,9 @@ def _product_parts(jet: Jet) -> list:
 
 
 def _full_jet(rng, order: int, m: int, n: int, special: bool) -> Jet:
-    """A full-degree jet of random parts, each a transposed view of a buffer
-    with the sample axis last, as the evaluator stores them; ``special``
-    salts them with NaN, -NaN, +-inf and -0.0."""
+    """A full-degree jet of random parts, copied into its buffer by
+    `Jet.from_parts`; ``special`` salts them with NaN, -NaN, +-inf and
+    -0.0."""
     parts = []
     for k in range(order + 1):
         buf = rng.uniform(-2.0, 2.0, (n,) * k + (m,))
@@ -409,7 +409,7 @@ def _full_jet(rng, order: int, m: int, n: int, special: bool) -> Jet:
             picks = rng.choice(flat.size, size=min(flat.size, 6), replace=False)
             flat[picks] = [np.nan, -np.nan, np.inf, -np.inf, -0.0, 0.0][:len(picks)]
         parts.append(buf.T if k else buf)
-    return Jet(order, *parts)
+    return Jet.from_parts(order, *parts)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -1,9 +1,10 @@
 """Memory order: the sample axis at unit stride from jet to residual.
 
 Every jet, field tensor and residual intermediate is indexed sample axis
-first and stored with that axis at unit stride. These tests pin the layout
-of each producer, check that jet arithmetic gives the same bits whatever the
-layout of its operands, and bound the scratch of `max_abs` on either layout.
+first and stored with that axis at unit stride; a jet's parts are views of
+its one (k, m) buffer. These tests pin the layout of each producer, check
+that jet arithmetic gives the same bits whatever the layout of the parts a
+jet is built from, and bound the scratch of `max_abs` on either layout.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from hesslab.geomcore import (
     max_abs,
     samples_first,
 )
-from hesslab.jets import MAX_ORDER, Jet
+from hesslab.jets import MAX_ORDER, Feed, Jet, _plan, evaluate, offsets
 
 CHART = Chart(2, ((0.4, 2.1), (0.3, 1.9)))
 
@@ -107,6 +108,62 @@ def test_batch_operators_have_the_sample_axis_at_unit_stride():
 
 
 # ---------------------------------------------------------------------------
+# jets: one buffer each
+# ---------------------------------------------------------------------------
+
+X0, X1 = ex.Var(0), ex.Var(1)
+U = ex.add(ex.mul(X0, X1), ex.call("sin", X1))  # read by every tree below
+READERS = [ex.mul(U, U), ex.add(U, X0), ex.sub(X1, U), ex.Neg(U), ex.div(X0, U),
+           ex.Pow(U, ex.const(3.0)), ex.Pow(U, ex.const(0.5)), ex.call("exp", U),
+           ex.call("log", U), ex.call("sqrt", U), ex.mul(ex.const(2.0), U)]
+
+
+@pytest.mark.parametrize("order", range(MAX_ORDER + 1))
+def test_every_part_of_a_jet_is_a_view_of_its_buffer(order):
+    pts = np.random.default_rng(4).uniform(0.5, 1.8, (40, 2))
+    trees = [ex.const(1.5), X0, ex.mul(X0, X1)] + READERS
+    for tree, jet in zip(trees, evaluate(trees, pts, order)):
+        k = offsets(2)[jet.degree + 1]
+        assert jet.buf.shape == (k, 40) and jet.buf.flags.c_contiguous
+        for r, part in enumerate((jet.value, jet.grad, jet.hess, jet.third)[:order + 1]):
+            assert part.shape == (40,) + (2,) * r and unit_stride(part)
+            if r <= jet.degree:  # stored: a read-only view of the buffer's rows
+                assert np.shares_memory(part, jet.buf) and not part.flags.writeable
+            else:  # known zero: fresh zeros
+                assert not np.shares_memory(part, jet.buf) and not part.any()
+        if order >= 1 and jet.degree >= 1:
+            assert jet.grad.strides == (8, 8 * 40)
+
+
+def test_a_square_of_a_coordinate_stores_no_third_rows():
+    pts = np.random.default_rng(5).uniform(0.5, 1.8, (30, 2))
+    jet = evaluate(ex.mul(X0, X0), pts, 3)
+    assert jet.degree == 2 and jet.buf.shape == (1 + 2 + 4, 30)
+    assert jet.third.shape == (30, 2, 2, 2) and not jet.third.any()
+    assert np.array_equal(jet.hess[:, 0, 0], np.full(30, 2.0))
+
+
+@pytest.mark.parametrize("order", range(MAX_ORDER + 1))
+def test_a_jet_read_by_many_slots_is_written_by_none(order):
+    # U's jet is emitted as its slot finishes, before any reader runs; it is
+    # then made read-only, so a reader that wrote into it would raise
+    pts = np.random.default_rng(6).uniform(0.5, 1.8, (25, 2))
+    plan = _plan([U] + READERS)
+    assert plan.last[plan.roots[0]] == plan.roots[-1]  # the last tree reads U last
+    seen = {}
+
+    def emit(positions, jet):
+        if 0 in positions:
+            seen["buf"], seen["bytes"] = jet.buf, jet.buf.tobytes()
+            jet.buf.flags.writeable = False
+        seen.setdefault("roots", []).extend(positions)
+
+    evaluate(Feed(plan, emit), pts, order)
+    assert sorted(seen["roots"]) == list(range(len(READERS) + 1))
+    assert seen["buf"].tobytes() == seen["bytes"]
+
+
+# ---------------------------------------------------------------------------
 # jet arithmetic: the same bits on either layout
 # ---------------------------------------------------------------------------
 
@@ -152,7 +209,7 @@ def _apply(op, arg, u, v=None):
 def _run_program(program, leaves, order):
     """Each step applies an op to jets of the pool and adds its result; the
     step's outcome is where the result's fault is (None for none)."""
-    pool = [Jet(order, *parts) for parts in leaves]
+    pool = [Jet.from_parts(order, *parts) for parts in leaves]
     outcomes = []
     for op, arg, i, j in program:
         u, v = pool[i % len(pool)], pool[j % len(pool)]
@@ -178,6 +235,7 @@ STEP = st.tuples(
        program=st.lists(STEP, min_size=1, max_size=10))
 def test_jet_arithmetic_is_bit_identical_on_either_layout(order, n, m, seed, spoil,
                                                           program):
+    # the leaves are built from parts stored point-major and sample-major
     rng = np.random.default_rng(seed)
     leaves = [_random_parts(rng, m, n, order, spoil) for _ in range(3)]
     c_leaves = [[np.ascontiguousarray(p) for p in parts] for parts in leaves]

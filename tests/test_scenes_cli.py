@@ -1,5 +1,6 @@
 """Scene loading, suite execution, report serialization, and the CLI."""
 
+import gc
 import json
 import math
 import os
@@ -740,6 +741,25 @@ def test_cli_example_emits_report(capsys):
     assert code == 0
     assert data["all_ok"] is True and data["scene"] == "hopf"
     assert data["seed"] == 11 and data["count"] == 50
+
+
+def test_cli_process_prints_what_main_prints_and_exits_with_its_status(tmp_path, capsys):
+    # the process entry point freezes the heap once main has returned, so
+    # the interpreter's last collection skips it; main itself freezes nothing
+    failing = unit_scene()
+    failing["fields"]["g"]["entries"][1][1] = "0 - 1/(x0^2 + x1^2)"
+    runs = {0: ["example", "hopf", "--samples", "50", "--seed", "11"],
+            1: ["check", str(write_scene(tmp_path, failing)), "--samples", "50"]}
+    src = str(Path(hesslab.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    frozen = gc.get_freeze_count()
+    for status, argv in runs.items():
+        assert main(argv) == status
+        want = capsys.readouterr().out
+        proc = subprocess.run([sys.executable, "-m", "hesslab.cli", *argv], capture_output=True,
+                              text=True, timeout=120, env=env)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (status, want, "")
+    assert gc.get_freeze_count() == frozen
 
 
 def test_cli_unknown_example_exits_2(capsys):
