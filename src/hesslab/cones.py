@@ -596,7 +596,6 @@ def log_psi_metric(cone: ConeSpec, pts) -> np.ndarray:
 
 
 def surface_statistical_structure(cone: ConeSpec, surface, surface_chart: Chart, *,
-                                  ambient_chart: Chart | None = None,
                                   plan=None,
                                   tolerance: float = DEFAULT_TOLERANCE) -> StatisticalStructure:
     """Statistical structure induced on a parametrized patch of {psi = const}.
@@ -605,11 +604,9 @@ def surface_statistical_structure(cone: ConeSpec, surface, surface_chart: Chart,
     and the position field as transversal (it always crosses the level sets:
     it differentiates ln psi to the constant -dim).
     """
-    chart = ambient_chart or cone.default_chart()
+    chart = cone.default_chart()
     if chart is None:
-        raise ValueError(
-            f"{cone.describe()} has no canonical interior box; pass ambient_chart"
-        )
+        raise ValueError(f"{cone.describe()} has no canonical interior box")
     phi = ex.call("log", cone.psi_expression())
     struct, _ = level_set_statistical(
         flat_connection(chart), phi, surface, surface_chart, euler_field(chart),

@@ -15,27 +15,27 @@ tolerances stay meaningful when metric entries range over orders of
 magnitude across the box.
 
 Evaluation is batched: fields evaluate all their entries at an (m, n)
-array of sample points at once, returning stacked value/derivative arrays
-with the derivative axes last (value[m, i, j], d1[m, i, j, a] = d_a g_ij).
-Every field entry is a hash-consed expression tree, so a field is
-evaluated on one path: its trees form one shared DAG, planned once on the
-first evaluation and run as one jet pass per row block (below) at every
-order and on every point set. A line-integral gauge f (df = theta, for the l.c.H. metric e^{-f} g)
-is a `Gauge` leaf of that DAG: its value comes from quadrature along a
-segment and its derivatives from jets of theta. exp(sign * f) is then one
-node, shared by every entry it scales.
+array of sample points at once, returning the `jets.Jet` of the entries,
+its parts with the derivative axes last (value[m, i, j], grad[m, i, j, a] =
+d_a g_ij). Every field entry is a hash-consed expression tree, so a field
+is evaluated on one path: its trees form one shared DAG, planned once on
+the first evaluation and run as one jet pass per row block (below) at every
+order and on every point set. A line-integral gauge f (df = theta, for the
+l.c.H. metric e^{-f} g) is a `Gauge` leaf of that DAG: its value comes from
+quadrature along a segment and its derivatives from theta's own jet.
+exp(sign * f) is then one node, shared by every entry it scales.
 
 Memory order: the sample axis is at unit stride in every jet, field tensor
 and residual intermediate. Each array is indexed as above, sample axis first,
-but is a transposed view of a buffer with the sample axis last
-(`samples_first`), so a component such as value[:, i, j] is one contiguous
-row of m samples. A point set is an m x n array and n is 2 to 5, so every
-elementwise operation, contraction and reduction runs over rows of m rather
-than over loops of length n. numpy keeps the order through ufuncs, einsum,
-`np.copy` and `np.zeros_like` (their default order is 'K');
-`ndarray.copy()`, `np.empty((m, ...))`, `np.stack(..., axis=1)` and indexing
-the sample axis with an index array would not, so the code here uses none of
-them on sample arrays. Values never depend on the layout, up to the sign and
+but is a transposed view of a buffer with the sample axis last (a field
+tensor's is (*shape, k, m), see `jets`; `samples_first`), so a component
+such as value[:, i, j] is one contiguous row of m samples. A point set is an
+m x n array and n is 2 to 5, so every elementwise operation, contraction and
+reduction runs over rows of m rather than over loops of length n. numpy
+keeps the order through ufuncs, einsum, `np.copy` and `np.zeros_like` (their
+default order is 'K'); `ndarray.copy()`, `np.empty((m, ...))`,
+`np.stack(..., axis=1)` and indexing the sample axis with an index array
+would not, so the code here uses none of them on sample arrays. Values never depend on the layout, up to the sign and
 payload of a NaN. Every contraction is one `np.einsum` call without
 ``optimize``, so a three-operand spec forms no intermediate product, and
 einsum raises no floating-point warning: NaN and inf propagate to the gates
@@ -246,20 +246,17 @@ class LineIntegralGauge:
     """f(p) = integral of a (closed) 1-form along the straight segment base -> p.
 
     Where the form is closed (the openness probe in `lch` checks dθ = 0
-    first), f is a potential for it on the convex box:
-    grad f = the form itself, so all derivative tensors of f come from jets
-    of the components and only the value needs quadrature. A field entry
-    reads f through an `ex.Gauge` leaf, as `gauged` builds it.
+    first), f is a potential for it on the convex box: grad f = the form
+    itself, so the derivative rows of f's jet are the rows of the form's
+    own jet one order lower, and only the value needs quadrature. A field
+    entry reads f through an `ex.Gauge` leaf, as `gauged` builds it.
     """
 
-    def __init__(self, components, base_point):
-        self.components = tuple(components)
+    def __init__(self, form: OneFormField, base_point):
+        self.form = form
         self.base = np.asarray(base_point, float)
-        if len(self.components) != self.base.size:
+        if form.chart.dim != self.base.size:
             raise ValueError("gauge form components must match base point dimension")
-
-    def values(self, pts: Array) -> Array:
-        return self.jet(pts, 0).value
 
     def jet(self, pts: Array, order: int) -> Jet:
         pts = np.asarray(pts, float)
@@ -270,36 +267,43 @@ class LineIntegralGauge:
         # each point's segment in turn, so the first faulty quadrature point
         # is the lowest faulty point's first faulty node
         flat = (self.base + nodes[:, None] * diffs[:, None, :]).reshape(-1, n)
-        value = np.zeros(m)
+        integrals = [None] * n
         fault = None
-        for k, jet in enumerate(evaluate(self.components, flat, 0)):
+
+        def integrate(positions, jet):
+            nonlocal fault
             fault = jets.join(fault, jet.fault)
             # the (q, m) terms, added over the nodes in turn at every m (a sum
             # would add one row's terms pairwise), so a row's value does not
             # depend on the rows evaluated with it
-            terms = np.multiply(weights[:, None], jet.value.reshape(m, q).T, order="C")
-            value += np.add.accumulate(terms, out=terms)[-1] * diffs[:, k]
-            del terms  # before the next component's are made
+            terms = np.multiply(weights[:, None], jet.buf[0].reshape(m, q).T, order="C")
+            total = np.add.accumulate(terms, out=terms)[-1]
+            for k in positions:
+                integrals[k] = total * diffs[:, k]
+
+        # one quadrature pass; the pass drops each component's jet once emitted
+        evaluate(jets.Feed(self.form.jet_plan(), integrate), flat, 0)
         if fault is not None:
             row, seq, why = fault.first
             fault = jets.Fault(fault.rows.reshape(m, q).any(axis=1), (row // q, seq, why))
-        grad = hess = third = None
-        # each stack is a (k, ..., m) buffer, viewed sample axis first
-        if order >= 1:
-            comp_jets = evaluate(self.components, pts, order - 1)
-            for j in comp_jets:
-                fault = jets.join(fault, j.fault)
-            grad = samples_first(np.stack([j.value for j in comp_jets]))  # (m, k) = w_k
+        off = jets.offsets(n)
+        buf = np.empty((off[order + 1], m))
+        buf[0] = sum(integrals)  # 0 + w_0 term + w_1 term + ..., in component order
+        if order:
+            form = _eval_entries(self.form, pts, order - 1)
+            fault = jets.join(fault, form.fault)
+            rows = form.buf  # (k, row, m): the jet rows of w_k
+            buf[1:off[2]] = rows[:, 0]
         if order >= 2:
-            dform = samples_first(np.stack([j.grad.T for j in comp_jets]))  # (m, k, i) = d_i w_k
-            hess = 0.5 * (dform + dform.transpose(0, 2, 1))
+            dform = rows[:, 1:off[2]]  # (k, i, m) = d_i w_k
+            hess = buf[off[2]:off[3]].reshape(n, n, m)
+            np.add(dform, dform.transpose(1, 0, 2), out=hess)
+            hess *= 0.5
         if order >= 3:
-            d2 = samples_first(np.stack([j.hess.transpose(1, 2, 0) for j in comp_jets]))
-            t = d2.transpose(0, 2, 3, 1)  # (m, i, j, k) = d_i d_j w_k
-            third = sum(
-                np.transpose(t, (0,) + perm) for perm in itertools.permutations((1, 2, 3))
-            ) / 6.0
-        return Jet.from_parts(order, value, grad, hess, third, fault)
+            t = rows[:, off[2]:off[3]].reshape(n, n, n, m).transpose(1, 2, 0, 3)  # d_i d_j w_k
+            buf[off[3]:].reshape(n, n, n, m)[...] = sum(
+                t.transpose(perm + (3,)) for perm in itertools.permutations(range(3))) / 6.0
+        return Jet(order, order, n, buf, fault)
 
 
 def gauged(gauge: LineIntegralGauge, sign: float, entry) -> Expression:
@@ -323,30 +327,6 @@ def as_entry(obj, dim: int) -> Expression:
 # ---------------------------------------------------------------------------
 # Fields
 # ---------------------------------------------------------------------------
-
-class EvaluatedTensor:
-    """Stacked entry jets: value (m, *shape), d1 (m, *shape, n), etc., and
-    the entries' `jets.Fault` (or None)."""
-
-    __slots__ = ("value", "d1", "d2", "d3", "fault")
-
-    def __init__(self, value=None, d1=None, d2=None, d3=None, fault=None):
-        self.value = value
-        self.d1 = d1
-        self.d2 = d2
-        self.d3 = d3
-        self.fault = fault
-
-    @property
-    def order(self) -> int:
-        return sum(a is not None for a in (self.d1, self.d2, self.d3))
-
-    def prefix(self, order: int) -> "EvaluatedTensor":
-        """The same arrays truncated at ``order``: lower-order jet
-        coefficients do not depend on the higher ones."""
-        parts = (self.d1, self.d2, self.d3)[:order]
-        return EvaluatedTensor(self.value, *parts, fault=self.fault)
-
 
 class _PointSet:
     """The held point set and what was computed on it (see the module
@@ -374,8 +354,7 @@ class _PointSet:
     def put(self, key: tuple, pts: Array, value):
         """``value``, held read-only under ``key`` when ``pts`` is the held array."""
         if pts is self.pts:
-            tensor = isinstance(value, EvaluatedTensor)
-            for arr in (value.value, value.d1, value.d2, value.d3) if tensor else value:
+            for arr in (value.buf,) if isinstance(value, Jet) else value:
                 if isinstance(arr, np.ndarray):
                     arr.flags.writeable = False
             self._store[tuple(_weak(part, self._forget) for part in key)] = value
@@ -457,71 +436,66 @@ def _block_rows(field: _Field, m: int, n: int, order: int, keep: int = 0) -> int
     return max(1, _SCRATCH_BUDGET // (jet * field.live_peak() + keep))
 
 
-def _eval_rows(field: _Field, pts: Array, order: int, parts: list) -> jets.Fault | None:
+def _eval_rows(field: _Field, pts: Array, order: int, out: Array) -> jets.Fault | None:
     """One `evaluate` pass over the field's plan at ``pts``, written into
-    ``parts`` (sample-first arrays of len(pts) rows, one per order): a
-    subtree shared by several entries (a gauge factor among them) is
-    evaluated once. Each distinct entry's value and derivatives are written
-    as rows of contiguous samples when its slot finishes, a known-zero order
-    as 0.0, and the pass then drops its jet unless a later slot reads it; an
-    entry that is the same node as an earlier one (g_ij = g_ji) copies the
-    rows already written. Returns the entries' fault."""
-    shape, (m, n) = field.entries.shape, pts.shape
-    index = list(itertools.product(*map(range, shape)))
-    # each part indexed as a jet's rows are (`Jet.rows`): entry, row, sample
-    outs = [p.transpose(tuple(range(1, p.ndim)) + (0,)).reshape(shape + (n**k, m))
-            for k, p in enumerate(parts)]
+    ``out``, a (*shape, k, len(pts)) buffer of jet rows: a subtree shared by
+    several entries (a gauge factor among them) is evaluated once. Each
+    distinct entry's jet buffer is copied when its slot finishes, its rows
+    above the jet's degree set to 0.0, and the pass then drops the jet unless
+    a later slot reads it; an entry that is the same node as an earlier one
+    (g_ij = g_ji) copies the rows already written. Returns the entries'
+    fault."""
+    index = list(itertools.product(*map(range, field.entries.shape)))
     fault = None
 
     def write(positions, jet):
         nonlocal fault
         fault = jets.join(fault, jet.fault)
-        first = index[positions[0]]
-        for k, out in enumerate(outs):
-            rows = jet.rows(k)
-            out[first] = 0.0 if rows is None else rows
-            for r in positions[1:]:
-                out[index[r]] = out[first]
+        first = out[index[positions[0]]]
+        first[:len(jet.buf)] = jet.buf
+        first[len(jet.buf):] = 0.0
+        for r in positions[1:]:
+            out[index[r]] = first
 
     evaluate(jets.Feed(field.jet_plan(), write), pts, order)
     return fault
 
 
 def _eval_entries(field: _Field, pts: Array, order: int, take=None, keep: int = 0,
-                  whole: int | None = None) -> EvaluatedTensor:
-    """The stacked entry jets at ``pts``, taken one row block at a time
-    (`_block_rows`): each block is one `_eval_rows` pass at the rows
+                  whole: int | None = None) -> Jet:
+    """The jet of the field's entries at ``pts``, taken one row block at a
+    time (`_block_rows`): each block is one `_eval_rows` pass at the rows
     ``pts[rows]``, written into those rows. Jets are computed per sample,
     so the blocks give the whole pass's numbers and fault bit for bit.
 
-    The first ``whole`` orders (all by default) are returned as (m, ...)
-    tensors; the orders above are held one block at a time.
-    ``take(rows, tensor)``, if given, sees each block's jets at every order
-    as it finishes; ``keep`` is the bytes per row that it and the orders
-    held per block keep."""
+    The jet returned has the first ``whole`` orders (all by default) at
+    all m rows: its order is ``whole`` - 1. The orders above are held one
+    block at a time. ``take(rows, jet)``, if given, sees each block's jet at
+    every order as it finishes; ``keep`` is the bytes per row that it and
+    the block's own buffer keep."""
     m, n = pts.shape
     shape = field.entries.shape
+    off = jets.offsets(n)
     whole = order + 1 if whole is None else whole
-
-    def alloc(k, rows):
-        return samples_first(np.empty(shape + (n,) * k + (rows,)))
-
-    parts = [alloc(k, m) for k in range(whole)]
+    buf = np.empty(shape + (off[whole], m))
     step = _block_rows(field, m, n, order, keep)
     fault = None
     for start in range(0, m, step):
         rows = slice(start, min(start + step, m))
-        block = [p[rows] for p in parts]
-        block += [alloc(k, rows.stop - start) for k in range(whole, order + 1)]
+        block = buf[..., rows]
+        if whole <= order:  # the block's own rows, the first orders copied out
+            block = np.empty(shape + (off[order + 1], rows.stop - start))
         found = _eval_rows(field, pts[rows], order, block)
+        if whole <= order:
+            buf[..., rows] = block[..., :off[whole], :]
         if found is not None and step < m:  # as a fault of all m rows
             bad = np.zeros(m, bool)
             bad[rows] = found.rows
             found = jets.Fault(bad, (found.first[0] + start,) + found.first[1:])
         fault = jets.join(fault, found)
         if take is not None:
-            take(rows, EvaluatedTensor(*block))
-    return EvaluatedTensor(*parts, fault=fault)
+            take(rows, Jet(order, order, n, block))
+    return Jet(whole - 1, whole - 1, n, buf, fault)
 
 
 class _Field:
@@ -559,15 +533,15 @@ class _Field:
     def shape_for(cls, dim: int) -> tuple[int, ...]:
         raise NotImplementedError
 
-    def eval(self, pts: Array, order: int = 0) -> EvaluatedTensor:
-        """Jets of every entry at ``pts``. On the held sampled array the
-        result is read-only and shared with later calls on the same array.
+    def eval(self, pts: Array, order: int = 0) -> Jet:
+        """The jet of the entries at ``pts``. On the held sampled array its
+        buffer is read-only and shared with later calls on the same array.
         Every read notes the tensor's fault (`_note`)."""
         stored = _held.get((self,), pts)
         if stored is None or stored.order < order:
             stored = _held.put((self,), pts, _eval_entries(self, pts, order))
         _note(stored.fault)
-        return stored.prefix(order)
+        return stored if stored.order == order else stored.prefix(order)
 
 
 class MetricField(_Field):
@@ -642,7 +616,7 @@ def euler_field(chart: Chart) -> VectorFieldT:
 
 def covariant_derivative_metric_batch(conn: ConnectionField, g: MetricField, pts) -> Array:
     gj = g.eval(pts, 1)
-    nabla = np.copy(gj.d1.transpose(0, 3, 1, 2))  # (m, i, j, k) = d_i g_jk
+    nabla = np.copy(gj.grad.transpose(0, 3, 1, 2))  # (m, i, j, k) = d_i g_jk
     if not conn.flat:
         c = conn.eval(pts, 0).value
         nabla -= np.einsum("alij,alk->aijk", c, gj.value)
@@ -652,7 +626,7 @@ def covariant_derivative_metric_batch(conn: ConnectionField, g: MetricField, pts
 
 def covariant_derivative_oneform_batch(conn: ConnectionField, theta: OneFormField, pts) -> Array:
     tj = theta.eval(pts, 1)
-    nabla = np.copy(tj.d1.transpose(0, 2, 1))  # (m, i, j) = d_i theta_j
+    nabla = np.copy(tj.grad.transpose(0, 2, 1))  # (m, i, j) = d_i theta_j
     if not conn.flat:
         c = conn.eval(pts, 0).value
         nabla -= np.einsum("akij,ak->aij", c, tj.value)
@@ -661,7 +635,7 @@ def covariant_derivative_oneform_batch(conn: ConnectionField, theta: OneFormFiel
 
 def covariant_derivative_vector_batch(conn: ConnectionField, xi: VectorFieldT, pts) -> Array:
     xj = xi.eval(pts, 1)
-    nabla = np.copy(xj.d1)  # (m, i, j) = d_j xi^i
+    nabla = np.copy(xj.grad)  # (m, i, j) = d_j xi^i
     if not conn.flat:
         c = conn.eval(pts, 0).value
         nabla += np.einsum("aijk,ak->aij", c, xj.value)
@@ -671,17 +645,17 @@ def covariant_derivative_vector_batch(conn: ConnectionField, xi: VectorFieldT, p
 def lie_derivative_metric_batch(xi: VectorFieldT, g: MetricField, pts) -> Array:
     gj = g.eval(pts, 1)
     xj = xi.eval(pts, 1)
-    out = np.einsum("ak,aijk->aij", xj.value, gj.d1)
-    out += np.einsum("akj,aki->aij", gj.value, xj.d1)
-    out += np.einsum("aik,akj->aij", gj.value, xj.d1)
+    out = np.einsum("ak,aijk->aij", xj.value, gj.grad)
+    out += np.einsum("akj,aki->aij", gj.value, xj.grad)
+    out += np.einsum("aik,akj->aij", gj.value, xj.grad)
     return out
 
 
 def _fold_keep(d: int) -> int:
     """Bytes per row that one block of the curvature fold keeps besides the
-    jets' scratch: Gamma's derivative rows, one slice A^l, and the block of
-    R and its two traces that the constant-curvature fit builds."""
-    return 8 * (2 * d**4 + d**3 + 2 * d**2)
+    jets' scratch: Gamma's value and derivative rows, one slice A^l, and the
+    block of R and its two traces that the constant-curvature fit builds."""
+    return 8 * (2 * d**4 + 2 * d**3 + 2 * d**2)
 
 
 def _fold_step(conn: ConnectionField, m: int, n: int) -> int:
@@ -715,7 +689,7 @@ def _curvature_slices(conn: ConnectionField, pts, take) -> None:
 
     def fold(rows, cj):
         gamma = cj.value
-        dgamma = cj.d1.transpose(0, 1, 4, 2, 3)  # (b, l, i, j, k) = d_i Gamma^l_{jk}
+        dgamma = cj.grad.transpose(0, 1, 4, 2, 3)  # (b, l, i, j, k) = d_i Gamma^l_{jk}
         for l in range(d):
             a = np.einsum("aiu,aujk->aijk", gamma[:, l], gamma)
             a += dgamma[:, l]
@@ -727,26 +701,13 @@ def _curvature_slices(conn: ConnectionField, pts, take) -> None:
         step = _fold_step(conn, len(pts), d)
         for start in range(0, len(pts), step):
             rows = slice(start, start + step)
-            fold(rows, EvaluatedTensor(cj.value[rows], cj.d1[rows]))
+            fold(rows, cj.prefix(1, rows))
         return
     hold = pts is _held.pts and _held.get((conn,), pts) is None
     values = _eval_entries(conn, pts, 1, fold, _fold_keep(d), whole=int(hold))
     if hold:
         _held.put((conn,), pts, values)
     _note(values.fault)
-
-
-def curvature_batch(conn: ConnectionField, pts) -> Array:
-    """The whole curvature tensor (m, l, i, j, k) = R^l_{ijk}, written one
-    slice of one row block at a time (`_curvature_slices`). Only tests
-    build it; the flatness term and the constant-curvature fit fold it."""
-    m, d = len(pts), conn.chart.dim
-    if conn.flat:
-        return samples_first(np.zeros((d, d, d, d, m)))
-    out = samples_first(np.empty((d, d, d, d, m)))
-    _curvature_slices(conn, pts, lambda rows, l, a: np.subtract(
-        a, a.transpose(0, 2, 1, 3), out=out[rows, l]))
-    return out
 
 
 def curvature_blocks(conn: ConnectionField, pts, take) -> None:
@@ -772,7 +733,7 @@ def curvature_blocks(conn: ConnectionField, pts, take) -> None:
 
 def exterior_derivative_oneform_batch(theta: OneFormField, pts) -> Array:
     tj = theta.eval(pts, 1)
-    d = tj.d1.transpose(0, 2, 1)  # (m, i, j) = d_i theta_j
+    d = tj.grad.transpose(0, 2, 1)  # (m, i, j) = d_i theta_j
     return d - d.transpose(0, 2, 1)
 
 
@@ -788,26 +749,22 @@ _MAX_ABS_ROWS = 2048
 
 
 def max_abs(arr: Array) -> Array:
-    """Per-sample max-norm: collapses all axes but the first, by one
-    ``np.maximum.reduce`` and one ``np.minimum.reduce`` (|max(hi, -lo)|), so
-    the scratch is two (m,) arrays. Above `_MAX_ABS_ROWS` samples both reduce
-    one block of samples before the next, so the input is read from memory
-    once; max and min are exact, so blocks change no bit. Each reduction
-    runs along rows of samples on a sample-first array; on a C-ordered one it
-    loops per sample over a short axis. NaN propagates (unsigned, as ``abs``
-    leaves it); -0.0 reads 0.0."""
+    """Per-sample max-norm: collapses all axes but the first, by
+    ``np.maximum.reduce`` and ``np.minimum.reduce`` (|max(hi, -lo)|), so the
+    scratch is two (m,) arrays. Both reduce one block of `_MAX_ABS_ROWS`
+    samples before the next, so the input is read from memory once; max and
+    min are exact, so blocks change no bit. Each reduction runs along rows of
+    samples on a sample-first array; on a C-ordered one it loops per sample
+    over a short axis. NaN propagates (unsigned, as ``abs`` leaves it); -0.0
+    reads 0.0."""
     a = np.asarray(arr, float)
     axes = tuple(range(1, a.ndim))
     m = a.shape[0]
-    if m <= _MAX_ABS_ROWS:
-        hi = np.maximum.reduce(a, axis=axes)
-        lo = np.minimum.reduce(a, axis=axes)
-    else:
-        hi, lo = np.empty(m), np.empty(m)
-        for start in range(0, m, _MAX_ABS_ROWS):
-            rows = slice(start, start + _MAX_ABS_ROWS)
-            np.maximum.reduce(a[rows], axis=axes, out=hi[rows])
-            np.minimum.reduce(a[rows], axis=axes, out=lo[rows])
+    hi, lo = np.empty(m), np.empty(m)
+    for start in range(0, m, _MAX_ABS_ROWS):
+        rows = slice(start, start + _MAX_ABS_ROWS)
+        np.maximum.reduce(a[rows], axis=axes, out=hi[rows])
+        np.minimum.reduce(a[rows], axis=axes, out=lo[rows])
     np.maximum(hi, np.negative(lo, out=lo), out=hi)
     return np.abs(hi, out=hi)
 

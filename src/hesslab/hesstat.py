@@ -290,7 +290,7 @@ def check_potential_field(g: MetricField, xi: VectorFieldT, plan=None,
 
     def residual(pts):
         residuals = closedness_residual(omega, pts)
-        jac = in_domain(xi.eval(pts, 1).d1)  # (sample, component, derivative)
+        jac = in_domain(xi.eval(pts, 1).grad)  # (sample, component, derivative)
         if not len(jac):
             return residuals
         jmean = jac.mean(axis=0)
@@ -353,7 +353,7 @@ def duality_residual_batch(conn: ConnectionField, dual: ConnectionField,
     gj = g.eval(pts, 1)
     gamma = conn.eval(pts, 0).value
     gammabar = dual.eval(pts, 0).value
-    lhs = gj.d1.transpose(0, 3, 1, 2)  # (a, i, j, l) = d_i g_{jl}
+    lhs = gj.grad.transpose(0, 3, 1, 2)  # (a, i, j, l) = d_i g_{jl}
     lhs = lhs - np.einsum("amij,aml->aijl", gamma, gj.value)
     lhs = lhs - np.einsum("amil,ajm->aijl", gammabar, gj.value)
     return rel_residual(lhs, gj.value)

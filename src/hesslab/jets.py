@@ -9,7 +9,11 @@ indexed sample axis first:
 
     value (m,)   grad (m,n)   hess (m,n,n)   third (m,n,n,n)
 
-so ``grad`` is ``buf[1:1+n].T``, with strides (8, 8m).
+so ``grad`` is ``buf[1:1+n].T``, with strides (8, 8m). A field's tensor is
+the `Jet` of its entries: its buffer puts the entry axes first, (*shape, k,
+m), each entry's k rows as above, and its parts index as (m, *shape, n, ...),
+value[m, i, j] and grad[m, i, j, a] = d_a g_ij for a metric. `Jet._part` is
+the one reader of the row layout.
 
 Arithmetic implements the truncated Taylor (Leibniz / Faa di Bruno) rules
 exactly, so derivatives of parsed expressions are exact to roundoff rather
@@ -19,7 +23,8 @@ a sum or a negation is one call, and a first-order product is every row of
 one factor times the other's value (one call) plus the other gradient term,
 its one scratch array. Second and third orders add their terms in turn into
 the rows of their order, the outer products among them made by einsum. No op
-writes an operand's buffer, so any number of slots may read a jet.
+writes an operand's buffer, so any number of slots may read a jet. The
+ring operations and compositions take scalar jets, (k, m) buffers, only.
 
 Each jet also records its `degree`, the highest derivative order that can be
 nonzero (sparse forward mode): 0 for `Jet.constant`, 1 for
@@ -34,9 +39,7 @@ Dropping a zero term changes no value, except that a 0 * inf = NaN it would
 have added is gone and the sign of a zero may differ. Reads do not change:
 ``grad``, ``hess`` and ``third`` return full arrays at every order up to the
 requested one, a known-zero order as fresh zeros, and None above the
-requested order. Values do not depend on the layout of a jet built from its
-parts, up to the sign and payload of a NaN (which operand's NaN a sum
-propagates depends on the loop numpy picks).
+requested order.
 
 A domain error is a per-sample mask, not an exception: ``reciprocal``,
 ``log``, ``sqrt`` and ``powf`` set the rows out of their domain to NaN before
@@ -123,44 +126,25 @@ class Jet:
         self.buf = buf
         self.fault = fault
 
-    @staticmethod
-    def from_parts(order: int, value: Array, grad=None, hess=None, third=None,
-                   fault: Fault | None = None) -> "Jet":
-        """A full-degree jet whose parts, indexed sample axis first in any
-        memory order, are copied into one buffer."""
-        parts = (value, grad, hess, third)[:order + 1]
-        m = value.shape[0]
-        n = grad.shape[1] if order else 0
-        off = offsets(n)
-        buf = np.empty((off[order + 1], m))
-        for k, part in enumerate(parts):
-            buf[off[k]:off[k + 1]].reshape((n,) * k + (m,))[...] = np.moveaxis(part, 0, -1)
-        return Jet(order, order, n, buf, fault)
-
     # -- reads: read-only views; a known-zero order reads as zeros ----------
 
     @property
     def m(self) -> int:
-        return self.buf.shape[1]
-
-    def rows(self, k: int) -> Array | None:
-        """Order k's n^k rows of the buffer, their indices in C order; None
-        above the degree."""
-        if k > self.degree:
-            return None
-        off = offsets(self.n)
-        return self.buf[off[k]:off[k + 1]]
+        return self.buf.shape[-1]
 
     def _part(self, k: int):
+        """Order k's rows, as (m, *entry axes, n, ..., n); the one place that
+        reads the row layout."""
         if k > self.order:
             return None
-        shape = (self.n,) * k + (self.m,)
-        rows = self.rows(k)
-        if rows is None:
-            return np.zeros(shape).T
-        part = rows.reshape(shape).transpose((k,) + tuple(range(k)))
-        part.flags.writeable = False
-        return part
+        off = offsets(self.n)
+        shape = self.buf.shape[:-2] + (self.n,) * k + (self.m,)
+        if k > self.degree:
+            part = np.zeros(shape)
+        else:
+            part = self.buf[..., off[k]:off[k + 1], :].reshape(shape)
+            part.flags.writeable = False
+        return part.transpose((len(shape) - 1,) + tuple(range(len(shape) - 1)))
 
     @property
     def value(self):
@@ -177,6 +161,14 @@ class Jet:
     @property
     def third(self):
         return self._part(3)
+
+    def prefix(self, order: int, rows=slice(None)) -> "Jet":
+        """This jet truncated at ``order`` at the samples ``rows``, a view of
+        its buffer: lower-order coefficients do not depend on the higher
+        ones. The fault is this jet's."""
+        degree = min(self.degree, order)
+        end = offsets(self.n)[degree + 1]
+        return Jet(order, degree, self.n, self.buf[..., :end, rows], self.fault)
 
     # -- constructors -------------------------------------------------------
 

@@ -35,9 +35,9 @@ from .geomcore import (
     definiteness,
     gauged,
     held_result,
+    in_domain,
     inverse_metric_expressions,
     lie_derivative_metric_batch,
-    make_report,
     positive_definite,
     rel_residual,
     residual_passes,
@@ -276,12 +276,12 @@ def _affine_residual(conn: ConnectionField, xi: VectorFieldT, pts) -> float:
     xj = xi.eval(pts, 2)
     cj = None if conn.flat else conn.eval(pts, 1)
     tval = covariant_derivative_vector_batch(conn, xi, pts)
-    second = xj.d2  # (m, i, j, k) = d_k d_j xi^i
+    second = xj.hess  # (m, i, j, k) = d_k d_j xi^i
     if cj is not None:
         c = cj.value
         # d_k (Gamma^i_{jl} xi^l), then the two Gamma terms of nabla_k T
-        second = second + np.einsum("aijlk,al->aijk", cj.d1, xj.value)
-        second += np.einsum("aijl,alk->aijk", c, xj.d1)
+        second = second + np.einsum("aijlk,al->aijk", cj.grad, xj.value)
+        second += np.einsum("aijl,alk->aijk", c, xj.grad)
         second += np.einsum("aikl,alj->aijk", c, tval)
         second -= np.einsum("alkj,ail->aijk", c, tval)
     return float(np.max(rel_residual(second, tval)))
@@ -395,7 +395,7 @@ def koszul_check(conn: ConnectionField, theta: OneFormField, plan=None,
 
 def _pullback_metric(pj, metric: MetricField, pts) -> tuple:
     """(phi^* g, g) at ``pts``, from the map's jet ``pj`` there."""
-    jac, g_at = pj.d1, metric.eval(pj.value, 0).value
+    jac, g_at = pj.grad, metric.eval(pj.value, 0).value
     pull_g = np.einsum("acu,adv,acd->auv", jac, jac, g_at)
     return pull_g, metric.eval(pts, 0).value
 
@@ -405,7 +405,7 @@ def _pullback_residuals(phi: VectorFieldT, conn, metric, theta, pts) -> dict:
     themselves. The map's jet gives the image points, the Jacobian
     jac[m, c, u] = d_u phi^c and the Hessian hess[m, c, u, v]."""
     pj = phi.eval(pts, 2)
-    image, jac, hess = pj.value, pj.d1, pj.d2
+    image, jac, hess = pj.value, pj.grad, pj.hess
 
     pull_g, gval = _pullback_metric(pj, metric, pts)
     res = {"metric": rel_residual(pull_g - gval, gval)}
@@ -444,6 +444,11 @@ def check_symmetry(struct: LCHStructure, mapping, plan=None,
         return _pullback_residuals(phi, struct.conn, struct.metric, struct.lee_form, pts)
 
     return sample_check(residual, struct.chart, plan or SamplePlan(), tolerance, name=name)
+
+
+def _seam(pts):
+    """Base points on the s = 1 slice of a torus's fundamental domain."""
+    return np.hstack([pts, np.ones((len(pts), 1))])
 
 
 def build_mapping_torus(spec: MappingTorusSpec, *, plan=None,
@@ -490,9 +495,8 @@ def build_mapping_torus(spec: MappingTorusSpec, *, plan=None,
     )
     deck_map = VectorFieldT(chart, [*spec.automorphism.entries, ex.mul(ex.const(q), s)])
 
-    def seam_residual(pts):  # base points on the s = 1 slice
-        seam_pts = np.hstack([pts, np.ones((pts.shape[0], 1))])
-        return _pullback_residuals(deck_map, cone.conn, metric, theta, seam_pts)
+    def seam_residual(pts):
+        return _pullback_residuals(deck_map, cone.conn, metric, theta, _seam(pts))
 
     seam_report = sample_check(seam_residual, base.chart, plan, tolerance,
                                name="mapping-torus-seam")
@@ -509,18 +513,25 @@ def check_monodromy(torus: MappingTorus, expect_rank: int, plan=None,
                     tolerance: float = DEFAULT_TOLERANCE,
                     name: str = "monodromy-character") -> CheckReport:
     """The deck map's character: gamma^* h = c h fitted by least squares on
-    the seam samples. ``extra`` carries log c (2 log q for a torus) and the
-    rank of its image, 1 when |log c| exceeds the tolerance. The residual is
-    the worst of |gamma^* h - c h| / (1 + |c h|) and |rank - expect_rank|."""
-    pts = torus.cone.base.chart.sample(plan or SamplePlan())
-    seam = np.hstack([pts, np.ones((len(pts), 1))])  # base points on the s = 1 slice
-    pulled, h = _pullback_metric(torus.deck_map.eval(seam, 1), torus.cone.metric, seam)
-    c = float(np.sum(pulled * h) / np.sum(h * h))
-    character = math.log(c)
-    rank = int(abs(character) > tolerance)
-    residuals = np.maximum(rel_residual(pulled - c * h, c * h), abs(rank - expect_rank))
-    return make_report(name, residuals, tolerance, samples=len(seam),
-                       extra={"character": character, "rank": rank})
+    the seam samples in the fields' domain. ``extra`` carries log c (2 log q
+    for a torus) and the rank of its image, 1 when |log c| exceeds the
+    tolerance. The residual is the worst of |gamma^* h - c h| / (1 + |c h|)
+    and |rank - expect_rank|; a sample out of the domain reads inf, with a
+    note (`sample_check`)."""
+    extra: dict[str, float] = {}
+
+    def residual(pts):
+        seam = _seam(pts)
+        pulled, h = _pullback_metric(torus.deck_map.eval(seam, 1), torus.cone.metric, seam)
+        fit_pulled, fit_h = in_domain(pulled), in_domain(h)
+        with np.errstate(invalid="ignore"):  # c is NaN when no sample is in the domain
+            c = float(np.sum(fit_pulled * fit_h) / np.sum(fit_h * fit_h))
+        extra["character"] = character = math.log(c)
+        extra["rank"] = rank = int(abs(character) > tolerance)
+        return np.maximum(rel_residual(pulled - c * h, c * h), abs(rank - expect_rank))
+
+    return sample_check(residual, torus.cone.base.chart, plan or SamplePlan(), tolerance,
+                        name=name, extra=extra)
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +566,7 @@ def _probe_candidate_factory(struct: LCHStructure, alpha: OneFormField,
     u_options = (consts.u,) if radiant else (1.0, -1.0)
 
     center = 0.5 * (chart.lo() + chart.hi())
-    gauge = LineIntegralGauge(atrees, center)
+    gauge = LineIntegralGauge(alpha, center)
 
     def candidate(eps: float):
         theta_eps = _theta_plus(ttrees, atrees, eps, chart)
@@ -576,9 +587,12 @@ def _probe_candidate_factory(struct: LCHStructure, alpha: OneFormField,
     return candidate
 
 
+PROBE_STEPS = 40  # bisection steps of the openness probe: 10 / 2^40 < 1e-11
+
+
 def lee_perturbation_probe(struct: LCHStructure, alpha: OneFormField,
                            plan=None, tolerance: float = DEFAULT_TOLERANCE,
-                           eps_hi: float = 10.0, iters: int = 40) -> float:
+                           eps_hi: float = 10.0) -> float:
     """Largest eps in [0, eps_hi] with theta + eps*alpha still l.c.H.-compatible.
 
     Bisection against the candidate acceptance of ``perturbed_structure``;
@@ -592,7 +606,7 @@ def lee_perturbation_probe(struct: LCHStructure, alpha: OneFormField,
     if candidate(0.0) is None:
         return 0.0
     lo, hi = 0.0, float(eps_hi)
-    for _ in range(iters):
+    for _ in range(PROBE_STEPS):
         mid = 0.5 * (lo + hi)
         if candidate(mid) is not None:
             lo = mid

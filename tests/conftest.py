@@ -4,7 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from hesslab.geomcore import Chart, MetricField, OneFormField, VectorFieldT, flat_connection
+from hesslab.geomcore import (
+    Chart,
+    MetricField,
+    OneFormField,
+    VectorFieldT,
+    curvature_blocks,
+    flat_connection,
+    samples_first,
+)
 
 # Results recorded by tests/test_acceptance.py; printed at the end of the run.
 ACCEPTANCE_RESULTS: list[str] = []
@@ -15,6 +23,20 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in sorted(ACCEPTANCE_RESULTS):
             terminalreporter.write_line(line)
+
+
+def curvature_tensor(conn, pts):
+    """The whole curvature tensor (m, l, i, j, k) = R^l_{ijk}, sample axis
+    first in memory: each row block of the library's fold
+    (`curvature_blocks`) written into its rows."""
+    d = conn.chart.dim
+    out = samples_first(np.empty((d, d, d, d, len(pts))))
+
+    def put(rows, r):
+        out[rows] = r
+
+    curvature_blocks(conn, pts, put)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,20 @@ import numpy as np
 
 from hesslab import expr as ex
 from hesslab.expr import DomainError
-from hesslab.jets import Jet, VariableDimensionError
+from hesslab.jets import Jet, VariableDimensionError, offsets
+
+
+def jet_from_parts(order: int, value, grad=None, hess=None, third=None) -> Jet:
+    """A full-degree jet whose parts, indexed sample axis first in any memory
+    order, are copied into one buffer."""
+    parts = (value, grad, hess, third)[:order + 1]
+    m = value.shape[0]
+    n = grad.shape[1] if order else 0
+    off = offsets(n)
+    buf = np.empty((off[order + 1], m))
+    for k, part in enumerate(parts):
+        buf[off[k]:off[k + 1]].reshape((n,) * k + (m,))[...] = np.moveaxis(part, 0, -1)
+    return Jet(order, order, n, buf)
 
 
 def _check(strict: bool, bad, message: str) -> None:

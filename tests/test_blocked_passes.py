@@ -15,6 +15,7 @@ import pytest
 
 import conftest
 import hesslab.geomcore as gc
+from conftest import curvature_tensor
 from hesslab import expr as ex
 from hesslab.geomcore import (
     Chart,
@@ -24,7 +25,6 @@ from hesslab.geomcore import (
     OneFormField,
     SamplePlan,
     closedness_residual,
-    curvature_batch,
     drop_held_points,
     flatness_residual,
     gauged,
@@ -59,7 +59,7 @@ def _outcome(field, pts, order):
     the lowest of them and its message (None for no fault)."""
     t = gc._eval_entries(field, pts, order)
     fault = t.fault and (t.fault.rows.tobytes(), t.fault.first[0], t.fault.first[2])
-    return tuple(a.tobytes() for a in (t.value, t.d1, t.d2, t.d3) if a is not None) + (fault,)
+    return (t.buf.tobytes(), fault)
 
 
 @functools.cache
@@ -123,8 +123,7 @@ def test_blocked_pass_of_a_gauged_field_with_a_one_row_last_block(monkeypatch):
     # 200 = 199 + 1: the last block integrates the gauge of one row alone,
     # and gives the bits the whole pass gives that row
     chart = Chart(2, ((0.4, 2.1), (0.3, 1.9)))
-    form = [ex.parse_expression(w, 2) for w in ("x1*exp(x0)", "x0 + 2*x1")]
-    gauge = LineIntegralGauge(form, (1.0, 1.0))
+    gauge = LineIntegralGauge(OneFormField(chart, ["x1*exp(x0)", "x0 + 2*x1"]), (1.0, 1.0))
     entries = [["1 + x0*x0", "x0*x1"], ["x0*x1", "2 + x1*x1"]]
     g = MetricField(chart, [[gauged(gauge, -1.0, ex.parse_expression(e, 2)) for e in row]
                             for row in entries])
@@ -209,7 +208,7 @@ def test_blocked_fold_matches_the_whole_fold(dim, metric, monkeypatch):
     assert passes == [[1], []] and order == 1  # one block: Gamma's order 1 held
     # the fit on the whole tensor R, as it was built before, to the last bit
     pts = g.chart.sample(plan).copy()
-    assert fit == _fit_on_the_whole_tensor(curvature_batch(lc, pts), g.eval(pts, 0).value)
+    assert fit == _fit_on_the_whole_tensor(curvature_tensor(lc, pts), g.eval(pts, 0).value)
     drop_held_points()
     with monkeypatch.context() as mp:
         _shrink(mp, lc, 1, keep=gc._fold_keep(dim))

@@ -1,7 +1,7 @@
-"""`curvature_batch`, the flatness term, `covariant_hessian_trees`, the
-covariant derivatives of a one-form, a vector field and a metric, the Lie
-derivative of a metric and the pullback of (g, Gamma, theta) by a map
-against tensors derived by sympy.
+"""The curvature fold (`curvature_blocks`), the flatness term,
+`covariant_hessian_trees`, the covariant derivatives of a one-form, a vector
+field and a metric, the Lie derivative of a metric and the pullback of (g,
+Gamma, theta) by a map against tensors derived by sympy.
 
 The metrics are random and of non-constant curvature, so a swapped index
 or a dropped term of the curvature formula cannot hide behind the symmetry
@@ -21,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conftest import curvature_tensor
 from hesslab import expr as ex
 from hesslab.geomcore import (
     Chart,
@@ -33,7 +34,6 @@ from hesslab.geomcore import (
     covariant_derivative_oneform_batch,
     covariant_derivative_vector_batch,
     covariant_hessian_trees,
-    curvature_batch,
     flatness_residual,
     levi_civita,
     lie_derivative_metric_batch,
@@ -84,7 +84,7 @@ def _parse(text: str, xs):
 
 def _riemann(gamma, xs, pts: np.ndarray) -> np.ndarray:
     """R^l_{ijk} = d_i G^l_{jk} - d_j G^l_{ik} + G^l_{iu} G^u_{jk} - G^l_{ju} G^u_{ik}
-    of the sympy symbols gamma[l][j][k] at each point, in `curvature_batch`'s
+    of the sympy symbols gamma[l][j][k] at each point, in `curvature_blocks`'
     (m, l, i, j, k) layout."""
     span = range(len(xs))
     riemann = [
@@ -143,7 +143,7 @@ def test_levi_civita_curvature_matches_sympy(dim, seed):
     pts = chart.sample(SamplePlan(count=40, seed=seed))
     assert np.linalg.eigvalsh(g.eval(pts, 0).value).min() > 1.0
     riemann = _levi_civita_riemann(rows, pts)
-    _assert_close(curvature_batch(levi_civita(g), pts), riemann)
+    _assert_close(curvature_tensor(levi_civita(g), pts), riemann)
     _assert_flatness_close(levi_civita(g), pts, riemann)
 
 
@@ -158,7 +158,7 @@ def test_curvature_with_torsion_matches_sympy(dim, seed):
     assert any(gamma[l][j][k] != gamma[l][k][j] for l in range(dim)
                for j in range(dim) for k in range(dim))
     conn, riemann = ConnectionField(chart, entries), _riemann(gamma, xs, pts)
-    _assert_close(curvature_batch(conn, pts), riemann)
+    _assert_close(curvature_tensor(conn, pts), riemann)
     _assert_flatness_close(conn, pts, riemann)
 
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import conftest
+from conftest import curvature_tensor
 from hesslab import expr as ex
 from hesslab.geomcore import (
     Chart,
@@ -21,7 +22,6 @@ from hesslab.geomcore import (
     VectorFieldT,
     as_entry,
     covariant_hessian_trees,
-    curvature_batch,
     drop_held_points,
     euler_field,
     flat_connection,
@@ -108,7 +108,7 @@ def test_hessian_of_cone_potential_recovers_cone_metric():
 
 def test_gates_read_a_curved_connection_once_at_order_1(monkeypatch):
     # The hessian, statistical, l.c.H. and cone-flatness gates take gamma from
-    # the order-1 tensor that curvature_batch reads, so each evaluates the
+    # the order-1 tensor that the curvature fold reads, so each evaluates the
     # connection once; the l.c.H. gate reads g and theta at order 1 first.
     import hesslab.geomcore as gc
     from hesslab.lch import LCHStructure, check_lch
@@ -361,7 +361,7 @@ def test_curvature_flat_is_zero():
 def _fit_with_the_model_tensor(struct, plan):
     """The least-squares fit with the model tensor built whole."""
     pts = struct.chart.sample(plan)
-    r = curvature_batch(struct.conn, pts)
+    r = curvature_tensor(struct.conn, pts)
     g = struct.metric.eval(pts, 0).value
     eye = np.eye(struct.chart.dim)
     basis = np.einsum("ajk,li->alijk", g, eye) - np.einsum("aik,lj->alijk", g, eye)
@@ -675,7 +675,7 @@ def test_cone_round_trip_recovers_base(build_base, lam):
 
 def _count_curvature(monkeypatch) -> list:
     """Every (connection, points) pair whose curvature slices are built: the
-    code `curvature_batch` (the curvature fit) and the flatness term share."""
+    code the curvature fit (`curvature_blocks`) and the flatness term share."""
     import hesslab.geomcore as gc
 
     calls = []
@@ -822,7 +822,7 @@ def test_an_overflowing_metric_entry_still_fails():
     g = MetricField(chart, [["2*exp(800*x0)"]])
     pts = chart.sample(PLAN)
     with np.errstate(all="ignore"):
-        d1 = g.eval(pts, 1).d1[:, 0, 0, 0]
+        d1 = g.eval(pts, 1).grad[:, 0, 0, 0]
         rep = check_hessian_structure(flat_connection(chart), g, PLAN)
     assert np.isinf(d1).any() and not np.isnan(d1).any()
     assert not rep.passed and not math.isfinite(rep.max_residual)

@@ -17,7 +17,7 @@ from jet_reference import reference_evaluate
 from hesslab import expr as ex
 from hesslab import jets
 from hesslab.expr import DomainError
-from hesslab.geomcore import Chart, LineIntegralGauge, MetricField, gauged, levi_civita
+from hesslab.geomcore import Chart, LineIntegralGauge, MetricField, OneFormField, gauged, levi_civita
 from hesslab.jets import _plan, evaluate
 
 PARTS = ("value", "grad", "hess", "third")
@@ -160,7 +160,8 @@ def gauge_forests(draw):
     trees, pts = draw(forests())
     dim = pts.shape[1]
     potential = ex.parse_expression(POTENTIALS[dim], dim)
-    gauge = LineIntegralGauge([ex.diff(potential, i) for i in range(dim)], np.full(dim, 0.25))
+    form = OneFormField(Chart(dim, ((0.0, 1.0),) * dim), [ex.diff(potential, i) for i in range(dim)])
+    gauge = LineIntegralGauge(form, np.full(dim, 0.25))
     sign = draw(st.sampled_from((-1.0, 1.0, -2.0, 0.5)))
     return [gauged(gauge, sign, t) for t in trees] + [ex.Gauge(gauge)], pts
 
@@ -176,8 +177,9 @@ def test_planned_pass_matches_reference_with_a_shared_gauge(forest, order):
 
 
 def test_gauge_leaves_are_interned_on_their_source():
-    f = LineIntegralGauge([ex.ONE], (0.0,))
-    g = LineIntegralGauge([ex.ONE], (0.0,))
+    form = OneFormField(Chart(1, ((0.0, 1.0),)), [ex.ONE])
+    f = LineIntegralGauge(form, (0.0,))
+    g = LineIntegralGauge(form, (0.0,))
     assert ex.Gauge(f) is ex.Gauge(f)
     assert ex.Gauge(f) is not ex.Gauge(g) and ex.Gauge(f) != ex.Gauge(g)
     factor = gauged(f, -1.0, ex.ONE)  # exp(-f), shared by every entry it scales

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jet_reference import jet_from_parts
 from hesslab.expr import DomainError, parse_expression
 from hesslab.jets import Jet, clean, evaluate
 
@@ -399,7 +400,7 @@ def _product_parts(jet: Jet) -> list:
 
 def _full_jet(rng, order: int, m: int, n: int, special: bool) -> Jet:
     """A full-degree jet of random parts, copied into its buffer by
-    `Jet.from_parts`; ``special`` salts them with NaN, -NaN, +-inf and
+    `jet_from_parts`; ``special`` salts them with NaN, -NaN, +-inf and
     -0.0."""
     parts = []
     for k in range(order + 1):
@@ -409,7 +410,7 @@ def _full_jet(rng, order: int, m: int, n: int, special: bool) -> Jet:
             picks = rng.choice(flat.size, size=min(flat.size, 6), replace=False)
             flat[picks] = [np.nan, -np.nan, np.inf, -np.inf, -0.0, 0.0][:len(picks)]
         parts.append(buf.T if k else buf)
-    return Jet.from_parts(order, *parts)
+    return jet_from_parts(order, *parts)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -2,7 +2,8 @@
 
 Every jet, field tensor and residual intermediate is indexed sample axis
 first and stored with that axis at unit stride; a jet's parts are views of
-its one (k, m) buffer. These tests pin the layout of each producer, check
+its one (k, m) buffer, and a field tensor's of its one (*shape, k, m)
+buffer. These tests pin the layout of each producer, check
 that jet arithmetic gives the same bits whatever the layout of the parts a
 jet is built from, and bound the scratch of `max_abs` on either layout.
 """
@@ -16,6 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import curvature_tensor
+from jet_reference import jet_from_parts
 from hesslab import expr as ex
 from hesslab.geomcore import (
     Chart,
@@ -28,7 +31,6 @@ from hesslab.geomcore import (
     covariant_derivative_metric_batch,
     covariant_derivative_oneform_batch,
     covariant_derivative_vector_batch,
-    curvature_batch,
     drop_held_points,
     flat_connection,
     gauged,
@@ -58,8 +60,7 @@ def _metric() -> MetricField:
 
 def _fields():
     g = _metric()
-    form = [ex.parse_expression(w, 2) for w in ("x1", "x0 + 2*x1")]
-    gauge = LineIntegralGauge(form, (1.0, 1.0))
+    gauge = LineIntegralGauge(OneFormField(CHART, ["x1", "x0 + 2*x1"]), (1.0, 1.0))
     gauged_metric = MetricField(CHART, [[gauged(gauge, -1.0, e) for e in row]
                                         for row in g.entries])
     return {
@@ -81,10 +82,31 @@ def test_field_tensors_have_the_sample_axis_at_unit_stride(kind, order):
     try:
         for pts in (loose, held):
             tensor = field.eval(pts, order)
-            arrays = (tensor.value, tensor.d1, tensor.d2, tensor.d3)[:order + 1]
+            arrays = (tensor.value, tensor.grad, tensor.hess, tensor.third)[:order + 1]
             for arr in arrays:
                 assert arr.shape[:1] == (40,)
                 assert unit_stride(arr), arr.strides
+    finally:
+        drop_held_points()
+
+
+@pytest.mark.parametrize("kind", sorted(_fields()))
+def test_a_field_tensor_is_views_of_one_read_only_buffer(kind):
+    # the held tensor is one (*shape, k, m) buffer; value, grad and hess read
+    # its rows in place, entry by entry, and a lower order is a prefix of it
+    field = _fields()[kind]
+    pts = CHART.sample(SamplePlan(count=40, seed=5))
+    try:
+        tensor = field.eval(pts, 2)
+        shape = field.entries.shape
+        assert tensor.buf.shape == shape + (offsets(2)[3], 40)
+        assert not tensor.buf.flags.writeable
+        for r, part in enumerate((tensor.value, tensor.grad, tensor.hess)):
+            assert part.shape == (40,) + shape + (2,) * r
+            assert np.shares_memory(part, tensor.buf) and not part.flags.writeable
+            rows = tensor.buf[..., offsets(2)[r]:offsets(2)[r + 1], :]
+            assert np.array_equal(np.moveaxis(part, 0, -1).reshape(rows.shape), rows)
+        assert np.shares_memory(field.eval(pts, 0).buf, tensor.buf)
     finally:
         drop_held_points()
 
@@ -97,7 +119,7 @@ def test_batch_operators_have_the_sample_axis_at_unit_stride():
     pts = np.random.default_rng(1).uniform(0.5, 1.8, (30, 2))
     for c in (conn, flat_connection(CHART)):
         outputs = [
-            curvature_batch(c, pts),
+            curvature_tensor(c, pts),
             covariant_derivative_metric_batch(c, g, pts),
             covariant_derivative_oneform_batch(c, theta, pts),
             covariant_derivative_vector_batch(c, xi, pts),
@@ -209,7 +231,7 @@ def _apply(op, arg, u, v=None):
 def _run_program(program, leaves, order):
     """Each step applies an op to jets of the pool and adds its result; the
     step's outcome is where the result's fault is (None for none)."""
-    pool = [Jet.from_parts(order, *parts) for parts in leaves]
+    pool = [jet_from_parts(order, *parts) for parts in leaves]
     outcomes = []
     for op, arg, i, j in program:
         u, v = pool[i % len(pool)], pool[j % len(pool)]

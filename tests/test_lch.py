@@ -7,6 +7,7 @@ import dataclasses
 import inspect
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -450,9 +451,9 @@ def test_gauge_hopf_log_potential():
     struct = hopf_lch()
     base = np.array([1.0, 0.5])
     target = np.array([1.4, 0.8])
-    gauge = LineIntegralGauge(struct.lee_form.entries, base)
+    gauge = LineIntegralGauge(struct.lee_form, base)
     expected = -2.0 * math.log(np.hypot(*target) / np.hypot(*base))
-    assert gauge.values(target.reshape(1, -1))[0] == pytest.approx(expected, abs=1e-10)
+    assert gauge.jet(target.reshape(1, -1), 0).value[0] == pytest.approx(expected, abs=1e-10)
     sub = Chart(2, ((0.575, 1.425), (0.3, 0.9)))  # half of each width around base
     rescaled = MetricField(sub, [[gauged(gauge, -1.0, g_ij) for g_ij in row]
                                  for row in struct.metric.entries])
@@ -464,9 +465,9 @@ def test_gauge_poincare_log_potential():
     # theta = -2 dx0 / x0 = df for f = -2 log(x0 / base0), whatever x1 does
     struct = poincare_lch()
     base = np.array([1.0, 0.0])
-    gauge = LineIntegralGauge(struct.lee_form.entries, base)
+    gauge = LineIntegralGauge(struct.lee_form, base)
     targets = np.array([[0.4, -0.7], [1.8, 0.9], [1.0, 0.6]])
-    assert np.allclose(gauge.values(targets), -2.0 * np.log(targets[:, 0]), atol=1e-10)
+    assert np.allclose(gauge.jet(targets, 0).value, -2.0 * np.log(targets[:, 0]), atol=1e-10)
     sub = Chart(2, ((0.575, 1.425), (-0.5, 0.5)))  # half of each width around base
     rescaled = MetricField(sub, [[gauged(gauge, -1.0, g_ij) for g_ij in row]
                                  for row in struct.metric.entries])
@@ -478,8 +479,8 @@ def test_gauge_e67_recovers_hessian_metric():
     # the Killing-but-not-affine example: its Lee form is closed, so the gauge
     # from the origin is a potential (0 at the origin) and e^{-f} g is Hessian
     struct = e67_lch()
-    gauge = LineIntegralGauge(struct.lee_form.entries, (0.0, 0.0))
-    assert gauge.values(np.zeros((1, 2)))[0] == 0.0
+    gauge = LineIntegralGauge(struct.lee_form, (0.0, 0.0))
+    assert gauge.jet(np.zeros((1, 2)), 0).value[0] == 0.0
     sub = Chart(2, ((-0.75, 0.75), (-0.75, 0.75)))  # half of each width around 0
     rescaled = MetricField(sub, [[gauged(gauge, -1.0, g_ij) for g_ij in row]
                                  for row in struct.metric.entries])
@@ -529,9 +530,9 @@ def test_koszul_mean_residual_is_a_mean_over_samples():
     rep = next(c for c in checks if c["op"] == "koszul")["reports"][0]
     pts = scene.chart.sample(plan)
     tj = scene.fields["theta"].eval(pts, 2)
-    g = tj.d1.transpose(0, 2, 1)  # the flat connection: nabla theta = d_i theta_j
+    g = tj.grad.transpose(0, 2, 1)  # the flat connection: nabla theta = d_i theta_j
     worst = np.maximum.reduce([
-        total_symmetry_residual_batch(tj.d2),  # d_k g_ij = d_k d_i theta_j
+        total_symmetry_residual_batch(tj.hess),  # d_k g_ij = d_k d_i theta_j
         definiteness_gap(g),
         rel_residual(g - g.transpose(0, 2, 1), tj.value),
     ])
@@ -735,7 +736,7 @@ def test_minimal_covering_scaling():
     chart = struct.chart
     n = chart.dim
     center = 0.5 * (chart.lo() + chart.hi())
-    gauge = LineIntegralGauge(struct.lee_form.entries, center)
+    gauge = LineIntegralGauge(struct.lee_form, center)
     descended = MetricField(chart, [[gauged(gauge, -1.0, g_ij) for g_ij in row]
                                     for row in struct.metric.entries])
     scaled = VectorFieldT(chart, [ex.ZERO] * (n - 1) + [ex.Var(n - 1)])  # -(2/a) xi
@@ -779,6 +780,34 @@ def test_monodromy_misfit_reads_a_map_that_is_no_homothety():
     skewed = dataclasses.replace(torus, deck_map=VectorFieldT(torus.chart, ["2*x0", "x1", "x2"]))
     rep = check_monodromy(skewed, 1, PLAN)
     assert not rep.passed and rep.max_residual > 0.1
+
+
+def test_monodromy_reports_seam_samples_out_of_the_domain():
+    # a cone metric sqrt(x1) h leaves its domain where x1 <= 0 on the seam:
+    # those samples read inf with the domain note, and c is fitted on the
+    # rest, where the deck map still multiplies the metric by q^2
+    torus = halfplane_torus()
+    h = torus.cone.metric
+    root = ex.call("sqrt", ex.Var(1))
+    rooted = MetricField(h.chart, [[ex.mul(root, e) for e in row] for row in h.entries])
+    cut = dataclasses.replace(torus, cone=dataclasses.replace(torus.cone, metric=rooted))
+    rep = check_monodromy(cut, 1, PLAN)
+    out = int(np.count_nonzero(torus.cone.base.chart.sample(PLAN)[:, 1] <= 0.0))
+    assert 0 < out < PLAN.count
+    assert not rep.passed and rep.max_residual == math.inf and rep.samples == PLAN.count
+    assert rep.extra["character"] == pytest.approx(2.0 * math.log(2.0), abs=1e-9)
+    assert rep.extra["rank"] == 1
+    assert len(rep.notes) == 1
+    assert rep.notes[0].startswith(f"{out} of {PLAN.count} samples hit domain errors: sqrt")
+    # no sample in the domain: nothing to fit, so the character is NaN
+    root = ex.call("sqrt", ex.sub(ex.Var(1), ex.const(5.0)))
+    rooted = MetricField(h.chart, [[ex.mul(root, e) for e in row] for row in h.entries])
+    cut = dataclasses.replace(torus, cone=dataclasses.replace(torus.cone, metric=rooted))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = check_monodromy(cut, 1, PLAN)
+    assert math.isnan(rep.extra["character"]) and rep.max_residual == math.inf
+    assert rep.notes[0].startswith(f"all {PLAN.count} samples hit domain errors: sqrt")
 
 
 def test_mapping_torus_carries_what_it_built():
@@ -863,7 +892,7 @@ def test_metric_pullback_builds_no_intermediate():
     phi = VectorFieldT(chart, ["x1 + 0.1*x0^2", "x2*x0", "x0 - x1*x2"])
     pts = np.random.default_rng(4).uniform(0.5, 1.5, (m, 3))
     pj = phi.eval(pts, 2)
-    jac = pj.d1
+    jac = pj.grad
     operands = {"jac": jac, "g_at": g.eval(pj.value, 0).value}
     spec, names = _metric_pullback_call()
     tracemalloc.start()
