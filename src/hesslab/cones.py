@@ -33,13 +33,12 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
 from . import expr as ex
-from .expr import Expression
+from .expr import Expression, Value
 from .geomcore import (
     DEFAULT_TOLERANCE,
     Chart,
@@ -97,21 +96,18 @@ class MonteCarloDivergenceError(ConeError):
     point is too close to the boundary for the sample budget."""
 
 
-@dataclass(frozen=True)
-class PsiValue:
+class PsiValue(Value):
     """A characteristic-function value with its uncertainty and the number
     of points it rests on (1 for a closed form)."""
 
-    value: float
-    stderr: float
-    method: str
-    samples: int = 1
+    __slots__ = __match_args__ = ("value", "stderr", "method", "samples")
 
-    def __post_init__(self):
-        if not self.value > 0:
+    def __init__(self, value: float, stderr: float, method: str, samples: int = 1):
+        if not value > 0:
             raise ValueError("psi values are positive on the open cone")
-        if not self.stderr >= 0:
-            raise ValueError(f"standard error must be >= 0, not {self.stderr}")
+        if not stderr >= 0:
+            raise ValueError(f"standard error must be >= 0, not {stderr}")
+        self._set(value, stderr, method, samples)
 
 
 def _ball_volume(d: int) -> float:

@@ -32,7 +32,7 @@ from __future__ import annotations
 import re
 import struct
 import weakref
-from dataclasses import dataclass
+from operator import attrgetter
 
 
 class ExprError(ValueError):
@@ -55,6 +55,61 @@ class VariableRangeError(ExprError):
 
 class DomainError(ExprError):
     """Evaluation left the domain (log/sqrt of a non-positive value, zero divisor)."""
+
+
+# ---------------------------------------------------------------------------
+# Immutable values
+# ---------------------------------------------------------------------------
+
+class Value:
+    """Base of the immutable value types: the expression nodes below and
+    records such as `geomcore.Chart`. A subclass names its fields once, as
+    ``__slots__ = __match_args__ = (...)``, and its ``__init__`` sets them
+    with `_set`. From that tuple it gets ``==`` (same class, equal field
+    tuples), a hash of the field tuple, the ``Name(field=value, ...)`` repr,
+    and copies and pickles that call the constructor with the fields.
+    Assigning or deleting an attribute raises AttributeError.
+
+    These are the methods ``@dataclass(frozen=True)`` would generate; written
+    once here, they cost no ``exec`` of generated source at import, which
+    every CLI call pays."""
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        fields = cls.__match_args__
+        if len(fields) == 1:
+            one = attrgetter(fields[0])
+            cls._values = staticmethod(lambda obj: (one(obj),))
+        elif fields:
+            cls._values = staticmethod(attrgetter(*fields))
+
+    def _set(self, *values):
+        for name, value in zip(self.__match_args__, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+    def __reduce__(self):  # through the constructor: copied nodes are interned too
+        return type(self), self._values(self)
 
 
 # ---------------------------------------------------------------------------
@@ -81,8 +136,9 @@ def _bind(cls, args: tuple, kwargs: dict) -> tuple:
     return args
 
 
-class Expression:
-    """Base class of all expression-tree nodes.
+class Expression(Value):
+    """Base class of all expression-tree nodes: `Value` types whose
+    constructor is ``__new__``, so a node has no ``__init__`` of its own.
 
     Nodes are hash-consed: constructing a node whose class, payload and
     children (by identity) match a live node returns that node, so a
@@ -118,72 +174,49 @@ class Expression:
             _INTERNED[key] = weakref.KeyedRef(node, _forget, key)
         return node
 
-    def __reduce__(self):  # copies and unpickled nodes are interned too
-        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
 
-
-# No generated __init__: `Expression.__new__` sets the fields of a new node.
-_node = dataclass(frozen=True, slots=True, init=False)
-
-
-@_node
 class Num(Expression):
-    value: float
+    __slots__ = __match_args__ = ("value",)  # float
 
 
-@_node
 class Var(Expression):
-    index: int
+    __slots__ = __match_args__ = ("index",)  # int
 
 
-@_node
 class Neg(Expression):
-    arg: Expression
+    __slots__ = __match_args__ = ("arg",)
 
 
-@_node
 class Add(Expression):
-    left: Expression
-    right: Expression
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@_node
 class Sub(Expression):
-    left: Expression
-    right: Expression
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@_node
 class Mul(Expression):
-    left: Expression
-    right: Expression
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@_node
 class Div(Expression):
-    left: Expression
-    right: Expression
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@_node
 class Pow(Expression):
-    base: Expression
-    exponent: Expression
+    __slots__ = __match_args__ = ("base", "exponent")
 
 
-@_node
 class Call(Expression):
-    func: str
-    arg: Expression
+    __slots__ = __match_args__ = ("func", "arg")  # func: str, one of UNARY_FUNCTIONS
 
 
-@_node
 class Gauge(Expression):
     """A leaf whose jet comes from ``source.jet(pts, order)``, such as a
     line-integral gauge. Keyed on the identity of ``source``. It has no
     symbolic form: `diff`, `substitute` and `to_source` reject it."""
 
-    source: object
+    __slots__ = __match_args__ = ("source",)
 
 
 UNARY_FUNCTIONS = ("exp", "log", "sqrt", "sin", "cos")

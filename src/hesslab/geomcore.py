@@ -80,13 +80,12 @@ from __future__ import annotations
 import functools
 import itertools
 import weakref
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import expr as ex
 from . import jets
-from .expr import Expression
+from .expr import Expression, Value
 from .jets import Jet, evaluate
 
 Array = np.ndarray
@@ -107,31 +106,36 @@ class FieldShapeError(ValueError):
 # Chart and sampling
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Chart:
-    """An open coordinate box: the single affine patch everything lives on."""
+def _is_integer(x) -> bool:
+    """An int or a numpy integer, but not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
-    dim: int
-    box: tuple[tuple[float, float], ...]
-    positive: tuple[bool, ...] = ()
 
-    def __post_init__(self):
-        if self.dim < 1:
+class Chart(Value):
+    """An open coordinate box: the single affine patch everything lives on.
+    ``box`` holds one (lo, hi) pair of floats per coordinate and ``positive``
+    one flag per coordinate (all False when not given)."""
+
+    __slots__ = __match_args__ = ("dim", "box", "positive")
+
+    def __init__(self, dim: int, box, positive=()):
+        if not _is_integer(dim):
+            raise ChartError(f"chart dimension must be an integer, not {dim!r}")
+        if dim < 1:
             raise ChartError("chart dimension must be positive")
-        box = tuple((float(lo), float(hi)) for lo, hi in self.box)
-        object.__setattr__(self, "box", box)
-        if len(box) != self.dim:
-            raise ChartError(f"box has {len(box)} intervals for dimension {self.dim}")
+        box = tuple((float(lo), float(hi)) for lo, hi in box)
+        if len(box) != dim:
+            raise ChartError(f"box has {len(box)} intervals for dimension {dim}")
         for lo, hi in box:
             if not lo < hi:
                 raise ChartError(f"empty interval ({lo}, {hi})")
-        pos = tuple(self.positive) if self.positive else (False,) * self.dim
-        if len(pos) != self.dim:
+        pos = tuple(positive) if positive else (False,) * dim
+        if len(pos) != dim:
             raise ChartError("positivity flags must match dimension")
         for (lo, _), flag in zip(box, pos):
             if flag and lo < 0:
                 raise ChartError(f"coordinate flagged positive but interval starts at {lo}")
-        object.__setattr__(self, "positive", pos)
+        self._set(dim, box, pos)
 
     def lo(self) -> Array:
         return np.array([b[0] for b in self.box])
@@ -155,19 +159,21 @@ class Chart:
         return _held.pts
 
 
-@dataclass(frozen=True)
-class SamplePlan:
-    count: int = 200
-    seed: int = 42
-    margin: float = 0.05
+class SamplePlan(Value):
+    """``count`` points drawn uniformly from the chart's box shrunk by
+    ``margin`` of its width on each side, by a generator seeded with
+    ``seed``."""
 
-    def __post_init__(self):
-        if self.count < 1:
-            raise ValueError("count must be at least 1")
-        if not isinstance(self.seed, (int, np.integer)):
+    __slots__ = __match_args__ = ("count", "seed", "margin")
+
+    def __init__(self, count: int = 200, seed: int = 42, margin: float = 0.05):
+        if not _is_integer(count) or count < 1:
+            raise ValueError(f"count must be an integer >= 1, not {count!r}")
+        if not _is_integer(seed):
             raise ValueError("seed must be an integer, so that sampling is reproducible")
-        if not 0 <= self.margin < 0.5:
+        if not 0 <= margin < 0.5:
             raise ValueError("margin must lie in [0, 0.5)")
+        self._set(count, seed, margin)
 
 
 def residual_passes(max_residual: float, tolerance: float) -> bool:
@@ -176,22 +182,24 @@ def residual_passes(max_residual: float, tolerance: float) -> bool:
     return bool(np.isfinite(max_residual) and max_residual <= tolerance)
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    name: str
-    max_residual: float
-    mean_residual: float
-    tolerance: float
-    passed: bool
-    samples: int
-    extra: dict = field(default_factory=dict)
-    notes: tuple[str, ...] = ()
+class CheckReport(Value):
+    """One check's residuals over its samples, with ``passed`` equal to
+    `residual_passes` of the worst one; ``extra`` holds named component
+    residuals and ``notes`` remarks such as how many samples hit domain
+    errors."""
 
-    def __post_init__(self):
-        if self.passed != residual_passes(self.max_residual, self.tolerance):
+    __slots__ = __match_args__ = ("name", "max_residual", "mean_residual", "tolerance",
+                                  "passed", "samples", "extra", "notes")
+
+    def __init__(self, name: str, max_residual: float, mean_residual: float,
+                 tolerance: float, passed: bool, samples: int,
+                 extra: dict | None = None, notes: tuple[str, ...] = ()):
+        if passed != residual_passes(max_residual, tolerance):
             raise ValueError(
                 "CheckReport invariant violated: passed must equal finite max <= tol"
             )
+        self._set(name, max_residual, mean_residual, tolerance, passed, samples,
+                  {} if extra is None else extra, notes)
 
     def as_dict(self) -> dict:
         return {

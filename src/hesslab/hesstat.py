@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
-from .expr import Expression
+from .expr import Expression, Value
 from .geomcore import (
     DEFAULT_TOLERANCE,
     Chart,
@@ -118,17 +118,15 @@ class SurfaceConstraintError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StatisticalStructure:
+class StatisticalStructure(Value):
     """A torsion-free connection D and metric g with Dg totally symmetric."""
 
-    chart: Chart
-    conn: ConnectionField
-    metric: MetricField
+    __slots__ = __match_args__ = ("chart", "conn", "metric")
 
-    def __post_init__(self):
-        if self.conn.chart != self.chart or self.metric.chart != self.chart:
+    def __init__(self, chart: Chart, conn: ConnectionField, metric: MetricField):
+        if conn.chart != chart or metric.chart != chart:
             raise ValueError("statistical structure fields must share one chart")
+        self._set(chart, conn, metric)
 
 
 @dataclass(eq=False)
@@ -163,16 +161,15 @@ class ConeStructure:
                 raise ValueError("cone fields must share the cone chart")
 
 
-@dataclass(frozen=True)
-class CurvatureEstimate:
+class CurvatureEstimate(Value):
     """Least-squares fit of Theta(X,Y)Z = c (g(Y,Z)X - g(X,Z)Y)."""
 
-    c: float
-    residual: float
+    __slots__ = __match_args__ = ("c", "residual")
 
-    def __post_init__(self):
-        if self.residual < 0:
+    def __init__(self, c: float, residual: float):
+        if residual < 0:
             raise ValueError("curvature residual must be nonnegative")
+        self._set(c, residual)
 
 
 def _tree(obj, dim: int) -> Expression:

@@ -112,8 +112,7 @@ class LCHStructure:
                 raise ValueError("l.c.H. fields must share one chart")
 
 
-@dataclass(frozen=True)
-class LeeConstants:
+class LeeConstants(ex.Value):
     """Constants of a radiant Killing Lee field, with the residuals that
     justify calling them constants.
 
@@ -124,16 +123,14 @@ class LeeConstants:
     second covariant derivative of xi, which vanishes for affine fields.
     """
 
-    a: float
-    mu: float
-    u: float
-    killing_residual: float
-    radiant_residual: float
-    affine_residual: float
+    __slots__ = __match_args__ = ("a", "mu", "u", "killing_residual", "radiant_residual",
+                                  "affine_residual")
 
-    def __post_init__(self):
-        if self.u != -(self.mu + self.a):
+    def __init__(self, a: float, mu: float, u: float, killing_residual: float,
+                 radiant_residual: float, affine_residual: float):
+        if u != -(mu + a):
             raise ValueError("u must equal -(mu + a)")
+        self._set(a, mu, u, killing_residual, radiant_residual, affine_residual)
 
     def admissible(self, gap: float = 1e-9) -> bool:
         """mu away from 0 and -a, the degenerate values for radiant fields."""

@@ -54,6 +54,7 @@ from .cones import (
 from .geomcore import (
     Chart,
     ChartError,
+    CheckReport,
     ConnectionField,
     DEFAULT_TOLERANCE,
     FieldShapeError,
@@ -145,20 +146,20 @@ _OPS: dict = {}
 _REQUIRED = object()  # the default of a key that a spec must set
 
 
-@dataclass(frozen=True)
-class _Key:
+class _Key(ex.Value):
     """One declared key: ``read(value, owner, key, scope)`` returns the coerced
     value or raises SceneError, ``name`` is the spec key when it is not the
     parameter's (``lambda`` is a Python keyword), and a reference names an
     object of ``pool``. Calling a key gives it a default or a name."""
 
-    read: Callable
-    default: object = _REQUIRED
-    name: str | None = None
-    pool: str | None = None
+    __slots__ = __match_args__ = ("read", "default", "name", "pool")
+
+    def __init__(self, read: Callable, default: object = _REQUIRED,
+                 name: str | None = None, pool: str | None = None):
+        self._set(read, default, name, pool)
 
     def __call__(self, default=_REQUIRED, name=None) -> "_Key":
-        return dataclasses.replace(self, default=default, name=name)
+        return _Key(self.read, default, name, self.pool)
 
 
 def _declare(registry: dict, name: str, *builds: type, **keys: _Key):
@@ -702,7 +703,8 @@ def _op_lee_identity(ctx, tol, structure):
     consts = lee_constants(structure, ctx.plan)
     rep = lee_identity_residual(structure, consts, ctx.plan, tol)
     extra = {**rep.extra, "a": consts.a, "mu": consts.mu, **_lee_residuals(consts)}
-    return [dataclasses.replace(rep, extra=extra)]
+    return [CheckReport(rep.name, rep.max_residual, rep.mean_residual, rep.tolerance,
+                        rep.passed, rep.samples, extra, rep.notes)]
 
 
 @_op("lee_constants", structure=_ref(LCHStructure), require=_choice(*_LEE_TERMS)("killing"))

@@ -75,6 +75,11 @@ def test_chart_validation():
     with pytest.raises(ChartError):
         Chart(1, ((-1.0, 1.0),), positive=(True,))
     assert Chart(2, ((0.0, 1.0), (-1.0, 1.0)), positive=(True, False)).positive == (True, False)
+    # a float or bool dim is not a dimension: it used to fail with a bare TypeError
+    for dim in (2.0, True):
+        with pytest.raises(ChartError, match="integer"):
+            Chart(dim, ((0, 1), (0, 1)))
+    assert Chart(np.int64(2), ((0, 1), (0, 1))).positive == (False, False)
 
 
 def test_sample_plan_validation():
@@ -84,6 +89,14 @@ def test_sample_plan_validation():
         SamplePlan(margin=0.5)
     with pytest.raises(ValueError):
         SamplePlan(margin=-0.1)
+    # a fractional count used to fail inside numpy at the first Chart.sample,
+    # and a bool count or seed was taken as 1 or 0
+    for kwargs in ({"count": 200.5}, {"count": 200.0}, {"count": "200"},
+                   {"count": True, "seed": False}, {"seed": False}):
+        with pytest.raises(ValueError, match="integer"):
+            SamplePlan(**kwargs)
+    plan = SamplePlan(count=np.int64(5), seed=np.int32(3))
+    assert Chart(1, ((0.0, 1.0),)).sample(plan).shape == (5, 1)
 
 
 def test_sampling_respects_margin_and_seed():

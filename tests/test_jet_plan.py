@@ -263,7 +263,7 @@ def test_dense_levi_civita_matches_reference():
         node = stack.pop()
         if id(node) not in objects:
             objects[id(node)] = node
-            stack.extend(getattr(node, f) for f in node.__dataclass_fields__
+            stack.extend(getattr(node, f) for f in node.__match_args__
                          if isinstance(getattr(node, f), ex.Expression))
     assert len(objects) == 313
     assert sum(isinstance(node, ex.Div) for node in objects.values()) == 33
