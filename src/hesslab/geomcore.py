@@ -46,8 +46,12 @@ Positive definiteness is decided by a certificate first (`definiteness`): a
 Cholesky factorization of S - t I, one (m,) row per entry, whose pivots are
 all positive proves a smallest eigenvalue above PD_FLOOR (`CERT_SLACK`).
 Eigenvalues are computed only for the samples it leaves open, by the rule
-that decided every sample before (`eigenvalue_definiteness`, the one
-``eigvalsh`` call), so the gaps, eigenvalues and reports are the same bytes.
+that decided every sample before (`eigenvalue_definiteness`), so the gaps,
+eigenvalues and reports are the same bytes. The eigenvalues are LAPACK's
+bits: a 2 x 2 sample runs a numpy copy of eigvalsh's own 2 x 2 path, branch
+for branch (`_smallest_2x2`), and every other sample goes to the one
+``eigvalsh`` call. In the bundled scenes every sample that reaches the
+rule is 2 x 2.
 
 Blocked passes: a field's plan runs over row blocks of the points
 (`_eval_entries`), each block one jet pass written into its rows of the
@@ -626,9 +630,12 @@ def covariant_derivative_metric_batch(conn: ConnectionField, g: MetricField, pts
     gj = g.eval(pts, 1)
     nabla = np.copy(gj.grad.transpose(0, 3, 1, 2))  # (m, i, j, k) = d_i g_jk
     if not conn.flat:
+        # Gamma^l_ik g_jl is the (j, k) transpose of Gamma^l_ij g_lk: g's
+        # value tensor is bitwise symmetric (`MetricField`)
         c = conn.eval(pts, 0).value
-        nabla -= np.einsum("alij,alk->aijk", c, gj.value)
-        nabla -= np.einsum("alik,ajl->aijk", c, gj.value)
+        t = np.einsum("alij,alk->aijk", c, gj.value)
+        nabla -= t
+        nabla -= t.transpose(0, 1, 3, 2)
     return nabla
 
 
@@ -654,8 +661,10 @@ def lie_derivative_metric_batch(xi: VectorFieldT, g: MetricField, pts) -> Array:
     gj = g.eval(pts, 1)
     xj = xi.eval(pts, 1)
     out = np.einsum("ak,aijk->aij", xj.value, gj.grad)
-    out += np.einsum("akj,aki->aij", gj.value, xj.grad)
-    out += np.einsum("aik,akj->aij", gj.value, xj.grad)
+    # g_ik d_j xi^k is the transpose of g_kj d_i xi^k (g is bitwise symmetric)
+    t = np.einsum("akj,aki->aij", gj.value, xj.grad)
+    out += t
+    out += t.transpose(0, 2, 1)
     return out
 
 
@@ -870,17 +879,73 @@ def positive_definite(smallest: Array) -> Array:
     return np.isfinite(smallest) & (smallest > PD_FLOOR)
 
 
+# The 2 x 2 path of ``np.linalg.eigvalsh`` (Anderson et al., LAPACK Users'
+# Guide, 3rd ed., SIAM 1999): dsyevd -> dsytrd, which leaves a 2 x 2 matrix
+# as it is (diagonal d = (a, c), off-diagonal e = b, lower triangle) ->
+# dsterf -> dlae2, and dlasrt sorts the pair. `_smallest_2x2` takes each of
+# their branches as a mask and each operation in their order, with dlamch's
+# eps = 2^-53, so it gives eigvalsh's bits on every matrix neither routine
+# rescales: dsyevd rescales a largest |entry| outside [2^-485, 2^485]
+# (sqrt(tiny / (2 eps))^{+-1}) and dsterf one outside [sqrt(tiny) / eps^2,
+# sqrt(1 / tiny) / 3] = [2^-405, 2^509.4]. Matrices outside `_UNSCALED`,
+# the zero matrix among them, go to eigvalsh.
+_EPS = 2.0 ** -53
+_UNSCALED = (2.0 ** -405, 2.0 ** 485)
+
+
+def _smallest_2x2(sym: Array) -> Array:
+    """The smallest eigenvalue of each symmetric 2 x 2 matrix of ``sym``,
+    bit for bit as eigvalsh computes it inside `_UNSCALED` (see above)."""
+    a, b, c = sym[:, 0, 0], sym[:, 1, 0], sym[:, 1, 1]
+    with np.errstate(all="ignore"):
+        # dsterf: e splits off, or e^2 deflates, and d is the spectrum
+        aa, ac = np.abs(a), np.abs(c)
+        kept = np.abs(b) <= np.sqrt(aa) * np.sqrt(ac) * _EPS
+        e2 = b * b
+        kept |= e2 <= _EPS * _EPS * (aa * ac)  # |a c|, the same bits
+        # QR iteration when |c| < |a|: dlae2(c, |e|, a), else QL: dlae2(a, |e|, c)
+        qr = ac < aa
+        rte = np.sqrt(e2)
+        sm = a + c
+        adf = np.abs(a - c)
+        ab = rte + rte  # |2 rte|, as rte >= 0
+        big = np.maximum(adf, ab)
+        ratio = np.minimum(adf, ab) / big
+        rt = big * np.sqrt(1.0 + ratio * ratio)  # adf = ab: ratio 1, ab sqrt(2)
+        rt1 = 0.5 * (sm + np.where(sm < 0.0, -rt, rt))
+        # acmx and acmn: the entry of the larger |.| and the other, c on a tie
+        rt2 = (np.where(qr, a, c) / rt1) * np.where(qr, c, a) - (rte / rt1) * rte
+        rt2 = np.where(sm == 0.0, -0.5 * rt, rt2)
+        # dlasrt's insertion sort of d, which QL leaves (rt1, rt2) and QR
+        # (rt2, rt1). Both orders sort to the same bits: the entries are
+        # finite, and |rt1| >= rt / 2 > 0, so equal rt1 and rt2 are not a
+        # pair of signed zeros
+        first = np.where(kept, a, rt1)
+        second = np.where(kept, c, rt2)
+        return np.where(second < first, second, first)
+
+
 def eigenvalue_definiteness(mats: Array) -> tuple[Array, Array]:
     """The eigenvalue rule on every sample: the smallest eigenvalue of each
     symmetric part (NaN where it is not finite), and its definiteness gap, 0
     where `positive_definite`, otherwise max(1, PD_FLOOR - eigenvalue) (NaN
-    for a NaN eigenvalue), so a check on it fails. The only ``eigvalsh`` call
-    in the package: gates reach it through `definiteness`, which sends it
-    only the samples the Cholesky certificate leaves open."""
+    for a NaN eigenvalue), so a check on it fails. The eigenvalues are
+    eigvalsh's bits: 2 x 2 samples inside `_UNSCALED` are `_smallest_2x2`'s,
+    and the package's only ``eigvalsh`` call takes every other sample. Gates
+    reach this through `definiteness`, which sends it only the samples the
+    Cholesky certificate leaves open."""
     sym = 0.5 * (mats + mats.transpose(0, 2, 1))
-    bad = ~np.isfinite(max_abs(sym))
+    scale = max_abs(sym)
+    bad = ~np.isfinite(scale)
     sym[bad] = 0.0  # LAPACK may not converge on an inf or NaN entry
-    smallest = np.linalg.eigvalsh(sym)[:, 0]
+    if sym.shape[1] == 2:
+        smallest = _smallest_2x2(sym)
+        lapack = ~((scale >= _UNSCALED[0]) & (scale <= _UNSCALED[1]))
+    else:
+        smallest = np.empty(sym.shape[0])
+        lapack = np.ones(sym.shape[0], bool)
+    if lapack.any():
+        smallest[lapack] = np.linalg.eigvalsh(sym[lapack])[:, 0]
     smallest[bad] = np.nan
     return smallest, np.where(positive_definite(smallest), 0.0,
                               np.maximum(1.0, PD_FLOOR - smallest))
@@ -947,8 +1012,9 @@ def definiteness(mats: Array) -> tuple[Array, Array, Array]:
     certificate left open, and their smallest eigenvalues. A certified
     sample's gap is 0, the value the eigenvalue rule gives it (CERT_SLACK).
     The open samples are symmetrized from ``mats`` again, elementwise, and
-    LAPACK factors each matrix of a batch on its own, so every gap and
-    eigenvalue is the one `eigenvalue_definiteness` computes on all samples.
+    LAPACK and `_smallest_2x2` take each matrix of a batch on its own, so
+    every gap and eigenvalue is the one `eigenvalue_definiteness` computes on
+    all samples.
     When every sample is certified, no eigenvalue is computed."""
     sym = 0.5 * (mats + mats.transpose(0, 2, 1))
     rest = np.flatnonzero(~_cholesky_certified(sym))

@@ -6,6 +6,7 @@ import ast
 import itertools
 import pathlib
 import tracemalloc
+import types
 import weakref
 
 import numpy as np
@@ -345,6 +346,78 @@ def test_lie_e67_lee_field_is_killing():
     gval = g.eval(pts, 0).value
     rel = np.abs(out).max() / (1 + np.abs(gval).max())
     assert rel < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# nabla g and L_xi g: one contraction and its transpose
+# ---------------------------------------------------------------------------
+
+class _Given:
+    """A field whose jet at every point set is the given value and gradient."""
+
+    flat = False
+
+    def __init__(self, value, grad=None):
+        self.jet = types.SimpleNamespace(value=value, grad=grad)
+
+    def eval(self, pts, order=0):
+        return self.jet
+
+
+@pytest.mark.parametrize("layout", ["sample-first", "C"])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_symmetric_terms_are_the_two_contractions_bit_for_bit(d, layout):
+    # nabla g and L_xi g take their second g term as the transpose of the
+    # first; on a bitwise symmetric g that is what contracting it gives
+    rng = np.random.default_rng(d)
+    for m in (1, 7, 200):
+        def given(*shape, symmetric=False):
+            arr = rng.standard_normal((m,) + shape)
+            if symmetric:
+                arr = arr + arr.swapaxes(1, 2)
+            if layout == "C":
+                return np.ascontiguousarray(arr)
+            return samples_first(np.ascontiguousarray(np.moveaxis(arr, 0, -1)))
+
+        g = _Given(given(d, d, symmetric=True), given(d, d, d, symmetric=True))
+        gamma, xi = given(d, d, d), _Given(given(d), given(d, d))
+        value, grad = g.jet.value, g.jet.grad
+        want = np.copy(grad.transpose(0, 3, 1, 2))
+        want -= np.einsum("alij,alk->aijk", gamma, value)
+        want -= np.einsum("alik,ajl->aijk", gamma, value)
+        got = covariant_derivative_metric_batch(_Given(gamma), g, None)
+        assert got.tobytes() == want.tobytes()
+        want = np.einsum("ak,aijk->aij", xi.jet.value, grad)
+        want += np.einsum("akj,aki->aij", value, xi.jet.grad)
+        want += np.einsum("aik,akj->aij", value, xi.jet.grad)
+        assert lie_derivative_metric_batch(xi, g, None).tobytes() == want.tobytes()
+
+
+def test_every_bundled_metric_is_bitwise_symmetric(monkeypatch):
+    # the invariant the single contractions above rest on: a metric's (i, j)
+    # and (j, i) entries are one node, so their jets are the same bits
+    import hesslab.geomcore as gc
+    from hesslab.scenes import EXAMPLES, run_example
+
+    metrics = {}
+    real = gc._eval_entries
+
+    def record(field, pts, order, *args, **kwargs):
+        if isinstance(field, MetricField):
+            metrics.setdefault(id(field), (field, pts))
+        return real(field, pts, order, *args, **kwargs)
+
+    monkeypatch.setattr(gc, "_eval_entries", record)
+    for name in EXAMPLES:
+        run_example(name, SamplePlan(count=200, seed=5))
+    monkeypatch.undo()
+    assert len(metrics) >= 10
+    assert {field.chart.dim for field, _ in metrics.values()} >= {2, 3}
+    for field, pts in metrics.values():
+        jet = gc._eval_entries(field, pts, 1)
+        for part in (jet.value, jet.grad):
+            assert part.tobytes() == part.swapaxes(1, 2).tobytes()
+    drop_held_points()
 
 
 # ---------------------------------------------------------------------------
@@ -749,7 +822,8 @@ _SPECIAL = (np.inf, -np.inf, np.nan, -0.0)
 def _sample_matrix(draw, dim):
     """One d x d matrix: a rotated diagonal with its smallest eigenvalue
     well inside, at or just across PD_FLOOR, or negative, at a scale of 1,
-    1e-150 or 1e150, maybe skewed and maybe with a non-finite or -0.0 entry."""
+    1e-300, 1e-150, 1e-130, 1e150 or 1e300, maybe skewed and maybe with a
+    non-finite or -0.0 entry."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["spd", "indefinite", "above", "below", "at"]))
     lam = rng.uniform(0.1, 10.0, dim)
@@ -757,7 +831,7 @@ def _sample_matrix(draw, dim):
         lam[rng.integers(dim)] = -rng.uniform(1e-12, 10.0)
     elif kind != "spd":
         lam[0] = PD_FLOOR * {"above": 1.0 + 1e-6, "below": 1.0 - 1e-6, "at": 1.0}[kind]
-    lam *= draw(st.sampled_from([1.0, 1e-150, 1e150]))
+    lam *= draw(st.sampled_from([1.0, 1e-300, 1e-150, 1e-130, 1e150, 1e300]))
     if draw(st.booleans()):
         q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
         mat = (q * lam) @ q.T
@@ -810,8 +884,24 @@ def _counting_eigvalsh(monkeypatch):
     return rows
 
 
+def _counting_open_rows(monkeypatch):
+    """Patch geomcore.eigenvalue_definiteness, which `definiteness` sends the
+    samples its certificate leaves open, to record the rows of each call."""
+    import hesslab.geomcore as gc
+
+    rows = []
+    real = gc.eigenvalue_definiteness
+
+    def counted(mats):
+        rows.append(len(mats))
+        return real(mats)
+
+    monkeypatch.setattr(gc, "eigenvalue_definiteness", counted)
+    return rows
+
+
 def test_a_certified_batch_computes_no_eigenvalue(monkeypatch):
-    rows = _counting_eigvalsh(monkeypatch)
+    rows = _counting_open_rows(monkeypatch)
     rng = np.random.default_rng(3)
     a = rng.standard_normal((500, 3, 3))
     mats = np.einsum("aij,akj->aik", a, a) + 0.5 * np.eye(3)
@@ -828,7 +918,7 @@ def test_a_mixed_batch_computes_only_the_uncertified_eigenvalues(monkeypatch):
     mats[bad, 2, 2] -= 20.0  # indefinite
     mats[bad[:5]] = np.diag([2.0, 1.0, PD_FLOOR * (1.0 + 1e-6)])  # above the floor
     want_smallest, want = _eigenvalue_rule(mats)
-    rows = _counting_eigvalsh(monkeypatch)
+    rows = _counting_open_rows(monkeypatch)
     gap, rest, smallest = definiteness(mats)
     assert rows == [40]
     assert rest.tolist() == bad.tolist()
@@ -840,14 +930,106 @@ def test_a_mixed_batch_computes_only_the_uncertified_eigenvalues(monkeypatch):
 def test_a_wide_pass_computes_eigenvalues_once(monkeypatch):
     # hopf and sphere_cone at 20 000 samples: every metric gate is certified;
     # only the Koszul check of an indefinite nabla theta (expected to fail)
-    # reads eigenvalues, and its mean residual needs every one of them
+    # reads eigenvalues, and its mean residual needs every one of them. They
+    # are 2 x 2, so none of them reaches eigvalsh
     from hesslab.scenes import load_example, run_suite
 
-    rows = _counting_eigvalsh(monkeypatch)
+    rows = _counting_open_rows(monkeypatch)
+    lapack_rows = _counting_eigvalsh(monkeypatch)
     plan = SamplePlan(count=20_000, seed=11)
     reports = [run_suite(load_example(name), plan) for name in ("hopf", "sphere_cone")]
     assert all(report.all_ok for report in reports)
     assert rows == [20_000]
+    assert lapack_rows == []
+
+
+def _two_by_two_matrices(rng, n=8_000):
+    """About 10^5 symmetric 2 x 2 matrices [[a, b], [b, c]], in groups of n:
+    each branch of LAPACK's 2 x 2 eigenvalue path (see
+    `geomcore._smallest_2x2`), the edges of the window it runs unscaled in,
+    and matrices outside it. Returns the matrices and the rows of the groups
+    that lie outside (largest |entry| 1e-130, 1e-300, 1e300, 0)."""
+    def normal(scale=1.0):
+        return tuple(rng.standard_normal(n) * scale for _ in range(3))
+
+    groups = [normal(10.0 ** rng.uniform(-120, 145, n))]  # QL and QR
+    a, b, c = normal()
+    groups.append((a, b * 10.0 ** rng.uniform(-20, -15, n), c))  # e splits off
+    # |b| a few ulps either side of the split test's bound: split or deflated
+    a, b, c = rng.standard_normal((3, n)) * 10.0 ** rng.uniform(-3, 3, (3, n))
+    b = np.sqrt(np.abs(a)) * np.sqrt(np.abs(c)) * 2.0**-53
+    for step in range(3):
+        k = rng.integers(-3, 4, n)
+        b = np.where(k > step, np.nextafter(b, np.inf), np.where(k < -step, np.nextafter(b, 0), b))
+    groups.append((a, b * rng.choice([-1.0, 1.0], n), c))
+    a, b, _ = normal()
+    groups += [(a, b, -a), (a, b, a)]  # sm = 0; |a| = |c|
+    # adf = ab: |a - c| = |2b| on dyadic entries
+    a, b = rng.integers(-8, 9, (2, n)) / 4.0
+    groups.append((a, b, a - 2.0 * b * rng.choice([-1.0, 1.0], n)))
+    # small integers and signed zeros
+    a, b, c = rng.integers(-2, 3, (3, n)).astype(float)
+    a, b, c = (np.where(rng.random(n) < 0.4, -0.0 * x, x) for x in (a, b, c))
+    groups.append((a, b, c))
+    # smallest eigenvalue at and across PD_FLOOR, rotated
+    lam = PD_FLOOR * rng.choice([1.0 - 1e-6, 1.0, 1.0 + 1e-6], n)
+    big = rng.uniform(0.1, 10.0, n)
+    t = rng.uniform(0.0, np.pi, n)
+    cs, sn = np.cos(t), np.sin(t)
+    groups.append((lam * cs * cs + big * sn * sn, (lam - big) * cs * sn, lam * sn * sn + big * cs * cs))
+    # largest |entry| exactly at either edge of the window, and one float out
+    a, b, c = normal()
+    top = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.abs(c))
+    edge = rng.choice([2.0**-405, 2.0**485, np.nextafter(2.0**-405, 0), np.nextafter(2.0**485, np.inf)], n)
+    groups.append((a / top * edge, b / top * edge, c / top * edge))
+    outside = len(groups) * n
+    for scale in (1e-130, 1e-300, 1e300):
+        groups.append(normal(scale))
+    groups.append(tuple(rng.choice([0.0, -0.0], n) for _ in range(3)))
+    a, b, c = (np.concatenate(x) for x in zip(*groups))
+    sym = np.moveaxis(np.array([[a, b], [b, c]]), -1, 0)
+    return sym, np.arange(outside, len(a))
+
+
+def test_the_2x2_eigenvalues_are_eigvalsh_bit_for_bit(monkeypatch):
+    # the 2 x 2 samples inside LAPACK's unscaled window take a numpy copy of
+    # its path; every branch of it is taken below, and every other sample
+    # goes to the one eigvalsh call
+    sym, outside = _two_by_two_matrices(np.random.default_rng(36))
+    a, b, c = sym[:, 0, 0], sym[:, 1, 0], sym[:, 1, 1]
+    scale = max_abs(sym)
+    window = (scale >= 2.0**-405) & (scale <= 2.0**485)
+    with np.errstate(all="ignore"):
+        split = np.abs(b) <= np.sqrt(np.abs(a)) * np.sqrt(np.abs(c)) * 2.0**-53
+        deflated = ~split & (b * b <= 2.0**-106 * np.abs(a * c))
+    solved = window & ~split & ~deflated
+    branches = {
+        "split": window & split,
+        "deflated": window & deflated,
+        "QL": solved & ~(np.abs(c) < np.abs(a)),
+        "QR": solved & (np.abs(c) < np.abs(a)),
+        "sm = 0": solved & (a + c == 0.0),
+        "adf = ab": solved & (np.abs(a - c) == np.abs(b + b)),
+        "signed zero": window & (np.signbit(sym) & (sym == 0.0)).any(axis=(1, 2)),
+        "lowest edge": scale == 2.0**-405,
+        "highest edge": scale == 2.0**485,
+        "below the window": scale == np.nextafter(2.0**-405, 0),
+        "above the window": scale == np.nextafter(2.0**485, np.inf),
+        "zero matrix": scale == 0.0,
+    }
+    assert all(rows.sum() >= 20 for rows in branches.values()), {
+        name: rows.sum() for name, rows in branches.items()}
+    assert not window[outside].any()
+    want = np.linalg.eigvalsh(sym)[:, 0]
+    sent = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda mats: sent.append(mats) or eigvalsh(mats))
+    smallest, gap = eigenvalue_definiteness(sym)
+    assert smallest.tobytes() == want.tobytes()
+    assert gap.tobytes() == np.where(positive_definite(want), 0.0,
+                                     np.maximum(1.0, PD_FLOOR - want)).tobytes()
+    (lapack,) = sent
+    assert lapack.tobytes() == sym[~window].tobytes()
 
 
 _SYMMETRIC_EIGENSOLVERS = {"eigvalsh", "eigh"}

@@ -23,7 +23,7 @@ from conftest import (
     sphere_metric,
 )
 from hesslab import expr as ex
-from hesslab import lch
+from hesslab import geomcore, lch
 from hesslab.cones import LorentzCone, OrthantCone, cone_lch_structure
 from hesslab.geomcore import (
     Chart,
@@ -345,14 +345,17 @@ def test_metric_from_lee_reports_what_every_eigenvalue_would(monkeypatch):
             metric_from_lee(flat_connection(chart), theta, 1.0, plan)
         return err.value
 
-    rows = []
-    eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh",
-                        lambda a: rows.append(len(a)) or eigvalsh(a))
+    rows = []  # the samples that reach the eigenvalue rule
+
+    def counted(mats):
+        rows.append(len(mats))
+        return eigenvalue_definiteness(mats)
+
+    monkeypatch.setattr(geomcore, "eigenvalue_definiteness", counted)
     certified = raised()
 
     def every_sample(mats):
-        smallest, gap = eigenvalue_definiteness(mats)
+        smallest, gap = counted(mats)
         return gap, np.arange(gap.size), smallest
 
     monkeypatch.setattr(lch, "definiteness", every_sample)
@@ -421,7 +424,6 @@ def test_lee_field_is_built_once_per_structure_in_a_suite(monkeypatch, name):
 
 def test_closedness_is_computed_once_per_point_set(monkeypatch):
     # the l.c.H. gate and the closedness precondition read one kept term
-    import hesslab.geomcore as geomcore
     from hesslab.hesstat import structure_terms
 
     built = []
