@@ -197,9 +197,6 @@ class ConeSpec:
     def contains(self, x) -> bool:
         raise NotImplementedError
 
-    def dual_contains(self, y) -> bool:
-        raise NotImplementedError
-
     def psi_expression(self) -> Expression:
         raise NoClosedFormError(f"{self.describe()} has no closed-form psi")
 
@@ -226,9 +223,6 @@ class OrthantCone(ConeSpec):
 
     def contains(self, x) -> bool:
         return bool(np.all(self._point(x) > 0.0))
-
-    def dual_contains(self, y) -> bool:
-        return self.contains(y)
 
     def psi_expression(self) -> Expression:
         return reduce(ex.mul, (ex.div(ex.ONE, ex.Var(i)) for i in range(self.dim)))
@@ -266,9 +260,6 @@ class LorentzCone(ConeSpec):
     def contains(self, x) -> bool:
         p = self._point(x)
         return bool(p[0] > np.linalg.norm(p[1:]))
-
-    def dual_contains(self, y) -> bool:
-        return self.contains(y)
 
     def psi_expression(self) -> Expression:
         if self.dim != 2:
@@ -378,10 +369,6 @@ class PolyhedralCone(ConeSpec):
             raise ConeError(f"interior test failed: {res.message}")
         return bool(res.fun > 1e-9 * (1.0 + float(np.linalg.norm(p))))
 
-    def dual_contains(self, y) -> bool:
-        p = self._point(y)
-        return bool(np.all(self.generators @ p > 0.0))
-
     def _simplicial(self):
         return self.generators.shape[0] == self.dim
 
@@ -481,10 +468,6 @@ class ProductCone(ConeSpec):
     def contains(self, x) -> bool:
         p = self._point(x)
         return all(f.contains(p[s]) for f, s in self._slices())
-
-    def dual_contains(self, y) -> bool:
-        p = self._point(y)
-        return all(f.dual_contains(p[s]) for f, s in self._slices())
 
     def psi_expression(self) -> Expression:
         parts = []

@@ -133,6 +133,8 @@ class Chart(Value):
         for lo, hi in box:
             if not lo < hi:
                 raise ChartError(f"empty interval ({lo}, {hi})")
+            if not np.isfinite(hi - lo):
+                raise ChartError(f"interval ({lo}, {hi}) is not finite")
         pos = tuple(positive) if positive else (False,) * dim
         if len(pos) != dim:
             raise ChartError("positivity flags must match dimension")
@@ -306,15 +308,11 @@ class LineIntegralGauge:
             fault = jets.join(fault, form.fault)
             rows = form.buf  # (k, row, m): the jet rows of w_k
             buf[1:off[2]] = rows[:, 0]
-        if order >= 2:
-            dform = rows[:, 1:off[2]]  # (k, i, m) = d_i w_k
-            hess = buf[off[2]:off[3]].reshape(n, n, m)
+        if order == 2:
+            dform = rows[:, 1:]  # (k, i, m) = d_i w_k
+            hess = buf[off[2]:].reshape(n, n, m)
             np.add(dform, dform.transpose(1, 0, 2), out=hess)
             hess *= 0.5
-        if order >= 3:
-            t = rows[:, off[2]:off[3]].reshape(n, n, n, m).transpose(1, 2, 0, 3)  # d_i d_j w_k
-            buf[off[3]:].reshape(n, n, n, m)[...] = sum(
-                t.transpose(perm + (3,)) for perm in itertools.permutations(range(3))) / 6.0
         return Jet(order, order, n, buf, fault)
 
 
@@ -549,6 +547,7 @@ class _Field:
         """The jet of the entries at ``pts``. On the held sampled array its
         buffer is read-only and shared with later calls on the same array.
         Every read notes the tensor's fault (`_note`)."""
+        jets.check_order(order)
         stored = _held.get((self,), pts)
         if stored is None or stored.order < order:
             stored = _held.put((self,), pts, _eval_entries(self, pts, order))

@@ -1,13 +1,12 @@
-"""Forward-mode derivative jets, truncated at order 3, batched over sample points.
+"""Forward-mode derivative jets, truncated at order 2, batched over sample points.
 
-A `Jet` holds the value and the first three derivative tensors of a scalar
+A `Jet` holds the value and the first two derivative tensors of a scalar
 function evaluated at a batch of m points in n coordinates, in one float
-buffer of shape (k, m): row 0 is the value, then come n gradient rows, n^2
-Hessian rows and n^3 third-derivative rows, each in C order of its indices,
-each a row of m contiguous samples. The parts are read-only views of it,
-indexed sample axis first:
+buffer of shape (k, m): row 0 is the value, then come n gradient rows and n^2
+Hessian rows, each in C order of its indices, each a row of m contiguous
+samples. The parts are read-only views of it, indexed sample axis first:
 
-    value (m,)   grad (m,n)   hess (m,n,n)   third (m,n,n,n)
+    value (m,)   grad (m,n)   hess (m,n,n)
 
 so ``grad`` is ``buf[1:1+n].T``, with strides (8, 8m). A field's tensor is
 the `Jet` of its entries: its buffer puts the entry axes first, (*shape, k,
@@ -15,16 +14,20 @@ m), each entry's k rows as above, and its parts index as (m, *shape, n, ...),
 value[m, i, j] and grad[m, i, j, a] = d_a g_ij for a metric. `Jet._part` is
 the one reader of the row layout.
 
+Order 2 is all the checks read: any higher derivative, such as the
+covariant derivative of a Hessian metric, is built symbolically by
+`expr.diff` before a jet is taken.
+
 Arithmetic implements the truncated Taylor (Leibniz / Faa di Bruno) rules
 exactly, so derivatives of parsed expressions are exact to roundoff rather
 than finite-difference approximations. Each op makes one fresh buffer and
 fills it with a few ufunc calls, over all of its rows at once where it can:
 a sum or a negation is one call, and a first-order product is every row of
 one factor times the other's value (one call) plus the other gradient term,
-its one scratch array. Second and third orders add their terms in turn into
-the rows of their order, the outer products among them made by einsum. No op
-writes an operand's buffer, so any number of slots may read a jet. The
-ring operations and compositions take scalar jets, (k, m) buffers, only.
+its one scratch array. Second order adds its terms in turn into the Hessian
+rows, the outer products among them made by einsum. No op writes an
+operand's buffer, so any number of slots may read a jet. The ring
+operations and compositions take scalar jets, (k, m) buffers, only.
 
 Each jet also records its `degree`, the highest derivative order that can be
 nonzero (sparse forward mode): 0 for `Jet.constant`, 1 for
@@ -37,9 +40,8 @@ a known-zero factor and adds the rest in the order of the full rule, so a
 product of two full-degree jets is the textbook Leibniz rule bit for bit.
 Dropping a zero term changes no value, except that a 0 * inf = NaN it would
 have added is gone and the sign of a zero may differ. Reads do not change:
-``grad``, ``hess`` and ``third`` return full arrays at every order up to the
-requested one, a known-zero order as fresh zeros, and None above the
-requested order.
+``grad`` and ``hess`` return full arrays at every order up to the requested
+one, a known-zero order as fresh zeros, and None above the requested order.
 
 A domain error is a per-sample mask, not an exception: ``reciprocal``,
 ``log``, ``sqrt`` and ``powf`` set the rows out of their domain to NaN before
@@ -61,7 +63,7 @@ from .expr import DomainError, Expression
 
 Array = np.ndarray
 
-MAX_ORDER = 3
+MAX_ORDER = 2
 
 
 class Fault(NamedTuple):
@@ -97,19 +99,9 @@ def clean(jet: "Jet") -> "Jet":
 
 @functools.cache
 def offsets(n: int) -> tuple[int, ...]:
-    """The first buffer row of each order 0..3 in n coordinates, and the end
+    """The first buffer row of each order 0..2 in n coordinates, and the end
     of the last: order k has rows ``offsets(n)[k]:offsets(n)[k + 1]``."""
     return tuple(itertools.accumulate((n**k for k in range(MAX_ORDER + 1)), initial=0))
-
-
-def _add_all(dst: Array, fresh: bool, terms) -> None:
-    """dst (+)= terms[0] + terms[1] + ..., added left to right; a ``fresh``
-    dst holds nothing yet, and there are then at least two terms."""
-    if fresh:
-        np.add(terms[0], terms[1], out=dst)
-        terms = terms[2:]
-    for term in terms:
-        dst += term
 
 
 class Jet:
@@ -157,10 +149,6 @@ class Jet:
     @property
     def hess(self):
         return self._part(2)
-
-    @property
-    def third(self):
-        return self._part(3)
 
     def prefix(self, order: int, rows=slice(None)) -> "Jet":
         """This jet truncated at ``order`` at the samples ``rows``, a view of
@@ -239,46 +227,37 @@ class Jet:
             grad = out[1:]
             grad += B[1:] * A[0]
             return Jet(1, 1, a.n, out, fault)
-        o, n, da, db = a.order, a.n, a.degree, b.degree
-        degree = min(o, da + db)
-        av = A[0]
-        m = A.shape[1]
+        # order 2, both of degree 1 or 2: the Hessian rows are a's times
+        # b's value, b's times a's value, then the two gradient outer products
+        n, m = a.n, A.shape[1]
         off = offsets(n)
-        out = np.empty((off[degree + 1], m))
+        av = A[0]
+        out = np.empty((off[3], m))
         np.multiply(A, B[0], out=out[:len(A)])
-        ga, gb = A[1:off[2]].T, B[1:off[2]].T
-        for k in range(1, degree + 1):
-            shape = (n,) * k + (m,)
-            dst = out[off[k]:off[k + 1]].reshape(shape)
-            fresh = k > da
-            if k <= db:
-                bk = B[off[k]:off[k + 1]].reshape(shape)
-                if fresh:
-                    np.multiply(bk, av, out=dst)
-                    fresh = False
-                else:
-                    dst += bk * av
-            # einsum's outer products come sample axis first, over rows of
-            # samples; transposed, they index as the buffer's rows do
-            if k == 2:
-                cross = np.einsum("mi,mj->mij", ga, gb).transpose(1, 2, 0)
-                _add_all(dst, fresh, (cross, cross.transpose(1, 0, 2)))
-            elif k == 3:
-                for hx, gy in ((A, gb), (B, ga)):
-                    if len(hx) >= off[3]:
-                        h = hx[off[2]:off[3]].reshape(n, n, m).transpose(2, 0, 1)
-                        hg = np.einsum("mij,mk->mijk", h, gy).transpose(1, 2, 3, 0)
-                        _add_all(dst, fresh, (hg, hg.transpose(0, 2, 1, 3),
-                                              hg.transpose(2, 0, 1, 3)))
-                        fresh = False
-        return Jet(o, degree, n, out, fault)
+        grad = out[1:off[2]]
+        grad += B[1:off[2]] * av
+        hess = out[off[2]:].reshape(n, n, m)
+        fresh = a.degree < 2
+        if b.degree == 2:
+            bh = B[off[2]:].reshape(n, n, m)
+            if fresh:
+                np.multiply(bh, av, out=hess)
+                fresh = False
+            else:
+                hess += bh * av
+        # einsum's outer product comes sample axis first, over rows of
+        # samples; transposed, it indexes as the buffer's rows do
+        cross = np.einsum("mi,mj->mij", A[1:off[2]].T, B[1:off[2]].T).transpose(1, 2, 0)
+        if fresh:
+            np.add(cross, cross.transpose(1, 0, 2), out=hess)
+        else:
+            hess += cross
+            hess += cross.transpose(1, 0, 2)
+        return Jet(2, 2, n, out, fault)
 
-    def __truediv__(self, other: "Jet") -> "Jet":
-        return self * other.reciprocal()
-
-    # -- univariate composition (Faa di Bruno through order 3) ---------------
+    # -- univariate composition (Faa di Bruno through order 2) ---------------
     #
-    # The derivative coefficients f1-f3 are built only up to `_chain_order`:
+    # The derivative coefficients f1 and f2 are built only up to `_chain_order`:
     # an order-0 pass never reads them, nor does a constant's composition,
     # and their powers can overflow.
 
@@ -295,15 +274,15 @@ class Jet:
         row = int(bad.argmax())
         return np.where(bad, np.nan, v), Fault(bad, (row, next(_SEQ), why(v[row])))
 
-    def compose(self, f0: Array, f1=None, f2=None, f3=None, fault: Fault | None = None) -> "Jet":
-        """f(self), from f's value f0 (a fresh array) and its derivatives
-        f1-f3 at self's value. Each order's terms are added in turn, into
-        the rows of that order."""
+    def compose(self, f0: Array, f1=None, f2=None, fault: Fault | None = None) -> "Jet":
+        """f(self), from f's value f0 (a fresh array) and its derivatives f1
+        and f2 at self's value. The Hessian rows are f2 times the gradient's
+        outer product, then f1 times self's Hessian."""
         o, n = self.order, self.n
         fault = join(self.fault, fault)
         if not self.degree:
             return Jet(o, 0, n, f0[None], fault)
-        A, d = self.buf, self.degree
+        A = self.buf
         m = A.shape[1]
         off = offsets(n)
         out = np.empty((off[o + 1], m))
@@ -313,24 +292,11 @@ class Jet:
         if o < 2:
             return Jet(o, o, n, out, fault)
         g = grad.T
-        hess = out[off[2]:off[3]].reshape(n, n, m)
+        hess = out[off[2]:].reshape(n, n, m)
         gg = np.einsum("mi,mj->mij", g, g).transpose(1, 2, 0)
         np.multiply(gg, f2, out=hess)
-        if d >= 2:
-            h = A[off[2]:off[3]].reshape(n, n, m)
-            hess += h * f1
-        if o >= 3:
-            third = out[off[3]:].reshape(n, n, n, m)
-            ggg = np.einsum("mi,mj,mk->mijk", g, g, g).transpose(1, 2, 3, 0)
-            np.multiply(ggg, f3, out=third)
-            if d >= 2:
-                hg = np.einsum("mij,mk->mijk", h.transpose(2, 0, 1), g).transpose(1, 2, 3, 0)
-                sym3 = hg + hg.transpose(0, 2, 1, 3)
-                sym3 += hg.transpose(2, 0, 1, 3)
-                sym3 *= f2
-                third += sym3
-            if d >= 3:
-                third += A[off[3]:].reshape(n, n, n, m) * f1
+        if self.degree == 2:
+            hess += A[off[2]:].reshape(n, n, m) * f1
         return Jet(o, o, n, out, fault)
 
     def reciprocal(self) -> "Jet":
@@ -341,13 +307,12 @@ class Jet:
             inv,
             -(inv**2) if o >= 1 else None,
             2.0 * inv**3 if o >= 2 else None,
-            -6.0 * inv**4 if o >= 3 else None,
             fault,
         )
 
     def exp(self) -> "Jet":
         e = np.exp(self.buf[0])
-        return self.compose(e, e, e, e)
+        return self.compose(e, e, e)
 
     def log(self) -> "Jet":
         v, fault = self._domain(self.buf[0] <= 0.0,
@@ -358,7 +323,6 @@ class Jet:
             np.log(v),
             inv,
             -(inv**2) if o >= 2 else None,
-            2.0 * inv**3 if o >= 3 else None,
             fault,
         )
 
@@ -371,17 +335,16 @@ class Jet:
             r,
             0.5 / r if o >= 1 else None,
             -0.25 / (r * v) if o >= 2 else None,
-            0.375 / (r * v * v) if o >= 3 else None,
             fault,
         )
 
     def sin(self) -> "Jet":
         s, c = np.sin(self.buf[0]), np.cos(self.buf[0])
-        return self.compose(s, c, -s, -c)
+        return self.compose(s, c, -s)
 
     def cos(self) -> "Jet":
         s, c = np.sin(self.buf[0]), np.cos(self.buf[0])
-        return self.compose(c, -s, -c, s)
+        return self.compose(c, -s, -c)
 
     def powi(self, k: int) -> "Jet":
         """self**k by repeated squaring from the leading bit of k down: at
@@ -407,7 +370,6 @@ class Jet:
             v**r,
             r * v ** (r - 1) if o >= 1 else None,
             r * (r - 1) * v ** (r - 2) if o >= 2 else None,
-            r * (r - 1) * (r - 2) * v ** (r - 3) if o >= 3 else None,
             fault,
         )
 
@@ -427,8 +389,7 @@ class Jet:
 # A division u / v is planned as u * recip(v), with one "recip" slot per
 # distinct divisor, placed right after the first division by it: dense
 # Levi-Civita symbols divide dozens of times by a few determinants, and each
-# reciprocal jet is taken once. `Jet.__truediv__` is that same product, so
-# values do not change.
+# reciprocal jet is taken once.
 
 _BINOPS = {"add": Jet.__add__, "sub": Jet.__sub__, "mul": Jet.__mul__}
 
@@ -593,6 +554,12 @@ def _run(plan: Plan, pts: Array, order: int, emit) -> None:
             jets[s] = jet
 
 
+def check_order(order: int) -> None:
+    """Raise ValueError unless 0 <= order <= `MAX_ORDER`."""
+    if not 0 <= order <= MAX_ORDER:
+        raise ValueError(f"order must be between 0 and {MAX_ORDER}, got {order}")
+
+
 def evaluate(trees, pts: Array, order: int):
     """Evaluate an expression tree, a sequence of trees, or a `Feed`, at a
     batch of points.
@@ -603,8 +570,7 @@ def evaluate(trees, pts: Array, order: int):
     its plan, built once, because it evaluates the same trees many times.
     A row out of an op's domain raises nothing (see the module docstring).
     """
-    if not 0 <= order <= MAX_ORDER:
-        raise ValueError(f"order must be between 0 and {MAX_ORDER}, got {order}")
+    check_order(order)
     pts = np.asarray(pts, float)
     if pts.ndim != 2:
         raise ValueError("pts must have shape (m, n)")

@@ -78,6 +78,9 @@ __all__ = [
 # field (a structural yes/no, looser than the numerical check tolerances)
 RADIANT_GATE = 1e-4
 
+# how far mu must stay from 0 and from -a, its degenerate values
+ADMISSIBLE_GAP = 1e-9
+
 
 class NotPositiveDefiniteError(ValueError):
     """Candidate metric failed the positivity check; carries a witness."""
@@ -132,9 +135,10 @@ class LeeConstants(ex.Value):
             raise ValueError("u must equal -(mu + a)")
         self._set(a, mu, u, killing_residual, radiant_residual, affine_residual)
 
-    def admissible(self, gap: float = 1e-9) -> bool:
-        """mu away from 0 and -a, the degenerate values for radiant fields."""
-        return abs(self.mu) > gap and abs(self.mu + self.a) > gap
+    def admissible(self) -> bool:
+        """mu away from 0 and -a, the degenerate values for radiant fields,
+        by more than `ADMISSIBLE_GAP`."""
+        return abs(self.mu) > ADMISSIBLE_GAP and abs(self.mu + self.a) > ADMISSIBLE_GAP
 
     def radiant_killing(self, gate: float = RADIANT_GATE) -> bool:
         """Is the Lee field Killing and radiant, both residuals within ``gate``?"""
@@ -584,25 +588,26 @@ def _probe_candidate_factory(struct: LCHStructure, alpha: OneFormField,
     return candidate
 
 
+PROBE_EPS_HI = 10.0  # the openness probe's ceiling on eps
 PROBE_STEPS = 40  # bisection steps of the openness probe: 10 / 2^40 < 1e-11
 
 
 def lee_perturbation_probe(struct: LCHStructure, alpha: OneFormField,
-                           plan=None, tolerance: float = DEFAULT_TOLERANCE,
-                           eps_hi: float = 10.0) -> float:
-    """Largest eps in [0, eps_hi] with theta + eps*alpha still l.c.H.-compatible.
+                           plan=None, tolerance: float = DEFAULT_TOLERANCE) -> float:
+    """Largest eps in [0, PROBE_EPS_HI] with theta + eps*alpha still
+    l.c.H.-compatible.
 
     Bisection against the candidate acceptance of ``perturbed_structure``;
-    returns 0.0 when even the unperturbed structure fails and eps_hi when no
-    breakdown is found.
+    returns 0.0 when even the unperturbed structure fails and PROBE_EPS_HI
+    when no breakdown is found.
     """
     plan = plan or SamplePlan()
     candidate = _probe_candidate_factory(struct, alpha, plan, tolerance)
-    if candidate(eps_hi) is not None:
-        return float(eps_hi)
+    if candidate(PROBE_EPS_HI) is not None:
+        return PROBE_EPS_HI
     if candidate(0.0) is None:
         return 0.0
-    lo, hi = 0.0, float(eps_hi)
+    lo, hi = 0.0, PROBE_EPS_HI
     for _ in range(PROBE_STEPS):
         mid = 0.5 * (lo + hi)
         if candidate(mid) is not None:

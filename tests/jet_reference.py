@@ -21,10 +21,10 @@ from hesslab.expr import DomainError
 from hesslab.jets import Jet, VariableDimensionError, offsets
 
 
-def jet_from_parts(order: int, value, grad=None, hess=None, third=None) -> Jet:
+def jet_from_parts(order: int, value, grad=None, hess=None) -> Jet:
     """A full-degree jet whose parts, indexed sample axis first in any memory
     order, are copied into one buffer."""
-    parts = (value, grad, hess, third)[:order + 1]
+    parts = (value, grad, hess)[:order + 1]
     m = value.shape[0]
     n = grad.shape[1] if order else 0
     off = offsets(n)

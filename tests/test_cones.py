@@ -61,21 +61,17 @@ def test_orthant_membership():
     assert cone.contains((1, 1))
     assert not cone.contains((1, -1))
     assert not cone.contains((1, 0))  # boundary is out, strictly
-    assert cone.dual_contains((0.3, 2.0))
 
 
 def test_lorentz_membership():
     cone = LorentzCone(2)
     assert cone.contains((1, 0))
-    assert cone.dual_contains((1, 0))
     assert not cone.contains((1, 1))
     assert not cone.contains((1, 1.2))
 
 
 def test_polyhedral_membership_and_duality():
     cone = PolyhedralCone([[1, 0], [1, 1]])
-    assert not cone.dual_contains((0, 1))  # pairs to zero with (1,0): boundary
-    assert cone.dual_contains((1, 0.5))
     assert cone.contains((1, 0.5))
     assert not cone.contains((1, 0))
     assert not cone.contains((0, 1))
@@ -140,21 +136,11 @@ def test_bundled_cone_scenes_load_no_scipy():
     _run_cold(_COLD_CONE_SCENES)
 
 
-def test_self_duality_on_random_points():
-    rng = np.random.default_rng(4)
-    for cone in (OrthantCone(3), LorentzCone(3)):
-        inside = sample_interior(cone, 50, seed=5)
-        outside = rng.normal(size=(50, 3)) * 3.0
-        for p in np.vstack([inside, outside]):
-            assert cone.contains(p) == cone.dual_contains(p)
-
-
 def test_product_membership():
     cone = ProductCone([OrthantCone(1), LorentzCone(2)])
     assert cone.contains((1.0, 1.0, 0.2))
     assert not cone.contains((-1.0, 1.0, 0.2))
     assert not cone.contains((1.0, 0.5, 0.9))
-    assert cone.dual_contains((2.0, 1.0, 0.0))
 
 
 def test_sample_interior_lands_inside():

@@ -75,6 +75,11 @@ def test_chart_validation():
         Chart(1, ((2.0, 1.0),))
     with pytest.raises(ChartError):
         Chart(1, ((-1.0, 1.0),), positive=(True,))
+    # a non-finite interval used to sample NaN points
+    for box in (((1.0, np.inf),), ((-np.inf, 0.0),), ((-1e308, 1e308),), ((np.nan, 1.0),)):
+        with pytest.raises(ChartError):
+            Chart(1, box)
+    assert Chart(1, ((-1e307, 1e307),)).box == ((-1e307, 1e307),)
     assert Chart(2, ((0.0, 1.0), (-1.0, 1.0)), positive=(True, False)).positive == (True, False)
     # a float or bool dim is not a dimension: it used to fail with a bare TypeError
     for dim in (2.0, True):
@@ -1158,7 +1163,7 @@ def test_a_gauge_plans_its_form_once(monkeypatch):
     form = OneFormField(Chart(2, ((0.5, 2.0),) * 2), ["x1*exp(x0)", "x0 + 2*x1"])
     gauge = LineIntegralGauge(form, (1.0, 1.0))
     pts = np.random.default_rng(1).uniform(0.5, 2.0, (30, 2))
-    for order in (0, 1, 2, 3, 1):
+    for order in (0, 1, 2, 1):
         gauge.jet(pts, order)
     assert len(planned) == 1
 
@@ -1259,15 +1264,15 @@ def test_field_evaluation_takes_each_gauge_jet_once(monkeypatch):
     field = ConnectionField(chart, [entries, entries])
     pts = chart.sample(SamplePlan(count=20, seed=3))
     calls = _count_gauge_jets(monkeypatch)
-    got = field.eval(pts, 3)
+    got = field.eval(pts, 2)
     assert calls == [[gauge]]
     monkeypatch.undo()
     for k in range(2):
         for i in range(2):
             for j in range(2):
-                want = evaluate(entries[i][j], pts, 3)
+                want = evaluate(entries[i][j], pts, 2)
                 assert np.array_equal(got.value[:, k, i, j], want.value)
-                assert np.array_equal(got.third[:, k, i, j], want.third)
+                assert np.array_equal(got.hess[:, k, i, j], want.hess)
 
 
 @pytest.mark.parametrize("name", ["lee_perturbation_torus", "torus_quotient"])
@@ -1647,11 +1652,11 @@ def test_field_tensor_is_the_stacked_entry_jets(case):
     chart, fields = _field_cases()
     field = fields[case]
     pts = chart.sample(SamplePlan(count=40, seed=2)).copy()  # not the held array
-    for order in range(4):
+    for order in range(3):
         got = field.eval(pts, order)
         jets = evaluate(list(field.entries.flat), pts, order)
-        parts = (got.value, got.grad, got.hess, got.third)
-        for k, name in enumerate(("value", "grad", "hess", "third")):
+        parts = (got.value, got.grad, got.hess)
+        for k, name in enumerate(("value", "grad", "hess")):
             if k > order:
                 assert parts[k] is None
                 continue
@@ -1661,8 +1666,24 @@ def test_field_tensor_is_the_stacked_entry_jets(case):
             assert parts[k].strides[0] == 8
 
 
+def test_field_eval_rejects_an_order_out_of_range():
+    # on unheld points the order used to raise a bare IndexError, and on
+    # the held points an order of -1 read a prefix of the held tensor
+    chart, fields = _field_cases()
+    field = fields[0]
+    held = chart.sample(SamplePlan(count=40, seed=2))
+    try:
+        field.eval(held, 2)
+        for pts in (held.copy(), held):
+            for order in (3, 4, -1):
+                with pytest.raises(ValueError, match="order must be between 0 and 2"):
+                    field.eval(pts, order)
+    finally:
+        drop_held_points()
+
+
 def test_field_pass_drops_each_entry_jet_once_written():
-    # 10 distinct order-3 entries: holding every root jet until the pass
+    # 10 distinct order-2 entries: holding every root jet until the pass
     # ends would keep 10 of them beside the tensor; writing each root as it
     # finishes keeps a handful.
     dim, m = 4, 5000
@@ -1671,11 +1692,11 @@ def test_field_pass_drops_each_entry_jet_once_written():
                 for j in range(dim)] for i in range(dim)]
     g = MetricField(chart, entries)
     pts = np.random.default_rng(0).uniform(0.5, 1.5, (m, dim))
-    g.eval(pts, 3)
-    one_jet = m * 8 * (1 + dim + dim**2 + dim**3)
+    g.eval(pts, 2)
+    one_jet = m * 8 * (1 + dim + dim**2)
     tracemalloc.start()
     try:
-        tensor = g.eval(pts, 3)
+        tensor = g.eval(pts, 2)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -1,4 +1,4 @@
-"""`expr.diff` and order-3 jets against sympy, on random trees.
+"""`expr.diff` and order-2 jets against sympy, on random trees.
 
 Trees are drawn from the whole grammar: numbers, coordinates, negation, the
 four operations, integer, real and variable powers, and exp, log, sqrt, sin
@@ -8,7 +8,7 @@ edge of those domains: coordinates run down to 1e-3, and g^2 + 1e-3 is a
 positive argument that comes within 1e-3 of zero where g does. sympy
 differentiates its own copy of each tree, and its derivatives are evaluated
 at 50 digits (mpmath), so both the symbolic derivative trees of `expr.diff`
-and the jets of `jets.evaluate` through order 3 meet an independent oracle.
+and the jets of `jets.evaluate` through order 2 meet an independent oracle.
 
 Near those edges the terms of a jet reach 1e12 and may cancel to a small
 result, so the tolerance of each entry is a running error bound (Wilkinson):
@@ -137,7 +137,7 @@ def _index_tuples(order: int):
 
 
 def _sympy_derivatives(sym, pts: np.ndarray) -> dict[tuple, np.ndarray]:
-    """Every partial derivative through order 3 at each point, keyed on the
+    """Every partial derivative through order 2 at each point, keyed on the
     differentiation indices, at 50 digits."""
     keys = [k for order in range(MAX_ORDER + 1) for k in _index_tuples(order)]
     exprs = []
@@ -154,7 +154,7 @@ def _sympy_derivatives(sym, pts: np.ndarray) -> dict[tuple, np.ndarray]:
 
 
 def _compose(b: Jet, *f) -> Jet:
-    """The bound of a chain rule f(u) with coefficients f0..f4 at u's value:
+    """The bound of a chain rule f(u) with coefficients f0..f3 at u's value:
     each coefficient also carries the error that u's value passes to it,
     |f_{k+1}| times u's bound (first order)."""
     u_err = b.value
@@ -196,7 +196,7 @@ def _magnitude(tree, pts, order, memo):
         else:
             v = u ** k
             b = _compose(bu, *[math.prod(k - j for j in range(i)) * u ** (k - i)
-                               for i in range(5)])
+                               for i in range(4)])
     else:
         (a, ba), (c, bc) = (_magnitude(t, pts, order, memo) for t in (tree.left, tree.right))
         if kind is ex.Div:
@@ -209,24 +209,23 @@ def _magnitude(tree, pts, order, memo):
 
 
 def _reciprocal(w):
-    """The derivatives of 1/w, orders 0 to 4."""
-    return [math.factorial(i) * w ** -(i + 1.0) for i in range(5)]
+    """The derivatives of 1/w, orders 0 to 3."""
+    return [math.factorial(i) * w ** -(i + 1.0) for i in range(4)]
 
 
 def _chain(func, u, bu):
     """The value of func(u) and the bound of its chain rule."""
     if func == "exp":
         e = np.exp(u)
-        return e, _compose(bu, e, e, e, e, e)
+        return e, _compose(bu, e, e, e, e)
     if func == "log":
-        return np.log(u), _compose(bu, np.log(u), *_reciprocal(u)[:4])
+        return np.log(u), _compose(bu, np.log(u), *_reciprocal(u)[:3])
     if func == "sqrt":
         r = np.sqrt(u)
-        return r, _compose(bu, r, 0.5 / r, 0.25 / (r * u), 0.375 / (r * u * u),
-                           0.9375 / (r * u ** 3))
+        return r, _compose(bu, r, 0.5 / r, 0.25 / (r * u), 0.375 / (r * u * u))
     v = np.sin(u) if func == "sin" else np.cos(u)
     one = np.ones_like(u)
-    return v, _compose(bu, v, one, one, one, one)
+    return v, _compose(bu, v, one, one, one)
 
 
 def _assert_close(got, want, bound, what: str):
@@ -245,7 +244,7 @@ def _comparisons(tree, sym, pts) -> list[tuple]:
     checks = []
     with np.errstate(over="ignore"):
         _, bound = _magnitude(tree, pts, MAX_ORDER, {})
-        for order, part in enumerate(("value", "grad", "hess", "third")):
+        for order, part in enumerate(("value", "grad", "hess")):
             keys = _index_tuples(order)
             exact = np.stack([want[k] for k in keys], axis=1)
             entries = [(slice(None),) + k for k in keys]

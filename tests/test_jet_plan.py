@@ -20,7 +20,7 @@ from hesslab.expr import DomainError
 from hesslab.geomcore import Chart, LineIntegralGauge, MetricField, OneFormField, gauged, levi_civita
 from hesslab.jets import _plan, evaluate
 
-PARTS = ("value", "grad", "hess", "third")
+PARTS = ("value", "grad", "hess")
 
 
 def _outcome(fn):
@@ -142,7 +142,7 @@ def forests(draw):
     return trees, np.array(rows, float)
 
 
-@given(forest=forests(), order=st.integers(0, 3))
+@given(forest=forests(), order=st.integers(0, 2))
 @settings(max_examples=300, deadline=None)
 def test_planned_pass_matches_reference(forest, order):
     trees, pts = forest
@@ -166,7 +166,7 @@ def gauge_forests(draw):
     return [gauged(gauge, sign, t) for t in trees] + [ex.Gauge(gauge)], pts
 
 
-@given(forest=gauge_forests(), order=st.integers(0, 3))
+@given(forest=gauge_forests(), order=st.integers(0, 2))
 @settings(max_examples=100, deadline=None)
 def test_planned_pass_matches_reference_with_a_shared_gauge(forest, order):
     trees, pts = forest
@@ -336,16 +336,16 @@ def test_plan_describes_each_node_once(monkeypatch):
 
 def test_jets_are_freed_after_their_last_use():
     # A chain of 300 distinct nodes: keeping every jet alive would hold
-    # hundreds of order-3 jets; freeing at last use holds a handful.
+    # hundreds of jets; freeing at last use holds a handful.
     x, y = ex.Var(0), ex.Var(1)
     tree = x
     for k in range(100):
         tree = ex.add(ex.mul(tree, ex.const(1.0 + k / 1000)), y)
     pts = np.random.default_rng(0).uniform(-1.0, 1.0, (2000, 2))
-    one_jet = pts.shape[0] * 8 * (1 + 2 + 4 + 8)
+    one_jet = pts.shape[0] * 8 * (1 + 2 + 4)
     tracemalloc.start()
     try:
-        evaluate(tree, pts, 3)
+        evaluate(tree, pts, 2)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -839,7 +839,7 @@ def test_probe_torus_structure():
 def test_probe_zero_perturbation_hits_ceiling():
     struct = poincare_lch()
     zero = OneFormField(struct.chart, ["0", "0"])
-    assert lee_perturbation_probe(struct, zero, PLAN, eps_hi=4.0) == 4.0
+    assert lee_perturbation_probe(struct, zero, PLAN) == lch.PROBE_EPS_HI
 
 
 def test_probe_rescaling_theta():

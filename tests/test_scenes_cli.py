@@ -781,6 +781,20 @@ def test_cli_check_passing_scene_exits_0(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("box", ["[[0.4, 1e999], [0.3, 1.9]]",
+                                 "[[-1e308, 1e308], [0.3, 1.9]]"])
+def test_cli_non_finite_box_exits_2(tmp_path, capsys, box):
+    # 1e999 reads as inf, and the second width overflows: the chart is
+    # malformed (exit 2), where its NaN sample points used to fail a check
+    text = json.dumps(unit_scene()).replace("[[0.4, 2.1], [0.3, 1.9]]", box)
+    path = tmp_path / "scene.json"
+    path.write_text(text)
+    assert main(["check", str(path), "--samples", "20"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: chart: interval ") and "is not finite" in err
+    assert "Traceback" not in err
+
+
 def test_cli_parse_error_exits_2(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{nope")
