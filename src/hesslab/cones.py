@@ -5,8 +5,9 @@ A pointed open convex cone V carries the integral
     psi(x) = integral over the dual cone of exp(-<x, y>) dy,
 
 positive and homogeneous of degree -dim on the interior.  ``hesslab`` uses
-psi three ways: as a scalar invariant (closed forms where safe, importance-
-sampled Monte Carlo otherwise), through the barrier metric Hess(ln psi), and
+psi three ways: as a scalar invariant (closed forms for orthants, Lorentz
+cones, simplicial polyhedral cones and their products; importance-sampled
+Monte Carlo for every cone), through the barrier metric Hess(ln psi), and
 through the characteristic surface {psi = 1} whose induced structure is
 statistical of negative curvature.
 
@@ -34,6 +35,7 @@ import json
 import math
 import re
 from functools import reduce
+from itertools import combinations
 
 import numpy as np
 
@@ -77,6 +79,9 @@ PSI_SAMPLES = LATTICE_SHIFTS * 8192
 # A shift's lattice points are made and weighed this many at a time, so the
 # scratch of a larger budget stays that of the default one (a single block)
 LATTICE_BLOCK = 8192
+# x is interior to a polyhedral cone when it pairs with every unit facet
+# normal above INTERIOR_MARGIN * (1 + |x|)
+INTERIOR_MARGIN = 1e-9
 
 
 class ConeError(ValueError):
@@ -244,11 +249,10 @@ class OrthantCone(ConeSpec):
 
 
 class LorentzCone(ConeSpec):
-    """The forward cone {x : x_0 > |(x_1..x_{n-1})|}; self-dual.
-
-    The closed form is implemented for ambient dimension 2 only; larger
-    Lorentz cones go through Monte Carlo.
-    """
+    """The forward cone {x : x_0 > |(x_1..x_{n-1})|}; self-dual; psi =
+    2^(n-1) Gamma(n/2) pi^((n-2)/2) (x_0^2 - |xbar|^2)^(-n/2), (n - 1)! times
+    the volume of the unit (n - 1)-ball over that power (Faraut & Koranyi,
+    Analysis on Symmetric Cones, ch. I), so 2 / (x_0^2 - x_1^2) at n = 2."""
 
     kind = "lorentz"
 
@@ -262,13 +266,10 @@ class LorentzCone(ConeSpec):
         return bool(p[0] > np.linalg.norm(p[1:]))
 
     def psi_expression(self) -> Expression:
-        if self.dim != 2:
-            raise NoClosedFormError(
-                f"lorentz({self.dim}) psi is only evaluated by Monte Carlo; "
-                "the closed form is implemented for dimension 2"
-            )
-        q = ex.sub(ex.powi(ex.Var(0), 2), ex.powi(ex.Var(1), 2))
-        return ex.div(ex.const(2.0), q)
+        n = self.dim
+        q = ex.sub(ex.powi(ex.Var(0), 2), ex.sum_of(ex.powi(ex.Var(i), 2) for i in range(1, n)))
+        c = 2.0 ** (n - 1) * math.gamma(n / 2.0) * math.pi ** ((n - 2) / 2.0)
+        return ex.div(ex.const(c), ex.powi(q, n / 2.0))
 
     def _mc_sampler(self, x):
         # y0 exponential of rate r = 0.75 (x0 - |xbar|), and ybar = y0 b with
@@ -280,20 +281,20 @@ class LorentzCone(ConeSpec):
         slack = float(x[0]) - rate
         d = self.dim - 1
         vol = _ball_volume(d)
-        if d > 1:
-            # imported here: only a ball of dimension >= 2 needs normal variates
-            from scipy.special import ndtri
+        pairs = (d + 1) // 2  # Box-Muller makes two normals of each pair of variates
 
         def weights(u):
             if d == 1:
                 b = 2.0 * u[1:] - 1.0
             else:  # a normal direction scaled to a radius of density ~ r^(d-1)
-                z = ndtri(u[1:-1])
+                r = np.sqrt(-2.0 * np.log1p(-u[1:pairs + 1]))
+                angle = 2.0 * math.pi * u[pairs + 1:2 * pairs + 1]
+                z = np.vstack((r * np.cos(angle), r * np.sin(angle)))[:d]
                 b = z / np.linalg.norm(z, axis=0) * u[-1] ** (1.0 / d)
             y0 = _exponentials(u[0], rate)
             return np.exp(-y0 * (slack + xbar @ b)) * vol * y0 ** d / rate
 
-        return (2 if d == 1 else d + 2), weights
+        return (2 if d == 1 else 2 * pairs + 2), weights
 
     def default_chart(self) -> Chart:
         half = 0.8 / math.sqrt(self.dim - 1)
@@ -308,13 +309,12 @@ class LorentzCone(ConeSpec):
 
 
 class PolyhedralCone(ConeSpec):
-    """Conic hull of finitely many generator rows.
+    """Conic hull of finitely many finite generator rows.
 
-    The generators must span the ambient space and the hull must be pointed
-    (no full straight line); both are validated at construction, the latter
-    through feasibility of G y >= 1, which characterizes a full-dimensional
-    dual.  Membership in the interior is an exact linear program: x is
-    interior iff <x, y> stays positive on a compact base of the dual cone.
+    The generators must span the ambient space, and the hull must be pointed
+    (no full straight line): its unit inward facet normals, found at
+    construction, must span R^d, so that the dual cone has an interior. x is
+    interior when <n, x> > INTERIOR_MARGIN * (1 + |x|) for every normal n.
     """
 
     kind = "polyhedral"
@@ -331,49 +331,40 @@ class PolyhedralCone(ConeSpec):
         g = np.asarray(generators, float)
         if g.ndim != 2 or g.shape[0] < 1:
             raise ValueError("generators must form a nonempty matrix")
+        if not np.all(np.isfinite(g)):
+            raise ValueError("generators must be finite")
         m, d = g.shape
         if np.linalg.matrix_rank(g) < d:
             raise ValueError("generators do not span the ambient space")
-        # imported here: scipy.optimize costs most of `import hesslab`, and
-        # only polyhedral cones need it
-        from scipy.optimize import linprog
-
-        feas = linprog(
-            np.zeros(d), A_ub=-g, b_ub=-np.ones(m), bounds=(None, None)
-        )
-        if feas.status != 0:
-            raise ValueError(
-                "generators span a cone containing a full straight line "
-                "(dual cone has empty interior)"
-            )
+        # a facet normal: the null vector of d - 1 generators of rank d - 1
+        # that has every generator on its side
+        if d == 1:
+            candidates = np.ones((1, 1))
+        else:  # rank d - 1 by the rule of np.linalg.matrix_rank
+            _, s, vt = np.linalg.svd(g[np.array(list(combinations(range(m), d - 1)))])
+            candidates = vt[s[:, -1] > s[:, 0] * d * np.finfo(float).eps, -1]
+        slack = INTERIOR_MARGIN * (1.0 + np.linalg.norm(g, axis=1))
+        normals = []
+        for n in candidates:
+            n = -n if np.all(g @ n <= slack) else n
+            if np.all(g @ n >= -slack) and all(k @ n < 1.0 - INTERIOR_MARGIN for k in normals):
+                normals.append(n)  # once for a facet of more than d - 1 generators
+        if len(normals) < d or np.linalg.matrix_rank(np.array(normals)) < d:
+            raise ValueError("generators span a cone containing a full straight line "
+                             "(dual cone has empty interior)")
         self.generators = g
         self.dim = d
+        self.normals = np.array(normals)
 
     def describe(self) -> str:
         return f"polyhedral({self.generators.shape[0]} generators in R^{self.dim})"
 
     def contains(self, x) -> bool:
         p = self._point(x)
-        g = self.generators
-        from scipy.optimize import linprog
-
-        res = linprog(
-            p,
-            A_ub=-g,
-            b_ub=np.zeros(g.shape[0]),
-            A_eq=g.sum(axis=0)[None, :],
-            b_eq=[1.0],
-            bounds=(None, None),
-        )
-        if res.status != 0:
-            raise ConeError(f"interior test failed: {res.message}")
-        return bool(res.fun > 1e-9 * (1.0 + float(np.linalg.norm(p))))
-
-    def _simplicial(self):
-        return self.generators.shape[0] == self.dim
+        return bool(np.all(self.normals @ p > INTERIOR_MARGIN * (1.0 + np.linalg.norm(p))))
 
     def psi_expression(self) -> Expression:
-        if not self._simplicial():
+        if self.generators.shape[0] != self.dim:
             raise NoClosedFormError(
                 "psi of a non-simplicial polyhedral cone has no implemented "
                 "closed form; use Monte Carlo"
@@ -394,8 +385,6 @@ class PolyhedralCone(ConeSpec):
 
     def _tilt_basis(self, x):
         """A full-rank generator subset whose simplicial cone holds x deepest."""
-        from itertools import combinations
-
         g = self.generators
         m, d = g.shape
         best = None

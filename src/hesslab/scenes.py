@@ -10,11 +10,11 @@ Each structure type and check op is declared in one place, after the model
 of the JSON Schema vocabulary: its builder or handler, decorated with
 ``_structure`` or ``_op``, declares one ``_Key`` per parameter. A key gives
 the kind that reads the value (a constant, a positive constant, a constant
-that a library rule accepts, a count, a Monte Carlo budget, a point, a list
-of constants, a choice, an entry list, a chart, or a reference to a declared
-object of some classes) and its default, if it has one. A structure
-type also declares the class it builds, and the keys common to every check
-are declared once, in ``_CHECK_KEYS``.
+that a library rule accepts, a count, a positive count, a Monte Carlo
+budget, a point, a list of scale factors, a choice, an entry list, a chart,
+or a reference to a declared object of some classes) and its default, if it
+has one. A structure type also declares the class it builds, and the keys
+common to every check are declared once, in ``_CHECK_KEYS``.
 
 Loading reads every declared key by its kind and stores the coerced specs on
 ``Scene``: a value of the wrong kind, or out of range, is a ``SceneError``
@@ -336,6 +336,14 @@ def _constants(value, owner: str, key: str, n: int | None = None) -> tuple:
     return tuple(_constant(v, f"{owner}: '{key}' [{i}]") for i, v in enumerate(value))
 
 
+def _factors(value, owner: str, key: str, scope=None) -> tuple:
+    """A non-empty list of finite constants > 0: the t of psi(t x)."""
+    factors = _constants(value, owner, key)
+    if not factors or not all(0 < t < math.inf for t in factors):
+        raise _wrong(owner, key, value, "a non-empty list of finite positive constants")
+    return factors
+
+
 def _entry_list(value, owner: str, key: str, n: int, dim: int) -> list:
     """A flat list of ``n`` entries, one per coordinate, as trees over
     ``dim`` coordinates."""
@@ -435,7 +443,9 @@ _CONSTANT = _Key(lambda value, owner, key, scope: _constant(value, f"{owner}: '{
 _LAMBDA = _ruled(nondegenerate_lambda)(name="lambda")  # a cone's radiance constant
 _POSITIVE = _Key(positive_constant)
 _COUNT = _Key(_count)
-_CONSTANTS = _Key(lambda value, owner, key, scope: _constants(value, owner, key))
+_POSITIVE_COUNT = _Key(_is(lambda v: type(v) is int and v >= 1,
+                           "a positive count (an integer >= 1)"))
+_FACTORS = _Key(_factors)
 _INTERVAL = _Key(lambda value, owner, key, scope: _constants(value, owner, key, 2))
 _POINT = _Key(lambda value, owner, key, scope:  # a point of the spec's cone
               _constants(value, owner, key, scope.cones[scope.values["cone"]].dim))
@@ -792,7 +802,7 @@ def _op_psi(ctx, tol, cone, point, method, samples, seed, expect_value):
 
 
 @_op("homogeneity", cone=_ref(ConeSpec), point=_POINT,
-     factors=_CONSTANTS((0.5, 2.0, 7.0)))
+     factors=_FACTORS((0.5, 2.0, 7.0)))
 def _op_homogeneity(ctx, tol, cone, point, factors):
     x = np.asarray(point)
     base = characteristic_function(cone, x).value
@@ -804,7 +814,7 @@ def _op_homogeneity(ctx, tol, cone, point, factors):
                         samples=len(residuals), extra={"value": base})]
 
 
-@_op("barrier", cone=_ref(ConeSpec), count=_COUNT(50))
+@_op("barrier", cone=_ref(ConeSpec), count=_POSITIVE_COUNT(50))
 def _op_barrier(ctx, tol, cone, count):
     pts = sample_interior(cone, count, seed=ctx.plan.seed)
     # the report carries the smallest eigenvalue over every sample, so every

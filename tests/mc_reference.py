@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import ndtri
 
 from hesslab.cones import (
     LATTICE_SHIFTS,
@@ -69,17 +68,20 @@ def lorentz_weights(cone: LorentzCone, x):
     rate = 0.75 * (float(x[0]) - float(np.linalg.norm(xbar)))
     d = cone.dim - 1
     vol = _ball_volume(d)
+    pairs = math.ceil(d / 2)
 
     def weights(u):
         if d == 1:
             b = 2.0 * u[1:] - 1.0
-        else:
-            z = ndtri(u[1:d + 1])
-            b = z / np.linalg.norm(z, axis=0) * u[d + 1] ** (1.0 / d)
+        else:  # Box-Muller: pair j of variates gives the normals r_j cos, r_j sin
+            radii = np.sqrt(-2.0 * np.log1p(-u[1:1 + pairs]))
+            angles = 2.0 * math.pi * u[1 + pairs:1 + 2 * pairs]
+            z = np.concatenate([radii * np.cos(angles), radii * np.sin(angles)])[:d]
+            b = z / np.linalg.norm(z, axis=0) * u[1 + 2 * pairs] ** (1.0 / d)
         y0 = exponentials(u[0], rate)
         return np.exp(-y0 * (float(x[0]) - rate + xbar @ b)) * vol * y0 ** d / rate
 
-    return (2 if d == 1 else d + 2), weights
+    return (2 if d == 1 else 2 * pairs + 2), weights
 
 
 def polyhedral_weights(cone: PolyhedralCone, x):

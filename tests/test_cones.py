@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from hesslab import expr as ex
 from hesslab.cones import (
     LATTICE_BLOCK,
     LATTICE_SHIFTS,
@@ -83,29 +84,96 @@ def test_polyhedral_validation():
         PolyhedralCone([[1, 0], [2, 0]])
     with pytest.raises(ValueError, match="straight line"):
         PolyhedralCone([[1, 0], [-1, 0], [0, 1]])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="generators must be finite"):
+            PolyhedralCone([[1, 0], [bad, 1]])
 
 
-_COLD_START = """
-import sys
-import hesslab
-from hesslab import cli
-assert cli.main(["example", "hopf", "--samples", "20"]) == 0
-assert "scipy.optimize" not in sys.modules, "scipy.optimize loaded by a hopf run"
-cone = hesslab.PolyhedralCone([[1, 0], [0, 1]])
-assert cone.contains((1, 2)) is True
-assert "scipy.optimize" in sys.modules
-"""
+def test_one_dimensional_polyhedral_cones():
+    # d - 1 = 0 generators leave one candidate normal, +1 or -1
+    assert PolyhedralCone([[2.0], [0.5]]).contains((1.0,))
+    assert not PolyhedralCone([[2.0], [0.5]]).contains((-1.0,))
+    assert PolyhedralCone([[-1.0]]).contains((-3.0,))
+    with pytest.raises(ValueError, match="straight line"):
+        PolyhedralCone([[1.0], [-2.0]])
+
+
+def _random_generators(rng, sets):
+    """Seeded generator matrices of full rank, d = 2-5 and m = d to d + 5
+    rows, tilted along x0 by a random amount so that most are pointed."""
+    while sets:
+        d = int(rng.integers(2, 6))
+        g = rng.normal(size=(int(rng.integers(d, d + 6)), d))
+        g[:, 0] += rng.uniform(0.0, 3.0)
+        if np.linalg.matrix_rank(g) == d:
+            sets -= 1
+            yield g
+
+
+def test_facet_normals_agree_with_the_linear_programs():
+    # the two LPs the facet normals replaced: G y >= 1 is feasible exactly
+    # when the hull is pointed, and x is interior exactly when <x, y> stays
+    # above 1e-9 (1 + |x|) on the dual's compact base {G y >= 0, <sum G, y> = 1}
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    rng = np.random.default_rng(2024)
+    pointed = inside = 0
+    for g in _random_generators(rng, 200):
+        m, d = g.shape
+        lp_pointed = linprog(np.zeros(d), A_ub=-g, b_ub=-np.ones(m),
+                             bounds=(None, None)).status == 0
+        try:
+            cone = PolyhedralCone(g)
+        except ValueError as err:
+            assert "straight line" in str(err) and not lp_pointed
+            continue
+        assert lp_pointed
+        pointed += 1
+        coeff = rng.uniform(0.1, 1.0, size=m)
+        outward = coeff.copy()
+        outward[rng.integers(m)] = -0.5
+        for x in (coeff @ g, g[rng.integers(m)], rng.normal(size=d) + 2.0 * np.eye(d)[0],
+                  outward @ g, (g[0] + g[-1]) / 2.0):
+            res = linprog(x, A_ub=-g, b_ub=np.zeros(m), A_eq=g.sum(axis=0)[None, :],
+                          b_eq=[1.0], bounds=(None, None))
+            assert res.status == 0, res.message
+            lp_inside = bool(res.fun > 1e-9 * (1.0 + float(np.linalg.norm(x))))
+            assert cone.contains(x) is lp_inside, (g, x)
+            inside += lp_inside
+    # both verdicts of both tests are exercised
+    assert 100 < pointed < 200 and 0.2 < inside / (5 * pointed) < 0.8
+
+
+def test_a_facet_with_more_generators_than_its_dimension_has_one_normal():
+    # each facet of the square pyramid holds two generators (d - 1 = 2), and
+    # two facets of the cone over a 2 x 1 rectangle with the midpoints of its
+    # long sides hold three
+    pyramid = PolyhedralCone([[1, 1, 1], [1, 1, -1], [1, -1, 1], [1, -1, -1]])
+    assert pyramid.normals.shape == (4, 3)
+    fan = PolyhedralCone([[1, 0, 0], [1, 1, 0], [1, 2, 0], [1, 0, 1], [1, 1, 1], [1, 2, 1]])
+    assert fan.normals.shape == (4, 3)
+    assert np.allclose(np.linalg.norm(fan.normals, axis=1), 1.0)
 
 
 _COLD_CONE_SCENES = """
 import sys
 from hesslab import cli
+from hesslab.cones import LorentzCone, characteristic_function
 for name in ("orthant_cone", "lorentz_cone"):
     assert cli.main(["example", name, "--samples", "20"]) == 0
-assert not [m for m in sys.modules if m.startswith("scipy")], "scipy loaded by a cone scene"
-from hesslab.cones import LorentzCone, characteristic_function
+characteristic_function(LorentzCone(3), (2.0, 0.5, 0.3))
 characteristic_function(LorentzCone(3), (2.0, 0.5, 0.3), "monte_carlo", samples=64)
-assert "scipy.special" in sys.modules
+assert not [m for m in sys.modules if m.startswith("scipy")], "scipy loaded by a cone scene"
+"""
+
+
+_COLD_POLYHEDRAL = """
+import sys
+from hesslab import cli
+from hesslab.cones import PolyhedralCone
+assert cli.main(["example", "hopf", "--samples", "20"]) == 0
+cone = PolyhedralCone([[1, 1, 1], [1, 1, -1], [1, -1, 1], [1, -1, -1]])
+assert cone.contains((1.0, 0.2, -0.3)) and not cone.contains((1.0, 1.0, 0.0))
+assert not [m for m in sys.modules if m.startswith("scipy")], "scipy loaded by a cone"
 """
 
 
@@ -126,14 +194,15 @@ def _run_cold(script):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_scipy_optimize_loads_only_for_a_polyhedral_cone():
-    _run_cold(_COLD_START)
-
-
 def test_bundled_cone_scenes_load_no_scipy():
-    # Monte Carlo psi of orthant(2) and lorentz(2) needs only numpy; the
-    # normal variates of a Lorentz ball of dimension >= 2 load scipy.special
+    # Monte Carlo psi of orthant(2) and lorentz(2), and lorentz(3)'s closed
+    # form and Monte Carlo psi, need only numpy
     _run_cold(_COLD_CONE_SCENES)
+
+
+def test_no_cone_loads_scipy():
+    # a polyhedral cone's facet normals and membership need no linear program
+    _run_cold(_COLD_POLYHEDRAL)
 
 
 def test_product_membership():
@@ -163,6 +232,9 @@ def test_orthant_closed_form():
 
 
 def test_lorentz_closed_form():
+    # lorentz(2)'s tree is 2 / (x0^2 - x1^2), node for node
+    q = ex.sub(ex.powi(ex.Var(0), 2), ex.powi(ex.Var(1), 2))
+    assert LorentzCone(2).psi_expression() is ex.div(ex.const(2.0), q)
     psi = characteristic_function(LorentzCone(2), (1, 0))
     assert psi.value == 2.0
     psi = characteristic_function(LorentzCone(2), (2.0, 0.5))
@@ -183,9 +255,13 @@ def test_product_closed_form_multiplies():
     assert psi.value == pytest.approx((1.0 / 6.0) * 2.0, rel=1e-14)
 
 
-def test_no_closed_form_for_big_lorentz():
-    with pytest.raises(NoClosedFormError):
-        characteristic_function(LorentzCone(3), (1, 0, 0))
+@pytest.mark.parametrize("dim", [3, 4, 5, 6])
+def test_lorentz_closed_form_matches_the_oracle(dim):
+    cone = LorentzCone(dim)
+    for x in sample_interior(cone, 20, seed=dim):
+        psi = characteristic_function(cone, x)
+        assert psi.method == "closed_form"
+        assert psi.value == pytest.approx(lorentz_psi_oracle(x), rel=2e-15, abs=0.0)
 
 
 def test_outside_point_rejected():
@@ -417,6 +493,8 @@ def test_log_psi_metric_lorentz_values():
     (OrthantCone(3), (0.9, 1.7, 0.5)),
     (LorentzCone(2), (1.7, 0.4)),
     (PolyhedralCone([[1, 0], [1, 1]]), (2.0, 0.5)),
+    (LorentzCone(3), (1.7, 0.4, -0.3)),
+    (LorentzCone(4), (2.1, 0.4, -0.3, 0.5)),
 ])
 def test_log_psi_metric_against_finite_differences(cone, x):
     exact = log_psi_metric(cone, np.array([x]))[0]
@@ -482,8 +560,9 @@ def test_log_psi_metric_positive_definite_on_samples():
 
 
 def test_log_psi_metric_needs_closed_form():
+    square = PolyhedralCone([[1, 1, 1], [1, 1, -1], [1, -1, 1], [1, -1, -1]])
     with pytest.raises(NoClosedFormError):
-        log_psi_metric(LorentzCone(3), np.array([(1.0, 0.0, 0.0)]))
+        log_psi_metric(square, np.array([(1.0, 0.0, 0.0)]))
 
 
 def test_log_psi_metric_rejects_outside_points():
@@ -527,6 +606,18 @@ def test_surface_structure_lorentz2_hyperbola():
     assert check_statistical(struct, PLAN).passed
 
 
+def test_surface_structure_lorentz3_hyperboloid():
+    # psi = 2 pi (x0^2 - |xbar|^2)^(-3/2), so {psi = 1} is the upper sheet of
+    # x0^2 - |xbar|^2 = R^2 with R = (2 pi)^(1/3), graphed over xbar / R
+    chart = Chart(2, ((-0.5, 0.5), (-0.5, 0.5)))
+    r = (2.0 * math.pi) ** (1.0 / 3.0)
+    surface = [f"{r!r} * sqrt(1 + x0^2 + x1^2)", f"{r!r} * x0", f"{r!r} * x1"]
+    struct = surface_statistical_structure(LorentzCone(3), surface, chart, plan=PLAN)
+    assert check_statistical(struct, PLAN).passed
+    est = estimate_constant_curvature(struct, PLAN)
+    assert est.c < 0 and est.residual <= 1e-6
+
+
 # ---------------------------------------------------------------------------
 # cone l.c.H. structure
 # ---------------------------------------------------------------------------
@@ -548,7 +639,7 @@ def test_cone_lch_orthant2_fields():
 def test_cone_lch_metric_is_gauge_symmetric():
     # nabla g - theta (x) g equals the third derivative tensor of psi over psi,
     # which is totally symmetric; verify on samples for two cones
-    for cone in (OrthantCone(3), LorentzCone(2)):
+    for cone in (OrthantCone(3), LorentzCone(2), LorentzCone(3)):
         struct = cone_lch_structure(cone)
         pts = struct.chart.sample(PLAN)
         nabla = covariant_derivative_metric_batch(struct.conn, struct.metric, pts)

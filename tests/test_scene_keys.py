@@ -146,9 +146,25 @@ def test_cli_wrong_kind_exits_2(tmp_path, capsys, name, where, key):
     ("orthant_cone", lambda d: spec_of(d, "psi-monte-carlo").update(samples=1),
      "check 1 ('psi'): 'samples' is 1, not a Monte Carlo budget (an integer >= 32, "
      "one point per lattice shift)"),
+    ("orthant_cone", lambda d: spec_of(d, "barrier-positive").update(count=0),
+     "check 3 ('barrier'): 'count' is 0, not a positive count (an integer >= 1)"),
+    ("orthant_cone", lambda d: spec_of(d, "psi-homogeneity").update(factors=[0]),
+     "check 2 ('homogeneity'): 'factors' is [0], "
+     "not a non-empty list of finite positive constants"),
+    ("orthant_cone", lambda d: spec_of(d, "psi-homogeneity").update(factors=[-1, 2]),
+     "check 2 ('homogeneity'): 'factors' is [-1, 2], "
+     "not a non-empty list of finite positive constants"),
+    ("orthant_cone", lambda d: spec_of(d, "psi-homogeneity").update(factors=[]),
+     "check 2 ('homogeneity'): 'factors' is [], "
+     "not a non-empty list of finite positive constants"),
+    ("orthant_cone", lambda d: spec_of(d, "psi-homogeneity").update(factors=[2, math.inf]),
+     "check 2 ('homogeneity'): 'factors' is [2, Infinity], "
+     "not a non-empty list of finite positive constants"),
 ], ids=["chart-dim", "surface-chart-dim", "boolean-coordinate", "short-point",
         "negative-tolerance", "zero-tolerance", "nan-tolerance", "nan-string-tolerance",
-        "statistical-conn-names-a-metric", "one-monte-carlo-sample"])
+        "statistical-conn-names-a-metric", "one-monte-carlo-sample", "zero-barrier-count",
+        "zero-homogeneity-factor", "negative-homogeneity-factor", "no-homogeneity-factors",
+        "infinite-homogeneity-factor"])
 def test_value_out_of_range_is_a_scene_error(name, edit, message):
     data = bundled(name)
     edit(data)

@@ -936,8 +936,10 @@ def test_cli_cone_psi_outside_exits_2(capsys):
 
 
 def test_cli_cone_psi_no_closed_form_exits_2(capsys):
-    assert main(["cone", "psi", "lorentz(3)", "1,0,0"]) == 2
-    capsys.readouterr()
+    # the square pyramid is the polyhedral cone that is not simplicial
+    pyramid = '{"kind": "polyhedral", "generators": [[1, 1, 1], [1, 1, -1], [1, -1, 1], [1, -1, -1]]}'
+    assert main(["cone", "psi", pyramid, "1,0,0"]) == 2
+    assert "closed form" in capsys.readouterr().err
 
 
 def test_cli_cone_psi_bad_point_exits_2(capsys):
