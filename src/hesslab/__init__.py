@@ -49,7 +49,6 @@ from .lch import (
     LCHStructure,
     LeeConstants,
     MappingTorus,
-    MappingTorusSpec,
     build_mapping_torus,
     check_lch,
     check_monodromy,

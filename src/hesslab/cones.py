@@ -194,6 +194,8 @@ class ConeSpec:
                 f"{self.describe()} expects points of dimension {self.dim}, "
                 f"got {p.shape[0]}"
             )
+        if not np.all(np.isfinite(p)):
+            raise ValueError(f"{self.describe()} expects finite coordinates, got {p.tolist()}")
         return p
 
     def describe(self) -> str:

@@ -62,17 +62,20 @@ class DomainError(ExprError):
 # ---------------------------------------------------------------------------
 
 class Value:
-    """Base of the immutable value types: the expression nodes below and
-    records such as `geomcore.Chart`. A subclass names its fields once, as
-    ``__slots__ = __match_args__ = (...)``, and its ``__init__`` sets them
-    with `_set`. From that tuple it gets ``==`` (same class, equal field
-    tuples), a hash of the field tuple, the ``Name(field=value, ...)`` repr,
-    and copies and pickles that call the constructor with the fields.
-    Assigning or deleting an attribute raises AttributeError.
+    """Base of every record type in the package: the expression nodes below,
+    `geomcore.Chart` and the other values, the structures (`lch.MappingTorus`
+    among them) and `scenes.Scene` and `scenes.Report`. A subclass names its
+    fields once, as ``__slots__ = __match_args__ = (...)``, and its
+    ``__init__`` checks them and sets them with `_set`. From that tuple it
+    gets ``==`` (same class, equal field tuples), a hash of the field tuple
+    (a TypeError when a field holds a dict or a list), the
+    ``Name(field=value, ...)`` repr, and copies and pickles that call the
+    constructor with the fields. Assigning or deleting an attribute raises
+    AttributeError.
 
     These are the methods ``@dataclass(frozen=True)`` would generate; written
-    once here, they cost no ``exec`` of generated source at import, which
-    every CLI call pays."""
+    once here, they cost no import of ``dataclasses`` and no ``exec`` of
+    generated source, which every CLI call would pay."""
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()

@@ -175,8 +175,8 @@ class SamplePlan(Value):
     def __init__(self, count: int = 200, seed: int = 42, margin: float = 0.05):
         if not _is_integer(count) or count < 1:
             raise ValueError(f"count must be an integer >= 1, not {count!r}")
-        if not _is_integer(seed):
-            raise ValueError("seed must be an integer, so that sampling is reproducible")
+        if not _is_integer(seed) or seed < 0:
+            raise ValueError("seed must be an integer >= 0, so that sampling is reproducible")
         if not 0 <= margin < 0.5:
             raise ValueError("margin must lie in [0, 0.5)")
         self._set(count, seed, margin)

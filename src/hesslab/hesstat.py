@@ -16,7 +16,6 @@ cone back to {s = 1} recovers the base.  ``build_cone_structure`` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -129,8 +128,7 @@ class StatisticalStructure(Value):
         self._set(chart, conn, metric)
 
 
-@dataclass(eq=False)
-class ConeStructure:
+class ConeStructure(Value):
     """Flat radiant structure on base x (0, inf): g = s^2 g_M + ds^2.
 
     ``lam`` is the radiance constant: nabla(s d/ds) = lam * Id.  ``base`` is
@@ -139,26 +137,22 @@ class ConeStructure:
     out of ``build_cone_structure``; hand-built instances may leave it empty.
     """
 
-    chart: Chart
-    conn: ConnectionField
-    metric: MetricField
-    radial: VectorFieldT
-    lam: float
-    base: StatisticalStructure
-    reports: tuple = ()
+    __slots__ = __match_args__ = ("chart", "conn", "metric", "radial", "lam", "base", "reports")
 
-    def __post_init__(self):
-        if self.chart.dim < 2:
+    def __init__(self, chart: Chart, conn: ConnectionField, metric: MetricField,
+                 radial: VectorFieldT, lam: float, base: StatisticalStructure,
+                 reports: tuple = ()):
+        if chart.dim < 2:
             raise ValueError("a cone chart needs at least one base dimension")
-        if not self.chart.positive[-1] or self.chart.box[-1][0] <= 0:
+        if not chart.positive[-1] or chart.box[-1][0] <= 0:
             raise ChartError("the radial coordinate must stay strictly positive")
-        nondegenerate_lambda(self.lam)
-        base = self.base
-        if not isinstance(base, StatisticalStructure) or base.chart.dim != self.chart.dim - 1:
+        nondegenerate_lambda(lam)
+        if not isinstance(base, StatisticalStructure) or base.chart.dim != chart.dim - 1:
             raise ValueError("a cone needs its base statistical structure, one dimension lower")
-        for f in (self.conn, self.metric, self.radial):
-            if f.chart != self.chart:
+        for f in (conn, metric, radial):
+            if f.chart != chart:
                 raise ValueError("cone fields must share the cone chart")
+        self._set(chart, conn, metric, radial, lam, base, reports)
 
 
 class CurvatureEstimate(Value):
@@ -479,13 +473,12 @@ def build_cone_structure(base: StatisticalStructure, lam: float, *,
     metric = block_metric(chart, base.metric, ex.powi(s, 2), ex.ONE)
     radial = VectorFieldT(chart, [ex.ZERO] * n + [s])
 
-    cone = ConeStructure(chart, conn, metric, radial, lam, base=base)
+    cone = ConeStructure(chart, conn, metric, radial, lam, base)
     reports = _cone_postcondition_reports(cone, base, plan, tolerance)
-    cone.reports = tuple(reports)
     failed = [rep.name for rep in reports if not rep.passed]
     if failed:
         raise ConeConstructionError("cone postconditions failed: " + ", ".join(failed))
-    return cone
+    return ConeStructure(chart, conn, metric, radial, lam, base, tuple(reports))
 
 
 def block_metric(chart: Chart, base_metric: MetricField, scale: Expression,

@@ -4,16 +4,17 @@ An l.c.H. triple (nabla, g, theta) has a flat torsion-free connection, a
 closed one-form, and the twisted symmetry condition: nabla g - theta (x) g is
 totally symmetric.  Locally e^{-f} g is Hessian whenever theta = df.  This
 module verifies such triples, analyses the Lee field xi = theta-sharp and its
-constants (a, mu, u), rebuilds the metric from the Lee form, constructs
-mapping tori over constant-curvature statistical bases, measures the
-character by which a torus's deck map multiplies the Hessian metric of its
-cover, and runs the openness probe that perturbs theta by a closed form.
+constants (a, mu, u), rebuilds the metric from the Lee form, builds a
+mapping torus from its two parts (a constant-curvature statistical fiber and
+the monodromy automorphism), measures the character by which a torus's deck
+map multiplies the Hessian metric of its cover, and runs the openness probe
+that perturbs theta by a closed form. Its structures are `expr.Value`
+records.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,7 +58,6 @@ __all__ = [
     "LCHStructure",
     "LeeConstants",
     "MappingTorus",
-    "MappingTorusSpec",
     "MappingTorusError",
     "NotPositiveDefiniteError",
     "build_mapping_torus",
@@ -100,19 +100,17 @@ class MappingTorusError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(eq=False)
-class LCHStructure:
+class LCHStructure(ex.Value):
     """Flat connection, metric, and closed Lee form on one chart."""
 
-    chart: Chart
-    conn: ConnectionField
-    metric: MetricField
-    lee_form: OneFormField
+    __slots__ = __match_args__ = ("chart", "conn", "metric", "lee_form")
 
-    def __post_init__(self):
-        for f in (self.conn, self.metric, self.lee_form):
-            if f.chart != self.chart:
+    def __init__(self, chart: Chart, conn: ConnectionField, metric: MetricField,
+                 lee_form: OneFormField):
+        for f in (conn, metric, lee_form):
+            if f.chart != chart:
                 raise ValueError("l.c.H. fields must share one chart")
+        self._set(chart, conn, metric, lee_form)
 
 
 class LeeConstants(ex.Value):
@@ -156,43 +154,19 @@ def torus_scale(q) -> float:
     return q
 
 
-@dataclass(eq=False)
-class MappingTorusSpec:
-    """Base for a mapping torus: statistical fiber, automorphism, scale q.
-
-    The automorphism is given as one expression per base coordinate and kept
-    as a vector field on the base chart; it must preserve the base metric and
-    connection (checked by the builder).  The scale q > 0, q != 1 fixes the
-    deck transformation (m, s) -> (phi(m), qs) (see ``torus_scale``), and
-    ``lam`` picks a root of lam*(2 - lam) = c for the cone lift.
-    """
-
-    base: StatisticalStructure
-    automorphism: VectorFieldT
-    scale: float
-    lam: float
-
-    def __post_init__(self):
-        self.scale = torus_scale(self.scale)
-        self.lam = nondegenerate_lambda(self.lam)
-        dim = self.base.chart.dim
-        comps = list(self.automorphism)
-        if len(comps) != dim:
-            raise ValueError(
-                f"automorphism needs {dim} components, got {len(comps)}"
-            )
-        self.automorphism = VectorFieldT(self.base.chart, comps)
-
-
-@dataclass(eq=False)
 class MappingTorus(LCHStructure):
     """An l.c.H. structure on a torus's fundamental domain, with what glued
     it: the deck map (m, s) -> (phi(m), qs), the cone it is cut from (its
     metric h = s^2 g is the cover's Hessian metric), and the reports."""
 
-    deck_map: VectorFieldT
-    cone: ConeStructure
-    reports: tuple
+    __slots__ = ("deck_map", "cone", "reports")
+    __match_args__ = LCHStructure.__match_args__ + __slots__
+
+    def __init__(self, chart: Chart, conn: ConnectionField, metric: MetricField,
+                 lee_form: OneFormField, deck_map: VectorFieldT, cone: ConeStructure,
+                 reports: tuple):
+        super().__init__(chart, conn, metric, lee_form)
+        self._set(chart, conn, metric, lee_form, deck_map, cone, reports)
 
 
 # ---------------------------------------------------------------------------
@@ -452,27 +426,37 @@ def _seam(pts):
     return np.hstack([pts, np.ones((len(pts), 1))])
 
 
-def build_mapping_torus(spec: MappingTorusSpec, *, plan=None,
-                        tolerance: float = DEFAULT_TOLERANCE):
-    """L.c.H. structure on the fundamental domain M x [1, q] of a mapping torus.
+def build_mapping_torus(base: StatisticalStructure, automorphism, scale: float, lam: float, *,
+                        plan=None, tolerance: float = DEFAULT_TOLERANCE) -> MappingTorus:
+    """L.c.H. structure on the fundamental domain M x [1, q] of a mapping torus
+    with statistical fiber ``base`` and monodromy ``automorphism``.
+
+    The automorphism is one expression per base coordinate, kept as a vector
+    field on the base chart; it must preserve the base metric and connection.
+    The scale q > 0, q != 1 fixes the deck transformation (m, s) -> (phi(m), qs)
+    (see ``torus_scale``), and ``lam`` picks a root of lam*(2 - lam) = c for
+    the cone lift. Scale, ``lam`` and the automorphism's length are checked
+    before any work.
 
     The total metric is g_M + ds^2/s^2 (the cone metric rescaled by 1/s^2),
     the Lee form is -2 ds/s, and the connection is the flat radiant cone
-    connection over the base.  Precondition: the automorphism preserves the
-    base metric and connection.  The returned gluing report certifies that
-    the deck map (m, s) -> (phi(m), q s) pulls all three fields back to
-    themselves across the seam.
+    connection over the base.  The returned gluing report certifies that
+    the deck map pulls all three fields back to themselves across the seam.
 
     The ``MappingTorus`` returned carries the cone and the automorphism,
     seam, and cone postcondition reports.
     """
-    plan = plan or SamplePlan()
-    base = spec.base
+    q = torus_scale(scale)
+    lam = nondegenerate_lambda(lam)
     k = base.chart.dim
-    q = spec.scale
+    comps = list(automorphism)
+    if len(comps) != k:
+        raise ValueError(f"automorphism needs {k} components, got {len(comps)}")
+    automorphism = VectorFieldT(base.chart, comps)
+    plan = plan or SamplePlan()
 
     def auto_residual(pts):
-        return _pullback_residuals(spec.automorphism, base.conn, base.metric, None, pts)
+        return _pullback_residuals(automorphism, base.conn, base.metric, None, pts)
 
     auto_report = sample_check(auto_residual, base.chart, plan, tolerance,
                                name="mapping-torus-automorphism")
@@ -485,7 +469,7 @@ def build_mapping_torus(spec: MappingTorusSpec, *, plan=None,
         )
 
     lo, hi = min(1.0, q), max(1.0, q)
-    cone = build_cone_structure(base, spec.lam, s_interval=(lo, hi),
+    cone = build_cone_structure(base, lam, s_interval=(lo, hi),
                                 plan=plan, tolerance=tolerance)
     chart = cone.chart
     s = ex.Var(k)
@@ -494,7 +478,7 @@ def build_mapping_torus(spec: MappingTorusSpec, *, plan=None,
     theta = OneFormField(
         chart, [ex.ZERO] * k + [ex.neg(ex.div(ex.const(2.0), s))]
     )
-    deck_map = VectorFieldT(chart, [*spec.automorphism.entries, ex.mul(ex.const(q), s)])
+    deck_map = VectorFieldT(chart, [*automorphism.entries, ex.mul(ex.const(q), s)])
 
     def seam_residual(pts):
         return _pullback_residuals(deck_map, cone.conn, metric, theta, _seam(pts))

@@ -26,10 +26,9 @@ values; a check that reaches a structure that failed to build reports
 
 from __future__ import annotations
 
-import dataclasses
+import copy
 import json
 import math
-from dataclasses import dataclass, field
 from functools import partial
 from importlib import resources
 from pathlib import Path
@@ -88,7 +87,6 @@ from .hesstat import (
 from .lch import (
     LCHStructure,
     MappingTorus,
-    MappingTorusSpec,
     build_mapping_torus,
     check_lch,
     check_monodromy,
@@ -177,48 +175,46 @@ class _Unbuilt(Exception):
     """A check or structure reached a structure that failed to build."""
 
 
-@dataclass
-class Scene:
+class Scene(ex.Value):
     """A validated scene: fields and cones are built, and structures and
     checks are coerced specs, built and run by ``run_suite``."""
 
-    name: str
-    description: str
-    chart: Chart
-    fields: dict
-    cones: dict
-    structures: dict
-    checks: list
-    source: str = "<memory>"
+    __slots__ = __match_args__ = ("name", "description", "chart", "fields", "cones",
+                                  "structures", "checks", "source")
+
+    def __init__(self, name: str, description: str, chart: Chart, fields: dict, cones: dict,
+                 structures: dict, checks: list, source: str = "<memory>"):
+        self._set(name, description, chart, fields, cones, structures, checks, source)
 
 
-@dataclass
-class Report:
+class Report(ex.Value):
     """Executed check suite with the metadata needed to reproduce it."""
 
-    scene: str
-    version: str
-    seed: int
-    count: int
-    margin: float
-    tolerance: float
-    checks: list = field(default_factory=list)
+    __slots__ = __match_args__ = ("scene", "version", "seed", "count", "margin", "tolerance",
+                                  "checks")
+
+    def __init__(self, scene: str, version: str, seed: int, count: int, margin: float,
+                 tolerance: float, checks: list):
+        self._set(scene, version, seed, count, margin, tolerance, checks)
 
     @property
     def all_ok(self) -> bool:
         return all(c["ok"] for c in self.checks)
 
-    def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
+    def _fields(self) -> dict:
+        """The fields and ``all_ok``, as one shallow dict."""
+        out = dict(zip(self.__match_args__, self._values(self)))
         out["all_ok"] = self.all_ok
         return out
+
+    def to_dict(self) -> dict:
+        """The fields and ``all_ok`` as plain data, copied all the way down."""
+        return copy.deepcopy(self._fields())
 
     def to_json(self) -> str:
         """``strict_json(self.to_dict())``, from a shallow dict of the fields:
         encoding the non-finite floats is the one copy of the checks it makes."""
-        out = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
-        out["all_ok"] = self.all_ok
-        return strict_json(out)
+        return strict_json(self._fields())
 
     @classmethod
     def from_dict(cls, data: dict) -> "Report":
@@ -336,6 +332,15 @@ def _constants(value, owner: str, key: str, n: int | None = None) -> tuple:
     return tuple(_constant(v, f"{owner}: '{key}' [{i}]") for i, v in enumerate(value))
 
 
+def _point(value, owner: str, key: str, scope) -> tuple:
+    """A point of the spec's cone: one finite constant per cone coordinate."""
+    dim = scope.cones[scope.values["cone"]].dim
+    point = _constants(value, owner, key, dim)
+    if not all(map(math.isfinite, point)):
+        raise _wrong(owner, key, value, f"a list of {dim} finite constants")
+    return point
+
+
 def _factors(value, owner: str, key: str, scope=None) -> tuple:
     """A non-empty list of finite constants > 0: the t of psi(t x)."""
     factors = _constants(value, owner, key)
@@ -447,8 +452,7 @@ _POSITIVE_COUNT = _Key(_is(lambda v: type(v) is int and v >= 1,
                            "a positive count (an integer >= 1)"))
 _FACTORS = _Key(_factors)
 _INTERVAL = _Key(lambda value, owner, key, scope: _constants(value, owner, key, 2))
-_POINT = _Key(lambda value, owner, key, scope:  # a point of the spec's cone
-              _constants(value, owner, key, scope.cones[scope.values["cone"]].dim))
+_POINT = _Key(_point)
 _MAP = _Key(lambda value, owner, key, scope:  # a map of the scene chart
             _entry_list(value, owner, key, scope.chart.dim, scope.chart.dim))
 _SURFACE = _Key(lambda value, owner, key, scope:  # the spec's chart into its cone
@@ -649,8 +653,8 @@ def _build_cone(ctx, base, lam, s_interval, tolerance):
             scale=_ruled(torus_scale)(2.0), lam=_LAMBDA,
             tolerance=_POSITIVE(DEFAULT_TOLERANCE))
 def _build_mapping_torus(ctx, base, automorphism, scale, lam, tolerance):
-    torus_spec = MappingTorusSpec(base, automorphism, scale, lam)
-    return build_mapping_torus(torus_spec, plan=ctx.plan, tolerance=tolerance)
+    return build_mapping_torus(base, automorphism, scale, lam, plan=ctx.plan,
+                               tolerance=tolerance)
 
 
 @_structure("cone_lch", LCHStructure, cone=_ref(ConeSpec), chart=_CHART(None))
@@ -891,6 +895,7 @@ def run_suite(scene: Scene, plan: SamplePlan | None = None,
         count=plan.count,
         margin=plan.margin,
         tolerance=DEFAULT_TOLERANCE if tolerance is None else tolerance,
+        checks=[],
     )
     try:
         for i, check in enumerate(scene.checks):

@@ -4,7 +4,7 @@ Run from the repository root::
 
     PYTHONPATH=src python tests/golden/regen.py
 
-The acceptance set is 42 reports: the 10 bundled examples at seeds 1, 3 and
+The acceptance set is 43 reports: the 10 bundled examples at seeds 1, 3 and
 42 (200 samples), ``hopf`` and ``sphere_cone`` at 20 000 samples (seed 42),
 the dense round-sphere scenes of dims 2 and 3 at seeds 1, 3 and 7 (200
 samples), and the scenes of ``SCENE_CASES`` at 200 samples. Each report is
@@ -12,8 +12,9 @@ written as ``Report.to_json`` to ``reports/``.
 
 ``SCENE_CASES`` cover what no bundled scene reaches: the ``self_similar``
 and ``potential_field`` ops, an explicit connection with torsion, a metric
-that leaves its domain on part of the chart, and polyhedral and product
-cones. They are not bundled,
+that leaves its domain on part of the chart, polyhedral and product cones,
+``cos`` and a non-integer power, and a product cone's interior sampler and
+default chart. They are not bundled,
 because the benchmark's ``examples`` workload runs every bundled scene.
 
 The six dense scene inputs are committed under ``scenes/``. A missing one is
@@ -47,7 +48,7 @@ WIDE = (("hopf", "sphere_cone"), 20_000, 42)
 DENSE_DIMS = (2, 3)
 DENSE_SEEDS = (1, 3, 7)
 SCENE_CASES = (("self_similar_potential", 42), ("torsion_connection", 42), ("domain_error", 11),
-               ("polyhedral_product_cones", 42))
+               ("polyhedral_product_cones", 42), ("reach_gaps", 42))
 
 
 def dense_path(dim: int, seed: int) -> Path:

@@ -40,7 +40,6 @@ from hesslab.hesstat import (
 )
 from hesslab.lch import (
     LCHStructure,
-    MappingTorusSpec,
     build_mapping_torus,
     check_lch,
     check_monodromy,
@@ -180,9 +179,8 @@ def test_criterion_07_lee_identity():
 
 
 def test_criterion_08_mapping_torus():
-    struct = build_mapping_torus(
-        MappingTorusSpec(halfplane_base(), ("x0", "x1"), 2.0, LAM),
-        plan=PLAN, tolerance=1e-6)
+    struct = build_mapping_torus(halfplane_base(), ("x0", "x1"), 2.0, LAM,
+                                 plan=PLAN, tolerance=1e-6)
     gate = check_lch(struct, PLAN, TOL)
     c = lee_constants(struct, PLAN)
     seam = next(r for r in struct.reports if r.name == "mapping-torus-seam")

@@ -98,7 +98,8 @@ def test_sample_plan_validation():
     # a fractional count used to fail inside numpy at the first Chart.sample,
     # and a bool count or seed was taken as 1 or 0
     for kwargs in ({"count": 200.5}, {"count": 200.0}, {"count": "200"},
-                   {"count": True, "seed": False}, {"seed": False}):
+                   {"count": True, "seed": False}, {"seed": False}, {"seed": -1},
+                   {"seed": np.int64(-3)}):
         with pytest.raises(ValueError, match="integer"):
             SamplePlan(**kwargs)
     plan = SamplePlan(count=np.int64(5), seed=np.int32(3))

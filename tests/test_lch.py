@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import ast
-import dataclasses
 import inspect
 import math
 import tracemalloc
@@ -43,6 +42,7 @@ from hesslab.geomcore import (
     total_symmetry_residual_batch,
 )
 from hesslab.hesstat import (
+    ConeStructure,
     DegenerateLambdaError,
     StatisticalStructure,
     check_hessian_structure,
@@ -54,7 +54,6 @@ from hesslab.lch import (
     LeeConstants,
     MappingTorusError,
     MappingTorus,
-    MappingTorusSpec,
     NotPositiveDefiniteError,
     _affine_residual,
     _require_closed,
@@ -98,8 +97,17 @@ def halfplane_base() -> StatisticalStructure:
 
 
 def halfplane_torus(q=2.0, lam=LAM, automorphism=("x0", "x1")):
-    spec = MappingTorusSpec(halfplane_base(), automorphism, q, lam)
-    return build_mapping_torus(spec, plan=PLAN)
+    return build_mapping_torus(halfplane_base(), automorphism, q, lam, plan=PLAN)
+
+
+def with_parts(torus, *, deck_map=None, cone_metric=None) -> MappingTorus:
+    """The torus rebuilt with another deck map or cone metric."""
+    cone = torus.cone
+    if cone_metric is not None:
+        cone = ConeStructure(cone.chart, cone.conn, cone_metric, cone.radial, cone.lam,
+                             cone.base, cone.reports)
+    return MappingTorus(torus.chart, torus.conn, torus.metric, torus.lee_form,
+                        deck_map or torus.deck_map, cone, torus.reports)
 
 
 # ---------------------------------------------------------------------------
@@ -639,18 +647,19 @@ def test_symmetry_pulls_theta_back_by_the_transposed_jacobian():
 
 
 def test_mapping_torus_spec_validation():
+    # the scale, lambda and the automorphism's length are refused before any work
     base = halfplane_base()
     for q in (-1.0, 0.0, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="finite and positive"):
-            MappingTorusSpec(base, ("x0", "x1"), q, LAM)
+            build_mapping_torus(base, ("x0", "x1"), q, LAM)
     with pytest.raises(ValueError, match="differ from 1"):
-        MappingTorusSpec(base, ("x0", "x1"), 1.0, LAM)
+        build_mapping_torus(base, ("x0", "x1"), 1.0, LAM)
     for lam in (2.0, 0.0, math.nan, math.inf):
         with pytest.raises(DegenerateLambdaError):
-            MappingTorusSpec(base, ("x0", "x1"), 2.0, lam)
+            build_mapping_torus(base, ("x0", "x1"), 2.0, lam)
     assert lch.torus_scale("0.5") == 0.5
     with pytest.raises(ValueError, match="components"):
-        MappingTorusSpec(base, ("x0",), 2.0, LAM)
+        build_mapping_torus(base, ("x0",), 2.0, LAM)
 
 
 def test_mapping_torus_fiber_recovery():
@@ -668,13 +677,8 @@ def test_mapping_torus_fiber_recovery():
     (lambda: halfplane_torus(lam=1.0 + math.sqrt(2.0)), -1),
     (lambda: halfplane_torus(lam=1.0 - math.sqrt(2.0)), -1),
     (lambda: build_mapping_torus(
-        MappingTorusSpec(
-            StatisticalStructure(
-                sphere_chart(), levi_civita(sphere_metric()), sphere_metric()
-            ),
-            ("x0", "x1"), 2.0, 1.0,
-        ),
-        plan=PLAN,
+        StatisticalStructure(sphere_chart(), levi_civita(sphere_metric()), sphere_metric()),
+        ("x0", "x1"), 2.0, 1.0, plan=PLAN,
     ), +1),
 ])
 def test_mapping_torus_curvature_sign_rule(build, c_sign):
@@ -767,8 +771,7 @@ def test_monodromy_of_the_invariant_metric_has_rank_zero():
     # the torus metric g = h / s^2 is what the deck map preserves: measured
     # against it the character is 0, so a rank-1 expectation fails
     torus = halfplane_torus()
-    invariant = dataclasses.replace(
-        torus, cone=dataclasses.replace(torus.cone, metric=torus.metric))
+    invariant = with_parts(torus, cone_metric=torus.metric)
     rep = check_monodromy(invariant, 1, PLAN)
     assert abs(rep.extra["character"]) <= 1e-12 and rep.extra["rank"] == 0
     assert not rep.passed and rep.max_residual == 1.0
@@ -779,7 +782,7 @@ def test_monodromy_misfit_reads_a_map_that_is_no_homothety():
     # (m, s) -> (2 x0, x1, s) pulls h = s^2 dx^2 / x0^2 + ds^2 back to
     # diag(1, 1/4, 1) h on the seam, which no single c fits
     torus = halfplane_torus()
-    skewed = dataclasses.replace(torus, deck_map=VectorFieldT(torus.chart, ["2*x0", "x1", "x2"]))
+    skewed = with_parts(torus, deck_map=VectorFieldT(torus.chart, ["2*x0", "x1", "x2"]))
     rep = check_monodromy(skewed, 1, PLAN)
     assert not rep.passed and rep.max_residual > 0.1
 
@@ -792,7 +795,7 @@ def test_monodromy_reports_seam_samples_out_of_the_domain():
     h = torus.cone.metric
     root = ex.call("sqrt", ex.Var(1))
     rooted = MetricField(h.chart, [[ex.mul(root, e) for e in row] for row in h.entries])
-    cut = dataclasses.replace(torus, cone=dataclasses.replace(torus.cone, metric=rooted))
+    cut = with_parts(torus, cone_metric=rooted)
     rep = check_monodromy(cut, 1, PLAN)
     out = int(np.count_nonzero(torus.cone.base.chart.sample(PLAN)[:, 1] <= 0.0))
     assert 0 < out < PLAN.count
@@ -804,7 +807,7 @@ def test_monodromy_reports_seam_samples_out_of_the_domain():
     # no sample in the domain: nothing to fit, so the character is NaN
     root = ex.call("sqrt", ex.sub(ex.Var(1), ex.const(5.0)))
     rooted = MetricField(h.chart, [[ex.mul(root, e) for e in row] for row in h.entries])
-    cut = dataclasses.replace(torus, cone=dataclasses.replace(torus.cone, metric=rooted))
+    cut = with_parts(torus, cone_metric=rooted)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rep = check_monodromy(cut, 1, PLAN)

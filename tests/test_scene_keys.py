@@ -160,11 +160,15 @@ def test_cli_wrong_kind_exits_2(tmp_path, capsys, name, where, key):
     ("orthant_cone", lambda d: spec_of(d, "psi-homogeneity").update(factors=[2, math.inf]),
      "check 2 ('homogeneity'): 'factors' is [2, Infinity], "
      "not a non-empty list of finite positive constants"),
+    ("orthant_cone", lambda d: spec_of(d, "psi-exact").update(point=[1, math.inf]),
+     "check 0 ('psi'): 'point' is [1, Infinity], not a list of 2 finite constants"),
+    ("lorentz_cone", lambda d: spec_of(d, "psi-homogeneity").update(point=[math.nan, 0.3]),
+     "check 2 ('homogeneity'): 'point' is [NaN, 0.3], not a list of 2 finite constants"),
 ], ids=["chart-dim", "surface-chart-dim", "boolean-coordinate", "short-point",
         "negative-tolerance", "zero-tolerance", "nan-tolerance", "nan-string-tolerance",
         "statistical-conn-names-a-metric", "one-monte-carlo-sample", "zero-barrier-count",
         "zero-homogeneity-factor", "negative-homogeneity-factor", "no-homogeneity-factors",
-        "infinite-homogeneity-factor"])
+        "infinite-homogeneity-factor", "infinite-psi-point", "nan-homogeneity-point"])
 def test_value_out_of_range_is_a_scene_error(name, edit, message):
     data = bundled(name)
     edit(data)

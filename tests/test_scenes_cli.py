@@ -942,6 +942,24 @@ def test_cli_cone_psi_no_closed_form_exits_2(capsys):
     assert "closed form" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("point", ["1,inf", "nan,1"])
+def test_cli_cone_psi_non_finite_point_exits_2(capsys, point):
+    # an infinite coordinate read as inside the orthant, so the message that
+    # came back was psi's positivity rule rather than the point's
+    assert main(["cone", "psi", "orthant(2)", point]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: orthant(2) expects finite coordinates")
+
+
+def test_cli_negative_seed_exits_2(capsys):
+    # numpy rejects a negative seed at the first sample, where every check
+    # of the scene used to report a failure of its own
+    assert main(["example", "hopf", "--seed", "-1", "--samples", "20"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == ("error: seed must be an integer >= 0, "
+                                 "so that sampling is reproducible\n")
+
+
 def test_cli_cone_psi_bad_point_exits_2(capsys):
     assert main(["cone", "psi", "orthant(2)", "2,zebra"]) == 2
     assert "comma-separated" in capsys.readouterr().err
