@@ -108,6 +108,8 @@ def _cmd_examples(args) -> int:
 
 def _cmd_psi(args) -> int:
     monte_carlo_budget(args.mc_samples, "command line", "--mc-samples")
+    if args.seed < 0:
+        raise SceneError(f"command line: '--seed' is {args.seed}, not an integer >= 0")
     cone = cone_from_spec(args.spec)
     try:
         point = [float(v) for v in args.point.replace(" ", "").split(",") if v]

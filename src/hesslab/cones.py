@@ -534,9 +534,11 @@ def characteristic_function(cone: ConeSpec, x, method: str = "closed_form",
     ``closed_form`` uses the cone's exact expression (an error where none is
     implemented); ``monte_carlo`` importance-samples the dual cone on a
     randomly shifted lattice with the given budget (at least LATTICE_SHIFTS)
-    and seed, reporting a standard error, and refuses estimates whose
-    relative error passes 0.5.
+    and seed (an integer >= 0), reporting a standard error, and refuses
+    estimates whose relative error passes 0.5.
     """
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, not {seed!r}")
     p = cone._point(x)
     if not cone.contains(p):
         raise OutsideConeError(

@@ -669,8 +669,8 @@ def lie_derivative_metric_batch(xi: VectorFieldT, g: MetricField, pts) -> Array:
 
 def _fold_keep(d: int) -> int:
     """Bytes per row that one block of the curvature fold keeps besides the
-    jets' scratch: Gamma's value and derivative rows, one slice A^l, and the
-    block of R and its two traces that the constant-curvature fit builds."""
+    jets' scratch: Gamma's value and derivative rows, d^3 for a pair's slices,
+    and the block of R and two traces that the constant-curvature fit builds."""
     return 8 * (2 * d**4 + 2 * d**3 + 2 * d**2)
 
 
@@ -691,9 +691,11 @@ def _holds_order_1(conn: ConnectionField, pts) -> bool:
 
 
 def _curvature_slices(conn: ConnectionField, pts, take) -> None:
-    """``take(rows, l, a)`` for each row block and upper index l, with a
-    fresh slice A^l_{ijk} = Gamma^l_{iu} Gamma^u_{jk} + d_i Gamma^l_{jk} at
-    those rows that ``take`` may overwrite: R^l_{ijk} = A^l_{ijk} - A^l_{jik}.
+    """``take(rows, i, j, r)`` for each row block and index pair i < j, with
+    r the fresh slice (b, l, k) = R^l_{ijk} = Gamma^l_{iu} Gamma^u_{jk} -
+    Gamma^l_{ju} Gamma^u_{ik} + d_i Gamma^l_{jk} - d_j Gamma^l_{ik} at those
+    rows. The rows d_i Gamma^l_{ik} enter no pair, so each slice adds 0 times
+    their sum: NaN where one is not finite (or the sum overflows).
 
     Where `_holds_order_1` holds Gamma's order-1 tensor the blocks are rows
     of it. Otherwise Gamma's order-1 jets are taken one block at a time and
@@ -704,13 +706,15 @@ def _curvature_slices(conn: ConnectionField, pts, take) -> None:
     d = conn.chart.dim
 
     def fold(rows, cj):
-        gamma = cj.value
-        dgamma = cj.grad.transpose(0, 1, 4, 2, 3)  # (b, l, i, j, k) = d_i Gamma^l_{jk}
-        for l in range(d):
-            a = np.einsum("aiu,aujk->aijk", gamma[:, l], gamma)
-            a += dgamma[:, l]
-            take(rows, l, a)
-            del a  # before the next slice is allocated
+        gamma, dgamma = cj.value, cj.grad  # dgamma (b, l, j, k, i) = d_i Gamma^l_{jk}
+        guard = 0.0 * np.sum(np.diagonal(dgamma, axis1=2, axis2=4), axis=(1, 2, 3))
+        for i, j in itertools.combinations(range(d), 2):
+            r = np.einsum("alu,auk->alk", gamma[:, :, i], gamma[:, :, j])
+            r -= np.einsum("alu,auk->alk", gamma[:, :, j], gamma[:, :, i])
+            r += dgamma[:, :, j, :, i]
+            r -= dgamma[:, :, i, :, j]
+            r += guard[:, None, None]
+            take(rows, i, j, r)
 
     if _holds_order_1(conn, pts):
         cj = conn.eval(pts, 1)
@@ -728,20 +732,21 @@ def _curvature_slices(conn: ConnectionField, pts, take) -> None:
 
 def curvature_blocks(conn: ConnectionField, pts, take) -> None:
     """``take(rows, r)`` for each row block, with r the curvature at those
-    rows, (b, l, i, j, k) = R^l_{ijk}, a fresh array ``take`` may change.
-    The scratch is one block of R besides `_curvature_slices`' own; a flat
-    connection gives one block of zeros and is not evaluated."""
+    rows, (b, l, i, j, k) = R^l_{ijk}, a fresh array ``take`` may change: the
+    pair slices (`_curvature_slices`), their negations at (j, i) and zeros.
+    A flat connection or a 1-dim chart gives one block of zeros."""
     m, d = len(pts), conn.chart.dim
-    if conn.flat:
+    if conn.flat or d == 1:
         take(slice(None), samples_first(np.zeros((d, d, d, d, m))))
         return
     block = []
 
-    def put(rows, l, a):
-        if l == 0:
-            block[:] = [samples_first(np.empty((d, d, d, d, len(a))))]
-        np.subtract(a, a.transpose(0, 2, 1, 3), out=block[0][:, l])
-        if l == d - 1:
+    def put(rows, i, j, r):
+        if not block:
+            block.append(samples_first(np.zeros((d, d, d, d, len(r)))))
+        block[0][:, :, i, j] = r
+        np.negative(r, out=block[0][:, :, j, i])
+        if (i, j) == (d - 2, d - 1):
             take(rows, block.pop())
 
     _curvature_slices(conn, pts, put)
@@ -821,26 +826,17 @@ def torsion_residual(conn: ConnectionField, pts) -> Array:
 
 def flatness_residual(conn: ConnectionField, pts) -> Array:
     """Per-sample |R| / (1 + |Gamma|), kept with the held point set
-    (`held_result`), without the curvature tensor. Each slice A^l
-    (`_curvature_slices`) becomes R^l in place: R^l_{ijk} at i < j, its
-    negation at (j, i) (R^l_{jik} = -R^l_{ijk} exactly, up to the sign of a
-    zero) and A - A on the diagonal (0, or NaN where A is not finite), so its
-    largest entry is max |R^l|. 0 for a flat connection, not evaluated."""
+    (`held_result`), without the curvature tensor: the largest max |R^l_{ij.}|
+    of the pair slices (`_curvature_slices`), which hold R up to sign. 0 for
+    a flat connection, not evaluated, and on a 1-dim chart."""
     def compute():
         worst = np.zeros(len(pts))
         if conn.flat:
             return worst
 
-        def fold(rows, l, a):
-            for i in range(a.shape[1]):
-                upper, lower, diagonal = a[:, i, i + 1:], a[:, i + 1:, i], a[:, i, i]
-                np.subtract(upper, lower, out=upper)
-                np.negative(upper, out=lower)
-                np.subtract(diagonal, diagonal, out=diagonal)
-            np.maximum(worst[rows], np.maximum.reduce(a, axis=(1, 2, 3)), out=worst[rows])
-
-        _curvature_slices(conn, pts, fold)
-        return np.abs(worst, out=worst) / (1.0 + max_abs(conn.eval(pts, 0).value))
+        _curvature_slices(conn, pts, lambda rows, i, j, r: np.maximum(
+            worst[rows], max_abs(r), out=worst[rows]))
+        return worst / (1.0 + max_abs(conn.eval(pts, 0).value))
 
     return held_result(("flatness", conn), pts, compute)
 

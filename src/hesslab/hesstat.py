@@ -384,8 +384,7 @@ def estimate_constant_curvature(struct: StatisticalStructure, plan=None) -> Curv
         hi = samples_first(np.empty((d, d, m)))
         lo = samples_first(np.empty((d, d, m)))
         diagonal = np.arange(d)
-        # (j, k, l): l != j. B misses R^l_{llk} = A - A, which is 0, or NaN
-        # and then makes the traces and c NaN
+        # (j, k, l): l != j. B misses R^l_{llk}: 0, or a NaN that makes c NaN
         reached = diagonal[:, None, None] != diagonal
 
         def take(rows, r):

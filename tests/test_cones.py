@@ -292,6 +292,20 @@ def test_orthant_monte_carlo_matches_closed_form():
     assert abs(psi.value - exact) <= 3.0 * psi.stderr
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True, None, "3"])
+def test_psi_rejects_a_seed_that_is_not_an_integer_at_least_0(seed):
+    # numpy raised its own TypeError for 1.5 and read True as the seed 1
+    for method in ("monte_carlo", "closed_form"):
+        with pytest.raises(ValueError, match=f"seed must be an integer >= 0, not {seed!r}"):
+            characteristic_function(LorentzCone(2), (1.5, 0.5), method, seed=seed)
+
+
+def test_psi_takes_a_numpy_integer_seed():
+    cone = LorentzCone(2)
+    a = characteristic_function(cone, (1.5, 0.5), "monte_carlo", samples=MC_N, seed=np.int64(8))
+    assert a == characteristic_function(cone, (1.5, 0.5), "monte_carlo", samples=MC_N, seed=8)
+
+
 def test_lorentz_monte_carlo_matches_closed_form():
     cone = LorentzCone(2)
     for x in [(1.0, 0.0), (2.0, 0.7)]:

@@ -37,7 +37,7 @@ SPECS = sorted({call.args[0].value for module in RESIDUAL_MODULES
 
 
 def test_every_call_site_is_found():
-    assert "aiu,aujk->aijk" in SPECS  # the curvature kernel
+    assert "alu,auk->alk" in SPECS  # the curvature kernel
     assert "acde,adu,aev->acuv" in SPECS  # three operands
     # the AST search finds every call the source spells out
     for module in RESIDUAL_MODULES:

@@ -1423,18 +1423,24 @@ def test_a_parse_is_memoized_per_text_and_dimension():
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_curvature_matches_the_closed_formula_bit_for_bit(dim):
-    # the curvature fold forms A^l_{ijk} = Gamma^l_{iu} Gamma^u_{jk} + d_i Gamma^l_{jk}
-    # one upper index at a time and takes A^l_{ijk} - A^l_{jik}; written out
-    # here, the same formula must round exactly as the kernel does
+    # the curvature fold forms the slice R^l_{ijk} of each pair i < j as
+    # Gamma^l_{iu} Gamma^u_{jk} - Gamma^l_{ju} Gamma^u_{ik} + d_i Gamma^l_{jk}
+    # - d_j Gamma^l_{ik}, in this order, plus 0 times the sum of the rows
+    # d_i Gamma^l_{ik}, and the rest of R as R^l_{jik} = -R^l_{ijk} and
+    # R^l_{iik} = 0; written out here, the same formula must round exactly
+    # as the kernel does
     chart = Chart(dim, ((-0.5, 0.5),) * dim)
     lc = levi_civita(MetricField(chart, _sphere_scene(dim)["fields"]["g"]["entries"]))
     pts = chart.sample(SamplePlan(count=40, seed=9))
     cj = lc.eval(pts.copy(), 1)
     term1 = cj.grad.transpose(0, 1, 4, 2, 3)  # (m, l, i, j, k) = d_i Gamma^l_{jk}
-    want = np.empty_like(term1)
-    for l in range(dim):
-        a = np.einsum("aiu,aujk->aijk", cj.value[:, l], cj.value) + term1[:, l]
-        want[:, l] = a - a.transpose(0, 2, 1, 3)
+    guard = 0.0 * np.sum(np.diagonal(term1, axis1=2, axis2=3), axis=(1, 2, 3))
+    want = np.zeros_like(term1)
+    for i, j in itertools.combinations(range(dim), 2):
+        gi, gj = cj.value[:, :, i], cj.value[:, :, j]
+        r = np.einsum("alu,auk->alk", gi, gj) - np.einsum("alu,auk->alk", gj, gi)
+        r = r + term1[:, :, i, j] - term1[:, :, j, i] + guard[:, None, None]
+        want[:, :, i, j], want[:, :, j, i] = r, -r
     got = curvature_tensor(lc, pts)
     assert got.tobytes() == want.tobytes()
     # the whole-tensor einsum formula sums in another order: equal to rounding

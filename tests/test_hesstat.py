@@ -25,6 +25,7 @@ from hesslab.geomcore import (
     drop_held_points,
     euler_field,
     flat_connection,
+    flatness_residual,
     levi_civita,
     rel_residual,
 )
@@ -449,6 +450,51 @@ def test_a_nan_metric_fits_a_nan_curvature():
             scene.chart, scene.fields["D"], scene.fields["g"]), PLAN)
     assert math.isnan(report["max_residual"]) and math.isnan(report["extra"]["c"])
     assert math.isnan(est.c) and math.isnan(est.residual)
+
+
+def _one_symbol_connection(chart: Chart, entry: str) -> ConnectionField:
+    """Gamma^0_{00} = ``entry``, every other symbol 0."""
+    d = chart.dim
+    entries = np.full((d, d, d), "0", dtype=object)
+    entries[0, 0, 0] = entry
+    return ConnectionField(chart, entries)
+
+
+def test_an_inf_derivative_in_no_index_pair_reads_nan():
+    # x0 is subnormal, so Gamma^0_{00} = exp(1.7e308 x0) is about 1.3 and
+    # d_0 Gamma^0_{00} = 1.7e308 Gamma^0_{00} is inf. That row enters no
+    # slice R^l_{ij.} with i < j, whose entries are all 0 here: the fold must
+    # still read NaN at every sample, in the flatness term, the curvature fit
+    # and a hessian gate
+    chart = Chart(2, ((1e-309, 2e-309), (0.0, 1.0)))
+    conn = _one_symbol_connection(chart, "exp(1.7e308*x0)")
+    g = MetricField(chart, [["1", "0"], ["0", "1"]])
+    try:
+        with np.errstate(all="ignore"):
+            pts = chart.sample(PLAN)
+            cj = conn.eval(pts, 1)
+            assert np.isfinite(cj.value).all() and np.isinf(cj.grad[:, 0, 0, 0, 0]).all()
+            flatness = flatness_residual(conn, pts)
+            est = estimate_constant_curvature(StatisticalStructure(chart, conn, g), PLAN)
+            report = check_hessian_structure(conn, g, PLAN)
+    finally:
+        drop_held_points()
+    assert np.isnan(flatness).all()
+    assert math.isnan(est.c) and math.isnan(est.residual)
+    assert not report.passed and math.isnan(report.extra["flatness"])
+
+
+def test_a_one_dimensional_chart_has_no_curvature_to_fold():
+    chart = Chart(1, ((0.5, 2.0),))
+    conn = _one_symbol_connection(chart, "x0^3")
+    struct = StatisticalStructure(chart, conn, MetricField(chart, [["1 + x0^2"]]))
+    try:
+        pts = chart.sample(PLAN)
+        assert flatness_residual(conn, pts).tobytes() == np.zeros(PLAN.count).tobytes()
+        est = estimate_constant_curvature(struct, PLAN)
+        assert (est.c, est.residual) == (0.0, 0.0)
+    finally:
+        drop_held_points()
 
 
 # ---------------------------------------------------------------------------

@@ -960,6 +960,14 @@ def test_cli_negative_seed_exits_2(capsys):
                                  "so that sampling is reproducible\n")
 
 
+def test_cli_cone_psi_negative_seed_exits_2_naming_the_flag(capsys):
+    # numpy's "expected non-negative integer" named neither --seed nor -1
+    args = ["cone", "psi", "lorentz(2)", "1.5,0.5", "--method", "monte_carlo", "--seed", "-1"]
+    assert main(args) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: command line: '--seed' is -1, not an integer >= 0\n"
+
+
 def test_cli_cone_psi_bad_point_exits_2(capsys):
     assert main(["cone", "psi", "orthant(2)", "2,zebra"]) == 2
     assert "comma-separated" in capsys.readouterr().err
