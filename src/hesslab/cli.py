@@ -44,7 +44,7 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=42,
                         help="seed for sampling and Monte Carlo (default 42)")
     parser.add_argument("--margin", type=float, default=0.05,
-                        help="chart boundary margin in (0, 0.5) (default 0.05)")
+                        help="chart boundary margin in [0, 0.5) (default 0.05)")
     parser.add_argument("--mc-samples", type=int, default=PSI_SAMPLES,
                         help=_MC_SAMPLES_HELP)
 
@@ -80,7 +80,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _require(ok: bool, flag: str, value, noun: str) -> None:
+    """A bad flag value is a usage error that names the flag and the value."""
+    if not ok:
+        raise SceneError(f"command line: '{flag}' is {value}, not {noun}")
+
+
 def _plan(args) -> SamplePlan:
+    _require(args.samples >= 1, "--samples", args.samples, "an integer >= 1")
+    _require(args.seed >= 0, "--seed", args.seed, "an integer >= 0")
+    _require(0 <= args.margin < 0.5, "--margin", args.margin, "in [0, 0.5)")
     return SamplePlan(count=args.samples, seed=args.seed, margin=args.margin)
 
 
@@ -108,8 +117,7 @@ def _cmd_examples(args) -> int:
 
 def _cmd_psi(args) -> int:
     monte_carlo_budget(args.mc_samples, "command line", "--mc-samples")
-    if args.seed < 0:
-        raise SceneError(f"command line: '--seed' is {args.seed}, not an integer >= 0")
+    _require(args.seed >= 0, "--seed", args.seed, "an integer >= 0")
     cone = cone_from_spec(args.spec)
     try:
         point = [float(v) for v in args.point.replace(" ", "").split(",") if v]

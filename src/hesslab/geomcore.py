@@ -59,11 +59,12 @@ field tensor. Block rows come from the plan and one fixed scratch budget
 (`_SCRATCH_BUDGET`, `_block_rows`): the most jets a pass holds at once, their
 width at the order, and what the consumer of the rows keeps per row. Jets
 are computed per sample, so a blocked pass gives the whole pass's bytes. At
-200 samples every bundled field runs in one block. The curvature fold
-(`_curvature_slices`) is the one consumer that takes the rows as they come:
-above one block it folds each block of Gamma's order-1 jets into the
-flatness rows or the constant-curvature fit's sums, and Gamma is held at
-order 0 only (`_holds_order_1`), so its derivative jets are never held whole.
+200 samples every bundled field runs in one block. The curvature kernel
+(`curvature_slices`) is the one consumer that takes the rows as they come:
+it hands each block's pair slices R^l_{ijk}, i < j, to the flatness term or
+to the constant-curvature fit, which fold them into (m,) rows, so no code
+builds R beyond one (b, d, d) slice. Above one block Gamma is held at order
+0 only (`_holds_order_1`), so its derivative jets are never held whole.
 
 The most recently sampled point set is held, read-only (`_PointSet`), with
 each field's tensor on exactly that array, so the checks of one structure
@@ -668,9 +669,11 @@ def lie_derivative_metric_batch(xi: VectorFieldT, g: MetricField, pts) -> Array:
 
 
 def _fold_keep(d: int) -> int:
-    """Bytes per row that one block of the curvature fold keeps besides the
-    jets' scratch: Gamma's value and derivative rows, d^3 for a pair's slices,
-    and the block of R and two traces that the constant-curvature fit builds."""
+    """Bytes per row that one block of the curvature fold reserves besides
+    the jets' scratch: Gamma's value and derivative rows, a pair's slice and
+    the fit's trace need d^4 + d^3 + 3 d^2. The value was sized for a block
+    of the whole R and stays, as it sets the fold's block rows: that smaller
+    count gives larger blocks, more peak RSS and page faults at 20 000 samples."""
     return 8 * (2 * d**4 + 2 * d**3 + 2 * d**2)
 
 
@@ -690,12 +693,14 @@ def _holds_order_1(conn: ConnectionField, pts) -> bool:
     return (stored is not None and stored.order >= 1) or _fold_step(conn, m, n) >= m
 
 
-def _curvature_slices(conn: ConnectionField, pts, take) -> None:
+def curvature_slices(conn: ConnectionField, pts, take) -> None:
     """``take(rows, i, j, r)`` for each row block and index pair i < j, with
     r the fresh slice (b, l, k) = R^l_{ijk} = Gamma^l_{iu} Gamma^u_{jk} -
     Gamma^l_{ju} Gamma^u_{ik} + d_i Gamma^l_{jk} - d_j Gamma^l_{ik} at those
     rows. The rows d_i Gamma^l_{ik} enter no pair, so each slice adds 0 times
-    their sum: NaN where one is not finite (or the sum overflows).
+    their sum: NaN where one is not finite (or the sum overflows). The
+    slices are all of R: R^l_{jik} = -R^l_{ijk} and R^l_{iik} = 0. The
+    flatness term and the constant-curvature fit read R from them alone.
 
     Where `_holds_order_1` holds Gamma's order-1 tensor the blocks are rows
     of it. Otherwise Gamma's order-1 jets are taken one block at a time and
@@ -730,28 +735,6 @@ def _curvature_slices(conn: ConnectionField, pts, take) -> None:
     _note(values.fault)
 
 
-def curvature_blocks(conn: ConnectionField, pts, take) -> None:
-    """``take(rows, r)`` for each row block, with r the curvature at those
-    rows, (b, l, i, j, k) = R^l_{ijk}, a fresh array ``take`` may change: the
-    pair slices (`_curvature_slices`), their negations at (j, i) and zeros.
-    A flat connection or a 1-dim chart gives one block of zeros."""
-    m, d = len(pts), conn.chart.dim
-    if conn.flat or d == 1:
-        take(slice(None), samples_first(np.zeros((d, d, d, d, m))))
-        return
-    block = []
-
-    def put(rows, i, j, r):
-        if not block:
-            block.append(samples_first(np.zeros((d, d, d, d, len(r)))))
-        block[0][:, :, i, j] = r
-        np.negative(r, out=block[0][:, :, j, i])
-        if (i, j) == (d - 2, d - 1):
-            take(rows, block.pop())
-
-    _curvature_slices(conn, pts, put)
-
-
 def exterior_derivative_oneform_batch(theta: OneFormField, pts) -> Array:
     tj = theta.eval(pts, 1)
     d = tj.grad.transpose(0, 2, 1)  # (m, i, j) = d_i theta_j
@@ -762,10 +745,10 @@ def exterior_derivative_oneform_batch(theta: OneFormField, pts) -> Array:
 # Residual helpers
 # ---------------------------------------------------------------------------
 
-# Samples per block of `max_abs`. A block of a dim-3 curvature (81 entries
-# per sample) is 1.3 MiB, so it stays in a 2 MiB L2 cache from the maximum's
-# reduction to the minimum's, and each reduction still runs over rows of
-# 2048 samples.
+# Samples per block of `max_abs`. Its largest inputs, such as nabla g, hold
+# d^3 entries per sample: a block is 0.4 MiB at dim 3 and 1 MiB at dim 4, so
+# it stays in a 2 MiB L2 cache from the maximum's reduction to the
+# minimum's, and each reduction still runs over rows of 2048 samples.
 _MAX_ABS_ROWS = 2048
 
 
@@ -827,14 +810,15 @@ def torsion_residual(conn: ConnectionField, pts) -> Array:
 def flatness_residual(conn: ConnectionField, pts) -> Array:
     """Per-sample |R| / (1 + |Gamma|), kept with the held point set
     (`held_result`), without the curvature tensor: the largest max |R^l_{ij.}|
-    of the pair slices (`_curvature_slices`), which hold R up to sign. 0 for
-    a flat connection, not evaluated, and on a 1-dim chart."""
+    over the pair slices i < j (`curvature_slices`), which hold every entry
+    of R up to sign. 0 for a flat connection, not evaluated, and on a 1-dim
+    chart."""
     def compute():
         worst = np.zeros(len(pts))
         if conn.flat:
             return worst
 
-        _curvature_slices(conn, pts, lambda rows, i, j, r: np.maximum(
+        curvature_slices(conn, pts, lambda rows, i, j, r: np.maximum(
             worst[rows], max_abs(r), out=worst[rows]))
         return worst / (1.0 + max_abs(conn.eval(pts, 0).value))
 
@@ -1039,7 +1023,7 @@ def in_domain(values: Array) -> Array:
 
 
 def sample_check(residual_fn, chart: Chart, plan: SamplePlan, tolerance: float,
-                 name: str = "check", extra=None, notes=()) -> CheckReport:
+                 name: str = "check", extra=None) -> CheckReport:
     """Evaluate a batched residual function over sampled points, in one call.
 
     ``residual_fn`` takes an (m, n) array of points and returns (m,)
@@ -1056,7 +1040,7 @@ def sample_check(residual_fn, chart: Chart, plan: SamplePlan, tolerance: float,
     """
     pts = chart.sample(plan)
     out, fault = _recorded(lambda: residual_fn(pts))
-    notes = list(notes)
+    notes = ()
     extra = dict(extra or {})
     bad = None if fault is None else fault.rows
     if isinstance(out, dict):
@@ -1073,7 +1057,7 @@ def sample_check(residual_fn, chart: Chart, plan: SamplePlan, tolerance: float,
         residuals = np.where(bad, np.inf, residuals)
         k = int(np.count_nonzero(bad))
         share = f"all {k}" if k == plan.count else f"{k} of {plan.count}"
-        notes.append(f"{share} samples hit domain errors: {fault.first[2]}")
+        notes = (f"{share} samples hit domain errors: {fault.first[2]}",)
     return make_report(name, residuals, tolerance, samples=plan.count, extra=extra, notes=notes)
 
 

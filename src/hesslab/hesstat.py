@@ -15,6 +15,7 @@ cone back to {s = 1} recovers the base.  ``build_cone_structure`` and
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -38,7 +39,7 @@ from .geomcore import (
     covariant_derivative_metric_batch,
     covariant_derivative_vector_batch,
     covariant_hessian_trees,
-    curvature_blocks,
+    curvature_slices,
     definiteness_gap,
     det_expression,
     flatness_residual,
@@ -371,33 +372,39 @@ def estimate_constant_curvature(struct: StatisticalStructure, plan=None) -> Curv
 
     def fit():
         # The model is c * B with B^l_{ijk} = delta^l_i g_jk - delta^l_j g_ik,
-        # never built: sum(R * B) is two traces of R against g, and
-        # sum(B * B) = 2 (d - 1) |g|^2 at each sample. R is folded one row
-        # block at a time (`curvature_blocks`) into (m,) rows and never held
-        # whole. B reaches R^l_{ljk} and R^l_{jlk} = -R^l_{ljk} (l != j), and
-        # x -> x - c g_jk is monotone under rounding, so the largest misfit
+        # never built: sum(R * B) is twice the trace T_jk = sum_l R^l_{ljk}
+        # against g, and sum(B * B) = 2 (d - 1) |g|^2 at each sample. R's pair
+        # slices (`curvature_slices`) are folded into (m,) rows, one row block
+        # at a time. B reaches R^l_{ljk} and R^l_{jlk} = -R^l_{ljk} (l != j),
+        # and x -> x - c g_jk is monotone under rounding, so the largest misfit
         # |R - c B| there is at the largest or smallest R^l_{ljk} over l != j:
-        # the fold keeps those two, and max |R| over the other entries.
+        # the fold keeps those two, and max |R| over slice rows l not in {i, j}.
         d, m = chart.dim, len(pts)
         g = struct.metric.eval(pts, 0).value
-        along, rest = np.empty(m), np.empty(m)  # sum(R * B); max |R| where B = 0
-        hi = samples_first(np.empty((d, d, m)))
-        lo = samples_first(np.empty((d, d, m)))
-        diagonal = np.arange(d)
-        # (j, k, l): l != j. B misses R^l_{llk}: 0, or a NaN that makes c NaN
-        reached = diagonal[:, None, None] != diagonal
+        along, rest = np.empty(m), np.zeros(m)  # sum(R * B); max |R| where B = 0
+        hi, lo = (samples_first(np.full((d, d, m), v)) for v in (-np.inf, np.inf))
+        block = []  # the row block's T
 
-        def take(rows, r):
-            traces = np.trace(r, axis1=1, axis2=2) - np.trace(r, axis1=1, axis2=3)
-            along[rows] = np.einsum("ajk,ajk->a", traces, g[rows])
-            own = np.diagonal(r, axis1=1, axis2=2)  # (b, j, k, l) = R^l_{ljk}
-            np.maximum.reduce(own, axis=3, out=hi[rows], where=reached, initial=-np.inf)
-            np.minimum.reduce(own, axis=3, out=lo[rows], where=reached, initial=np.inf)
-            r[:, diagonal, diagonal] = 0.0
-            r[:, diagonal, :, diagonal] = 0.0
-            rest[rows] = max_abs(r)
+        def take(rows, i, j, r):
+            # R^i_{ijk} is a term of T_jk, R^j_{jik} = -R^j_{ijk} one of T_ik;
+            # T_jk adds them from +0.0 in increasing l, as np.trace would
+            if (i, j) == (0, 1):
+                block.append(samples_first(np.zeros((d, d, len(r)))))
+            for row, term in ((j, r[:, i]), (i, np.negative(r[:, j]))):
+                block[0][:, row] += term
+                np.maximum(hi[rows, row], term, out=hi[rows, row])
+                np.minimum(lo[rows, row], term, out=lo[rows, row])
+            r[:, (i, j)] = 0.0
+            np.maximum(rest[rows], max_abs(r), out=rest[rows])
+            if (i, j) == (d - 2, d - 1):
+                trace = block.pop()
+                along[rows] = np.einsum("ajk,ajk->a", trace + trace, g[rows])
 
-        curvature_blocks(struct.conn, pts, take)
+        if struct.conn.flat:  # its slices are 0, and Gamma is never evaluated
+            for i, j in itertools.combinations(range(d), 2):
+                take(slice(None), i, j, samples_first(np.zeros((d, d, m))))
+        else:
+            curvature_slices(struct.conn, pts, take)
         denom = 2.0 * (d - 1) * float(np.sum(np.einsum("ajk,ajk->a", g, g)))
         c = float(np.sum(along)) / denom if denom != 0.0 else 0.0  # a NaN sum stays NaN
         # every g_jk appears in B, so max|c B| = max|c g|

@@ -9,7 +9,7 @@ from hesslab.geomcore import (
     MetricField,
     OneFormField,
     VectorFieldT,
-    curvature_blocks,
+    curvature_slices,
     flat_connection,
     samples_first,
 )
@@ -27,15 +27,16 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 def curvature_tensor(conn, pts):
     """The whole curvature tensor (m, l, i, j, k) = R^l_{ijk}, sample axis
-    first in memory: each row block of the library's fold
-    (`curvature_blocks`) written into its rows."""
+    first in memory, gathered from the library's pair slices
+    (`curvature_slices`): R^l_{jik} = -R^l_{ijk}, and R^l_{iik} = 0."""
     d = conn.chart.dim
-    out = samples_first(np.empty((d, d, d, d, len(pts))))
+    out = samples_first(np.zeros((d, d, d, d, len(pts))))
 
-    def put(rows, r):
-        out[rows] = r
+    def put(rows, i, j, r):
+        out[rows, :, i, j] = r
+        out[rows, :, j, i] = -r
 
-    curvature_blocks(conn, pts, put)
+    curvature_slices(conn, pts, put)
     return out
 
 

@@ -8,6 +8,7 @@ compare every array, term, fit and report with the one-block pass."""
 from __future__ import annotations
 
 import functools
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -223,11 +224,13 @@ def test_blocked_fold_matches_the_whole_fold(dim, metric, monkeypatch):
 
 @pytest.mark.parametrize("spoil", [None, np.inf, -np.inf, np.nan, "diagonal"])
 def test_fit_fold_matches_the_whole_tensor_fit_on_a_given_curvature(spoil, monkeypatch):
-    # a random curvature R = A - A^T(ij) handed to the fit in blocks of ROWS
-    # rows, against the whole-tensor fit on the same R: the same c and
-    # residual bytes, with an inf or NaN at entries the model misses
-    # (i, j != l), where only the residual sees it, or an inf in A^l_{llk},
-    # whose R^l_{llk} = inf - inf makes c NaN
+    # a random curvature R = A - A^T(ij) handed to the fit as its pair
+    # slices, in blocks of ROWS rows, against the whole-tensor fit on the
+    # same R: the same c and residual bytes, with an inf or NaN at entries
+    # the model misses (i, j != l), where only the residual sees it, or an
+    # inf in A^l_{llk}, whose R^l_{llk} = inf - inf enters no slice: the
+    # slices carry it as the kernel's guard, NaN in every slice of that
+    # sample, and c reads NaN, as it does on the whole tensor
     import hesslab.hesstat as hs
 
     d = 3
@@ -241,14 +244,16 @@ def test_fit_fold_matches_the_whole_tensor_fit_on_a_given_curvature(spoil, monke
         a[17, 0, 1, 2, 0] = a[150, 2, 0, 1, 1] = spoil
     with np.errstate(invalid="ignore"):
         r = a - a.transpose(0, 1, 3, 2, 4)
+        guard = 0.0 * np.sum(np.diagonal(r, axis1=2, axis2=3), axis=(1, 2, 3))
 
     def given(conn, pts, take):
         for start in range(0, M, ROWS):
             rows = slice(start, start + ROWS)
-            take(rows, np.copy(r[rows]))
+            for i, j in itertools.combinations(range(d), 2):
+                take(rows, i, j, r[rows, :, i, j] + guard[rows, None, None])
 
     try:
-        monkeypatch.setattr(hs, "curvature_blocks", given)
+        monkeypatch.setattr(hs, "curvature_slices", given)
         est = estimate_constant_curvature(struct, plan)
         want = _fit_on_the_whole_tensor(np.copy(r), g.eval(g.chart.sample(plan), 0).value)
     finally:
@@ -261,6 +266,25 @@ def test_fit_fold_matches_the_whole_tensor_fit_on_a_given_curvature(spoil, monke
     assert np.isfinite(est.c)
     if spoil is not None:
         assert not np.isfinite(est.residual)
+
+
+def test_the_fit_on_a_dim_2_chart_is_the_whole_tensor_fit():
+    # on a dim-2 chart every R^l_{ijk} with i != j has l in {i, j}, where the
+    # model reaches it, so the misfit is read at those entries alone; a
+    # connection that is no Levi-Civita one, its curvature far from c B
+    chart = Chart(2, ((0.2, 0.9),) * 2)
+    conn = ConnectionField(chart, [[["x0*x1", "1 + x1^2"], ["x0 - x1", "0.5*x0"]],
+                                   [["x1^3", "-x0"], ["2*x0*x1", "1 - x1"]]])
+    g = MetricField(chart, [["1 + x0^2", "0.1*x0*x1"], ["0.1*x0*x1", "2 + x1"]])
+    plan = SamplePlan(count=M, seed=4)
+    try:
+        est = estimate_constant_curvature(StatisticalStructure(chart, conn, g), plan)
+        pts = chart.sample(plan).copy()
+        want = _fit_on_the_whole_tensor(curvature_tensor(conn, pts), g.eval(pts, 0).value)
+    finally:
+        drop_held_points()
+    assert (est.c, est.residual) == want
+    assert est.residual > 0.1
 
 
 def test_fold_reads_a_held_order_1_tensor_by_blocks(monkeypatch):

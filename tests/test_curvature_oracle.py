@@ -1,4 +1,5 @@
-"""The curvature fold (`curvature_blocks`), the flatness term,
+"""The curvature kernel's pair slices (`curvature_slices`, gathered into
+the whole R by `conftest.curvature_tensor`), the flatness term,
 `covariant_hessian_trees`, the covariant derivatives of a one-form, a vector
 field and a metric, the Lie derivative of a metric and the pullback of (g,
 Gamma, theta) by a map against tensors derived by sympy.
@@ -84,8 +85,8 @@ def _parse(text: str, xs):
 
 def _riemann(gamma, xs, pts: np.ndarray) -> np.ndarray:
     """R^l_{ijk} = d_i G^l_{jk} - d_j G^l_{ik} + G^l_{iu} G^u_{jk} - G^l_{ju} G^u_{ik}
-    of the sympy symbols gamma[l][j][k] at each point, in `curvature_blocks`'
-    (m, l, i, j, k) layout."""
+    of the sympy symbols gamma[l][j][k] at each point, in
+    `conftest.curvature_tensor`'s (m, l, i, j, k) layout."""
     span = range(len(xs))
     riemann = [
         gamma[l][j][k].diff(xs[i]) - gamma[l][i][k].diff(xs[j])

@@ -715,23 +715,52 @@ def test_cone_round_trip_recovers_base(build_base, lam):
     assert np.max(np.abs(dd)) < 1e-8
 
 
+def test_the_fit_of_a_flat_connection_is_exactly_0_and_reads_no_gamma(monkeypatch):
+    # a flat connection's curvature is 0 without evaluating Gamma: c and the
+    # residual are +0.0, whatever the metric
+    import hesslab.geomcore as gc
+
+    chart = Chart(3, ((0.2, 0.9),) * 3)
+    conn = flat_connection(chart)
+    g = MetricField(chart, [["1 + x0^2", "0.1*x1", "0"], ["0.1*x1", "2 + x2", "-0.2*x0"],
+                            ["0", "-0.2*x0", "3"]])
+    evaluated = []
+    real = gc._eval_entries
+
+    def eval_entries(field, *args, **kwargs):
+        evaluated.append(field)
+        return real(field, *args, **kwargs)
+
+    monkeypatch.setattr(gc, "_eval_entries", eval_entries)
+    try:
+        est = estimate_constant_curvature(StatisticalStructure(chart, conn, g), PLAN)
+    finally:
+        drop_held_points()
+    assert np.array([est.c, est.residual]).tobytes() == np.zeros(2).tobytes()
+    assert g in evaluated and conn not in evaluated
+
+
 # ---------------------------------------------------------------------------
 # residual terms kept with the held point set
 # ---------------------------------------------------------------------------
 
 def _count_curvature(monkeypatch) -> list:
     """Every (connection, points) pair whose curvature slices are built: the
-    code the curvature fit (`curvature_blocks`) and the flatness term share."""
+    kernel the curvature fit and the flatness term share, wrapped in every
+    module that binds it."""
+    import hesslab
     import hesslab.geomcore as gc
 
     calls = []
-    real = gc._curvature_slices
+    real = gc.curvature_slices
 
     def curvature_slices(conn, pts, take):
         calls.append((conn, pts))
         return real(conn, pts, take)
 
-    monkeypatch.setattr(gc, "_curvature_slices", curvature_slices)
+    for module in vars(hesslab).values():
+        if getattr(module, "curvature_slices", None) is real:
+            monkeypatch.setattr(module, "curvature_slices", curvature_slices)
     return calls
 
 

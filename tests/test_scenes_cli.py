@@ -956,8 +956,24 @@ def test_cli_negative_seed_exits_2(capsys):
     # of the scene used to report a failure of its own
     assert main(["example", "hopf", "--seed", "-1", "--samples", "20"]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and err == ("error: seed must be an integer >= 0, "
-                                 "so that sampling is reproducible\n")
+    assert out == "" and err == "error: command line: '--seed' is -1, not an integer >= 0\n"
+
+
+def test_cli_zero_samples_exits_2_naming_the_flag(capsys):
+    assert main(["example", "hopf", "--samples", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: command line: '--samples' is 0, not an integer >= 1\n"
+
+
+def test_cli_margin_outside_its_range_exits_2_naming_the_flag(capsys):
+    # 0 is a margin, and the help text says so
+    assert main(["example", "hopf", "--margin", "0.7", "--samples", "20"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: command line: '--margin' is 0.7, not in [0, 0.5)\n"
+    assert main(["example", "hopf", "--margin", "0", "--samples", "20"]) == 0
+    capsys.readouterr()
+    assert main(["example", "--help"]) == 0
+    assert "[0, 0.5)" in " ".join(capsys.readouterr().out.split())
 
 
 def test_cli_cone_psi_negative_seed_exits_2_naming_the_flag(capsys):
